@@ -9,7 +9,7 @@ All arithmetic is exact (complex rationals); nothing here uses floats.
 from .exact import CRat
 from .parser import ParseError, parse_poly
 from .poly import (CoordChange, NonRealError, Poly, PolyError,
-                   eliminate_harmonic, revlex_max_balanced, substitute,
+                   eliminate_harmonic, revlex_max_balanced, split_model,
                    weighted_order)
 from .weights import (InverseWeight, Multitype, Weight, corroborate,
                       counting_bound, enumerate_multitypes, is_admissible,

@@ -29,13 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import CRat, CZERO, rat_str
-from .poly import CoordChange, Poly, PolyError, require_real
+from .exact import CRat, CZERO, inverse, rank, rat_str
+from .poly import CoordChange, ModelShapeError, Poly, PolyError, split_model
 from .weights import INF, Entry, InverseWeight, Weight, entry_str, recip
-
-
-class ModelShapeError(PolyError):
-    """Input is not of the model shape c * Re z1 + p(z_2..z_n)."""
 
 
 class BoundaryConstructionError(PolyError):
@@ -93,6 +89,15 @@ class _Mixed:
         return _Mixed(hol, anti)
 
 
+def _apply_hol(hol: Sequence[Poly], f: Poly) -> Poly:
+    """The (1,0) part of a field applied to f: sum_k hol[k-1] * df/dz_k."""
+    out = Poly.zero(f.n)
+    for k, a in enumerate(hol, start=1):
+        if not a.is_zero():
+            out = out + a * f.wirtinger(k)
+    return out
+
+
 def _as_mixed(vf: VField, conjugated: bool) -> _Mixed:
     n = vf.n
     zero = tuple(Poly.zero(n) for _ in range(n))
@@ -117,18 +122,10 @@ def list_derivative(r: Poly, fields: Dict[int, VField],
     if len(entries) < 2:
         raise PolyError("a list needs at least two fields")
     mixed = [_as_mixed(fields[slot], conj) for slot, conj in entries]
-    seed = _pair_with_dr(r, mixed[-2].bracket(mixed[-1]))
+    seed = _apply_hol(mixed[-2].bracket(mixed[-1]).hol, r)
     for fld in reversed(mixed[:-2]):
         seed = fld.derive(seed)
     return seed
-
-
-def _pair_with_dr(r: Poly, v: _Mixed) -> Poly:
-    out = Poly.zero(r.n)
-    for k in range(1, r.n + 1):
-        if not v.hol[k - 1].is_zero():
-            out = out + v.hol[k - 1] * r.wirtinger(k)
-    return out
 
 
 def _list_value_at_origin(r: Poly, fields: Dict[int, VField],
@@ -137,7 +134,8 @@ def _list_value_at_origin(r: Poly, fields: Dict[int, VField],
     (a term of degree d needs at least d further derivations to reach 0)."""
     mixed = [_as_mixed(fields[slot], conj) for slot, conj in entries]
     remaining = len(mixed) - 2
-    seed = _truncate(_pair_with_dr(r, mixed[-2].bracket(mixed[-1])), remaining)
+    seed = _truncate(_apply_hol(mixed[-2].bracket(mixed[-1]).hol, r),
+                     remaining)
     for i, fld in enumerate(reversed(mixed[:-2])):
         seed = fld.derive(seed, cap=remaining - i - 1)
         if seed.is_zero():
@@ -168,7 +166,7 @@ class _ListSearcher:
         key = (e1, e2, cap)
         if key not in self._seeds:
             bracket = self.mixed(e1).bracket(self.mixed(e2))
-            self._seeds[key] = _truncate(_pair_with_dr(self.r, bracket), cap)
+            self._seeds[key] = _truncate(_apply_hol(bracket.hol, self.r), cap)
         return self._seeds[key]
 
     def first_nonzero(self, skeleton: Sequence[int]
@@ -324,25 +322,6 @@ class BoundarySystem:
         }
 
 
-def _model_split(r: Poly) -> Tuple[CRat, Poly]:
-    """Validate the model shape and return (z1 coefficient, tangential p)."""
-    require_real(r, "model")
-    n = r.n
-    e1 = tuple(1 if i == 0 else 0 for i in range(n))
-    zero = (0,) * n
-    c1 = r.terms.get((e1, zero), CZERO)
-    if c1.is_zero() or not c1.is_real():
-        raise ModelShapeError("model needs a nonzero real multiple of Re z1")
-    p_terms = {}
-    for (a, b), c in r.terms.items():
-        if a[0] or b[0]:
-            if (a, b) not in ((e1, zero), (zero, e1)):
-                raise ModelShapeError("z1 appears beyond the linear head")
-            continue
-        p_terms[(a, b)] = c
-    return c1, Poly(n, p_terms)
-
-
 def _tangential_hessian(p: Poly) -> List[List[Poly]]:
     return [[p.wirtinger(j).wirtinger(k, conjugate=True)
              for k in range(2, p.n + 1)] for j in range(2, p.n + 1)]
@@ -351,12 +330,7 @@ def _tangential_hessian(p: Poly) -> List[List[Poly]]:
 def _field_from_vector(r: Poly, c1: CRat, vec: Sequence[Poly]) -> VField:
     """Tangential field with given z_2..z_n coefficients; the z_1 coefficient
     is solved from L(r) = 0."""
-    n = r.n
-    a1 = Poly.zero(n)
-    for k in range(2, n + 1):
-        if not vec[k - 2].is_zero():
-            a1 = a1 + vec[k - 2] * r.wirtinger(k)
-    a1 = a1 * (CRat(-1) / c1)
+    a1 = _apply_hol([Poly.zero(r.n)] + list(vec), r) * (CRat(-1) / c1)
     return VField((a1,) + tuple(vec))
 
 
@@ -375,7 +349,7 @@ def _neumann_solve(matrix: List[List[Poly]], rhs: List[Poly], n: int,
     zero_key = ((0,) * n, (0,) * n)
     m0 = [[matrix[i][j].terms.get(zero_key, CZERO) for j in range(dim)]
           for i in range(dim)]
-    m0inv = _invert_matrix(m0)
+    m0inv = inverse(m0)
     if m0inv is None:
         return None
     npart = [[_truncate(matrix[i][j] - Poly.const(n, m0[i][j]), cap)
@@ -398,26 +372,6 @@ def _neumann_solve(matrix: List[List[Poly]], rhs: List[Poly], n: int,
             break
         acc = [a + b for a, b in zip(acc, x)]
     return acc
-
-
-def _invert_matrix(m: List[List[CRat]]) -> Optional[List[List[CRat]]]:
-    dim = len(m)
-    if dim == 0:
-        return []
-    a = [row[:] + [CRat(1 if i == j else 0) for j in range(dim)]
-         for i, row in enumerate(m)]
-    for col in range(dim):
-        piv = next((r for r in range(col, dim) if not a[r][col].is_zero()), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = CRat(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(dim):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[dim:] for row in a]
 
 
 def _build_slow_field(r: Poly, c1: CRat, p_hess: List[List[Poly]],
@@ -446,15 +400,9 @@ def _build_slow_field(r: Poly, c1: CRat, p_hess: List[List[Poly]],
                 out = out + p_hess[k - 2][l - 2] * vec[k - 2] * conj_l
         return out
 
-    def slow_row(vec: List[Poly], sl: SlowSlot) -> Poly:
-        out = Poly.zero(n)
-        for k in range(2, n + 1):
-            if not vec[k - 2].is_zero():
-                out = out + vec[k - 2] * sl.r_func.wirtinger(k)
-        return out
-
     rows = [lambda v, lf=lf: levi_row(v, lf) for lf in levi]
-    rows += [lambda v, sl=sl: slow_row(v, sl) for sl in prior]
+    rows += [lambda v, sl=sl: _apply_hol([Poly.zero(n)] + v, sl.r_func)
+             for sl in prior]
     if not rows:
         return _field_from_vector(r, c1, base)
     matrix = [[row(col) for col in columns] for row in rows]
@@ -500,7 +448,7 @@ def build_boundary_system(r: Poly, list_bound: Optional[int] = None
     The search frontier for list lengths defaults to the total degree of the
     tangential polynomial; at the first slot where every admissible ordered
     list within the frontier vanishes at 0, the remaining entries are +inf."""
-    c1, p = _model_split(r)
+    c1, p = split_model(r)
     n = r.n
     if n < 2:
         raise ModelShapeError("boundary systems need dimension >= 2")
@@ -510,7 +458,7 @@ def build_boundary_system(r: Poly, list_bound: Optional[int] = None
     h0 = [[p_hess[j][k].terms.get(((0,) * n, (0,) * n), CZERO)
            for k in range(n - 1)] for j in range(n - 1)]
     reduced = hermitian_reduce(h0)
-    rank = sum(1 for _v, d in reduced if d != 0)
+    levi_rank = sum(1 for _v, d in reduced if d != 0)
     levi_fields = [_field_from_vector(r, c1, _const_vec(n, vec))
                    for vec, d in reduced if d != 0]
     levi_values = [d for _v, d in reduced if d != 0]
@@ -523,12 +471,12 @@ def build_boundary_system(r: Poly, list_bound: Optional[int] = None
                      for i in range(len(kernel_dirs))), CZERO)
                 for k in range(n - 1))
             catalog.append(combo)
-    c_entries: List[Entry] = [Fraction(1)] + [Fraction(2)] * rank
+    c_entries: List[Entry] = [Fraction(1)] + [Fraction(2)] * levi_rank
     slow: Dict[int, SlowSlot] = {}
     fields_by_slot: Dict[int, VField] = {}
     c_by_slot: Dict[int, Fraction] = {}
     used_dirs: List[Tuple[CRat, ...]] = []
-    slot = rank + 2
+    slot = levi_rank + 2
     while slot <= n:
         found = None
         field_cache: Dict[Tuple[CRat, ...], Optional[VField]] = {}
@@ -585,7 +533,7 @@ def build_boundary_system(r: Poly, list_bound: Optional[int] = None
         slot += 1
     while len(c_entries) < n:
         c_entries.append(INF)
-    return BoundarySystem(n=n, r=r, rank=rank, levi_fields=levi_fields,
+    return BoundarySystem(n=n, r=r, rank=levi_rank, levi_fields=levi_fields,
                           levi_values=levi_values, slow=slow,
                           c_entries=tuple(c_entries), list_bound=bound,
                           trunc_degree=cap)
@@ -594,27 +542,7 @@ def build_boundary_system(r: Poly, list_bound: Optional[int] = None
 def _in_span(direction: Sequence[CRat], used: List[Tuple[CRat, ...]]) -> bool:
     if not used:
         return False
-    rows = [list(u) for u in used] + [list(direction)]
-    return _crat_rank(rows) == _crat_rank([list(u) for u in used])
-
-
-def _crat_rank(rows: List[List[CRat]]) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c] / m[r][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        rank += 1
-    return rank
+    return rank(list(used) + [direction]) == rank(used)
 
 
 def _normalize_r(g: Poly, direction: Sequence[CRat], n: int
@@ -797,10 +725,10 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
     problems: List[str] = []
     fields = {j: s.fld for j, s in bs.slow.items()}
     for i, lf in enumerate(bs.levi_fields):
-        if not _field_poly_derive(lf, bs.r).is_zero():
+        if not _apply_hol(lf.hol, bs.r).is_zero():
             problems.append(f"Levi field {i + 2}: L(r) != 0")
     for j, sl in sorted(bs.slow.items()):
-        if not _field_poly_derive(sl.fld, bs.r).is_zero():
+        if not _apply_hol(sl.fld.hol, bs.r).is_zero():
             problems.append(f"slot {j}: L_{j}(r) != 0")
         value = _list_value_at_origin(bs.r, fields, sl.entries)
         if value.is_zero():
@@ -822,7 +750,7 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
             problems.append(f"slot {j}: L_j r_j vanishes at 0")
         for k, other in bs.slow.items():
             if k < j:
-                lr = _truncate(_field_poly_derive(sl.fld, other.r_func),
+                lr = _truncate(_apply_hol(sl.fld.hol, other.r_func),
                                bs.trunc_degree)
                 if not lr.is_zero():
                     problems.append(
@@ -834,16 +762,8 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
     return problems
 
 
-def _field_poly_derive(fld: VField, f: Poly) -> Poly:
-    out = Poly.zero(f.n)
-    for k in range(1, f.n + 1):
-        if not fld.hol[k - 1].is_zero():
-            out = out + fld.hol[k - 1] * f.wirtinger(k)
-    return out
-
-
 def _apply_field_at_origin(fld: VField, f: Poly) -> CRat:
-    val = _field_poly_derive(fld, f)
+    val = _apply_hol(fld.hol, f)
     zero = (0,) * f.n
     return val.terms.get((zero, zero), CZERO)
 

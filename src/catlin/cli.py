@@ -108,8 +108,7 @@ def cmd_multitype(args) -> int:
 
 def cmd_psd(args) -> int:
     p = _load_poly(args)
-    tangential = Poly(p.n, {k: c for k, c in p.terms.items()
-                            if k[0][0] == 0 and k[1][0] == 0})
+    tangential = p.restrict_support(range(2, p.n + 1))
     verdict = psd_verdict(tangential, samples=args.samples, seed=args.seed,
                           lattice_den=args.cs_lattice_denominator)
     human = f"{verdict.kind}"
@@ -268,9 +267,7 @@ def _torsion_model(eps: Fraction = Fraction(1, 10)) -> Poly:
 
 def _example_torsion() -> bool:
     r = _torsion_model()
-    p = Poly(4, {k: c for k, c in r.terms.items()
-                 if k[0][0] == 0 and k[1][0] == 0})
-    verdict = psd_verdict(p)
+    verdict = psd_verdict(r.restrict_support(range(2, 5)))
     if verdict.kind != KIND_CERTIFIED or verdict.tier != 2:
         return False
     bs = build_boundary_system(r)
@@ -388,9 +385,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_expr(argv):
+    """Rewrite "--expr X" as "--expr=X": argparse reads a lone token such as
+    "-2*Re(z1)" as an option, not as the value of --expr."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--expr":
+            out[-1] = "--expr=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_expr(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except CliError as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -111,8 +111,49 @@ class CRat:
 
 
 CZERO = CRat(0)
-CONE = CRat(1)
 CI = CRat(0, 1)
+
+
+def _eliminate(rows: Sequence[Sequence["CRat | Rat"]]
+               ) -> Tuple[List[list], List[int]]:
+    """Gauss-Jordan elimination without scaling the pivot rows; returns
+    (rows, pivot columns).  Pivot row i holds the only nonzero entry of pivot
+    column i.  Rational entries stay Fractions, which are several times
+    faster than CRat; CRat entries mix with them exactly."""
+    m = [[x if isinstance(x, CRat) else _frac(x) for x in row] for row in rows]
+    pivots: List[int] = []
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        for i in range(len(m)):
+            if i != top and m[i][col]:
+                f = m[i][col] / m[top][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[top])]
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    return m, pivots
+
+
+def rank(rows: Sequence[Sequence["CRat | Rat"]]) -> int:
+    """Exact rank of a matrix of int, Fraction or CRat entries."""
+    return len(_eliminate(rows)[1])
+
+
+def inverse(m: Sequence[Sequence["CRat | Rat"]]) -> Optional[List[List[CRat]]]:
+    """Exact inverse (CRat entries) of a square matrix of int, Fraction or
+    CRat entries, or None when it is singular."""
+    k = len(m)
+    augmented = [list(row) + [CRat(1 if i == j else 0) for j in range(k)]
+                 for i, row in enumerate(m)]
+    reduced, pivots = _eliminate(augmented)
+    if pivots != list(range(k)):
+        return None
+    scales = [CRat(1) / row[i] for i, row in enumerate(reduced)]
+    return [[x * inv for x in row[k:]] for inv, row in zip(scales, reduced)]
 
 
 def rat_str(x: Fraction) -> str:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import CRat, CZERO, rat_str
+from .exact import CRat, CZERO, rank, rat_str
 from .poly import Poly, PolyError, require_real, term_sort_key
 from .weights import Weight
 
@@ -129,27 +129,6 @@ def _mixed_pairs(p: Poly) -> List[Tuple[Gamma, Gamma, CRat]]:
 def _coeff_bound(c: CRat) -> Fraction:
     """Exact rational upper bound for |c| (equals |c| for real or imaginary c)."""
     return abs(c.re) + abs(c.im)
-
-
-def _rank(rows: Sequence[Sequence[int]], cols: Sequence[int]) -> int:
-    m = [[Fraction(r[c]) for c in cols] for r in rows]
-    rank = 0
-    ncols = len(cols)
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col] / m[row][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
 
 
 def _fraction_lattice(den: int) -> List[Fraction]:
@@ -307,7 +286,7 @@ def _psh_certificate(p: Poly, lattice_den: int,
         # of alpha + beta, so the kernels must intersect trivially there
         cols = [i - 1 for i in range(1, p.n)
                 if a[i] + b[i] > 0]
-        if _rank(rows, cols) != len(cols):
+        if rank([[row[c] for c in cols] for row in rows]) != len(cols):
             return None  # majorant kernels do not intersect trivially
         mixed_json.append({
             "alpha": list(a), "beta": list(b), "bound": rat_str(u),
@@ -527,7 +506,7 @@ def _replay_psh(p: Poly, cert: dict) -> bool:
         sigma_beta = tuple(mx["beta"])
         cols = [i - 1 for i in range(1, p.n)
                 if sigma_alpha[i] + sigma_beta[i] > 0]
-        if _rank(rows, cols) != len(cols):
+        if rank([[row[c] for c in cols] for row in rows]) != len(cols):
             return False
     hyper = {h["var"]: h for h in cert.get("hyperplanes", [])}
     if set(hyper) != set(active):
@@ -683,17 +662,6 @@ def one_var_coeff_check(P: Poly, assume_nonneg: bool = False) -> CoeffBoundRepor
         bounds.append((k, ck, ok))
     return CoeffBoundReport(var=var, half_degree=m, C0=C0, bounds=bounds,
                             nonzero=not P.is_zero())
-
-
-def circle_points(count: int) -> List[CRat]:
-    """Rational points on |z| = 1 via the Pythagorean parametrization."""
-    pts = [CRat(1), CRat(-1)]
-    for t_num in range(1, count):
-        t = Fraction(t_num, count)
-        d = 1 + t * t
-        pts.append(CRat((1 - t * t) / d, 2 * t / d))
-        pts.append(CRat((1 - t * t) / d, -2 * t / d))
-    return pts
 
 
 # ----------------------------------------------------------------------

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .exact import CRat, CZERO, rat_str
+from .exact import CRat, rat_str
 from .poly import (CoordChange, Poly, PolyError, eliminate_harmonic,
-                   require_real, revlex_max_balanced)
+                   require_real, revlex_max_balanced, split_model)
 from .weights import Weight, lower_weight_at
 
 
@@ -72,10 +72,6 @@ class NormalRow:
     ks: Tuple[int, ...]          # (k_{j2}, ..., k_{jj})
     coeff: Fraction              # A_j
     realized: bool
-
-    @property
-    def monomial_alpha(self) -> Tuple[int, ...]:
-        return self.ks
 
     def to_json(self) -> dict:
         return {"j": self.j, "k": list(self.ks), "A": rat_str(self.coeff),
@@ -327,7 +323,9 @@ def normalize(r: Poly, mu: Weight, assert_psc: bool = False,
         raise PolyError("normalization needs dimension >= 2")
     if mu.n != n:
         raise PolyError("weight length != dimension")
-    _require_model_head(r)
+    if split_model(r)[0] != CRat(-1):
+        raise PolyError("model must start with -2 Re z1 "
+                        "(coefficient -1 on z1)")
     r_work, _h = eliminate_harmonic(r)
     if r_work.min_weight(mu.entries) is not None and \
             r_work.min_weight(mu.entries) < 1:
@@ -351,7 +349,7 @@ def normalize(r: Poly, mu: Weight, assert_psc: bool = False,
                 tail = tail + part
             else:
                 raise PolyError(f"weight {w} < 1 term after harmonic elimination")
-        p = _strip_z1(model)
+        p = model.restrict_support(range(2, n + 1))
         rows: List[NormalRow] = []
         try:
             change, p2, k22, c20, warn = step_first(p, mu, assert_psc)
@@ -409,27 +407,6 @@ def _shift_change(n: int, maps, mu: Weight) -> CoordChange:
         return CoordChange(n, maps, mu.entries)
     except PolyError:
         return CoordChange(n, maps, mu.entries, graded=False)
-
-
-def _strip_z1(model: Poly) -> Poly:
-    out = {}
-    for (a, b), c in model.terms.items():
-        if a[0] == 0 and b[0] == 0:
-            out[(a, b)] = c
-    return Poly(model.n, out)
-
-
-def _require_model_head(r: Poly):
-    n = r.n
-    e1 = tuple(1 if i == 0 else 0 for i in range(n))
-    zero = (0,) * n
-    c1 = r.terms.get((e1, zero), CZERO)
-    if c1 != CRat(-1):
-        raise PolyError("model must start with -2 Re z1 "
-                        "(coefficient -1 on z1)")
-    for (a, b) in r.terms:
-        if (a[0] or b[0]) and (a, b) not in ((e1, zero), (zero, e1)):
-            raise PolyError("z1 may only appear in the leading -2 Re z1")
 
 
 def _finish(r: Poly, n: int, mu_init: Weight, mu: Weight,

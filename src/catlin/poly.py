@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
-from .exact import CRat, CZERO, Rat, rat_from_str, rat_str
+from .exact import CRat, CZERO, Rat, rank, rat_from_str, rat_str
 
 Exponents = Tuple[int, ...]
 TermKey = Tuple[Exponents, Exponents]
@@ -44,6 +44,10 @@ class NonRealError(PolyError):
 
 class DimensionMismatch(PolyError):
     """Operands live in different ambient dimensions."""
+
+
+class ModelShapeError(PolyError):
+    """Input is not of the model shape c * Re z1 + p(z_2..z_n)."""
 
 
 def term_sort_key(key: TermKey) -> tuple:
@@ -421,29 +425,38 @@ def weighted_order(pair: TermKey, mu: Sequence[Fraction]) -> Fraction:
     return total
 
 
+def split_model(r: Poly) -> Tuple[CRat, Poly]:
+    """Split a model r = c1*z1 + c1*zbar1 + p(z_2..z_n) into (c1, p).
+
+    r must be real and z1 may appear only in that linear head, with a
+    nonzero real coefficient c1; otherwise ModelShapeError is raised."""
+    require_real(r, "model")
+    n = r.n
+    e1 = _unit(n, 1)
+    zero = (0,) * n
+    c1 = r.terms.get((e1, zero), CZERO)
+    if c1.is_zero() or not c1.is_real():
+        raise ModelShapeError("model needs a nonzero real multiple of Re z1")
+    p_terms = {}
+    for (a, b), c in r.terms.items():
+        if a[0] or b[0]:
+            if (a, b) not in ((e1, zero), (zero, e1)):
+                raise ModelShapeError("z1 appears beyond the linear head")
+            continue
+        p_terms[(a, b)] = c
+    return c1, Poly(n, p_terms)
+
+
 def eliminate_harmonic(r: Poly) -> Tuple[Poly, Poly]:
     """Absorb pure (harmonic) monomials of f into z_1 for r = c*Re(z1) + f.
 
     Returns (r', h) with r' = r after the substitution z1 -> z1 + h.  h is the
     holomorphic pure part of f rescaled by the z1 coefficient; r' contains no
-    pure monomial.  The z1 slot must appear exactly linearly with a real
-    coefficient (any nonzero real multiple of Re z1 is accepted).
+    pure monomial.  The model shape is checked by :func:`split_model`.
     """
-    require_real(r, "defining function")
+    c1, f = split_model(r)
     n = r.n
-    e1 = tuple(1 if i == 0 else 0 for i in range(n))
     zero = (0,) * n
-    c1 = r.terms.get((e1, zero), CZERO)
-    if c1.is_zero() or not c1.is_real():
-        raise PolyError("expected a nonzero real multiple of Re z1")
-    f_terms = {}
-    for (a, b), c in r.terms.items():
-        if a[0] or b[0]:
-            if (a, b) not in ((e1, zero), (zero, e1)):
-                raise PolyError("z1 appears nonlinearly or inside f")
-            continue
-        f_terms[(a, b)] = c
-    f = Poly(n, f_terms)
     # Shifting z1 by holomorphic h adds c1*h + conj(c1*h) to r (c1 real), so
     # h = -P/c1 cancels the pure pair P + conj(P); a real constant c0 appears
     # once in the table and needs half that shift.
@@ -456,17 +469,6 @@ def eliminate_harmonic(r: Poly) -> Tuple[Poly, Poly]:
     maps[0] = maps[0] + h
     r_prime = r.substitute_maps(maps)
     return require_real(r_prime, "harmonic-eliminated polynomial"), h
-
-
-def leading_model(p: Poly, mu: Sequence[Fraction]) -> Poly:
-    """Weight-1 part of p: the polynomial model of a graded defining function."""
-    return p.weight_part(mu, Fraction(1))
-
-
-def tail(p: Poly, mu: Sequence[Fraction]) -> Poly:
-    """Strictly-above-weight-1 part of p (the graded remainder)."""
-    out = {k: c for k, c in p.terms.items() if weighted_order(k, mu) > 1}
-    return Poly(p.n, out)
 
 
 def revlex_max_balanced(p: Poly, active: Iterable[int]) -> Optional[TermKey]:
@@ -546,14 +548,14 @@ class CoordChange:
             for block in _weight_blocks(self.mu):
                 m = [[self.maps[j - 1].coeff(_unit(self.n, i), zero)
                       for j in block] for i in block]
-                if not _invertible(m):
+                if rank(m) != len(block):
                     raise PolyError(
                         f"linear part on equal-weight block {block} is singular")
         else:
             full = [[self.maps[j - 1].coeff(_unit(self.n, i), zero)
                      for j in range(1, self.n + 1)]
                     for i in range(1, self.n + 1)]
-            if not _invertible(full):
+            if rank(full) != self.n:
                 raise PolyError("linear part of the change is singular")
 
     @staticmethod
@@ -588,11 +590,6 @@ class CoordChange:
                 "maps": [f.to_json_dict() for f in self.maps]}
 
 
-def substitute(p: Poly, change: CoordChange) -> Poly:
-    """Exact expansion of p under the coordinate change."""
-    return change.apply(p)
-
-
 def _unit(n: int, j: int) -> Exponents:
     return tuple(1 if i == j - 1 else 0 for i in range(n))
 
@@ -603,24 +600,6 @@ def _weight_blocks(mu: Sequence[Fraction]) -> Iterator[Tuple[int, ...]]:
         groups.setdefault(m, []).append(j)
     for m in sorted(groups, reverse=True):
         yield tuple(groups[m])
-
-
-def _invertible(m: Sequence[Sequence[CRat]]) -> bool:
-    """Gaussian elimination over CRat."""
-    k = len(m)
-    a = [[CRat.of(x) for x in row] for row in m]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if not a[r][col].is_zero()), None)
-        if piv is None:
-            return False
-        a[col], a[piv] = a[piv], a[col]
-        inv = CRat(1) / a[col][col]
-        for r in range(col + 1, k):
-            if a[r][col].is_zero():
-                continue
-            factor = a[r][col] * inv
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return True
 
 
 # ----------------------------------------------------------------------

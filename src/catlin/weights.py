@@ -180,10 +180,6 @@ def _slot_witnesses(lams: Sequence[Entry]) -> List[Tuple[int, ...]]:
     return sorted(out)
 
 
-def _admissible_slot(lams: Sequence[Entry]) -> bool:
-    return bool(_slot_witnesses(lams))
-
-
 # ----------------------------------------------------------------------
 # distinguishedness in fixed coordinates
 # ----------------------------------------------------------------------
@@ -340,7 +336,7 @@ def multitype_search(r: Poly, degree_bound: int = 4,
         raise DimensionMismatch("multitype needs dimension >= 2")
     require_real(r, "model")
     r0, _h = eliminate_harmonic(r)
-    p = _model_part(r0)
+    p = r0.restrict_support(range(2, r.n + 1))
     best = best_distinguished_weight(p)
     if best is None:
         raise PolyError("no admissible distinguished weight found in given "
@@ -374,14 +370,6 @@ def corroborate(mt: Multitype, commutator: InverseWeight) -> Multitype:
         mt.status = STATUS_EXACT
         mt.witness["commutator"] = [entry_str(e) for e in commutator.entries]
     return mt
-
-
-def _model_part(r0: Poly) -> Poly:
-    out = {}
-    for (a, b), c in r0.terms.items():
-        if a[0] == 0 and b[0] == 0:
-            out[(a, b)] = c
-    return Poly(r0.n, out)
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from catlin.exact import CRat
-from catlin.poly import Poly
+from catlin.poly import Poly, weighted_order
 
 
 def rand_fraction(rng: random.Random, span: int = 4) -> Fraction:
@@ -86,3 +86,41 @@ def brute_admissible_slot(lams: List[Fraction], bound: int = 40) -> List[Tuple[i
 
     rec(0, [], Fraction(0))
     return out
+
+
+def _rational_rank(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col] / m[rank][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def leading_model(p: Poly, mu: Sequence[Fraction]) -> Poly:
+    """Weight-1 part of p: the polynomial model of a graded defining function."""
+    return p.weight_part(mu, Fraction(1))
+
+
+def tail(p: Poly, mu: Sequence[Fraction]) -> Poly:
+    """Strictly-above-weight-1 part of p (the graded remainder)."""
+    out = {k: c for k, c in p.terms.items() if weighted_order(k, mu) > 1}
+    return Poly(p.n, out)
+
+
+def circle_points(count: int) -> List[CRat]:
+    """Rational points on |z| = 1 via the Pythagorean parametrization."""
+    pts = [CRat(1), CRat(-1)]
+    for t_num in range(1, count):
+        t = Fraction(t_num, count)
+        d = 1 + t * t
+        pts.append(CRat((1 - t * t) / d, 2 * t / d))
+        pts.append(CRat((1 - t * t) / d, -2 * t / d))
+    return pts

@@ -8,10 +8,10 @@ from catlin.boundary import (BoundaryConstructionError,
                              audit_boundary_system, build_boundary_system,
                              detect_torsion, first_block_slots,
                              list_derivative, normalize_first_block,
-                             _field_from_vector, _model_split)
+                             _field_from_vector)
 from catlin.exact import CRat
 from catlin.parser import parse_poly
-from catlin.poly import Poly, PolyError
+from catlin.poly import Poly, PolyError, split_model
 from catlin.weights import INF, InverseWeight, multitype_search
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
@@ -32,7 +32,7 @@ def origin_value(p: Poly) -> CRat:
 
 def test_list_derivative_levi_entry():
     r = parse_poly("-2*Re(z1) + |z2|^2", 2)
-    c1, _p = _model_split(r)
+    c1, _p = split_model(r)
     l2 = _field_from_vector(r, c1, [Poly.const(2, 1)])
     value = list_derivative(r, {2: l2}, [(2, True), (2, False)])
     assert not origin_value(value).is_zero()
@@ -43,7 +43,7 @@ def test_list_derivative_length_threshold():
     # some list of length exactly 2l does not (brute force over all lists).
     for ell in (2, 3):
         r = parse_poly(f"-2*Re(z1) + |z2|^{2 * ell}", 2)
-        c1, _p = _model_split(r)
+        c1, _p = split_model(r)
         l2 = _field_from_vector(r, c1, [Poly.const(2, 1)])
         fields = {2: l2}
         for length in range(2, 2 * ell):
@@ -61,7 +61,7 @@ def test_list_derivative_length_threshold():
 
 def test_list_derivative_needs_two_fields():
     r = parse_poly("-2*Re(z1) + |z2|^2", 2)
-    c1, _p = _model_split(r)
+    c1, _p = split_model(r)
     l2 = _field_from_vector(r, c1, [Poly.const(2, 1)])
     with pytest.raises(PolyError):
         list_derivative(r, {2: l2}, [(2, False)])
@@ -73,7 +73,7 @@ def test_list_derivative_conjugation_consistency():
     # differential kills [A, B], so dbar-r([A, B]) = -dr([A, B]), and the
     # conjugated list pairs with the conjugated form.
     r = parse_poly("-2*Re(z1) + |z2|^4 + |z2|^2*|z3|^2", 3)
-    c1, _p = _model_split(r)
+    c1, _p = split_model(r)
     l2 = _field_from_vector(r, c1, [Poly.const(3, 1), Poly.zero(3)])
     l3 = _field_from_vector(r, c1, [Poly.zero(3), Poly.const(3, 1)])
     fields = {2: l2, 3: l3}
@@ -91,7 +91,7 @@ def test_bloom_lists_vanish():
     # All ordered 3-admissible lists over the kernel direction vanish at the
     # origin: the Bloom phenomenon.
     r = parse_poly("Re(z1) + (Re(z2) + |z3|^2)^2", 3)
-    c1, _p = _model_split(r)
+    c1, _p = split_model(r)
     # tangent field along z3 corrected to kill the Levi pairing with z2
     b2 = Poly.monomial(3, (0, 0, 0), (0, 0, 1), -2)  # -2 zbar3
     l3 = _field_from_vector(r, c1, [b2, Poly.const(3, 1)])

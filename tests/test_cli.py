@@ -34,6 +34,14 @@ def test_parse_json_round_trip(capsys, tmp_path):
     assert Poly.from_json_dict(json.loads(out2)) == p
 
 
+def test_expr_value_starting_with_minus(capsys):
+    code, out, _ = run_cli(capsys, "parse", "--expr", "-2*Re(z1)", "--n", "2",
+                           "--json")
+    assert code == 0
+    assert Poly.from_json_dict(json.loads(out)) == \
+        Poly.monomial(2, (1, 0), (0, 0), -1) + Poly.monomial(2, (0, 0), (1, 0), -1)
+
+
 def test_parse_error_exit_code(capsys):
     code, _out, err = run_cli(capsys, "parse", "--expr", "z2^2 +", "--n", "2")
     assert code == 2

@@ -5,7 +5,7 @@ import pytest
 
 from catlin.exact import CRat
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
-                         cauchy_schwarz_pairing, circle_points, complex_hessian,
+                         cauchy_schwarz_pairing, complex_hessian,
                          hessian_form_value, m_dominant_coefficients,
                          model_truncate, newton_split_check,
                          one_var_coeff_check, psd_verdict, replay_refutation,
@@ -14,7 +14,7 @@ from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError
 from catlin.weights import Weight
 
-from helpers import homogenized_modulus_square, rand_crat
+from helpers import circle_points, homogenized_modulus_square, rand_crat
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"

@@ -7,10 +7,10 @@ import pytest
 from catlin.exact import CRat
 from catlin.parser import ParseError, parse_poly
 from catlin.poly import (CoordChange, NonRealError, Poly, PolyError,
-                         eliminate_harmonic, revlex_max_balanced, substitute,
-                         weighted_order)
+                         eliminate_harmonic, revlex_max_balanced,
+                         split_model, weighted_order)
 
-from helpers import rand_real_poly
+from helpers import leading_model, rand_real_poly, tail
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +112,6 @@ def test_grade_zero_poly():
 
 
 def test_leading_model_and_tail():
-    from catlin.poly import leading_model, tail
     mu = (Fraction(1), Fraction(1, 4))
     r = parse_poly("-2*Re(z1) + |z2|^4 + |z2|^6", 2)
     assert leading_model(r, mu) == parse_poly("-2*Re(z1) + |z2|^4", 2)
@@ -254,7 +253,7 @@ def _is_parent(parent, child, j, conjugate):
 def test_substitute_identity():
     p = parse_poly("|z2|^4 + 2*Re(z2*zbar3)", 3)
     mu = (Fraction(1), Fraction(1, 2), Fraction(1, 2))
-    assert substitute(p, CoordChange.identity(3, mu)) == p
+    assert CoordChange.identity(3, mu).apply(p) == p
 
 
 def test_substitute_square_identity():
@@ -277,7 +276,7 @@ def test_substitute_scaling():
     p = parse_poly("|z2|^2", 2)
     mu = (Fraction(1), Fraction(1, 2))
     c = CoordChange.linear(2, {(1, 1): 1, (2, 2): 2}, mu)
-    assert substitute(p, c) == parse_poly("4*|z2|^2", 2)
+    assert c.apply(p) == parse_poly("4*|z2|^2", 2)
 
 
 def test_substitute_functoriality_random():
@@ -287,8 +286,8 @@ def test_substitute_functoriality_random():
         p = rand_real_poly(rng, 3, terms=3, max_exp=2)
         c1 = _random_change(rng, mu)
         c2 = _random_change(rng, mu)
-        lhs = substitute(substitute(p, c1), c2)
-        rhs = substitute(p, c1.compose(c2))
+        lhs = c2.apply(c1.apply(p))
+        rhs = c1.compose(c2).apply(p)
         assert lhs == rhs
 
 
@@ -305,7 +304,7 @@ def test_substitution_preserves_weight_order():
     p = parse_poly("-2*Re(z1) + |z2|^4 + |z2|^2*|z3|^2", 3)
     mu = (Fraction(1), Fraction(1, 4), Fraction(1, 4))
     c = CoordChange.linear(3, {(1, 1): 1, (2, 2): 1, (2, 3): 1, (3, 3): 1}, mu)
-    q = substitute(p, c)
+    q = c.apply(p)
     for key in q.terms:
         assert weighted_order(key, mu) >= 1
 
@@ -404,3 +403,26 @@ def test_json_terms_canonically_ordered():
     keys = [(tuple(t["alpha"]), tuple(t["beta"])) for t in d["terms"]]
     degrees = [sum(a) + sum(b) for a, b in keys]
     assert degrees == sorted(degrees)
+
+
+def test_split_model_returns_head_and_tangential_part():
+    c1, p = split_model(parse_poly("-2*Re(z1) + |z2|^4 + 2*Re(z2*zbar3)", 3))
+    assert c1 == CRat(-1)
+    assert p == parse_poly("|z2|^4 + 2*Re(z2*zbar3)", 3)
+    c1, p = split_model(parse_poly("3*Re(z1) + |z2|^2", 2))
+    assert c1 == CRat(Fraction(3, 2))
+    assert p == parse_poly("|z2|^2", 2)
+
+
+@pytest.mark.parametrize("expr", [
+    "-2*Re(z1) + 2*Re(z1^2) + |z2|^2",       # nonlinear z1
+    "-2*Re(z1^2) + |z2|^2",                  # no linear head: c1 = 0
+    "|z2|^2",                                # c1 = 0
+    "2*Im(z1) + |z2|^2",                     # c1 not real
+    "-2*Re(z1) + 2*Re(z1*zbar2) + |z2|^2",   # z1 inside p
+    "-2*Re(z1) + |z1|^2*|z2|^2",             # z1 inside p
+], ids=["nonlinear", "no-head", "zero-c1", "imaginary-c1", "mixed-z1",
+        "z1-in-p"])
+def test_split_model_rejects(expr):
+    with pytest.raises(PolyError):
+        split_model(parse_poly(expr, 2))

@@ -1,0 +1,68 @@
+"""Source hygiene checks on src/catlin, by static analysis with ``ast``."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "catlin"
+
+
+def _private_definitions(tree):
+    """(name, statement) for module-level private names (not dunders)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [t.id for tgt in targets for t in ast.walk(tgt)
+                     if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def _referenced(node):
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def unused_private_names(src: Path):
+    """Entries "file:name" for each module-level private name that no
+    statement of any module in ``src`` references, other than the one
+    defining it."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    statements = [(stmt, _referenced(stmt))
+                  for tree in trees.values() for stmt in tree.body]
+    unused = []
+    for fname, tree in trees.items():
+        for name, defn in _private_definitions(tree):
+            if not any(name in refs for stmt, refs in statements
+                       if stmt is not defn):
+                unused.append(f"{fname}:{name}")
+    return unused
+
+
+def test_no_unused_private_module_names():
+    assert unused_private_names(SRC) == []
+
+
+def test_unused_private_names_detector(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIVE = 1\n"
+        "def _dead(x):\n    return _dead(x)\n"
+        "def _helper():\n    return _LIVE\n")
+    (tmp_path / "b.py").write_text(
+        "from .a import _helper\n"
+        "def public():\n    return _helper()\n")
+    assert unused_private_names(tmp_path) == ["a.py:_dead"]
