@@ -19,6 +19,11 @@ exact triangular elimination whose matrix inverse is expanded as a Neumann
 series; because the nonconstant part raises degrees, the series is exact up
 to the stored truncation degree, which exceeds every derivative order that
 can influence a value at the origin.
+
+Wherever only low degrees matter, products are formed degree-capped by
+``_capped_products``: term pairs whose degrees add up to more than the cap
+are skipped, never formed and dropped.  In the list search this is exact
+because a term of degree d needs d more derivations to reach the origin.
 """
 
 from __future__ import annotations
@@ -27,10 +32,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import CRat, CZERO, inverse, rank, rat_str
-from .poly import CoordChange, ModelShapeError, Poly, PolyError, split_model
+from .poly import (CoordChange, ModelShapeError, Poly, PolyError, TermKey,
+                   split_model)
 from .weights import INF, Entry, InverseWeight, Weight, entry_str, recip
 
 
@@ -70,32 +77,53 @@ class _Mixed:
                       tuple(f.conj() for f in self.hol))
 
     def derive(self, f: Poly, cap: Optional[int] = None) -> Poly:
-        n = f.n
-        out = Poly.zero(n)
-        for k in range(1, n + 1):
+        pairs = []
+        for k in range(1, f.n + 1):
             if not self.hol[k - 1].is_zero():
-                out = out + self.hol[k - 1] * f.wirtinger(k)
+                pairs.append((self.hol[k - 1], f.wirtinger(k)))
             if not self.anti[k - 1].is_zero():
-                out = out + self.anti[k - 1] * f.wirtinger(k, conjugate=True)
-        if cap is not None:
-            out = _truncate(out, cap)
-        return out
+                pairs.append((self.anti[k - 1],
+                              f.wirtinger(k, conjugate=True)))
+        return _capped_products(f.n, pairs, cap)
 
-    def bracket(self, other: "_Mixed") -> "_Mixed":
-        hol = tuple(self.derive(other.hol[k]) - other.derive(self.hol[k])
+    def bracket(self, other: "_Mixed", cap: Optional[int] = None) -> "_Mixed":
+        hol = tuple(self.derive(other.hol[k], cap)
+                    - other.derive(self.hol[k], cap)
                     for k in range(len(self.hol)))
-        anti = tuple(self.derive(other.anti[k]) - other.derive(self.anti[k])
+        anti = tuple(self.derive(other.anti[k], cap)
+                     - other.derive(self.anti[k], cap)
                      for k in range(len(self.anti)))
         return _Mixed(hol, anti)
 
 
-def _apply_hol(hol: Sequence[Poly], f: Poly) -> Poly:
-    """The (1,0) part of a field applied to f: sum_k hol[k-1] * df/dz_k."""
-    out = Poly.zero(f.n)
-    for k, a in enumerate(hol, start=1):
-        if not a.is_zero():
-            out = out + a * f.wirtinger(k)
-    return out
+def _capped_products(n: int, pairs: Sequence[Tuple[Poly, Poly]],
+                     cap: Optional[int]) -> Poly:
+    """Sum of a * b over ``pairs`` without the terms of total degree above
+    ``cap`` (no cap when None): equal to ``_truncate(sum a * b, cap)``, but
+    term pairs whose degrees add up to more than the cap are never formed."""
+    out: Dict[TermKey, CRat] = {}
+    limit = math.inf if cap is None else cap
+    for a, b in pairs:
+        right = sorted(((sum(k[0]) + sum(k[1]), k, c)
+                        for k, c in b.terms.items()), key=itemgetter(0))
+        for (a1, b1), c1 in a.terms.items():
+            room = limit - sum(a1) - sum(b1)
+            for d2, (a2, b2), c2 in right:
+                if d2 > room:
+                    break
+                k = (tuple(x + y for x, y in zip(a1, a2)),
+                     tuple(x + y for x, y in zip(b1, b2)))
+                out[k] = out.get(k, CZERO) + c1 * c2
+    return Poly(n, out)
+
+
+def _apply_hol(hol: Sequence[Poly], f: Poly,
+               cap: Optional[int] = None) -> Poly:
+    """The (1,0) part of a field applied to f: sum_k hol[k-1] * df/dz_k,
+    without the terms above degree ``cap``."""
+    return _capped_products(f.n, [(a, f.wirtinger(k))
+                                  for k, a in enumerate(hol, start=1)
+                                  if not a.is_zero()], cap)
 
 
 def _as_mixed(vf: VField, conjugated: bool) -> _Mixed:
@@ -121,11 +149,24 @@ def list_derivative(r: Poly, fields: Dict[int, VField],
     The result is a polynomial on the ambient space; callers evaluate at 0."""
     if len(entries) < 2:
         raise PolyError("a list needs at least two fields")
-    mixed = [_as_mixed(fields[slot], conj) for slot, conj in entries]
-    seed = _apply_hol(mixed[-2].bracket(mixed[-1]).hol, r)
-    for fld in reversed(mixed[:-2]):
-        seed = fld.derive(seed)
+    return _list_function(r, [_as_mixed(fields[slot], conj)
+                              for slot, conj in entries], None)
+
+
+def _list_function(r: Poly, mixed: Sequence[_Mixed],
+                   cap: Optional[int]) -> Poly:
+    """The list derivative of ``mixed``; with ``cap``, every intermediate
+    drops the terms above degree cap minus the derivations already applied,
+    which keeps the terms up to degree cap - len(mixed) + 2 exact."""
+    seed = _bracket_seed(r, mixed[-2], mixed[-1], cap)
+    for i, fld in enumerate(reversed(mixed[:-2]), start=1):
+        seed = fld.derive(seed, None if cap is None else cap - i)
     return seed
+
+
+def _bracket_seed(r: Poly, m1: _Mixed, m2: _Mixed, cap: Optional[int]) -> Poly:
+    """dr([m1, m2]), without the terms above degree ``cap``."""
+    return _apply_hol(m1.bracket(m2, cap).hol, r, cap)
 
 
 def _list_value_at_origin(r: Poly, fields: Dict[int, VField],
@@ -133,29 +174,27 @@ def _list_value_at_origin(r: Poly, fields: Dict[int, VField],
     """Value of the list derivative at 0, with degree-capped intermediates
     (a term of degree d needs at least d further derivations to reach 0)."""
     mixed = [_as_mixed(fields[slot], conj) for slot, conj in entries]
-    remaining = len(mixed) - 2
-    seed = _truncate(_apply_hol(mixed[-2].bracket(mixed[-1]).hol, r),
-                     remaining)
-    for i, fld in enumerate(reversed(mixed[:-2])):
-        seed = fld.derive(seed, cap=remaining - i - 1)
-        if seed.is_zero():
-            return CZERO
+    value = _list_function(r, mixed, len(mixed) - 2)
     zero = (0,) * r.n
-    return seed.terms.get((zero, zero), CZERO)
+    return value.terms.get((zero, zero), CZERO)
 
 
 class _ListSearcher:
     """Shared-state search for flag patterns with nonzero list derivative.
 
-    Brackets are cached per (entry, entry) pair and the applications walk the
-    skeleton from its tail, so sibling patterns reuse every suffix state;
-    intermediates are degree-capped by the number of derivations left."""
+    The bracket seed dr([L^{l-1}, L^l]) is computed once per (entry, entry)
+    pair, capped at the degree the longest list (``max_length`` fields) can
+    still bring to the origin, and truncated to each shorter list's cap where
+    it is used.  The applications walk the skeleton from its tail, so sibling
+    patterns reuse every suffix state; intermediates are degree-capped by the
+    number of derivations left."""
 
-    def __init__(self, r: Poly, fields: Dict[int, VField]):
+    def __init__(self, r: Poly, fields: Dict[int, VField], max_length: int):
         self.r = r
         self.fields = fields
+        self.seed_cap = max_length - 2
         self._mixed: Dict[ListEntry, _Mixed] = {}
-        self._seeds: Dict[Tuple[ListEntry, ListEntry, int], Poly] = {}
+        self._seeds: Dict[Tuple[ListEntry, ListEntry], Poly] = {}
 
     def mixed(self, entry: ListEntry) -> _Mixed:
         if entry not in self._mixed:
@@ -163,11 +202,13 @@ class _ListSearcher:
         return self._mixed[entry]
 
     def seed(self, e1: ListEntry, e2: ListEntry, cap: int) -> Poly:
-        key = (e1, e2, cap)
+        key = (e1, e2)
         if key not in self._seeds:
-            bracket = self.mixed(e1).bracket(self.mixed(e2))
-            self._seeds[key] = _truncate(_apply_hol(bracket.hol, self.r), cap)
-        return self._seeds[key]
+            self._seeds[key] = _bracket_seed(self.r, self.mixed(e1),
+                                             self.mixed(e2), self.seed_cap)
+        if cap >= self.seed_cap:
+            return self._seeds[key]
+        return _truncate(self._seeds[key], cap)
 
     def first_nonzero(self, skeleton: Sequence[int]
                       ) -> Optional[List[ListEntry]]:
@@ -360,14 +401,13 @@ def _neumann_solve(matrix: List[List[Poly]], rhs: List[Poly], n: int,
                 for i in range(dim)]
 
     def apply_poly(mat: List[List[Poly]], vec: List[Poly]) -> List[Poly]:
-        return [_truncate(sum((mat[i][j] * vec[j] for j in range(dim)),
-                              Poly.zero(n)), cap) for i in range(dim)]
+        return [_capped_products(n, list(zip(mat[i], vec)), cap)
+                for i in range(dim)]
 
     x = apply_const(m0inv, rhs)
     acc = list(x)
     for _ in range(cap + 2):
-        x = apply_const(m0inv, apply_poly(npart, x))
-        x = [_truncate(-f, cap) for f in x]
+        x = [-f for f in apply_const(m0inv, apply_poly(npart, x))]
         if all(f.is_zero() for f in x):
             break
         acc = [a + b for a, b in zip(acc, x)]
@@ -413,7 +453,8 @@ def _build_slow_field(r: Poly, c1: CRat, p_hess: List[List[Poly]],
     vec = list(base)
     for coefficient, col in zip(sol, columns):
         for k in range(n - 1):
-            vec[k] = vec[k] + _truncate(coefficient * col[k], cap)
+            vec[k] = vec[k] + _capped_products(n, [(coefficient, col[k])],
+                                               cap)
     return _field_from_vector(r, c1, vec)
 
 
@@ -494,7 +535,7 @@ def build_boundary_system(r: Poly, list_bound: Optional[int] = None
                     continue
                 if direction not in searcher_cache:
                     searcher_cache[direction] = _ListSearcher(
-                        r, {**fields_by_slot, slot: fld})
+                        r, {**fields_by_slot, slot: fld}, bound)
                 searcher = searcher_cache[direction]
                 slots_in_play = sorted(slow) + [slot]
                 for counts in _compositions(total, slots_in_play, c_by_slot):
@@ -724,6 +765,8 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
     of violations (empty when sound)."""
     problems: List[str] = []
     fields = {j: s.fld for j, s in bs.slow.items()}
+    searcher = _ListSearcher(bs.r, fields, max(
+        (len(s.entries) - 1 for s in bs.slow.values()), default=2))
     for i, lf in enumerate(bs.levi_fields):
         if not _apply_hol(lf.hol, bs.r).is_zero():
             problems.append(f"Levi field {i + 2}: L(r) != 0")
@@ -750,28 +793,26 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
             problems.append(f"slot {j}: L_j r_j vanishes at 0")
         for k, other in bs.slow.items():
             if k < j:
-                lr = _truncate(_apply_hol(sl.fld.hol, other.r_func),
-                               bs.trunc_degree)
+                lr = _apply_hol(sl.fld.hol, other.r_func, bs.trunc_degree)
                 if not lr.is_zero():
                     problems.append(
                         f"slot {j}: L_{j} r_{k} != 0 (up to degree "
                         f"{bs.trunc_degree})")
-        shorter = _shorter_lists_all_vanish(bs, j)
+        shorter = _shorter_lists_all_vanish(bs, j, searcher)
         if shorter:
             problems.append(shorter)
     return problems
 
 
 def _apply_field_at_origin(fld: VField, f: Poly) -> CRat:
-    val = _apply_hol(fld.hol, f)
+    val = _apply_hol(fld.hol, f, 0)
     zero = (0,) * f.n
     return val.terms.get((zero, zero), CZERO)
 
 
-def _shorter_lists_all_vanish(bs: BoundarySystem, j: int) -> Optional[str]:
+def _shorter_lists_all_vanish(bs: BoundarySystem, j: int,
+                              searcher: _ListSearcher) -> Optional[str]:
     sl = bs.slow[j]
-    fields = {k: s.fld for k, s in bs.slow.items()}
-    searcher = _ListSearcher(bs.r, fields)
     length = len(sl.entries)
     c_prev = {k: bs.slow[k].c for k in bs.slow if k < j}
     slots_in_play = sorted(c_prev) + [j]

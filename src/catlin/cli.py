@@ -21,7 +21,7 @@ from .exact import rat_str
 from .levi import KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN, psd_verdict
 from .normal_form import PseudoconvexityError, normalize, verify_normal_form
 from .parser import parse_poly
-from .poly import NonRealError, Poly, PolyError
+from .poly import NonRealError, Poly, PolyError, split_model
 from .weights import (Weight, corroborate, counting_bound,
                       enumerate_multitypes, is_admissible, multitype_search)
 
@@ -108,7 +108,9 @@ def cmd_multitype(args) -> int:
 
 def cmd_psd(args) -> int:
     p = _load_poly(args)
-    tangential = p.restrict_support(range(2, p.n + 1))
+    # a function of z_2..z_n is judged as given; with z1, only a model
+    # c * Re z1 + p is accepted, and the verdict is about p
+    tangential = split_model(p)[1] if p.degree_in(1) > 0 else p
     verdict = psd_verdict(tangential, samples=args.samples, seed=args.seed,
                           lattice_den=args.cs_lattice_denominator)
     human = f"{verdict.kind}"

@@ -28,7 +28,7 @@ from typing import List, Sequence, Tuple
 
 from .exact import CRat, rat_str
 from .poly import (CoordChange, Poly, PolyError, eliminate_harmonic,
-                   require_real, revlex_max_balanced, split_model)
+                   revlex_max_balanced)
 from .weights import Weight, lower_weight_at
 
 
@@ -317,16 +317,15 @@ def normalize(r: Poly, mu: Weight, assert_psc: bool = False,
     """Full pipeline: harmonic elimination, truncation to the weight-1 model,
     then the extraction steps with lexicographic weight descent on
     degeneracy."""
-    require_real(r, "defining function")
     n = r.n
     if n < 2:
         raise PolyError("normalization needs dimension >= 2")
     if mu.n != n:
         raise PolyError("weight length != dimension")
-    if split_model(r)[0] != CRat(-1):
+    if r.coeff((1,) + (0,) * (n - 1), (0,) * n) != CRat(-1):
         raise PolyError("model must start with -2 Re z1 "
                         "(coefficient -1 on z1)")
-    r_work, _h = eliminate_harmonic(r)
+    r_work, _h = eliminate_harmonic(r)  # checks reality and the model shape
     if r_work.min_weight(mu.entries) is not None and \
             r_work.min_weight(mu.entries) < 1:
         raise PolyError("input has terms of weight below 1; not O_mu(1)")

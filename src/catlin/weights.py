@@ -24,8 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact import rat_str
-from .poly import (DimensionMismatch, Poly, PolyError, eliminate_harmonic,
-                   require_real)
+from .poly import DimensionMismatch, Poly, PolyError, eliminate_harmonic
 
 INF = math.inf
 Entry = Union[Fraction, float]  # float only ever +inf
@@ -334,8 +333,7 @@ def multitype_search(r: Poly, degree_bound: int = 4,
     """
     if r.n < 2:
         raise DimensionMismatch("multitype needs dimension >= 2")
-    require_real(r, "model")
-    r0, _h = eliminate_harmonic(r)
+    r0, _h = eliminate_harmonic(r)  # checks reality and the model shape
     p = r0.restrict_support(range(2, r.n + 1))
     best = best_distinguished_weight(p)
     if best is None:

@@ -8,11 +8,14 @@ from catlin.boundary import (BoundaryConstructionError,
                              audit_boundary_system, build_boundary_system,
                              detect_torsion, first_block_slots,
                              list_derivative, normalize_first_block,
-                             _field_from_vector)
+                             _capped_products, _compositions,
+                             _field_from_vector, _ListSearcher, _truncate)
 from catlin.exact import CRat
 from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError, split_model
 from catlin.weights import INF, InverseWeight, multitype_search
+
+from helpers import rand_crat
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
@@ -100,6 +103,90 @@ def test_bloom_lists_vanish():
         for flags in itertools.product((False, True), repeat=length):
             entries = [(3, f) for f in flags]
             assert origin_value(list_derivative(r, fields, entries)).is_zero()
+
+
+def _rand_poly(rng, n, terms, max_exp):
+    return Poly(n, {(tuple(rng.randint(0, max_exp) for _ in range(n)),
+                     tuple(rng.randint(0, max_exp) for _ in range(n))):
+                    rand_crat(rng) for _ in range(terms)})
+
+
+def test_capped_products_equal_truncated_products():
+    rng = random.Random(20240603)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        pairs = [(_rand_poly(rng, n, rng.randint(0, 5), 2),
+                  _rand_poly(rng, n, rng.randint(0, 5), 2))
+                 for _ in range(rng.randint(1, 3))]
+        full = sum((a * b for a, b in pairs), Poly.zero(n))
+        assert _capped_products(n, pairs, None) == full
+        for cap in range(-1, 8 * n + 1):  # products have degree <= 8n
+            assert _capped_products(n, pairs, cap) == _truncate(full, cap)
+            a, b = pairs[0]
+            assert _capped_products(n, [(a, b)], cap) == _truncate(a * b, cap)
+
+
+def _flag_patterns(skeleton):
+    """Conjugation patterns over ``skeleton`` in the search's canonical
+    order: the last two positions vary slowest (second-to-last first), then
+    positions l-3 down to 0."""
+    length = len(skeleton)
+    order = [length - 2, length - 1] + list(range(length - 3, -1, -1))
+    for flags in itertools.product((False, True), repeat=length):
+        flag_at = dict(zip(order, flags))
+        yield tuple((skeleton[i], flag_at[i]) for i in range(length))
+
+
+@pytest.mark.parametrize("expr,n", [
+    (TORSION_EXPR, 4),
+    ("-2*Re(z1) + |z2 + 2*z3^2|^4 + 3*|z3|^8", 3),
+    ("-2*Re(z1) + |z2|^4 + 2*|z3|^6 + |z4|^8", 4),
+], ids=["torsion", "shear", "diagonal-n4"])
+def test_list_search_matches_uncapped_oracle(expr, n):
+    # Every admissible skeleton up to each slot's found length: the capped,
+    # cached search returns the first pattern whose uncapped list derivative
+    # is nonzero at 0, or None exactly when all of them vanish there.
+    r = parse_poly(expr, n)
+    bs = build_boundary_system(r)
+    fields = {j: s.fld for j, s in bs.slow.items()}
+    values = {}
+
+    def uncapped(pattern):
+        # L^1 (L^2 ... dr([L^{l-1}, L^l])), with the field applied by plain
+        # products, memoized over suffixes
+        if pattern not in values:
+            if len(pattern) == 2:
+                values[pattern] = list_derivative(r, fields, pattern)
+            else:
+                slot, conj = pattern[0]
+                inner = uncapped(pattern[1:])
+                out = Poly.zero(n)
+                for k, a in enumerate(fields[slot].hol, start=1):
+                    out = out + (a.conj() * inner.wirtinger(k, conjugate=True)
+                                 if conj else a * inner.wirtinger(k))
+                values[pattern] = out
+        return values[pattern]
+
+    # sized to the longest list searched: those lists use the seed uncut
+    searcher = _ListSearcher(r, fields,
+                             max(len(sl.entries) for sl in bs.slow.values()))
+    checked = 0
+    for j, sl in sorted(bs.slow.items()):
+        c_prev = {k: bs.slow[k].c for k in bs.slow if k < j}
+        for total in range(2, len(sl.entries) + 1):
+            for counts in _compositions(total, sorted(c_prev) + [j], c_prev):
+                skeleton = [s for s in sorted(counts, reverse=True)
+                            for _ in range(counts[s])]
+                want = next((list(p) for p in _flag_patterns(skeleton)
+                             if not origin_value(uncapped(p)).is_zero()),
+                            None)
+                assert searcher.first_nonzero(skeleton) == want, skeleton
+                checked += 1
+        assert searcher.first_nonzero(
+            [s for s, _c in sl.entries]) == sl.entries
+        assert not origin_value(
+            list_derivative(r, fields, sl.entries)).is_zero()
+    assert checked > len(bs.slow)
 
 
 # ----------------------------------------------------------------------

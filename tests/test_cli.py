@@ -87,6 +87,22 @@ def test_psd_refuted_json(capsys):
     assert payload["witness"]["value"].startswith("-")
 
 
+def test_psd_rejects_input_that_is_not_a_model(capsys):
+    # z1 beyond a linear head: not c * Re z1 + p, so no verdict about p
+    code, out, err = run_cli(capsys, "psd", "--expr",
+                             "|z1|^2*|z2|^2 - |z1|^4", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert "z1" in err
+
+
+def test_psd_model_head_is_split_off(capsys):
+    code, out, _ = run_cli(capsys, "psd", "--expr", "-2*Re(z1) + |z2|^4",
+                           "--n", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["kind"] == "CertifiedPSD"
+
+
 def test_psd_unknown_require_certificate(capsys):
     code, out, _ = run_cli(capsys, "psd", "--expr", "(Re(z2))^2", "--n", "2",
                            "--require-certificate", "--samples", "20")
@@ -198,4 +214,13 @@ def test_console_script_installed():
          "-2*Re(z1) + |z2|^2", "--n", "2"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
+    assert "(1, 2)" in proc.stdout
+
+
+def test_python_m_catlin():
+    proc = subprocess.run(
+        [sys.executable, "-m", "catlin", "multitype", "--expr",
+         "-2*Re(z1) + |z2|^2", "--n", "2"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
     assert "(1, 2)" in proc.stdout
