@@ -114,7 +114,7 @@ def _capped_products(n: int, pairs: Sequence[Tuple[Poly, Poly]],
                 k = (tuple(x + y for x, y in zip(a1, a2)),
                      tuple(x + y for x, y in zip(b1, b2)))
                 out[k] = out.get(k, CZERO) + c1 * c2
-    return Poly(n, out)
+    return Poly._unchecked(n, out)
 
 
 def _apply_hol(hol: Sequence[Poly], f: Poly,

@@ -58,7 +58,10 @@ def _load_poly(args) -> Poly:
 
 
 def _parse_weight(spec: str, n: int) -> Weight:
-    parts = [Fraction(s.strip()) for s in spec.split(",")]
+    try:
+        parts = [Fraction(s.strip()) for s in spec.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"bad weight {spec!r}: {exc}") from None
     if len(parts) != n:
         raise CliError(f"weight has {len(parts)} entries, expected {n}")
     return Weight(tuple(parts))

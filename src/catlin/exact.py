@@ -1,14 +1,17 @@
 """Exact complex-rational arithmetic.
 
-Every coefficient in this package is a Gaussian rational: a pair of
-arbitrary-precision ``Fraction`` values (real and imaginary part).  No
-floating point is used anywhere, so equality and vanishing tests are exact.
+Every coefficient in this package is a Gaussian rational, stored as three
+arbitrary-precision ints: (a + b*i) / d with d > 0 and gcd(a, b, d) == 1.
+The form is canonical, so equality is a comparison of the three ints, and
+each arithmetic result needs at most one gcd (none when its denominator is
+1).  No floating point is used anywhere, so equality and vanishing tests are
+exact.  The real and imaginary parts are read as ``Fraction`` values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -22,56 +25,99 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-@dataclass(frozen=True)
 class CRat:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    re: Fraction
-    im: Fraction
+    Immutable; equal only to another CRat with the same value."""
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        for x in (re, im):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"not an exact rational: {x!r}")
+        p, q = re.denominator, im.denominator
+        # d = lcm(p, q); gcd(a, b, d) == 1 because both parts are in lowest
+        # terms
+        d = p if p == q else p // gcd(p, q) * q
+        _set_a(self, re.numerator * (d // p))
+        _set_b(self, im.numerator * (d // q))
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CRat is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CRat is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return CRat, (self.re, self.im)
 
     @staticmethod
     def of(x: "CRat | Rat") -> "CRat":
-        if isinstance(x, CRat):
+        if type(x) is CRat:
             return x
-        return CRat(_frac(x))
+        if isinstance(x, (int, Fraction)):
+            return _crat(x.numerator, 0, x.denominator)
+        raise TypeError(f"not an exact rational: {x!r}")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other) -> "CRat":
-        o = CRat.of(other)
-        return CRat(self.re + o.re, self.im + o.im)
+        if type(other) is not CRat:
+            other = CRat.of(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(self._a * d2 + other._a * d1,
+                        self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "CRat":
-        o = CRat.of(other)
-        return CRat(self.re - o.re, self.im - o.im)
+        if type(other) is not CRat:
+            other = CRat.of(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a - other._a, self._b - other._b, d1)
+        return _reduced(self._a * d2 - other._a * d1,
+                        self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other) -> "CRat":
         return CRat.of(other) - self
 
     def __mul__(self, other) -> "CRat":
-        o = CRat.of(other)
-        return CRat(self.re * o.re - self.im * o.im,
-                    self.re * o.im + self.im * o.re)
+        if type(other) is not CRat:
+            other = CRat.of(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                        self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "CRat":
-        o = CRat.of(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        if type(other) is not CRat:
+            other = CRat.of(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        n2 = a2 * a2 + b2 * b2
+        if n2 == 0:
             raise ZeroDivisionError("division by zero CRat")
-        return CRat((self.re * o.re + self.im * o.im) / d,
-                    (self.im * o.re - self.re * o.im) / d)
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
+        d2 = other._d
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                        self._d * n2)
 
     def __rtruediv__(self, other) -> "CRat":
         return CRat.of(other) / self
 
     def __neg__(self) -> "CRat":
-        return CRat(-self.re, -self.im)
+        return _crat(-self._a, -self._b, self._d)
 
     def __pow__(self, e: int) -> "CRat":
         if not isinstance(e, int) or e < 0:
@@ -86,28 +132,68 @@ class CRat:
         return out
 
     def conj(self) -> "CRat":
-        return CRat(self.re, -self.im)
+        return _crat(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact rational."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._a or self._b)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not CRat:
+            return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"CRat(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
+
+
+_set_a = CRat._a.__set__
+_set_b = CRat._b.__set__
+_set_d = CRat._d.__set__
+_new = object.__new__
+
+
+def _crat(a: int, b: int, d: int) -> CRat:
+    """CRat of (a + b*i)/d, which must already be canonical."""
+    z = _new(CRat)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> CRat:
+    """CRat of (a + b*i)/d for d > 0, divided by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _crat(a, b, d)
 
 
 CZERO = CRat(0)
@@ -162,7 +248,11 @@ def rat_str(x: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
+    """Rational from "3" or "-1/2"; ValueError for anything else."""
     s = s.strip()
     if "." in s:
         raise ValueError(f"decimal rationals are not accepted: {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {s!r}") from None

@@ -76,14 +76,12 @@ def hessian_form_value(hess: Sequence[Sequence[Poly]],
     ``a`` has length n-1 (components for z_2..z_n).  The value of a Hermitian
     form is real; this is asserted."""
     n = len(hess)
-    entries = {}
+    a_bar = [x.conj() for x in a]
     total = CZERO
     for j in range(2, n + 1):
         for k in range(2, n + 1):
-            key = (j, k)
-            if key not in entries:
-                entries[key] = hess[j - 1][k - 1].evaluate(z)
-            total = total + entries[key] * a[j - 2] * a[k - 2].conj()
+            h = hess[j - 1][k - 1].evaluate(z)
+            total = total + h * a[j - 2] * a_bar[k - 2]
     if not total.is_real():
         raise PolyError("Hessian form value is not real; input was not real-valued")
     return total.re

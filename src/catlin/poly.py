@@ -77,6 +77,16 @@ class Poly:
                 clean[(tuple(alpha), tuple(beta))] = c
         object.__setattr__(self, "terms", clean)
 
+    @staticmethod
+    def _unchecked(n: int, terms: Dict[TermKey, CRat]) -> "Poly":
+        """Poly from terms that are already valid (tuple keys of length n,
+        nonnegative exponents, CRat values), as ring operations on valid
+        operands produce them.  Only zero coefficients are dropped."""
+        p = object.__new__(Poly)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "terms", {k: c for k, c in terms.items() if c})
+        return p
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
@@ -128,17 +138,17 @@ class Poly:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, CZERO) + c
-        return Poly(self.n, out)
+        return Poly._unchecked(self.n, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check_same(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, CZERO) - c
-        return Poly(self.n, out)
+        return Poly._unchecked(self.n, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.n, {k: -c for k, c in self.terms.items()})
+        return Poly._unchecked(self.n, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -150,9 +160,10 @@ class Poly:
                          tuple(x + y for x, y in zip(b1, b2)))
                     prod = c1 * c2
                     out[k] = out.get(k, CZERO) + prod
-            return Poly(self.n, out)
+            return Poly._unchecked(self.n, out)
         c = CRat.of(other)
-        return Poly(self.n, {k: v * c for k, v in self.terms.items()})
+        return Poly._unchecked(self.n,
+                               {k: v * c for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -169,7 +180,8 @@ class Poly:
         return result
 
     def conj(self) -> "Poly":
-        return Poly(self.n, {(b, a): c.conj() for (a, b), c in self.terms.items()})
+        return Poly._unchecked(self.n, {(b, a): c.conj()
+                                        for (a, b), c in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -294,7 +306,7 @@ class Poly:
                 na = a[:i] + (e - 1,) + a[i + 1:]
                 k = (na, b)
             out[k] = out.get(k, CZERO) + c * e
-        return Poly(self.n, out)
+        return Poly._unchecked(self.n, out)
 
     def deriv_multi(self, alpha: Sequence[int], beta: Sequence[int]) -> "Poly":
         """Iterated raw derivative D^alpha Dbar^beta (no factorial normalization)."""
@@ -383,12 +395,17 @@ class Poly:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Poly":
-        n = int(d["n"])
+        """Inverse of :meth:`to_json_dict`; malformed input raises PolyError."""
+        n = _json_get(d, "n")
+        if type(n) is not int:
+            raise PolyError(f"JSON polynomial: n must be an int, not {n!r}")
+        raw = _json_get(d, "terms")
+        if not isinstance(raw, list):
+            raise PolyError("JSON polynomial: terms must be a list")
         terms: Dict[TermKey, CRat] = {}
-        for t in d["terms"]:
-            key = (tuple(int(x) for x in t["alpha"]),
-                   tuple(int(x) for x in t["beta"]))
-            c = CRat(rat_from_str(t["re"]), rat_from_str(t["im"]))
+        for t in raw:
+            key = (_json_exponents(t, "alpha"), _json_exponents(t, "beta"))
+            c = CRat(_json_rat(t, "re"), _json_rat(t, "im"))
             if key in terms:
                 raise PolyError(f"duplicate term {key} in JSON polynomial")
             terms[key] = c
@@ -396,6 +413,31 @@ class Poly:
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+def _json_get(d, key: str):
+    if not isinstance(d, dict) or key not in d:
+        raise PolyError(f"JSON polynomial: missing key {key!r}")
+    return d[key]
+
+
+def _json_exponents(t, key: str) -> Exponents:
+    e = _json_get(t, key)
+    if not isinstance(e, list) or any(type(x) is not int for x in e):
+        raise PolyError(f"JSON polynomial: {key} must be a list of ints, "
+                        f"not {e!r}")
+    return tuple(e)
+
+
+def _json_rat(t, key: str) -> Fraction:
+    s = _json_get(t, key)
+    if not isinstance(s, str):
+        raise PolyError(f"JSON polynomial: {key} must be a string such as "
+                        f"\"-1/2\", not {s!r}")
+    try:
+        return rat_from_str(s)
+    except ValueError as exc:
+        raise PolyError(f"JSON polynomial: {key}: {exc}") from None
 
 
 def _check_var(n: int, j: int):

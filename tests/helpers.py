@@ -3,11 +3,109 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from catlin.exact import CRat
 from catlin.poly import Poly, weighted_order
+
+
+def _frac(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {x!r}")
+
+
+@dataclass(frozen=True)
+class FractionPairCRat:
+    """Reference Gaussian rational: a pair of ``Fraction`` values.  This is
+    the earlier ``catlin.exact.CRat``, kept as an oracle for the integer
+    form; its ``repr`` differs only in the class name."""
+
+    re: Fraction
+    im: Fraction
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", _frac(re))
+        object.__setattr__(self, "im", _frac(im))
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, FractionPairCRat):
+            return x
+        return FractionPairCRat(_frac(x))
+
+    def __add__(self, other):
+        o = FractionPairCRat.of(other)
+        return FractionPairCRat(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = FractionPairCRat.of(other)
+        return FractionPairCRat(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return FractionPairCRat.of(other) - self
+
+    def __mul__(self, other):
+        o = FractionPairCRat.of(other)
+        return FractionPairCRat(self.re * o.re - self.im * o.im,
+                                self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = FractionPairCRat.of(other)
+        d = o.re * o.re + o.im * o.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero CRat")
+        return FractionPairCRat((self.re * o.re + self.im * o.im) / d,
+                                (self.im * o.re - self.re * o.im) / d)
+
+    def __rtruediv__(self, other):
+        return FractionPairCRat.of(other) / self
+
+    def __neg__(self):
+        return FractionPairCRat(-self.re, -self.im)
+
+    def __pow__(self, e):
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        out = FractionPairCRat(1)
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base if e > 1 else base
+            e >>= 1
+        return out
+
+    def conj(self):
+        return FractionPairCRat(self.re, -self.im)
+
+    def abs2(self):
+        return self.re * self.re + self.im * self.im
+
+    def is_zero(self):
+        return self.re == 0 and self.im == 0
+
+    def is_real(self):
+        return self.im == 0
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return f"{self.im}i"
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
 
 
 def rand_fraction(rng: random.Random, span: int = 4) -> Fraction:

@@ -224,3 +224,47 @@ def test_python_m_catlin():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "(1, 2)" in proc.stdout
+
+
+def _json_input(tmp_path, **term):
+    """A one-term JSON model file; keyword values replace (or, when None,
+    remove) fields of the term |z2|^2."""
+    t = {"alpha": [0, 1], "beta": [0, 1], "re": "1", "im": "0"}
+    t.update(term)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(
+        {"n": 2, "terms": [{k: v for k, v in t.items() if v is not None}]}))
+    return str(path)
+
+
+def test_json_input_missing_key_exits_2(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"n": 2}))
+    code, _out, err = run_cli(capsys, "parse", str(path))
+    assert code == 2
+    assert "'terms'" in err
+    code, _out, err = run_cli(capsys, "parse", _json_input(tmp_path, im=None))
+    assert code == 2
+    assert "'im'" in err
+
+
+def test_json_input_non_string_coefficient_exits_2(capsys, tmp_path):
+    code, _out, err = run_cli(capsys, "parse", _json_input(tmp_path, re=0.5))
+    assert code == 2
+    assert "re must be a string" in err
+
+
+def test_json_input_exponents_not_ints_exits_2(capsys, tmp_path):
+    for alpha in (["0", 1], [0, 1.5], 3):
+        code, _out, err = run_cli(capsys, "parse",
+                                  _json_input(tmp_path, alpha=alpha))
+        assert code == 2
+        assert "alpha must be a list of ints" in err
+
+
+def test_weight_with_zero_denominator_exits_2(capsys):
+    code, _out, err = run_cli(capsys, "normalize", "--expr",
+                              "-2*Re(z1) + |z2|^4", "--n", "2",
+                              "--weight", "1/0")
+    assert code == 2
+    assert "bad weight" in err

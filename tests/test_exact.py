@@ -1,11 +1,15 @@
+import copy
+import operator
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from catlin.exact import CRat, inverse, rank, rat_from_str, rat_str
 
-from helpers import _rational_rank, rand_crat
+from helpers import FractionPairCRat, _rational_rank, rand_crat
 
 
 def test_basic_arithmetic():
@@ -50,8 +54,114 @@ def test_field_laws_random():
 def test_rat_str_round_trip():
     for s in ("0", "5", "-7/3", "12/7"):
         assert rat_str(rat_from_str(s)) == s
-    with pytest.raises(ValueError):
-        rat_from_str("0.5")
+    for bad in ("0.5", "1/0", "x"):
+        with pytest.raises(ValueError):
+            rat_from_str(bad)
+
+
+# ----------------------------------------------------------------------
+# the integer form against the Fraction-pair reference
+# ----------------------------------------------------------------------
+
+
+def _rand_rational(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    if kind == 2:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    if kind == 3:
+        return Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**12))
+    return Fraction(rng.choice((-1, 1)) * 6, rng.choice((4, 9, 10)))
+
+
+def _rand_pair(rng):
+    """(CRat, FractionPairCRat) holding the same value."""
+    re, im = _rand_rational(rng), _rand_rational(rng)
+    return CRat(re, im), FractionPairCRat(re, im)
+
+
+def _same(x, ref):
+    """x is a canonical CRat equal to the reference value ref, and every
+    query and printed form agrees."""
+    assert type(x) is CRat
+    a, b, d = x._a, x._b, x._d
+    assert d > 0 and gcd(a, b, d) == 1
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    assert (x.re, x.im) == (ref.re, ref.im)
+    assert str(x) == str(ref)
+    assert repr(x) == repr(ref).replace("FractionPairCRat", "CRat", 1)
+    assert hash(x) == hash(ref)
+    assert x.is_zero() == ref.is_zero() and bool(x) == bool(ref)
+    assert x.is_real() == ref.is_real()
+    assert x.abs2() == ref.abs2() and type(x.abs2()) is Fraction
+
+
+def test_crat_agrees_with_fraction_pair_reference():
+    rng = random.Random(41)
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for _ in range(400):
+        x, rx = _rand_pair(rng)
+        y, ry = (x, rx) if rng.random() < 0.1 else _rand_pair(rng)
+        _same(x, rx)
+        _same(-x, -rx)
+        _same(x.conj(), rx.conj())
+        assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
+        assert (x == CRat(rx.re, rx.im)) and not (x != CRat(rx.re, rx.im))
+        e = rng.randint(0, 6)
+        _same(x ** e, rx ** e)
+        s = _rand_rational(rng)
+        for op in ops:
+            for (u, ru), (v, rv) in (((x, rx), (y, ry)), ((x, rx), (s, s)),
+                                     ((s, s), (x, rx))):
+                if op is operator.truediv and \
+                        FractionPairCRat.of(rv).is_zero():
+                    with pytest.raises(ZeroDivisionError):
+                        op(u, v)
+                    continue
+                _same(op(u, v), op(ru, rv))
+        if not y.is_zero():
+            _same(x / y * y, rx)
+        _same(x - y + y, rx)
+
+
+def test_crat_equals_no_other_type():
+    for x in (CRat(0), CRat(1), CRat(Fraction(1, 2)), CRat(0, 1)):
+        for other in (x.re, complex(x.re, x.im), FractionPairCRat(x.re, x.im),
+                      (x.re, x.im), 0, 1):
+            assert x != other and not x == other
+
+
+def test_crat_rejects_floats():
+    for make in (lambda: CRat(0.5), lambda: CRat(1, 0.5),
+                 lambda: CRat.of(0.5), lambda: CRat(1) + 0.5,
+                 lambda: 0.5 + CRat(1), lambda: CRat(1) - 0.5,
+                 lambda: 0.5 - CRat(1), lambda: CRat(1) * 0.5,
+                 lambda: 0.5 * CRat(1), lambda: CRat(1) / 0.5,
+                 lambda: 0.5 / CRat(1)):
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_crat_division_by_zero_every_side():
+    for num in (CRat(1, 2), 3, Fraction(1, 2), CRat(0)):
+        for zero in (CRat(0), 0, Fraction(0)):
+            if isinstance(num, CRat) or isinstance(zero, CRat):
+                with pytest.raises(ZeroDivisionError):
+                    num / zero
+
+
+def test_crat_is_immutable():
+    x = CRat(Fraction(1, 2), 3)
+    for name in ("re", "im", "_a", "_d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == CRat(Fraction(1, 2), 3)
+    assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
 
 
 def _random_matrix(rng, rows, cols, rank_cap):

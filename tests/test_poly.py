@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from catlin.boundary import _capped_products
 from catlin.exact import CRat
 from catlin.parser import ParseError, parse_poly
 from catlin.poly import (CoordChange, NonRealError, Poly, PolyError,
@@ -352,6 +353,42 @@ def test_hermitian_closure_random():
         assert (a * b).is_real()
         assert (-a).is_real()
         assert a.conj() == a
+
+
+def _rand_cancelling_poly(rng, n):
+    """Non-real polynomial with coefficients in {-1, 1, +-i, 1/2}, so sums,
+    products and derivatives often cancel terms."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        key = (tuple(rng.randint(0, 2) for _ in range(n)),
+               tuple(rng.randint(0, 2) for _ in range(n)))
+        terms[key] = rng.choice((CRat(1), CRat(-1), CRat(0, 1), CRat(0, -1),
+                                 CRat(Fraction(1, 2))))
+    return Poly(n, terms)
+
+
+def test_ring_op_results_are_valid_polys():
+    """Ring operations build their results without re-validation; each
+    result must still equal its validated copy and hold no zero term."""
+    rng = random.Random(23)
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        p, q = _rand_cancelling_poly(rng, n), _rand_cancelling_poly(rng, n)
+        minus_p = Poly(n, {k: -c for k, c in p.terms.items()})
+        results = [p + q, p - q, p - p, p + minus_p, -p, p * q, p * minus_p,
+                   p * 0, p * CRat(0, 1), 3 * p, Fraction(1, 2) * p, p ** 2,
+                   p.conj(), p.conj() * p,
+                   _capped_products(n, [(p, q), (q, minus_p)], None)]
+        results += [p.wirtinger(j, conjugate=c) for j in range(1, n + 1)
+                    for c in (False, True)]
+        results += [_capped_products(n, [(p, q), (q, p)], cap)
+                    for cap in range(5)]
+        for r in results:
+            assert r.n == n
+            assert r == Poly(r.n, dict(r.terms))
+            assert all(not c.is_zero() for c in r.terms.values())
+        assert (p - p).is_zero() and (p + minus_p).is_zero()
+        assert (p * 0).is_zero()
 
 
 # ----------------------------------------------------------------------
