@@ -140,6 +140,16 @@ def cmd_normalize(args) -> int:
     except PseudoconvexityError as exc:
         print(f"pseudoconvexity contradiction: {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
+    if args.assert_psc:
+        # the extraction steps check only the rows they extract; the Levi
+        # form of the whole weight-1 model can still be indefinite
+        verdict = psd_verdict(nf.model)
+        if verdict.kind == KIND_REFUTED:
+            print("pseudoconvexity contradiction: the weight-1 model in the "
+                  "normalized coordinates is not plurisubharmonic; witness "
+                  + json.dumps(verdict.witness, sort_keys=True),
+                  file=sys.stderr)
+            return EXIT_CONTRADICTION
     ok, violations = verify_normal_form(nf, r, mu)
     payload = nf.to_json()
     payload["verified"] = ok

@@ -33,7 +33,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import CRat, CZERO, rank, rat_str
-from .poly import Poly, PolyError, require_real, term_sort_key
+from .poly import (DimensionMismatch, Poly, PolyError, require_real,
+                   term_sort_key)
 from .weights import Weight
 
 KIND_CERTIFIED = "CertifiedPSD"
@@ -76,11 +77,15 @@ def hessian_form_value(hess: Sequence[Sequence[Poly]],
     ``a`` has length n-1 (components for z_2..z_n).  The value of a Hermitian
     form is real; this is asserted."""
     n = len(hess)
+    if len(z) != n:
+        raise DimensionMismatch("point length != n")
+    zs = [CRat.of(c) for c in z]
+    zbars = [c.conj() for c in zs]
     a_bar = [x.conj() for x in a]
     total = CZERO
     for j in range(2, n + 1):
         for k in range(2, n + 1):
-            h = hess[j - 1][k - 1].evaluate(z)
+            h = hess[j - 1][k - 1]._evaluate(zs, zbars)
             total = total + h * a[j - 2] * a_bar[k - 2]
     if not total.is_real():
         raise PolyError("Hessian form value is not real; input was not real-valued")

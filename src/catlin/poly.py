@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .exact import CRat, CZERO, Rat, rank, rat_from_str, rat_str
@@ -153,14 +154,7 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
             self._check_same(other)
-            out: Dict[TermKey, CRat] = {}
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    k = (tuple(x + y for x, y in zip(a1, a2)),
-                         tuple(x + y for x, y in zip(b1, b2)))
-                    prod = c1 * c2
-                    out[k] = out.get(k, CZERO) + prod
-            return Poly._unchecked(self.n, out)
+            return Poly._unchecked(self.n, _mul_terms(self.terms, other.terms))
         c = CRat.of(other)
         return Poly._unchecked(self.n,
                                {k: v * c for k, v in self.terms.items()})
@@ -326,7 +320,11 @@ class Poly:
     def substitute_maps(self, maps: Sequence["Poly"]) -> "Poly":
         """Exact expansion of self under z_j -> maps[j-1], zbar_j -> conj(maps[j-1]).
 
-        Every map must be holomorphic (no zbar content).
+        Every map must be holomorphic (no zbar content).  A one-term map
+        c z^gamma sends z_j^a to c^a z^(a gamma), so for variables, scaled
+        variables and permutations a term's exponents are shifted and its
+        coefficient scaled; only maps with several terms are expanded, with
+        their powers computed once per call.
         """
         if len(maps) != self.n:
             raise DimensionMismatch("need one component map per variable")
@@ -336,38 +334,81 @@ class Poly:
                 raise DimensionMismatch("component maps disagree on dimension")
             if not f.is_holomorphic():
                 raise PolyError("component maps must be holomorphic")
-        hol_pows: Dict[Tuple[int, int], Poly] = {}
-        anti_pows: Dict[Tuple[int, int], Poly] = {}
+        # per variable: None for a multi-term map, else its (gamma, c) with
+        # c None when it is 1; a zero map has no term at all
+        monos = []
+        for f in maps:
+            if len(f.terms) == 1:
+                ((gamma, _), c), = f.terms.items()
+                monos.append((gamma, None if c == CRat(1) else c))
+            else:
+                monos.append(None if f.terms else ())
+        pows: Dict[Tuple[int, int, bool], Dict[TermKey, CRat]] = {}
 
-        def hp(i: int, e: int) -> Poly:
-            key = (i, e)
-            if key not in hol_pows:
-                hol_pows[key] = maps[i] ** e
-            return hol_pows[key]
+        def power(i: int, e: int, bar: bool) -> Dict[TermKey, CRat]:
+            key = (i, e, bar)
+            if key not in pows:
+                f = maps[i].conj() if bar else maps[i]
+                pows[key] = (f ** e).terms
+            return pows[key]
 
-        def ap(i: int, e: int) -> Poly:
-            key = (i, e)
-            if key not in anti_pows:
-                anti_pows[key] = maps[i].conj() ** e
-            return anti_pows[key]
-
-        total = Poly.zero(m)
+        out: Dict[TermKey, CRat] = {}
         for (a, b), c in self.terms.items():
-            piece = Poly.const(m, c)
+            alpha = [0] * m
+            beta = [0] * m
+            factors = []
             for i in range(self.n):
-                if a[i]:
-                    piece = piece * hp(i, a[i])
-                if b[i]:
-                    piece = piece * ap(i, b[i])
-            total = total + piece
-        return total
+                ai, bi = a[i], b[i]
+                if not (ai or bi):
+                    continue
+                mono = monos[i]
+                if mono is None:
+                    if ai:
+                        factors.append(power(i, ai, False))
+                    if bi:
+                        factors.append(power(i, bi, True))
+                    continue
+                if not mono:
+                    break  # z_i -> 0 kills the term
+                gamma, ci = mono
+                for v, g in enumerate(gamma):
+                    if g:
+                        alpha[v] += ai * g
+                        beta[v] += bi * g
+                if ci is not None:
+                    if ai:
+                        c = c * ci ** ai
+                    if bi:
+                        c = c * ci.conj() ** bi
+            else:
+                piece = {(tuple(alpha), tuple(beta)): c}
+                for t in factors:
+                    piece = {k: v for k, v in _mul_terms(piece, t).items()
+                             if v}
+                # a key that cancels leaves the table, and a later piece
+                # appends it again: the term order of repeated Poly sums
+                for k, v in piece.items():
+                    s = out.get(k)
+                    if s is None:
+                        out[k] = v
+                    else:
+                        s = s + v
+                        if s:
+                            out[k] = s
+                        else:
+                            del out[k]
+        return Poly._unchecked(m, out)
 
     def evaluate(self, point: Sequence["CRat | Rat"]) -> CRat:
         """Exact value at a point (zbar slots use the conjugate coordinates)."""
         if len(point) != self.n:
             raise DimensionMismatch("point length != n")
         zs = [CRat.of(c) for c in point]
-        zbars = [c.conj() for c in zs]
+        return self._evaluate(zs, [c.conj() for c in zs])
+
+    def _evaluate(self, zs: Sequence[CRat], zbars: Sequence[CRat]) -> CRat:
+        """Value at the point zs, whose conjugates zbars the caller supplies
+        (to share them across polynomials evaluated at one point)."""
         total = CZERO
         for (a, b), c in self.terms.items():
             v = c
@@ -413,6 +454,18 @@ class Poly:
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+def _mul_terms(t1: Dict[TermKey, CRat], t2: Dict[TermKey, CRat]
+               ) -> Dict[TermKey, CRat]:
+    """Term table of the product of two term tables; it may hold zeros."""
+    out: Dict[TermKey, CRat] = {}
+    for (a1, b1), c1 in t1.items():
+        for (a2, b2), c2 in t2.items():
+            k = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)))
+            s = out.get(k)
+            out[k] = c1 * c2 if s is None else s + c1 * c2
+    return out
 
 
 def _json_get(d, key: str):

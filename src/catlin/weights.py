@@ -13,12 +13,20 @@ of the Newton diagram; a finite catalog of holomorphic coordinate changes
 (permutations, linear mixes, triangular shears up to a degree bound) is then
 hill-climbed.  The result is flagged ``search-lower-bound`` unless the caller
 corroborates it with the commutator multitype.
+
+The hill-climb only asks whether a candidate beats the incumbent weight, so
+each candidate's weight search is pruned against the incumbent and stops as
+soon as it cannot beat it.  A candidate's weight depends only on its support
+(the exponent vectors of its terms), and the incumbent only rises, so one
+search remembers every support it has weighed and skips it in later rounds;
+the memo and the catalog live in that search call alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import add
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -203,91 +211,95 @@ def is_distinguished(r: Poly, lam: InverseWeight) -> bool:
     return True
 
 
-def _evecs(p: Poly) -> List[Tuple[int, ...]]:
-    """Exponent vectors alpha+beta of p's terms over variables 2..n."""
-    return sorted({tuple(x + y for x, y in zip(a[1:], b[1:]))
-                   for (a, b) in p.terms})
+def _evecs(p: Poly) -> Tuple[Tuple[int, ...], ...]:
+    """Exponent vectors alpha+beta of p's terms over variables 2..n, sorted:
+    the support, on which alone p's distinguished weights depend."""
+    return tuple(sorted({tuple(map(add, a[1:], b[1:])) for (a, b) in p.terms}))
 
 
-def _best_distinguished(evecs: Sequence[Tuple[int, ...]],
-                        nvars: int) -> Optional[Tuple[Entry, ...]]:
+def _best_distinguished(evecs: Sequence[Tuple[int, ...]], nvars: int,
+                        above: Optional[Tuple[Entry, ...]] = None
+                        ) -> Optional[Tuple[Entry, ...]]:
     """Lex-max admissible nondecreasing (lambda_2..lambda_n) with every
-    exponent vector weighted >= 1; None when infeasible."""
+    exponent vector weighted >= 1; None when infeasible, and also when
+    ``above`` is given and the lex-max is not strictly above it.
 
-    def slot_bound(prefix: Tuple[Entry, ...]) -> Optional[Entry]:
+    Slots are chosen depth first, largest candidate first, so the first
+    complete tuple is the lex-max.  Each level carries what the next slot
+    needs: ``live`` pairs each exponent vector still weighted below 1 with
+    its weighted order over the prefix, and ``rems`` holds the positive
+    remainders 1 - sum a_j/lambda_j of the admissibility rows through the
+    prefix (lambda_1 = 1 included).  While the prefix equals ``above``'s
+    (``tight``), a bound or candidate below ``above``'s entry ends the search:
+    every later tuple is below ``above``."""
+
+    def rec(prefix: Tuple[Fraction, ...], live: List[Tuple[Fraction, tuple]],
+            rems: set, tight: bool) -> Optional[Tuple[Entry, ...]]:
         j = len(prefix)
+        if j == nvars:
+            return None if tight else prefix
         bound: Entry = INF
-        for e in evecs:
-            pre = Fraction(0)
-            for x, lam in zip(e[:j], prefix):
-                if x and lam != INF:
-                    pre += Fraction(x) / lam
-            if pre >= 1:
-                continue
+        for pre, e in live:
             tail = sum(e[j:])
             if tail == 0:
                 return None
-            cand = Fraction(tail) / (1 - pre)
+            cand = tail / (1 - pre)
             if cand < bound:
                 bound = cand
-        return bound
-
-    def candidates(prefix: Tuple[Entry, ...], hi: Fraction,
-                   lo: Fraction) -> List[Fraction]:
-        lams = (Fraction(1),) + prefix
-        vals = set()
-
-        def rec(idx: int, remaining: Fraction, _acc):
-            if remaining <= 0:
-                return
-            if idx == len(lams):
-                a_lo = max(1, math.ceil(lo * remaining))
-                a_hi = math.floor(hi * remaining)
-                for a in range(a_lo, a_hi + 1):
-                    lamv = Fraction(a) / remaining
-                    if lo <= lamv <= hi:
-                        vals.add(lamv)
-                return
-            if lams[idx] == INF:
-                rec(idx + 1, remaining, None)
-                return
-            top = math.floor(remaining * lams[idx])
-            for a in range(0, top + 1):
-                rec(idx + 1, remaining - Fraction(a) / lams[idx], None)
-
-        rec(0, Fraction(1), None)
-        return sorted(vals, reverse=True)
-
-    def rec(prefix: Tuple[Entry, ...]) -> Optional[Tuple[Entry, ...]]:
-        if len(prefix) == nvars:
-            return prefix
-        bound = slot_bound(prefix)
-        if bound is None:
-            return None
+        target = above[j] if tight else None
         if bound == INF:
-            return prefix + (INF,) * (nvars - len(prefix))
-        lo = Fraction(1)
-        for x in reversed(prefix):
-            if x != INF:
-                lo = x
-                break
-        else:
-            lo = Fraction(1)
-        if prefix and prefix[-1] == INF:
-            return None  # finite after infinite would break monotonicity
-        for lam in candidates(prefix, bound, lo):
-            res = rec(prefix + (lam,))
+            res = prefix + (INF,) * (nvars - j)
+            return res if not tight or res > above else None
+        if tight and bound < target:
+            return None
+        lo = prefix[-1] if prefix else Fraction(1)
+        vals = set()
+        for r in rems:
+            for a in range(max(1, math.ceil(lo * r)), math.floor(bound * r) + 1):
+                lam = a / r
+                if lo <= lam <= bound:
+                    vals.add(lam)
+        last = j + 1 == nvars
+        for lam in sorted(vals, reverse=True):
+            if tight and lam < target:
+                return None
+            if last:  # a complete tuple needs no further state
+                sub_live, sub_rems = live, rems
+            else:
+                sub_live = []
+                for pre, e in live:
+                    if e[j]:
+                        pre = pre + e[j] / lam
+                        if pre >= 1:
+                            continue
+                    sub_live.append((pre, e))
+                step = 1 / lam
+                sub_rems = set()
+                for r in rems:
+                    while r > 0:
+                        sub_rems.add(r)
+                        r -= step
+            res = rec(prefix + (lam,), sub_live, sub_rems,
+                      tight and lam == target)
             if res is not None:
                 return res
         return None
 
-    return rec(())
+    return rec((), [(Fraction(0), e) for e in evecs], {Fraction(1)},
+               above is not None)
 
 
-def best_distinguished_weight(p: Poly) -> Optional[InverseWeight]:
+def best_distinguished_weight(p: Poly, above: Optional[InverseWeight] = None
+                              ) -> Optional[InverseWeight]:
     """Lex-max admissible distinguished inverse weight of the model part p
-    (variables 2..n) in its given coordinates."""
-    tail = _best_distinguished(_evecs(p), p.n - 1)
+    (variables 2..n) in its given coordinates.
+
+    With ``above``, the result is None unless the lex-max is strictly above
+    it; the search then stops as soon as it cannot beat ``above``."""
+    if above is not None and above.n != p.n:
+        raise DimensionMismatch("inverse weight length != dimension")
+    tail = _best_distinguished(
+        _evecs(p), p.n - 1, None if above is None else above.entries[1:])
     if tail is None:
         return None
     return InverseWeight((Fraction(1),) + tail)
@@ -339,13 +351,21 @@ def multitype_search(r: Poly, degree_bound: int = 4,
     if best is None:
         raise PolyError("no admissible distinguished weight found in given "
                         "coordinates; input is not a graded model")
+    catalog = _catalog_maps(r.n, degree_bound)
+    # A support's weight is at most the incumbent once evaluated, and the
+    # incumbent only rises: such a support can never win a later round.
+    settled = {_evecs(p)}
     applied: List[str] = []
     for _ in range(max_rounds):
         improved = False
-        for name, maps in _catalog_maps(r.n, degree_bound):
+        for name, maps in catalog:
             q = p.substitute_maps(maps)
-            cand = best_distinguished_weight(q)
-            if cand is not None and cand.entries > best.entries:
+            support = _evecs(q)
+            if support in settled:
+                continue
+            settled.add(support)
+            cand = best_distinguished_weight(q, above=best)
+            if cand is not None:
                 p, best, improved = q, cand, True
                 applied.append(name)
                 break

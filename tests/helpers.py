@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from catlin.exact import CRat
-from catlin.poly import Poly, weighted_order
+from catlin.poly import (DimensionMismatch, Poly, PolyError,
+                         eliminate_harmonic, weighted_order)
+from catlin.weights import (INF, STATUS_LOWER_BOUND, Entry, InverseWeight,
+                            Multitype, _catalog_maps, _evecs, is_admissible)
 
 
 def _frac(x) -> Fraction:
@@ -222,3 +226,160 @@ def circle_points(count: int) -> List[CRat]:
         pts.append(CRat((1 - t * t) / d, 2 * t / d))
         pts.append(CRat((1 - t * t) / d, -2 * t / d))
     return pts
+
+
+def best_distinguished_oracle(evecs: Sequence[Tuple[int, ...]],
+                              nvars: int) -> Optional[Tuple[Entry, ...]]:
+    """Reference for ``weights._best_distinguished``: the earlier search,
+    which never prunes and re-enumerates every witness path per node.
+
+    Lex-max admissible nondecreasing (lambda_2..lambda_n) with every
+    exponent vector weighted >= 1; None when infeasible."""
+
+    def slot_bound(prefix: Tuple[Entry, ...]) -> Optional[Entry]:
+        j = len(prefix)
+        bound: Entry = INF
+        for e in evecs:
+            pre = Fraction(0)
+            for x, lam in zip(e[:j], prefix):
+                if x and lam != INF:
+                    pre += Fraction(x) / lam
+            if pre >= 1:
+                continue
+            tail = sum(e[j:])
+            if tail == 0:
+                return None
+            cand = Fraction(tail) / (1 - pre)
+            if cand < bound:
+                bound = cand
+        return bound
+
+    def candidates(prefix: Tuple[Entry, ...], hi: Fraction,
+                   lo: Fraction) -> List[Fraction]:
+        lams = (Fraction(1),) + prefix
+        vals = set()
+
+        def rec(idx: int, remaining: Fraction, _acc):
+            if remaining <= 0:
+                return
+            if idx == len(lams):
+                a_lo = max(1, math.ceil(lo * remaining))
+                a_hi = math.floor(hi * remaining)
+                for a in range(a_lo, a_hi + 1):
+                    lamv = Fraction(a) / remaining
+                    if lo <= lamv <= hi:
+                        vals.add(lamv)
+                return
+            if lams[idx] == INF:
+                rec(idx + 1, remaining, None)
+                return
+            top = math.floor(remaining * lams[idx])
+            for a in range(0, top + 1):
+                rec(idx + 1, remaining - Fraction(a) / lams[idx], None)
+
+        rec(0, Fraction(1), None)
+        return sorted(vals, reverse=True)
+
+    def rec(prefix: Tuple[Entry, ...]) -> Optional[Tuple[Entry, ...]]:
+        if len(prefix) == nvars:
+            return prefix
+        bound = slot_bound(prefix)
+        if bound is None:
+            return None
+        if bound == INF:
+            return prefix + (INF,) * (nvars - len(prefix))
+        lo = Fraction(1)
+        for x in reversed(prefix):
+            if x != INF:
+                lo = x
+                break
+        else:
+            lo = Fraction(1)
+        if prefix and prefix[-1] == INF:
+            return None  # finite after infinite would break monotonicity
+        for lam in candidates(prefix, bound, lo):
+            res = rec(prefix + (lam,))
+            if res is not None:
+                return res
+        return None
+
+    return rec(())
+
+
+def substitute_maps_oracle(self: Poly, maps: Sequence[Poly]) -> Poly:
+    """Reference for ``Poly.substitute_maps``: the earlier method, which
+    expands every map and sums Polys term by term.
+
+    Exact expansion of self under z_j -> maps[j-1], zbar_j -> conj(maps[j-1]).
+
+    Every map must be holomorphic (no zbar content).
+    """
+    if len(maps) != self.n:
+        raise DimensionMismatch("need one component map per variable")
+    m = maps[0].n
+    for f in maps:
+        if f.n != m:
+            raise DimensionMismatch("component maps disagree on dimension")
+        if not f.is_holomorphic():
+            raise PolyError("component maps must be holomorphic")
+    hol_pows: Dict[Tuple[int, int], Poly] = {}
+    anti_pows: Dict[Tuple[int, int], Poly] = {}
+
+    def hp(i: int, e: int) -> Poly:
+        key = (i, e)
+        if key not in hol_pows:
+            hol_pows[key] = maps[i] ** e
+        return hol_pows[key]
+
+    def ap(i: int, e: int) -> Poly:
+        key = (i, e)
+        if key not in anti_pows:
+            anti_pows[key] = maps[i].conj() ** e
+        return anti_pows[key]
+
+    total = Poly.zero(m)
+    for (a, b), c in self.terms.items():
+        piece = Poly.const(m, c)
+        for i in range(self.n):
+            if a[i]:
+                piece = piece * hp(i, a[i])
+            if b[i]:
+                piece = piece * ap(i, b[i])
+        total = total + piece
+    return total
+
+
+def best_distinguished_weight_oracle(p: Poly) -> Optional[InverseWeight]:
+    tail = best_distinguished_oracle(_evecs(p), p.n - 1)
+    if tail is None:
+        return None
+    return InverseWeight((Fraction(1),) + tail)
+
+
+def multitype_search_oracle(r: Poly, degree_bound: int = 4,
+                            max_rounds: int = 40) -> Multitype:
+    """The earlier ``weights.multitype_search``, driven by the oracles: every
+    catalog candidate of every round is expanded and weighed in full."""
+    r0, _h = eliminate_harmonic(r)
+    p = r0.restrict_support(range(2, r.n + 1))
+    best = best_distinguished_weight_oracle(p)
+    applied: List[str] = []
+    for _ in range(max_rounds):
+        improved = False
+        for name, maps in _catalog_maps(r.n, degree_bound):
+            q = substitute_maps_oracle(p, maps)
+            cand = best_distinguished_weight_oracle(q)
+            if cand is not None and cand.entries > best.entries:
+                p, best, improved = q, cand, True
+                applied.append(name)
+                break
+        if not improved:
+            break
+    ok, wit = is_admissible(best)
+    witness = {
+        "changes": applied,
+        "admissibility": {str(i): [list(a) for a in rows]
+                          for i, rows in wit.items()} if ok else {},
+        "coordinates_polynomial": p.to_json_dict(),
+    }
+    return Multitype(best, STATUS_LOWER_BOUND, witness)

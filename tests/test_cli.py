@@ -126,6 +126,28 @@ def test_normalize_contradiction_exit_code(capsys):
     assert "contradiction" in err
 
 
+def test_normalize_assert_psc_refutes_indefinite_model(capsys):
+    # |w2|^2 + |w3|^2 + 3 Re(w2 conj w3) with w = z^2: every extracted row is
+    # positive, but the Levi form is indefinite (`catlin psd` finds -4)
+    expr = "-2*Re(z1) + |z2|^4 + |z3|^4 + 2*(3/2)*Re(z2^2*zbar3^2)"
+    code, out, err = run_cli(capsys, "normalize", "--expr", expr, "--n", "3",
+                             "--assert-psc")
+    assert code == 3
+    assert out == ""
+    assert "not plurisubharmonic" in err
+    witness = json.loads(err.split("witness ", 1)[1])
+    assert witness["value"] == "-4"
+    code, out, _ = run_cli(capsys, "normalize", "--expr", expr, "--n", "3")
+    assert code == 0
+    assert "verified: True" in out
+    # a pseudoconvex coefficient still verifies under --assert-psc
+    code, out, _ = run_cli(capsys, "normalize", "--expr",
+                           expr.replace("(3/2)", "(1/2)"), "--n", "3",
+                           "--assert-psc")
+    assert code == 0
+    assert "verified: True" in out
+
+
 def test_normalize_explicit_weight(capsys):
     code, out, _ = run_cli(capsys, "normalize", "--expr",
                            "-2*Re(z1) + (Re(z2))^2", "--n", "2",

@@ -134,6 +134,30 @@ def test_hessian_form_value_negative_case():
     assert value == -12
 
 
+def test_hessian_form_value_matches_entrywise_evaluation():
+    # the point's conjugates are shared across entries; the value is the
+    # Hermitian form of the entries evaluated one by one
+    rng = random.Random(17)
+    p = parse_poly(TORSION_EXPR, 4).restrict_support(range(2, 5))
+    h = complex_hessian(p)
+    for _ in range(10):
+        z = [CRat(0)] + [rand_crat(rng) for _ in range(3)]
+        a = [rand_crat(rng) for _ in range(3)]
+        want = CRat(0)
+        for j in range(2, 5):
+            for k in range(2, 5):
+                want = want + h[j - 1][k - 1].evaluate(z) * a[j - 2] * \
+                    a[k - 2].conj()
+        assert want.is_real()
+        assert hessian_form_value(h, z, a) == want.re
+    assert hessian_form_value(h, [0, 1, Fraction(1, 2), -1],
+                              [CRat(1)] * 3) == \
+        hessian_form_value(h, [CRat(0), CRat(1), CRat(Fraction(1, 2)),
+                               CRat(-1)], [CRat(1)] * 3)
+    with pytest.raises(PolyError):
+        hessian_form_value(h, [CRat(0)] * 3, [CRat(1)] * 3)
+
+
 # ----------------------------------------------------------------------
 # Cauchy-Schwarz pairing engine
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ from catlin.poly import (CoordChange, NonRealError, Poly, PolyError,
                          eliminate_harmonic, revlex_max_balanced,
                          split_model, weighted_order)
 
-from helpers import leading_model, rand_real_poly, tail
+from helpers import (leading_model, rand_crat, rand_holomorphic,
+                     rand_real_poly, substitute_maps_oracle, tail)
 
 
 # ----------------------------------------------------------------------
@@ -299,6 +300,140 @@ def _random_change(rng, mu):
     d = Fraction(rng.randint(1, 3))
     return CoordChange.linear(3, {(1, 1): 1, (2, 2): a, (2, 3): b, (3, 3): d},
                               mu)
+
+
+def _one_term_map(rng, n, j):
+    """z_j, c z_j with c complex, or (rarely) a monomial or the zero map."""
+    roll = rng.random()
+    if roll < 0.4:
+        return Poly.variable(n, j)
+    if roll < 0.8:
+        return Poly.variable(n, j) * rand_crat(rng)
+    if roll < 0.95:
+        alpha = tuple(rng.randint(0, 2) for _ in range(n))
+        return Poly.monomial(n, alpha, (0,) * n, rand_crat(rng))
+    return Poly.zero(n)
+
+
+def _substitution_cases(rng, n):
+    """Permutations, complex-scaled variables, shears and mixed maps."""
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    yield [Poly.variable(n, j) for j in perm]
+    yield [Poly.variable(n, j) * rand_crat(rng) for j in perm]
+    shear = [Poly.variable(n, j) for j in range(1, n + 1)]
+    i, j = rng.sample(range(1, n + 1), 2)
+    shear[i - 1] = shear[i - 1] + Poly.variable(n, j) ** rng.randint(1, 3) \
+        * rand_crat(rng)
+    yield shear
+    yield [_one_term_map(rng, n, j) if rng.random() < 0.5
+           else rand_holomorphic(rng, n, terms=rng.randint(2, 3))
+           for j in range(1, n + 1)]
+
+
+def test_substitute_maps_matches_expanding_oracle():
+    # same terms, same coefficients and the same term order as expanding
+    # every map and summing term by term
+    rng = random.Random(2024)
+    for trial in range(40):
+        n = rng.randint(2, 4)
+        p = rand_real_poly(rng, n, terms=rng.randint(1, 4), max_exp=2)
+        for maps in _substitution_cases(rng, n):
+            got = p.substitute_maps(maps)
+            want = substitute_maps_oracle(p, maps)
+            assert list(got.terms.items()) == list(want.terms.items()), \
+                (trial, str(p), [str(f) for f in maps])
+
+
+def test_substitute_maps_cancellation_keeps_oracle_order():
+    # z2 -> z2 + z3 and z3 -> -z3 make pieces cancel and reappear
+    p = parse_poly("|z2|^2 + |z3|^2 + 2*Re(z2*zbar3)", 3)
+    maps = [Poly.variable(3, 1), Poly.variable(3, 2) + Poly.variable(3, 3),
+            -Poly.variable(3, 3)]
+    got = p.substitute_maps(maps)
+    want = substitute_maps_oracle(p, maps)
+    assert got == parse_poly("|z2|^2", 3)
+    assert list(got.terms.items()) == list(want.terms.items())
+    # under z1 -> z1 + z2, |z2|^2 appears, cancels against -|z2|^2 and
+    # reappears from z1 zbar2 after the terms of |z1|^4: it moves behind them
+    one = CRat(1)
+    p = Poly(2, {((1, 0), (1, 0)): one, ((0, 1), (0, 1)): -one,
+                 ((2, 0), (2, 0)): one, ((1, 0), (0, 1)): one,
+                 ((0, 1), (1, 0)): one})
+    maps = [Poly.variable(2, 1) + Poly.variable(2, 2), Poly.variable(2, 2)]
+    got = p.substitute_maps(maps)
+    want = substitute_maps_oracle(p, maps)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert list(got.terms)[-1] == ((0, 1), (0, 1))
+
+
+def test_substitute_maps_rejects_bad_maps():
+    p = parse_poly("|z2|^2", 2)
+    with pytest.raises(PolyError):
+        p.substitute_maps([Poly.variable(2, 1)])
+    with pytest.raises(PolyError):
+        p.substitute_maps([Poly.variable(2, 1), Poly.conj_variable(2, 2)])
+    with pytest.raises(PolyError):
+        p.substitute_maps([Poly.variable(2, 1), Poly.variable(3, 2)])
+
+
+def _expansion_size(p, maps):
+    """Term products a plain expansion of p under maps would form."""
+    total = 0
+    for (a, b) in p.terms:
+        size = 1
+        for f, e in zip(maps, map(sum, zip(a, b))):
+            size *= len(f.terms) ** e
+        total += size
+    return total
+
+
+def test_substitute_maps_composes_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    crats = st.builds(CRat, small, small).filter(lambda c: not c.is_zero())
+
+    def exponents(n, top=2):
+        return st.tuples(*[st.integers(0, top)] * n)
+
+    def holomorphic_map(n):
+        # one term moves exponents; several are expanded
+        term = st.tuples(exponents(n), crats)
+        several = st.lists(st.tuples(exponents(n, 1), crats), min_size=2,
+                           max_size=3)
+        return st.one_of(term.map(lambda t: [t]), several).map(
+            lambda ts: sum((Poly.monomial(n, a, (0,) * n, c) for a, c in ts),
+                           Poly.zero(n)))
+
+    @st.composite
+    def case(draw):
+        n, m, k = (draw(st.integers(1, 3)) for _ in range(3))
+        terms = draw(st.lists(st.tuples(exponents(n), exponents(n), crats),
+                              min_size=1, max_size=3))
+        p = sum((Poly.monomial(n, a, b, c) for a, b, c in terms),
+                Poly.zero(n))
+        f = draw(st.lists(holomorphic_map(m), min_size=n, max_size=n))
+        g = draw(st.lists(holomorphic_map(k), min_size=m, max_size=m))
+        return p, f, g
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                         suppress_health_check=[
+                             hypothesis.HealthCheck.filter_too_much,
+                             hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(case())
+    def check(c):
+        p, f, g = c
+        # skip the draws whose expansions blow up
+        hypothesis.assume(_expansion_size(p, f) <= 3000)
+        pf = p.substitute_maps(f)
+        hypothesis.assume(_expansion_size(pf, g) <= 3000)
+        fg = [fi.substitute_maps(g) for fi in f]
+        hypothesis.assume(_expansion_size(p, fg) <= 3000)
+        assert pf.substitute_maps(g) == p.substitute_maps(fg)
+
+    check()
 
 
 def test_substitution_preserves_weight_order():

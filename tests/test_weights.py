@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 
 from catlin.parser import parse_poly
-from catlin.poly import PolyError
+from catlin.poly import Poly, PolyError
 from catlin.weights import (INF, InverseWeight, Weight,
-                            corroborate, counting_bound, enumerate_multitypes,
+                            best_distinguished_weight, corroborate,
+                            counting_bound, enumerate_multitypes,
                             is_admissible, is_distinguished, lower_weight_at,
                             multitype_search, STATUS_EXACT, STATUS_LOWER_BOUND)
 
-from helpers import brute_admissible_slot
+from helpers import (best_distinguished_weight_oracle, brute_admissible_slot,
+                     multitype_search_oracle, rand_crat, substitute_maps_oracle)
 
 
 # ----------------------------------------------------------------------
@@ -178,6 +180,121 @@ def test_best_distinguished_harmonic_sensitivity():
     r = parse_poly("-2*Re(z1) + |z2|^4 + 2*Re(z2^2)", 2)
     mt = multitype_search(r)
     assert mt.value == InverseWeight((Fraction(1), 4))
+
+
+def _support_poly(n, evecs):
+    """Balanced model part with the given exponent vectors over z_2..z_n
+    (odd entries split between z and zbar, so alpha+beta is the vector)."""
+    p = Poly.zero(n)
+    for e in evecs:
+        a = (0,) + tuple((x + 1) // 2 for x in e)
+        b = (0,) + tuple(x // 2 for x in e)
+        p = p + Poly.monomial(n, a, b, 1) + Poly.monomial(n, b, a, 1)
+    return p
+
+
+def _above_cases(rng, n, lam):
+    """Inverse weights around lam: lam itself (a tie), a step below and above
+    at each slot with a finite or INF tail, and random ones."""
+    out = []
+    if lam is not None:
+        out.append(lam.entries)
+        for j in range(1, n):
+            for step in (Fraction(-1, 3), Fraction(1, 3)):
+                if lam.entries[j] == INF:
+                    continue
+                x = lam.entries[j] + step
+                for fill in (x, INF):
+                    out.append(lam.entries[:j] + (x,) + (fill,) * (n - j - 1))
+            out.append(lam.entries[:j] + (INF,) * (n - j))
+    for _ in range(4):
+        tail = sorted(Fraction(rng.randint(2, 24), rng.randint(1, 3))
+                      for _ in range(n - 1))
+        cut = rng.randint(1, n)
+        out.append((Fraction(1),) + tuple(tail[:cut - 1]) + (INF,) * (n - cut))
+    cases = []
+    for entries in out:
+        try:
+            cases.append(InverseWeight(entries))
+        except PolyError:
+            pass
+    return cases
+
+
+def test_best_distinguished_above_matches_unpruned_oracle():
+    rng = random.Random(505)
+    checked = {"above": 0, "none": 0, "infeasible": 0}
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        evecs = {tuple(rng.randint(0, 6) for _ in range(n - 1))
+                 for _ in range(rng.randint(1, 4))}
+        if rng.random() < 0.1:
+            evecs.add(tuple(0 for _ in range(n - 1)))  # weight 0: infeasible
+        p = _support_poly(n, evecs)
+        lam = best_distinguished_weight_oracle(p)
+        assert best_distinguished_weight(p) == lam
+        if lam is None:
+            checked["infeasible"] += 1
+        for w in _above_cases(rng, n, lam):
+            want = lam if lam is not None and lam.entries > w.entries else None
+            assert best_distinguished_weight(p, above=w) == want, (evecs, w)
+            checked["above" if want else "none"] += 1
+    assert min(checked.values()) > 0, checked
+
+
+def test_best_distinguished_above_ties_and_inf_tails():
+    p = parse_poly("|z2|^4 + |z3|^8", 3)
+    lam = InverseWeight((Fraction(1), 4, 8))
+    assert best_distinguished_weight(p) == lam
+    assert best_distinguished_weight(p, above=lam) is None
+    assert best_distinguished_weight(p, above=InverseWeight(
+        (Fraction(1), 4, Fraction(15, 2)))) == lam
+    assert best_distinguished_weight(p, above=InverseWeight(
+        (Fraction(1), 4, INF))) is None
+    q = parse_poly("|z2|^4", 3)  # z3 absent: lambda_3 = INF
+    inf_tail = InverseWeight((Fraction(1), 4, INF))
+    assert best_distinguished_weight(q) == inf_tail
+    assert best_distinguished_weight(q, above=inf_tail) is None
+    assert best_distinguished_weight(q, above=lam) == inf_tail
+    with pytest.raises(PolyError):
+        best_distinguished_weight(q, above=InverseWeight((Fraction(1), 2)))
+
+
+def _random_model(rng, n):
+    """Diagonal |z_j|^(2k_j) plus a mixed term, hidden by a random
+    permutation and a random shear of the catalog's kind."""
+    ks = sorted(rng.randint(1, 4) for _ in range(n - 1))
+    p = Poly.zero(n)
+    for j, k in enumerate(ks, start=1):
+        alpha = tuple(k if i == j else 0 for i in range(n))
+        p = p + Poly.modulus_power(n, alpha, rand_crat(rng).re ** 2 + 1)
+    a = (0,) * (n - 2) + (1, 1)
+    b = (0,) + (2,) + (0,) * (n - 2)
+    p = p + Poly.monomial(n, a, b, Fraction(1, 5)) + \
+        Poly.monomial(n, b, a, Fraction(1, 5))
+    perm = list(range(2, n + 1))
+    rng.shuffle(perm)
+    maps = [Poly.variable(n, 1)] + [Poly.variable(n, j) for j in perm]
+    i, j = rng.sample(range(2, n + 1), 2)
+    maps[i - 1] = maps[i - 1] + Poly.variable(n, j) ** rng.randint(1, 2) * \
+        rng.choice((1, -1))
+    head = parse_poly("-2*Re(z1)", n)
+    return head + substitute_maps_oracle(p, maps)
+
+
+def test_multitype_search_matches_oracle_search():
+    rng = random.Random(77)
+    models = [_random_model(rng, n) for n in (3, 3, 3, 3, 4, 4, 4, 5)]
+    models += [parse_poly("-2*Re(z1) + |z2 + z3^2|^4 + |z3|^8", 3),
+               parse_poly("-2*Re(z1) + |z2|^6 + |z3|^4 + |z4|^8", 4)]
+    changed = 0
+    for r in models:
+        got = multitype_search(r)
+        want = multitype_search_oracle(r)
+        assert got.value == want.value, str(r)
+        assert got.witness == want.witness, str(r)
+        changed += bool(got.witness["changes"])
+    assert changed >= 3
 
 
 # ----------------------------------------------------------------------
