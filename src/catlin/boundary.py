@@ -1,9 +1,10 @@
 """Boundary systems of polynomial model hypersurfaces.
 
 Given r = c * Re z1 + p(z_2..z_n, conj), the construction computes the Levi
-rank at 0, tangential (1,0) vector fields with exact polynomial
-coefficients, and then, slot by slot, minimal ordered admissible lists of
-fields whose iterated derivative of the (1,0) differential,
+rank at 0 (the Hermitian congruence of the complex Hessian of p there),
+tangential (1,0) vector fields with exact polynomial coefficients, and then,
+slot by slot, minimal ordered admissible lists of fields whose iterated
+derivative of the (1,0) differential,
 
     list_derivative: L^1 ... L^{l-2} dr([L^{l-1}, L^l]),
 
@@ -28,14 +29,14 @@ because a term of degree d needs d more derivations to reach the origin.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import CRat, CZERO, inverse, rank, rat_str
+from .exact import CRat, CZERO, hermitian_reduce, inverse, rank, rat_str
+from .levi import complex_hessian
 from .poly import (CoordChange, ModelShapeError, Poly, PolyError, TermKey,
                    split_model)
 from .weights import INF, Entry, InverseWeight, Weight, entry_str, recip
@@ -245,60 +246,6 @@ class _ListSearcher:
 
 
 # ----------------------------------------------------------------------
-# Hermitian congruence (exact Gram-Schmidt with hyperbolic pairs)
-# ----------------------------------------------------------------------
-
-
-def hermitian_reduce(h: List[List[CRat]]) -> List[Tuple[List[CRat], Fraction]]:
-    """Basis vectors q_i with form(q_i, q_j) = 0 for i != j; returns
-    (vector, form(q_i, q_i)) pairs, nonzero values first."""
-    dim = len(h)
-
-    def form(u: List[CRat], v: List[CRat]) -> CRat:
-        total = CZERO
-        for k in range(dim):
-            if u[k].is_zero():
-                continue
-            for l in range(dim):
-                total = total + h[k][l] * u[k] * v[l].conj()
-        return total
-
-    basis = [[CRat(1 if i == k else 0) for k in range(dim)] for i in range(dim)]
-    done: List[Tuple[List[CRat], Fraction]] = []
-    remaining = list(basis)
-    while remaining:
-        for v in remaining:
-            for q, d in done:
-                if d != 0:
-                    coef = form(v, q) / CRat(d)
-                    for k in range(dim):
-                        v[k] = v[k] - coef * q[k]
-        pick = next((v for v in remaining if not form(v, v).is_zero()), None)
-        if pick is None:
-            hyper = None
-            for v, w in itertools.combinations(remaining, 2):
-                if not form(v, w).is_zero():
-                    hyper = (v, w)
-                    break
-            if hyper is None:
-                done.extend((v, Fraction(0)) for v in remaining)
-                break
-            v, w = hyper
-            cand = [v[k] + w[k] for k in range(dim)]
-            if form(cand, cand).is_zero():
-                cand = [v[k] + CRat(0, 1) * w[k] for k in range(dim)]
-            remaining[remaining.index(v)] = cand
-            continue
-        val = form(pick, pick)
-        if not val.is_real():
-            raise BoundaryConstructionError("Hermitian form value not real")
-        done.append((pick, val.re))
-        remaining.remove(pick)
-    done.sort(key=lambda t: t[1] == 0)  # stable: nonzero first
-    return done
-
-
-# ----------------------------------------------------------------------
 # boundary system construction
 # ----------------------------------------------------------------------
 
@@ -312,9 +259,8 @@ class SlowSlot:
     counts: Dict[int, int]            # slot -> number of its fields in the list
     c: Fraction
     r_func: Poly                      # normalized real function r_j
-    g_raw: Poly                       # the list derivative before Re/Im
-    used_im: bool
-    scale: CRat = CZERO               # linear coefficient divided out of g_raw
+    scale: CRat = CZERO               # linear coefficient divided out of the
+                                      # list derivative
 
     def to_json(self) -> dict:
         return {"slot": self.slot,
@@ -331,7 +277,6 @@ class BoundarySystem:
     r: Poly
     rank: int                         # Levi rank s_0
     levi_fields: List[VField]
-    levi_values: List[Fraction]
     slow: Dict[int, SlowSlot]
     c_entries: Tuple[Entry, ...]      # full (1, c_2, ..., c_n)
     list_bound: int
@@ -346,11 +291,6 @@ class BoundarySystem:
     def commutator_multitype(self) -> InverseWeight:
         return InverseWeight(self.c_entries)
 
-    def r_function(self, j: int) -> Poly:
-        if j == 1:
-            return self.r
-        return self.slow[j].r_func
-
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
@@ -361,11 +301,6 @@ class BoundarySystem:
             "r1": self.r.to_json_dict(),
             "list_bound": self.list_bound,
         }
-
-
-def _tangential_hessian(p: Poly) -> List[List[Poly]]:
-    return [[p.wirtinger(j).wirtinger(k, conjugate=True)
-             for k in range(2, p.n + 1)] for j in range(2, p.n + 1)]
 
 
 def _field_from_vector(r: Poly, c1: CRat, vec: Sequence[Poly]) -> VField:
@@ -495,14 +430,13 @@ def build_boundary_system(r: Poly, list_bound: Optional[int] = None
         raise ModelShapeError("boundary systems need dimension >= 2")
     bound = list_bound if list_bound is not None else max(2, p.total_degree())
     cap = max(2, p.total_degree()) + 2
-    p_hess = _tangential_hessian(p)
+    p_hess = [row[1:] for row in complex_hessian(p)[1:]]
     h0 = [[p_hess[j][k].terms.get(((0,) * n, (0,) * n), CZERO)
            for k in range(n - 1)] for j in range(n - 1)]
     reduced = hermitian_reduce(h0)
     levi_rank = sum(1 for _v, d in reduced if d != 0)
     levi_fields = [_field_from_vector(r, c1, _const_vec(n, vec))
                    for vec, d in reduced if d != 0]
-    levi_values = [d for _v, d in reduced if d != 0]
     kernel_dirs = [tuple(vec) for vec, d in reduced if d == 0]
     catalog: List[Tuple[CRat, ...]] = list(kernel_dirs)
     if len(kernel_dirs) > 1:
@@ -562,10 +496,10 @@ def build_boundary_system(r: Poly, list_bound: Optional[int] = None
                 f"slot {slot}: minimal list of length {len(entries)} cannot "
                 "carry a boundary-system function")
         g = list_derivative(r, {**fields_by_slot, slot: fld}, entries[1:])
-        r_func, used_im, scale = _normalize_r(g, direction, n)
+        r_func, scale = _normalize_r(g, direction, n)
         sl = SlowSlot(slot=slot, direction=tuple(direction), fld=fld,
                       entries=list(entries), counts=dict(counts), c=c_j,
-                      r_func=r_func, g_raw=g, used_im=used_im, scale=scale)
+                      r_func=r_func, scale=scale)
         slow[slot] = sl
         fields_by_slot[slot] = fld
         c_by_slot[slot] = c_j
@@ -575,9 +509,8 @@ def build_boundary_system(r: Poly, list_bound: Optional[int] = None
     while len(c_entries) < n:
         c_entries.append(INF)
     return BoundarySystem(n=n, r=r, rank=levi_rank, levi_fields=levi_fields,
-                          levi_values=levi_values, slow=slow,
-                          c_entries=tuple(c_entries), list_bound=bound,
-                          trunc_degree=cap)
+                          slow=slow, c_entries=tuple(c_entries),
+                          list_bound=bound, trunc_degree=cap)
 
 
 def _in_span(direction: Sequence[CRat], used: List[Tuple[CRat, ...]]) -> bool:
@@ -587,7 +520,7 @@ def _in_span(direction: Sequence[CRat], used: List[Tuple[CRat, ...]]) -> bool:
 
 
 def _normalize_r(g: Poly, direction: Sequence[CRat], n: int
-                 ) -> Tuple[Poly, bool, CRat]:
+                 ) -> Tuple[Poly, CRat]:
     """Canonical real function from the list derivative: scale so the linear
     part along the slot direction is exactly Re z_dir; prefer Re over Im.
     Also returns the scale (the linear coefficient that was divided out)."""
@@ -602,16 +535,16 @@ def _normalize_r(g: Poly, direction: Sequence[CRat], n: int
     a_re = c_plus + c_minus.conj()
     if not a_re.is_zero():
         scaled = g * (CRat(1) / a_re)
-        return (scaled + scaled.conj()) * Fraction(1, 2), False, a_re
+        return (scaled + scaled.conj()) * Fraction(1, 2), a_re
     a_im = (c_plus - c_minus.conj()) * CRat(0, -1)
     if not a_im.is_zero():
         scaled = g * (CRat(1) / a_im)
         im = (scaled - scaled.conj()) * CRat(0, Fraction(-1, 2))
-        return im, True, a_im
+        return im, a_im
     re_part = (g + g.conj()) * Fraction(1, 2)
     if not re_part.is_zero():
-        return re_part, False, CZERO
-    return (g - g.conj()) * CRat(0, Fraction(-1, 2)), True, CZERO
+        return re_part, CZERO
+    return (g - g.conj()) * CRat(0, Fraction(-1, 2)), CZERO
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ exact.  The real and imaginary parts are read as ``Fraction`` values.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple, Union
@@ -240,6 +241,66 @@ def inverse(m: Sequence[Sequence["CRat | Rat"]]) -> Optional[List[List[CRat]]]:
         return None
     scales = [CRat(1) / row[i] for i, row in enumerate(reduced)]
     return [[x * inv for x in row[k:]] for inv, row in zip(scales, reduced)]
+
+
+def hermitian_form(h: Sequence[Sequence[CRat]], u: Sequence[CRat],
+                   v: Sequence[CRat]) -> CRat:
+    """sum_{k,l} h[k][l] u_k conj(v_l) for a square CRat matrix h."""
+    if len(u) != len(h) or len(v) != len(h):
+        raise ValueError("vector length != matrix size")
+    v_bar = [x.conj() for x in v]
+    total = CZERO
+    for row, uk in zip(h, u):
+        if uk.is_zero():
+            continue
+        for hkl, vl in zip(row, v_bar):
+            total = total + hkl * uk * vl
+    return total
+
+
+def hermitian_reduce(h: Sequence[Sequence[CRat]]
+                     ) -> List[Tuple[List[CRat], Fraction]]:
+    """Congruence of a Hermitian CRat matrix to diagonal form: exact
+    Gram-Schmidt with hyperbolic pairs.
+
+    Returns basis vectors q_i with hermitian_form(h, q_i, q_j) = 0 for i != j,
+    as (q_i, hermitian_form(h, q_i, q_i)) pairs, nonzero values first.  A
+    non-real value (h not Hermitian) raises ValueError."""
+    dim = len(h)
+    remaining = [[CRat(1 if i == k else 0) for k in range(dim)]
+                 for i in range(dim)]
+    done: List[Tuple[List[CRat], Fraction]] = []
+    while remaining:
+        for v in remaining:
+            for q, d in done:
+                if d != 0:
+                    coef = hermitian_form(h, v, q) / CRat(d)
+                    for k in range(dim):
+                        v[k] = v[k] - coef * q[k]
+        pick = next((v for v in remaining
+                     if not hermitian_form(h, v, v).is_zero()), None)
+        if pick is None:
+            hyper = None
+            for v, w in itertools.combinations(remaining, 2):
+                if not hermitian_form(h, v, w).is_zero():
+                    hyper = (v, w)
+                    break
+            if hyper is None:
+                done.extend((v, Fraction(0)) for v in remaining)
+                break
+            v, w = hyper
+            cand = [v[k] + w[k] for k in range(dim)]
+            if hermitian_form(h, cand, cand).is_zero():
+                cand = [v[k] + CI * w[k] for k in range(dim)]
+            remaining[remaining.index(v)] = cand
+            continue
+        val = hermitian_form(h, pick, pick)
+        if not val.is_real():
+            raise ValueError("Hermitian form value not real")
+        done.append((pick, val.re))
+        remaining.remove(pick)
+    done.sort(key=lambda t: t[1] == 0)  # stable: nonzero first
+    return done
 
 
 def rat_str(x: Fraction) -> str:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import CRat, CZERO, rank, rat_str
+from .exact import CRat, CZERO, hermitian_form, rank, rat_str
 from .poly import (DimensionMismatch, Poly, PolyError, require_real,
                    term_sort_key)
 from .weights import Weight
@@ -76,17 +76,22 @@ def hessian_form_value(hess: Sequence[Sequence[Poly]],
 
     ``a`` has length n-1 (components for z_2..z_n).  The value of a Hermitian
     form is real; this is asserted."""
+    return _form_value(_tangential_values(hess, z), a)
+
+
+def _tangential_values(hess: Sequence[Sequence[Poly]],
+                       z: Sequence[CRat]) -> List[List[CRat]]:
+    """The tangential block (slots 2..n) of the Hessian evaluated at z."""
     n = len(hess)
     if len(z) != n:
         raise DimensionMismatch("point length != n")
     zs = [CRat.of(c) for c in z]
     zbars = [c.conj() for c in zs]
-    a_bar = [x.conj() for x in a]
-    total = CZERO
-    for j in range(2, n + 1):
-        for k in range(2, n + 1):
-            h = hess[j - 1][k - 1]._evaluate(zs, zbars)
-            total = total + h * a[j - 2] * a_bar[k - 2]
+    return [[h._evaluate(zs, zbars) for h in row[1:]] for row in hess[1:]]
+
+
+def _form_value(h: List[List[CRat]], a: Sequence[CRat]) -> Fraction:
+    total = hermitian_form(h, a, a)
     if not total.is_real():
         raise PolyError("Hessian form value is not real; input was not real-valued")
     return total.re
@@ -206,30 +211,25 @@ def _choose_fractions(mixed_pairs, budget, lattice_den, strict):
     stays below (or at most equal to, when not strict) the budget.
 
     mixed_pairs: list of (u_bound, [pair...]) in canonical order.  Returns the
-    list of fraction lists, or None."""
+    list of fraction lists and the consumption per balanced exponent (every
+    exponent of a splitting, also at fraction 0), or None."""
 
-    def consumption(fracs_all) -> Dict[Gamma, Fraction]:
+    def feasible(fracs_all) -> Optional[Dict[Gamma, Fraction]]:
         cons: Dict[Gamma, Fraction] = {}
         for (u, pairs), fracs in zip(mixed_pairs, fracs_all):
             for (g1, g2), t in zip(pairs, fracs):
-                if t == 0:
-                    continue
                 cons[g1] = cons.get(g1, Fraction(0)) + t * u
                 cons[g2] = cons.get(g2, Fraction(0)) + t * u
+        for g, used in cons.items():
+            if used > budget[g] or (strict and used == budget[g]):
+                return None
         return cons
-
-    def feasible(fracs_all) -> bool:
-        for g, used in consumption(fracs_all).items():
-            if strict and used >= budget[g]:
-                return False
-            if not strict and used > budget[g]:
-                return False
-        return True
 
     equal = [[Fraction(1, len(pairs))] * len(pairs)
              for _u, pairs in mixed_pairs]
-    if feasible(equal):
-        return equal
+    cons = feasible(equal)
+    if cons is not None:
+        return equal, cons
     lattice = _fraction_lattice(lattice_den)
     chosen: List[List[Fraction]] = []
     for i, (_u, pairs) in enumerate(mixed_pairs):
@@ -238,13 +238,48 @@ def _choose_fractions(mixed_pairs, budget, lattice_den, strict):
             if sum(combo) != 1:
                 continue
             trial = chosen + [list(combo)] + equal[i + 1:]
-            if feasible(trial):
+            if feasible(trial) is not None:
                 best = list(combo)
                 break
         if best is None:
             return None
         chosen.append(best)
-    return chosen if feasible(chosen) else None
+    cons = feasible(chosen)
+    return None if cons is None else (chosen, cons)
+
+
+def _absorption(p: Poly, lattice_den: int, strict: bool):
+    """Cauchy-Schwarz absorption of every mixed pair of p into its balanced
+    budget along the splittings gamma' + gamma'' = alpha + beta.
+
+    Returns (budget, mixed, consumption), or None when a balanced coefficient
+    is negative or some pair cannot be absorbed.  ``mixed`` holds, per mixed
+    pair in canonical order, (alpha, beta, used splittings (g1, g2, t) with
+    t != 0, certificate entry with its "splittings")."""
+    budget, bad = _balanced_budget(p)
+    if bad is not None:
+        return None
+    pairs_of = _mixed_pairs(p)
+    per_mixed = []
+    for a, b, c in pairs_of:
+        sigma = tuple(x + y for x, y in zip(a, b))
+        pairs = _find_splittings(sigma, budget)
+        if not pairs:
+            return None
+        per_mixed.append((_coeff_bound(c), pairs))
+    chosen = _choose_fractions(per_mixed, budget, lattice_den, strict)
+    if chosen is None:
+        return None
+    fractions, cons = chosen
+    mixed = []
+    for (a, b, _c), (u, pairs), fracs in zip(pairs_of, per_mixed, fractions):
+        used = [(g1, g2, t) for (g1, g2), t in zip(pairs, fracs) if t != 0]
+        entry = {"alpha": list(a), "beta": list(b), "bound": rat_str(u),
+                 "splittings": [{"fraction": rat_str(t),
+                                 "gamma1": list(g1), "gamma2": list(g2)}
+                                for g1, g2, t in used]}
+        mixed.append((a, b, used, entry))
+    return budget, mixed, cons
 
 
 def _psh_certificate(p: Poly, lattice_den: int,
@@ -253,56 +288,30 @@ def _psh_certificate(p: Poly, lattice_den: int,
     if killed in memo:
         return memo[killed]
     memo[killed] = None  # cycle guard; overwritten below
-    budget, bad = _balanced_budget(p)
-    if bad is not None:
+    absorbed = _absorption(p, lattice_den, strict=True)
+    if absorbed is None:
         return None
-    mixed = _mixed_pairs(p)
+    budget, mixed, cons = absorbed
     active = [j for j in p.support_vars() if j >= 2]
     if not mixed:
         cert = {"tier": 2, "kind": "diagonal", "balanced": _budget_json(budget)}
         memo[killed] = cert
         return cert
-    for a, b, _c in mixed:
+    for a, b, _used, _entry in mixed:
         for i in range(p.n):
             if a[i] + b[i] == 1:
                 return None  # linear slot: hyperplane cross-terms survive
-    per_mixed = []
-    for a, b, c in mixed:
-        sigma = tuple(x + y for x, y in zip(a, b))
-        pairs = _find_splittings(sigma, budget)
-        if not pairs:
-            return None
-        per_mixed.append((_coeff_bound(c), pairs))
-    fractions = _choose_fractions(per_mixed, budget, lattice_den, strict=True)
-    if fractions is None:
-        return None
     mixed_json = []
-    for (a, b, c), (u, pairs), fracs in zip(mixed, per_mixed, fractions):
-        rows = []
-        systems = []
-        for (g1, g2), t in zip(pairs, fracs):
-            if t == 0:
-                continue
-            rows.extend([g1[1:], g2[1:]])
-            systems.append([list(g1[1:]), list(g2[1:])])
+    for a, b, used, entry in mixed:
+        rows = [g[1:] for g1, g2, _t in used for g in (g1, g2)]
         # the mixed Hessian content vanishes identically outside the support
         # of alpha + beta, so the kernels must intersect trivially there
         cols = [i - 1 for i in range(1, p.n)
                 if a[i] + b[i] > 0]
         if rank([[row[c] for c in cols] for row in rows]) != len(cols):
             return None  # majorant kernels do not intersect trivially
-        mixed_json.append({
-            "alpha": list(a), "beta": list(b), "bound": rat_str(u),
-            "splittings": [{"fraction": rat_str(t),
-                            "gamma1": list(g1), "gamma2": list(g2)}
-                           for (g1, g2), t in zip(pairs, fracs) if t != 0],
-            "kernel_systems": systems,
-        })
-    cons: Dict[Gamma, Fraction] = {}
-    for (u, pairs), fracs in zip(per_mixed, fractions):
-        for (g1, g2), t in zip(pairs, fracs):
-            cons[g1] = cons.get(g1, Fraction(0)) + t * u
-            cons[g2] = cons.get(g2, Fraction(0)) + t * u
+        mixed_json.append({**entry, "kernel_systems": [
+            [list(g1[1:]), list(g2[1:])] for g1, g2, _t in used]})
     margin = max((used / budget[g] for g, used in cons.items()),
                  default=Fraction(0))
     hyper = []
@@ -354,33 +363,14 @@ def _diag_entry(p: Poly, j: int) -> Poly:
 def _nonneg_certificate(q: Poly, lattice_den: int) -> Optional[dict]:
     """Pointwise nonnegativity by Cauchy-Schwarz absorption (budget may be
     consumed fully: the bound is an inequality, not a strict domination)."""
-    budget, bad = _balanced_budget(q)
-    if bad is not None:
+    absorbed = _absorption(q, lattice_den, strict=False)
+    if absorbed is None:
         return None
-    mixed = _mixed_pairs(q)
+    budget, mixed, _cons = absorbed
     if not mixed:
         return {"kind": "pointwise-diagonal", "balanced": _budget_json(budget)}
-    per_mixed = []
-    for a, b, c in mixed:
-        sigma = tuple(x + y for x, y in zip(a, b))
-        pairs = _find_splittings(sigma, budget)
-        if not pairs:
-            return None
-        per_mixed.append((_coeff_bound(c), pairs))
-    fractions = _choose_fractions(per_mixed, budget, lattice_den, strict=False)
-    if fractions is None:
-        return None
-    return {
-        "kind": "pointwise-nonneg",
-        "balanced": _budget_json(budget),
-        "mixed": [{"alpha": list(a), "beta": list(b), "bound": rat_str(u),
-                   "splittings": [{"fraction": rat_str(t),
-                                   "gamma1": list(g1), "gamma2": list(g2)}
-                                  for (g1, g2), t in zip(pairs, fracs)
-                                  if t != 0]}
-                  for (a, b, c), (u, pairs), fracs
-                  in zip(mixed, per_mixed, fractions)],
-    }
+    return {"kind": "pointwise-nonneg", "balanced": _budget_json(budget),
+            "mixed": [entry for _a, _b, _used, entry in mixed]}
 
 
 def cauchy_schwarz_pairing(p: Poly, lattice_den: int = 4) -> dict:
@@ -563,33 +553,39 @@ def psd_verdict(p: Poly, samples: int = 200, seed: int = 0,
     hess = complex_hessian(p)
     tried = 0
 
-    def check(z: List[CRat], a: List[CRat]) -> Optional[PositivityVerdict]:
+    def check(z: List[CRat], vectors: Sequence[List[CRat]]
+              ) -> Optional[PositivityVerdict]:
+        """First vector a with a* H(z) a < 0; H(z) is evaluated once."""
         nonlocal tried
-        tried += 1
         full_z = [CRat(0)] + list(z)
-        value = hessian_form_value(hess, full_z, a)
-        if value < 0:
-            witness = {
-                "z": [{"re": rat_str(c.re), "im": rat_str(c.im)} for c in full_z],
-                "a": [{"re": rat_str(c.re), "im": rat_str(c.im)} for c in a],
-                "value": rat_str(value),
-            }
-            return PositivityVerdict(KIND_REFUTED, witness=witness,
-                                     samples_tried=tried)
+        hz = _tangential_values(hess, full_z)
+        for a in vectors:
+            tried += 1
+            value = _form_value(hz, a)
+            if value < 0:
+                witness = {
+                    "z": [{"re": rat_str(c.re), "im": rat_str(c.im)}
+                          for c in full_z],
+                    "a": [{"re": rat_str(c.re), "im": rat_str(c.im)}
+                          for c in a],
+                    "value": rat_str(value),
+                }
+                return PositivityVerdict(KIND_REFUTED, witness=witness,
+                                         samples_tried=tried)
         return None
 
+    vectors = _structured_vectors(p.n)
     for z in _structured_points(p.n):
-        for a in _structured_vectors(p.n):
-            hit = check(z, a)
-            if hit:
-                return hit
+        hit = check(z, vectors)
+        if hit:
+            return hit
     rng = random.Random(seed)
     for _ in range(samples):
         z = [_random_crat(rng) for _ in range(p.n - 1)]
         a = [_random_crat(rng) for _ in range(p.n - 1)]
         if all(c.is_zero() for c in a):
             a[0] = CRat(1)
-        hit = check(z, a)
+        hit = check(z, [a])
         if hit:
             return hit
     return PositivityVerdict(KIND_UNKNOWN, samples_tried=tried)
@@ -617,9 +613,6 @@ class CoeffBoundReport:
 
     def all_satisfied(self) -> bool:
         return self.C0 >= 0 and all(ok for _k, _c, ok in self.bounds)
-
-    def c0_positive(self) -> bool:
-        return self.C0 > 0
 
     def to_json(self) -> dict:
         return {"var": self.var, "half_degree": self.half_degree,

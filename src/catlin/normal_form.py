@@ -129,11 +129,11 @@ def _bal_monomial_alpha(n: int, ks: Sequence[int]) -> Tuple[int, ...]:
     return tuple(alpha)
 
 
-def _direction_change(n: int, block: Sequence[int], d: Sequence[CRat],
-                      mu: Sequence[Fraction]) -> CoordChange:
-    """Invertible linear change inside an equal-weight block sending the new
-    z_{block[0]} direction to d: old z_j = d_j * new z_lead (+ new z_j off the
-    pivot), expressed as substitution targets (old in terms of new)."""
+def _direction_maps(n: int, block: Sequence[int], d: Sequence[CRat]
+                    ) -> List[Poly]:
+    """Substitution targets (old in terms of new) of the invertible linear
+    change inside an equal-weight block sending the new z_{block[0]}
+    direction to d: old z_j = d_j * new z_lead (+ new z_j off the pivot)."""
     lead = block[0]
     pivot = next(i for i, c in enumerate(d) if not c.is_zero())
     maps = [Poly.variable(n, j) for j in range(1, n + 1)]
@@ -142,7 +142,7 @@ def _direction_change(n: int, block: Sequence[int], d: Sequence[CRat],
         if i != pivot:
             f = f + Poly.variable(n, j)
         maps[j - 1] = f
-    return CoordChange(n, maps, mu)
+    return maps
 
 
 def step_first(p: Poly, mu: Weight, assert_psc: bool = False
@@ -159,7 +159,8 @@ def step_first(p: Poly, mu: Weight, assert_psc: bool = False
     p_block = p.restrict_support(block)
     if p_block.is_zero():
         raise _Degenerate(2, p)
-    change, p2 = _restrict_to_direction(p, p_block, block, entries, var=2)
+    change, p_changed = _block_direction(p, p_block, block, entries, 2)
+    p2 = p_changed.restrict_support([2])
     warnings: List[str] = []
     deg = p2.total_degree()
     expected = 1 / entries[1]
@@ -189,32 +190,6 @@ def step_first(p: Poly, mu: Weight, assert_psc: bool = False
                 raise _Contradiction(msg)
             warnings.append(msg)
     return change, p2, k22, c20.re, warnings
-
-
-def _restrict_to_direction(p: Poly, p_block: Poly, block: List[int],
-                           entries: Sequence[Fraction], var: int
-                           ) -> Tuple[CoordChange, Poly]:
-    """Find a block direction in which the restriction to z_var survives and
-    return (change, one-variable restriction of the changed p)."""
-    n = p.n
-    direct = p_block.restrict_support([var])
-    if not direct.is_zero():
-        ident = CoordChange.identity(n, entries)
-        return ident, direct
-    deg = p_block.total_degree()
-    for t in _directions(deg):
-        d = [CRat(1)] + [CRat(1) * t ** (i) for i in range(1, len(block))]
-        maps = [Poly.variable(n, j) for j in range(1, n + 1)]
-        for i, j in enumerate(block):
-            maps[j - 1] = Poly.variable(n, var) * d[i] + (
-                Poly.variable(n, j) if j != var else Poly.zero(n))
-        probe = p_block.substitute_maps(maps).restrict_support([var])
-        if not probe.is_zero():
-            change = _direction_change(n, block, d, entries)
-            restricted = change.apply(p).restrict_support([var])
-            return change, restricted
-    raise PolyError("no nonvanishing direction found inside the block; "
-                    "the restriction should be reachable")
 
 
 def step_inductive(q: Poly, mu: Weight, m: int, assert_psc: bool = False
@@ -247,22 +222,23 @@ def step_inductive(q: Poly, mu: Weight, m: int, assert_psc: bool = False
 def _block_direction(q: Poly, sub: Poly, block: List[int],
                      entries: Sequence[Fraction], m: int
                      ) -> Tuple[CoordChange, Poly]:
-    """Linear change within the block making the z_m direction active in the
-    restriction q(z_2..z_m, 0)."""
+    """Linear change within the block (which starts at z_m) making the z_m
+    direction active in the restriction q(z_2..z_m, 0); returns (change, the
+    changed q)."""
     n = q.n
-    probe = sub.restrict_support(list(range(2, m + 1)))
-    if not probe.is_zero() and probe.degree_in(m) > 0:
+    scope = list(range(2, m + 1))
+
+    def active(f: Poly) -> bool:
+        f = f.restrict_support(scope)
+        return not f.is_zero() and f.degree_in(m) > 0
+
+    if active(sub):
         return CoordChange.identity(n, entries), q
-    deg = sub.total_degree()
-    for t in _directions(deg):
+    for t in _directions(sub.total_degree()):
         d = [CRat(1)] + [CRat(1) * t ** i for i in range(1, len(block))]
-        maps = [Poly.variable(n, j) for j in range(1, n + 1)]
-        for i, j in enumerate(block):
-            maps[j - 1] = Poly.variable(n, m) * d[i] + (
-                Poly.variable(n, j) if j != m else Poly.zero(n))
-        trial = sub.substitute_maps(maps).restrict_support(list(range(2, m + 1)))
-        if not trial.is_zero() and trial.degree_in(m) > 0:
-            change = _direction_change(n, block, d, entries)
+        maps = _direction_maps(n, block, d)
+        if active(sub.substitute_maps(maps)):
+            change = CoordChange(n, maps, entries)
             return change, change.apply(q)
     raise PolyError("no nonvanishing block direction found")
 
@@ -372,28 +348,24 @@ def normalize(r: Poly, mu: Weight, assert_psc: bool = False,
             # Candidates come from the whole working polynomial: under a
             # lowered weight, former o_mu(1) terms may join the model.
             lowered = lower_weight_at(mu, deg.slot, r_work)
-            if lowered is None:
-                if not deg.remaining.is_zero():
-                    warnings.append(
-                        f"slot {deg.slot}: restriction vanishes and no lower "
-                        "supporting weight exists; remaining rows unrealized")
-                for mm in range(deg.slot, n + 1):
-                    rows.append(NormalRow(mm, (0,) * (mm - 1), Fraction(0), False))
-                return _finish(r, n, mu_init, mu, rows, trace, p, tail,
-                               descent, warnings)
-            descent.append(f"slot {deg.slot}: {mu} -> {lowered}")
-            mu = lowered
-            continue
+            if lowered is not None:
+                descent.append(f"slot {deg.slot}: {mu} -> {lowered}")
+                mu = lowered
+                continue
+            if not deg.remaining.is_zero():
+                warnings.append(
+                    f"slot {deg.slot}: restriction vanishes and no lower "
+                    "supporting weight exists; remaining rows unrealized")
         except _Contradiction as con:
             if assert_psc:
                 raise PseudoconvexityError(con.detail) from None
             warnings.append(f"pseudoconvexity side condition failed: "
                             f"{con.detail}; remaining rows unrealized")
-            start = rows[-1].j + 1 if rows else 2
-            for mm in range(start, n + 1):
-                rows.append(NormalRow(mm, (0,) * (mm - 1), Fraction(0), False))
-            return _finish(r, n, mu_init, mu, rows, trace, p, tail,
-                           descent, warnings)
+        # the rows after the last realized one (none on success) stay
+        # unrealized
+        start = rows[-1].j + 1 if rows else 2
+        for mm in range(start, n + 1):
+            rows.append(NormalRow(mm, (0,) * (mm - 1), Fraction(0), False))
         return _finish(r, n, mu_init, mu, rows, trace, p, tail,
                        descent, warnings)
     raise PolyError("weight descent did not terminate within the cap")

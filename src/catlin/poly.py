@@ -199,9 +199,6 @@ class Poly:
                 return False
         return True
 
-    def balanced_part(self) -> "Poly":
-        return Poly(self.n, {k: c for k, c in self.terms.items() if k[0] == k[1]})
-
     def pure_part(self) -> "Poly":
         """Terms z^alpha or zbar^beta (harmonic monomials), constants included."""
         zero = (0,) * self.n

@@ -8,7 +8,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from catlin.exact import CRat
+from catlin.exact import CZERO, CRat, rat_str
+from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
+                         PositivityVerdict, _check_tangential, _random_crat,
+                         _squares_certificate, _structured_points,
+                         _structured_vectors, cauchy_schwarz_pairing,
+                         complex_hessian)
 from catlin.poly import (DimensionMismatch, Poly, PolyError,
                          eliminate_harmonic, weighted_order)
 from catlin.weights import (INF, STATUS_LOWER_BOUND, Entry, InverseWeight,
@@ -383,3 +388,58 @@ def multitype_search_oracle(r: Poly, degree_bound: int = 4,
         "coordinates_polynomial": p.to_json_dict(),
     }
     return Multitype(best, STATUS_LOWER_BOUND, witness)
+
+
+def psd_verdict_oracle(p: Poly, samples: int = 200, seed: int = 0,
+                       lattice_den: int = 4) -> PositivityVerdict:
+    """The earlier ``levi.psd_verdict``: tier 3 evaluates all Hessian entries
+    again for every (point, vector) pair and sums the form entry by entry."""
+    _check_tangential(p)
+    cert = _squares_certificate(p)
+    if cert is not None:
+        return PositivityVerdict(KIND_CERTIFIED, tier=1, certificate=cert)
+    pairing = cauchy_schwarz_pairing(p, lattice_den)
+    if pairing["certified"]:
+        return PositivityVerdict(KIND_CERTIFIED, tier=2,
+                                 certificate=pairing["certificate"])
+    hess = complex_hessian(p)
+    n = p.n
+    tried = 0
+
+    def check(z, a):
+        nonlocal tried
+        tried += 1
+        full_z = [CRat(0)] + list(z)
+        zbars = [c.conj() for c in full_z]
+        total = CZERO
+        for j in range(2, n + 1):
+            for k in range(2, n + 1):
+                h = hess[j - 1][k - 1]._evaluate(full_z, zbars)
+                total = total + h * a[j - 2] * a[k - 2].conj()
+        assert total.is_real()
+        if total.re < 0:
+            witness = {
+                "z": [{"re": rat_str(c.re), "im": rat_str(c.im)}
+                      for c in full_z],
+                "a": [{"re": rat_str(c.re), "im": rat_str(c.im)} for c in a],
+                "value": rat_str(total.re),
+            }
+            return PositivityVerdict(KIND_REFUTED, witness=witness,
+                                     samples_tried=tried)
+        return None
+
+    for z in _structured_points(n):
+        for a in _structured_vectors(n):
+            hit = check(z, a)
+            if hit:
+                return hit
+    rng = random.Random(seed)
+    for _ in range(samples):
+        z = [_random_crat(rng) for _ in range(n - 1)]
+        a = [_random_crat(rng) for _ in range(n - 1)]
+        if all(c.is_zero() for c in a):
+            a[0] = CRat(1)
+        hit = check(z, a)
+        if hit:
+            return hit
+    return PositivityVerdict(KIND_UNKNOWN, samples_tried=tried)

@@ -7,7 +7,8 @@ from math import gcd
 
 import pytest
 
-from catlin.exact import CRat, inverse, rank, rat_from_str, rat_str
+from catlin.exact import (CRat, hermitian_form, hermitian_reduce, inverse,
+                          rank, rat_from_str, rat_str)
 
 from helpers import FractionPairCRat, _rational_rank, rand_crat
 
@@ -228,3 +229,81 @@ def test_int_rows_stay_exact():
     assert inverse([[1, 2], [2, 4]]) is None
     with pytest.raises(TypeError):
         rank([[0.5, 1]])
+
+
+# ----------------------------------------------------------------------
+# Hermitian form and congruence
+# ----------------------------------------------------------------------
+
+
+def _random_hermitian(rng, dim):
+    """Either sum_t s_t v_t v_t^* with signs s_t (rank at most the number of
+    terms, often indefinite), or a sparse Hermitian matrix whose diagonal is
+    often zero (so the congruence needs hyperbolic pairs)."""
+    if rng.random() < 0.5:
+        terms = [(rng.choice((1, -1)), [rand_crat(rng) for _ in range(dim)])
+                 for _ in range(rng.randint(0, dim))]
+        return [[sum((v[i] * v[j].conj() * s for s, v in terms), CRat(0))
+                 for j in range(dim)] for i in range(dim)]
+    h = [[CRat(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        if rng.random() < 0.3:
+            h[i][i] = CRat(rng.randint(-3, 3))
+        for j in range(i + 1, dim):
+            if rng.random() < 0.6:
+                h[i][j] = rand_crat(rng)
+                h[j][i] = h[i][j].conj()
+    return h
+
+
+def _check_congruence(h):
+    reduced = hermitian_reduce(h)
+    vectors = [q for q, _d in reduced]
+    values = [d for _q, d in reduced]
+    assert len(vectors) == len(h)
+    for i, (q, d) in enumerate(reduced):
+        assert isinstance(d, Fraction)
+        assert hermitian_form(h, q, q) == CRat(d)
+        for q2 in vectors[i + 1:]:
+            assert hermitian_form(h, q, q2).is_zero()
+            assert hermitian_form(h, q2, q).is_zero()
+    nonzero = [d != 0 for d in values]
+    assert nonzero == sorted(nonzero, reverse=True)  # nonzero values first
+    assert sum(nonzero) == rank(h)
+    assert rank(vectors) == len(h)
+    return values
+
+
+def test_hermitian_reduce_random_matrices():
+    rng = random.Random(29)
+    singular = indefinite = 0
+    for _ in range(80):
+        dim = rng.randint(1, 4)
+        h = _random_hermitian(rng, dim)
+        values = _check_congruence(h)
+        singular += 0 in values
+        indefinite += any(d > 0 for d in values) and any(d < 0 for d in values)
+    assert singular >= 10 and indefinite >= 10
+
+
+def test_hermitian_reduce_hyperbolic_and_singular():
+    plus, minus = _check_congruence([[CRat(0), CRat(6)],
+                                     [CRat(6), CRat(0)]])
+    assert plus > 0 > minus
+    assert _check_congruence([[CRat(1), CRat(0, 1), CRat(0)],
+                              [CRat(0, -1), CRat(1), CRat(0)],
+                              [CRat(0), CRat(0), CRat(0)]]) == [1, 0, 0]
+    assert _check_congruence([]) == []
+
+
+def test_hermitian_form_value_and_errors():
+    h = [[CRat(2), CRat(1, 1)], [CRat(1, -1), CRat(-1)]]
+    u, v = [CRat(1), CRat(0, 2)], [CRat(3, -1), CRat(1)]
+    want = sum((h[k][l] * u[k] * v[l].conj()
+                for k in range(2) for l in range(2)), CRat(0))
+    assert hermitian_form(h, u, v) == want
+    assert hermitian_form(h, v, u) == want.conj()
+    with pytest.raises(ValueError):
+        hermitian_reduce([[CRat(0, 1)]])
+    with pytest.raises(ValueError):
+        hermitian_form(h, u, v[:1])

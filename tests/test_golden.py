@@ -55,6 +55,8 @@ CASES = {
                   "|z2|^4 + |z3|^6 + 2*(9/10)*Re(z2^2*zbar3^3)", "--n", "3"],
     "psd-tier2-full-model": ["psd", "--expr", TORSION_EXPR, "--n", "4"],
     "psd-refuted": ["psd", "--expr", "2*Re(z2^2*zbar3^3)", "--n", "3"],
+    "psd-unknown": ["psd", "--expr",
+                    "|z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^3*zbar3)", "--n", "3"],
     "torsion": ["torsion", "--expr", TORSION_EXPR, "--n", "4"],
 }
 

@@ -14,7 +14,8 @@ from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError
 from catlin.weights import Weight
 
-from helpers import circle_points, homogenized_modulus_square, rand_crat
+from helpers import (circle_points, homogenized_modulus_square,
+                     psd_verdict_oracle, rand_crat)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
@@ -156,11 +157,69 @@ def test_hessian_form_value_matches_entrywise_evaluation():
                                CRat(-1)], [CRat(1)] * 3)
     with pytest.raises(PolyError):
         hessian_form_value(h, [CRat(0)] * 3, [CRat(1)] * 3)
+    with pytest.raises(ValueError):  # a witness vector of the wrong length
+        hessian_form_value(h, [CRat(0)] * 4, [CRat(1)] * 2)
+
+
+# the benchmark's `perturbed` shapes at c = 1/3 (not plurisubharmonic, yet
+# Unknown), then models refuted at a structured pair and by a random sample
+TIER3_MODELS = [
+    ("|z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^3*zbar3)", 3),
+    ("|z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^2*zbar2*zbar3)", 3),
+    ("|z2|^4 + |z3|^4 + |z4|^4 + 2*(1/3)*Re(z2^3*zbar3)", 4),
+    ("2*Re(z2^2*zbar3^3)", 3),
+    ("|z2^2 + 2*z3^2|^2 + (-3)*|z3|^4 + |z4|^4", 4),
+    ("|z2|^4 + |z3|^4 + 2*(-1/2)*Re(z2^3*zbar3)", 3),
+]
+
+
+@pytest.mark.parametrize("expr,n", TIER3_MODELS)
+def test_tier3_matches_per_pair_sweep(expr, n):
+    p = parse_poly(expr, n)
+    got = psd_verdict(p).to_json()
+    assert got == psd_verdict_oracle(p).to_json()
+    if got["witness"] is not None:
+        assert replay_refutation(p, got["witness"]) == \
+            Fraction(got["witness"]["value"]) < 0
+
+
+def test_tier3_evaluates_hessian_once_per_point(monkeypatch):
+    p = parse_poly("|z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^3*zbar3)", 3)
+    calls = 0
+    evaluate = Poly._evaluate
+
+    def counting(self, zs, zbars):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, zs, zbars)
+
+    monkeypatch.setattr(Poly, "_evaluate", counting)
+    v = psd_verdict(p)
+    assert v.kind == KIND_UNKNOWN and v.samples_tried == 15 * 24 + 200
+    # (n-1)^2 entries for each of the 15 structured points and 200 samples
+    assert calls <= 4 * (15 + 200)
 
 
 # ----------------------------------------------------------------------
 # Cauchy-Schwarz pairing engine
 # ----------------------------------------------------------------------
+
+
+def test_pairing_lattice_fractions_keep_unused_splittings():
+    # equal fractions overdraw the small |z2 z3|^2 budget, so the lattice
+    # gives the (0,1,1)+(0,1,1) splitting fraction 0; the consumption table
+    # still lists its exponent, with nothing used
+    p = parse_poly("|z2|^4 + |z3|^4 + (1/10)*|z2|^2*|z3|^2"
+                   " + 2*(1/4)*Re(z2^2*zbar3^2)", 3)
+    cert = cauchy_schwarz_pairing(p)["certificate"]
+    assert cert["mixed"][0]["splittings"] == [
+        {"fraction": "1", "gamma1": [0, 0, 2], "gamma2": [0, 2, 0]}]
+    assert cert["consumption"] == [
+        {"gamma": [0, 0, 2], "used": "1/4", "budget": "1"},
+        {"gamma": [0, 1, 1], "used": "0", "budget": "1/10"},
+        {"gamma": [0, 2, 0], "used": "1/4", "budget": "1"}]
+    assert cert["margin"] == "1/4"
+    assert verify_psd_certificate(p, cert)
 
 
 def test_pairing_torsion_kernel_systems():
