@@ -22,6 +22,7 @@ from .normal_form import (NormalForm, PseudoconvexityError, normalize,
                           step_first, step_inductive, verify_normal_form)
 from .boundary import (BoundarySystem, TorsionReport, VField,
                        audit_boundary_system, build_boundary_system,
-                       detect_torsion, list_derivative, normalize_first_block)
+                       detect_torsion, first_block_torsion, list_derivative,
+                       normalize_first_block)
 
 __version__ = "0.1.0"

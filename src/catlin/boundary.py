@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import CRat, CZERO, hermitian_reduce, inverse, rank, rat_str
 from .levi import complex_hessian
@@ -278,7 +278,8 @@ class BoundarySystem:
     rank: int                         # Levi rank s_0
     levi_fields: List[VField]
     slow: Dict[int, SlowSlot]
-    c_entries: Tuple[Entry, ...]      # full (1, c_2, ..., c_n)
+    c_entries: Tuple[Entry, ...]      # (1, c_2, ..., c_n); a prefix while
+                                      # the build runs
     list_bound: int
     trunc_degree: int
     transform: Optional[CoordChange] = None
@@ -424,6 +425,19 @@ def build_boundary_system(r: Poly, list_bound: Optional[int] = None
     The search frontier for list lengths defaults to the total degree of the
     tangential polynomial; at the first slot where every admissible ordered
     list within the frontier vanishes at 0, the remaining entries are +inf."""
+    *_, bs = _system_slots(r, list_bound)
+    return bs
+
+
+def _system_slots(r: Poly, list_bound: Optional[int]
+                  ) -> Iterator[BoundarySystem]:
+    """The construction of ``build_boundary_system``, slot by slot.
+
+    Yields one system object after the Levi slots and again after each slow
+    slot.  Until the last yield its ``c_entries`` hold the entries built so
+    far, a prefix that is never padded; the last yield is the complete
+    system.  A caller that stops early holds a partial system, which stays
+    inside this module."""
     c1, p = split_model(r)
     n = r.n
     if n < 2:
@@ -446,13 +460,16 @@ def build_boundary_system(r: Poly, list_bound: Optional[int] = None
                      for i in range(len(kernel_dirs))), CZERO)
                 for k in range(n - 1))
             catalog.append(combo)
-    c_entries: List[Entry] = [Fraction(1)] + [Fraction(2)] * levi_rank
     slow: Dict[int, SlowSlot] = {}
+    bs = BoundarySystem(n=n, r=r, rank=levi_rank, levi_fields=levi_fields,
+                        slow=slow,
+                        c_entries=(Fraction(1),) + (Fraction(2),) * levi_rank,
+                        list_bound=bound, trunc_degree=cap)
+    yield bs
     fields_by_slot: Dict[int, VField] = {}
     c_by_slot: Dict[int, Fraction] = {}
     used_dirs: List[Tuple[CRat, ...]] = []
-    slot = levi_rank + 2
-    while slot <= n:
+    for slot in range(levi_rank + 2, n + 1):
         found = None
         field_cache: Dict[Tuple[CRat, ...], Optional[VField]] = {}
         searcher_cache: Dict[Tuple[CRat, ...], _ListSearcher] = {}
@@ -485,8 +502,9 @@ def build_boundary_system(r: Poly, list_bound: Optional[int] = None
             if found:
                 break
         if not found:
-            c_entries.extend([INF] * (n - slot + 1))
-            break
+            bs.c_entries += (INF,) * (n - slot + 1)
+            yield bs
+            return
         direction, fld, entries, counts = found
         frac = sum((Fraction(counts.get(k, 0)) / c_by_slot[k]
                     for k in sorted(slow)), Fraction(0))
@@ -497,20 +515,21 @@ def build_boundary_system(r: Poly, list_bound: Optional[int] = None
                 "carry a boundary-system function")
         g = list_derivative(r, {**fields_by_slot, slot: fld}, entries[1:])
         r_func, scale = _normalize_r(g, direction, n)
-        sl = SlowSlot(slot=slot, direction=tuple(direction), fld=fld,
-                      entries=list(entries), counts=dict(counts), c=c_j,
-                      r_func=r_func, scale=scale)
-        slow[slot] = sl
+        # the fields are exact up to degree cap, and each field of the list
+        # costs r_j one degree of exactness
+        exact = cap - len(entries) + 3
+        if r_func.total_degree() > exact:
+            raise BoundaryConstructionError(
+                f"slot {slot}: r_{slot} has terms above degree {exact}, "
+                "where the truncated fields reach it")
+        slow[slot] = SlowSlot(slot=slot, direction=tuple(direction), fld=fld,
+                              entries=list(entries), counts=dict(counts),
+                              c=c_j, r_func=r_func, scale=scale)
         fields_by_slot[slot] = fld
         c_by_slot[slot] = c_j
         used_dirs.append(tuple(direction))
-        c_entries.append(c_j)
-        slot += 1
-    while len(c_entries) < n:
-        c_entries.append(INF)
-    return BoundarySystem(n=n, r=r, rank=levi_rank, levi_fields=levi_fields,
-                          slow=slow, c_entries=tuple(c_entries),
-                          list_bound=bound, trunc_degree=cap)
+        bs.c_entries += (c_j,)
+        yield bs
 
 
 def _in_span(direction: Sequence[CRat], used: List[Tuple[CRat, ...]]) -> bool:
@@ -553,8 +572,9 @@ def _normalize_r(g: Poly, direction: Sequence[CRat], n: int
 
 
 def first_block_slots(bs: BoundarySystem) -> List[int]:
-    """Slots carrying the first finite c-value above 2."""
-    above = [j for j in range(2, bs.n + 1)
+    """Slots carrying the first finite c-value above 2 (among the slots
+    built, while a build runs)."""
+    above = [j for j in range(2, len(bs.c_entries) + 1)
              if bs.c_entries[j - 1] != INF and bs.c_entries[j - 1] > 2]
     if not above:
         return []
@@ -562,8 +582,26 @@ def first_block_slots(bs: BoundarySystem) -> List[int]:
     return [j for j in above if bs.c_entries[j - 1] == lead]
 
 
-def _mu_from_c(c_entries: Sequence[Entry]) -> Weight:
-    return Weight(tuple(recip(e) for e in c_entries))
+def _through_torsion_slot(slots: Iterator[BoundarySystem]) -> BoundarySystem:
+    """Run a slot-by-slot build until it has built the first slot past the
+    first block, the slot ``detect_torsion`` reads.
+
+    The first-block change is graded by the weight 1/c_j, so c-entries must
+    not decrease (``Weight`` refuses them otherwise), and the change keeps
+    them (Catlin, Ann. Math. 126, 1987).  So no later slot can rejoin the
+    block, and the report reads no slot after this one."""
+    for bs in slots:
+        block = first_block_slots(bs)
+        if block and len(bs.c_entries) > block[-1]:
+            break
+    return bs
+
+
+def _change_weight(bs: BoundarySystem) -> Weight:
+    """The weight (1/c_1, ..., 1/c_n) that grades the first-block change,
+    the slots not built yet taking the weight of the last slot built."""
+    c = bs.c_entries
+    return Weight(tuple(recip(e) for e in c + c[-1:] * (bs.n - len(c))))
 
 
 def normalize_first_block(bs: BoundarySystem, r0: Poly) -> BoundarySystem:
@@ -574,7 +612,39 @@ def normalize_first_block(bs: BoundarySystem, r0: Poly) -> BoundarySystem:
     harmonic polynomial in the later variables; the change
     z_j -> (z_j - phi - psi)/(c_+ + conj(c_-)) with T = phi + conj(psi)
     straightens r_j.  A non-harmonic T is reported as a pseudoconvexity
-    violation; a vanishing scale factor as inconsistent input."""
+    violation; a vanishing scale factor as inconsistent input.  Returns the
+    system rebuilt in the new coordinates, with the change as ``transform``."""
+    r_cur, trace = _straighten_first_block(bs, r0, iter(()))
+    rebuilt = build_boundary_system(r_cur, bs.list_bound)
+    rebuilt.transform = trace
+    return rebuilt
+
+
+def first_block_torsion(r0: Poly, list_bound: Optional[int] = None
+                        ) -> TorsionReport:
+    """The report of ``detect_torsion(normalize_first_block(
+    build_boundary_system(r0, list_bound), r0), r0)``, from systems built
+    only through the slot the report reads: the first slot past the first
+    block, before and after the change that straightens the block."""
+    slots = _system_slots(r0, list_bound)
+    bs = _through_torsion_slot(slots)
+    r_cur, _trace = _straighten_first_block(bs, r0, slots)
+    return detect_torsion(
+        _through_torsion_slot(_system_slots(r_cur, bs.list_bound)), r0)
+
+
+def _straighten_first_block(bs: BoundarySystem, r0: Poly,
+                            rest: Iterator[BoundarySystem]
+                            ) -> Tuple[Poly, CoordChange]:
+    """The model in coordinates where r_j = Re z_j on the first block of
+    ``bs`` (see ``normalize_first_block``), and the change that gets there.
+
+    ``bs`` may be partial, with ``rest`` the rest of its build.  The change
+    is graded by the weights 1/c_j.  When one of its maps involves the
+    variable of a slot not built yet, its weight is needed, and the build
+    runs to the end first.  Otherwise those variables keep identity maps, so
+    no check of ``CoordChange`` depends on their weights; they take the
+    weight of the last slot built."""
     block = first_block_slots(bs)
     if not block:
         raise BoundaryConstructionError("no finite slow block to normalize")
@@ -583,8 +653,8 @@ def normalize_first_block(bs: BoundarySystem, r0: Poly) -> BoundarySystem:
         raise BoundaryConstructionError(
             f"first block value {lam} is not an even integer")
     k = int(lam) // 2
-    mu = _mu_from_c(bs.c_entries)
     n = bs.n
+    mu = _change_weight(bs)
     r_cur = r0
     trace = CoordChange.identity(n, mu.entries)
     for j in block:
@@ -621,6 +691,10 @@ def normalize_first_block(bs: BoundarySystem, r0: Poly) -> BoundarySystem:
             raise BoundaryConstructionError(
                 f"slot {j}: scale factor C+ + conj(C-) vanishes; "
                 "inconsistent input")
+        if any(tail.degree_in(v) > 0
+               for v in range(len(bs.c_entries) + 1, n + 1)):
+            *_, bs = rest
+            mu = _change_weight(bs)
         phi = tail.holomorphic_part()
         psi = tail.antiholomorphic_part().conj()
         maps = [Poly.variable(n, v) for v in range(1, n + 1)]
@@ -628,9 +702,7 @@ def normalize_first_block(bs: BoundarySystem, r0: Poly) -> BoundarySystem:
         change = CoordChange(n, maps, mu.entries)
         r_cur = change.apply(r_cur)
         trace = trace.compose(change)
-    rebuilt = build_boundary_system(r_cur, bs.list_bound)
-    rebuilt.transform = trace
-    return rebuilt
+    return r_cur, trace
 
 
 class PseudoconvexityViolation(PolyError):
@@ -668,7 +740,7 @@ def detect_torsion(bs: BoundarySystem, r0: Poly) -> TorsionReport:
     block = first_block_slots(bs)
     if not block:
         return TorsionReport(False, detail="no slow block present")
-    beyond = [j for j in range(block[-1] + 1, bs.n + 1)
+    beyond = [j for j in range(block[-1] + 1, len(bs.c_entries) + 1)
               if bs.c_entries[j - 1] != INF]
     if not beyond:
         return TorsionReport(False, detail="no finite slot beyond the first "

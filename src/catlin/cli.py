@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 
 from .boundary import (audit_boundary_system, build_boundary_system,
-                       detect_torsion, normalize_first_block,
-                       BoundaryConstructionError, PseudoconvexityViolation)
+                       first_block_torsion, BoundaryConstructionError,
+                       PseudoconvexityViolation)
 from .exact import rat_str
 from .levi import KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN, psd_verdict
 from .normal_form import PseudoconvexityError, normalize, verify_normal_form
@@ -182,15 +182,13 @@ def cmd_boundary_system(args) -> int:
 
 def cmd_torsion(args) -> int:
     r = _load_poly(args)
-    bs = build_boundary_system(r, args.list_bound)
     try:
-        bs2 = normalize_first_block(bs, r)
+        report = first_block_torsion(r, args.list_bound)
     except PseudoconvexityViolation as exc:
         print(f"pseudoconvexity violation: {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
     except BoundaryConstructionError as exc:
         raise CliError(str(exc)) from exc
-    report = detect_torsion(bs2, r)
     payload = report.to_json()
     if not report.applicable:
         human = f"torsion: not applicable ({report.detail})"
@@ -285,9 +283,7 @@ def _example_torsion() -> bool:
     verdict = psd_verdict(r.restrict_support(range(2, 5)))
     if verdict.kind != KIND_CERTIFIED or verdict.tier != 2:
         return False
-    bs = build_boundary_system(r)
-    bs2 = normalize_first_block(bs, r)
-    report = detect_torsion(bs2, r)
+    report = first_block_torsion(r)
     return report.applicable and report.torsion
 
 

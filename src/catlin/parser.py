@@ -18,12 +18,19 @@ whole expression must be real-valued after expansion.
 
 from __future__ import annotations
 
+import math
 import re as _re
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .exact import CRat, CI
 from .poly import NonRealError, Poly, PolyError, require_real
+
+
+# Most terms a power may expand to.  A power is refused before it is
+# expanded when the count of monomials within its bidegree, over the
+# variables of its base, exceeds this; so an oversized input fails fast.
+MAX_POWER_TERMS = 50_000
 
 
 class ParseError(PolyError):
@@ -128,9 +135,9 @@ class _Parser:
             if exponent is None or exponent % 2 != 0 or exponent <= 0:
                 raise ParseError(
                     "modulus requires a positive even power, e.g. |z2|^4", pos)
-            return (p * p.conj()) ** (exponent // 2)
+            return _power(p * p.conj(), exponent // 2, pos)
         if exponent is not None:
-            return p ** exponent
+            return _power(p, exponent, pos)
         return p
 
     def atom(self) -> Tuple[Poly, bool]:
@@ -188,6 +195,22 @@ class _Parser:
         if not 1 <= j <= self.n:
             raise ParseError(
                 f"variable z{j} outside dimension n={self.n}", pos)
+
+
+def _power(p: Poly, k: int, pos: int) -> Poly:
+    """p ** k, after checking that at most MAX_POWER_TERMS monomials lie
+    within its bidegree: holomorphic degree up to k times the largest of
+    p, in the variables p has holomorphically, and the same for zbar."""
+    hol = {i for (a, _b) in p.terms for i, e in enumerate(a) if e}
+    anti = {i for (_a, b) in p.terms for i, e in enumerate(b) if e}
+    d_hol = k * max((sum(a) for a, _b in p.terms), default=0)
+    d_anti = k * max((sum(b) for _a, b in p.terms), default=0)
+    bound = math.comb(len(hol) + d_hol, d_hol) * \
+        math.comb(len(anti) + d_anti, d_anti)
+    if bound > MAX_POWER_TERMS:
+        raise ParseError(f"power may expand to {bound} terms, more than "
+                         f"{MAX_POWER_TERMS}", pos)
+    return p ** k
 
 
 def parse_poly(text: str, n: int) -> Poly:

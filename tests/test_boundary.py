@@ -1,15 +1,19 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import catlin.boundary as boundary
 from catlin.boundary import (BoundaryConstructionError,
                              audit_boundary_system, build_boundary_system,
                              detect_torsion, first_block_slots,
-                             list_derivative, normalize_first_block,
-                             _capped_products, _compositions,
-                             _field_from_vector, _ListSearcher, _truncate)
+                             first_block_torsion, list_derivative,
+                             normalize_first_block, _capped_products,
+                             _compositions, _field_from_vector,
+                             _ListSearcher, _truncate)
+from catlin.cli import main
 from catlin.exact import CRat
 from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError, split_model
@@ -21,6 +25,15 @@ TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
                 " + 2*(1/10)*Re(z2*zbar2*z3^2*zbar3^3*z4*zbar4)"
                 " + |z3|^8*|z4|^2")
+EPSILON = ["1/10", "1/5", "1/4", "1/3", "2/5", "1/2"]
+
+
+def torsion_lift(k: int, eps: str = "1/10") -> str:
+    """The torsion model with z4 -> z4^k; k = 1 is TORSION_EXPR."""
+    return ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6"
+            f" + |z2|^4*|z3|^2*|z4|^{2 * k} + |z2|^2*|z3|^4*|z4|^{4 * k}"
+            f" + 2*({eps})*Re(z2*zbar2*z3^2*zbar3^3*z4^{k}*zbar4^{k})"
+            f" + |z3|^8*|z4|^{2 * k}")
 
 
 def origin_value(p: Poly) -> CRat:
@@ -384,6 +397,84 @@ def test_torsion_invariant_under_scalings():
         bs = normalize_first_block(build_boundary_system(scaled), scaled)
         report = detect_torsion(bs, scaled)
         assert report.applicable and report.torsion
+
+
+def _outcome(report):
+    """The report's JSON, or the error it raises, for a comparison."""
+    try:
+        return report().to_json()
+    except PolyError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("expr,n", [
+    *((torsion_lift(1, eps), 4) for eps in EPSILON),
+    *((torsion_lift(k), 4) for k in (2, 3)),
+    ("-2*Re(z1) + |z2|^6 + |z3|^8 + |z4|^10", 4),
+    ("-2*Re(z1) + |z2|^4 + |z3|^4 + |z2|^2*|z3|^2", 3),
+    ("-2*Re(z1) + |z2|^2 + |z3|^4", 3),
+    ("-2*Re(z1) + |z2|^2 + |z3|^2", 3),
+    # the change z2 -> z2 - z4^2 needs the weight of slot 4, past the
+    # torsion slot 3: with c_4 = 12 it is below the weight of z2
+    ("-2*Re(z1) + |z2 + z4^2|^4 + |z3|^6 + |z4|^8", 4),
+    ("-2*Re(z1) + |z2 + z4^2|^4 + |z3|^6 + |z4|^12", 4),
+], ids=[*(f"torsion-eps-{e}" for e in EPSILON), "lift-2", "lift-3",
+        "diagonal-n4", "two-equal-slots", "levi-rank-one",
+        "strongly-pseudoconvex", "shear-past-the-slot",
+        "shear-past-the-slot-refused"])
+def test_first_block_torsion_matches_full_systems(expr, n):
+    # built only through the slot the report reads, the report is the one
+    # read from the full system and its full rebuild; so is an error
+    r = parse_poly(expr, n)
+    full = _outcome(lambda: detect_torsion(
+        normalize_first_block(build_boundary_system(r), r), r))
+    assert _outcome(lambda: first_block_torsion(r)) == full
+
+
+def test_torsion_command_builds_no_field_past_the_torsion_slot(
+        monkeypatch, capsys):
+    # the torsion model has Levi rank 0, so a slow field built with k
+    # earlier slots in place belongs to slot k + 2
+    built = collections.Counter()
+    orig = boundary._build_slow_field
+
+    def counting(r, c1, p_hess, direction, levi, prior, cap):
+        built[2 + len(levi) + len(prior)] += 1
+        return orig(r, c1, p_hess, direction, levi, prior, cap)
+
+    monkeypatch.setattr(boundary, "_build_slow_field", counting)
+    assert main(["torsion", "--expr", TORSION_EXPR, "--n", "4"]) == 0
+    assert "torsion at slot 3" in capsys.readouterr().out
+    assert set(built) == {2, 3}
+    built.clear()
+    build_boundary_system(parse_poly(TORSION_EXPR, 4))
+    assert set(built) == {2, 3, 4}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_lift_family_r_functions_within_exact_degree(k):
+    # terms of r_j above trunc_degree - len(list) + 3 would come from the
+    # truncation of the fields; the build refuses them, and here has none
+    r = parse_poly(torsion_lift(k), 4)
+    bs = build_boundary_system(r)
+    assert [str(c) for c in bs.c_entries] == ["1", "6", "9", str(18 * k)]
+    for sl in bs.slow.values():
+        assert sl.r_func.total_degree() <= \
+            bs.trunc_degree - len(sl.entries) + 3
+    report = first_block_torsion(r)
+    assert (report.slot, report.torsion, str(report.linear_coeff)) == \
+        (3, True, "4")
+    assert report.obstruction == parse_poly(f"(1/30)*|z4|^{2 * k}", 4)
+
+
+def test_r_function_above_exact_degree_is_refused():
+    # Levi rank 1 and a slot-3 list of 6 fields at trunc_degree 8: r_3 is
+    # exact up to degree 5, and its terms above that, up to degree 41, move
+    # when the fields are truncated at a higher degree
+    r = parse_poly("-2*Re(z1) + |z2|^2 + |z3|^6 + |z2|^2*|z3|^4", 3)
+    with pytest.raises(BoundaryConstructionError,
+                       match="slot 3: r_3 has terms above degree 5"):
+        build_boundary_system(r)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from catlin.cli import main
 from catlin.poly import Poly
@@ -181,6 +182,15 @@ def test_torsion_not_applicable(capsys):
     code, out, _ = run_cli(capsys, "torsion", "--expr",
                            "-2*Re(z1) + |z2|^2 + |z3|^2", "--n", "3")
     assert code == 2  # no slow block to normalize: input error
+
+
+def test_oversized_power_exits_2_fast(capsys):
+    start = time.perf_counter()
+    code, _out, err = run_cli(capsys, "parse", "--expr", "|z2+z3+z4|^64",
+                              "--n", "4")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "power may expand to" in err
 
 
 def test_enumerate(capsys):

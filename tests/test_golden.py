@@ -24,6 +24,10 @@ TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
                 " + 2*(1/10)*Re(z2*zbar2*z3^2*zbar3^3*z4*zbar4)"
                 " + |z3|^8*|z4|^2")
+TORSION_LIFT_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^4"
+                     " + |z2|^2*|z3|^4*|z4|^8"
+                     " + 2*(1/10)*Re(z2*zbar2*z3^2*zbar3^3*z4^2*zbar4^2)"
+                     " + |z3|^8*|z4|^4")
 WEIGHTED = "-2*Re(z1) + |z2|^8 + |z2|^4*|z3|^6"
 RANK_GAP = "Re(z1) + (Re(z2) + |z3|^2)^2"
 
@@ -58,6 +62,7 @@ CASES = {
     "psd-unknown": ["psd", "--expr",
                     "|z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^3*zbar3)", "--n", "3"],
     "torsion": ["torsion", "--expr", TORSION_EXPR, "--n", "4"],
+    "torsion-lift": ["torsion", "--expr", TORSION_LIFT_EXPR, "--n", "4"],
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from catlin.boundary import _capped_products
 from catlin.exact import CRat
+from catlin import parser
 from catlin.parser import ParseError, parse_poly
 from catlin.poly import (CoordChange, NonRealError, Poly, PolyError,
                          eliminate_harmonic, revlex_max_balanced,
@@ -45,6 +46,19 @@ def test_parse_error_position():
     assert "even" in str(err.value)
     with pytest.raises(ParseError):
         parse_poly("z2 +* z2", 2)
+
+
+def test_parse_refuses_oversized_power():
+    # the count of monomials within the bidegree of z2^k is k + 1
+    limit = parser.MAX_POWER_TERMS
+    assert len(parse_poly(f"Re(z2^{limit - 1})", 2).terms) == 2
+    with pytest.raises(ParseError, match="more than"):
+        parse_poly(f"Re(z2^{limit})", 2)
+    # |e|^2k counts both degrees: 101^2 monomials, one term
+    assert len(parse_poly("|z2|^200", 2).terms) == 1
+    with pytest.raises(ParseError) as err:
+        parse_poly("|z2|^2 + |z2+z3+z4|^64", 4)
+    assert err.value.pos == 9   # the opening bar of the modulus
 
 
 def test_parse_dimension_mismatch():
