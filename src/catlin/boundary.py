@@ -8,12 +8,16 @@ derivative of the (1,0) differential,
 
     list_derivative: L^1 ... L^{l-2} dr([L^{l-1}, L^l]),
 
-does not vanish at the origin.  The list lengths produce the commutator
-multitype (1, c_2, ..., c_n); the associated real functions r_j and fields
-L_j form the boundary system.  The first equal-value block beyond the Levi
-slots can be normalized to r_j = Re z_j exactly by a holomorphic change of
-coordinates; the failure of the same normalization at the next slot is the
-torsion obstruction, detected as non-pluriharmonic content of r_j.
+does not vanish at the origin.  A list entry is a field L = sum a_k d/dz_k
+or its conjugate sum conj(a_k) d/dzbar_k, applied directly.  A bracket is
+formed only in its (1,0) part, the part that dr reads.  All list
+derivatives are formed by ``_ListSearcher``.  The list lengths produce the
+commutator multitype (1, c_2, ..., c_n); the associated real functions r_j
+and fields L_j form the boundary system.  The first equal-value block
+beyond the Levi slots can be normalized to r_j = Re z_j exactly by a
+holomorphic change of coordinates; the failure of the same normalization at
+the next slot is the torsion obstruction, detected as non-pluriharmonic
+content of r_j.
 
 Field coefficients are polynomials.  Tangency constraints are solved by an
 exact triangular elimination whose matrix inverse is expanded as a Neumann
@@ -54,7 +58,7 @@ class BoundaryConstructionError(PolyError):
 @dataclass(frozen=True)
 class VField:
     """Type (1,0) vector field sum_k hol[k-1] d/dz_k with polynomial
-    coefficients; the conjugate field is formed on demand."""
+    coefficients; a list entry may apply its conjugate instead."""
 
     hol: Tuple[Poly, ...]
 
@@ -64,37 +68,6 @@ class VField:
 
     def to_json(self) -> dict:
         return {"hol": [f.to_json_dict() for f in self.hol]}
-
-
-@dataclass(frozen=True)
-class _Mixed:
-    """Internal field of mixed type: sum hol_k d/dz_k + anti_k d/dzbar_k."""
-
-    hol: Tuple[Poly, ...]
-    anti: Tuple[Poly, ...]
-
-    def conj(self) -> "_Mixed":
-        return _Mixed(tuple(f.conj() for f in self.anti),
-                      tuple(f.conj() for f in self.hol))
-
-    def derive(self, f: Poly, cap: Optional[int] = None) -> Poly:
-        pairs = []
-        for k in range(1, f.n + 1):
-            if not self.hol[k - 1].is_zero():
-                pairs.append((self.hol[k - 1], f.wirtinger(k)))
-            if not self.anti[k - 1].is_zero():
-                pairs.append((self.anti[k - 1],
-                              f.wirtinger(k, conjugate=True)))
-        return _capped_products(f.n, pairs, cap)
-
-    def bracket(self, other: "_Mixed", cap: Optional[int] = None) -> "_Mixed":
-        hol = tuple(self.derive(other.hol[k], cap)
-                    - other.derive(self.hol[k], cap)
-                    for k in range(len(self.hol)))
-        anti = tuple(self.derive(other.anti[k], cap)
-                     - other.derive(self.anti[k], cap)
-                     for k in range(len(self.anti)))
-        return _Mixed(hol, anti)
 
 
 def _capped_products(n: int, pairs: Sequence[Tuple[Poly, Poly]],
@@ -118,20 +91,14 @@ def _capped_products(n: int, pairs: Sequence[Tuple[Poly, Poly]],
     return Poly._unchecked(n, out)
 
 
-def _apply_hol(hol: Sequence[Poly], f: Poly,
-               cap: Optional[int] = None) -> Poly:
-    """The (1,0) part of a field applied to f: sum_k hol[k-1] * df/dz_k,
-    without the terms above degree ``cap``."""
-    return _capped_products(f.n, [(a, f.wirtinger(k))
-                                  for k, a in enumerate(hol, start=1)
+def _apply_field(coeffs: Sequence[Poly], f: Poly, cap: Optional[int] = None,
+                 conjugate: bool = False) -> Poly:
+    """The field sum_k coeffs[k-1] d/dz_k, or sum_k coeffs[k-1] d/dzbar_k
+    when ``conjugate``, applied to f, without the terms above degree
+    ``cap``."""
+    return _capped_products(f.n, [(a, f.wirtinger(k, conjugate))
+                                  for k, a in enumerate(coeffs, start=1)
                                   if not a.is_zero()], cap)
-
-
-def _as_mixed(vf: VField, conjugated: bool) -> _Mixed:
-    n = vf.n
-    zero = tuple(Poly.zero(n) for _ in range(n))
-    plain = _Mixed(vf.hol, zero)
-    return plain.conj() if conjugated else plain
 
 
 def _truncate(p: Poly, degree: int) -> Poly:
@@ -150,66 +117,75 @@ def list_derivative(r: Poly, fields: Dict[int, VField],
     The result is a polynomial on the ambient space; callers evaluate at 0."""
     if len(entries) < 2:
         raise PolyError("a list needs at least two fields")
-    return _list_function(r, [_as_mixed(fields[slot], conj)
-                              for slot, conj in entries], None)
-
-
-def _list_function(r: Poly, mixed: Sequence[_Mixed],
-                   cap: Optional[int]) -> Poly:
-    """The list derivative of ``mixed``; with ``cap``, every intermediate
-    drops the terms above degree cap minus the derivations already applied,
-    which keeps the terms up to degree cap - len(mixed) + 2 exact."""
-    seed = _bracket_seed(r, mixed[-2], mixed[-1], cap)
-    for i, fld in enumerate(reversed(mixed[:-2]), start=1):
-        seed = fld.derive(seed, None if cap is None else cap - i)
-    return seed
-
-
-def _bracket_seed(r: Poly, m1: _Mixed, m2: _Mixed, cap: Optional[int]) -> Poly:
-    """dr([m1, m2]), without the terms above degree ``cap``."""
-    return _apply_hol(m1.bracket(m2, cap).hol, r, cap)
-
-
-def _list_value_at_origin(r: Poly, fields: Dict[int, VField],
-                          entries: Sequence[ListEntry]) -> CRat:
-    """Value of the list derivative at 0, with degree-capped intermediates
-    (a term of degree d needs at least d further derivations to reach 0)."""
-    mixed = [_as_mixed(fields[slot], conj) for slot, conj in entries]
-    value = _list_function(r, mixed, len(mixed) - 2)
-    zero = (0,) * r.n
-    return value.terms.get((zero, zero), CZERO)
+    return _ListSearcher(r, fields).derivative(entries)
 
 
 class _ListSearcher:
-    """Shared-state search for flag patterns with nonzero list derivative.
+    """List derivatives of ``fields`` on r, and the search for conjugation
+    patterns whose list derivative does not vanish at 0.
+
+    An entry (slot, False) applies the slot's field sum_k a_k d/dz_k, and
+    (slot, True) its conjugate sum_k conj(a_k) d/dzbar_k; the conjugated
+    coefficients are formed once per entry.  dr reads only the (1,0) part
+    of a bracket, hol_k = X(Y_k) - Y(X_k) with Y_k the d/dz_k coefficient of
+    Y, so only that part is formed.  A conjugate entry has no (1,0)
+    coefficients, and the seed of two conjugate entries is zero.
 
     The bracket seed dr([L^{l-1}, L^l]) is computed once per (entry, entry)
-    pair, capped at the degree the longest list (``max_length`` fields) can
-    still bring to the origin, and truncated to each shorter list's cap where
-    it is used.  The applications walk the skeleton from its tail, so sibling
-    patterns reuse every suffix state; intermediates are degree-capped by the
-    number of derivations left."""
+    pair.  Given ``max_length``, it is capped at the degree the longest list
+    (``max_length`` fields) can still bring to the origin, and truncated to
+    each shorter list's cap where it is used; each later application drops
+    the terms above the number of derivations still to come.  A term of
+    degree d needs d more derivations to reach the origin, so values at 0
+    stay exact.  Without ``max_length`` nothing is capped.  The search walks
+    the skeleton from its tail, so sibling patterns reuse every suffix
+    state."""
 
-    def __init__(self, r: Poly, fields: Dict[int, VField], max_length: int):
+    def __init__(self, r: Poly, fields: Dict[int, VField],
+                 max_length: Optional[int] = None):
         self.r = r
         self.fields = fields
-        self.seed_cap = max_length - 2
-        self._mixed: Dict[ListEntry, _Mixed] = {}
+        self.seed_cap = None if max_length is None else max_length - 2
+        self._coeffs: Dict[ListEntry, Tuple[Poly, ...]] = {}
         self._seeds: Dict[Tuple[ListEntry, ListEntry], Poly] = {}
 
-    def mixed(self, entry: ListEntry) -> _Mixed:
-        if entry not in self._mixed:
-            self._mixed[entry] = _as_mixed(self.fields[entry[0]], entry[1])
-        return self._mixed[entry]
+    def apply(self, entry: ListEntry, f: Poly, cap: Optional[int]) -> Poly:
+        """The field of ``entry`` applied to f, without the terms above
+        degree ``cap``."""
+        if entry not in self._coeffs:
+            hol = self.fields[entry[0]].hol
+            self._coeffs[entry] = tuple(a.conj() for a in hol) \
+                if entry[1] else hol
+        return _apply_field(self._coeffs[entry], f, cap, entry[1])
 
-    def seed(self, e1: ListEntry, e2: ListEntry, cap: int) -> Poly:
+    def seed(self, e1: ListEntry, e2: ListEntry, cap: Optional[int]) -> Poly:
+        """dr([e1, e2]), without the terms above degree ``cap``; None keeps
+        all the terms the searcher holds."""
         key = (e1, e2)
         if key not in self._seeds:
-            self._seeds[key] = _bracket_seed(self.r, self.mixed(e1),
-                                             self.mixed(e2), self.seed_cap)
-        if cap >= self.seed_cap:
+            n, c = self.r.n, self.seed_cap
+            hol = [Poly.zero(n)] * n
+            if not e2[1]:
+                hol = [h + self.apply(e1, y, c)
+                       for h, y in zip(hol, self.fields[e2[0]].hol)]
+            if not e1[1]:
+                hol = [h - self.apply(e2, x, c)
+                       for h, x in zip(hol, self.fields[e1[0]].hol)]
+            self._seeds[key] = _apply_field(hol, self.r, c)
+        if cap is None or (self.seed_cap is not None
+                           and cap >= self.seed_cap):
             return self._seeds[key]
         return _truncate(self._seeds[key], cap)
+
+    def derivative(self, entries: Sequence[ListEntry]) -> Poly:
+        """The list derivative of ``entries``; given ``max_length``, capped
+        as in the search, so that only its value at 0 is exact."""
+        capped = self.seed_cap is not None
+        out = self.seed(entries[-2], entries[-1],
+                        len(entries) - 2 if capped else None)
+        for pos in range(len(entries) - 3, -1, -1):
+            out = self.apply(entries[pos], out, pos if capped else None)
+        return out
 
     def first_nonzero(self, skeleton: Sequence[int]
                       ) -> Optional[List[ListEntry]]:
@@ -222,12 +198,10 @@ class _ListSearcher:
             if current.is_zero():
                 return None
             if pos < 0:
-                c = current.terms.get((zero, zero), CZERO)
-                return [] if not c.is_zero() else None
+                return [] if current.coeff(zero, zero) else None
             for flag in (False, True):
                 entry = (skeleton[pos], flag)
-                nxt = self.mixed(entry).derive(current, cap=pos)
-                res = rec(pos - 1, nxt)
+                res = rec(pos - 1, self.apply(entry, current, pos))
                 if res is not None:
                     res.append(entry)  # ascending positions 0..pos
                     return res
@@ -307,7 +281,7 @@ class BoundarySystem:
 def _field_from_vector(r: Poly, c1: CRat, vec: Sequence[Poly]) -> VField:
     """Tangential field with given z_2..z_n coefficients; the z_1 coefficient
     is solved from L(r) = 0."""
-    a1 = _apply_hol([Poly.zero(r.n)] + list(vec), r) * (CRat(-1) / c1)
+    a1 = _apply_field([Poly.zero(r.n)] + list(vec), r) * (CRat(-1) / c1)
     return VField((a1,) + tuple(vec))
 
 
@@ -377,7 +351,7 @@ def _build_slow_field(r: Poly, c1: CRat, p_hess: List[List[Poly]],
         return out
 
     rows = [lambda v, lf=lf: levi_row(v, lf) for lf in levi]
-    rows += [lambda v, sl=sl: _apply_hol([Poly.zero(n)] + v, sl.r_func)
+    rows += [lambda v, sl=sl: _apply_field([Poly.zero(n)] + v, sl.r_func)
              for sl in prior]
     if not rows:
         return _field_from_vector(r, c1, base)
@@ -416,6 +390,16 @@ def _compositions(total: int, slots: List[int], c_prev: Dict[int, Fraction]
 
     rec(0, total, {}, Fraction(0))
     return out
+
+
+def _skeletons(total: int, c_prev: Dict[int, Fraction], slot: int
+               ) -> Iterator[Tuple[Dict[int, int], List[int]]]:
+    """The admissible lists of ``total`` fields over the slots of ``c_prev``
+    and ``slot``, as (counts, skeleton): the skeleton holds the slot of each
+    field, in descending slot order."""
+    for counts in _compositions(total, sorted(c_prev) + [slot], c_prev):
+        yield counts, [s for s in sorted(counts, reverse=True)
+                       for _ in range(counts[s])]
 
 
 def build_boundary_system(r: Poly, list_bound: Optional[int] = None
@@ -471,31 +455,27 @@ def _system_slots(r: Poly, list_bound: Optional[int]
     used_dirs: List[Tuple[CRat, ...]] = []
     for slot in range(levi_rank + 2, n + 1):
         found = None
-        field_cache: Dict[Tuple[CRat, ...], Optional[VField]] = {}
-        searcher_cache: Dict[Tuple[CRat, ...], _ListSearcher] = {}
+        directions = [d for d in catalog if not _in_span(d, used_dirs)]
+        # per direction: the searcher over its slow field, None when the
+        # field cannot be built
+        searchers: Dict[Tuple[CRat, ...], Optional[_ListSearcher]] = {}
         for total in range(2, bound + 1):
-            for direction in catalog:
-                if _in_span(direction, used_dirs):
-                    continue
-                if direction not in field_cache:
-                    field_cache[direction] = _build_slow_field(
+            skeletons = list(_skeletons(total, c_by_slot, slot))
+            for direction in directions:
+                if direction not in searchers:
+                    fld = _build_slow_field(
                         r, c1, p_hess, direction, levi_fields,
                         [slow[j] for j in sorted(slow)], cap)
-                fld = field_cache[direction]
-                if fld is None:
+                    searchers[direction] = None if fld is None else \
+                        _ListSearcher(r, {**fields_by_slot, slot: fld}, bound)
+                searcher = searchers[direction]
+                if searcher is None:
                     continue
-                if direction not in searcher_cache:
-                    searcher_cache[direction] = _ListSearcher(
-                        r, {**fields_by_slot, slot: fld}, bound)
-                searcher = searcher_cache[direction]
-                slots_in_play = sorted(slow) + [slot]
-                for counts in _compositions(total, slots_in_play, c_by_slot):
-                    skeleton: List[int] = []
-                    for s in sorted(counts, reverse=True):
-                        skeleton.extend([s] * counts[s])
+                for counts, skeleton in skeletons:
                     entries = searcher.first_nonzero(skeleton)
                     if entries is not None:
-                        found = (direction, fld, entries, counts)
+                        found = (direction, searcher.fields[slot], entries,
+                                 counts)
                         break
                 if found:
                     break
@@ -771,15 +751,15 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
     problems: List[str] = []
     fields = {j: s.fld for j, s in bs.slow.items()}
     searcher = _ListSearcher(bs.r, fields, max(
-        (len(s.entries) - 1 for s in bs.slow.values()), default=2))
+        (len(s.entries) for s in bs.slow.values()), default=2))
     for i, lf in enumerate(bs.levi_fields):
-        if not _apply_hol(lf.hol, bs.r).is_zero():
+        if not _apply_field(lf.hol, bs.r).is_zero():
             problems.append(f"Levi field {i + 2}: L(r) != 0")
     for j, sl in sorted(bs.slow.items()):
-        if not _apply_hol(sl.fld.hol, bs.r).is_zero():
+        if not _apply_field(sl.fld.hol, bs.r).is_zero():
             problems.append(f"slot {j}: L_{j}(r) != 0")
-        value = _list_value_at_origin(bs.r, fields, sl.entries)
-        if value.is_zero():
+        # capped at degree 0 in its last step, it holds only its value at 0
+        if searcher.derivative(sl.entries).is_zero():
             problems.append(f"slot {j}: list derivative vanishes at 0")
         if sl.entries[0][0] != j:
             problems.append(f"slot {j}: list does not start in S_{j}")
@@ -793,12 +773,11 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
         total = frac + Fraction(sl.counts[j]) / sl.c
         if total != 1:
             problems.append(f"slot {j}: property-(5) sum {total} != 1")
-        lrj = _apply_field_at_origin(sl.fld, sl.r_func)
-        if lrj.is_zero():
+        if _apply_field(sl.fld.hol, sl.r_func, 0).is_zero():
             problems.append(f"slot {j}: L_j r_j vanishes at 0")
         for k, other in bs.slow.items():
             if k < j:
-                lr = _apply_hol(sl.fld.hol, other.r_func, bs.trunc_degree)
+                lr = _apply_field(sl.fld.hol, other.r_func, bs.trunc_degree)
                 if not lr.is_zero():
                     problems.append(
                         f"slot {j}: L_{j} r_{k} != 0 (up to degree "
@@ -809,23 +788,11 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
     return problems
 
 
-def _apply_field_at_origin(fld: VField, f: Poly) -> CRat:
-    val = _apply_hol(fld.hol, f, 0)
-    zero = (0,) * f.n
-    return val.terms.get((zero, zero), CZERO)
-
-
 def _shorter_lists_all_vanish(bs: BoundarySystem, j: int,
                               searcher: _ListSearcher) -> Optional[str]:
-    sl = bs.slow[j]
-    length = len(sl.entries)
     c_prev = {k: bs.slow[k].c for k in bs.slow if k < j}
-    slots_in_play = sorted(c_prev) + [j]
-    for total in range(2, length):
-        for counts in _compositions(total, slots_in_play, c_prev):
-            skeleton: List[int] = []
-            for s in sorted(counts, reverse=True):
-                skeleton.extend([s] * counts[s])
+    for total in range(2, len(bs.slow[j].entries)):
+        for _counts, skeleton in _skeletons(total, c_prev, j):
             entries = searcher.first_nonzero(skeleton)
             if entries is not None:
                 return (f"slot {j}: shorter admissible list {entries} has "

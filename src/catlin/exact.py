@@ -11,11 +11,23 @@ exact.  The real and imaginary parts are read as ``Fraction`` values.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _rat_hash(a: int, dinv: int) -> int:
+    """hash(Fraction(a, d)), given the inverse dinv of d modulo
+    ``_HASH_MODULUS``: the rule of ``Fraction.__hash__``."""
+    h = hash(abs(a)) * dinv % _HASH_MODULUS
+    h = h if a >= 0 else -h
+    return -2 if h == -1 else h
 
 
 def _frac(x) -> Fraction:
@@ -156,7 +168,18 @@ class CRat:
                 and self._d == other._d)
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        """hash((self.re, self.im)), without forming the two Fractions.
+
+        Python hashes a rational x / y as x * y^-1 modulo the prime
+        ``sys.hash_info.modulus``, a value that does not change when x and
+        y share a factor, as long as y stays invertible; so the common
+        denominator d serves both parts."""
+        a, b, d = self._a, self._b, self._d
+        try:
+            dinv = pow(d, -1, _HASH_MODULUS)
+        except ValueError:  # d is a multiple of the modulus
+            return hash((self.re, self.im))
+        return hash((_rat_hash(a, dinv), _rat_hash(b, dinv)))
 
     def __repr__(self) -> str:
         return f"CRat(re={self.re!r}, im={self.im!r})"

@@ -32,6 +32,13 @@ from .poly import NonRealError, Poly, PolyError, require_real
 # variables of its base, exceeds this; so an oversized input fails fast.
 MAX_POWER_TERMS = 50_000
 
+# Most term pairs one product may form.  The cap above bounds the size of
+# a power, not the work of expanding it: (1+z2+z3+z4)^40 has 12,341 terms,
+# and its last squaring forms 3.1 million term pairs.  Every product the
+# parser forms, of two factors, inside a power or as the q * conj(q) of a
+# modulus, is refused before it is formed when it would form more.
+MAX_PRODUCT_PAIRS = 1_000_000
+
 
 class ParseError(PolyError):
     """Syntax error; carries the character position."""
@@ -108,14 +115,13 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                p = p * self.factor()
-            elif kind in ("num", "var", "cvar", "name", "imag") or (
-                    kind == "op" and val in "(~"):
-                # adjacency multiplies; a bar never opens a factor here since
-                # it would be ambiguous with the closing bar of a modulus
-                p = p * self.factor()
-            else:
+            # adjacency multiplies; a bar never opens a factor here since
+            # it would be ambiguous with the closing bar of a modulus
+            elif not (kind in ("num", "var", "cvar", "name", "imag") or (
+                    kind == "op" and val in "(~")):
                 return p
+            pos = self.peek()[2]
+            p = _product(p, self.factor(), pos)
 
     def factor(self) -> Poly:
         kind, val, pos = self.peek()
@@ -135,7 +141,7 @@ class _Parser:
             if exponent is None or exponent % 2 != 0 or exponent <= 0:
                 raise ParseError(
                     "modulus requires a positive even power, e.g. |z2|^4", pos)
-            return _power(p * p.conj(), exponent // 2, pos)
+            return _power(p, exponent // 2, pos, modulus=True)
         if exponent is not None:
             return _power(p, exponent, pos)
         return p
@@ -197,20 +203,47 @@ class _Parser:
                 f"variable z{j} outside dimension n={self.n}", pos)
 
 
-def _power(p: Poly, k: int, pos: int) -> Poly:
-    """p ** k, after checking that at most MAX_POWER_TERMS monomials lie
-    within its bidegree: holomorphic degree up to k times the largest of
-    p, in the variables p has holomorphically, and the same for zbar."""
+def _product(p: Poly, q: Poly, pos: int) -> Poly:
+    """p * q, after checking that it forms at most MAX_PRODUCT_PAIRS term
+    pairs."""
+    pairs = len(p.terms) * len(q.terms)
+    if pairs > MAX_PRODUCT_PAIRS:
+        raise ParseError(f"product would form {pairs} term pairs, more "
+                         f"than {MAX_PRODUCT_PAIRS}", pos)
+    return p * q
+
+
+def _power(p: Poly, k: int, pos: int, modulus: bool = False) -> Poly:
+    """p ** k, or |p|^2k = (p * conj(p)) ** k when ``modulus``.
+
+    Refused before it is expanded when more than MAX_POWER_TERMS monomials
+    lie within its bidegree: holomorphic degree up to k times the largest
+    of the base, in the variables the base has holomorphically, and the
+    same for zbar.  The base p * conj(p) of a modulus has every variable of
+    p on both sides, and degree the largest holomorphic plus the largest
+    antiholomorphic degree of p (top parts of a product of nonzero
+    polynomials never cancel), so it is not formed: a modulus is expanded
+    as q * conj(q) with q = p ** k, which forms far fewer term pairs.
+    Powers are taken from the top bit of k down, so that the last product
+    is the largest; ``_product`` checks each one."""
     hol = {i for (a, _b) in p.terms for i, e in enumerate(a) if e}
     anti = {i for (_a, b) in p.terms for i, e in enumerate(b) if e}
     d_hol = k * max((sum(a) for a, _b in p.terms), default=0)
     d_anti = k * max((sum(b) for _a, b in p.terms), default=0)
+    if modulus:
+        hol = anti = hol | anti
+        d_hol = d_anti = d_hol + d_anti
     bound = math.comb(len(hol) + d_hol, d_hol) * \
         math.comb(len(anti) + d_anti, d_anti)
     if bound > MAX_POWER_TERMS:
         raise ParseError(f"power may expand to {bound} terms, more than "
                          f"{MAX_POWER_TERMS}", pos)
-    return p ** k
+    out = p if k else Poly.const(p.n, 1)
+    for bit in f"{k:b}"[1:]:
+        out = _product(out, out, pos)
+        if bit == "1":
+            out = _product(out, p, pos)
+    return _product(out, out.conj(), pos) if modulus else out
 
 
 def parse_poly(text: str, n: int) -> Poly:

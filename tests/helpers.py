@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from catlin.boundary import VField
 from catlin.exact import CZERO, CRat, rat_str
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          PositivityVerdict, _check_tangential, _random_crat,
@@ -443,3 +444,38 @@ def psd_verdict_oracle(p: Poly, samples: int = 200, seed: int = 0,
         if hit:
             return hit
     return PositivityVerdict(KIND_UNKNOWN, samples_tried=tried)
+
+
+def commutator_oracle(r: Poly, fields: Dict[int, VField],
+                      e1: Tuple[int, bool], e2: Tuple[int, bool]
+                      ) -> Tuple[Poly, Poly]:
+    """(dr([X, Y]), dbar-r([X, Y])) for the list entries X = e1, Y = e2.
+
+    An entry (slot, False) is the field sum_k a_k d/dz_k of ``fields[slot]``
+    and (slot, True) its conjugate sum_k conj(a_k) d/dzbar_k.  The vector
+    field commutator is formed in full, its (1,0) and its (0,1) part, with
+    plain Poly products and ``wirtinger``, and no degree cap."""
+    n = r.n
+    zero = [Poly.zero(n)] * n
+
+    def parts(entry):
+        slot, conj = entry
+        hol = list(fields[slot].hol)
+        return (zero, [a.conj() for a in hol]) if conj else (hol, zero)
+
+    def apply(field, f):
+        hol, anti = field
+        out = Poly.zero(n)
+        for k in range(1, n + 1):
+            out = out + hol[k - 1] * f.wirtinger(k) \
+                + anti[k - 1] * f.wirtinger(k, conjugate=True)
+        return out
+
+    x, y = parts(e1), parts(e2)
+    hol, anti = ([apply(x, y[side][k]) - apply(y, x[side][k])
+                  for k in range(n)] for side in (0, 1))
+    dr = sum((hol[k - 1] * r.wirtinger(k) for k in range(1, n + 1)),
+             Poly.zero(n))
+    dbar_r = sum((anti[k - 1] * r.wirtinger(k, conjugate=True)
+                  for k in range(1, n + 1)), Poly.zero(n))
+    return dr, dbar_r

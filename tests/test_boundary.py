@@ -19,7 +19,7 @@ from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError, split_model
 from catlin.weights import INF, InverseWeight, multitype_search
 
-from helpers import rand_crat
+from helpers import commutator_oracle, rand_crat
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
@@ -200,6 +200,31 @@ def test_list_search_matches_uncapped_oracle(expr, n):
         assert not origin_value(
             list_derivative(r, fields, sl.entries)).is_zero()
     assert checked > len(bs.slow)
+
+
+@pytest.mark.parametrize("expr,n", [
+    (TORSION_EXPR, 4),
+    ("-2*Re(z1) + |z2 + 2*z3^2|^4 + 3*|z3|^8", 3),
+    ("-2*Re(z1) + |z2|^4 + 2*|z3|^6 + |z4|^8", 4),
+    ("-2*Re(z1) + |z2|^2 + |z3|^4", 3),
+], ids=["torsion", "shear", "diagonal-n4", "levi-rank-one"])
+def test_bracket_seed_matches_commutator_oracle(expr, n):
+    # the searcher applies conjugate entries directly and forms only the
+    # (1,0) part of a bracket; the full commutator gives the same dr, and
+    # its (0,1) part gives -dr: the fields are tangent, X r = Y r = 0, so
+    # [X, Y] r = dr([X, Y]) + dbar-r([X, Y]) vanishes
+    r = parse_poly(expr, n)
+    bs = build_boundary_system(r)
+    fields = {j: s.fld for j, s in bs.slow.items()}
+    searcher = _ListSearcher(r, fields)
+    entries = [(s, c) for s in sorted(fields) for c in (False, True)]
+    nonzero = 0
+    for e1, e2 in itertools.product(entries, repeat=2):
+        dr, dbar_r = commutator_oracle(r, fields, e1, e2)
+        assert searcher.seed(e1, e2, None) == dr, (e1, e2)
+        assert dbar_r == -dr, (e1, e2)
+        nonzero += not dr.is_zero()
+    assert nonzero > 0
 
 
 # ----------------------------------------------------------------------

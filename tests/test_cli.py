@@ -191,6 +191,13 @@ def test_oversized_power_exits_2_fast(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert "power may expand to" in err
+    for text in ("|1+z2+z3+z4|^12*|1+z2+z3+z4|^12",
+                 "|(1+z2+z3+z4)^40|^2"):
+        start = time.perf_counter()
+        code, _out, err = run_cli(capsys, "parse", "--expr", text, "--n", "4")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "term pairs, more than" in err
 
 
 def test_enumerate(capsys):

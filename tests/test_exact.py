@@ -2,6 +2,7 @@ import copy
 import operator
 import pickle
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -126,6 +127,30 @@ def test_crat_agrees_with_fraction_pair_reference():
         if not y.is_zero():
             _same(x / y * y, rx)
         _same(x - y + y, rx)
+
+
+def test_crat_hash_agrees_for_equal_values():
+    # the hash is computed from the three ints; equal values hash equal
+    # however they were built, and as the pair of their parts, also where
+    # the common denominator is a multiple of the hash modulus
+    m = sys.hash_info.modulus
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    groups = [
+        [CRat(half, third), CRat(Fraction(3, 6), Fraction(-2, -6)),
+         CRat(1) / 2 + CRat(0, third), CRat(Fraction(3, 2), 1) * third,
+         CRat(half, -third).conj(), CRat(3, 2) / CRat(6)],
+        [CRat(-7), CRat(Fraction(-14, 2)), CRat(0, 7) * CRat(0, 1),
+         -CRat(7, 0), CRat(1, 1) * CRat(1, -1) * CRat(Fraction(-7, 2))],
+        [CRat(Fraction(1, m)), CRat(Fraction(2, 2 * m)), CRat(1) / m],
+        [CRat(half, Fraction(1, m)), CRat(half) + CRat(0, Fraction(1, m))],
+        [CRat(Fraction(-m, 3), Fraction(1, m - 1)),
+         CRat(Fraction(m, 3)).conj() * CRat(-1)
+         + CRat(0, 1) / (m - 1)],
+    ]
+    for group in groups:
+        assert len(set(group)) == 1
+        assert {hash(x) for x in group} == {hash((group[0].re, group[0].im))}
+    assert len({group[0] for group in groups}) == len(groups)
 
 
 def test_crat_equals_no_other_type():

@@ -59,6 +59,41 @@ def test_parse_refuses_oversized_power():
     with pytest.raises(ParseError) as err:
         parse_poly("|z2|^2 + |z2+z3+z4|^64", 4)
     assert err.value.pos == 9   # the opening bar of the modulus
+    # products are bounded as well: of two factors, and the q * conj(q) of
+    # a modulus, whose q = (1+z2+z3+z4)^40 is refused at its last squaring
+    for text in ("|1+z2+z3+z4|^12*|1+z2+z3+z4|^12",
+                 "|(1+z2+z3+z4)^40|^2"):
+        with pytest.raises(ParseError, match="term pairs, more than"):
+            parse_poly(text, 4)
+
+
+def test_parse_product_cap_is_exact(monkeypatch):
+    # (1+z2+z3) * (z2+z3+z4+z5) forms 12 term pairs
+    monkeypatch.setattr(parser, "MAX_PRODUCT_PAIRS", 12)
+    assert len(parse_poly("Re((1+z2+z3)*(z2+z3+z4+z5))", 5).terms) == 22
+    with pytest.raises(ParseError, match="15 term pairs") as err:
+        parse_poly("|z2|^2 + Re((1+z2+z3)*(1+z2+z3+z4+z5))", 5)
+    assert err.value.pos == 22   # the second factor
+
+
+def _poly_text(p):
+    return " + ".join(
+        f"({c})" + "".join(f"*z{i + 1}^{e}" for i, e in enumerate(a) if e)
+        + "".join(f"*zbar{i + 1}^{e}" for i, e in enumerate(b) if e)
+        for (a, b), c in p.terms.items()) or "0"
+
+
+def test_parse_modulus_power_equals_power_of_product():
+    # |e|^2k is expanded as q * conj(q) with q = e^k
+    rng = random.Random(5)
+    for _ in range(30):
+        e = rand_holomorphic(rng, 3, terms=rng.randint(1, 3), max_exp=1)
+        k = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            e = e + rand_holomorphic(rng, 3, terms=1, max_exp=1).conj()
+            k = 1
+        assert parse_poly(f"|{_poly_text(e)}|^{2 * k}", 3) == \
+            (e * e.conj()) ** k
 
 
 def test_parse_dimension_mismatch():
