@@ -18,7 +18,15 @@ answers:
   hyperplanes.  All inequalities are exact rational comparisons (moduli are
   compared through their squares).
 * Refuted with an exact rational witness making the Hessian form negative.
-* Unknown with the number of samples tried.
+  Tier 3 decides the tangential Hessian matrix H(z) exactly at each
+  structured point z, by congruence to diagonal form (hermitian_reduce).
+  Where H(z) has a negative pivot it runs the structured vectors, in a fixed
+  order; then it draws seeded random (z, a) samples.  The first negative
+  value is the witness.  When none is found, the first negative pivot's
+  vector at its point is.
+* Unknown when every structured H(z) is PSD and no sample is negative, with
+  the number of samples tried.  A point where H(z) is PSD counts all its
+  structured vectors as tried without running them.
 
 verify_psd_certificate replays a certificate from scratch against the
 polynomial, re-deriving every inequality with exact arithmetic.
@@ -32,7 +40,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import CRat, CZERO, hermitian_form, rank, rat_str
+from .exact import (CRat, CZERO, hermitian_form, hermitian_reduce,
+                    rank, rat_str)
 from .poly import (DimensionMismatch, Poly, PolyError, require_real,
                    term_sort_key)
 from .weights import Weight
@@ -74,20 +83,32 @@ def hessian_form_value(hess: Sequence[Sequence[Poly]],
                        z: Sequence[CRat], a: Sequence[CRat]) -> Fraction:
     """Exact value of sum H_jk(z) a_j conj(a_k) over the tangential slots 2..n.
 
-    ``a`` has length n-1 (components for z_2..z_n).  The value of a Hermitian
-    form is real; this is asserted."""
+    ``a`` has length n-1 (components for z_2..z_n).  ``hess`` is the complex
+    Hessian of a real polynomial: only its entries with k >= j are read.  The
+    value of a Hermitian form is real; this is asserted."""
     return _form_value(_tangential_values(hess, z), a)
 
 
 def _tangential_values(hess: Sequence[Sequence[Poly]],
                        z: Sequence[CRat]) -> List[List[CRat]]:
-    """The tangential block (slots 2..n) of the Hessian evaluated at z."""
+    """The tangential block (slots 2..n) of the Hessian evaluated at z.
+
+    Only the entries with k >= j are evaluated; the others are their
+    conjugates, which is exact when the Hessian is that of a real p."""
     n = len(hess)
     if len(z) != n:
         raise DimensionMismatch("point length != n")
     zs = [CRat.of(c) for c in z]
     zbars = [c.conj() for c in zs]
-    return [[h._evaluate(zs, zbars) for h in row[1:]] for row in hess[1:]]
+    m = n - 1
+    h: List[List[CRat]] = [[CZERO] * m for _ in range(m)]
+    for j in range(m):
+        row = hess[j + 1]
+        for k in range(j, m):
+            h[j][k] = row[k + 1]._evaluate(zs, zbars)
+            if k != j:
+                h[k][j] = h[j][k].conj()
+    return h
 
 
 def _form_value(h: List[List[CRat]], a: Sequence[CRat]) -> Fraction:
@@ -514,7 +535,7 @@ def _replay_psh(p: Poly, cert: dict) -> bool:
 
 
 # ----------------------------------------------------------------------
-# tier 3: exact sampling refutation
+# tier 3: exact per-point decision and sampling refutation
 # ----------------------------------------------------------------------
 
 
@@ -553,30 +574,33 @@ def psd_verdict(p: Poly, samples: int = 200, seed: int = 0,
     hess = complex_hessian(p)
     tried = 0
 
-    def check(z: List[CRat], vectors: Sequence[List[CRat]]
-              ) -> Optional[PositivityVerdict]:
-        """First vector a with a* H(z) a < 0; H(z) is evaluated once."""
+    def check(full_z: List[CRat], hz: List[List[CRat]],
+              vectors: Sequence[List[CRat]]) -> Optional[PositivityVerdict]:
+        """First vector a with a* H(z) a < 0."""
         nonlocal tried
-        full_z = [CRat(0)] + list(z)
-        hz = _tangential_values(hess, full_z)
         for a in vectors:
             tried += 1
             value = _form_value(hz, a)
             if value < 0:
-                witness = {
-                    "z": [{"re": rat_str(c.re), "im": rat_str(c.im)}
-                          for c in full_z],
-                    "a": [{"re": rat_str(c.re), "im": rat_str(c.im)}
-                          for c in a],
-                    "value": rat_str(value),
-                }
-                return PositivityVerdict(KIND_REFUTED, witness=witness,
+                return PositivityVerdict(KIND_REFUTED,
+                                         witness=_witness(full_z, a, value),
                                          samples_tried=tried)
         return None
 
     vectors = _structured_vectors(p.n)
+    pivot = None  # (z, q, q* H(z) q < 0) at the first point not PSD
     for z in _structured_points(p.n):
-        hit = check(z, vectors)
+        full_z = [CRat(0)] + z
+        hz = _tangential_values(hess, full_z)
+        negative = next(((q, d) for q, d in hermitian_reduce(hz) if d < 0),
+                        None)
+        if negative is None:
+            # H(z) is PSD: no vector refutes here, but each counts as tried
+            tried += len(vectors)
+            continue
+        if pivot is None:
+            pivot = (full_z,) + negative
+        hit = check(full_z, hz, vectors)
         if hit:
             return hit
     rng = random.Random(seed)
@@ -585,14 +609,25 @@ def psd_verdict(p: Poly, samples: int = 200, seed: int = 0,
         a = [_random_crat(rng) for _ in range(p.n - 1)]
         if all(c.is_zero() for c in a):
             a[0] = CRat(1)
-        hit = check(z, [a])
+        full_z = [CRat(0)] + z
+        hit = check(full_z, _tangential_values(hess, full_z), [a])
         if hit:
             return hit
+    if pivot is not None:
+        return PositivityVerdict(KIND_REFUTED, witness=_witness(*pivot),
+                                 samples_tried=tried)
     return PositivityVerdict(KIND_UNKNOWN, samples_tried=tried)
+
+
+def _witness(z: Sequence[CRat], a: Sequence[CRat], value: Fraction) -> dict:
+    return {"z": [{"re": rat_str(c.re), "im": rat_str(c.im)} for c in z],
+            "a": [{"re": rat_str(c.re), "im": rat_str(c.im)} for c in a],
+            "value": rat_str(value)}
 
 
 def replay_refutation(p: Poly, witness: dict) -> Fraction:
     """Exact Hessian form value at a stored witness (negative iff sound)."""
+    require_real(p, "refuted polynomial")
     z = [CRat(Fraction(c["re"]), Fraction(c["im"])) for c in witness["z"]]
     a = [CRat(Fraction(c["re"]), Fraction(c["im"])) for c in witness["a"]]
     return hessian_form_value(complex_hessian(p), z, a)

@@ -32,11 +32,13 @@ from .poly import NonRealError, Poly, PolyError, require_real
 # variables of its base, exceeds this; so an oversized input fails fast.
 MAX_POWER_TERMS = 50_000
 
-# Most term pairs one product may form.  The cap above bounds the size of
-# a power, not the work of expanding it: (1+z2+z3+z4)^40 has 12,341 terms,
-# and its last squaring forms 3.1 million term pairs.  Every product the
-# parser forms, of two factors, inside a power or as the q * conj(q) of a
-# modulus, is refused before it is formed when it would form more.
+# Most term pairs the products of one parse may form together.  The cap
+# above bounds the size of a power, not the work of expanding it:
+# (1+z2+z3+z4)^40 has 12,341 terms, and its last squaring forms 3.1 million
+# term pairs.  Every product the parser forms, of two factors, inside a
+# power or as the q * conj(q) of a modulus, is charged against this budget,
+# and refused before it is formed when it would overdraw it; so an
+# expression of many admitted products fails fast as well.
 MAX_PRODUCT_PAIRS = 1_000_000
 
 
@@ -77,6 +79,7 @@ class _Parser:
         self.n = n
         self.tokens = _tokenize(text)
         self.i = 0
+        self.pairs_left = MAX_PRODUCT_PAIRS
 
     def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.i]
@@ -121,7 +124,7 @@ class _Parser:
                     kind == "op" and val in "(~")):
                 return p
             pos = self.peek()[2]
-            p = _product(p, self.factor(), pos)
+            p = self._product(p, self.factor(), pos)
 
     def factor(self) -> Poly:
         kind, val, pos = self.peek()
@@ -141,9 +144,9 @@ class _Parser:
             if exponent is None or exponent % 2 != 0 or exponent <= 0:
                 raise ParseError(
                     "modulus requires a positive even power, e.g. |z2|^4", pos)
-            return _power(p, exponent // 2, pos, modulus=True)
+            return self._power(p, exponent // 2, pos, modulus=True)
         if exponent is not None:
-            return _power(p, exponent, pos)
+            return self._power(p, exponent, pos)
         return p
 
     def atom(self) -> Tuple[Poly, bool]:
@@ -202,48 +205,49 @@ class _Parser:
             raise ParseError(
                 f"variable z{j} outside dimension n={self.n}", pos)
 
+    def _product(self, p: Poly, q: Poly, pos: int) -> Poly:
+        """p * q, after charging its term pairs against the parse's budget of
+        MAX_PRODUCT_PAIRS."""
+        pairs = len(p.terms) * len(q.terms)
+        if pairs > self.pairs_left:
+            raise ParseError(f"product would form {pairs} term pairs, more "
+                             f"than the {self.pairs_left} left of the "
+                             f"{MAX_PRODUCT_PAIRS} a parse may form", pos)
+        self.pairs_left -= pairs
+        return p * q
 
-def _product(p: Poly, q: Poly, pos: int) -> Poly:
-    """p * q, after checking that it forms at most MAX_PRODUCT_PAIRS term
-    pairs."""
-    pairs = len(p.terms) * len(q.terms)
-    if pairs > MAX_PRODUCT_PAIRS:
-        raise ParseError(f"product would form {pairs} term pairs, more "
-                         f"than {MAX_PRODUCT_PAIRS}", pos)
-    return p * q
+    def _power(self, p: Poly, k: int, pos: int,
+               modulus: bool = False) -> Poly:
+        """p ** k, or |p|^2k = (p * conj(p)) ** k when ``modulus``.
 
-
-def _power(p: Poly, k: int, pos: int, modulus: bool = False) -> Poly:
-    """p ** k, or |p|^2k = (p * conj(p)) ** k when ``modulus``.
-
-    Refused before it is expanded when more than MAX_POWER_TERMS monomials
-    lie within its bidegree: holomorphic degree up to k times the largest
-    of the base, in the variables the base has holomorphically, and the
-    same for zbar.  The base p * conj(p) of a modulus has every variable of
-    p on both sides, and degree the largest holomorphic plus the largest
-    antiholomorphic degree of p (top parts of a product of nonzero
-    polynomials never cancel), so it is not formed: a modulus is expanded
-    as q * conj(q) with q = p ** k, which forms far fewer term pairs.
-    Powers are taken from the top bit of k down, so that the last product
-    is the largest; ``_product`` checks each one."""
-    hol = {i for (a, _b) in p.terms for i, e in enumerate(a) if e}
-    anti = {i for (_a, b) in p.terms for i, e in enumerate(b) if e}
-    d_hol = k * max((sum(a) for a, _b in p.terms), default=0)
-    d_anti = k * max((sum(b) for _a, b in p.terms), default=0)
-    if modulus:
-        hol = anti = hol | anti
-        d_hol = d_anti = d_hol + d_anti
-    bound = math.comb(len(hol) + d_hol, d_hol) * \
-        math.comb(len(anti) + d_anti, d_anti)
-    if bound > MAX_POWER_TERMS:
-        raise ParseError(f"power may expand to {bound} terms, more than "
-                         f"{MAX_POWER_TERMS}", pos)
-    out = p if k else Poly.const(p.n, 1)
-    for bit in f"{k:b}"[1:]:
-        out = _product(out, out, pos)
-        if bit == "1":
-            out = _product(out, p, pos)
-    return _product(out, out.conj(), pos) if modulus else out
+        Refused before it is expanded when more than MAX_POWER_TERMS monomials
+        lie within its bidegree: holomorphic degree up to k times the largest
+        of the base, in the variables the base has holomorphically, and the
+        same for zbar.  The base p * conj(p) of a modulus has every variable of
+        p on both sides, and degree the largest holomorphic plus the largest
+        antiholomorphic degree of p (top parts of a product of nonzero
+        polynomials never cancel), so it is not formed: a modulus is expanded
+        as q * conj(q) with q = p ** k, which forms far fewer term pairs.
+        Powers are taken from the top bit of k down, so that the last product
+        is the largest; ``_product`` charges each one."""
+        hol = {i for (a, _b) in p.terms for i, e in enumerate(a) if e}
+        anti = {i for (_a, b) in p.terms for i, e in enumerate(b) if e}
+        d_hol = k * max((sum(a) for a, _b in p.terms), default=0)
+        d_anti = k * max((sum(b) for _a, b in p.terms), default=0)
+        if modulus:
+            hol = anti = hol | anti
+            d_hol = d_anti = d_hol + d_anti
+        bound = math.comb(len(hol) + d_hol, d_hol) * \
+            math.comb(len(anti) + d_anti, d_anti)
+        if bound > MAX_POWER_TERMS:
+            raise ParseError(f"power may expand to {bound} terms, more than "
+                             f"{MAX_POWER_TERMS}", pos)
+        out = p if k else Poly.const(p.n, 1)
+        for bit in f"{k:b}"[1:]:
+            out = self._product(out, out, pos)
+            if bit == "1":
+                out = self._product(out, p, pos)
+        return self._product(out, out.conj(), pos) if modulus else out
 
 
 def parse_poly(text: str, n: int) -> Poly:

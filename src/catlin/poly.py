@@ -497,8 +497,10 @@ def _check_var(n: int, j: int):
 
 def require_real(p: Poly, what: str = "polynomial") -> Poly:
     if not p.is_real():
-        bad = [k for k, c in p.terms.items()
-               if p.terms.get((k[1], k[0]), CZERO) != c.conj()]
+        # in term order, so that the message depends on p alone
+        bad = sorted((k for k, c in p.terms.items()
+                      if p.terms.get((k[1], k[0]), CZERO) != c.conj()),
+                     key=term_sort_key)
         raise NonRealError(
             f"{what} is not real-valued; offending exponent pairs: {bad[:3]}")
     return p

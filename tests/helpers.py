@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -444,6 +445,43 @@ def psd_verdict_oracle(p: Poly, samples: int = 200, seed: int = 0,
         if hit:
             return hit
     return PositivityVerdict(KIND_UNKNOWN, samples_tried=tried)
+
+
+def _det(m: Sequence[Sequence[CRat]]) -> CRat:
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return CRat(1)
+    total = CZERO
+    for j, x in enumerate(m[0]):
+        if not x.is_zero():
+            term = x * _det([row[:j] + row[j + 1:] for row in m[1:]])
+            total = total - term if j % 2 else total + term
+    return total
+
+
+def hermitian_psd_oracle(h: Sequence[Sequence[CRat]]) -> bool:
+    """A Hermitian matrix is PSD iff every principal minor is >= 0."""
+    for size in range(1, len(h) + 1):
+        for rows in itertools.combinations(range(len(h)), size):
+            minor = _det([[h[i][j] for j in rows] for i in rows])
+            assert minor.is_real()
+            if minor.re < 0:
+                return False
+    return True
+
+
+def first_indefinite_point(p: Poly) -> Optional[List[CRat]]:
+    """The first structured point (z1 = 0 prepended) at which the tangential
+    Hessian of p, every entry evaluated on its own, is not PSD; None when it
+    is PSD at all of them."""
+    hess = complex_hessian(p)
+    for z in _structured_points(p.n):
+        full_z = [CRat(0)] + z
+        h = [[hess[j][k].evaluate(full_z) for k in range(1, p.n)]
+             for j in range(1, p.n)]
+        if not hermitian_psd_oracle(h):
+            return full_z
+    return None
 
 
 def commutator_oracle(r: Poly, fields: Dict[int, VField],

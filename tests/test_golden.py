@@ -61,6 +61,7 @@ CASES = {
     "psd-refuted": ["psd", "--expr", "2*Re(z2^2*zbar3^3)", "--n", "3"],
     "psd-unknown": ["psd", "--expr",
                     "|z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^3*zbar3)", "--n", "3"],
+    "psd-unknown-psh": ["psd", "--expr", "(Re(z2))^2", "--n", "2"],
     "torsion": ["torsion", "--expr", TORSION_EXPR, "--n", "4"],
     "torsion-lift": ["torsion", "--expr", TORSION_LIFT_EXPR, "--n", "4"],
 }

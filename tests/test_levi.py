@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from catlin.exact import CRat
+from catlin import levi
+from catlin.exact import CRat, rat_str
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          cauchy_schwarz_pairing, complex_hessian,
                          hessian_form_value, m_dominant_coefficients,
@@ -11,11 +12,11 @@ from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          one_var_coeff_check, psd_verdict, replay_refutation,
                          verify_psd_certificate)
 from catlin.parser import parse_poly
-from catlin.poly import Poly, PolyError
+from catlin.poly import NonRealError, Poly, PolyError
 from catlin.weights import Weight
 
-from helpers import (circle_points, homogenized_modulus_square,
-                     psd_verdict_oracle, rand_crat)
+from helpers import (circle_points, first_indefinite_point,
+                     homogenized_modulus_square, psd_verdict_oracle, rand_crat)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
@@ -162,7 +163,8 @@ def test_hessian_form_value_matches_entrywise_evaluation():
 
 
 # the benchmark's `perturbed` shapes at c = 1/3 (not plurisubharmonic, yet
-# Unknown), then models refuted at a structured pair and by a random sample
+# no structured pair or sample refutes them), then models refuted at a
+# structured pair and by a random sample
 TIER3_MODELS = [
     ("|z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^3*zbar3)", 3),
     ("|z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^2*zbar2*zbar3)", 3),
@@ -173,14 +175,101 @@ TIER3_MODELS = [
 ]
 
 
+def _point_json(z):
+    return [{"re": rat_str(c.re), "im": rat_str(c.im)} for c in z]
+
+
+def _assert_matches_sweep(p, got, want):
+    """``got`` is the per-pair sweep's verdict ``want`` wherever the sweep
+    decides.  Where it ends Unknown, ``got`` is Unknown with every
+    structured Hessian PSD, or Refuted at the first structured point whose
+    Hessian is not PSD, with the sweep's sample count."""
+    if want["kind"] != KIND_UNKNOWN:
+        assert got == want
+        return
+    indefinite = first_indefinite_point(p)
+    if got["kind"] == KIND_UNKNOWN:
+        assert got == want and indefinite is None
+        return
+    assert got["kind"] == KIND_REFUTED
+    assert got["samples_tried"] == want["samples_tried"]
+    assert got["witness"]["z"] == _point_json(indefinite)
+
+
 @pytest.mark.parametrize("expr,n", TIER3_MODELS)
 def test_tier3_matches_per_pair_sweep(expr, n):
     p = parse_poly(expr, n)
     got = psd_verdict(p).to_json()
-    assert got == psd_verdict_oracle(p).to_json()
-    if got["witness"] is not None:
-        assert replay_refutation(p, got["witness"]) == \
-            Fraction(got["witness"]["value"]) < 0
+    want = psd_verdict_oracle(p).to_json()
+    _assert_matches_sweep(p, got, want)
+    if want["kind"] == KIND_UNKNOWN:
+        # the three perturbed shapes: refuted from the Hessian matrix
+        assert got["kind"] == KIND_REFUTED
+    assert replay_refutation(p, got["witness"]) == \
+        Fraction(got["witness"]["value"]) < 0
+
+
+def _rand_tangential(rng, n):
+    """Balanced moduli plus one or two random Hermitian pairs in z2..zn."""
+    p = Poly.zero(n)
+    for _ in range(rng.randint(1, n)):
+        alpha = (0,) + tuple(rng.randint(0, 2) for _ in range(n - 1))
+        p = p + Poly.modulus_power(n, alpha, Fraction(rng.randint(1, 3)))
+    for _ in range(rng.randint(1, 2)):
+        a = (0,) + tuple(rng.randint(0, 2) for _ in range(n - 1))
+        b = (0,) + tuple(rng.randint(0, 2) for _ in range(n - 1))
+        c = rand_crat(rng, 2)
+        p = p + Poly.monomial(n, a, b, c) + Poly.monomial(n, b, a, c.conj())
+    return p
+
+
+def test_tier3_matches_per_pair_sweep_random():
+    rng = random.Random(67)
+    kinds = set()
+    for i in range(150):
+        p = _rand_tangential(rng, 4 if i % 25 == 0 else 3)
+        got = psd_verdict(p, samples=50).to_json()
+        want = psd_verdict_oracle(p, samples=50).to_json()
+        _assert_matches_sweep(p, got, want)
+        if got["kind"] == KIND_REFUTED:
+            assert replay_refutation(p, got["witness"]) == \
+                Fraction(got["witness"]["value"]) < 0
+        kinds.add((want["kind"], got["kind"]))
+    # every branch above is taken
+    assert {(KIND_REFUTED, KIND_REFUTED), (KIND_UNKNOWN, KIND_UNKNOWN),
+            (KIND_UNKNOWN, KIND_REFUTED)} <= kinds
+
+
+def test_tier3_never_refutes_sums_of_squared_moduli():
+    # sum |f_i|^2 over holomorphic f_i has Hessian sum (df_i)(df_i)*, which
+    # is PSD everywhere
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    crats = st.builds(CRat, small, small)
+
+    @st.composite
+    def sum_of_squares(draw):
+        n = draw(st.integers(2, 4))
+        exponents = st.tuples(st.just(0), *[st.integers(0, 2)] * (n - 1))
+        p = Poly.zero(n)
+        for terms in draw(st.lists(st.lists(st.tuples(exponents, crats),
+                                            min_size=1, max_size=3),
+                                   min_size=1, max_size=3)):
+            f = sum((Poly.monomial(n, a, (0,) * n, c) for a, c in terms),
+                    Poly.zero(n))
+            p = p + f * f.conj()
+        return p
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         suppress_health_check=[
+                             hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(sum_of_squares())
+    def check(p):
+        assert psd_verdict(p, samples=40).kind != KIND_REFUTED
+
+    check()
 
 
 def test_tier3_evaluates_hessian_once_per_point(monkeypatch):
@@ -195,9 +284,36 @@ def test_tier3_evaluates_hessian_once_per_point(monkeypatch):
 
     monkeypatch.setattr(Poly, "_evaluate", counting)
     v = psd_verdict(p)
-    assert v.kind == KIND_UNKNOWN and v.samples_tried == 15 * 24 + 200
-    # (n-1)^2 entries for each of the 15 structured points and 200 samples
-    assert calls <= 4 * (15 + 200)
+    assert v.kind == KIND_REFUTED and v.samples_tried == 15 * 24 + 200
+    # the 3 entries of the Hermitian half for each of the 15 structured
+    # points and 200 samples
+    assert calls <= 3 * (15 + 200)
+
+
+def test_tier3_skips_vectors_at_psd_points(monkeypatch):
+    # the per-pair sweep forms 63 * 124 + 200 = 8012 form values here
+    p = parse_poly("|z2|^4 + |z3|^4 + |z4|^4 + 2*(1/3)*Re(z2^3*zbar3)", 4)
+    calls = 0
+    form_value = levi._form_value
+
+    def counting(h, a):
+        nonlocal calls
+        calls += 1
+        return form_value(h, a)
+
+    monkeypatch.setattr(levi, "_form_value", counting)
+    v = psd_verdict(p)
+    assert v.kind == KIND_REFUTED and v.samples_tried == 8012
+    assert calls <= 8012 // 3
+
+
+def test_replay_refutation_rejects_non_real():
+    # i*z2 has a zero Hessian, so its form value alone would not show it
+    p = Poly.monomial(2, (0, 1), (0, 0), CRat(0, 1))
+    witness = {"z": _point_json([CRat(0), CRat(1)]),
+               "a": _point_json([CRat(1)]), "value": "-1"}
+    with pytest.raises(NonRealError):
+        replay_refutation(p, witness)
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,8 @@ from catlin.exact import CRat
 from catlin import parser
 from catlin.parser import ParseError, parse_poly
 from catlin.poly import (CoordChange, NonRealError, Poly, PolyError,
-                         eliminate_harmonic, revlex_max_balanced,
-                         split_model, weighted_order)
+                         eliminate_harmonic, require_real,
+                         revlex_max_balanced, split_model, weighted_order)
 
 from helpers import (leading_model, rand_crat, rand_holomorphic,
                      rand_real_poly, substitute_maps_oracle, tail)
@@ -74,6 +74,33 @@ def test_parse_product_cap_is_exact(monkeypatch):
     with pytest.raises(ParseError, match="15 term pairs") as err:
         parse_poly("|z2|^2 + Re((1+z2+z3)*(1+z2+z3+z4+z5))", 5)
     assert err.value.pos == 22   # the second factor
+
+
+def test_parse_product_budget_is_per_parse(monkeypatch):
+    # each product forms 12 term pairs, which the cap admits, but the two
+    # together form 24
+    monkeypatch.setattr(parser, "MAX_PRODUCT_PAIRS", 12)
+    one = "Re((1+z2+z3)*(z2+z3+z4+z5))"
+    assert len(parse_poly(one, 5).terms) == 22
+    text = f"{one} + {one}"
+    with pytest.raises(ParseError, match="12 term pairs, more than") as err:
+        parse_poly(text, 5)
+    assert err.value.pos == text.rindex("(z2+z3+z4+z5)")   # second product
+
+
+def test_non_real_error_lists_pairs_in_term_order():
+    # the same non-real polynomial built in two term orders
+    keys = [((0, k), (0, 0)) for k in range(1, 6)]
+    forward = Poly(2, {key: CRat(0, 1) for key in keys})
+    backward = Poly(2, {key: CRat(0, 1) for key in reversed(keys)})
+    assert forward == backward
+    messages = []
+    for p in (forward, backward):
+        with pytest.raises(NonRealError) as err:
+            require_real(p)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert str(keys[:3]) in messages[0]
 
 
 def _poly_text(p):
