@@ -19,11 +19,21 @@ each candidate's weight search is pruned against the incumbent and stops as
 soon as it cannot beat it.  A candidate's weight depends only on its support
 (the exponent vectors of its terms), and the incumbent only rises, so one
 search remembers every support it has weighed and skips it in later rounds;
-the memo and the catalog live in that search call alone.
+the memo and the catalog live in that search call alone.  The catalog's
+entries share their variable maps, and its size is linear in the degree
+bound, which is limited to ``MAX_DEGREE_BOUND``.
+
+The weight search runs on integers.  It keeps one common denominator, the
+lcm of the denominators of the weights 1/lambda chosen so far, and holds
+every weighted order and admissibility remainder as an integer over it;
+slot bounds and candidate lambdas are integer pairs compared by
+cross-multiplication.  ``Fraction`` appears only in the returned weight, and
+in the admissibility and descent helpers, which are not on the hot path.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from operator import add
@@ -36,6 +46,10 @@ from .poly import DimensionMismatch, Poly, PolyError, eliminate_harmonic
 
 INF = math.inf
 Entry = Union[Fraction, float]  # float only ever +inf
+
+# The shear catalog grows linearly with the degree bound; past this, a search
+# runs for seconds to minutes instead of failing fast.
+MAX_DEGREE_BOUND = 64
 
 STATUS_EXACT = "exact-commutator"
 STATUS_LOWER_BOUND = "search-lower-bound"
@@ -217,6 +231,10 @@ def _evecs(p: Poly) -> Tuple[Tuple[int, ...], ...]:
     return tuple(sorted({tuple(map(add, a[1:], b[1:])) for (a, b) in p.terms}))
 
 
+# sort key: (num, den) pairs with den > 0 by value, exactly
+_BY_VALUE = functools.cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
+
+
 def _best_distinguished(evecs: Sequence[Tuple[int, ...]], nvars: int,
                         above: Optional[Tuple[Entry, ...]] = None
                         ) -> Optional[Tuple[Entry, ...]]:
@@ -231,62 +249,84 @@ def _best_distinguished(evecs: Sequence[Tuple[int, ...]], nvars: int,
     remainders 1 - sum a_j/lambda_j of the admissibility rows through the
     prefix (lambda_1 = 1 included).  While the prefix equals ``above``'s
     (``tight``), a bound or candidate below ``above``'s entry ends the search:
-    every later tuple is below ``above``."""
+    every later tuple is below ``above``.
 
-    def rec(prefix: Tuple[Fraction, ...], live: List[Tuple[Fraction, tuple]],
-            rems: set, tight: bool) -> Optional[Tuple[Entry, ...]]:
+    Invariant: all state is integer over one common denominator L, the lcm
+    of the numerators of the lambdas chosen so far (the denominators of the
+    weights 1/lambda).  A weighted order is an int P for P/L < 1, and a
+    remainder an int R for R/L > 0.  A live vector with tail t = sum e[j:]
+    bounds slot j by t/(1 - P/L), the pair (t*L, L - P); pairs compare by
+    cross-multiplication.  Remainder R offers lambda = a*L/R, kept as a
+    reduced (num, den) pair.  Choosing num/den moves to L' = lcm(L, num),
+    rescales P and R by L'/L, adds e[j]*den*L'/num to each P and steps each R
+    down by den*L'/num.  ``above`` becomes (num, den) pairs once, INF staying
+    INF; a Fraction is built only for the entries of the returned tuple."""
+    if above is not None:
+        above = tuple((x.numerator, x.denominator)
+                      if isinstance(x, Fraction) else INF for x in above)
+
+    def rec(prefix: Tuple[Tuple[int, int], ...], big_l: int,
+            live: List[Tuple[int, tuple]], rems: set,
+            tight: bool) -> Optional[Tuple[Entry, ...]]:
         j = len(prefix)
         if j == nvars:
-            return None if tight else prefix
-        bound: Entry = INF
+            return None if tight else tuple(Fraction(*x) for x in prefix)
+        bn, bd = 1, 0  # the slot bound bn/bd; 1/0 is INF
         for pre, e in live:
             tail = sum(e[j:])
             if tail == 0:
                 return None
-            cand = tail / (1 - pre)
-            if cand < bound:
-                bound = cand
+            if tail * bd < bn * (big_l - pre):
+                bn, bd = tail, big_l - pre
         target = above[j] if tight else None
-        if bound == INF:
-            res = prefix + (INF,) * (nvars - j)
-            return res if not tight or res > above else None
-        if tight and bound < target:
+        if bd == 0:
+            if tight and all(x == INF for x in above[j:]):
+                return None
+            return tuple(Fraction(*x) for x in prefix) + (INF,) * (nvars - j)
+        bn *= big_l
+        if tight and (target == INF or bn * target[1] < target[0] * bd):
             return None
-        lo = prefix[-1] if prefix else Fraction(1)
+        lo_n, lo_d = prefix[-1] if prefix else (1, 1)
         vals = set()
         for r in rems:
-            for a in range(max(1, math.ceil(lo * r)), math.floor(bound * r) + 1):
-                lam = a / r
-                if lo <= lam <= bound:
-                    vals.add(lam)
+            # lo <= a*L/r <= bn/bd
+            for a in range(-(-lo_n * r // (lo_d * big_l)),
+                           bn * r // (bd * big_l) + 1):
+                num = a * big_l
+                g = math.gcd(num, r)
+                vals.add((num // g, r // g))
         last = j + 1 == nvars
-        for lam in sorted(vals, reverse=True):
-            if tight and lam < target:
+        for num, den in sorted(vals, key=_BY_VALUE, reverse=True):
+            if tight and (target == INF
+                          or num * target[1] < target[0] * den):
                 return None
             if last:  # a complete tuple needs no further state
-                sub_live, sub_rems = live, rems
+                sub_l, sub_live, sub_rems = big_l, live, rems
             else:
+                sub_l = big_l * num // math.gcd(big_l, num)
+                scale = sub_l // big_l
+                step = den * (sub_l // num)  # 1/lambda over sub_l
                 sub_live = []
                 for pre, e in live:
+                    pre *= scale
                     if e[j]:
-                        pre = pre + e[j] / lam
-                        if pre >= 1:
+                        pre += e[j] * step
+                        if pre >= sub_l:
                             continue
                     sub_live.append((pre, e))
-                step = 1 / lam
                 sub_rems = set()
                 for r in rems:
+                    r *= scale
                     while r > 0:
                         sub_rems.add(r)
                         r -= step
-            res = rec(prefix + (lam,), sub_live, sub_rems,
-                      tight and lam == target)
+            res = rec(prefix + ((num, den),), sub_l, sub_live, sub_rems,
+                      tight and (num, den) == target)
             if res is not None:
                 return res
         return None
 
-    return rec((), [(Fraction(0), e) for e in evecs], {Fraction(1)},
-               above is not None)
+    return rec((), 1, [(0, e) for e in evecs], {1}, above is not None)
 
 
 def best_distinguished_weight(p: Poly, above: Optional[InverseWeight] = None
@@ -312,25 +352,30 @@ def best_distinguished_weight(p: Poly, above: Optional[InverseWeight] = None
 
 def _catalog_maps(n: int, degree_bound: int) -> List[Tuple[str, List[Poly]]]:
     """Candidate holomorphic changes of z_2..z_n: permutations, pairwise
-    linear mixes, and triangular monomial shears of degree <= degree_bound."""
+    linear mixes, and triangular monomial shears of degree <= degree_bound.
+
+    Every entry shares the variables z_1..z_n and the powers z_j^k, built
+    once per call (a ``Poly`` is never changed in place)."""
     out: List[Tuple[str, List[Poly]]] = []
     idx = list(range(2, n + 1))
+    zs = [Poly.variable(n, v) for v in range(1, n + 1)]
     for perm in itertools.permutations(idx):
         if list(perm) == idx:
             continue
-        maps = [Poly.variable(n, 1)]
-        for tgt in idx:
-            src = perm[tgt - 2]
-            maps.append(Poly.variable(n, src))
-        out.append((f"perm{perm}", maps))
+        out.append((f"perm{perm}", [zs[0]] + [zs[src - 1] for src in perm]))
+    shifts = {}  # (j, k, c) -> c * z_j^k
+    for j in idx:
+        for k in range(1, degree_bound + 1):
+            power = zs[j - 1] ** k
+            shifts[j, k, 1], shifts[j, k, -1] = power, -power
     for i in idx:
         for j in idx:
             if i == j:
                 continue
             for k in range(1, degree_bound + 1):
                 for c in (1, -1):
-                    maps = [Poly.variable(n, v) for v in range(1, n + 1)]
-                    maps[i - 1] = maps[i - 1] + Poly.variable(n, j) ** k * c
+                    maps = list(zs)
+                    maps[i - 1] = zs[i - 1] + shifts[j, k, c]
                     out.append((f"shear z{i} += {c}*z{j}^{k}", maps))
     return out
 
@@ -343,6 +388,9 @@ def multitype_search(r: Poly, degree_bound: int = 4,
     found over the coordinate catalog, flagged search-lower-bound.  The
     witness records the applied composed maps and the admissibility rows.
     """
+    if not 0 <= degree_bound <= MAX_DEGREE_BOUND:
+        raise PolyError(f"degree bound {degree_bound} is outside "
+                        f"0..{MAX_DEGREE_BOUND}")
     if r.n < 2:
         raise DimensionMismatch("multitype needs dimension >= 2")
     r0, _h = eliminate_harmonic(r)  # checks reality and the model shape

@@ -237,8 +237,9 @@ def circle_points(count: int) -> List[CRat]:
 
 def best_distinguished_oracle(evecs: Sequence[Tuple[int, ...]],
                               nvars: int) -> Optional[Tuple[Entry, ...]]:
-    """Reference for ``weights._best_distinguished``: the earlier search,
-    which never prunes and re-enumerates every witness path per node.
+    """Reference for ``weights._best_distinguished``: the earlier search in
+    ``Fraction`` arithmetic, which never prunes and rebuilds every
+    admissibility remainder at each node.
 
     Lex-max admissible nondecreasing (lambda_2..lambda_n) with every
     exponent vector weighted >= 1; None when infeasible."""
@@ -263,28 +264,22 @@ def best_distinguished_oracle(evecs: Sequence[Tuple[int, ...]],
 
     def candidates(prefix: Tuple[Entry, ...], hi: Fraction,
                    lo: Fraction) -> List[Fraction]:
-        lams = (Fraction(1),) + prefix
+        # the positive remainders 1 - sum a_j/lambda_j over every witness
+        # row through the prefix, rebuilt slot by slot at each node
+        remaining = {Fraction(1)}
+        for lam in (Fraction(1),) + prefix:
+            if lam == INF:
+                continue
+            remaining = {r - Fraction(a) / lam for r in remaining
+                         for a in range(math.floor(r * lam) + 1)
+                         if r - Fraction(a) / lam > 0}
         vals = set()
-
-        def rec(idx: int, remaining: Fraction, _acc):
-            if remaining <= 0:
-                return
-            if idx == len(lams):
-                a_lo = max(1, math.ceil(lo * remaining))
-                a_hi = math.floor(hi * remaining)
-                for a in range(a_lo, a_hi + 1):
-                    lamv = Fraction(a) / remaining
-                    if lo <= lamv <= hi:
-                        vals.add(lamv)
-                return
-            if lams[idx] == INF:
-                rec(idx + 1, remaining, None)
-                return
-            top = math.floor(remaining * lams[idx])
-            for a in range(0, top + 1):
-                rec(idx + 1, remaining - Fraction(a) / lams[idx], None)
-
-        rec(0, Fraction(1), None)
+        for r in remaining:
+            for a in range(max(1, math.ceil(lo * r)),
+                           math.floor(hi * r) + 1):
+                lamv = Fraction(a) / r
+                if lo <= lamv <= hi:
+                    vals.add(lamv)
         return sorted(vals, reverse=True)
 
     def rec(prefix: Tuple[Entry, ...]) -> Optional[Tuple[Entry, ...]]:

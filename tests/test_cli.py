@@ -200,6 +200,18 @@ def test_oversized_power_exits_2_fast(capsys):
         assert "term pairs, more than" in err
 
 
+def test_degree_bound_out_of_range_exits_2_fast(capsys):
+    for command in ("normalize", "multitype"):
+        for bound in ("-1", "65"):
+            start = time.perf_counter()
+            code, _out, err = run_cli(
+                capsys, command, "--expr", "-2*Re(z1) + |z2|^4 + |z3|^6",
+                "--n", "3", "--degree-bound", bound)
+            assert time.perf_counter() - start < 1.0
+            assert code == 2, (command, bound)
+            assert f"degree bound {bound} is outside 0..64" in err
+
+
 def test_enumerate(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "2", "--max-type", "4")
     assert code == 0

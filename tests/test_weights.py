@@ -1,11 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from catlin.exact import CRat
 from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError
-from catlin.weights import (INF, InverseWeight, Weight,
+from catlin.weights import (INF, MAX_DEGREE_BOUND, InverseWeight, Weight,
+                            _catalog_maps,
                             best_distinguished_weight, corroborate,
                             counting_bound, enumerate_multitypes,
                             is_admissible, is_distinguished, lower_weight_at,
@@ -175,6 +178,55 @@ def test_multitype_needs_dimension_two():
         multitype_search(parse_poly("-2*Re(z1)", 1))
 
 
+def test_multitype_degree_bound_range():
+    r = parse_poly("-2*Re(z1) + |z2|^4 + |z3|^6", 3)
+    assert MAX_DEGREE_BOUND == 64
+    for bound in (-1, MAX_DEGREE_BOUND + 1, 10 ** 6):
+        with pytest.raises(PolyError, match="degree bound"):
+            multitype_search(r, bound)
+    assert multitype_search(r, 0).value == InverseWeight((Fraction(1), 4, 6))
+
+
+def _explicit_catalog(n, degree_bound):
+    """The catalog written out as term tables: each non-identity permutation
+    of z_2..z_n in itertools order, then for each ordered pair i != j, each
+    k = 1..degree_bound and c = 1, -1 the shear z_i -> z_i + c*z_j^k."""
+    def table(*powers):  # (variable, exponent, coefficient) triples
+        return {(tuple(e if v == i else 0 for i in range(1, n + 1)),
+                 (0,) * n): CRat(c) for v, e, c in powers}
+
+    idx = tuple(range(2, n + 1))
+    out = []
+    for perm in itertools.permutations(idx):
+        if perm != idx:
+            out.append((f"perm{perm}", [table((1, 1, 1))] +
+                        [table((v, 1, 1)) for v in perm]))
+    for i, j in itertools.permutations(idx, 2):
+        for k in range(1, degree_bound + 1):
+            for c in (1, -1):
+                maps = [table((v, 1, 1)) for v in range(1, n + 1)]
+                maps[i - 1] = table((i, 1, 1), (j, k, c))
+                out.append((f"shear z{i} += {c}*z{j}^{k}", maps))
+    return out
+
+
+def test_catalog_names_order_and_maps():
+    # the search's "changes" witness names catalog entries in this order
+    assert [name for name, _ in _catalog_maps(3, 2)] == [
+        "perm(3, 2)",
+        "shear z2 += 1*z3^1", "shear z2 += -1*z3^1",
+        "shear z2 += 1*z3^2", "shear z2 += -1*z3^2",
+        "shear z3 += 1*z2^1", "shear z3 += -1*z2^1",
+        "shear z3 += 1*z2^2", "shear z3 += -1*z2^2"]
+    for n in (3, 4):
+        got = _catalog_maps(n, 4)
+        want = _explicit_catalog(n, 4)
+        assert [name for name, _ in got] == [name for name, _ in want]
+        for (name, maps), (_, tables) in zip(got, want):
+            assert [m.n for m in maps] == [n] * n, name
+            assert [m.terms for m in maps] == tables, name
+
+
 def test_best_distinguished_harmonic_sensitivity():
     # without harmonic elimination the pure term would cap lambda_2 at 2
     r = parse_poly("-2*Re(z1) + |z2|^4 + 2*Re(z2^2)", 2)
@@ -195,17 +247,22 @@ def _support_poly(n, evecs):
 
 def _above_cases(rng, n, lam):
     """Inverse weights around lam: lam itself (a tie), a step below and above
-    at each slot with a finite or INF tail, and random ones."""
+    at each finite slot and a finite entry at each INF slot, each with a
+    finite or INF tail, a tie through each slot followed by INF or by a
+    repeat of that slot, and random ones with INF tails."""
     out = []
     if lam is not None:
         out.append(lam.entries)
         for j in range(1, n):
-            for step in (Fraction(-1, 3), Fraction(1, 3)):
-                if lam.entries[j] == INF:
-                    continue
-                x = lam.entries[j] + step
-                for fill in (x, INF):
-                    out.append(lam.entries[:j] + (x,) + (fill,) * (n - j - 1))
+            tie = lam.entries[:j + 1]
+            out.append(tie + (INF,) * (n - j - 1))
+            out.append(tie + (tie[-1],) * (n - j - 1))
+            x = lam.entries[j]
+            near = (x - Fraction(1, 3), x + Fraction(1, 3)) if x != INF \
+                else (lam.entries[j - 1] + Fraction(1, 3),)
+            for y in near:
+                for fill in (y, INF):
+                    out.append(lam.entries[:j] + (y,) + (fill,) * (n - j - 1))
             out.append(lam.entries[:j] + (INF,) * (n - j))
     for _ in range(4):
         tail = sorted(Fraction(rng.randint(2, 24), rng.randint(1, 3))
@@ -224,9 +281,9 @@ def _above_cases(rng, n, lam):
 def test_best_distinguished_above_matches_unpruned_oracle():
     rng = random.Random(505)
     checked = {"above": 0, "none": 0, "infeasible": 0}
-    for _ in range(150):
-        n = rng.randint(2, 5)
-        evecs = {tuple(rng.randint(0, 6) for _ in range(n - 1))
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        evecs = {tuple(rng.randint(0, 10) for _ in range(n - 1))
                  for _ in range(rng.randint(1, 4))}
         if rng.random() < 0.1:
             evecs.add(tuple(0 for _ in range(n - 1)))  # weight 0: infeasible
