@@ -25,10 +25,12 @@ series; because the nonconstant part raises degrees, the series is exact up
 to the stored truncation degree, which exceeds every derivative order that
 can influence a value at the origin.
 
-Wherever only low degrees matter, products are formed degree-capped by
-``_capped_products``: term pairs whose degrees add up to more than the cap
-are skipped, never formed and dropped.  In the list search this is exact
-because a term of degree d needs d more derivations to reach the origin.
+Wherever only low degrees matter, products are formed degree-capped by the
+product kernel of ``poly``: term pairs whose degrees add up to more than the
+cap are never formed.  In the list search this is exact because a term of
+degree d needs d more derivations to reach the origin.  The slow fields are
+built capped at the truncation degree: the Neumann solve reads its matrix
+and right-hand side only to that degree.
 """
 
 from __future__ import annotations
@@ -36,13 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import CRat, CZERO, hermitian_reduce, inverse, rank, rat_str
 from .levi import complex_hessian
-from .poly import (CoordChange, ModelShapeError, Poly, PolyError, TermKey,
-                   split_model)
+from .poly import (CoordChange, ModelShapeError, Poly, PolyError,
+                   _capped_products, _unit, split_model)
 from .weights import INF, Entry, InverseWeight, Weight, entry_str, recip
 
 
@@ -68,27 +69,6 @@ class VField:
 
     def to_json(self) -> dict:
         return {"hol": [f.to_json_dict() for f in self.hol]}
-
-
-def _capped_products(n: int, pairs: Sequence[Tuple[Poly, Poly]],
-                     cap: Optional[int]) -> Poly:
-    """Sum of a * b over ``pairs`` without the terms of total degree above
-    ``cap`` (no cap when None): equal to ``_truncate(sum a * b, cap)``, but
-    term pairs whose degrees add up to more than the cap are never formed."""
-    out: Dict[TermKey, CRat] = {}
-    limit = math.inf if cap is None else cap
-    for a, b in pairs:
-        right = sorted(((sum(k[0]) + sum(k[1]), k, c)
-                        for k, c in b.terms.items()), key=itemgetter(0))
-        for (a1, b1), c1 in a.terms.items():
-            room = limit - sum(a1) - sum(b1)
-            for d2, (a2, b2), c2 in right:
-                if d2 > room:
-                    break
-                k = (tuple(x + y for x, y in zip(a1, a2)),
-                     tuple(x + y for x, y in zip(b1, b2)))
-                out[k] = out.get(k, CZERO) + c1 * c2
-    return Poly._unchecked(n, out)
 
 
 def _apply_field(coeffs: Sequence[Poly], f: Poly, cap: Optional[int] = None,
@@ -286,8 +266,7 @@ def _field_from_vector(r: Poly, c1: CRat, vec: Sequence[Poly]) -> VField:
 
 
 def _const_vec(n: int, direction: Sequence[CRat]) -> List[Poly]:
-    return [Poly.const(n, c) if not CRat.of(c).is_zero() else Poly.zero(n)
-            for c in direction]
+    return [Poly.const(n, c) for c in direction]
 
 
 def _neumann_solve(matrix: List[List[Poly]], rhs: List[Poly], n: int,
@@ -296,10 +275,8 @@ def _neumann_solve(matrix: List[List[Poly]], rhs: List[Poly], n: int,
 
     Requires M(0) invertible; the series terminates because the nonconstant
     part of M raises the minimum degree at each iteration."""
-    dim = len(matrix)
-    zero_key = ((0,) * n, (0,) * n)
-    m0 = [[matrix[i][j].terms.get(zero_key, CZERO) for j in range(dim)]
-          for i in range(dim)]
+    dim, zero = len(matrix), (0,) * n
+    m0 = [[entry.coeff(zero, zero) for entry in row] for row in matrix]
     m0inv = inverse(m0)
     if m0inv is None:
         return None
@@ -311,7 +288,7 @@ def _neumann_solve(matrix: List[List[Poly]], rhs: List[Poly], n: int,
                 for i in range(dim)]
 
     def apply_poly(mat: List[List[Poly]], vec: List[Poly]) -> List[Poly]:
-        return [_capped_products(n, list(zip(mat[i], vec)), cap)
+        return [_capped_products(n, zip(mat[i], vec), cap)
                 for i in range(dim)]
 
     x = apply_const(m0inv, rhs)
@@ -332,39 +309,27 @@ def _build_slow_field(r: Poly, c1: CRat, p_hess: List[List[Poly]],
     with the block fields and the earlier slow functions r_k."""
     n = r.n
     base = _const_vec(n, direction)
-    columns: List[List[Poly]] = []
-    for lf in levi:
-        columns.append([lf.hol[k - 1] for k in range(2, n + 1)])
-    for sl in prior:
-        columns.append(_const_vec(n, sl.direction))
-
-    def levi_row(vec: List[Poly], lf: VField) -> Poly:
-        out = Poly.zero(n)
-        for k in range(2, n + 1):
-            if vec[k - 2].is_zero():
-                continue
-            for l in range(2, n + 1):
-                conj_l = lf.hol[l - 1].conj()
-                if conj_l.is_zero():
-                    continue
-                out = out + p_hess[k - 2][l - 2] * vec[k - 2] * conj_l
-        return out
-
-    rows = [lambda v, lf=lf: levi_row(v, lf) for lf in levi]
-    rows += [lambda v, sl=sl: _apply_field([Poly.zero(n)] + v, sl.r_func)
+    columns = [list(lf.hol[1:]) for lf in levi]
+    columns += [_const_vec(n, sl.direction) for sl in prior]
+    # A row w sends v over z_2..z_n to sum_k v_k w_k: the Levi pairing with
+    # a block field, w_k = sum_l p_kl conj(a_l), or dr_k, w_k = d r_k/dz_k.
+    # Its values are capped, as _neumann_solve reads nothing above the cap.
+    rows = [[_capped_products(n, zip(hess_row, conj), cap)
+             for hess_row in p_hess]
+            for conj in ([a.conj() for a in lf.hol[1:]] for lf in levi)]
+    rows += [[sl.r_func.wirtinger(k) for k in range(2, n + 1)]
              for sl in prior]
     if not rows:
         return _field_from_vector(r, c1, base)
-    matrix = [[row(col) for col in columns] for row in rows]
-    rhs = [-row(base) for row in rows]
+    matrix = [[_capped_products(n, zip(col, w), cap) for col in columns]
+              for w in rows]
+    rhs = [-_capped_products(n, zip(base, w), cap) for w in rows]
     sol = _neumann_solve(matrix, rhs, n, cap)
     if sol is None:
         return None
-    vec = list(base)
-    for coefficient, col in zip(sol, columns):
-        for k in range(n - 1):
-            vec[k] = vec[k] + _capped_products(n, [(coefficient, col[k])],
-                                               cap)
+    vec = [b + _capped_products(n, [(x, col[k])
+                                    for x, col in zip(sol, columns)], cap)
+           for k, b in enumerate(base)]
     return _field_from_vector(r, c1, vec)
 
 
@@ -422,6 +387,9 @@ def _system_slots(r: Poly, list_bound: Optional[int]
     far, a prefix that is never padded; the last yield is the complete
     system.  A caller that stops early holds a partial system, which stays
     inside this module."""
+    if list_bound is not None and list_bound < 2:
+        raise PolyError(f"list bound {list_bound} is below 2: a list has at "
+                        "least two fields")
     c1, p = split_model(r)
     n = r.n
     if n < 2:
@@ -494,7 +462,7 @@ def _system_slots(r: Poly, list_bound: Optional[int]
                 f"slot {slot}: minimal list of length {len(entries)} cannot "
                 "carry a boundary-system function")
         g = list_derivative(r, {**fields_by_slot, slot: fld}, entries[1:])
-        r_func, scale = _normalize_r(g, direction, n)
+        r_func, scale = _normalize_r(g, direction)
         # the fields are exact up to degree cap, and each field of the list
         # costs r_j one degree of exactness
         exact = cap - len(entries) + 3
@@ -518,8 +486,7 @@ def _in_span(direction: Sequence[CRat], used: List[Tuple[CRat, ...]]) -> bool:
     return rank(list(used) + [direction]) == rank(used)
 
 
-def _normalize_r(g: Poly, direction: Sequence[CRat], n: int
-                 ) -> Tuple[Poly, CRat]:
+def _normalize_r(g: Poly, direction: Sequence[CRat]) -> Tuple[Poly, CRat]:
     """Canonical real function from the list derivative: scale so the linear
     part along the slot direction is exactly Re z_dir; prefer Re over Im.
     Also returns the scale (the linear coefficient that was divided out)."""
@@ -527,10 +494,7 @@ def _normalize_r(g: Poly, direction: Sequence[CRat], n: int
                   None)
     if dirvar is None:
         raise BoundaryConstructionError("slow slot without a direction")
-    e = tuple(1 if i == dirvar - 1 else 0 for i in range(n))
-    zero = (0,) * n
-    c_plus = g.terms.get((e, zero), CZERO)
-    c_minus = g.terms.get((zero, e), CZERO)
+    c_plus, c_minus = _linear_coeffs(g, dirvar)
     a_re = c_plus + c_minus.conj()
     if not a_re.is_zero():
         scaled = g * (CRat(1) / a_re)
@@ -544,6 +508,12 @@ def _normalize_r(g: Poly, direction: Sequence[CRat], n: int
     if not re_part.is_zero():
         return re_part, CZERO
     return (g - g.conj()) * CRat(0, Fraction(-1, 2)), CZERO
+
+
+def _linear_coeffs(g: Poly, var: int) -> Tuple[CRat, CRat]:
+    """The coefficients (c_+, c_-) of z_var and zbar_var in g."""
+    e, zero = _unit(g.n, var), (0,) * g.n
+    return g.coeff(e, zero), g.coeff(zero, e)
 
 
 # ----------------------------------------------------------------------
@@ -651,12 +621,9 @@ def _straighten_first_block(bs: BoundarySystem, r0: Poly,
         beta[dirvar - 1] = k
         norm = Fraction(1, math.factorial(k - 1) * math.factorial(k))
         g = r_cur.deriv_multi(alpha, beta) * norm
-        e = tuple(1 if i == dirvar - 1 else 0 for i in range(n))
-        zero = (0,) * n
-        c_plus = g.terms.get((e, zero), CZERO)
-        c_minus = g.terms.get((zero, e), CZERO)
-        tail = g - Poly.monomial(n, e, zero, c_plus) \
-                 - Poly.monomial(n, zero, e, c_minus)
+        c_plus, c_minus = _linear_coeffs(g, dirvar)
+        e, zero = _unit(n, dirvar), (0,) * n
+        tail = g - Poly(n, {(e, zero): c_plus, (zero, e): c_minus})
         if tail.degree_in(dirvar) > 0:
             raise BoundaryConstructionError(
                 f"slot {j}: derivative tail depends on z_{dirvar}; the input "
@@ -727,10 +694,8 @@ def detect_torsion(bs: BoundarySystem, r0: Poly) -> TorsionReport:
                                            "block")
     j = beyond[0]
     sl = bs.slow[j]
-    zero = (0,) * bs.n
     c1 = sl.scale
-    mixed = Poly(bs.n, {key: c for key, c in sl.r_func.terms.items()
-                        if key[0] != zero and key[1] != zero})
+    mixed = sl.r_func - sl.r_func.pure_part()
     if mixed.is_zero():
         return TorsionReport(True, slot=j, torsion=False, linear_coeff=c1,
                              obstruction=Poly.zero(bs.n),

@@ -271,13 +271,11 @@ def hermitian_form(h: Sequence[Sequence[CRat]], u: Sequence[CRat],
     """sum_{k,l} h[k][l] u_k conj(v_l) for a square CRat matrix h."""
     if len(u) != len(h) or len(v) != len(h):
         raise ValueError("vector length != matrix size")
-    v_bar = [x.conj() for x in v]
+    v_bar = [(l, x.conj()) for l, x in enumerate(v) if not x.is_zero()]
     total = CZERO
     for row, uk in zip(h, u):
-        if uk.is_zero():
-            continue
-        for hkl, vl in zip(row, v_bar):
-            total = total + hkl * uk * vl
+        if not uk.is_zero():  # the row against conj(v), then times u_k once
+            total = total + uk * sum((row[l] * vl for l, vl in v_bar), CZERO)
     return total
 
 
@@ -300,8 +298,9 @@ def hermitian_reduce(h: Sequence[Sequence[CRat]]
                     coef = hermitian_form(h, v, q) / CRat(d)
                     for k in range(dim):
                         v[k] = v[k] - coef * q[k]
-        pick = next((v for v in remaining
-                     if not hermitian_form(h, v, v).is_zero()), None)
+        values = ((v, hermitian_form(h, v, v)) for v in remaining)
+        pick, val = next(((v, d) for v, d in values if not d.is_zero()),
+                         (None, None))
         if pick is None:
             hyper = None
             for v, w in itertools.combinations(remaining, 2):
@@ -317,7 +316,6 @@ def hermitian_reduce(h: Sequence[Sequence[CRat]]
                 cand = [v[k] + CI * w[k] for k in range(dim)]
             remaining[remaining.index(v)] = cand
             continue
-        val = hermitian_form(h, pick, pick)
         if not val.is_real():
             raise ValueError("Hermitian form value not real")
         done.append((pick, val.re))

@@ -563,6 +563,10 @@ def _random_crat(rng: random.Random) -> CRat:
 def psd_verdict(p: Poly, samples: int = 200, seed: int = 0,
                 lattice_den: int = 4) -> PositivityVerdict:
     """Three-tier exact positivity verdict for the Hessian form of p."""
+    if samples < 0:
+        raise PolyError(f"sample count {samples} is negative")
+    if lattice_den < 1:
+        raise PolyError(f"lattice denominator {lattice_den} is below 1")
     _check_tangential(p)
     cert = _squares_certificate(p)
     if cert is not None:

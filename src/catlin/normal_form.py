@@ -55,6 +55,8 @@ class _Contradiction(Exception):
 # the given coordinates; enough to hit a nonvanishing direction for any
 # nonzero polynomial (grown with the degree by _directions).
 _BASE_DIRECTIONS = [0, 1, -1, 2, -2, 3, -3]
+# Weight descents that one normalization may take before it gives up.
+MAX_DESCENTS = 64
 
 
 def _directions(degree: int) -> List[CRat]:
@@ -288,8 +290,7 @@ def _extract_row(pm: Poly, m: int, assert_psc: bool
     return row, c.re, warnings
 
 
-def normalize(r: Poly, mu: Weight, assert_psc: bool = False,
-              max_descents: int = 64) -> NormalForm:
+def normalize(r: Poly, mu: Weight, assert_psc: bool = False) -> NormalForm:
     """Full pipeline: harmonic elimination, truncation to the weight-1 model,
     then the extraction steps with lexicographic weight descent on
     degeneracy."""
@@ -311,7 +312,7 @@ def normalize(r: Poly, mu: Weight, assert_psc: bool = False,
     mu_init = mu
     descent: List[str] = []
     warnings: List[str] = []
-    for _ in range(max_descents):
+    for _ in range(MAX_DESCENTS):
         trace = _shift_change(n, harmonic_maps, mu) if not _h.is_zero() \
             else CoordChange.identity(n, mu.entries)
         graded = r_work.grade(mu.entries)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .exact import CRat, CZERO, Rat, rank, rat_from_str, rat_str
@@ -453,16 +453,45 @@ class Poly:
         return format_poly(self)
 
 
-def _mul_terms(t1: Dict[TermKey, CRat], t2: Dict[TermKey, CRat]
+def _mul_terms(t1: Dict[TermKey, CRat], t2: Dict[TermKey, CRat],
+               cap: Optional[int] = None,
+               out: Optional[Dict[TermKey, CRat]] = None
                ) -> Dict[TermKey, CRat]:
-    """Term table of the product of two term tables; it may hold zeros."""
-    out: Dict[TermKey, CRat] = {}
+    """Term table of t1 * t2, which may hold zeros: the one product loop.
+
+    ``cap`` leaves out the terms above that total degree; t2 is walked by
+    ascending degree, so a term pair above the cap is never formed.  The
+    product is added into ``out`` when given, and that table is returned."""
+    if out is None:
+        out = {}
+    if cap is None:
+        for (a1, b1), c1 in t1.items():
+            for (a2, b2), c2 in t2.items():
+                k = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)))
+                s = out.get(k)
+                out[k] = c1 * c2 if s is None else s + c1 * c2
+        return out
+    right = sorted(((sum(a2) + sum(b2), a2, b2, c2)
+                    for (a2, b2), c2 in t2.items()), key=itemgetter(0))
     for (a1, b1), c1 in t1.items():
-        for (a2, b2), c2 in t2.items():
+        room = cap - sum(a1) - sum(b1)
+        for d2, a2, b2, c2 in right:
+            if d2 > room:
+                break
             k = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)))
             s = out.get(k)
             out[k] = c1 * c2 if s is None else s + c1 * c2
     return out
+
+
+def _capped_products(n: int, pairs: Iterable[Tuple[Poly, Poly]],
+                     cap: Optional[int]) -> Poly:
+    """Sum of a * b over ``pairs`` without the terms of total degree above
+    ``cap`` (no cap when None), formed in one table by ``_mul_terms``."""
+    out: Dict[TermKey, CRat] = {}
+    for a, b in pairs:
+        _mul_terms(a.terms, b.terms, cap, out)
+    return Poly._unchecked(n, out)
 
 
 def _json_get(d, key: str):

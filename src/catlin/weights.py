@@ -39,7 +39,7 @@ import math
 from operator import add
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import rat_str
 from .poly import DimensionMismatch, Poly, PolyError, eliminate_harmonic
@@ -50,6 +50,8 @@ Entry = Union[Fraction, float]  # float only ever +inf
 # The shear catalog grows linearly with the degree bound; past this, a search
 # runs for seconds to minutes instead of failing fast.
 MAX_DEGREE_BOUND = 64
+# Rounds of the multitype hill-climb; each improving round applies one change.
+MAX_ROUNDS = 40
 
 STATUS_EXACT = "exact-commutator"
 STATUS_LOWER_BOUND = "search-lower-bound"
@@ -225,17 +227,17 @@ def is_distinguished(r: Poly, lam: InverseWeight) -> bool:
     return True
 
 
-def _evecs(p: Poly) -> Tuple[Tuple[int, ...], ...]:
-    """Exponent vectors alpha+beta of p's terms over variables 2..n, sorted:
-    the support, on which alone p's distinguished weights depend."""
-    return tuple(sorted({tuple(map(add, a[1:], b[1:])) for (a, b) in p.terms}))
+def _evecs(p: Poly) -> frozenset:
+    """Exponent vectors alpha+beta of p's terms over variables 2..n: the
+    support, on which alone p's distinguished weights depend."""
+    return frozenset(tuple(map(add, a[1:], b[1:])) for (a, b) in p.terms)
 
 
 # sort key: (num, den) pairs with den > 0 by value, exactly
 _BY_VALUE = functools.cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
 
 
-def _best_distinguished(evecs: Sequence[Tuple[int, ...]], nvars: int,
+def _best_distinguished(evecs: Iterable[Tuple[int, ...]], nvars: int,
                         above: Optional[Tuple[Entry, ...]] = None
                         ) -> Optional[Tuple[Entry, ...]]:
     """Lex-max admissible nondecreasing (lambda_2..lambda_n) with every
@@ -380,8 +382,7 @@ def _catalog_maps(n: int, degree_bound: int) -> List[Tuple[str, List[Poly]]]:
     return out
 
 
-def multitype_search(r: Poly, degree_bound: int = 4,
-                     max_rounds: int = 40) -> Multitype:
+def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
     """Bounded search for the multitype of the model r = c*Re(z1) + p.
 
     Returns the lexicographic supremum of admissible distinguished weights
@@ -404,7 +405,7 @@ def multitype_search(r: Poly, degree_bound: int = 4,
     # incumbent only rises: such a support can never win a later round.
     settled = {_evecs(p)}
     applied: List[str] = []
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         improved = False
         for name, maps in catalog:
             q = p.substitute_maps(maps)

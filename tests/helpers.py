@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from catlin.boundary import VField
+from catlin.boundary import (VField, _field_from_vector, _neumann_solve,
+                             _truncate)
 from catlin.exact import CZERO, CRat, rat_str
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          PositivityVerdict, _check_tangential, _random_crat,
@@ -512,3 +513,43 @@ def commutator_oracle(r: Poly, fields: Dict[int, VField],
     dbar_r = sum((anti[k - 1] * r.wirtinger(k, conjugate=True)
                   for k in range(1, n + 1)), Poly.zero(n))
     return dr, dbar_r
+
+
+def slow_field_oracle(r: Poly, c1: CRat, p_hess: List[List[Poly]],
+                      direction: Sequence[CRat], levi: List[VField],
+                      prior: list, cap: int) -> Optional[VField]:
+    """Reference for ``boundary._build_slow_field``: the earlier build, whose
+    Levi rows and r_k rows are formed in full, with plain ``Poly`` products
+    and no degree cap; only the correction of the field is truncated at
+    ``cap``."""
+    n = r.n
+    base = [Poly.const(n, c) for c in direction]
+    columns = [[lf.hol[k - 1] for k in range(2, n + 1)] for lf in levi]
+    columns += [[Poly.const(n, c) for c in sl.direction] for sl in prior]
+
+    def levi_row(vec: List[Poly], lf: VField) -> Poly:
+        out = Poly.zero(n)
+        for k in range(2, n + 1):
+            for l in range(2, n + 1):
+                out = out + p_hess[k - 2][l - 2] * vec[k - 2] \
+                    * lf.hol[l - 1].conj()
+        return out
+
+    def slow_row(vec: List[Poly], r_k: Poly) -> Poly:
+        return sum((vec[k - 2] * r_k.wirtinger(k) for k in range(2, n + 1)),
+                   Poly.zero(n))
+
+    rows = [lambda v, lf=lf: levi_row(v, lf) for lf in levi]
+    rows += [lambda v, sl=sl: slow_row(v, sl.r_func) for sl in prior]
+    if not rows:
+        return _field_from_vector(r, c1, base)
+    matrix = [[row(col) for col in columns] for row in rows]
+    rhs = [-row(base) for row in rows]
+    sol = _neumann_solve(matrix, rhs, n, cap)
+    if sol is None:
+        return None
+    vec = list(base)
+    for coefficient, col in zip(sol, columns):
+        for k in range(n - 1):
+            vec[k] = vec[k] + _truncate(coefficient * col[k], cap)
+    return _field_from_vector(r, c1, vec)

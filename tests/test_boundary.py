@@ -10,16 +10,15 @@ from catlin.boundary import (BoundaryConstructionError,
                              audit_boundary_system, build_boundary_system,
                              detect_torsion, first_block_slots,
                              first_block_torsion, list_derivative,
-                             normalize_first_block, _capped_products,
-                             _compositions, _field_from_vector,
-                             _ListSearcher, _truncate)
+                             normalize_first_block, _compositions,
+                             _field_from_vector, _ListSearcher, _truncate)
 from catlin.cli import main
 from catlin.exact import CRat
 from catlin.parser import parse_poly
-from catlin.poly import Poly, PolyError, split_model
+from catlin.poly import Poly, PolyError, _mul_terms, split_model
 from catlin.weights import INF, InverseWeight, multitype_search
 
-from helpers import commutator_oracle, rand_crat
+from helpers import commutator_oracle, rand_crat, slow_field_oracle
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
@@ -126,17 +125,82 @@ def _rand_poly(rng, n, terms, max_exp):
 
 def test_capped_products_equal_truncated_products():
     rng = random.Random(20240603)
+    start_rng = random.Random(20240604)
     for _ in range(60):
         n = rng.randint(1, 3)
         pairs = [(_rand_poly(rng, n, rng.randint(0, 5), 2),
                   _rand_poly(rng, n, rng.randint(0, 5), 2))
                  for _ in range(rng.randint(1, 3))]
         full = sum((a * b for a, b in pairs), Poly.zero(n))
-        assert _capped_products(n, pairs, None) == full
-        for cap in range(-1, 8 * n + 1):  # products have degree <= 8n
-            assert _capped_products(n, pairs, cap) == _truncate(full, cap)
-            a, b = pairs[0]
-            assert _capped_products(n, [(a, b)], cap) == _truncate(a * b, cap)
+        # the kernel adds into a table that already holds terms of every
+        # degree, and keeps those above the cap
+        start = _rand_poly(start_rng, n, start_rng.randint(1, 5), 4)
+        a, b = pairs[0]
+        for cap in [None] + list(range(-1, 8 * n + 1)):
+            # products have degree <= 8n
+            out = dict(start.terms)
+            for x, y in pairs:
+                assert _mul_terms(x.terms, y.terms, cap, out) is out
+            if cap is None:
+                assert Poly(n, out) == start + full
+                assert Poly(n, _mul_terms(a.terms, b.terms)) == a * b
+            else:
+                assert Poly(n, out) == start + _truncate(full, cap)
+                assert Poly(n, _mul_terms(a.terms, b.terms, cap)) == \
+                    _truncate(a * b, cap)
+
+
+def _finite_type_model(rng, n):
+    """-2 Re z1 plus |z_j|^2k for every tangential j, a few random modulus
+    terms and at times a small Hermitian pair."""
+    p = parse_poly("-2*Re(z1)", n)
+    for j in range(1, n):
+        alpha = [0] * n
+        alpha[j] = rng.randint(1, 3)
+        p = p + Poly.modulus_power(n, alpha, Fraction(rng.randint(1, 2)))
+    for _ in range(rng.randint(0, 2)):
+        alpha = (0,) + tuple(rng.randint(0, 2) for _ in range(n - 1))
+        p = p + Poly.modulus_power(n, alpha, Fraction(rng.randint(1, 2)))
+    if rng.random() < 0.5:
+        a = (0,) + tuple(rng.randint(0, 2) for _ in range(n - 1))
+        b = (0,) + tuple(rng.randint(0, 2) for _ in range(n - 1))
+        if a != b and sum(a) and sum(b):
+            c = rand_crat(rng) * Fraction(1, 8)
+            p = p + Poly.monomial(n, a, b, c) + Poly.monomial(n, b, a,
+                                                             c.conj())
+    return p
+
+
+def test_slow_fields_equal_uncapped_oracle(monkeypatch):
+    # every slow field a build forms, emitted or not, equals the one built
+    # from Levi rows and r_k rows formed in full
+    rows = collections.Counter()
+    built = []
+    orig = boundary._build_slow_field
+
+    def checked(r, c1, p_hess, direction, levi, prior, cap):
+        fld = orig(r, c1, p_hess, direction, levi, prior, cap)
+        assert fld == slow_field_oracle(r, c1, p_hess, direction, levi,
+                                        prior, cap)
+        rows["levi"] += bool(levi)
+        rows["prior"] += bool(prior)
+        built.append(fld)
+        return fld
+
+    monkeypatch.setattr(boundary, "_build_slow_field", checked)
+    models = [(TORSION_EXPR, 4), (torsion_lift(2), 4),
+              ("-2*Re(z1) + |z2|^4 + |z3|^8", 3),
+              ("Re(z1) + (Re(z2) + |z3|^2)^2", 3)]
+    models = [parse_poly(e, n) for e, n in models]
+    rng = random.Random(20261018)
+    models += [_finite_type_model(rng, rng.randint(3, 4)) for _ in range(30)]
+    for r in models:
+        try:
+            bs = build_boundary_system(r)
+        except BoundaryConstructionError:
+            continue
+        assert all(sl.fld in built for sl in bs.slow.values())
+    assert rows["levi"] > 20 and rows["prior"] > 20, rows
 
 
 def _flag_patterns(skeleton):

@@ -212,6 +212,33 @@ def test_degree_bound_out_of_range_exits_2_fast(capsys):
             assert f"degree bound {bound} is outside 0..64" in err
 
 
+def test_list_bound_below_two_exits_2(capsys):
+    for command, expr in (
+            ("boundary-system", "-2*Re(z1) + |z2|^4 + |z3|^4"),
+            ("boundary-system", "-2*Re(z1) + |z2|^2 + |z3|^4"),
+            ("torsion", "-2*Re(z1) + |z2|^2 + |z3|^4")):
+        for bound in ("1", "-5"):
+            code, out, err = run_cli(capsys, command, "--expr", expr,
+                                     "--n", "3", "--list-bound", bound)
+            assert (code, out) == (2, ""), (command, bound)
+            assert f"list bound {bound} is below 2" in err
+
+
+def test_negative_samples_exit_2(capsys):
+    code, out, err = run_cli(capsys, "psd", "--expr", "|z2|^4 + |z3|^4",
+                             "--n", "3", "--samples", "-3")
+    assert (code, out) == (2, "")
+    assert "sample count -3 is negative" in err
+
+
+def test_lattice_denominator_below_one_exits_2(capsys):
+    for den in ("0", "-7"):
+        code, out, err = run_cli(capsys, "psd", "--expr", "|z2|^4 + |z3|^4",
+                                 "--n", "3", "--cs-lattice-denominator", den)
+        assert (code, out) == (2, ""), den
+        assert f"lattice denominator {den} is below 1" in err
+
+
 def test_enumerate(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "2", "--max-type", "4")
     assert code == 0

@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from catlin.boundary import _capped_products
 from catlin.exact import CRat
 from catlin import parser
 from catlin.parser import ParseError, parse_poly
 from catlin.poly import (CoordChange, NonRealError, Poly, PolyError,
-                         eliminate_harmonic, require_real,
+                         _capped_products, eliminate_harmonic, require_real,
                          revlex_max_balanced, split_model, weighted_order)
 
 from helpers import (leading_model, rand_crat, rand_holomorphic,
