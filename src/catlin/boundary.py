@@ -573,14 +573,14 @@ def normalize_first_block(bs: BoundarySystem, r0: Poly) -> BoundarySystem:
 def first_block_torsion(r0: Poly, list_bound: Optional[int] = None
                         ) -> TorsionReport:
     """The report of ``detect_torsion(normalize_first_block(
-    build_boundary_system(r0, list_bound), r0), r0)``, from systems built
+    build_boundary_system(r0, list_bound), r0))``, from systems built
     only through the slot the report reads: the first slot past the first
     block, before and after the change that straightens the block."""
     slots = _system_slots(r0, list_bound)
     bs = _through_torsion_slot(slots)
     r_cur, _trace = _straighten_first_block(bs, r0, slots)
     return detect_torsion(
-        _through_torsion_slot(_system_slots(r_cur, bs.list_bound)), r0)
+        _through_torsion_slot(_system_slots(r_cur, bs.list_bound)))
 
 
 def _straighten_first_block(bs: BoundarySystem, r0: Poly,
@@ -681,7 +681,7 @@ class TorsionReport:
         }
 
 
-def detect_torsion(bs: BoundarySystem, r0: Poly) -> TorsionReport:
+def detect_torsion(bs: BoundarySystem) -> TorsionReport:
     """Obstruction to straightening the boundary-system function after the
     first block: any non-pluriharmonic content of r_j beyond its linear term."""
     block = first_block_slots(bs)

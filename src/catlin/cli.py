@@ -38,23 +38,22 @@ class CliError(Exception):
 
 
 def _load_poly(args) -> Poly:
-    if getattr(args, "expr", None) and getattr(args, "input", None):
+    if args.expr and args.input:
         raise CliError("give either an input file or --expr, not both")
-    if getattr(args, "expr", None):
-        if not getattr(args, "n", None):
+    if args.expr:
+        if not args.n:
             raise CliError("--expr requires --n")
         return parse_poly(args.expr, args.n)
-    if not getattr(args, "input", None):
+    if not args.input:
         raise CliError("no input given; use a file argument or --expr/--n")
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return Poly.from_json_dict(json.loads(text))
-    n = getattr(args, "n", None)
-    if not n:
+    if not args.n:
         raise CliError("text input files require --n")
-    return parse_poly(text.strip(), n)
+    return parse_poly(text.strip(), args.n)
 
 
 def _parse_weight(spec: str, n: int) -> Weight:
@@ -114,8 +113,7 @@ def cmd_psd(args) -> int:
     # a function of z_2..z_n is judged as given; with z1, only a model
     # c * Re z1 + p is accepted, and the verdict is about p
     tangential = split_model(p)[1] if p.degree_in(1) > 0 else p
-    verdict = psd_verdict(tangential, samples=args.samples, seed=args.seed,
-                          lattice_den=args.cs_lattice_denominator)
+    verdict = psd_verdict(tangential, samples=args.samples, seed=args.seed)
     human = f"{verdict.kind}"
     if verdict.kind == KIND_CERTIFIED:
         human += f" (tier {verdict.tier})"
@@ -143,7 +141,7 @@ def cmd_normalize(args) -> int:
     if args.assert_psc:
         # the extraction steps check only the rows they extract; the Levi
         # form of the whole weight-1 model can still be indefinite
-        verdict = psd_verdict(nf.model)
+        verdict = psd_verdict(nf.model, seed=args.seed)
         if verdict.kind == KIND_REFUTED:
             print("pseudoconvexity contradiction: the weight-1 model in the "
                   "normalized coordinates is not plurisubharmonic; witness "
@@ -324,11 +322,10 @@ def cmd_examples(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_io(sub, needs_n=True):
+def _add_io(sub):
     sub.add_argument("input", nargs="?", help="input file (expression or JSON)")
     sub.add_argument("--expr", help="inline expression")
-    if needs_n:
-        sub.add_argument("--n", type=int, help="ambient dimension")
+    sub.add_argument("--n", type=int, help="ambient dimension")
     sub.add_argument("--json", action="store_true", help="JSON output")
 
 
@@ -355,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("psd", help="positivity verdict for the Levi form")
     _add_io(s)
     s.add_argument("--samples", type=int, default=200)
-    s.add_argument("--cs-lattice-denominator", type=int, default=4)
     s.add_argument("--require-certificate", action="store_true")
     s.set_defaults(fn=cmd_psd)
 
@@ -388,10 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_enumerate)
 
     s = sp.add_parser("examples", help="run the bundled worked examples")
-    s.add_argument("--only", help="run a single named example")
+    s.add_argument("--only", choices=list(EXAMPLES),
+                   help="run a single named example")
     s.add_argument("--n", type=int, default=None)
     s.add_argument("--m", type=int, default=None)
-    s.add_argument("--json", action="store_true")
     s.set_defaults(fn=cmd_examples)
     return ap
 

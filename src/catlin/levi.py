@@ -160,12 +160,9 @@ def _coeff_bound(c: CRat) -> Fraction:
     return abs(c.re) + abs(c.im)
 
 
-def _fraction_lattice(den: int) -> List[Fraction]:
-    vals = {Fraction(0), Fraction(1)}
-    for d in range(2, den + 1):
-        for k in range(1, d):
-            vals.add(Fraction(k, d))
-    return sorted(vals)
+# Splitting fractions tier 2 tries when the equal split overdraws the
+# budget: every k/d in [0, 1] with d <= 4, in increasing order.
+_LATTICE = sorted({Fraction(k, d) for d in range(1, 5) for k in range(d + 1)})
 
 
 # ----------------------------------------------------------------------
@@ -227,9 +224,11 @@ def _find_splittings(sigma: Gamma, budget: Dict[Gamma, Fraction]
     return pairs
 
 
-def _choose_fractions(mixed_pairs, budget, lattice_den, strict):
-    """Assign splitting fractions (default: equal) so that per-slot consumption
-    stays below (or at most equal to, when not strict) the budget.
+def _choose_fractions(mixed_pairs, budget, strict):
+    """Assign splitting fractions (default: equal; otherwise, pair by pair,
+    the first ``_LATTICE`` combination summing to 1 that fits) so that
+    per-slot consumption stays below (or at most equal to, when not strict)
+    the budget.
 
     mixed_pairs: list of (u_bound, [pair...]) in canonical order.  Returns the
     list of fraction lists and the consumption per balanced exponent (every
@@ -251,11 +250,10 @@ def _choose_fractions(mixed_pairs, budget, lattice_den, strict):
     cons = feasible(equal)
     if cons is not None:
         return equal, cons
-    lattice = _fraction_lattice(lattice_den)
     chosen: List[List[Fraction]] = []
     for i, (_u, pairs) in enumerate(mixed_pairs):
         best = None
-        for combo in itertools.product(lattice, repeat=len(pairs)):
+        for combo in itertools.product(_LATTICE, repeat=len(pairs)):
             if sum(combo) != 1:
                 continue
             trial = chosen + [list(combo)] + equal[i + 1:]
@@ -269,7 +267,7 @@ def _choose_fractions(mixed_pairs, budget, lattice_den, strict):
     return None if cons is None else (chosen, cons)
 
 
-def _absorption(p: Poly, lattice_den: int, strict: bool):
+def _absorption(p: Poly, strict: bool):
     """Cauchy-Schwarz absorption of every mixed pair of p into its balanced
     budget along the splittings gamma' + gamma'' = alpha + beta.
 
@@ -288,7 +286,7 @@ def _absorption(p: Poly, lattice_den: int, strict: bool):
         if not pairs:
             return None
         per_mixed.append((_coeff_bound(c), pairs))
-    chosen = _choose_fractions(per_mixed, budget, lattice_den, strict)
+    chosen = _choose_fractions(per_mixed, budget, strict)
     if chosen is None:
         return None
     fractions, cons = chosen
@@ -303,13 +301,12 @@ def _absorption(p: Poly, lattice_den: int, strict: bool):
     return budget, mixed, cons
 
 
-def _psh_certificate(p: Poly, lattice_den: int,
-                     memo: Dict[frozenset, Optional[dict]],
+def _psh_certificate(p: Poly, memo: Dict[frozenset, Optional[dict]],
                      killed: frozenset) -> Optional[dict]:
     if killed in memo:
         return memo[killed]
     memo[killed] = None  # cycle guard; overwritten below
-    absorbed = _absorption(p, lattice_den, strict=True)
+    absorbed = _absorption(p, strict=True)
     if absorbed is None:
         return None
     budget, mixed, cons = absorbed
@@ -338,12 +335,11 @@ def _psh_certificate(p: Poly, lattice_den: int,
     hyper = []
     for j in active:
         rest = _kill_var(p, j)
-        sub = _psh_certificate(rest, lattice_den, memo,
-                               killed | frozenset([j]))
+        sub = _psh_certificate(rest, memo, killed | frozenset([j]))
         if sub is None:
             return None
         entry = _diag_entry(p, j)
-        entry_cert = _nonneg_certificate(entry, lattice_den)
+        entry_cert = _nonneg_certificate(entry)
         if entry_cert is None:
             return None
         hyper.append({"var": j, "restriction": sub, "entry": entry_cert})
@@ -381,10 +377,10 @@ def _diag_entry(p: Poly, j: int) -> Poly:
     return Poly(p.n, out)
 
 
-def _nonneg_certificate(q: Poly, lattice_den: int) -> Optional[dict]:
+def _nonneg_certificate(q: Poly) -> Optional[dict]:
     """Pointwise nonnegativity by Cauchy-Schwarz absorption (budget may be
     consumed fully: the bound is an inequality, not a strict domination)."""
-    absorbed = _absorption(q, lattice_den, strict=False)
+    absorbed = _absorption(q, strict=False)
     if absorbed is None:
         return None
     budget, mixed, _cons = absorbed
@@ -394,13 +390,13 @@ def _nonneg_certificate(q: Poly, lattice_den: int) -> Optional[dict]:
             "mixed": [entry for _a, _b, _used, entry in mixed]}
 
 
-def cauchy_schwarz_pairing(p: Poly, lattice_den: int = 4) -> dict:
+def cauchy_schwarz_pairing(p: Poly) -> dict:
     """Cauchy-Schwarz plurisubharmonicity certificate for p(z_2..z_n).
 
     Returns {"certified": True, "certificate": ...} on success, otherwise
     {"certified": False, "reason": ...}; failure is a value, not an error."""
     _check_tangential(p)
-    cert = _psh_certificate(p, lattice_den, {}, frozenset())
+    cert = _psh_certificate(p, {}, frozenset())
     if cert is None:
         return {"certified": False,
                 "reason": "no full splitting of the mixed terms against the "
@@ -560,18 +556,16 @@ def _random_crat(rng: random.Random) -> CRat:
                 Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
 
 
-def psd_verdict(p: Poly, samples: int = 200, seed: int = 0,
-                lattice_den: int = 4) -> PositivityVerdict:
+def psd_verdict(p: Poly, samples: int = 200, seed: int = 0
+                ) -> PositivityVerdict:
     """Three-tier exact positivity verdict for the Hessian form of p."""
     if samples < 0:
         raise PolyError(f"sample count {samples} is negative")
-    if lattice_den < 1:
-        raise PolyError(f"lattice denominator {lattice_den} is below 1")
     _check_tangential(p)
     cert = _squares_certificate(p)
     if cert is not None:
         return PositivityVerdict(KIND_CERTIFIED, tier=1, certificate=cert)
-    pairing = cauchy_schwarz_pairing(p, lattice_den)
+    pairing = cauchy_schwarz_pairing(p)
     if pairing["certified"]:
         return PositivityVerdict(KIND_CERTIFIED, tier=2,
                                  certificate=pairing["certificate"])
@@ -661,7 +655,7 @@ class CoeffBoundReport:
                 "all_satisfied": self.all_satisfied()}
 
 
-def one_var_coeff_check(P: Poly, assume_nonneg: bool = False) -> CoeffBoundReport:
+def one_var_coeff_check(P: Poly) -> CoeffBoundReport:
     """Coefficient bounds for a homogeneous one-variable P = sum C_k z^{m+k} zbar^{m-k}.
 
     Reports C_0 >= 0 and |C_k| <= C_0 for every k (exactly, via squared

@@ -194,13 +194,13 @@ def step_first(p: Poly, mu: Weight, assert_psc: bool = False
     return change, p2, k22, c20.re, warnings
 
 
-def step_inductive(q: Poly, mu: Weight, m: int, assert_psc: bool = False
-                   ) -> Tuple[CoordChange, Poly, Tuple[int, ...], Fraction, List[str]]:
+def step_inductive(q: Poly, mu: Weight, m: int
+                   ) -> Tuple[CoordChange, Poly, Tuple[int, ...], Fraction]:
     """Extraction step for slot m >= 3.
 
     q is the remainder after the previous steps.  Returns (change, p_m, row,
-    C, warnings) with row = (k_{m2}, ..., k_{mm}).  Raises _Degenerate when
-    the block restriction adds nothing beyond the earlier variables."""
+    C) with row = (k_{m2}, ..., k_{mm}).  Raises _Degenerate when the block
+    restriction adds nothing beyond the earlier variables."""
     entries = mu.entries
     n = q.n
     s = _block_end(entries, m)
@@ -214,11 +214,9 @@ def step_inductive(q: Poly, mu: Weight, m: int, assert_psc: bool = False
     dm = scoped.degree_in(m)
     if dm <= 0:
         raise _Degenerate(m, q)
-    warnings: List[str] = []
     pm = scoped.top_degree_part(m)
-    row, coeff, row_warn = _extract_row(pm, m, assert_psc)
-    warnings.extend(row_warn)
-    return change, pm, row, coeff, warnings
+    row, coeff = _extract_row(pm, m)
+    return change, pm, row, coeff
 
 
 def _block_direction(q: Poly, sub: Poly, block: List[int],
@@ -245,11 +243,9 @@ def _block_direction(q: Poly, sub: Poly, block: List[int],
     raise PolyError("no nonvanishing block direction found")
 
 
-def _extract_row(pm: Poly, m: int, assert_psc: bool
-                 ) -> Tuple[Tuple[int, ...], Fraction, List[str]]:
+def _extract_row(pm: Poly, m: int) -> Tuple[Tuple[int, ...], Fraction]:
     """Filter p_m down to its revlex-maximal balanced monomial by the
     top-degree / balanced-part chain, validating evenness and positivity."""
-    warnings: List[str] = []
     dm = pm.degree_in(m)
     if dm % 2 != 0:
         raise _Contradiction(
@@ -287,7 +283,7 @@ def _extract_row(pm: Poly, m: int, assert_psc: bool
         raise _Contradiction(
             f"extracted balanced coefficient {c} is not positive")
     row = tuple(ks.get(l, 0) for l in range(2, m + 1))
-    return row, c.re, warnings
+    return row, c.re
 
 
 def normalize(r: Poly, mu: Weight, assert_psc: bool = False) -> NormalForm:
@@ -303,8 +299,8 @@ def normalize(r: Poly, mu: Weight, assert_psc: bool = False) -> NormalForm:
         raise PolyError("model must start with -2 Re z1 "
                         "(coefficient -1 on z1)")
     r_work, _h = eliminate_harmonic(r)  # checks reality and the model shape
-    if r_work.min_weight(mu.entries) is not None and \
-            r_work.min_weight(mu.entries) < 1:
+    low = r_work.min_weight(mu.entries)
+    if low is not None and low < 1:
         raise PolyError("input has terms of weight below 1; not O_mu(1)")
     harmonic_maps = [Poly.variable(n, j) for j in range(1, n + 1)]
     if not _h.is_zero():
@@ -336,9 +332,7 @@ def normalize(r: Poly, mu: Weight, assert_psc: bool = False) -> NormalForm:
             rows.append(NormalRow(2, (k22,), c20, True))
             q = p - p2
             for m in range(3, n + 1):
-                change, pm, row, coeff, warn = step_inductive(
-                    q, mu, m, assert_psc)
-                warnings.extend(warn)
+                change, pm, row, coeff = step_inductive(q, mu, m)
                 p = change.apply(p)
                 q = change.apply(q)
                 tail = change.apply(tail)
@@ -367,8 +361,8 @@ def normalize(r: Poly, mu: Weight, assert_psc: bool = False) -> NormalForm:
         start = rows[-1].j + 1 if rows else 2
         for mm in range(start, n + 1):
             rows.append(NormalRow(mm, (0,) * (mm - 1), Fraction(0), False))
-        return _finish(r, n, mu_init, mu, rows, trace, p, tail,
-                       descent, warnings)
+        return _finish(n, mu_init, mu, rows, trace, p, tail, descent,
+                       warnings)
     raise PolyError("weight descent did not terminate within the cap")
 
 
@@ -381,7 +375,7 @@ def _shift_change(n: int, maps, mu: Weight) -> CoordChange:
         return CoordChange(n, maps, mu.entries, graded=False)
 
 
-def _finish(r: Poly, n: int, mu_init: Weight, mu: Weight,
+def _finish(n: int, mu_init: Weight, mu: Weight,
             rows: List[NormalRow], trace: CoordChange, p: Poly, tail: Poly,
             descent: List[str], warnings: List[str]) -> NormalForm:
     bal = Poly.zero(n)
@@ -408,8 +402,15 @@ def verify_normal_form(nf: NormalForm, r: Poly, mu: Weight) -> Tuple[bool, List[
     the transformed model among terms supported in z_2..z_j is at most
     2 k_{jj} in (z_j, zbar_j); (iv) each row is the revlex-maximal balanced
     monomial supported in z_2..z_j; (v) applying the recorded transform to r
-    reproduces the transformed polynomial exactly."""
+    reproduces the transformed polynomial exactly; (vi) the normal form
+    started from mu and ended at mu or, when lowered, lexicographically
+    below it."""
     violations: List[str] = []
+    if nf.mu_initial != mu:
+        violations.append(f"initial weight {nf.mu_initial} != {mu}")
+    if nf.mu_final > mu or nf.lowered != (nf.mu_final < mu):
+        violations.append(f"final weight {nf.mu_final} with lowered = "
+                          f"{nf.lowered} does not descend from {mu}")
     entries = nf.mu_final.entries
     for row in nf.rows:
         if not row.realized:

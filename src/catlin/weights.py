@@ -10,9 +10,10 @@ The multitype of a polynomial model is approximated by a bounded search: in
 fixed coordinates the lexicographically largest admissible inverse weight
 making the model distinguished is computed exactly from the supporting values
 of the Newton diagram; a finite catalog of holomorphic coordinate changes
-(permutations, linear mixes, triangular shears up to a degree bound) is then
-hill-climbed.  The result is flagged ``search-lower-bound`` unless the caller
-corroborates it with the commutator multitype.
+(permutations, and shears z_i -> z_i +- z_j^k up to a degree bound, the
+k = 1 shears being its linear changes) is then hill-climbed.  The result is
+flagged ``search-lower-bound`` unless the caller corroborates it with the
+commutator multitype.
 
 The hill-climb only asks whether a candidate beats the incumbent weight, so
 each candidate's weight search is pruned against the incumbent and stops as
@@ -353,8 +354,9 @@ def best_distinguished_weight(p: Poly, above: Optional[InverseWeight] = None
 
 
 def _catalog_maps(n: int, degree_bound: int) -> List[Tuple[str, List[Poly]]]:
-    """Candidate holomorphic changes of z_2..z_n: permutations, pairwise
-    linear mixes, and triangular monomial shears of degree <= degree_bound.
+    """Candidate holomorphic changes of z_2..z_n: permutations, and shears
+    z_i -> z_i +- z_j^k (i != j) with 1 <= k <= degree_bound; the k = 1
+    shears are the catalog's linear changes.
 
     Every entry shares the variables z_1..z_n and the powers z_j^k, built
     once per call (a ``Poly`` is never changed in place)."""

@@ -388,15 +388,15 @@ def multitype_search_oracle(r: Poly, degree_bound: int = 4,
     return Multitype(best, STATUS_LOWER_BOUND, witness)
 
 
-def psd_verdict_oracle(p: Poly, samples: int = 200, seed: int = 0,
-                       lattice_den: int = 4) -> PositivityVerdict:
+def psd_verdict_oracle(p: Poly, samples: int = 200, seed: int = 0
+                       ) -> PositivityVerdict:
     """The earlier ``levi.psd_verdict``: tier 3 evaluates all Hessian entries
     again for every (point, vector) pair and sums the form entry by entry."""
     _check_tangential(p)
     cert = _squares_certificate(p)
     if cert is not None:
         return PositivityVerdict(KIND_CERTIFIED, tier=1, certificate=cert)
-    pairing = cauchy_schwarz_pairing(p, lattice_den)
+    pairing = cauchy_schwarz_pairing(p)
     if pairing["certified"]:
         return PositivityVerdict(KIND_CERTIFIED, tier=2,
                                  certificate=pairing["certificate"])

@@ -106,7 +106,7 @@ def test_criterion_4_torsion_certificate():
         rows = [list(row) for sys_ in mixed["kernel_systems"] for row in sys_]
         assert _rational_rank(rows) == 3
         bs = normalize_first_block(build_boundary_system(r), r)
-        report = detect_torsion(bs, r)
+        report = detect_torsion(bs)
         assert report.applicable and report.torsion
         assert not report.linear_coeff.is_zero()
         obstruction = report.obstruction
@@ -149,7 +149,7 @@ def test_criterion_7_coefficient_bounds_suite():
             m = rng.randint(1, 6)
             p = homogenized_modulus_square(rng, m) + \
                 homogenized_modulus_square(rng, m)
-            report = one_var_coeff_check(p, assume_nonneg=True)
+            report = one_var_coeff_check(p)
             assert report.C0 > 0
             assert report.all_satisfied()
 

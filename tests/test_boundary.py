@@ -437,7 +437,7 @@ def test_normalize_first_block_requires_block():
 def test_detect_torsion_on_counterexample():
     r = parse_poly(TORSION_EXPR, 4)
     bs = normalize_first_block(build_boundary_system(r), r)
-    report = detect_torsion(bs, r)
+    report = detect_torsion(bs)
     assert report.applicable and report.torsion
     assert report.slot == 3
     assert not report.linear_coeff.is_zero()
@@ -463,7 +463,7 @@ def test_no_torsion_for_diagonal_model():
     r = parse_poly("-2*Re(z1) + |z2|^6 + |z3|^8 + |z4|^10", 4)
     bs = build_boundary_system(r)
     bs2 = normalize_first_block(bs, r)
-    report = detect_torsion(bs2, r)
+    report = detect_torsion(bs2)
     assert report.applicable
     assert not report.torsion
 
@@ -471,7 +471,7 @@ def test_no_torsion_for_diagonal_model():
 def test_torsion_not_applicable_strongly_pseudoconvex():
     r = parse_poly("-2*Re(z1) + |z2|^2 + |z3|^2", 3)
     bs = build_boundary_system(r)
-    report = detect_torsion(bs, r)
+    report = detect_torsion(bs)
     assert not report.applicable
 
 
@@ -484,7 +484,7 @@ def test_torsion_invariant_under_scalings():
             Poly.variable(4, j + 2) * scales[j] for j in range(3)]
         scaled = base.substitute_maps(maps)
         bs = normalize_first_block(build_boundary_system(scaled), scaled)
-        report = detect_torsion(bs, scaled)
+        report = detect_torsion(bs)
         assert report.applicable and report.torsion
 
 
@@ -516,7 +516,7 @@ def test_first_block_torsion_matches_full_systems(expr, n):
     # read from the full system and its full rebuild; so is an error
     r = parse_poly(expr, n)
     full = _outcome(lambda: detect_torsion(
-        normalize_first_block(build_boundary_system(r), r), r))
+        normalize_first_block(build_boundary_system(r), r)))
     assert _outcome(lambda: first_block_torsion(r)) == full
 
 

@@ -3,7 +3,11 @@ import subprocess
 import sys
 import time
 
+import pytest
+
+from catlin import cli
 from catlin.cli import main
+from catlin.levi import psd_verdict
 from catlin.poly import Poly
 
 
@@ -231,14 +235,6 @@ def test_negative_samples_exit_2(capsys):
     assert "sample count -3 is negative" in err
 
 
-def test_lattice_denominator_below_one_exits_2(capsys):
-    for den in ("0", "-7"):
-        code, out, err = run_cli(capsys, "psd", "--expr", "|z2|^4 + |z3|^4",
-                                 "--n", "3", "--cs-lattice-denominator", den)
-        assert (code, out) == (2, ""), den
-        assert f"lattice denominator {den} is below 1" in err
-
-
 def test_enumerate(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "2", "--max-type", "4")
     assert code == 0
@@ -257,6 +253,40 @@ def test_examples_counting_flags(capsys):
                            "--n", "3", "--m", "6")
     assert code == 0
     assert "PASS  counting" in out
+
+
+def test_examples_only_unknown_name_exits_2(capsys):
+    # a misspelt example name is an input error, not an empty passing run
+    with pytest.raises(SystemExit) as exc:
+        main(["examples", "--only", "nosuch"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "invalid choice: 'nosuch'" in out.err
+
+
+def test_removed_options_exit_2(capsys):
+    for argv in (["examples", "--json"],
+                 ["psd", "--expr", "|z2|^4", "--n", "2",
+                  "--cs-lattice-denominator", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_normalize_assert_psc_samples_with_global_seed(capsys, monkeypatch):
+    calls = []
+
+    def recording(p, **kwargs):
+        calls.append(kwargs)
+        return psd_verdict(p, **kwargs)
+
+    monkeypatch.setattr(cli, "psd_verdict", recording)
+    code, out, _ = run_cli(capsys, "--seed", "7", "normalize", "--expr",
+                           "-2*Re(z1) + |z2|^8 + |z2|^4*|z3|^6", "--n", "3",
+                           "--assert-psc")
+    assert code == 0 and "verified: True" in out
+    assert calls == [{"seed": 7}]
 
 
 def test_missing_input(capsys):

@@ -456,7 +456,7 @@ def test_one_var_with_off_diagonal():
     p = parse_poly("|z1|^4 + Re(z1^3*zbar1)", 1)
     for z in circle_points(40):
         assert p.evaluate([z]).re >= 0
-    rep = one_var_coeff_check(p, assume_nonneg=True)
+    rep = one_var_coeff_check(p)
     assert rep.C0 == 1
     assert rep.all_satisfied()
     (k, c, ok), = rep.bounds
@@ -487,7 +487,7 @@ def test_one_var_random_nonneg_suite():
         m = rng.randint(1, 6)
         p = homogenized_modulus_square(rng, m) + \
             homogenized_modulus_square(rng, m)
-        rep = one_var_coeff_check(p, assume_nonneg=True)
+        rep = one_var_coeff_check(p)
         assert rep.C0 > 0
         assert rep.all_satisfied()
 

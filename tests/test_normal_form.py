@@ -77,7 +77,7 @@ def test_step_first_odd_degree_contradiction():
 def test_step_inductive_weighted_model():
     p = model_p("|z2|^8 + |z2|^4*|z3|^6", 3)
     q = p - model_p("|z2|^8", 3)
-    change, pm, row, coeff, _ = step_inductive(q, MU_EQQ, 3)
+    change, pm, row, coeff = step_inductive(q, MU_EQQ, 3)
     assert row == (2, 3) and coeff == 1
     assert pm == model_p("|z2|^4*|z3|^6", 3)
 
@@ -86,7 +86,7 @@ def test_step_inductive_four_variable():
     mu = Weight((Fraction(1),) + (Fraction(1, 4),) * 3)
     p = model_p("|z2|^4 + |z2|^2*|z3|^2 + |z2|^2*|z4|^2 + |z3|^2*|z4|^2", 4)
     q3 = p - model_p("|z2|^4", 4) - model_p("|z2|^2*|z3|^2", 4)
-    change, pm, row, coeff, _ = step_inductive(q3, mu, 4)
+    change, pm, row, coeff = step_inductive(q3, mu, 4)
     assert row == (0, 1, 1) and coeff == 1
 
 
@@ -264,6 +264,24 @@ def test_verify_rejects_wrong_transform():
     ok, violations = verify_normal_form(nf, other, MU_EQQ)
     assert not ok
     assert any("transform" in v for v in violations)
+
+
+def test_verify_rejects_other_weight():
+    r = parse_poly("-2*Re(z1) + |z2|^8 + |z2|^4*|z3|^6", 3)
+    nf = normalize(r, MU_EQQ, assert_psc=True)
+    for other in (Weight((Fraction(1), Fraction(1, 4), Fraction(1, 12))),
+                  Weight((Fraction(1), Fraction(1, 8), Fraction(1, 16)))):
+        ok, violations = verify_normal_form(nf, r, other)
+        assert not ok
+        assert any("initial weight" in v for v in violations)
+    # a final weight that claims a descent it did not take
+    forged = NormalForm(
+        n=nf.n, mu_initial=nf.mu_initial, mu_final=nf.mu_final,
+        rows=nf.rows, transform=nf.transform, transformed=nf.transformed,
+        model=nf.model, residual=nf.residual, lowered=True)
+    ok, violations = verify_normal_form(forged, r, MU_EQQ)
+    assert not ok
+    assert any("final weight" in v for v in violations)
 
 
 # ----------------------------------------------------------------------

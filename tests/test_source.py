@@ -53,6 +53,55 @@ def unused_private_names(src: Path):
     return unused
 
 
+def _parameters(fn):
+    """A function's parameter names in signature order."""
+    a = fn.args
+    out = a.posonlyargs + a.args + [a.vararg] + a.kwonlyargs + [a.kwarg]
+    return [arg.arg for arg in out if arg is not None]
+
+
+def unread_parameters(src: Path):
+    """Entries "file:function(parameter)" for each parameter of a function
+    or lambda in ``src`` that no node of its body reads.  Dunder methods,
+    whose signatures a protocol fixes, and ``_``-prefixed parameters are
+    skipped."""
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.Lambda):
+                name, body = "<lambda>", [fn.body]
+            elif isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, body = fn.name, fn.body
+            else:
+                continue
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name)
+                    and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{path.name}:{name}({arg})" for arg in _parameters(fn)
+                       if not arg.startswith("_") and arg not in read]
+    return unread
+
+
+def test_no_unread_parameters():
+    assert unread_parameters(SRC) == []
+
+
+def test_unread_parameters_detector(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, y, _z, *args, key=1, **kw):\n"
+        "    def inner():\n        return x\n"
+        "    return inner, kw\n"
+        "class C:\n"
+        "    def __eq__(self, other):\n        return True\n"
+        "    def method(self, v):\n        v = 1\n        return self\n"
+        "g = lambda a, b: a\n")
+    assert unread_parameters(tmp_path) == [
+        "a.py:f(y)", "a.py:f(args)", "a.py:f(key)", "a.py:method(v)",
+        "a.py:<lambda>(b)"]
+
+
 def test_no_unused_private_module_names():
     assert unused_private_names(SRC) == []
 
