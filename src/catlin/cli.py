@@ -285,9 +285,9 @@ def _example_torsion() -> bool:
     return report.applicable and report.torsion
 
 
-def _example_counting(n: int = 3, m: int = 6) -> bool:
-    weights = enumerate_multitypes(n, m)
-    if len(weights) > counting_bound(n, m):
+def _example_counting() -> bool:
+    weights = enumerate_multitypes(3, 6)
+    if len(weights) > counting_bound(3, 6):
         return False
     return all(is_admissible(w)[0] for w in weights)
 
@@ -307,10 +307,7 @@ def cmd_examples(args) -> int:
     for name, fn in EXAMPLES.items():
         if args.only and name != args.only:
             continue
-        if name == "counting" and (args.n or args.m):
-            ok = _example_counting(args.n or 3, args.m or 6)
-        else:
-            ok = fn()
+        ok = fn()
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
         if not ok:
             failures += 1
@@ -386,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("examples", help="run the bundled worked examples")
     s.add_argument("--only", choices=list(EXAMPLES),
                    help="run a single named example")
-    s.add_argument("--n", type=int, default=None)
-    s.add_argument("--m", type=int, default=None)
     s.set_defaults(fn=cmd_examples)
     return ap
 

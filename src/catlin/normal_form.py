@@ -5,19 +5,26 @@ pipeline extracts, step by step, balanced monomials
 
     A_2 |z2|^{2 k_22},  A_3 |z2|^{2 k_32} |z3|^{2 k_33},  ...
 
-after weighted homogeneous polynomial coordinate changes.  Step 2 restricts
-to the leading equal-weight block and normalizes a direction in which the
-restriction does not vanish; step m takes the top (z_m, zbar_m)-degree part
-of the remainder among terms supported in z_2..z_m and filters down to its
-revlex-maximal balanced monomial.  Pseudoconvexity forces every extracted
-degree to be even and every extracted coefficient to be positive; when the
-caller asserts pseudoconvexity, a violation raises PseudoconvexityError,
-otherwise it is recorded as a warning and the remaining rows stay
-unrealized.
+after weighted homogeneous polynomial coordinate changes.  Every slot m >= 2
+takes the same step: a linear change inside the equal-weight block starting
+at z_m makes z_m active in the remainder's restriction to z_2..z_m, and the
+top (z_m, zbar_m)-degree part of that restriction is filtered down to its
+revlex-maximal balanced monomial.  At m = 2 the remainder is all of p, and
+its restriction to z_2 is real and homogeneous of degree 1/mu_2, so the step
+yields k_22 and C_20 directly; slot 2 adds only the one-variable coefficient
+bound |C| < k_22 C_20.  Pseudoconvexity forces every extracted degree to be
+even and every extracted coefficient to be positive; when the caller
+asserts pseudoconvexity, a violation raises PseudoconvexityError, otherwise
+it is recorded as a warning and the remaining rows stay unrealized.
 
-When a step degenerates (the required restriction vanishes identically) the
-weight is lowered lexicographically to the next supporting value of the
-Newton diagram and the pipeline restarts, recording the descent.
+Harmonic elimination comes first, in closed form: z1 enters r only through
+its linear head, so the shift z1 -> z1 + h that absorbs the pure terms
+leaves r minus its pure part (``poly.eliminate_harmonic``).  When a step
+degenerates (the required restriction vanishes identically) the weight is
+lowered lexicographically to the next supporting value of the Newton
+diagram, which is also a closed form: the largest value that keeps every
+term at weight >= 1 (``weights.lower_weight_at``).  The pipeline then
+restarts and records the descent.
 """
 
 from __future__ import annotations
@@ -149,60 +156,35 @@ def _direction_maps(n: int, block: Sequence[int], d: Sequence[CRat]
 
 def step_first(p: Poly, mu: Weight, assert_psc: bool = False
                ) -> Tuple[CoordChange, Poly, int, Fraction, List[str]]:
-    """First extraction step on the leading equal-weight block.
+    """Extraction step for slot 2: ``step_inductive(p, mu, 2)`` plus the
+    one-variable coefficient bound |C| < k22*C20 on the restriction p2.
 
-    Returns (change, p2, k22, C20, warnings); p2 is the one-variable
-    restriction of the changed polynomial.  Raises _Degenerate when the block
-    restriction vanishes identically (weight-lowering path)."""
-    entries = mu.entries
-    n = p.n
-    s = _block_end(entries, 2)
-    block = list(range(2, s + 1))
-    p_block = p.restrict_support(block)
-    if p_block.is_zero():
-        raise _Degenerate(2, p)
-    change, p_changed = _block_direction(p, p_block, block, entries, 2)
-    p2 = p_changed.restrict_support([2])
+    Returns (change, p2, k22, C20, warnings).  A violated bound raises
+    _Contradiction when ``assert_psc``, otherwise it becomes a warning."""
+    change, p2, (k22,), c20 = step_inductive(p, mu, 2)
+    alpha = _bal_monomial_alpha(p.n, (k22,))
+    bound = k22 * c20
     warnings: List[str] = []
-    deg = p2.total_degree()
-    expected = 1 / entries[1]
-    if Fraction(deg) != expected:
-        raise PolyError(f"restriction degree {deg} != 1/mu_2 = {expected}; "
-                        "input is not weight-1 homogeneous")
-    if deg % 2 != 0:
-        raise _Contradiction(
-            f"one-variable restriction has odd degree {deg}; a nonzero "
-            "plurisubharmonic restriction must have even degree")
-    k22 = deg // 2
-    alpha = _bal_monomial_alpha(n, (k22,))
-    c20 = p2.coeff(alpha, alpha)
-    if not c20.is_real():
-        raise PolyError("balanced coefficient not real")
-    if c20.re <= 0:
-        raise _Contradiction(
-            f"balanced coefficient C_20 = {c20} of the restriction is not "
-            "positive")
-    bound = Fraction(k22) * c20.re
     for (a, b), c in p2.terms.items():
         if a == alpha and b == alpha:
             continue
         if c.abs2() >= bound * bound:
-            msg = (f"coefficient bound |C| < k22*C20 violated at {(a, b)}")
+            msg = f"coefficient bound |C| < k22*C20 violated at {(a, b)}"
             if assert_psc:
                 raise _Contradiction(msg)
             warnings.append(msg)
-    return change, p2, k22, c20.re, warnings
+    return change, p2, k22, c20, warnings
 
 
 def step_inductive(q: Poly, mu: Weight, m: int
                    ) -> Tuple[CoordChange, Poly, Tuple[int, ...], Fraction]:
-    """Extraction step for slot m >= 3.
+    """Extraction step for slot m >= 2.
 
-    q is the remainder after the previous steps.  Returns (change, p_m, row,
-    C) with row = (k_{m2}, ..., k_{mm}).  Raises _Degenerate when the block
-    restriction adds nothing beyond the earlier variables."""
+    q is the remainder after the previous steps (the whole tangential model
+    at m = 2).  Returns (change, p_m, row, C) with row = (k_{m2}, ...,
+    k_{mm}).  Raises _Degenerate when the block restriction adds nothing
+    beyond the earlier variables."""
     entries = mu.entries
-    n = q.n
     s = _block_end(entries, m)
     block = list(range(m, s + 1))
     sub = q.restrict_support(list(range(2, s + 1)))
@@ -210,10 +192,8 @@ def step_inductive(q: Poly, mu: Weight, m: int
             all(a[j - 1] + b[j - 1] == 0 for j in block) for (a, b) in sub.terms):
         raise _Degenerate(m, q)
     change, q_changed = _block_direction(q, sub, block, entries, m)
+    # _block_direction made z_m active here, so p_m is nonzero
     scoped = q_changed.restrict_support(list(range(2, m + 1)))
-    dm = scoped.degree_in(m)
-    if dm <= 0:
-        raise _Degenerate(m, q)
     pm = scoped.top_degree_part(m)
     row, coeff = _extract_row(pm, m)
     return change, pm, row, coeff
@@ -245,19 +225,11 @@ def _block_direction(q: Poly, sub: Poly, block: List[int],
 
 def _extract_row(pm: Poly, m: int) -> Tuple[Tuple[int, ...], Fraction]:
     """Filter p_m down to its revlex-maximal balanced monomial by the
-    top-degree / balanced-part chain, validating evenness and positivity."""
-    dm = pm.degree_in(m)
-    if dm % 2 != 0:
-        raise _Contradiction(
-            f"top degree {dm} in (z_{m}, zbar_{m}) is odd")
-    ks = {m: dm // 2}
-    i = m - 1
-    current = Poly(pm.n, {k: c for k, c in pm.terms.items()
-                          if k[0][m - 1] == k[1][m - 1] == dm // 2})
-    if current.is_zero():
-        raise _Contradiction(
-            f"no balanced part in the top (z_{m}, zbar_{m}) block")
-    for l in range(m - 1, 1, -1):
+    top-degree / balanced-part chain over z_m, ..., z_2, validating evenness
+    and positivity."""
+    ks = {}
+    current = pm
+    for l in range(m, 1, -1):
         dl = current.degree_in(l)
         if dl <= 0:
             ks[l] = 0
@@ -265,24 +237,22 @@ def _extract_row(pm: Poly, m: int) -> Tuple[Tuple[int, ...], Fraction]:
         current = current.top_degree_part(l)
         if dl % 2 != 0:
             raise _Contradiction(
-                f"top degree {dl} in (z_{l}, zbar_{l}) is odd during row "
-                "extraction")
-        bal = Poly(current.n, {k: c for k, c in current.terms.items()
-                               if k[0][l - 1] == k[1][l - 1] == dl // 2})
-        if bal.is_zero():
+                f"slot {m}: top degree {dl} in (z_{l}, zbar_{l}) is odd")
+        current = Poly(current.n, {k: c for k, c in current.terms.items()
+                                   if k[0][l - 1] == k[1][l - 1] == dl // 2})
+        if current.is_zero():
             raise _Contradiction(
-                f"no balanced component in the top (z_{l}, zbar_{l}) part")
+                f"slot {m}: the top (z_{l}, zbar_{l}) part has no balanced "
+                "term")
         ks[l] = dl // 2
-        current = bal
-    if len(current.terms) != 1:
-        raise PolyError("row extraction did not reduce to a single monomial")
-    ((alpha, beta), c), = current.terms.items()
-    if alpha != beta:
-        raise PolyError("row extraction produced a non-balanced monomial")
+    # every term left has a_l = b_l = ks[l] for l = 2..m: it is one monomial
+    (_key, c), = current.terms.items()
+    row = tuple(ks[l] for l in range(2, m + 1))
     if not c.is_real() or c.re <= 0:
+        mono = "*".join(f"|z{l}|^{2 * k}" for l, k in enumerate(row, 2) if k)
         raise _Contradiction(
-            f"extracted balanced coefficient {c} is not positive")
-    row = tuple(ks.get(l, 0) for l in range(2, m + 1))
+            f"slot {m}: coefficient {c} of the extracted {mono} is not "
+            "positive")
     return row, c.re
 
 
@@ -298,29 +268,19 @@ def normalize(r: Poly, mu: Weight, assert_psc: bool = False) -> NormalForm:
     if r.coeff((1,) + (0,) * (n - 1), (0,) * n) != CRat(-1):
         raise PolyError("model must start with -2 Re z1 "
                         "(coefficient -1 on z1)")
-    r_work, _h = eliminate_harmonic(r)  # checks reality and the model shape
-    low = r_work.min_weight(mu.entries)
-    if low is not None and low < 1:
-        raise PolyError("input has terms of weight below 1; not O_mu(1)")
+    r_work, h = eliminate_harmonic(r)  # checks reality and the model shape
     harmonic_maps = [Poly.variable(n, j) for j in range(1, n + 1)]
-    if not _h.is_zero():
-        harmonic_maps[0] = harmonic_maps[0] + _h
+    harmonic_maps[0] = harmonic_maps[0] + h
     mu_init = mu
     descent: List[str] = []
     warnings: List[str] = []
     for _ in range(MAX_DESCENTS):
-        trace = _shift_change(n, harmonic_maps, mu) if not _h.is_zero() \
-            else CoordChange.identity(n, mu.entries)
         graded = r_work.grade(mu.entries)
-        model = Poly.zero(n)
-        tail = Poly.zero(n)
-        for w, part in graded.items():
-            if w == 1:
-                model = model + part
-            elif w > 1:
-                tail = tail + part
-            else:
-                raise PolyError(f"weight {w} < 1 term after harmonic elimination")
+        if min(graded) < 1:
+            raise PolyError("input has terms of weight below 1; not O_mu(1)")
+        trace = _shift_change(n, harmonic_maps, mu)
+        model = graded.get(1, Poly.zero(n))
+        tail = r_work - model
         p = model.restrict_support(range(2, n + 1))
         rows: List[NormalRow] = []
         try:

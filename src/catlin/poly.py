@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .exact import CRat, CZERO, Rat, rank, rat_from_str, rat_str
 
@@ -119,12 +119,6 @@ class Poly:
     def monomial(n: int, alpha: Sequence[int], beta: Sequence[int],
                  c: "CRat | Rat" = 1) -> "Poly":
         return Poly(n, {(tuple(alpha), tuple(beta)): CRat.of(c)})
-
-    @staticmethod
-    def modulus_power(n: int, alpha: Sequence[int], c: "CRat | Rat" = 1) -> "Poly":
-        """The balanced monomial c * |z^alpha|^2 = c * z^alpha zbar^alpha."""
-        a = tuple(alpha)
-        return Poly(n, {(a, a): CRat.of(c)})
 
     # ------------------------------------------------------------------
     # ring operations
@@ -266,16 +260,6 @@ class Poly:
             w = weighted_order((a, b), mu)
             buckets.setdefault(w, {})[(a, b)] = c
         return {w: Poly(self.n, t) for w, t in sorted(buckets.items())}
-
-    def weight_part(self, mu: Sequence[Fraction], w: Fraction) -> "Poly":
-        w = Fraction(w)
-        return Poly(self.n, {k: c for k, c in self.terms.items()
-                             if weighted_order(k, mu) == w})
-
-    def min_weight(self, mu: Sequence[Fraction]) -> Optional[Fraction]:
-        if not self.terms:
-            return None
-        return min(weighted_order(k, mu) for k in self.terms)
 
     # ------------------------------------------------------------------
     # calculus
@@ -576,21 +560,19 @@ def eliminate_harmonic(r: Poly) -> Tuple[Poly, Poly]:
     Returns (r', h) with r' = r after the substitution z1 -> z1 + h.  h is the
     holomorphic pure part of f rescaled by the z1 coefficient; r' contains no
     pure monomial.  The model shape is checked by :func:`split_model`.
+
+    z1 enters r only through its linear head c1*(z1 + zbar1), c1 real, so the
+    shift adds exactly c1*h + conj(c1*h) to r.  With h = -(P + c0/2)/c1, for
+    P the holomorphic pure part of f and c0 its real constant, that sum is
+    -(P + conj(P) + c0), minus the pure part of f: r' = r - pure_part(f).
     """
     c1, f = split_model(r)
     n = r.n
     zero = (0,) * n
-    # Shifting z1 by holomorphic h adds c1*h + conj(c1*h) to r (c1 real), so
-    # h = -P/c1 cancels the pure pair P + conj(P); a real constant c0 appears
-    # once in the table and needs half that shift.
-    pure_holo = f.holomorphic_part()
     c0 = f.terms.get((zero, zero), CZERO)
-    if pure_holo.is_zero() and c0.is_zero():
-        return r, Poly.zero(n)
-    h = (pure_holo + Poly.const(n, c0 * Fraction(1, 2))) * (CRat(-1) / c1)
-    maps = [Poly.variable(n, j) for j in range(1, n + 1)]
-    maps[0] = maps[0] + h
-    r_prime = r.substitute_maps(maps)
+    h = (f.holomorphic_part() + Poly.const(n, c0 * Fraction(1, 2))) \
+        * (CRat(-1) / c1)
+    r_prime = r - f.pure_part()
     return require_real(r_prime, "harmonic-eliminated polynomial"), h
 
 
@@ -684,19 +666,6 @@ class CoordChange:
     @staticmethod
     def identity(n: int, mu: Sequence[Fraction]) -> "CoordChange":
         return CoordChange(n, [Poly.variable(n, j) for j in range(1, n + 1)], mu)
-
-    @staticmethod
-    def linear(n: int, matrix: Mapping[Tuple[int, int], "CRat | Rat"],
-               mu: Sequence[Fraction]) -> "CoordChange":
-        """Linear change z_i -> sum_j matrix[(i, j)] z_j (1-based, sparse)."""
-        maps = []
-        for i in range(1, n + 1):
-            f = Poly.zero(n)
-            for (row, col), c in matrix.items():
-                if row == i:
-                    f = f + Poly.variable(n, col) * CRat.of(c)
-            maps.append(f)
-        return CoordChange(n, maps, mu)
 
     def apply(self, p: Poly) -> Poly:
         return p.substitute_maps(self.maps)

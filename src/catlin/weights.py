@@ -62,11 +62,6 @@ def entry_str(x: Entry) -> str:
     return "inf" if x == INF else rat_str(x)
 
 
-def entry_from_str(s: str) -> Entry:
-    s = s.strip()
-    return INF if s in ("inf", "+inf", "Inf") else Fraction(s)
-
-
 def recip(x: Entry) -> Entry:
     """Reciprocal with 0 <-> +inf."""
     if x == INF:
@@ -136,10 +131,6 @@ class InverseWeight:
 
     def to_json(self) -> dict:
         return {"lambda": [entry_str(e) for e in self.entries]}
-
-    @staticmethod
-    def from_json(d: dict) -> "InverseWeight":
-        return InverseWeight(tuple(entry_from_str(s) for s in d["lambda"]))
 
     def __str__(self) -> str:
         return "(" + ", ".join(entry_str(e) for e in self.entries) + ")"
@@ -511,30 +502,29 @@ def lower_weight_at(mu: Weight, j: int, q: Poly) -> Optional[Weight]:
     """Largest weight lexicographically below mu obtained by dropping mu_j
     (and every later slot) to a supporting value of q's Newton diagram.
 
-    Candidates t are the values making some term of q have weight exactly 1
-    under (mu_2..mu_{j-1}, t, ..., t); the largest candidate keeping every
-    term at weight >= 1 wins.  None when no such value exists."""
+    Write a term's weight under (mu_1..mu_{j-1}, t, ..., t) as pre + tail*t,
+    pre from the slots before j and tail its total degree from slot j on.
+    The weight keeps every term at weight >= 1 exactly when t >= T, the
+    largest (1 - pre)/tail over the terms with pre < 1, and its value T is
+    the one that puts such a term at weight exactly 1.  So the answer drops
+    slot j on to T; it is None when a term with pre < 1 has tail 0 (no t
+    lifts it), when no term has pre < 1, or when T >= mu_j (no descent).
+    T < mu_j <= mu_{j-1} keeps the result nonincreasing."""
     entries = mu.entries
     if not 2 <= j <= mu.n:
         raise DimensionMismatch(f"slot {j} out of range")
-    pres_tails = []
-    candidates = set()
+    top = None
     for (a, b) in q.terms:
-        e = tuple(x + y for x, y in zip(a, b))
-        pre = sum((Fraction(e[i]) * entries[i] for i in range(j - 1)),
-                  Fraction(0))
+        e = [x + y for x, y in zip(a, b)]
+        pre = sum((e[i] * entries[i] for i in range(j - 1)), Fraction(0))
+        if pre >= 1:
+            continue
         tail = sum(e[j - 1:])
-        pres_tails.append((pre, tail))
-        if pre >= 1 or tail == 0:
-            continue
+        if tail == 0:
+            return None
         t = (1 - pre) / tail
-        if t >= entries[j - 1] or t <= 0:
-            continue
-        if j > 2 and t > entries[j - 2]:
-            continue
-        candidates.add(t)
-    for t in sorted(candidates, reverse=True):
-        if all(pre + tail * t >= 1 or (pre >= 1)
-               for pre, tail in pres_tails):
-            return Weight(entries[:j - 1] + (t,) * (mu.n - j + 1))
-    return None
+        if top is None or t > top:
+            top = t
+    if top is None or top >= entries[j - 1]:
+        return None
+    return Weight(entries[:j - 1] + (top,) * (mu.n - j + 1))

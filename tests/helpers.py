@@ -17,10 +17,14 @@ from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          _squares_certificate, _structured_points,
                          _structured_vectors, cauchy_schwarz_pairing,
                          complex_hessian)
-from catlin.poly import (DimensionMismatch, Poly, PolyError,
-                         eliminate_harmonic, weighted_order)
+from catlin.normal_form import (_Contradiction, _Degenerate,
+                                _bal_monomial_alpha, _block_direction,
+                                _block_end)
+from catlin.poly import (CoordChange, DimensionMismatch, Poly, PolyError,
+                         eliminate_harmonic, split_model, weighted_order)
 from catlin.weights import (INF, STATUS_LOWER_BOUND, Entry, InverseWeight,
-                            Multitype, _catalog_maps, _evecs, is_admissible)
+                            Multitype, Weight, _catalog_maps, _evecs,
+                            is_admissible)
 
 
 def _frac(x) -> Fraction:
@@ -216,7 +220,17 @@ def _rational_rank(rows):
 
 def leading_model(p: Poly, mu: Sequence[Fraction]) -> Poly:
     """Weight-1 part of p: the polynomial model of a graded defining function."""
-    return p.weight_part(mu, Fraction(1))
+    return p.grade(mu).get(1, Poly.zero(p.n))
+
+
+def linear_change(n: int, matrix: Dict[Tuple[int, int], Fraction],
+                  mu: Sequence[Fraction]) -> CoordChange:
+    """Graded linear change z_i -> sum_j matrix[(i, j)] z_j (1-based,
+    sparse)."""
+    maps = [sum((Poly.variable(n, j) * CRat.of(c)
+                 for (i, j), c in matrix.items() if i == row), Poly.zero(n))
+            for row in range(1, n + 1)]
+    return CoordChange(n, maps, mu)
 
 
 def tail(p: Poly, mu: Sequence[Fraction]) -> Poly:
@@ -553,3 +567,92 @@ def slow_field_oracle(r: Poly, c1: CRat, p_hess: List[List[Poly]],
         for k in range(n - 1):
             vec[k] = vec[k] + _truncate(coefficient * col[k], cap)
     return _field_from_vector(r, c1, vec)
+
+
+def lower_weight_at_oracle(mu: Weight, j: int, q: Poly) -> Optional[Weight]:
+    """The earlier ``weights.lower_weight_at``: a scan of the candidate
+    supporting values, largest first, each checked against every term."""
+    entries = mu.entries
+    if not 2 <= j <= mu.n:
+        raise DimensionMismatch(f"slot {j} out of range")
+    pres_tails = []
+    candidates = set()
+    for (a, b) in q.terms:
+        e = tuple(x + y for x, y in zip(a, b))
+        pre = sum((Fraction(e[i]) * entries[i] for i in range(j - 1)),
+                  Fraction(0))
+        tail = sum(e[j - 1:])
+        pres_tails.append((pre, tail))
+        if pre >= 1 or tail == 0:
+            continue
+        t = (1 - pre) / tail
+        if t >= entries[j - 1] or t <= 0:
+            continue
+        if j > 2 and t > entries[j - 2]:
+            continue
+        candidates.add(t)
+    for t in sorted(candidates, reverse=True):
+        if all(pre + tail * t >= 1 or (pre >= 1)
+               for pre, tail in pres_tails):
+            return Weight(entries[:j - 1] + (t,) * (mu.n - j + 1))
+    return None
+
+
+def eliminate_harmonic_oracle(r: Poly) -> Tuple[Poly, Poly]:
+    """The earlier ``poly.eliminate_harmonic``: r after the substitution
+    z1 -> z1 + h, expanded by ``substitute_maps``."""
+    c1, f = split_model(r)
+    n = r.n
+    zero = (0,) * n
+    pure_holo = f.holomorphic_part()
+    c0 = f.terms.get((zero, zero), CZERO)
+    if pure_holo.is_zero() and c0.is_zero():
+        return r, Poly.zero(n)
+    h = (pure_holo + Poly.const(n, c0 * Fraction(1, 2))) * (CRat(-1) / c1)
+    maps = [Poly.variable(n, j) for j in range(1, n + 1)]
+    maps[0] = maps[0] + h
+    return r.substitute_maps(maps), h
+
+
+def step_first_oracle(p: Poly, mu: Weight, assert_psc: bool = False):
+    """The earlier ``normal_form.step_first``, with its own block
+    restriction, direction change, degree and parity checks and C_20 read.
+    Returns (change, p2, k22, C20, warnings)."""
+    entries = mu.entries
+    n = p.n
+    s = _block_end(entries, 2)
+    block = list(range(2, s + 1))
+    p_block = p.restrict_support(block)
+    if p_block.is_zero():
+        raise _Degenerate(2, p)
+    change, p_changed = _block_direction(p, p_block, block, entries, 2)
+    p2 = p_changed.restrict_support([2])
+    warnings: List[str] = []
+    deg = p2.total_degree()
+    expected = 1 / entries[1]
+    if Fraction(deg) != expected:
+        raise PolyError(f"restriction degree {deg} != 1/mu_2 = {expected}; "
+                        "input is not weight-1 homogeneous")
+    if deg % 2 != 0:
+        raise _Contradiction(
+            f"one-variable restriction has odd degree {deg}; a nonzero "
+            "plurisubharmonic restriction must have even degree")
+    k22 = deg // 2
+    alpha = _bal_monomial_alpha(n, (k22,))
+    c20 = p2.coeff(alpha, alpha)
+    if not c20.is_real():
+        raise PolyError("balanced coefficient not real")
+    if c20.re <= 0:
+        raise _Contradiction(
+            f"balanced coefficient C_20 = {c20} of the restriction is not "
+            "positive")
+    bound = Fraction(k22) * c20.re
+    for (a, b), c in p2.terms.items():
+        if a == alpha and b == alpha:
+            continue
+        if c.abs2() >= bound * bound:
+            msg = (f"coefficient bound |C| < k22*C20 violated at {(a, b)}")
+            if assert_psc:
+                raise _Contradiction(msg)
+            warnings.append(msg)
+    return change, p2, k22, c20.re, warnings

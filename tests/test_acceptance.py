@@ -20,7 +20,8 @@ from catlin.poly import Poly, eliminate_harmonic, weighted_order
 from catlin.weights import (InverseWeight, counting_bound, enumerate_multitypes,
                             is_admissible, multitype_search)
 
-from helpers import _rational_rank, homogenized_modulus_square, rand_real_poly
+from helpers import (_rational_rank, homogenized_modulus_square,
+                     linear_change, rand_real_poly)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
@@ -56,9 +57,9 @@ def test_criterion_1_square_identity():
                     w = Poly.monomial(3, (0, p, 0), (0, 0, 0), 1) + \
                         Poly.monomial(3, (0, 0, q), (0, 0, 0), eps)
                     lhs = w * w.conj() + \
-                        Poly.modulus_power(3, (0, 0, q), 1 - eps * eps)
-                    rhs = Poly.modulus_power(3, (0, p, 0)) + \
-                        Poly.modulus_power(3, (0, 0, q)) + \
+                        Poly.monomial(3, (0, 0, q), (0, 0, q), 1 - eps * eps)
+                    rhs = Poly.monomial(3, (0, p, 0), (0, p, 0)) + \
+                        Poly.monomial(3, (0, 0, q), (0, 0, q)) + \
                         Poly.monomial(3, (0, p, 0), (0, 0, q), eps) + \
                         Poly.monomial(3, (0, 0, q), (0, p, 0), eps)
                     assert (lhs - rhs).is_zero()
@@ -201,13 +202,12 @@ def test_criterion_10_algebra_property_suites():
             assert (a * b + a).is_real()
         # substitution functoriality
         mu = (Fraction(1), Fraction(1, 2), Fraction(1, 2))
-        from catlin.poly import CoordChange
         for _ in range(500):
             p = rand_real_poly(rng, 3, terms=2, max_exp=2)
-            c1 = CoordChange.linear(
+            c1 = linear_change(
                 3, {(1, 1): 1, (2, 2): Fraction(rng.randint(1, 3)),
                     (2, 3): Fraction(rng.randint(-2, 2)), (3, 3): 1}, mu)
-            c2 = CoordChange.linear(
+            c2 = linear_change(
                 3, {(1, 1): 1, (2, 2): 1,
                     (3, 2): Fraction(rng.randint(-2, 2)),
                     (3, 3): Fraction(rng.randint(1, 3))}, mu)

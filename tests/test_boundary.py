@@ -157,10 +157,10 @@ def _finite_type_model(rng, n):
     for j in range(1, n):
         alpha = [0] * n
         alpha[j] = rng.randint(1, 3)
-        p = p + Poly.modulus_power(n, alpha, Fraction(rng.randint(1, 2)))
+        p = p + Poly.monomial(n, alpha, alpha, Fraction(rng.randint(1, 2)))
     for _ in range(rng.randint(0, 2)):
         alpha = (0,) + tuple(rng.randint(0, 2) for _ in range(n - 1))
-        p = p + Poly.modulus_power(n, alpha, Fraction(rng.randint(1, 2)))
+        p = p + Poly.monomial(n, alpha, alpha, Fraction(rng.randint(1, 2)))
     if rng.random() < 0.5:
         a = (0,) + tuple(rng.randint(0, 2) for _ in range(n - 1))
         b = (0,) + tuple(rng.randint(0, 2) for _ in range(n - 1))
@@ -582,7 +582,7 @@ def test_multitype_commutator_coherence_random():
             alpha = (0, rng.randint(0, 2), rng.randint(0, 2))
             if sum(alpha) == 0:
                 continue
-            p = p + Poly.modulus_power(3, alpha, Fraction(rng.randint(1, 2)))
+            p = p + Poly.monomial(3, alpha, alpha, Fraction(rng.randint(1, 2)))
         if p.is_zero():
             continue
         r = parse_poly("-2*Re(z1)", 3) + p

@@ -131,6 +131,17 @@ def test_normalize_contradiction_exit_code(capsys):
     assert "contradiction" in err
 
 
+def test_normalize_slot_2_contradiction_message(capsys):
+    # the block direction z3 -> z2 + z3 gives the z2 restriction
+    # (1/4)(z2^2 zbar2^3 + z2^3 zbar2^2), of odd degree 5
+    code, out, err = run_cli(capsys, "normalize", "--assert-psc", "--n", "3",
+                             "--expr",
+                             "-2*Re(z1) + 2*(1/4)*Re(z2^2*zbar3^3)")
+    assert code == 3 and out == ""
+    assert err == ("pseudoconvexity contradiction: slot 2: top degree 5 in "
+                   "(z_2, zbar_2) is odd\n")
+
+
 def test_normalize_assert_psc_refutes_indefinite_model(capsys):
     # |w2|^2 + |w3|^2 + 3 Re(w2 conj w3) with w = z^2: every extracted row is
     # positive, but the Levi form is indefinite (`catlin psd` finds -4)
@@ -248,11 +259,16 @@ def test_examples_single(capsys):
     assert "PASS  sq-identity" in out
 
 
-def test_examples_counting_flags(capsys):
-    code, out, _ = run_cli(capsys, "examples", "--only", "counting",
-                           "--n", "3", "--m", "6")
-    assert code == 0
-    assert "PASS  counting" in out
+def test_examples_counting_flags_exit_2(capsys):
+    # `examples` has no size options; `enumerate --n N --max-type M` covers
+    # other sizes.  --n 0 was read as the default n = 3 and passed.
+    for argv in (["examples", "--only", "counting", "--n", "0"],
+                 ["examples", "--m", "9"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err, argv
 
 
 def test_examples_only_unknown_name_exits_2(capsys):

@@ -214,7 +214,7 @@ def _rand_tangential(rng, n):
     p = Poly.zero(n)
     for _ in range(rng.randint(1, n)):
         alpha = (0,) + tuple(rng.randint(0, 2) for _ in range(n - 1))
-        p = p + Poly.modulus_power(n, alpha, Fraction(rng.randint(1, 3)))
+        p = p + Poly.monomial(n, alpha, alpha, Fraction(rng.randint(1, 3)))
     for _ in range(rng.randint(1, 2)):
         a = (0,) + tuple(rng.randint(0, 2) for _ in range(n - 1))
         b = (0,) + tuple(rng.randint(0, 2) for _ in range(n - 1))
@@ -536,7 +536,7 @@ def test_newton_split_extremal_parts_nonneg_random():
         p = Poly.zero(3)
         for _k in range(3):
             a = (0, rng.randint(0, 2), rng.randint(0, 2))
-            p = p + Poly.modulus_power(3, a, Fraction(rng.randint(1, 3)))
+            p = p + Poly.monomial(3, a, a, Fraction(rng.randint(1, 3)))
         parts = newton_split_check(p, ([2], [3]))
         for part in parts:
             if part.flagged_nonneg:

@@ -1,14 +1,21 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from catlin import normal_form
+from catlin.exact import CRat
 from catlin.normal_form import (NormalForm, NormalRow, PseudoconvexityError,
-                                _Degenerate, normalize, step_first,
-                                step_inductive, verify_normal_form)
+                                _Contradiction, _Degenerate, normalize,
+                                step_first, step_inductive,
+                                verify_normal_form)
 from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError
 from catlin.weights import Weight, multitype_search
+
+from helpers import rand_crat, rand_fraction, step_first_oracle
 
 MU_EQQ = Weight((Fraction(1), Fraction(1, 8), Fraction(1, 12)))
 MU_TORSION = Weight((Fraction(1), Fraction(1, 6), Fraction(1, 9),
@@ -64,9 +71,110 @@ def test_step_first_degenerate_signals():
 def test_step_first_odd_degree_contradiction():
     p = model_p("2*Re(z2^2*zbar3^3)", 3)
     mu = Weight((Fraction(1), Fraction(1, 5), Fraction(1, 5)))
-    from catlin.normal_form import _Contradiction
     with pytest.raises(_Contradiction):
         step_first(p, mu, assert_psc=True)
+
+
+def _step_first_outcome(step, p, mu, assert_psc):
+    """(kind, value) of one slot-2 step: the 5-tuple on success."""
+    try:
+        return "success", step(p, mu, assert_psc)
+    except _Degenerate as deg:
+        return "degenerate", (deg.slot, deg.remaining)
+    except _Contradiction:
+        return "contradiction", None
+    except PolyError:
+        return "error", None
+
+
+# (model after -2*Re(z1), n, weight; None takes the search weight): the
+# normalize workload's families, this module's models, and slot-2 failures
+NORMALIZE_FAMILIES = [
+    ("(1/2)*|z2|^4 + (3)*|z3|^6", 3, None),
+    ("|z2|^4 + (2/3)*|z3|^6 + (5/4)*|z4|^6 + (2)*|z5|^8", 5, None),
+    ("(3/2)*|z2|^8 + (1/3)*|z2|^4*|z3|^6", 3, None),
+    ("(2)*|z2|^6 + |z2|^2*|z3|^4", 3, None),
+    ("|z2|^4 + (2)*|z2|^2*|z3|^2 + |z2|^2*|z4|^2 + (1/2)*|z3|^2*|z4|^2", 4,
+     None),
+    ("|z2 + (-1/2)*z3^2|^4 + (5/4)*|z3|^8", 3, None),
+    ("|z2 + (2)*z3^2|^4 + |z3|^8 + (3)*|z4|^8", 4, None),
+    ("|z2 + (1)*z3^3|^6 + (2/3)*|z3|^18", 3, None),
+    ("2*(1/4)*Re(z2^2*zbar3^3)", 3, None),
+    ("2*(-1/3)*Re(z2^3*zbar3^2)", 3, None),
+    ("2*(1/2)*Re(z2*zbar3^2)", 3, None),
+    ("2*(-1/4)*Re(z2^3*zbar3^4)", 3, None),
+    ("|z2|^4*|z3|^6", 3, MU_EQQ.entries),
+    ("2*Re(z2^8) + |z2|^4*|z3|^6", 3, MU_EQQ.entries),
+    ("|z2|^4 + |z3|^6", 3, (1, Fraction(1, 4), Fraction(1, 4))),
+    ("|z3|^4", 3, (1, Fraction(1, 4), Fraction(1, 4))),
+    ("|z2|^4 + |z2|^2*|z4|^4", 4,
+     (1, Fraction(1, 4), Fraction(1, 8), Fraction(1, 8))),
+    ("(Re(z2))^2", 2, (1, Fraction(1, 2))),
+    ("|z2|^4 + 2*(2)*Re(z2^3*zbar2)", 2, (1, Fraction(1, 4))),
+    ("(-1)*|z2|^4", 2, (1, Fraction(1, 4))),
+    ("|z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2 + |z2|^2*|z3|^4*|z4|^4"
+     " + 2*(1/10)*Re(z2*zbar2*z3^2*zbar3^3*z4*zbar4) + |z3|^8*|z4|^2", 4,
+     MU_TORSION.entries),
+]
+
+
+def test_step_first_matches_parent_on_normalize_families(monkeypatch):
+    # every slot-2 step normalize takes, descents included, against the
+    # earlier step_first with its own extraction
+    kinds = Counter()
+    new_step = normal_form.step_first
+
+    def compared(p, mu, assert_psc=False):
+        got = _step_first_outcome(new_step, p, mu, assert_psc)
+        assert got == _step_first_outcome(step_first_oracle, p, mu,
+                                          assert_psc), (str(p), mu)
+        kinds[got[0]] += 1
+        return new_step(p, mu, assert_psc)
+
+    monkeypatch.setattr(normal_form, "step_first", compared)
+    for expr, n, mu in NORMALIZE_FAMILIES:
+        r = parse_poly("-2*Re(z1) + " + expr, n)
+        mu = multitype_search(r).value.weight() if mu is None else Weight(mu)
+        for assert_psc in (False, True):
+            try:
+                normalize(r, mu, assert_psc=assert_psc)
+            except PseudoconvexityError:
+                assert assert_psc
+    assert set(kinds) == {"success", "degenerate", "contradiction"}, kinds
+
+
+def _random_weight_one_model(rng):
+    """A real model of weight exactly 1 under a weight with 1/mu integral
+    (ties between slots often), with coefficients of either sign."""
+    n = rng.randint(2, 4)
+    ds = sorted(rng.choice((2, 3, 4, 6)) for _ in range(n - 1))
+    mu = Weight((Fraction(1),) + tuple(Fraction(1, d) for d in ds))
+    totals = [e for e in itertools.product(*(range(d + 1) for d in ds))
+              if sum(Fraction(x, d) for x, d in zip(e, ds)) == 1]
+    p = Poly.zero(n)
+    for _ in range(rng.randint(1, 3)):
+        e = rng.choice(totals)
+        a = [rng.randint(0, x) for x in e]
+        alpha = (0,) + tuple(a)
+        beta = (0,) + tuple(x - y for x, y in zip(e, a))
+        c = CRat(rand_fraction(rng)) if alpha == beta else rand_crat(rng)
+        p = p + Poly.monomial(n, alpha, beta, c) \
+            + Poly.monomial(n, beta, alpha, c.conj())
+    return p, mu
+
+
+def test_step_first_matches_parent_on_random_models():
+    rng = random.Random(83)
+    kinds = Counter()
+    for _ in range(400):
+        p, mu = _random_weight_one_model(rng)
+        for assert_psc in (False, True):
+            got = _step_first_outcome(step_first, p, mu, assert_psc)
+            assert got == _step_first_outcome(step_first_oracle, p, mu,
+                                              assert_psc), (str(p), mu)
+            kinds[got[0]] += 1
+    assert set(kinds) == {"success", "degenerate", "contradiction"}, kinds
+    assert min(kinds.values()) >= 20, kinds
 
 
 # ----------------------------------------------------------------------
@@ -299,7 +407,7 @@ def test_normalize_sound_on_random_balanced_models():
             alpha = (0,) + tuple(rng.randint(0, 3) for _ in range(n - 1))
             if sum(alpha) == 0:
                 continue
-            p = p + Poly.modulus_power(n, alpha, Fraction(rng.randint(1, 3)))
+            p = p + Poly.monomial(n, alpha, alpha, Fraction(rng.randint(1, 3)))
         if p.is_zero():
             continue
         r = parse_poly("-2*Re(z1)", n) + p

@@ -11,8 +11,10 @@ from catlin.poly import (CoordChange, NonRealError, Poly, PolyError,
                          _capped_products, eliminate_harmonic, require_real,
                          revlex_max_balanced, split_model, weighted_order)
 
-from helpers import (leading_model, rand_crat, rand_holomorphic,
-                     rand_real_poly, substitute_maps_oracle, tail)
+from helpers import (eliminate_harmonic_oracle, leading_model,
+                     linear_change, rand_crat, rand_fraction,
+                     rand_holomorphic, rand_real_poly,
+                     substitute_maps_oracle, tail)
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +254,31 @@ def test_eliminate_harmonic_idempotent_random():
             Poly.monomial(3, (0, 0, 0), (1, 0, 0), -1)
 
 
+def test_eliminate_harmonic_matches_substitution():
+    # r - pure_part(f) against the substitution z1 -> z1 + h, expanded
+    rng = random.Random(47)
+    n = 3
+    for case in range(300):
+        c1 = rand_fraction(rng)
+        while c1 == 0:
+            c1 = rand_fraction(rng)
+        c1 = abs(c1) if case % 2 else -abs(c1)   # both signs
+        f = rand_real_poly(rng, n, terms=2, max_exp=2)
+        f = Poly(n, {k: c for k, c in f.terms.items()
+                     if k[0][0] == 0 and k[1][0] == 0})
+        kind = case % 3
+        if kind in (0, 2):          # constant
+            f = f + Poly.const(n, rand_fraction(rng))
+        if kind in (1, 2):          # holomorphic, with its conjugate
+            hol = rand_holomorphic(rng, n, terms=2, max_exp=3)
+            hol = Poly(n, {k: c for k, c in hol.terms.items()
+                           if k[0][0] == 0})
+            f = f + hol + hol.conj()
+        r = Poly.monomial(n, (1, 0, 0), (0, 0, 0), c1) \
+            + Poly.monomial(n, (0, 0, 0), (1, 0, 0), c1) + f
+        assert eliminate_harmonic(r) == eliminate_harmonic_oracle(r), str(r)
+
+
 def test_eliminate_harmonic_rejects_nonlinear_z1():
     with pytest.raises(PolyError):
         eliminate_harmonic(parse_poly("-2*Re(z1) + |z1|^2", 2))
@@ -340,10 +367,10 @@ def test_substitute_square_identity():
             for eps in (Fraction(1, 2), Fraction(9, 10)):
                 w = Poly.monomial(3, (0, p_exp, 0), (0, 0, 0), 1) + \
                     Poly.monomial(3, (0, 0, q_exp), (0, 0, 0), eps)
-                lhs = w * w.conj() + \
-                    Poly.modulus_power(3, (0, 0, q_exp), 1 - eps * eps)
-                rhs = Poly.modulus_power(3, (0, p_exp, 0)) + \
-                    Poly.modulus_power(3, (0, 0, q_exp)) + \
+                lhs = w * w.conj() + Poly.monomial(
+                    3, (0, 0, q_exp), (0, 0, q_exp), 1 - eps * eps)
+                rhs = Poly.monomial(3, (0, p_exp, 0), (0, p_exp, 0)) + \
+                    Poly.monomial(3, (0, 0, q_exp), (0, 0, q_exp)) + \
                     Poly.monomial(3, (0, p_exp, 0), (0, 0, q_exp), eps) + \
                     Poly.monomial(3, (0, 0, q_exp), (0, p_exp, 0), eps)
                 assert (lhs - rhs).is_zero()
@@ -352,7 +379,7 @@ def test_substitute_square_identity():
 def test_substitute_scaling():
     p = parse_poly("|z2|^2", 2)
     mu = (Fraction(1), Fraction(1, 2))
-    c = CoordChange.linear(2, {(1, 1): 1, (2, 2): 2}, mu)
+    c = linear_change(2, {(1, 1): 1, (2, 2): 2}, mu)
     assert c.apply(p) == parse_poly("4*|z2|^2", 2)
 
 
@@ -373,8 +400,7 @@ def _random_change(rng, mu):
     a = Fraction(rng.randint(1, 3))
     b = Fraction(rng.randint(-2, 2))
     d = Fraction(rng.randint(1, 3))
-    return CoordChange.linear(3, {(1, 1): 1, (2, 2): a, (2, 3): b, (3, 3): d},
-                              mu)
+    return linear_change(3, {(1, 1): 1, (2, 2): a, (2, 3): b, (3, 3): d}, mu)
 
 
 def _one_term_map(rng, n, j):
@@ -514,7 +540,7 @@ def test_substitute_maps_composes_property():
 def test_substitution_preserves_weight_order():
     p = parse_poly("-2*Re(z1) + |z2|^4 + |z2|^2*|z3|^2", 3)
     mu = (Fraction(1), Fraction(1, 4), Fraction(1, 4))
-    c = CoordChange.linear(3, {(1, 1): 1, (2, 2): 1, (2, 3): 1, (3, 3): 1}, mu)
+    c = linear_change(3, {(1, 1): 1, (2, 2): 1, (2, 3): 1, (3, 3): 1}, mu)
     q = c.apply(p)
     for key in q.terms:
         assert weighted_order(key, mu) >= 1
@@ -523,7 +549,7 @@ def test_substitution_preserves_weight_order():
 def test_coord_change_rejects_singular_block():
     mu = (Fraction(1), Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(PolyError):
-        CoordChange.linear(3, {(1, 1): 1, (2, 2): 1, (3, 2): 1}, mu)
+        linear_change(3, {(1, 1): 1, (2, 2): 1, (3, 2): 1}, mu)
 
 
 def test_coord_change_rejects_low_weight_monomial():

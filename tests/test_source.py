@@ -1,9 +1,12 @@
 """Source hygiene checks on src/catlin, by static analysis with ``ast``."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "catlin"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "catlin"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _private_definitions(tree):
@@ -24,16 +27,16 @@ def _private_definitions(tree):
                 yield name, node
 
 
-def _referenced(node):
-    out = set()
+def _references(node):
+    """Each name that ``node`` reads, imports or takes as an attribute, once
+    per occurrence."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            out.add(sub.id)
+            yield sub.id
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            yield sub.attr
         elif isinstance(sub, ast.alias):
-            out.add(sub.name)
-    return out
+            yield sub.name
 
 
 def unused_private_names(src: Path):
@@ -42,7 +45,7 @@ def unused_private_names(src: Path):
     defining it."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
-    statements = [(stmt, _referenced(stmt))
+    statements = [(stmt, set(_references(stmt)))
                   for tree in trees.values() for stmt in tree.body]
     unused = []
     for fname, tree in trees.items():
@@ -51,6 +54,45 @@ def unused_private_names(src: Path):
                        if stmt is not defn):
                 unused.append(f"{fname}:{name}")
     return unused
+
+
+def _public_definitions(tree):
+    """(qualified name, node) for each module-level public function or class,
+    and for each public method of a module-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def unreferenced_public_names(src: Path, readers=()):
+    """Entries "file:name" ("file:Class.method" for a method) for each
+    public function, class or method in ``src`` that nothing outside its own
+    definition references, in ``src`` or in the ``readers`` directories.
+    Names match by spelling, so any attribute of that name counts."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    total = Counter()
+    for tree in trees.values():
+        total.update(_references(tree))
+    for directory in readers:
+        for path in sorted(directory.glob("*.py")):
+            total.update(_references(
+                ast.parse(path.read_text(encoding="utf-8"))))
+    unreferenced = []
+    for fname, tree in trees.items():
+        for qualname, defn in _public_definitions(tree):
+            own = sum(1 for name in _references(defn) if name == defn.name)
+            if total[defn.name] == own:
+                unreferenced.append(f"{fname}:{qualname}")
+    return unreferenced
 
 
 def _parameters(fn):
@@ -115,3 +157,35 @@ def test_unused_private_names_detector(tmp_path):
         "from .a import _helper\n"
         "def public():\n    return _helper()\n")
     assert unused_private_names(tmp_path) == ["a.py:_dead"]
+
+
+def test_no_unreferenced_public_names():
+    # public code with no reader in the package or the benchmark harness is
+    # dead or test-only
+    assert unreferenced_public_names(SRC, [PERFBENCH]) == []
+
+
+def test_unreferenced_public_names_detector(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "a.py").write_text(
+        "def used():\n    return 1\n"
+        "def dead():\n    return dead()\n"
+        "def timed():\n    return 2\n"
+        "class K:\n"
+        "    def live(self):\n        return self.helper()\n"
+        "    def helper(self):\n        return 1\n"
+        "    def orphan(self):\n        return used()\n"
+        "    def __eq__(self, other):\n        return True\n"
+        "class _Hidden:\n"
+        "    def unread(self):\n        return 0\n")
+    (src / "b.py").write_text(
+        "from .a import K\n"
+        "def entry():\n    return K().live()\n"
+        "print(entry)\n")
+    (bench / "run.py").write_text("import a\na.timed()\n")
+    assert unreferenced_public_names(src, [bench]) == [
+        "a.py:dead", "a.py:K.orphan", "a.py:_Hidden.unread"]
+    assert unreferenced_public_names(src) == [
+        "a.py:dead", "a.py:timed", "a.py:K.orphan", "a.py:_Hidden.unread"]

