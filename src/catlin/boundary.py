@@ -11,7 +11,9 @@ derivative of the (1,0) differential,
 does not vanish at the origin.  A list entry is a field L = sum a_k d/dz_k
 or its conjugate sum conj(a_k) d/dzbar_k, applied directly.  A bracket is
 formed only in its (1,0) part, the part that dr reads.  All list
-derivatives are formed by ``_ListSearcher``.  The list lengths produce the
+derivatives are formed by ``_ListSearcher``; the slot counts of the lists it
+tries (their skeletons) are the admissible rows of ``weights.admissible_rows``
+over the c-entries found so far.  The list lengths produce the
 commutator multitype (1, c_2, ..., c_n); the associated real functions r_j
 and fields L_j form the boundary system.  The first equal-value block
 beyond the Levi slots can be normalized to r_j = Re z_j exactly by a
@@ -44,7 +46,8 @@ from .exact import CRat, CZERO, hermitian_reduce, inverse, rank, rat_str
 from .levi import complex_hessian
 from .poly import (CoordChange, ModelShapeError, Poly, PolyError,
                    _capped_products, _unit, split_model)
-from .weights import INF, Entry, InverseWeight, Weight, entry_str, recip
+from .weights import (INF, Entry, InverseWeight, Weight, admissible_rows,
+                      entry_str, recip)
 
 
 class BoundaryConstructionError(PolyError):
@@ -210,7 +213,6 @@ class SlowSlot:
     direction: Tuple[CRat, ...]       # tangential direction over z_2..z_n
     fld: VField
     entries: List[ListEntry]
-    counts: Dict[int, int]            # slot -> number of its fields in the list
     c: Fraction
     r_func: Poly                      # normalized real function r_j
     scale: CRat = CZERO               # linear coefficient divided out of the
@@ -333,38 +335,17 @@ def _build_slow_field(r: Poly, c1: CRat, p_hess: List[List[Poly]],
     return _field_from_vector(r, c1, vec)
 
 
-def _compositions(total: int, slots: List[int], c_prev: Dict[int, Fraction]
-                  ) -> List[Dict[int, int]]:
-    """Count vectors l_k >= 0 (l_last >= 1) over ``slots`` summing to total
-    with the admissibility constraint sum_{k < last} l_k / c_k < 1."""
-    last = slots[-1]
-    earlier = slots[:-1]
-    out = []
-
-    def rec(idx: int, left: int, acc: Dict[int, int], frac: Fraction):
-        if idx == len(earlier):
-            if left >= 1:
-                out.append({**acc, last: left})
-            return
-        k = earlier[idx]
-        for lk in range(0, left + 1):
-            nf = frac + Fraction(lk) / c_prev[k]
-            if nf >= 1:
-                break
-            rec(idx + 1, left - lk, {**acc, k: lk}, nf)
-
-    rec(0, total, {}, Fraction(0))
-    return out
-
-
-def _skeletons(total: int, c_prev: Dict[int, Fraction], slot: int
-               ) -> Iterator[Tuple[Dict[int, int], List[int]]]:
-    """The admissible lists of ``total`` fields over the slots of ``c_prev``
-    and ``slot``, as (counts, skeleton): the skeleton holds the slot of each
-    field, in descending slot order."""
-    for counts in _compositions(total, sorted(c_prev) + [slot], c_prev):
-        yield counts, [s for s in sorted(counts, reverse=True)
-                       for _ in range(counts[s])]
+def _skeletons(total: int, slow: Dict[int, SlowSlot], slot: int
+               ) -> Iterator[Tuple[Dict[int, int], Fraction, List[int]]]:
+    """The admissible lists of ``total`` fields over the slow slots below
+    ``slot`` and ``slot``, as (counts, rem, skeleton): the earlier counts are
+    a row of ``admissible_rows`` over their c_k, rem its remainder, and the
+    skeleton holds the slot of each field, in descending order."""
+    earlier = [k for k in sorted(slow) if k < slot]
+    for row, rem in admissible_rows([slow[k].c for k in earlier], total - 1):
+        counts = {**dict(zip(earlier, row)), slot: total - sum(row)}
+        yield counts, rem, [s for s in sorted(counts, reverse=True)
+                            for _ in range(counts[s])]
 
 
 def build_boundary_system(r: Poly, list_bound: Optional[int] = None
@@ -418,17 +399,16 @@ def _system_slots(r: Poly, list_bound: Optional[int]
                         c_entries=(Fraction(1),) + (Fraction(2),) * levi_rank,
                         list_bound=bound, trunc_degree=cap)
     yield bs
-    fields_by_slot: Dict[int, VField] = {}
-    c_by_slot: Dict[int, Fraction] = {}
-    used_dirs: List[Tuple[CRat, ...]] = []
     for slot in range(levi_rank + 2, n + 1):
+        fields_by_slot = {k: sl.fld for k, sl in slow.items()}
+        used_dirs = [sl.direction for sl in slow.values()]
         found = None
         directions = [d for d in catalog if not _in_span(d, used_dirs)]
         # per direction: the searcher over its slow field, None when the
         # field cannot be built
         searchers: Dict[Tuple[CRat, ...], Optional[_ListSearcher]] = {}
         for total in range(2, bound + 1):
-            skeletons = list(_skeletons(total, c_by_slot, slot))
+            skeletons = list(_skeletons(total, slow, slot))
             for direction in directions:
                 if direction not in searchers:
                     fld = _build_slow_field(
@@ -439,11 +419,11 @@ def _system_slots(r: Poly, list_bound: Optional[int]
                 searcher = searchers[direction]
                 if searcher is None:
                     continue
-                for counts, skeleton in skeletons:
+                for counts, rem, skeleton in skeletons:
                     entries = searcher.first_nonzero(skeleton)
                     if entries is not None:
-                        found = (direction, searcher.fields[slot], entries,
-                                 counts)
+                        found = (direction, searcher.fields, entries,
+                                 counts[slot] / rem)
                         break
                 if found:
                     break
@@ -453,15 +433,12 @@ def _system_slots(r: Poly, list_bound: Optional[int]
             bs.c_entries += (INF,) * (n - slot + 1)
             yield bs
             return
-        direction, fld, entries, counts = found
-        frac = sum((Fraction(counts.get(k, 0)) / c_by_slot[k]
-                    for k in sorted(slow)), Fraction(0))
-        c_j = Fraction(counts[slot]) / (1 - frac)
+        direction, fields, entries, c_j = found
         if len(entries) < 3:
             raise BoundaryConstructionError(
                 f"slot {slot}: minimal list of length {len(entries)} cannot "
                 "carry a boundary-system function")
-        g = list_derivative(r, {**fields_by_slot, slot: fld}, entries[1:])
+        g = list_derivative(r, fields, entries[1:])
         r_func, scale = _normalize_r(g, direction)
         # the fields are exact up to degree cap, and each field of the list
         # costs r_j one degree of exactness
@@ -470,12 +447,9 @@ def _system_slots(r: Poly, list_bound: Optional[int]
             raise BoundaryConstructionError(
                 f"slot {slot}: r_{slot} has terms above degree {exact}, "
                 "where the truncated fields reach it")
-        slow[slot] = SlowSlot(slot=slot, direction=tuple(direction), fld=fld,
-                              entries=list(entries), counts=dict(counts),
+        slow[slot] = SlowSlot(slot=slot, direction=tuple(direction),
+                              fld=fields[slot], entries=list(entries),
                               c=c_j, r_func=r_func, scale=scale)
-        fields_by_slot[slot] = fld
-        c_by_slot[slot] = c_j
-        used_dirs.append(tuple(direction))
         bs.c_entries += (c_j,)
         yield bs
 
@@ -731,11 +705,11 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
         groups = [s for s, _c in sl.entries]
         if groups != sorted(groups, reverse=True):
             problems.append(f"slot {j}: list is not ordered")
-        frac = sum((Fraction(sl.counts.get(k, 0)) / bs.slow[k].c
+        frac = sum((Fraction(groups.count(k)) / bs.slow[k].c
                     for k in bs.slow if k < j), Fraction(0))
         if frac >= 1:
             problems.append(f"slot {j}: admissibility sum {frac} >= 1")
-        total = frac + Fraction(sl.counts[j]) / sl.c
+        total = frac + Fraction(groups.count(j)) / sl.c
         if total != 1:
             problems.append(f"slot {j}: property-(5) sum {total} != 1")
         if _apply_field(sl.fld.hol, sl.r_func, 0).is_zero():
@@ -755,9 +729,8 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
 
 def _shorter_lists_all_vanish(bs: BoundarySystem, j: int,
                               searcher: _ListSearcher) -> Optional[str]:
-    c_prev = {k: bs.slow[k].c for k in bs.slow if k < j}
     for total in range(2, len(bs.slow[j].entries)):
-        for _counts, skeleton in _skeletons(total, c_prev, j):
+        for _counts, _rem, skeleton in _skeletons(total, bs.slow, j):
             entries = searcher.first_nonzero(skeleton)
             if entries is not None:
                 return (f"slot {j}: shorter admissible list {entries} has "

@@ -201,8 +201,12 @@ def cmd_torsion(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    weights = enumerate_multitypes(args.n, Fraction(args.max_type))
-    bound = counting_bound(args.n, Fraction(args.max_type))
+    try:
+        m = Fraction(args.max_type)
+    except ZeroDivisionError:
+        raise CliError(f"type bound {args.max_type} divides by 0") from None
+    weights = enumerate_multitypes(args.n, m)
+    bound = counting_bound(args.n, m)
     for w in weights:
         ok, _ = is_admissible(w)
         if not ok:

@@ -30,6 +30,10 @@ every weighted order and admissibility remainder as an integer over it;
 slot bounds and candidate lambdas are integer pairs compared by
 cross-multiplication.  ``Fraction`` appears only in the returned weight, and
 in the admissibility and descent helpers, which are not on the hot path.
+
+Admissible rows (a_j >= 0, sum a_j/lambda_j < 1) are enumerated only by
+``admissible_rows``.  The weight search keeps its own remainders: it reads
+only their values, as integers over its common denominator, not the rows.
 """
 
 from __future__ import annotations
@@ -53,6 +57,12 @@ Entry = Union[Fraction, float]  # float only ever +inf
 MAX_DEGREE_BOUND = 64
 # Rounds of the multitype hill-climb; each improving round applies one change.
 MAX_ROUNDS = 40
+# Limits of ``enumerate_multitypes``: the dimension keeps the counting bound
+# printable, the type keeps dimension 2 small, and the budget charges a prefix
+# its row entries once and once per candidate (what re-checking them reads).
+MAX_ENUMERATE_DIMENSION = 12
+MAX_ENUMERATE_TYPE = 1000
+MAX_ENUMERATE_WORK = 1_000_000
 
 STATUS_EXACT = "exact-commutator"
 STATUS_LOWER_BOUND = "search-lower-bound"
@@ -94,9 +104,6 @@ class Weight:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def inverse(self) -> "InverseWeight":
-        return InverseWeight(tuple(recip(e) for e in self.entries))
 
     def to_json(self) -> dict:
         return {"mu": [entry_str(e) for e in self.entries]}
@@ -154,6 +161,25 @@ class Multitype:
 # ----------------------------------------------------------------------
 
 
+def admissible_rows(lams: Sequence[Entry], most: Optional[int] = None
+                    ) -> List[Tuple[Tuple[int, ...], Fraction]]:
+    """Every row (a_1..a_k) of nonnegative integers over ``lams`` whose
+    remainder 1 - sum a_j/lambda_j is positive, paired with that remainder,
+    in lexicographic order.  An infinite lambda takes only a_j = 0; with
+    ``most``, only the rows whose entries sum to at most ``most`` are kept."""
+    rows = [((), Fraction(1))]
+    for lam in lams:
+        step = recip(lam)  # 0 for an infinite lambda
+        grown = []
+        for row, rem in rows:
+            top = 0 if step == 0 else math.ceil(rem / step) - 1
+            if most is not None:
+                top = min(top, most - sum(row))
+            grown += [(row + (a,), rem - a * step) for a in range(top + 1)]
+        rows = grown
+    return rows
+
+
 def is_admissible(lam: InverseWeight) -> Tuple[bool, Dict[int, List[Tuple[int, ...]]]]:
     """Check admissibility; on success the dict maps each finite slot i (1-based)
     to all integer witness tuples (a_1..a_i) with a_i > 0 and sum a_j/lambda_j = 1.
@@ -164,35 +190,13 @@ def is_admissible(lam: InverseWeight) -> Tuple[bool, Dict[int, List[Tuple[int, .
     for i, lam_i in enumerate(lam.entries, start=1):
         if lam_i == INF:
             continue
-        sols = _slot_witnesses(lam.entries[:i])
+        sols = [row + (a.numerator,)
+                for row, rem in admissible_rows(lam.entries[:i - 1])
+                if (a := rem * lam_i).denominator == 1]
         if not sols:
             return False, {i: []}
         witnesses[i] = sols
     return True, witnesses
-
-
-def _slot_witnesses(lams: Sequence[Entry]) -> List[Tuple[int, ...]]:
-    """All (a_1..a_i) >= 0, a_i > 0, sum a_j/lambda_j = 1 (infinite slots take 0)."""
-    i = len(lams)
-    out: List[Tuple[int, ...]] = []
-
-    def rec(idx: int, remaining: Fraction, acc: Tuple[int, ...]):
-        if idx == i - 1:
-            if remaining <= 0:
-                return
-            a = remaining * lams[idx] if lams[idx] != INF else None
-            if a is not None and a == int(a) and int(a) >= 1:
-                out.append(acc + (int(a),))
-            return
-        if lams[idx] == INF:
-            rec(idx + 1, remaining, acc + (0,))
-            return
-        top = math.floor(remaining * lams[idx])
-        for a in range(0, top + 1):
-            rec(idx + 1, remaining - Fraction(a) / lams[idx], acc + (a,))
-
-    rec(0, Fraction(1), ())
-    return sorted(out)
 
 
 # ----------------------------------------------------------------------
@@ -452,45 +456,33 @@ def counting_bound(n: int, m) -> int:
 def enumerate_multitypes(n: int, m) -> List[InverseWeight]:
     """All inverse weights (1, m_2..m_n) realizable by balanced exponent rows:
     m_2 even, 2 <= m_2 <= ... <= m_n <= m, and for each j some integer row
-    k_{j2}..k_{jj} >= 0 with k_{jj} >= 1 and sum_l 2 k_{jl} / m_l = 1."""
-    if n < 2:
-        raise PolyError("enumerate_multitypes needs n >= 2")
+    k_{j2}..k_{jj} >= 0 with k_{jj} >= 1 and sum_l 2 k_{jl} / m_l = 1.
+
+    A prefix's rows over the m_l/2 offer m_j = 2k/rem, kept in [m_{j-1}, m],
+    once the prefix is charged to ``MAX_ENUMERATE_WORK``."""
+    if not 2 <= n <= MAX_ENUMERATE_DIMENSION:
+        raise PolyError(f"dimension {n} is outside "
+                        f"2..{MAX_ENUMERATE_DIMENSION}")
     m = Fraction(m)
-    results = set()
-
-    def extend(prefix: Tuple[Fraction, ...]):
-        j = len(prefix) + 2  # next slot
-        if j > n:
-            results.add((Fraction(1),) + prefix)
-            return
-        seen = set()
-
-        def rows(idx: int, remaining: Fraction):
-            if idx == len(prefix):
-                if remaining <= 0:
-                    return
-                # 2 k_jj / m_j = remaining, m_j in [prefix[-1], m]
-                kmax = math.floor(m * remaining / 2)
-                for kjj in range(1, kmax + 1):
-                    mj = 2 * kjj / remaining
-                    if mj >= prefix[-1] and mj <= m and mj not in seen:
-                        seen.add(mj)
-                        extend(prefix + (mj,))
-                return
-            ml = prefix[idx]
-            top = math.floor(remaining * ml / 2)
-            for k in range(0, top + 1):
-                rows(idx + 1, remaining - Fraction(2 * k) / ml)
-
-        rows(0, Fraction(1))
-
-    top2 = math.floor(m)
-    for m2 in range(2, top2 + 1, 2):
-        if n == 2:
-            results.add((Fraction(1), Fraction(m2)))
-        else:
-            extend((Fraction(m2),))
-    return [InverseWeight(t) for t in sorted(results)]
+    if not 2 <= m <= MAX_ENUMERATE_TYPE:
+        raise PolyError(f"type bound {rat_str(m)} is outside "
+                        f"2..{MAX_ENUMERATE_TYPE}")
+    work = MAX_ENUMERATE_WORK
+    prefixes: List[Tuple[Fraction, ...]] = [(Fraction(1),)]
+    for _ in range(2, n + 1):
+        grown = []
+        for prefix in prefixes:
+            rows = admissible_rows([x / 2 for x in prefix[1:]])
+            tops = [math.floor(m * rem / 2) for _row, rem in rows]
+            work -= len(prefix) * len(rows) * (1 + sum(tops))
+            if work < 0:
+                raise PolyError(f"dimension {n} and type {rat_str(m)} need "
+                                f"more than {MAX_ENUMERATE_WORK} row entries")
+            slot = {2 * k / rem for (_row, rem), top in zip(rows, tops)
+                    for k in range(1, top + 1)}
+            grown += [prefix + (x,) for x in sorted(slot) if x >= prefix[-1]]
+        prefixes = grown
+    return [InverseWeight(t) for t in prefixes]
 
 
 # ----------------------------------------------------------------------

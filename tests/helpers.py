@@ -656,3 +656,110 @@ def step_first_oracle(p: Poly, mu: Weight, assert_psc: bool = False):
                 raise _Contradiction(msg)
             warnings.append(msg)
     return change, p2, k22, c20.re, warnings
+
+
+def slot_witnesses_oracle(lams: Sequence[Entry]) -> List[Tuple[int, ...]]:
+    """The earlier ``weights._slot_witnesses``: all (a_1..a_i) >= 0,
+    a_i > 0, sum a_j/lambda_j = 1 (infinite slots take 0), by recursion."""
+    i = len(lams)
+    out: List[Tuple[int, ...]] = []
+
+    def rec(idx: int, remaining: Fraction, acc: Tuple[int, ...]):
+        if idx == i - 1:
+            if remaining <= 0:
+                return
+            a = remaining * lams[idx] if lams[idx] != INF else None
+            if a is not None and a == int(a) and int(a) >= 1:
+                out.append(acc + (int(a),))
+            return
+        if lams[idx] == INF:
+            rec(idx + 1, remaining, acc + (0,))
+            return
+        top = math.floor(remaining * lams[idx])
+        for a in range(0, top + 1):
+            rec(idx + 1, remaining - Fraction(a) / lams[idx], acc + (a,))
+
+    rec(0, Fraction(1), ())
+    return sorted(out)
+
+
+def is_admissible_oracle(lam: InverseWeight
+                         ) -> Tuple[bool, Dict[int, List[Tuple[int, ...]]]]:
+    """The earlier ``weights.is_admissible``, over ``slot_witnesses_oracle``."""
+    witnesses: Dict[int, List[Tuple[int, ...]]] = {}
+    for i, lam_i in enumerate(lam.entries, start=1):
+        if lam_i == INF:
+            continue
+        sols = slot_witnesses_oracle(lam.entries[:i])
+        if not sols:
+            return False, {i: []}
+        witnesses[i] = sols
+    return True, witnesses
+
+
+def compositions_oracle(total: int, slots: List[int],
+                        c_prev: Dict[int, Fraction]) -> List[Dict[int, int]]:
+    """The earlier ``boundary._compositions``: count vectors l_k >= 0
+    (l_last >= 1) over ``slots`` summing to total with the admissibility
+    constraint sum_{k < last} l_k / c_k < 1, by recursion."""
+    last = slots[-1]
+    earlier = slots[:-1]
+    out = []
+
+    def rec(idx: int, left: int, acc: Dict[int, int], frac: Fraction):
+        if idx == len(earlier):
+            if left >= 1:
+                out.append({**acc, last: left})
+            return
+        k = earlier[idx]
+        for lk in range(0, left + 1):
+            nf = frac + Fraction(lk) / c_prev[k]
+            if nf >= 1:
+                break
+            rec(idx + 1, left - lk, {**acc, k: lk}, nf)
+
+    rec(0, total, {}, Fraction(0))
+    return out
+
+
+def enumerate_multitypes_oracle(n: int, m) -> List[InverseWeight]:
+    """The earlier ``weights.enumerate_multitypes``, by nested recursion
+    over prefixes and rows, without the enumeration limits."""
+    if n < 2:
+        raise PolyError("enumerate_multitypes needs n >= 2")
+    m = Fraction(m)
+    results = set()
+
+    def extend(prefix: Tuple[Fraction, ...]):
+        j = len(prefix) + 2  # next slot
+        if j > n:
+            results.add((Fraction(1),) + prefix)
+            return
+        seen = set()
+
+        def rows(idx: int, remaining: Fraction):
+            if idx == len(prefix):
+                if remaining <= 0:
+                    return
+                # 2 k_jj / m_j = remaining, m_j in [prefix[-1], m]
+                kmax = math.floor(m * remaining / 2)
+                for kjj in range(1, kmax + 1):
+                    mj = 2 * kjj / remaining
+                    if mj >= prefix[-1] and mj <= m and mj not in seen:
+                        seen.add(mj)
+                        extend(prefix + (mj,))
+                return
+            ml = prefix[idx]
+            top = math.floor(remaining * ml / 2)
+            for k in range(0, top + 1):
+                rows(idx + 1, remaining - Fraction(2 * k) / ml)
+
+        rows(0, Fraction(1))
+
+    top2 = math.floor(m)
+    for m2 in range(2, top2 + 1, 2):
+        if n == 2:
+            results.add((Fraction(1), Fraction(m2)))
+        else:
+            extend((Fraction(m2),))
+    return [InverseWeight(t) for t in sorted(results)]

@@ -2,6 +2,7 @@ import collections
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +11,7 @@ from catlin.boundary import (BoundaryConstructionError,
                              audit_boundary_system, build_boundary_system,
                              detect_torsion, first_block_slots,
                              first_block_torsion, list_derivative,
-                             normalize_first_block, _compositions,
+                             normalize_first_block, _skeletons,
                              _field_from_vector, _ListSearcher, _truncate)
 from catlin.cli import main
 from catlin.exact import CRat
@@ -18,7 +19,8 @@ from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError, _mul_terms, split_model
 from catlin.weights import INF, InverseWeight, multitype_search
 
-from helpers import commutator_oracle, rand_crat, slow_field_oracle
+from helpers import (commutator_oracle, compositions_oracle, rand_crat,
+                     slow_field_oracle)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
@@ -121,6 +123,29 @@ def _rand_poly(rng, n, terms, max_exp):
     return Poly(n, {(tuple(rng.randint(0, max_exp) for _ in range(n)),
                      tuple(rng.randint(0, max_exp) for _ in range(n))):
                     rand_crat(rng) for _ in range(terms)})
+
+
+def test_skeletons_match_recursive_compositions():
+    # same lists in the same order as the earlier recursion, and each
+    # remainder is the one c_j = counts[slot] / rem reads
+    rng = random.Random(1403)
+    lists = 0
+    for _ in range(2000):
+        slot = rng.randint(2, 6)
+        c_prev = {k: Fraction(rng.randint(2, 16), rng.randint(1, 3))
+                  for k in range(2, slot) if rng.random() < 0.7}
+        total = rng.randint(2, 10)
+        slow = {k: SimpleNamespace(c=c) for k, c in c_prev.items()}
+        got = list(_skeletons(total, slow, slot))
+        want = compositions_oracle(total, sorted(c_prev) + [slot], c_prev)
+        assert [counts for counts, _rem, _sk in got] == want
+        for counts, rem, skeleton in got:
+            assert rem == 1 - sum(Fraction(counts[k]) / c
+                                  for k, c in c_prev.items())
+            assert skeleton == [s for s in sorted(counts, reverse=True)
+                                for _ in range(counts[s])]
+        lists += len(got)
+    assert lists > 4000
 
 
 def test_capped_products_equal_truncated_products():
@@ -249,11 +274,8 @@ def test_list_search_matches_uncapped_oracle(expr, n):
                              max(len(sl.entries) for sl in bs.slow.values()))
     checked = 0
     for j, sl in sorted(bs.slow.items()):
-        c_prev = {k: bs.slow[k].c for k in bs.slow if k < j}
         for total in range(2, len(sl.entries) + 1):
-            for counts in _compositions(total, sorted(c_prev) + [j], c_prev):
-                skeleton = [s for s in sorted(counts, reverse=True)
-                            for _ in range(counts[s])]
+            for _counts, _rem, skeleton in _skeletons(total, bs.slow, j):
                 want = next((list(p) for p in _flag_patterns(skeleton)
                              if not origin_value(uncapped(p)).is_zero()),
                             None)

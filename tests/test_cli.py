@@ -253,6 +253,24 @@ def test_enumerate(capsys):
     assert "enumerated 2 <= 2" in out
 
 
+@pytest.mark.parametrize("n,m,limit", [
+    ("3", "1000000", "2..1000"), ("300", "2", "2..12"),
+    ("2000", "2", "2..12"), ("4", "64", "1000000 row entries")])
+def test_enumerate_oversized_exits_2_fast(capsys, n, m, limit):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "--n", n, "--max-type", m)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert limit in err
+
+
+def test_enumerate_zero_denominator_exits_2(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--n", "3",
+                             "--max-type", "1/0")
+    assert (code, out) == (2, "")
+    assert "type bound 1/0 divides by 0" in err
+
+
 def test_examples_single(capsys):
     code, out, _ = run_cli(capsys, "examples", "--only", "sq-identity")
     assert code == 0

@@ -55,6 +55,10 @@ CASES = {
                               "-2*Re(z1) + 2*Re(z1^2) + |z2|^2", "--n", "2"],
     "boundary-imaginary-head": ["boundary-system", "--expr",
                                 "2*Im(z1) + |z2|^2", "--n", "2"],
+    "boundary-three-slow-slots": ["boundary-system", "--n", "4", "--expr",
+                                  "-2*Re(z1) + |z2|^4 + 2*|z3|^6 + |z4|^8"],
+    "enumerate-n3-m11": ["enumerate", "--n", "3", "--max-type", "11"],
+    "enumerate-n4-m8": ["enumerate", "--n", "4", "--max-type", "8"],
     "psd-tier1": ["psd", "--expr",
                   "|z2|^4 + |z3|^6 + 2*(9/10)*Re(z2^2*zbar3^3)", "--n", "3"],
     "psd-tier2-full-model": ["psd", "--expr", TORSION_EXPR, "--n", "4"],

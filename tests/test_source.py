@@ -72,24 +72,36 @@ def _public_definitions(tree):
                     yield f"{node.name}.{sub.name}", sub
 
 
+def _attributes(node):
+    """Each attribute name that ``node`` takes (``x.name``), once per
+    occurrence."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
 def unreferenced_public_names(src: Path, readers=()):
     """Entries "file:name" ("file:Class.method" for a method) for each
     public function, class or method in ``src`` that nothing outside its own
     definition references, in ``src`` or in the ``readers`` directories.
-    Names match by spelling, so any attribute of that name counts."""
+    Names match by spelling: a function or class by any reference, a method
+    only by attribute access, so a function of the same name does not count
+    as a reader of the method."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
-    total = Counter()
-    for tree in trees.values():
-        total.update(_references(tree))
-    for directory in readers:
-        for path in sorted(directory.glob("*.py")):
-            total.update(_references(
-                ast.parse(path.read_text(encoding="utf-8"))))
+    readers_trees = [ast.parse(path.read_text(encoding="utf-8"))
+                     for directory in readers
+                     for path in sorted(directory.glob("*.py"))]
+    names, attributes = Counter(), Counter()
+    for tree in list(trees.values()) + readers_trees:
+        names.update(_references(tree))
+        attributes.update(_attributes(tree))
     unreferenced = []
     for fname, tree in trees.items():
         for qualname, defn in _public_definitions(tree):
-            own = sum(1 for name in _references(defn) if name == defn.name)
+            refs, total = (_attributes, attributes) if "." in qualname \
+                else (_references, names)
+            own = sum(1 for name in refs(defn) if name == defn.name)
             if total[defn.name] == own:
                 unreferenced.append(f"{fname}:{qualname}")
     return unreferenced
@@ -173,19 +185,22 @@ def test_unreferenced_public_names_detector(tmp_path):
         "def used():\n    return 1\n"
         "def dead():\n    return dead()\n"
         "def timed():\n    return 2\n"
+        "def twin():\n    return 3\n"
         "class K:\n"
         "    def live(self):\n        return self.helper()\n"
         "    def helper(self):\n        return 1\n"
         "    def orphan(self):\n        return used()\n"
+        "    def twin(self):\n        return 0\n"
         "    def __eq__(self, other):\n        return True\n"
         "class _Hidden:\n"
         "    def unread(self):\n        return 0\n")
     (src / "b.py").write_text(
-        "from .a import K\n"
-        "def entry():\n    return K().live()\n"
+        "from .a import K, twin\n"
+        "def entry():\n    return K().live(), twin()\n"
         "print(entry)\n")
     (bench / "run.py").write_text("import a\na.timed()\n")
     assert unreferenced_public_names(src, [bench]) == [
-        "a.py:dead", "a.py:K.orphan", "a.py:_Hidden.unread"]
+        "a.py:dead", "a.py:K.orphan", "a.py:K.twin", "a.py:_Hidden.unread"]
     assert unreferenced_public_names(src) == [
-        "a.py:dead", "a.py:timed", "a.py:K.orphan", "a.py:_Hidden.unread"]
+        "a.py:dead", "a.py:timed", "a.py:K.orphan", "a.py:K.twin",
+        "a.py:_Hidden.unread"]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,14 +8,17 @@ import pytest
 from catlin.exact import CRat
 from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError
-from catlin.weights import (INF, MAX_DEGREE_BOUND, InverseWeight, Weight,
-                            _catalog_maps,
+from catlin.weights import (INF, MAX_DEGREE_BOUND, MAX_ENUMERATE_DIMENSION,
+                            MAX_ENUMERATE_TYPE, InverseWeight, Weight,
+                            _catalog_maps, admissible_rows,
                             best_distinguished_weight, corroborate,
                             counting_bound, enumerate_multitypes,
                             is_admissible, is_distinguished, lower_weight_at,
-                            multitype_search, STATUS_EXACT, STATUS_LOWER_BOUND)
+                            multitype_search, recip, STATUS_EXACT,
+                            STATUS_LOWER_BOUND)
 
 from helpers import (best_distinguished_weight_oracle, brute_admissible_slot,
+                     enumerate_multitypes_oracle, is_admissible_oracle,
                      lower_weight_at_oracle, multitype_search_oracle,
                      rand_crat, substitute_maps_oracle)
 
@@ -42,9 +46,9 @@ def test_reciprocity_involution():
     ]
     for entries in cases:
         w = Weight(entries)
-        assert w.inverse().weight() == w
+        assert InverseWeight(tuple(recip(e) for e in entries)).weight() == w
     lam = InverseWeight((Fraction(1), Fraction(2), INF))
-    assert lam.weight().inverse() == lam
+    assert InverseWeight(tuple(recip(e) for e in lam.weight().entries)) == lam
 
 
 def test_inverse_weight_lex_order():
@@ -98,6 +102,45 @@ def test_admissible_matches_brute_force():
                 assert wit[i] == sorted(brute)
             elif i in wit:
                 assert brute == []
+
+
+def _random_lams(rng, count):
+    """``count`` random lambdas: positive rationals up to 4, or INF."""
+    return [INF if rng.random() < 0.2
+            else Fraction(rng.randint(1, 8), rng.randint(1, 2))
+            for _ in range(count)]
+
+
+def test_admissible_rows_matches_brute_force():
+    # Every row of the box a_j < lambda_j (a_j = 0 for INF), in itertools'
+    # lexicographic order, filtered by remainder and row sum.
+    rng = random.Random(1401)
+    for _ in range(2000):
+        lams = _random_lams(rng, rng.randint(0, 4))
+        box = [range(1) if lam == INF else range(math.ceil(lam))
+               for lam in lams]
+        rems = [(row, 1 - sum((Fraction(a) / lam for a, lam
+                               in zip(row, lams) if a), Fraction(0)))
+                for row in itertools.product(*box)]
+        brute = [(row, rem) for row, rem in rems if rem > 0]
+        assert admissible_rows(lams) == brute, lams
+        most = rng.randint(0, 5)
+        assert admissible_rows(lams, most) == [
+            (row, rem) for row, rem in brute if sum(row) <= most], (lams, most)
+
+
+def test_is_admissible_matches_recursive_oracle():
+    rng = random.Random(1402)
+    admissible = 0
+    for _ in range(3000):
+        finite = sorted(Fraction(rng.randint(3, 12), rng.choice((1, 1, 2, 3)))
+                        for _ in range(rng.randint(0, 3)))
+        lam = InverseWeight([Fraction(1)] + finite
+                            + [INF] * rng.choice((0, 0, 1, 2)))
+        got = is_admissible(lam)
+        assert got == is_admissible_oracle(lam), lam
+        admissible += got[0]
+    assert 300 < admissible < 2700
 
 
 # ----------------------------------------------------------------------
@@ -396,10 +439,33 @@ def test_enumerate_all_admissible_and_bounded():
 
 
 def test_enumerate_rational_entries_appear():
-    weights = enumerate_multitypes(3, 9)
-    assert any(e != int(e) for w in weights for e in w.entries
-               if e != INF) or all(
-        e == int(e) for w in weights for e in w.entries)
+    # 2*1/8 + 2*4/(32/3) = 1: the row (1, 4) realizes m_3 = 32/3
+    lam = InverseWeight((Fraction(1), Fraction(8), Fraction(32, 3)))
+    assert lam in enumerate_multitypes(3, 11)
+    assert (0, 2, 8) in is_admissible(lam)[1][3]
+    assert all(e.denominator == 1 for w in enumerate_multitypes(3, 10)
+               for e in w.entries)
+
+
+def test_enumerate_matches_recursive_oracle():
+    cases = [(n, m) for n in (2, 3, 4, 5) for m in range(2, 13)]
+    cases += [(n, Fraction(13, 2)) for n in (2, 3, 4, 5)]
+    cases += [(3, Fraction(21, 2)), (4, Fraction(19, 2))]
+    for n, m in cases:
+        assert enumerate_multitypes(n, m) == \
+            enumerate_multitypes_oracle(n, m), (n, m)
+
+
+def test_enumerate_limits():
+    for n, m in [(1, 4), (MAX_ENUMERATE_DIMENSION + 1, 2), (3, 1),
+                 (2, MAX_ENUMERATE_TYPE + 1)]:
+        with pytest.raises(PolyError, match="is outside"):
+            enumerate_multitypes(n, m)
+    assert len(enumerate_multitypes(2, MAX_ENUMERATE_TYPE)) == \
+        MAX_ENUMERATE_TYPE // 2
+    assert len(enumerate_multitypes(MAX_ENUMERATE_DIMENSION, 2)) == 1
+    with pytest.raises(PolyError, match="row entries"):
+        enumerate_multitypes(4, 64)
 
 
 # ----------------------------------------------------------------------
