@@ -45,7 +45,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .exact import CRat, CZERO, hermitian_reduce, inverse, rank, rat_str
 from .levi import complex_hessian
 from .poly import (CoordChange, ModelShapeError, Poly, PolyError,
-                   _capped_products, _unit, split_model)
+                   PseudoconvexityError, _capped_products, _unit, split_model)
 from .weights import (INF, Entry, InverseWeight, Weight, admissible_rows,
                       entry_str, recip)
 
@@ -434,10 +434,11 @@ def _system_slots(r: Poly, list_bound: Optional[int]
             yield bs
             return
         direction, fields, entries, c_j = found
-        if len(entries) < 3:
-            raise BoundaryConstructionError(
-                f"slot {slot}: minimal list of length {len(entries)} cannot "
-                "carry a boundary-system function")
+        # Found lists have 3+ fields: a 2-field list vanishes at 0.  [L, M]r
+        # = 0, as _field_from_vector solves each z1 coefficient exactly; for
+        # L, conj(M) it is the Levi form at 0 on values in the Levi kernel
+        # (M(0)'s Levi block is decoupled from the kernel columns in
+        # _build_slow_field); two conjugate entries give a zero seed.
         g = list_derivative(r, fields, entries[1:])
         r_func, scale = _normalize_r(g, direction)
         # the fields are exact up to degree cap, and each field of the list
@@ -464,10 +465,9 @@ def _normalize_r(g: Poly, direction: Sequence[CRat]) -> Tuple[Poly, CRat]:
     """Canonical real function from the list derivative: scale so the linear
     part along the slot direction is exactly Re z_dir; prefer Re over Im.
     Also returns the scale (the linear coefficient that was divided out)."""
-    dirvar = next((k + 2 for k, c in enumerate(direction) if not c.is_zero()),
-                  None)
-    if dirvar is None:
-        raise BoundaryConstructionError("slow slot without a direction")
+    # no catalog direction is zero: each is a hermitian_reduce basis vector
+    # or a combination sum t^i k_i of independent kernel vectors
+    dirvar = next(k + 2 for k, c in enumerate(direction) if not c.is_zero())
     c_plus, c_minus = _linear_coeffs(g, dirvar)
     a_re = c_plus + c_minus.conj()
     if not a_re.is_zero():
@@ -528,17 +528,17 @@ def _change_weight(bs: BoundarySystem) -> Weight:
     return Weight(tuple(recip(e) for e in c + c[-1:] * (bs.n - len(c))))
 
 
-def normalize_first_block(bs: BoundarySystem, r0: Poly) -> BoundarySystem:
+def normalize_first_block(bs: BoundarySystem) -> BoundarySystem:
     """Normalize the first slow block to r_j = Re z_j exactly (model level).
 
     For each slot j in the block, the (k-1, k) Wirtinger derivative of the
     model (k = lambda_j / 2) has the shape c_+ z_j + c_- zbar_j + T with T a
     harmonic polynomial in the later variables; the change
     z_j -> (z_j - phi - psi)/(c_+ + conj(c_-)) with T = phi + conj(psi)
-    straightens r_j.  A non-harmonic T is reported as a pseudoconvexity
-    violation; a vanishing scale factor as inconsistent input.  Returns the
-    system rebuilt in the new coordinates, with the change as ``transform``."""
-    r_cur, trace = _straighten_first_block(bs, r0, iter(()))
+    straightens r_j.  A non-harmonic T raises PseudoconvexityError, a
+    vanishing scale factor is inconsistent input.  Returns the system of
+    ``bs.r`` rebuilt in the new coordinates, the change as ``transform``."""
+    r_cur, trace = _straighten_first_block(bs, iter(()))
     rebuilt = build_boundary_system(r_cur, bs.list_bound)
     rebuilt.transform = trace
     return rebuilt
@@ -547,21 +547,21 @@ def normalize_first_block(bs: BoundarySystem, r0: Poly) -> BoundarySystem:
 def first_block_torsion(r0: Poly, list_bound: Optional[int] = None
                         ) -> TorsionReport:
     """The report of ``detect_torsion(normalize_first_block(
-    build_boundary_system(r0, list_bound), r0))``, from systems built
+    build_boundary_system(r0, list_bound)))``, from systems built
     only through the slot the report reads: the first slot past the first
     block, before and after the change that straightens the block."""
     slots = _system_slots(r0, list_bound)
     bs = _through_torsion_slot(slots)
-    r_cur, _trace = _straighten_first_block(bs, r0, slots)
+    r_cur, _trace = _straighten_first_block(bs, slots)
     return detect_torsion(
         _through_torsion_slot(_system_slots(r_cur, bs.list_bound)))
 
 
-def _straighten_first_block(bs: BoundarySystem, r0: Poly,
+def _straighten_first_block(bs: BoundarySystem,
                             rest: Iterator[BoundarySystem]
                             ) -> Tuple[Poly, CoordChange]:
-    """The model in coordinates where r_j = Re z_j on the first block of
-    ``bs`` (see ``normalize_first_block``), and the change that gets there.
+    """The model ``bs.r`` in coordinates where r_j = Re z_j on the first
+    block (see ``normalize_first_block``), and the change that gets there.
 
     ``bs`` may be partial, with ``rest`` the rest of its build.  The change
     is graded by the weights 1/c_j.  When one of its maps involves the
@@ -579,7 +579,7 @@ def _straighten_first_block(bs: BoundarySystem, r0: Poly,
     k = int(lam) // 2
     n = bs.n
     mu = _change_weight(bs)
-    r_cur = r0
+    r_cur = bs.r
     trace = CoordChange.identity(n, mu.entries)
     for j in block:
         support = [i + 2 for i, c in enumerate(bs.slow[j].direction)
@@ -604,9 +604,9 @@ def _straighten_first_block(bs: BoundarySystem, r0: Poly,
                 "is not weight-graded")
         non_harmonic = tail - tail.pure_part()
         if not non_harmonic.is_zero():
-            raise PseudoconvexityViolation(
+            raise PseudoconvexityError(
                 f"slot {j}: harmonic tail certificate fails; offending part "
-                f"{non_harmonic}", non_harmonic)
+                f"{non_harmonic}")
         a = c_plus + c_minus.conj()
         if a.is_zero():
             raise BoundaryConstructionError(
@@ -624,14 +624,6 @@ def _straighten_first_block(bs: BoundarySystem, r0: Poly,
         r_cur = change.apply(r_cur)
         trace = trace.compose(change)
     return r_cur, trace
-
-
-class PseudoconvexityViolation(PolyError):
-    """A harmonicity certificate failed; carries the offending polynomial."""
-
-    def __init__(self, message: str, offending: Poly):
-        super().__init__(message)
-        self.offending = offending
 
 
 @dataclass

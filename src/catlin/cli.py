@@ -15,14 +15,13 @@ import sys
 from fractions import Fraction
 
 from .boundary import (audit_boundary_system, build_boundary_system,
-                       first_block_torsion, BoundaryConstructionError,
-                       PseudoconvexityViolation)
+                       first_block_torsion)
 from .exact import rat_str
 from .levi import KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN, psd_verdict
-from .normal_form import PseudoconvexityError, normalize, verify_normal_form
+from .normal_form import normalize, verify_normal_form
 from .parser import parse_poly
-from .poly import NonRealError, Poly, PolyError, split_model
-from .weights import (Weight, corroborate, counting_bound,
+from .poly import Poly, PolyError, PseudoconvexityError, split_model
+from .weights import (INF, Weight, corroborate, counting_bound,
                       enumerate_multitypes, is_admissible, multitype_search)
 
 EXIT_OK = 0
@@ -32,9 +31,7 @@ EXIT_UNKNOWN = 4
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
+    """An input error found by the front end itself (exit 2)."""
 
 
 def _load_poly(args) -> Poly:
@@ -68,9 +65,8 @@ def _parse_weight(spec: str, n: int) -> Weight:
 
 def _auto_weight(r: Poly, degree_bound: int) -> Weight:
     mt = multitype_search(r, degree_bound)
-    if any(e == float("inf") for e in mt.value.entries):
-        raise CliError("could not infer a finite weight; pass --weight",
-                       EXIT_INPUT)
+    if INF in mt.value.entries:
+        raise CliError("could not infer a finite weight; pass --weight")
     return mt.value.weight()
 
 
@@ -133,21 +129,16 @@ def cmd_normalize(args) -> int:
         mu = _parse_weight(args.weight, r.n)
     else:
         mu = _auto_weight(r, args.degree_bound)
-    try:
-        nf = normalize(r, mu, assert_psc=args.assert_psc)
-    except PseudoconvexityError as exc:
-        print(f"pseudoconvexity contradiction: {exc}", file=sys.stderr)
-        return EXIT_CONTRADICTION
+    nf = normalize(r, mu, assert_psc=args.assert_psc)
     if args.assert_psc:
         # the extraction steps check only the rows they extract; the Levi
         # form of the whole weight-1 model can still be indefinite
         verdict = psd_verdict(nf.model, seed=args.seed)
         if verdict.kind == KIND_REFUTED:
-            print("pseudoconvexity contradiction: the weight-1 model in the "
-                  "normalized coordinates is not plurisubharmonic; witness "
-                  + json.dumps(verdict.witness, sort_keys=True),
-                  file=sys.stderr)
-            return EXIT_CONTRADICTION
+            raise PseudoconvexityError(
+                "the weight-1 model in the normalized coordinates is not "
+                "plurisubharmonic; witness "
+                + json.dumps(verdict.witness, sort_keys=True))
     ok, violations = verify_normal_form(nf, r, mu)
     payload = nf.to_json()
     payload["verified"] = ok
@@ -180,13 +171,7 @@ def cmd_boundary_system(args) -> int:
 
 def cmd_torsion(args) -> int:
     r = _load_poly(args)
-    try:
-        report = first_block_torsion(r, args.list_bound)
-    except PseudoconvexityViolation as exc:
-        print(f"pseudoconvexity violation: {exc}", file=sys.stderr)
-        return EXIT_CONTRADICTION
-    except BoundaryConstructionError as exc:
-        raise CliError(str(exc)) from exc
+    report = first_block_torsion(r, args.list_bound)
     payload = report.to_json()
     if not report.applicable:
         human = f"torsion: not applicable ({report.detail})"
@@ -208,10 +193,10 @@ def cmd_enumerate(args) -> int:
     weights = enumerate_multitypes(args.n, m)
     bound = counting_bound(args.n, m)
     for w in weights:
-        ok, _ = is_admissible(w)
-        if not ok:
-            raise CliError(f"enumerated weight {w} is not admissible",
-                           EXIT_CONTRADICTION)
+        if not is_admissible(w)[0]:
+            print(f"error: enumerated weight {w} is not admissible",
+                  file=sys.stderr)
+            return EXIT_CONTRADICTION
     payload = {"count": len(weights), "bound": bound,
                "weights": [w.to_json()["lambda"] for w in weights]}
     human = "\n".join(str(w) for w in weights) + \
@@ -408,11 +393,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(_join_expr(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (NonRealError, PolyError, OSError, json.JSONDecodeError,
-            ValueError) as exc:
+    except PseudoconvexityError as exc:
+        # the one place a contradiction becomes exit 3
+        print(f"pseudoconvexity contradiction: {exc}", file=sys.stderr)
+        return EXIT_CONTRADICTION
+    except (CliError, OSError, ValueError) as exc:
+        # PolyError, NonRealError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

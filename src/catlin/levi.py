@@ -245,26 +245,22 @@ def _choose_fractions(mixed_pairs, budget, strict):
                 return None
         return cons
 
-    equal = [[Fraction(1, len(pairs))] * len(pairs)
+    fracs = [[Fraction(1, len(pairs))] * len(pairs)
              for _u, pairs in mixed_pairs]
-    cons = feasible(equal)
+    cons = feasible(fracs)
     if cons is not None:
-        return equal, cons
-    chosen: List[List[Fraction]] = []
+        return fracs, cons
     for i, (_u, pairs) in enumerate(mixed_pairs):
-        best = None
         for combo in itertools.product(_LATTICE, repeat=len(pairs)):
             if sum(combo) != 1:
                 continue
-            trial = chosen + [list(combo)] + equal[i + 1:]
-            if feasible(trial) is not None:
-                best = list(combo)
+            fracs[i] = list(combo)
+            cons = feasible(fracs)
+            if cons is not None:
                 break
-        if best is None:
+        else:
             return None
-        chosen.append(best)
-    cons = feasible(chosen)
-    return None if cons is None else (chosen, cons)
+    return fracs, cons  # the last feasible trial is the final choice
 
 
 def _absorption(p: Poly, strict: bool):
@@ -410,23 +406,25 @@ def cauchy_schwarz_pairing(p: Poly) -> dict:
 
 
 def verify_psd_certificate(p: Poly, cert: dict) -> bool:
-    """Re-derive every inequality of a stored certificate from p itself."""
+    """Re-derive every inequality of a stored certificate (tier 1, tier 2 or
+    a pointwise entry) from p itself, and every recorded field that follows
+    from the others.  An altered or malformed certificate gives False."""
     try:
         _check_tangential(p)
-        if cert.get("tier") == 1:
+        tier = cert.get("tier")
+        if tier == 1:
             return _replay_tier1(p, cert)
-        return _replay_psh(p, cert)
-    except (PolyError, KeyError, ZeroDivisionError):
+        if tier == 2:
+            return _replay_psh(p, cert)
+        return _replay_pointwise(p, cert)
+    except (LookupError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError):  # PolyError is a ValueError
         return False
 
 
 def _replay_budget(p: Poly, cert: dict) -> Optional[Dict[Gamma, Fraction]]:
     budget, bad = _balanced_budget(p)
-    if bad is not None:
-        return None
-    recorded = {tuple(e["gamma"]): Fraction(e["coeff"])
-                for e in cert.get("balanced", [])}
-    if recorded != budget:
+    if bad is not None or cert["balanced"] != _budget_json(budget):
         return None
     return budget
 
@@ -438,6 +436,8 @@ def _replay_tier1(p: Poly, cert: dict) -> bool:
     mixed = _mixed_pairs(p)
     if cert["kind"] == "diagonal":
         return not mixed
+    if cert["kind"] != "squares":
+        return False
     blocks = {(tuple(bl["alpha"]), tuple(bl["beta"])): bl
               for bl in cert["blocks"]}
     if set(blocks) != {(a, b) for a, b, _ in mixed}:
@@ -455,8 +455,11 @@ def _replay_tier1(p: Poly, cert: dict) -> bool:
 
 
 def _replay_absorption(p: Poly, cert: dict, strict: bool
-                       ) -> Optional[Dict[Gamma, Fraction]]:
-    """Shared replay of the splitting table; returns consumption or None."""
+                       ) -> Optional[Tuple[Dict[Gamma, Fraction],
+                                           Dict[Gamma, Fraction]]]:
+    """Shared replay of the splitting table; returns (budget, consumption)
+    or None.  The consumption has an entry, possibly 0, for every exponent
+    of every splitting, as ``_choose_fractions`` reports it."""
     budget = _replay_budget(p, cert)
     if budget is None:
         return None
@@ -469,7 +472,12 @@ def _replay_absorption(p: Poly, cert: dict, strict: bool
     for a, b, c in mixed:
         mx = recorded[(a, b)]
         u = _coeff_bound(c)
+        if mx["bound"] != rat_str(u):
+            return None
         sigma = tuple(x + y for x, y in zip(a, b))
+        for pair in _find_splittings(sigma, budget):
+            for g in pair:
+                cons.setdefault(g, Fraction(0))
         total = Fraction(0)
         for sp in mx["splittings"]:
             t = Fraction(sp["fraction"])
@@ -488,17 +496,32 @@ def _replay_absorption(p: Poly, cert: dict, strict: bool
             return None
         if not strict and used > budget[g]:
             return None
-    return cons
+    return budget, cons
+
+
+def _replay_pointwise(q: Poly, cert: dict) -> bool:
+    kind = "pointwise-nonneg" if _mixed_pairs(q) else "pointwise-diagonal"
+    return cert["kind"] == kind and \
+        _replay_absorption(q, cert, strict=False) is not None
 
 
 def _replay_psh(p: Poly, cert: dict) -> bool:
-    if cert["kind"].endswith("diagonal"):
+    if cert["tier"] != 2:
+        return False
+    if cert["kind"] == "diagonal":
         return _replay_budget(p, cert) is not None and not _mixed_pairs(p)
-    if cert["kind"] == "pointwise-nonneg":
-        return _replay_absorption(p, cert, strict=False) is not None
     if cert["kind"] != "cauchy-schwarz":
         return False
-    if _replay_absorption(p, cert, strict=True) is None:
+    absorbed = _replay_absorption(p, cert, strict=True)
+    if absorbed is None:
+        return False
+    budget, cons = absorbed
+    consumption = [{"gamma": list(g), "used": rat_str(v),
+                    "budget": rat_str(budget[g])}
+                   for g, v in sorted(cons.items())]
+    margin = max((used / budget[g] for g, used in cons.items()),
+                 default=Fraction(0))
+    if cert["consumption"] != consumption or cert["margin"] != rat_str(margin):
         return False
     active = [j for j in p.support_vars() if j >= 2]
     if cert.get("active") != active:
@@ -512,6 +535,9 @@ def _replay_psh(p: Poly, cert: dict) -> bool:
         for sp in mx["splittings"]:
             rows.append(tuple(sp["gamma1"])[1:])
             rows.append(tuple(sp["gamma2"])[1:])
+        if mx["kernel_systems"] != [[list(g1), list(g2)]
+                                    for g1, g2 in zip(rows[::2], rows[1::2])]:
+            return False
         sigma_alpha = tuple(mx["alpha"])
         sigma_beta = tuple(mx["beta"])
         cols = [i - 1 for i in range(1, p.n)
@@ -524,8 +550,7 @@ def _replay_psh(p: Poly, cert: dict) -> bool:
     for j in active:
         if not _replay_psh(_kill_var(p, j), hyper[j]["restriction"]):
             return False
-        if _replay_absorption(_diag_entry(p, j), hyper[j]["entry"],
-                              strict=False) is None:
+        if not _replay_pointwise(_diag_entry(p, j), hyper[j]["entry"]):
             return False
     return True
 
@@ -535,20 +560,19 @@ def _replay_psh(p: Poly, cert: dict) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _structured_points(n: int) -> List[List[CRat]]:
-    vals = [CRat(0), CRat(1), CRat(-1), CRat(0, 1)]
-    if n - 1 >= 4:
-        vals = vals[:3]
-    pts = [list(t) for t in itertools.product(vals, repeat=n - 1)]
-    return [p for p in pts if any(not c.is_zero() for c in p)]
+# Tier 3's grid values: its points take the first 4, its vectors all 5.
+_STRUCTURED = [CRat(0), CRat(1), CRat(-1), CRat(0, 1), CRat(0, -1)]
+# Past this dimension tier 3 runs for a minute or more: its grid holds
+# 242 points x 1023 vectors at n = 6 and 728 x 4095 at n = 7.
+MAX_TIER3_DIMENSION = 6
 
 
-def _structured_vectors(n: int) -> List[List[CRat]]:
-    vals = [CRat(0), CRat(1), CRat(-1), CRat(0, 1), CRat(0, -1)]
-    if n - 1 >= 4:
-        vals = vals[:4]
-    vecs = [list(t) for t in itertools.product(vals, repeat=n - 1)]
-    return [v for v in vecs if any(not c.is_zero() for c in v)]
+def _structured(n: int, size: int) -> List[List[CRat]]:
+    """The nonzero tuples over z_2..z_n of the first ``size`` values of
+    ``_STRUCTURED`` (one fewer from n = 5 on), in product order."""
+    vals = _STRUCTURED[:size - (n >= 5)]
+    return [list(t) for t in itertools.product(vals, repeat=n - 1)
+            if any(not c.is_zero() for c in t)]
 
 
 def _random_crat(rng: random.Random) -> CRat:
@@ -569,6 +593,9 @@ def psd_verdict(p: Poly, samples: int = 200, seed: int = 0
     if pairing["certified"]:
         return PositivityVerdict(KIND_CERTIFIED, tier=2,
                                  certificate=pairing["certificate"])
+    if p.n > MAX_TIER3_DIMENSION:
+        raise PolyError(f"dimension {p.n} is above {MAX_TIER3_DIMENSION}, "
+                        "the largest for which tier 3 walks its grid")
     hess = complex_hessian(p)
     tried = 0
 
@@ -585,9 +612,9 @@ def psd_verdict(p: Poly, samples: int = 200, seed: int = 0
                                          samples_tried=tried)
         return None
 
-    vectors = _structured_vectors(p.n)
+    vectors = _structured(p.n, 5)
     pivot = None  # (z, q, q* H(z) q < 0) at the first point not PSD
-    for z in _structured_points(p.n):
+    for z in _structured(p.n, 4):
         full_z = [CRat(0)] + z
         hz = _tangential_values(hess, full_z)
         negative = next(((q, d) for q, d in hermitian_reduce(hz) if d < 0),

@@ -12,10 +12,16 @@ top (z_m, zbar_m)-degree part of that restriction is filtered down to its
 revlex-maximal balanced monomial.  At m = 2 the remainder is all of p, and
 its restriction to z_2 is real and homogeneous of degree 1/mu_2, so the step
 yields k_22 and C_20 directly; slot 2 adds only the one-variable coefficient
-bound |C| < k_22 C_20.  Pseudoconvexity forces every extracted degree to be
-even and every extracted coefficient to be positive; when the caller
-asserts pseudoconvexity, a violation raises PseudoconvexityError, otherwise
-it is recorded as a warning and the remaining rows stay unrealized.
+bound |C| < k_22 C_20.  One loop runs the slots in order, carrying the
+remainder and the parts extracted so far.  The block change at slot m moves
+only z_m and the later variables of its block, so it fixes every earlier
+part (each lies in z_2..z_{m-1}); only the remainder and the terms above
+weight 1 are substituted, and the model in the final coordinates is the
+extracted parts plus the remainder.  Pseudoconvexity forces every extracted
+degree to be even and every extracted coefficient to be positive; when the
+caller asserts pseudoconvexity, a violation raises PseudoconvexityError,
+otherwise it is recorded as a warning and the remaining rows stay
+unrealized.
 
 Harmonic elimination comes first, in closed form: z1 enters r only through
 its linear head, so the shift z1 -> z1 + h that absorbs the pure terms
@@ -34,13 +40,9 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .exact import CRat, rat_str
-from .poly import (CoordChange, Poly, PolyError, eliminate_harmonic,
-                   revlex_max_balanced)
+from .poly import (CoordChange, Poly, PolyError, PseudoconvexityError,
+                   eliminate_harmonic, revlex_max_balanced)
 from .weights import Weight, lower_weight_at
-
-
-class PseudoconvexityError(PolyError):
-    """A positivity side condition failed while pseudoconvexity was asserted."""
 
 
 class _Degenerate(Exception):
@@ -281,24 +283,23 @@ def normalize(r: Poly, mu: Weight, assert_psc: bool = False) -> NormalForm:
         trace = _shift_change(n, harmonic_maps, mu)
         model = graded.get(1, Poly.zero(n))
         tail = r_work - model
-        p = model.restrict_support(range(2, n + 1))
+        # the model in the current coordinates is extracted + q
+        q = model.restrict_support(range(2, n + 1))
+        extracted = Poly.zero(n)
         rows: List[NormalRow] = []
         try:
-            change, p2, k22, c20, warn = step_first(p, mu, assert_psc)
-            warnings.extend(warn)
-            p = change.apply(p)
-            tail = change.apply(tail)
-            trace = trace.compose(change)
-            rows.append(NormalRow(2, (k22,), c20, True))
-            q = p - p2
-            for m in range(3, n + 1):
-                change, pm, row, coeff = step_inductive(q, mu, m)
-                p = change.apply(p)
-                q = change.apply(q)
+            for m in range(2, n + 1):
+                if m == 2:
+                    change, pm, k, coeff, warn = step_first(q, mu, assert_psc)
+                    row = (k,)
+                    warnings.extend(warn)
+                else:
+                    change, pm, row, coeff = step_inductive(q, mu, m)
+                q = change.apply(q) - pm
                 tail = change.apply(tail)
                 trace = trace.compose(change)
                 rows.append(NormalRow(m, row, coeff, True))
-                q = q - pm
+                extracted = extracted + pm
         except _Degenerate as deg:
             # Candidates come from the whole working polynomial: under a
             # lowered weight, former o_mu(1) terms may join the model.
@@ -321,8 +322,8 @@ def normalize(r: Poly, mu: Weight, assert_psc: bool = False) -> NormalForm:
         start = rows[-1].j + 1 if rows else 2
         for mm in range(start, n + 1):
             rows.append(NormalRow(mm, (0,) * (mm - 1), Fraction(0), False))
-        return _finish(n, mu_init, mu, rows, trace, p, tail, descent,
-                       warnings)
+        return _finish(n, mu_init, mu, rows, trace, extracted + q, tail,
+                       descent, warnings)
     raise PolyError("weight descent did not terminate within the cap")
 
 

@@ -51,6 +51,10 @@ class ModelShapeError(PolyError):
     """Input is not of the model shape c * Re z1 + p(z_2..z_n)."""
 
 
+class PseudoconvexityError(PolyError):
+    """A positivity side condition that pseudoconvexity forces failed."""
+
+
 def term_sort_key(key: TermKey) -> tuple:
     alpha, beta = key
     return (sum(alpha) + sum(beta), alpha + beta)

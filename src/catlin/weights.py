@@ -21,8 +21,9 @@ soon as it cannot beat it.  A candidate's weight depends only on its support
 (the exponent vectors of its terms), and the incumbent only rises, so one
 search remembers every support it has weighed and skips it in later rounds;
 the memo and the catalog live in that search call alone.  The catalog's
-entries share their variable maps, and its size is linear in the degree
-bound, which is limited to ``MAX_DEGREE_BOUND``.
+entries share their variable maps.  Its size is linear in the degree bound,
+which is limited to ``MAX_DEGREE_BOUND``, and it grows as (n-1)! with the
+dimension, which is limited to ``MAX_SEARCH_DIMENSION``.
 
 The weight search runs on integers.  It keeps one common denominator, the
 lcm of the denominators of the weights 1/lambda chosen so far, and holds
@@ -47,7 +48,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import rat_str
-from .poly import DimensionMismatch, Poly, PolyError, eliminate_harmonic
+from .poly import (DimensionMismatch, Poly, PolyError, eliminate_harmonic,
+                   weighted_order)
 
 INF = math.inf
 Entry = Union[Fraction, float]  # float only ever +inf
@@ -57,6 +59,10 @@ Entry = Union[Fraction, float]  # float only ever +inf
 MAX_DEGREE_BOUND = 64
 # Rounds of the multitype hill-climb; each improving round applies one change.
 MAX_ROUNDS = 40
+# The catalog holds (n-1)! - 1 permutations and 2 (n-1)(n-2) shears per
+# unit of degree bound: at most 47,487 entries in dimension 9, where a search
+# takes seconds, and 362,879 permutations alone in dimension 10.
+MAX_SEARCH_DIMENSION = 9
 # Limits of ``enumerate_multitypes``: the dimension keeps the counting bound
 # printable, the type keeps dimension 2 small, and the budget charges a prefix
 # its row entries once and once per candidate (what re-checking them reads).
@@ -209,18 +215,8 @@ def is_distinguished(r: Poly, lam: InverseWeight) -> bool:
     (infinite slots contribute zero) in the given coordinates."""
     if lam.n != r.n:
         raise DimensionMismatch("inverse weight length != dimension")
-    for (a, b) in r.terms:
-        total = Fraction(0)
-        ok = False
-        for e, lam_i in zip((x + y for x, y in zip(a, b)), lam.entries):
-            if e and lam_i != INF:
-                total += Fraction(e) / lam_i
-            if total >= 1:
-                ok = True
-                break
-        if not ok and total < 1:
-            return False
-    return True
+    mu = [recip(e) for e in lam.entries]  # an infinite lambda weighs 0
+    return all(weighted_order(key, mu) >= 1 for key in r.terms)
 
 
 def _evecs(p: Poly) -> frozenset:
@@ -391,6 +387,10 @@ def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
                         f"0..{MAX_DEGREE_BOUND}")
     if r.n < 2:
         raise DimensionMismatch("multitype needs dimension >= 2")
+    if r.n > MAX_SEARCH_DIMENSION:
+        raise PolyError(f"dimension {r.n} is above {MAX_SEARCH_DIMENSION}, "
+                        "the largest for which the coordinate catalog is "
+                        "searched")
     r0, _h = eliminate_harmonic(r)  # checks reality and the model shape
     p = r0.restrict_support(range(2, r.n + 1))
     best = best_distinguished_weight(p)

@@ -14,8 +14,8 @@ from catlin.boundary import (VField, _field_from_vector, _neumann_solve,
 from catlin.exact import CZERO, CRat, rat_str
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          PositivityVerdict, _check_tangential, _random_crat,
-                         _squares_certificate, _structured_points,
-                         _structured_vectors, cauchy_schwarz_pairing,
+                         _squares_certificate, _structured,
+                         cauchy_schwarz_pairing,
                          complex_hessian)
 from catlin.normal_form import (_Contradiction, _Degenerate,
                                 _bal_monomial_alpha, _block_direction,
@@ -440,8 +440,8 @@ def psd_verdict_oracle(p: Poly, samples: int = 200, seed: int = 0
                                      samples_tried=tried)
         return None
 
-    for z in _structured_points(n):
-        for a in _structured_vectors(n):
+    for z in _structured(n, 4):
+        for a in _structured(n, 5):
             hit = check(z, a)
             if hit:
                 return hit
@@ -485,7 +485,7 @@ def first_indefinite_point(p: Poly) -> Optional[List[CRat]]:
     Hessian of p, every entry evaluated on its own, is not PSD; None when it
     is PSD at all of them."""
     hess = complex_hessian(p)
-    for z in _structured_points(p.n):
+    for z in _structured(p.n, 4):
         full_z = [CRat(0)] + z
         h = [[hess[j][k].evaluate(full_z) for k in range(1, p.n)]
              for j in range(1, p.n)]

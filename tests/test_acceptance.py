@@ -106,7 +106,7 @@ def test_criterion_4_torsion_certificate():
         # trivial intersection, re-derived by elimination over the rationals
         rows = [list(row) for sys_ in mixed["kernel_systems"] for row in sys_]
         assert _rational_rank(rows) == 3
-        bs = normalize_first_block(build_boundary_system(r), r)
+        bs = normalize_first_block(build_boundary_system(r))
         report = detect_torsion(bs)
         assert report.applicable and report.torsion
         assert not report.linear_coeff.is_zero()
@@ -174,7 +174,7 @@ def test_criterion_9_first_block_fixpoint():
         r = parse_poly("-2*Re(z1) + |z2 + z3^2|^4 + |z3|^8", 3)
         bs = build_boundary_system(r)
         assert bs.slow[2].r_func != parse_poly("Re(z2)", 3)
-        bs2 = normalize_first_block(bs, r)
+        bs2 = normalize_first_block(bs)
         assert bs2.slow[2].r_func == parse_poly("Re(z2)", 3)
         transformed = bs2.transform.apply(r)
         rebuilt = build_boundary_system(transformed)

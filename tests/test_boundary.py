@@ -11,8 +11,9 @@ from catlin.boundary import (BoundaryConstructionError,
                              audit_boundary_system, build_boundary_system,
                              detect_torsion, first_block_slots,
                              first_block_torsion, list_derivative,
-                             normalize_first_block, _skeletons,
-                             _field_from_vector, _ListSearcher, _truncate)
+                             normalize_first_block, VField, _skeletons,
+                             _field_from_vector, _ListSearcher,
+                             _normalize_r, _truncate)
 from catlin.cli import main
 from catlin.exact import CRat
 from catlin.parser import parse_poly
@@ -373,7 +374,7 @@ def test_mixed_levi_rank_one_with_slow_slot():
     assert bs.rank == 1
     assert bs.commutator_multitype() == InverseWeight((Fraction(1), 2, 4))
     assert audit_boundary_system(bs) == []
-    bs2 = normalize_first_block(bs, r)
+    bs2 = normalize_first_block(bs)
     assert bs2.slow[3].r_func == parse_poly("Re(z3)", 3)
 
 
@@ -384,6 +385,89 @@ def test_model_shape_rejected():
         build_boundary_system(parse_poly("-2*Re(z1) + |z1|^2 + |z2|^2", 2))
 
 
+def _audit_model():
+    """Levi rank 1 and slow slots 3 and 4 (c = 4, 4), the list of slot 4
+    reaching into slot 3: [(4, T), (4, F), (3, F), (3, T)]."""
+    return build_boundary_system(parse_poly(
+        "-2*Re(z1) + |z2|^2 + |z3|^4 + |z3|^2*|z4|^2 + |z4|^8", 4))
+
+
+def _drop_z1_coefficient(fld: VField) -> VField:
+    return VField((Poly.zero(fld.n),) + fld.hol[1:])
+
+
+def _tamper_levi_field(bs):
+    bs.levi_fields[0] = _drop_z1_coefficient(bs.levi_fields[0])
+
+
+def _tamper_slow_field(bs):
+    bs.slow[4].fld = _drop_z1_coefficient(bs.slow[4].fld)
+
+
+def _tamper_vanishing_list(bs):
+    bs.slow[3].entries = [(3, False), (3, True)]
+
+
+def _tamper_list_start(bs):
+    bs.slow[4].entries = [(3, True), (3, False), (3, False), (3, True)]
+
+
+def _tamper_list_order(bs):
+    bs.slow[4].entries = [(4, True), (3, False), (4, False), (3, True)]
+
+
+def _tamper_admissibility(bs):
+    bs.slow[4].entries = [(4, True)] + [(3, False), (3, True)] * 2
+
+
+def _tamper_property_5(bs):
+    bs.slow[4].c = Fraction(8)
+
+
+def _tamper_r_j(bs):
+    bs.slow[3].r_func = Poly.zero(4)
+
+
+def _tamper_r_k(bs):
+    bs.slow[3].r_func = bs.slow[3].r_func + parse_poly("Re(z4)", 4)
+
+
+def _tamper_minimality(bs):
+    bs.slow[3].entries = bs.slow[3].entries + [(3, False)]
+
+
+@pytest.mark.parametrize("tamper,problem", [
+    (_tamper_levi_field, "Levi field 2: L(r) != 0"),
+    (_tamper_slow_field, "slot 4: L_4(r) != 0"),
+    (_tamper_vanishing_list, "slot 3: list derivative vanishes at 0"),
+    (_tamper_list_start, "slot 4: list does not start in S_4"),
+    (_tamper_list_order, "slot 4: list is not ordered"),
+    (_tamper_admissibility, "slot 4: admissibility sum 1 >= 1"),
+    (_tamper_property_5, "slot 4: property-(5) sum 3/4 != 1"),
+    (_tamper_r_j, "slot 3: L_j r_j vanishes at 0"),
+    (_tamper_r_k, "slot 4: L_4 r_3 != 0 (up to degree 10)"),
+    (_tamper_minimality,
+     "slot 3: shorter admissible list [(3, True), (3, False), (3, False), "
+     "(3, True)] has nonzero derivative; minimality broken")])
+def test_audit_flags_each_tampered_invariant(tamper, problem):
+    bs = _audit_model()
+    assert audit_boundary_system(bs) == []
+    tamper(bs)
+    assert problem in audit_boundary_system(bs)
+
+
+@pytest.mark.parametrize("re,im,expected,scale", [
+    # the linear term along z2 is imaginary: the Im branch
+    ("0", "2*Re(z2) + |z3|^2", "Re(z2) + (1/2)*|z3|^2", CRat(2)),
+    # no linear term along z2: the real part, else the imaginary part
+    ("|z3|^2", "|z3|^4", "|z3|^2", CRat(0)),
+    ("0", "|z3|^2 - |z3|^4", "|z3|^2 - |z3|^4", CRat(0))])
+def test_normalize_r_without_real_linear_term(re, im, expected, scale):
+    g = parse_poly(re, 3) + parse_poly(im, 3) * CRat(0, 1)
+    assert _normalize_r(g, (CRat(1), CRat(0))) == (parse_poly(expected, 3),
+                                                   scale)
+
+
 # ----------------------------------------------------------------------
 # first-block normalization
 # ----------------------------------------------------------------------
@@ -392,7 +476,7 @@ def test_model_shape_rejected():
 def test_normalize_first_block_pure_scaling():
     r = parse_poly("-2*Re(z1) + |z2|^4", 2)
     bs = build_boundary_system(r)
-    bs2 = normalize_first_block(bs, r)
+    bs2 = normalize_first_block(bs)
     assert bs2.slow[2].r_func == parse_poly("Re(z2)", 2)
     assert bs2.transform is not None
 
@@ -402,7 +486,7 @@ def test_normalize_first_block_absorbs_holomorphic_tail():
     bs = build_boundary_system(r)
     assert first_block_slots(bs) == [2]
     assert not bs.slow[2].r_func == parse_poly("Re(z2)", 3)
-    bs2 = normalize_first_block(bs, r)
+    bs2 = normalize_first_block(bs)
     assert bs2.slow[2].r_func == parse_poly("Re(z2)", 3)
     # fixpoint: rebuilding on the transformed model reproduces Re z2
     transformed = bs2.transform.apply(r)
@@ -414,7 +498,7 @@ def test_normalize_first_block_absorbs_holomorphic_tail():
 def test_normalize_first_block_c3_rank_zero():
     # dimension 3, Levi rank 0: both flatness conclusions at the model level
     r = parse_poly("-2*Re(z1) + |z2 + z3^2|^4 + |z3|^8", 3)
-    bs2 = normalize_first_block(build_boundary_system(r), r)
+    bs2 = normalize_first_block(build_boundary_system(r))
     assert bs2.rank == 0
     assert bs2.slow[2].r_func == parse_poly("Re(z2)", 3)
     fld = bs2.slow[2].fld
@@ -429,7 +513,7 @@ def test_normalize_first_block_torsion_model():
     r = parse_poly(TORSION_EXPR, 4)
     bs = build_boundary_system(r)
     assert first_block_slots(bs) == [2]
-    bs2 = normalize_first_block(bs, r)
+    bs2 = normalize_first_block(bs)
     assert bs2.slow[2].r_func == parse_poly("Re(z2)", 4)
     assert bs2.commutator_multitype() == bs.commutator_multitype()
 
@@ -439,7 +523,7 @@ def test_normalize_first_block_two_equal_slots():
     r = parse_poly("-2*Re(z1) + |z2|^4 + |z3|^4 + |z2|^2*|z3|^2", 3)
     bs = build_boundary_system(r)
     assert first_block_slots(bs) == [2, 3]
-    bs2 = normalize_first_block(bs, r)
+    bs2 = normalize_first_block(bs)
     assert bs2.slow[2].r_func == parse_poly("Re(z2)", 3)
     assert bs2.slow[3].r_func == parse_poly("Re(z3)", 3)
 
@@ -448,7 +532,7 @@ def test_normalize_first_block_requires_block():
     r = parse_poly("-2*Re(z1) + |z2|^2 + |z3|^2", 3)
     bs = build_boundary_system(r)
     with pytest.raises(BoundaryConstructionError):
-        normalize_first_block(bs, r)
+        normalize_first_block(bs)
 
 
 # ----------------------------------------------------------------------
@@ -458,7 +542,7 @@ def test_normalize_first_block_requires_block():
 
 def test_detect_torsion_on_counterexample():
     r = parse_poly(TORSION_EXPR, 4)
-    bs = normalize_first_block(build_boundary_system(r), r)
+    bs = normalize_first_block(build_boundary_system(r))
     report = detect_torsion(bs)
     assert report.applicable and report.torsion
     assert report.slot == 3
@@ -484,7 +568,7 @@ def test_detect_torsion_direct_derivative_agrees():
 def test_no_torsion_for_diagonal_model():
     r = parse_poly("-2*Re(z1) + |z2|^6 + |z3|^8 + |z4|^10", 4)
     bs = build_boundary_system(r)
-    bs2 = normalize_first_block(bs, r)
+    bs2 = normalize_first_block(bs)
     report = detect_torsion(bs2)
     assert report.applicable
     assert not report.torsion
@@ -505,7 +589,7 @@ def test_torsion_invariant_under_scalings():
         maps = [Poly.variable(4, 1)] + [
             Poly.variable(4, j + 2) * scales[j] for j in range(3)]
         scaled = base.substitute_maps(maps)
-        bs = normalize_first_block(build_boundary_system(scaled), scaled)
+        bs = normalize_first_block(build_boundary_system(scaled))
         report = detect_torsion(bs)
         assert report.applicable and report.torsion
 
@@ -538,7 +622,7 @@ def test_first_block_torsion_matches_full_systems(expr, n):
     # read from the full system and its full rebuild; so is an error
     r = parse_poly(expr, n)
     full = _outcome(lambda: detect_torsion(
-        normalize_first_block(build_boundary_system(r), r)))
+        normalize_first_block(build_boundary_system(r))))
     assert _outcome(lambda: first_block_torsion(r)) == full
 
 

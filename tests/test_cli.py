@@ -193,6 +193,17 @@ def test_torsion_command(capsys):
     assert "|z4|^2" in out
 
 
+def test_torsion_harmonic_tail_contradiction_exits_3(capsys):
+    # the slot-2 derivative tail 1/10*|z3|^2 is not harmonic: a
+    # pseudoconvexity contradiction, reported by main as for normalize
+    code, out, err = run_cli(
+        capsys, "torsion", "--n", "3", "--expr",
+        "-2*Re(z1) + |z2|^4 + |z3|^8 + 2*(1/10)*Re(z2*zbar2^2*z3*zbar3)")
+    assert (code, out) == (3, "")
+    assert err == ("pseudoconvexity contradiction: slot 2: harmonic tail "
+                   "certificate fails; offending part 1/10*|z3|^2\n")
+
+
 def test_torsion_not_applicable(capsys):
     code, out, _ = run_cli(capsys, "torsion", "--expr",
                            "-2*Re(z1) + |z2|^2 + |z3|^2", "--n", "3")
@@ -225,6 +236,36 @@ def test_degree_bound_out_of_range_exits_2_fast(capsys):
             assert time.perf_counter() - start < 1.0
             assert code == 2, (command, bound)
             assert f"degree bound {bound} is outside 0..64" in err
+
+
+def quartic_sum(n: int) -> str:
+    return " + ".join(f"|z{j}|^4" for j in range(2, n + 1))
+
+
+@pytest.mark.parametrize("argv,limit", [
+    (("multitype", "--n", "10", "--expr", "-2*Re(z1) + " + quartic_sum(10)),
+     "dimension 10 is above 9, the largest for which the coordinate"),
+    (("normalize", "--n", "12", "--expr", "-2*Re(z1) + " + quartic_sum(12)),
+     "dimension 12 is above 9, the largest for which the coordinate"),
+    (("psd", "--n", "7", "--expr",
+      quartic_sum(7) + " + 2*(1/3)*Re(z2^3*zbar3)"),
+     "dimension 7 is above 6, the largest for which tier 3 walks"),
+    (("psd", "--n", "8", "--expr",
+      quartic_sum(8) + " + 2*(1/3)*Re(z2^3*zbar3)"),
+     "dimension 8 is above 6, the largest for which tier 3 walks")])
+def test_large_dimension_exits_2_fast(capsys, argv, limit):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert limit in err
+
+
+def test_large_diagonal_sum_still_certifies(capsys):
+    # tiers 1 and 2 run before the tier-3 grid is sized
+    code, out, _err = run_cli(capsys, "psd", "--n", "12", "--expr",
+                              quartic_sum(12))
+    assert (code, out) == (0, "CertifiedPSD (tier 1)\n")
 
 
 def test_list_bound_below_two_exits_2(capsys):

@@ -57,6 +57,10 @@ CASES = {
                                 "2*Im(z1) + |z2|^2", "--n", "2"],
     "boundary-three-slow-slots": ["boundary-system", "--n", "4", "--expr",
                                   "-2*Re(z1) + |z2|^4 + 2*|z3|^6 + |z4|^8"],
+    # the list derivative of slot 3 has no linear term along its direction
+    "boundary-no-linear-term": ["boundary-system", "--n", "3", "--expr",
+                                "-2*Re(z1) + |z2 + (3+1/3*i)*z3|^2"
+                                " + |z3|^4"],
     "enumerate-n3-m11": ["enumerate", "--n", "3", "--max-type", "11"],
     "enumerate-n4-m8": ["enumerate", "--n", "4", "--max-type", "8"],
     "psd-tier1": ["psd", "--expr",

@@ -113,6 +113,16 @@ def test_verdict_square_tier1():
     assert verify_psd_certificate(p, v.certificate)
 
 
+def test_tier3_dimension_limit(monkeypatch):
+    monkeypatch.setattr(levi, "MAX_TIER3_DIMENSION", 3)
+    form = "|z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^3*zbar3)"
+    assert psd_verdict(parse_poly(form, 3)).kind == KIND_REFUTED
+    with pytest.raises(PolyError, match="dimension 4 is above 3"):
+        psd_verdict(parse_poly(form + " + |z4|^4", 4))
+    # tiers 1 and 2 run before the limit is read
+    assert psd_verdict(parse_poly(form.replace("1/3", "0"), 4)).tier == 1
+
+
 def test_verdict_unknown_is_honest():
     # (Re z2)^2 restricted to the tangential slots: psh but neither a
     # diagonal-plus-squares shape nor CS-absorbable (the mixed term has no
@@ -438,6 +448,70 @@ def test_certificate_tamper_detection():
     assert not verify_psd_certificate(p, bad2)
     other = parse_poly("|z2|^2 + |z3|^2 + |z4|^2", 4)
     assert not verify_psd_certificate(other, cert)
+
+
+def _leaf_paths(x, path=()):
+    """Paths to the leaves of a JSON value; an empty list is a leaf."""
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from _leaf_paths(v, path + (k,))
+    elif isinstance(x, list) and x:
+        for i, v in enumerate(x):
+            yield from _leaf_paths(v, path + (i,))
+    else:
+        yield path
+
+
+@pytest.mark.parametrize("which", ["tier1", "tier2", "pointwise"])
+def test_certificate_every_single_leaf_mutation_is_rejected(which):
+    import copy
+    import json
+    if which == "tier1":
+        p = parse_poly("|z2|^4 + |z3|^6 + 2*(9/10)*Re(z2^2*zbar3^3)", 3)
+        cert = psd_verdict(p).certificate
+    elif which == "tier2":
+        p = torsion_p()
+        cert = psd_verdict(p).certificate
+    else:
+        p = levi._diag_entry(torsion_p(), 2)
+        cert = levi._nonneg_certificate(p)
+        assert cert["kind"] == "pointwise-nonneg"
+    cert = json.loads(json.dumps(cert))  # no shared sub-certificates
+    assert verify_psd_certificate(p, cert)
+    mutated = 0
+    for path in _leaf_paths(cert):
+        for value in ("x", None, -1, "1/0", [], {}):
+            bad = copy.deepcopy(cert)
+            target = bad
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            if bad == cert:
+                continue
+            mutated += 1
+            assert verify_psd_certificate(p, bad) is False, (path, value)
+    assert mutated > {"tier1": 100, "tier2": 1000, "pointwise": 100}[which]
+
+
+def test_tier2_refuses_a_linear_slot():
+    # the mixed pair z2^2 zbar2 zbar3 is linear in z3: its hyperplane
+    # cross-terms survive, whatever the absorption and the kernels say
+    p = parse_poly("|z2|^4 + |z2|^2*|z3|^2 + 2*(1/2)*Re(z2^2*zbar2*zbar3)", 3)
+    assert levi._absorption(p, strict=True) is not None
+    assert levi._psh_certificate(p, {}, frozenset()) is None
+
+
+def test_tier2_refuses_a_failed_pointwise_entry():
+    # absorption, kernels and restrictions pass, but the d^2/dz2 dzbar2
+    # entry z3^2 zbar4^2 + conj has no balanced budget to absorb it
+    p = parse_poly("|z2|^4*|z3|^4 + |z4|^4 + |z2|^4 + |z3|^4*|z4|^4"
+                   " + 2*(1/2)*Re(z2*zbar2*z3^2*zbar4^2)", 4)
+    assert levi._absorption(p, strict=True) is not None
+    for j in (2, 3, 4):
+        killed = frozenset([j])
+        assert levi._psh_certificate(levi._kill_var(p, j), {}, killed)
+    assert levi._nonneg_certificate(levi._diag_entry(p, 2)) is None
+    assert levi._psh_certificate(p, {}, frozenset()) is None
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from catlin import weights
 from catlin.exact import CRat
 from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError
@@ -219,6 +220,15 @@ def test_multitype_variable_order():
 def test_multitype_needs_dimension_two():
     with pytest.raises(PolyError):
         multitype_search(parse_poly("-2*Re(z1)", 1))
+
+
+def test_multitype_dimension_limit(monkeypatch):
+    monkeypatch.setattr(weights, "MAX_SEARCH_DIMENSION", 3)
+    expr = "-2*Re(z1) + |z2|^4 + |z3|^6"
+    assert multitype_search(parse_poly(expr, 3)).value == InverseWeight(
+        (Fraction(1), 4, 6))
+    with pytest.raises(PolyError, match="dimension 4 is above 3"):
+        multitype_search(parse_poly(expr + " + |z4|^8", 4))
 
 
 def test_multitype_degree_bound_range():
