@@ -23,7 +23,7 @@ from catlin.normal_form import (_Contradiction, _Degenerate,
 from catlin.poly import (CoordChange, DimensionMismatch, Poly, PolyError,
                          eliminate_harmonic, split_model, weighted_order)
 from catlin.weights import (INF, STATUS_LOWER_BOUND, Entry, InverseWeight,
-                            Multitype, Weight, _catalog_maps, _evecs,
+                            Multitype, Weight, _catalog, _evecs, _render,
                             is_admissible)
 
 
@@ -383,7 +383,8 @@ def multitype_search_oracle(r: Poly, degree_bound: int = 4,
     applied: List[str] = []
     for _ in range(max_rounds):
         improved = False
-        for name, maps in _catalog_maps(r.n, degree_bound):
+        for entry in _catalog(r.n, degree_bound):
+            name, maps = _render(r.n, entry)
             q = substitute_maps_oracle(p, maps)
             cand = best_distinguished_weight_oracle(q)
             if cand is not None and cand.entries > best.entries:

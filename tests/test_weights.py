@@ -11,7 +11,8 @@ from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError
 from catlin.weights import (INF, MAX_DEGREE_BOUND, MAX_ENUMERATE_DIMENSION,
                             MAX_ENUMERATE_TYPE, InverseWeight, Weight,
-                            _catalog_maps, admissible_rows,
+                            _Shear, _catalog, _evecs, _integer_terms,
+                            _render, _support_after, admissible_rows,
                             best_distinguished_weight, corroborate,
                             counting_bound, enumerate_multitypes,
                             is_admissible, is_distinguished, lower_weight_at,
@@ -265,19 +266,55 @@ def _explicit_catalog(n, degree_bound):
 
 def test_catalog_names_order_and_maps():
     # the search's "changes" witness names catalog entries in this order
-    assert [name for name, _ in _catalog_maps(3, 2)] == [
+    assert [_render(3, e)[0] for e in _catalog(3, 2)] == [
         "perm(3, 2)",
         "shear z2 += 1*z3^1", "shear z2 += -1*z3^1",
         "shear z2 += 1*z3^2", "shear z2 += -1*z3^2",
         "shear z3 += 1*z2^1", "shear z3 += -1*z2^1",
         "shear z3 += 1*z2^2", "shear z3 += -1*z2^2"]
     for n in (3, 4):
-        got = _catalog_maps(n, 4)
+        got = [_render(n, e) for e in _catalog(n, 4)]
         want = _explicit_catalog(n, 4)
         assert [name for name, _ in got] == [name for name, _ in want]
         for (name, maps), (_, tables) in zip(got, want):
             assert [m.n for m in maps] == [n] * n, name
             assert [m.terms for m in maps] == tables, name
+
+
+def _gaussian_model(rng, n):
+    """Random terms over z_2..z_n with Gaussian-rational coefficients; in
+    about half of the models one of z_3..z_n does not occur."""
+    absent = rng.choice((None, rng.randint(3, n)))
+    p = Poly.zero(n)
+    for _ in range(rng.randint(1, 5)):
+        a, b = (tuple(0 if v in (1, absent) else rng.randint(0, 3)
+                      for v in range(1, n + 1)) for _ in range(2))
+        p = p + Poly.monomial(n, a, b, rand_crat(rng))
+    return p
+
+
+def test_catalog_support_matches_substitution():
+    # every entry's support, read off the catalog data, is the support of
+    # the substituted polynomial; a shear followed by its inverse cancels
+    # every term the first one added
+    rng = random.Random(1606)
+    cancelled = 0
+    for n in (3, 3, 4, 4, 5, 5, 6, 6):
+        p = _gaussian_model(rng, n)
+        support, terms = _evecs(p), _integer_terms(p)
+        for entry in _catalog(n, 4):
+            name, maps = _render(n, entry)
+            q = substitute_maps_oracle(p, maps)
+            assert _support_after(entry, support, terms) == _evecs(q), name
+            if not isinstance(entry, _Shear):
+                continue
+            back = entry._replace(c=-entry.c)
+            q_support, q_terms = _evecs(q), _integer_terms(q)
+            want = _evecs(substitute_maps_oracle(q, _render(n, back)[1]))
+            assert want == support, name
+            assert _support_after(back, q_support, q_terms) == want, name
+            cancelled += q_support != support  # the inverse must cancel
+    assert cancelled >= 500, cancelled
 
 
 def test_best_distinguished_harmonic_sensitivity():
@@ -342,12 +379,13 @@ def test_best_distinguished_above_matches_unpruned_oracle():
             evecs.add(tuple(0 for _ in range(n - 1)))  # weight 0: infeasible
         p = _support_poly(n, evecs)
         lam = best_distinguished_weight_oracle(p)
-        assert best_distinguished_weight(p) == lam
+        assert best_distinguished_weight(_evecs(p), p.n) == lam
         if lam is None:
             checked["infeasible"] += 1
         for w in _above_cases(rng, n, lam):
             want = lam if lam is not None and lam.entries > w.entries else None
-            assert best_distinguished_weight(p, above=w) == want, (evecs, w)
+            got = best_distinguished_weight(_evecs(p), p.n, above=w)
+            assert got == want, (evecs, w)
             checked["above" if want else "none"] += 1
     assert min(checked.values()) > 0, checked
 
@@ -355,19 +393,20 @@ def test_best_distinguished_above_matches_unpruned_oracle():
 def test_best_distinguished_above_ties_and_inf_tails():
     p = parse_poly("|z2|^4 + |z3|^8", 3)
     lam = InverseWeight((Fraction(1), 4, 8))
-    assert best_distinguished_weight(p) == lam
-    assert best_distinguished_weight(p, above=lam) is None
-    assert best_distinguished_weight(p, above=InverseWeight(
+    assert best_distinguished_weight(_evecs(p), p.n) == lam
+    assert best_distinguished_weight(_evecs(p), p.n, above=lam) is None
+    assert best_distinguished_weight(_evecs(p), p.n, above=InverseWeight(
         (Fraction(1), 4, Fraction(15, 2)))) == lam
-    assert best_distinguished_weight(p, above=InverseWeight(
+    assert best_distinguished_weight(_evecs(p), p.n, above=InverseWeight(
         (Fraction(1), 4, INF))) is None
     q = parse_poly("|z2|^4", 3)  # z3 absent: lambda_3 = INF
     inf_tail = InverseWeight((Fraction(1), 4, INF))
-    assert best_distinguished_weight(q) == inf_tail
-    assert best_distinguished_weight(q, above=inf_tail) is None
-    assert best_distinguished_weight(q, above=lam) == inf_tail
+    assert best_distinguished_weight(_evecs(q), q.n) == inf_tail
+    assert best_distinguished_weight(_evecs(q), q.n, above=inf_tail) is None
+    assert best_distinguished_weight(_evecs(q), q.n, above=lam) == inf_tail
     with pytest.raises(PolyError):
-        best_distinguished_weight(q, above=InverseWeight((Fraction(1), 2)))
+        best_distinguished_weight(_evecs(q), q.n,
+                                  above=InverseWeight((Fraction(1), 2)))
 
 
 def _random_model(rng, n):
@@ -398,6 +437,13 @@ def test_multitype_search_matches_oracle_search():
     models += [parse_poly("-2*Re(z1) + |z2 + z3^2|^4 + |z3|^8", 3),
                parse_poly("-2*Re(z1) + |z2|^6 + |z3|^4 + |z4|^8", 4)]
     changed = 0
+    # a shear and then a permutation: the rendered winner is pinned here
+    r = parse_poly("-2*Re(z1) + |z2|^6 + |z3+z4|^6 + |z4|^12 + |z5|^8", 5)
+    got = multitype_search(r)
+    assert got.witness["changes"] == ["shear z3 += -1*z4^1",
+                                      "perm(2, 3, 5, 4)"]
+    assert got.value == InverseWeight((Fraction(1), 6, 6, 8, 12))
+    models.append(r)
     for r in models:
         got = multitype_search(r)
         want = multitype_search_oracle(r)
