@@ -33,6 +33,22 @@ cap are never formed.  In the list search this is exact because a term of
 degree d needs d more derivations to reach the origin.  The slow fields are
 built capped at the truncation degree: the Neumann solve reads its matrix
 and right-hand side only to that degree.
+
+The list search at a slot starts at three fields (a two-field list vanishes
+at 0; the argument is stated where the search runs) and can skip lists below
+a floor: the entries of Lambda, an admissible distinguished inverse weight
+found by ``weights.multitype_search``.  On a pseudoconvex model the
+commutator multitype C equals the multitype M, the lexicographic sup of the
+distinguished weights (Catlin, Ann. Math. 120, 1984), so C >= Lambda.  While
+the c-entries built so far equal Lambda's prefix, c_j >= Lambda_j, so every
+list whose value counts[j]/rem is below Lambda_j vanishes at 0 and is not
+tried; an infinite Lambda_j leaves no finite list, and the remaining entries
+are +inf.  The skip changes which lists are tried, not which one is found.
+The gate is the caller's (``cli._lambda_floor``): a floor is passed only when
+the tangential part has a tier-1 or tier-2 certificate (the model is
+pseudoconvex), the search does not raise and Lambda is admissible; otherwise
+the build scans every list.  The audit keeps its full scan of the shorter
+lists, because it is the check.
 """
 
 from __future__ import annotations
@@ -348,18 +364,23 @@ def _skeletons(total: int, slow: Dict[int, SlowSlot], slot: int
                             for _ in range(counts[s])]
 
 
-def build_boundary_system(r: Poly, list_bound: Optional[int] = None
+def build_boundary_system(r: Poly, list_bound: Optional[int] = None,
+                          floor: Optional[Tuple[Entry, ...]] = None
                           ) -> BoundarySystem:
     """Construct a boundary system and the commutator multitype of the model.
 
     The search frontier for list lengths defaults to the total degree of the
     tangential polynomial; at the first slot where every admissible ordered
-    list within the frontier vanishes at 0, the remaining entries are +inf."""
-    *_, bs = _system_slots(r, list_bound)
+    list within the frontier vanishes at 0, the remaining entries are +inf.
+    ``floor``, the entries of an admissible distinguished inverse weight of
+    a pseudoconvex r, skips the lists below it (see the module docstring);
+    None scans every list."""
+    *_, bs = _system_slots(r, list_bound, floor)
     return bs
 
 
-def _system_slots(r: Poly, list_bound: Optional[int]
+def _system_slots(r: Poly, list_bound: Optional[int],
+                  floor: Optional[Tuple[Entry, ...]] = None
                   ) -> Iterator[BoundarySystem]:
     """The construction of ``build_boundary_system``, slot by slot.
 
@@ -407,8 +428,22 @@ def _system_slots(r: Poly, list_bound: Optional[int]
         # per direction: the searcher over its slow field, None when the
         # field cannot be built
         searchers: Dict[Tuple[CRat, ...], Optional[_ListSearcher]] = {}
-        for total in range(2, bound + 1):
-            skeletons = list(_skeletons(total, slow, slot))
+        # While the c-entries equal the floor's prefix, c_j >= floor_j (C = M
+        # >= Lambda), so a list whose value is below floor_j vanishes at 0;
+        # an infinite floor_j leaves no finite list to try.
+        below = floor[slot - 1] if floor is not None \
+            and bs.c_entries == floor[:slot - 1] else None
+        # Lists start at 3 fields: a 2-field list vanishes at 0.  [L, M]r =
+        # 0, as _field_from_vector solves each z1 coefficient exactly; for
+        # L, conj(M) it is the Levi form at 0 on values in the Levi kernel
+        # (M(0)'s Levi block is decoupled from the kernel columns in
+        # _build_slow_field); two conjugate entries give a zero seed.
+        for total in range(3, bound + 1):
+            skeletons = [(counts, rem, skeleton) for counts, rem, skeleton
+                         in _skeletons(total, slow, slot)
+                         if below is None or counts[slot] / rem >= below]
+            if not skeletons:
+                continue
             for direction in directions:
                 if direction not in searchers:
                     fld = _build_slow_field(
@@ -434,11 +469,6 @@ def _system_slots(r: Poly, list_bound: Optional[int]
             yield bs
             return
         direction, fields, entries, c_j = found
-        # Found lists have 3+ fields: a 2-field list vanishes at 0.  [L, M]r
-        # = 0, as _field_from_vector solves each z1 coefficient exactly; for
-        # L, conj(M) it is the Levi form at 0 on values in the Levi kernel
-        # (M(0)'s Levi block is decoupled from the kernel columns in
-        # _build_slow_field); two conjugate entries give a zero seed.
         g = list_derivative(r, fields, entries[1:])
         r_func, scale = _normalize_r(g, direction)
         # the fields are exact up to degree cap, and each field of the list
@@ -544,17 +574,19 @@ def normalize_first_block(bs: BoundarySystem) -> BoundarySystem:
     return rebuilt
 
 
-def first_block_torsion(r0: Poly, list_bound: Optional[int] = None
+def first_block_torsion(r0: Poly, list_bound: Optional[int] = None,
+                        floor: Optional[Tuple[Entry, ...]] = None
                         ) -> TorsionReport:
     """The report of ``detect_torsion(normalize_first_block(
-    build_boundary_system(r0, list_bound)))``, from systems built
+    build_boundary_system(r0, list_bound, floor)))``, from systems built
     only through the slot the report reads: the first slot past the first
-    block, before and after the change that straightens the block."""
-    slots = _system_slots(r0, list_bound)
+    block, before and after the change that straightens the block.  Both
+    builds take ``floor``: C and M are biholomorphic invariants."""
+    slots = _system_slots(r0, list_bound, floor)
     bs = _through_torsion_slot(slots)
     r_cur, _trace = _straighten_first_block(bs, slots)
     return detect_torsion(
-        _through_torsion_slot(_system_slots(r_cur, bs.list_bound)))
+        _through_torsion_slot(_system_slots(r_cur, bs.list_bound, floor)))
 
 
 def _straighten_first_block(bs: BoundarySystem,
@@ -705,7 +737,7 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
         if total != 1:
             problems.append(f"slot {j}: property-(5) sum {total} != 1")
         if _apply_field(sl.fld.hol, sl.r_func, 0).is_zero():
-            problems.append(f"slot {j}: L_j r_j vanishes at 0")
+            problems.append(f"slot {j}: L_{j} r_{j} vanishes at 0")
         for k, other in bs.slow.items():
             if k < j:
                 lr = _apply_field(sl.fld.hol, other.r_func, bs.trunc_degree)

@@ -580,19 +580,28 @@ def _random_crat(rng: random.Random) -> CRat:
                 Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
 
 
+def psd_certificate(p: Poly) -> Optional[Tuple[int, dict]]:
+    """(tier, certificate) from tier 1 (squares) or else tier 2 (Cauchy-Schwarz
+    pairing) for the Hessian form of p; None when neither certifies."""
+    _check_tangential(p)
+    cert = _squares_certificate(p)
+    if cert is not None:
+        return 1, cert
+    pairing = cauchy_schwarz_pairing(p)
+    if pairing["certified"]:
+        return 2, pairing["certificate"]
+    return None
+
+
 def psd_verdict(p: Poly, samples: int = 200, seed: int = 0
                 ) -> PositivityVerdict:
     """Three-tier exact positivity verdict for the Hessian form of p."""
     if samples < 0:
         raise PolyError(f"sample count {samples} is negative")
-    _check_tangential(p)
-    cert = _squares_certificate(p)
-    if cert is not None:
-        return PositivityVerdict(KIND_CERTIFIED, tier=1, certificate=cert)
-    pairing = cauchy_schwarz_pairing(p)
-    if pairing["certified"]:
-        return PositivityVerdict(KIND_CERTIFIED, tier=2,
-                                 certificate=pairing["certificate"])
+    certified = psd_certificate(p)
+    if certified is not None:
+        tier, cert = certified
+        return PositivityVerdict(KIND_CERTIFIED, tier=tier, certificate=cert)
     if p.n > MAX_TIER3_DIMENSION:
         raise PolyError(f"dimension {p.n} is above {MAX_TIER3_DIMENSION}, "
                         "the largest for which tier 3 walks its grid")

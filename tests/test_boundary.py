@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import catlin.boundary as boundary
+from catlin import cli
 from catlin.boundary import (BoundaryConstructionError,
                              audit_boundary_system, build_boundary_system,
                              detect_torsion, first_block_slots,
@@ -329,6 +330,16 @@ def test_quadric_system():
     assert audit_boundary_system(bs) == []
 
 
+def test_shortest_list_found_has_three_fields():
+    # the search starts at three fields, the shortest list that can be
+    # nonzero at 0; a cubic term is read by a three-field list
+    r = parse_poly("-2*Re(z1) + |z2|^2 + 2*Re(z3^2*zbar3)", 3)
+    bs = build_boundary_system(r)
+    assert bs.c_entries == (1, 2, 3)
+    assert bs.slow[3].entries == [(3, False), (3, False), (3, True)]
+    assert audit_boundary_system(bs) == []
+
+
 def test_bloom_system():
     r = parse_poly("Re(z1) + (Re(z2) + |z3|^2)^2", 3)
     bs = build_boundary_system(r)
@@ -444,7 +455,7 @@ def _tamper_minimality(bs):
     (_tamper_list_order, "slot 4: list is not ordered"),
     (_tamper_admissibility, "slot 4: admissibility sum 1 >= 1"),
     (_tamper_property_5, "slot 4: property-(5) sum 3/4 != 1"),
-    (_tamper_r_j, "slot 3: L_j r_j vanishes at 0"),
+    (_tamper_r_j, "slot 3: L_3 r_3 vanishes at 0"),
     (_tamper_r_k, "slot 4: L_4 r_3 != 0 (up to degree 10)"),
     (_tamper_minimality,
      "slot 3: shorter admissible list [(3, True), (3, False), (3, False), "
@@ -670,6 +681,105 @@ def test_r_function_above_exact_degree_is_refused():
     with pytest.raises(BoundaryConstructionError,
                        match="slot 3: r_3 has terms above degree 5"):
         build_boundary_system(r)
+
+
+# ----------------------------------------------------------------------
+# the multitype search's weight as a floor for the list search
+# ----------------------------------------------------------------------
+
+
+def _certified_model(rng: random.Random) -> Poly:
+    """-2 Re z1 plus a tangential sum of squared moduli that is weighted
+    homogeneous under a random diagonal weight (1/(2 h_2), ..., 1/(2 h_n)):
+    terms c_j |z_j|^(2 h_j), and |f|^2 for one or two f, each a
+    Gaussian-rational combination of holomorphic monomials z^a with
+    sum a_j / h_j = 1.  Each variable is left out altogether with
+    probability 1/8 (an infinite entry; a variable met only in mixed terms
+    makes the full scan slow).  Half of the models then have z2..zn
+    permuted, so that the search finds its weight after a change."""
+    n = rng.choice((3, 4))
+    halves = sorted(rng.randint(1, 4) for _ in range(n - 1))
+    kept = [rng.random() >= 1 / 8 for _ in halves]
+    monomials = [a for a in itertools.product(*(range(h + 1) if keep else [0]
+                                                for h, keep in zip(halves,
+                                                                   kept)))
+                 if sum(Fraction(x, h) for x, h in zip(a, halves)) == 1]
+    zero = (0,) * n
+    r = parse_poly("-2*Re(z1)", n)
+    for j, (h, keep) in enumerate(zip(halves, kept), start=2):
+        if keep:
+            e = tuple(h if v == j else 0 for v in range(1, n + 1))
+            r = r + Poly.monomial(n, e, e, Fraction(rng.randint(1, 3)))
+    for _ in range(rng.randint(1, 2) if monomials else 0):
+        f = Poly.zero(n)
+        for a in rng.sample(monomials, min(len(monomials), rng.randint(1, 3))):
+            f = f + Poly.monomial(n, (0,) + a, zero, rand_crat(rng, 3))
+        r = r + f * f.conj()
+    if rng.random() < 0.5:
+        perm = rng.sample(range(2, n + 1), n - 1)
+        r = r.substitute_maps([Poly.variable(n, v) for v in [1] + perm])
+    return r
+
+
+def test_floor_skips_only_lists_that_vanish(monkeypatch):
+    # Catlin (Ann. Math. 120, 1984): C = M >= Lambda on a pseudoconvex
+    # model.  So while the c-entries equal Lambda's prefix, no list whose
+    # value is below Lambda_j is nonzero; the full scan records every list
+    # it tries, and the pruned build must equal the full one.  The search
+    # and the build share only admissible_rows, so a failure here is a
+    # fault in one of them (or in the gate), not a test to loosen.
+    rng = random.Random(1984)
+    tried = []
+    search = _ListSearcher.first_nonzero
+
+    def recording(self, skeleton):
+        entries = search(self, skeleton)
+        tried.append((skeleton, entries is not None))
+        return entries
+
+    models = checked = 0
+    while models < 120:
+        r = _certified_model(rng)
+        floor = cli._lambda_floor(r)
+        if floor is None:
+            continue
+        models += 1
+        tried.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(_ListSearcher, "first_nonzero", recording)
+            slots = boundary._system_slots(r, None)
+            try:
+                for bs in slots:
+                    pass
+                full = bs.to_json()
+            except PolyError as exc:
+                full = type(exc).__name__, str(exc)
+        for skeleton, nonzero in tried:
+            j = skeleton[0]
+            if bs.c_entries[:j - 1] != floor[:j - 1]:
+                continue
+            rem = 1 - sum(Fraction(skeleton.count(k)) / bs.slow[k].c
+                          for k in set(skeleton) if k < j)
+            if skeleton.count(j) / rem < floor[j - 1]:
+                checked += 1
+                assert not nonzero, (str(r), skeleton, floor)
+        assert _outcome(lambda: build_boundary_system(r, floor=floor)) == \
+            full, str(r)
+    # the floor had lists to skip: the check is not vacuous
+    assert checked >= 1000
+
+
+def test_floor_applies_only_while_the_prefix_agrees():
+    # floors that are not this model's weight, to probe the rule alone: an
+    # infinite entry under an agreeing prefix leaves no finite list, and a
+    # prefix the c-entries leave (c_2 = 4, not 2) ends the skipping
+    r = parse_poly("-2*Re(z1) + |z2|^4 + |z3|^6", 3)
+    full = build_boundary_system(r)
+    assert full.c_entries == (1, 4, 6)
+    assert build_boundary_system(r, floor=(1, 4, INF)).c_entries == \
+        (1, 4, INF)
+    assert build_boundary_system(r, floor=(1, 2, 8)).to_json() == \
+        full.to_json()
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 from catlin import cli
 from catlin.cli import main
 from catlin.levi import psd_verdict
-from catlin.poly import Poly
+from catlin.parser import parse_poly
+from catlin.poly import Poly, PolyError
 
 
 def run_cli(capsys, *argv):
@@ -451,3 +452,102 @@ def test_weight_with_zero_denominator_exits_2(capsys):
                               "--weight", "1/0")
     assert code == 2
     assert "bad weight" in err
+
+
+# ----------------------------------------------------------------------
+# the gate on the multitype search's floor for the boundary build
+# ----------------------------------------------------------------------
+
+TORSION = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
+           " + |z2|^2*|z3|^4*|z4|^4"
+           " + 2*(1/10)*Re(z2*zbar2*z3^2*zbar3^3*z4*zbar4) + |z3|^8*|z4|^2")
+# not plurisubharmonic, and no tier-1 or tier-2 certificate
+UNCERTIFIED = "-2*Re(z1) + |z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^3*zbar3)"
+
+
+def _gated_and_ungated(monkeypatch, capsys, argv):
+    """The floors the gate returned in a run of ``argv``, that run's
+    (exit code, stdout, stderr), and those of a run whose gate returns
+    None, that is, of builds that scan every list."""
+    floors = []
+    gate = cli._lambda_floor
+
+    def recording(r, mt=None):
+        floors.append(gate(r, mt))
+        return floors[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_lambda_floor", recording)
+        gated = run_cli(capsys, *argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_lambda_floor", lambda r, mt=None: None)
+        ungated = run_cli(capsys, *argv)
+    return floors, gated, ungated
+
+
+def _build_runs(expr, n, commands=("boundary-system", "torsion")):
+    """Each command on the model, as text and as JSON, and for the build
+    commands with a list bound the build refuses (its error must come out
+    unchanged)."""
+    runs = []
+    for command in commands:
+        flags = [(), ("--json",)]
+        if command != "multitype":
+            flags.append(("--list-bound", "1"))
+        runs += [(command, *f, "--n", str(n), "--expr", expr) for f in flags]
+    return runs
+
+
+def test_gate_gives_the_search_weight_on_a_certified_model():
+    floor = cli._lambda_floor(parse_poly(TORSION, 4))
+    assert floor == (1, 6, 9, 18)
+
+
+def test_multitype_gate_reuses_its_search(monkeypatch, capsys):
+    calls = []
+    search = cli.multitype_search
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(cli, "multitype_search", counting)
+    code, out, _err = run_cli(capsys, "multitype", "--json", "--commutator",
+                              "--n", "4", "--expr", TORSION)
+    assert code == 0 and len(calls) == 1
+    payload = json.loads(out)
+    assert payload["status"] == "exact-commutator"
+    assert payload["commutator"] == ["1", "6", "9", "18"]
+
+
+@pytest.mark.parametrize("argv", [
+    *_build_runs(UNCERTIFIED, 3, ("boundary-system", "torsion", "multitype")),
+    # a certified model past the search's dimension limit: it raises
+    *_build_runs("-2*Re(z1) + " + " + ".join(f"|z{j}|^2"
+                                             for j in range(2, 11)), 10,
+                 ("boundary-system",))])
+def test_gate_refuses_without_certificate_or_search(monkeypatch, capsys,
+                                                    argv):
+    floors, gated, ungated = _gated_and_ungated(monkeypatch, capsys, argv)
+    assert floors == [None]
+    assert gated == ungated
+
+
+@pytest.mark.parametrize("argv", _build_runs(TORSION, 4))
+def test_gate_refuses_when_the_search_raises(monkeypatch, capsys, argv):
+    def raising(*_args):
+        raise PolyError("no admissible distinguished weight found")
+
+    monkeypatch.setattr(cli, "multitype_search", raising)
+    floors, gated, ungated = _gated_and_ungated(monkeypatch, capsys, argv)
+    assert floors == [None]
+    assert gated == ungated
+
+
+@pytest.mark.parametrize("argv", _build_runs(
+    TORSION, 4, ("boundary-system", "torsion", "multitype")))
+def test_gate_refuses_an_inadmissible_weight(monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli, "is_admissible", lambda lam: (False, {2: []}))
+    floors, gated, ungated = _gated_and_ungated(monkeypatch, capsys, argv)
+    assert floors == [None]
+    assert gated == ungated
