@@ -13,13 +13,17 @@ or its conjugate sum conj(a_k) d/dzbar_k, applied directly.  A bracket is
 formed only in its (1,0) part, the part that dr reads.  All list
 derivatives are formed by ``_ListSearcher``; the slot counts of the lists it
 tries (their skeletons) are the admissible rows of ``weights.admissible_rows``
-over the c-entries found so far.  The list lengths produce the
-commutator multitype (1, c_2, ..., c_n); the associated real functions r_j
-and fields L_j form the boundary system.  The first equal-value block
-beyond the Levi slots can be normalized to r_j = Re z_j exactly by a
-holomorphic change of coordinates; the failure of the same normalization at
-the next slot is the torsion obstruction, detected as non-pluriharmonic
-content of r_j.
+over the c-entries found so far.  A list's value is c_j = counts[j]/rem,
+its count of slot-j fields over the remainder of its row.  At the first
+total number of fields where some list does not vanish, the list of
+smallest value wins, the first in scan order on a tie; the first list found
+could be one of larger value and make the c-entries decrease.  The lists
+produce the commutator multitype (1, c_2, ..., c_n); the associated real
+functions r_j and fields L_j form the boundary system.  The first
+equal-value block beyond the Levi slots can be normalized to r_j = Re z_j
+exactly by a holomorphic change of coordinates; the failure of the same
+normalization at the next slot is the torsion obstruction, detected as
+non-pluriharmonic content of r_j.
 
 Field coefficients are polynomials.  Tangency constraints are solved by an
 exact triangular elimination whose matrix inverse is expanded as a Neumann
@@ -33,6 +37,13 @@ cap are never formed.  In the list search this is exact because a term of
 degree d needs d more derivations to reach the origin.  The slow fields are
 built capped at the truncation degree: the Neumann solve reads its matrix
 and right-hand side only to that degree.
+
+A field is applied by ``_apply_field`` alone, in one pass: for each nonzero
+coefficient a_k, the derivative of the operand in z_k (or zbar_k) is formed
+as a raw term table by ``poly._derivative_terms``, the loop behind
+``Poly.wirtinger``, and multiplied by a_k into one table by the capped
+product kernel, which returns at once on an empty derivative; one ``Poly``
+is built per application.
 
 The list search at a slot starts at three fields (a two-field list vanishes
 at 0; the argument is stated where the search runs) and can skip lists below
@@ -61,7 +72,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .exact import CRat, CZERO, hermitian_reduce, inverse, rank, rat_str
 from .levi import complex_hessian
 from .poly import (CoordChange, ModelShapeError, Poly, PolyError,
-                   PseudoconvexityError, _capped_products, _unit, split_model)
+                   PseudoconvexityError, TermKey, _capped_products,
+                   _derivative_terms, _mul_terms, _unit, split_model)
 from .weights import (INF, Entry, InverseWeight, Weight, admissible_rows,
                       entry_str, recip)
 
@@ -94,10 +106,14 @@ def _apply_field(coeffs: Sequence[Poly], f: Poly, cap: Optional[int] = None,
                  conjugate: bool = False) -> Poly:
     """The field sum_k coeffs[k-1] d/dz_k, or sum_k coeffs[k-1] d/dzbar_k
     when ``conjugate``, applied to f, without the terms above degree
-    ``cap``."""
-    return _capped_products(f.n, [(a, f.wirtinger(k, conjugate))
-                                  for k, a in enumerate(coeffs, start=1)
-                                  if not a.is_zero()], cap)
+    ``cap``: each derivative a raw term table, multiplied into one table
+    (the kernel returns at once on an empty one)."""
+    out: Dict[TermKey, CRat] = {}
+    for i, a in enumerate(coeffs):
+        if a.terms:
+            _mul_terms(_derivative_terms(f.terms, i, conjugate), a.terms, cap,
+                       out)
+    return Poly._unchecked(f.n, out)
 
 
 def _truncate(p: Poly, degree: int) -> Poly:
@@ -438,13 +454,19 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         # L, conj(M) it is the Levi form at 0 on values in the Levi kernel
         # (M(0)'s Levi block is decoupled from the kernel columns in
         # _build_slow_field); two conjugate entries give a zero seed.
+        # Within the first total that has a nonvanishing list, the list of
+        # smallest value counts[slot] / rem wins, the first in scan order on
+        # a tie: once a list is found, only skeletons below it are tried.
         for total in range(3, bound + 1):
-            skeletons = [(counts, rem, skeleton) for counts, rem, skeleton
-                         in _skeletons(total, slow, slot)
+            skeletons = [(counts[slot] / rem, skeleton) for counts, rem,
+                         skeleton in _skeletons(total, slow, slot)
                          if below is None or counts[slot] / rem >= below]
-            if not skeletons:
-                continue
             for direction in directions:
+                if found:
+                    skeletons = [(v, sk) for v, sk in skeletons
+                                 if v < found[3]]
+                if not skeletons:
+                    break
                 if direction not in searchers:
                     fld = _build_slow_field(
                         r, c1, p_hess, direction, levi_fields,
@@ -454,14 +476,12 @@ def _system_slots(r: Poly, list_bound: Optional[int],
                 searcher = searchers[direction]
                 if searcher is None:
                     continue
-                for counts, rem, skeleton in skeletons:
+                for value, skeleton in skeletons:
+                    if found and value >= found[3]:
+                        continue
                     entries = searcher.first_nonzero(skeleton)
                     if entries is not None:
-                        found = (direction, searcher.fields, entries,
-                                 counts[slot] / rem)
-                        break
-                if found:
-                    break
+                        found = (direction, searcher.fields, entries, value)
             if found:
                 break
         if not found:

@@ -272,20 +272,8 @@ class Poly:
     def wirtinger(self, j: int, conjugate: bool = False) -> "Poly":
         """Formal partial derivative in z_j, or zbar_j when ``conjugate``."""
         _check_var(self.n, j)
-        i = j - 1
-        out: Dict[TermKey, CRat] = {}
-        for (a, b), c in self.terms.items():
-            e = b[i] if conjugate else a[i]
-            if e == 0:
-                continue
-            if conjugate:
-                nb = b[:i] + (e - 1,) + b[i + 1:]
-                k = (a, nb)
-            else:
-                na = a[:i] + (e - 1,) + a[i + 1:]
-                k = (na, b)
-            out[k] = out.get(k, CZERO) + c * e
-        return Poly._unchecked(self.n, out)
+        return Poly._unchecked(self.n,
+                               _derivative_terms(self.terms, j - 1, conjugate))
 
     def deriv_multi(self, alpha: Sequence[int], beta: Sequence[int]) -> "Poly":
         """Iterated raw derivative D^alpha Dbar^beta (no factorial normalization)."""
@@ -441,6 +429,24 @@ class Poly:
         return format_poly(self)
 
 
+def _derivative_terms(terms: Dict[TermKey, CRat], i: int,
+                      conjugate: bool) -> Dict[TermKey, CRat]:
+    """Term table of the derivative in z_{i+1} (0-based i), or zbar_{i+1}
+    when ``conjugate``: the one derivative loop.  Distinct terms have
+    distinct derivatives, so nothing is summed, and a table without zeros
+    gives one without zeros."""
+    out: Dict[TermKey, CRat] = {}
+    for (a, b), c in terms.items():
+        e = b[i] if conjugate else a[i]
+        if e == 0:
+            continue
+        if conjugate:
+            out[(a, b[:i] + (e - 1,) + b[i + 1:])] = c * e
+        else:
+            out[(a[:i] + (e - 1,) + a[i + 1:], b)] = c * e
+    return out
+
+
 def _mul_terms(t1: Dict[TermKey, CRat], t2: Dict[TermKey, CRat],
                cap: Optional[int] = None,
                out: Optional[Dict[TermKey, CRat]] = None
@@ -449,9 +455,12 @@ def _mul_terms(t1: Dict[TermKey, CRat], t2: Dict[TermKey, CRat],
 
     ``cap`` leaves out the terms above that total degree; t2 is walked by
     ascending degree, so a term pair above the cap is never formed.  The
-    product is added into ``out`` when given, and that table is returned."""
+    product is added into ``out`` when given, and that table is returned;
+    an empty operand returns it at once."""
     if out is None:
         out = {}
+    if not t1 or not t2:
+        return out
     if cap is None:
         for (a1, b1), c1 in t1.items():
             for (a2, b2), c2 in t2.items():

@@ -21,7 +21,8 @@ from catlin.normal_form import (_Contradiction, _Degenerate,
                                 _bal_monomial_alpha, _block_direction,
                                 _block_end)
 from catlin.poly import (CoordChange, DimensionMismatch, Poly, PolyError,
-                         eliminate_harmonic, split_model, weighted_order)
+                         TermKey, _capped_products, eliminate_harmonic,
+                         split_model, weighted_order)
 from catlin.weights import (INF, STATUS_LOWER_BOUND, Entry, InverseWeight,
                             Multitype, Weight, _catalog, _evecs, _render,
                             is_admissible)
@@ -493,6 +494,34 @@ def first_indefinite_point(p: Poly) -> Optional[List[CRat]]:
         if not hermitian_psd_oracle(h):
             return full_z
     return None
+
+
+def wirtinger_oracle(f: Poly, j: int, conjugate: bool = False) -> Poly:
+    """The earlier ``Poly.wirtinger``: its own derivative loop, summing
+    into each key, apart from ``poly._derivative_terms``."""
+    i = j - 1
+    out: Dict[TermKey, CRat] = {}
+    for (a, b), c in f.terms.items():
+        e = b[i] if conjugate else a[i]
+        if e == 0:
+            continue
+        if conjugate:
+            k = (a, b[:i] + (e - 1,) + b[i + 1:])
+        else:
+            k = (a[:i] + (e - 1,) + a[i + 1:], b)
+        out[k] = out.get(k, CZERO) + c * e
+    return Poly(f.n, out)
+
+
+def apply_field_oracle(coeffs: Sequence[Poly], f: Poly,
+                       cap: Optional[int] = None,
+                       conjugate: bool = False) -> Poly:
+    """The earlier ``boundary._apply_field``: every nonzero coefficient a_k
+    times the ``Poly`` derivative of f in z_k (zbar_k when ``conjugate``),
+    summed by ``_capped_products`` without the terms above ``cap``."""
+    return _capped_products(f.n, [(a, wirtinger_oracle(f, k, conjugate))
+                                  for k, a in enumerate(coeffs, start=1)
+                                  if not a.is_zero()], cap)
 
 
 def commutator_oracle(r: Poly, fields: Dict[int, VField],

@@ -13,7 +13,7 @@ from catlin.boundary import (BoundaryConstructionError,
                              detect_torsion, first_block_slots,
                              first_block_torsion, list_derivative,
                              normalize_first_block, VField, _skeletons,
-                             _field_from_vector, _ListSearcher,
+                             _apply_field, _field_from_vector, _ListSearcher,
                              _normalize_r, _truncate)
 from catlin.cli import main
 from catlin.exact import CRat
@@ -21,8 +21,8 @@ from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError, _mul_terms, split_model
 from catlin.weights import INF, InverseWeight, multitype_search
 
-from helpers import (commutator_oracle, compositions_oracle, rand_crat,
-                     slow_field_oracle)
+from helpers import (apply_field_oracle, commutator_oracle,
+                     compositions_oracle, rand_crat, slow_field_oracle)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
@@ -175,6 +175,37 @@ def test_capped_products_equal_truncated_products():
                 assert Poly(n, out) == start + _truncate(full, cap)
                 assert Poly(n, _mul_terms(a.terms, b.terms, cap)) == \
                     _truncate(a * b, cap)
+
+
+def test_apply_field_matches_oracle():
+    # the one-pass kernel (raw derivative tables, empty ones skipped, one
+    # product table) against the earlier product of Poly derivatives: zero
+    # coefficients, operands that miss variables or are empty, every cap
+    # from below 0 to past the top degree, and both kinds of field
+    rng = random.Random(20261018)
+    cases = empty_derivatives = 0
+    for draw in range(120):
+        n = 2 + draw % 4
+        coeffs = [Poly.zero(n) if rng.random() < 0.3 else
+                  _rand_poly(rng, n, rng.randint(1, 3), 2) for _ in range(n)]
+        present = rng.sample(range(n), rng.randint(1, n))
+        f = Poly.zero(n) if draw % 10 == 0 else Poly(n, {
+            (tuple(rng.randint(0, 3) if i in present else 0
+                   for i in range(n)),
+             tuple(rng.randint(0, 3) if i in present else 0
+                   for i in range(n))): rand_crat(rng)
+            for _ in range(rng.randint(1, 5))})
+        top = f.total_degree() + max(a.total_degree() for a in coeffs)
+        for conjugate in (False, True):
+            empty_derivatives += sum(
+                not a.is_zero() and f.wirtinger(k, conjugate).is_zero()
+                for k, a in enumerate(coeffs, start=1))
+            for cap in [None] + list(range(-1, top + 2)):
+                got = _apply_field(coeffs, f, cap, conjugate)
+                assert got == apply_field_oracle(coeffs, f, cap, conjugate)
+                assert all(not c.is_zero() for c in got.terms.values())
+                cases += 1
+    assert cases >= 500 and empty_derivatives > 50
 
 
 def _finite_type_model(rng, n):
@@ -767,6 +798,28 @@ def test_floor_skips_only_lists_that_vanish(monkeypatch):
             full, str(r)
     # the floor had lists to skip: the check is not vacuous
     assert checked >= 1000
+
+
+@pytest.mark.parametrize("expr,c", [
+    # Six fields first reach the origin at slot 3 along two directions: z2
+    # with two slot-2 fields, value 4 / (1 - 2/4) = 8, and z3 alone, value
+    # 6.  The z2 list comes first in scan order, but c_3 is the smaller
+    # value, so the c-entries do not decrease.
+    ("-2*Re(z1) + |z2|^8 + |z3|^6 + |z4|^4 + |z2|^4*|z4|^2", (1, 4, 6, 8)),
+    # The list found first at a total keeps its value against the later
+    # lists of larger value in the same direction.
+    ("-2*Re(z1) + |z3|^6 + |z2|^2*|z3|^4 + 3*|z2|^6 + 3*|z4|^8"
+     " + |z2|^2*|z3|^4*|z4|^4", (1, 6, 6, 8)),
+], ids=["later-direction", "same-direction"])
+def test_smallest_value_wins_within_a_total(expr, c):
+    # each c-entry equals Lambda's, with the floor and without it
+    r = parse_poly(expr, 4)
+    floor = cli._lambda_floor(r)
+    assert floor == c
+    for f in (None, floor):
+        bs = build_boundary_system(r, floor=f)
+        assert bs.c_entries == c
+        assert audit_boundary_system(bs) == []
 
 
 def test_floor_applies_only_while_the_prefix_agrees():

@@ -8,7 +8,8 @@ from catlin.exact import CRat
 from catlin import parser
 from catlin.parser import ParseError, parse_poly
 from catlin.poly import (CoordChange, NonRealError, Poly, PolyError,
-                         _capped_products, eliminate_harmonic, require_real,
+                         _capped_products, _derivative_terms,
+                         eliminate_harmonic, require_real,
                          revlex_max_balanced, split_model, weighted_order)
 
 from helpers import (eliminate_harmonic_oracle, leading_model,
@@ -302,6 +303,8 @@ def test_wirtinger_constant():
 def test_wirtinger_against_shift_oracle():
     # Independent oracle: expand p(w + z) by substitution and read the
     # coefficient of z_j zbar_k, which equals the mixed derivative at w.
+    # The raw tables of _derivative_terms, which the boundary list search
+    # reads, are the terms of Poly.wirtinger and meet the same oracle.
     rng = random.Random(5)
     for _ in range(10):
         p = rand_real_poly(rng, 2, terms=3, max_exp=3)
@@ -311,12 +314,17 @@ def test_wirtinger_against_shift_oracle():
         maps = [Poly.variable(2, j + 1) + Poly.const(2, w[j]) for j in range(2)]
         shifted = p.substitute_maps(maps)
         for j in (1, 2):
+            for conjugate in (False, True):
+                assert _derivative_terms(p.terms, j - 1, conjugate) == \
+                    p.wirtinger(j, conjugate).terms
             for k in (1, 2):
                 ej = tuple(1 if i == j - 1 else 0 for i in range(2))
                 ek = tuple(1 if i == k - 1 else 0 for i in range(2))
                 oracle = shifted.coeff(ej, ek)
                 direct = p.wirtinger(j).wirtinger(k, conjugate=True).evaluate(w)
-                assert oracle == direct
+                raw = _derivative_terms(_derivative_terms(p.terms, j - 1, False),
+                                        k - 1, True)
+                assert oracle == direct == Poly(2, raw).evaluate(w)
 
 
 def test_deriv_multi_matches_iterated():
