@@ -20,13 +20,11 @@ answers:
 * Refuted with an exact rational witness making the Hessian form negative.
   Tier 3 decides the tangential Hessian matrix H(z) exactly at each
   structured point z, by congruence to diagonal form (hermitian_reduce).
-  Where H(z) has a negative pivot it runs the structured vectors, in a fixed
-  order; then it draws seeded random (z, a) samples.  The first negative
-  value is the witness.  When none is found, the first negative pivot's
-  vector at its point is.
+  The first negative pivot refutes: its vector at its point is the witness,
+  and no sample is drawn.  When every structured H(z) is PSD, seeded random
+  (z, a) samples follow, and the first negative value is the witness.
 * Unknown when every structured H(z) is PSD and no sample is negative, with
-  the number of samples tried.  A point where H(z) is PSD counts all its
-  structured vectors as tried without running them.
+  the number of samples tried; samples_tried counts random samples only.
 
 verify_psd_certificate replays a certificate from scratch against the
 polynomial, re-deriving every inequality with exact arithmetic.
@@ -560,17 +558,21 @@ def _replay_psh(p: Poly, cert: dict) -> bool:
 # ----------------------------------------------------------------------
 
 
-# Tier 3's grid values: its points take the first 4, its vectors all 5.
-_STRUCTURED = [CRat(0), CRat(1), CRat(-1), CRat(0, 1), CRat(0, -1)]
-# Past this dimension tier 3 runs for a minute or more: its grid holds
-# 242 points x 1023 vectors at n = 6 and 728 x 4095 at n = 7.
+# The values of tier 3's structured points.
+_STRUCTURED = [CRat(0), CRat(1), CRat(-1), CRat(0, 1)]
+# Tier 3 reduces one Levi matrix per structured point: 242 points at n = 6,
+# 728 at n = 7.  In-process on a shared 2-core Xeon (Python 3.11.7), with
+# the limit raised for the measurement: |z2|^4 + ... + |zn|^4
+# + 2*(1/3)*Re(z2^3*zbar3), refuted at a structured point, takes 0.04 s at
+# n = 6 and 0.18 s at n = 7; (Re(z2 + ... + zn))^2 + |z2|^4 + ... + |zn|^4,
+# Unknown after every point and 200 samples, takes 0.26 s and 1.1 s.
 MAX_TIER3_DIMENSION = 6
 
 
-def _structured(n: int, size: int) -> List[List[CRat]]:
-    """The nonzero tuples over z_2..z_n of the first ``size`` values of
-    ``_STRUCTURED`` (one fewer from n = 5 on), in product order."""
-    vals = _STRUCTURED[:size - (n >= 5)]
+def _structured(n: int) -> List[List[CRat]]:
+    """The nonzero tuples over z_2..z_n of ``_STRUCTURED`` (one value fewer
+    from n = 5 on), in product order."""
+    vals = _STRUCTURED[:len(_STRUCTURED) - (n >= 5)]
     return [list(t) for t in itertools.product(vals, repeat=n - 1)
             if any(not c.is_zero() for c in t)]
 
@@ -605,52 +607,29 @@ def psd_verdict(p: Poly, samples: int = 200, seed: int = 0
     if p.n > MAX_TIER3_DIMENSION:
         raise PolyError(f"dimension {p.n} is above {MAX_TIER3_DIMENSION}, "
                         "the largest for which tier 3 walks its grid")
+    if p.n < 2:
+        raise PolyError("tier 3 needs a tangential variable z_2..z_n; "
+                        "n = 1 has none")
     hess = complex_hessian(p)
-    tried = 0
-
-    def check(full_z: List[CRat], hz: List[List[CRat]],
-              vectors: Sequence[List[CRat]]) -> Optional[PositivityVerdict]:
-        """First vector a with a* H(z) a < 0."""
-        nonlocal tried
-        for a in vectors:
-            tried += 1
-            value = _form_value(hz, a)
-            if value < 0:
-                return PositivityVerdict(KIND_REFUTED,
-                                         witness=_witness(full_z, a, value),
-                                         samples_tried=tried)
-        return None
-
-    vectors = _structured(p.n, 5)
-    pivot = None  # (z, q, q* H(z) q < 0) at the first point not PSD
-    for z in _structured(p.n, 4):
+    for z in _structured(p.n):
         full_z = [CRat(0)] + z
-        hz = _tangential_values(hess, full_z)
-        negative = next(((q, d) for q, d in hermitian_reduce(hz) if d < 0),
-                        None)
-        if negative is None:
-            # H(z) is PSD: no vector refutes here, but each counts as tried
-            tried += len(vectors)
-            continue
-        if pivot is None:
-            pivot = (full_z,) + negative
-        hit = check(full_z, hz, vectors)
-        if hit:
-            return hit
+        for q, d in hermitian_reduce(_tangential_values(hess, full_z)):
+            if d < 0:
+                return PositivityVerdict(KIND_REFUTED,
+                                         witness=_witness(full_z, q, d))
     rng = random.Random(seed)
-    for _ in range(samples):
+    for tried in range(1, samples + 1):
         z = [_random_crat(rng) for _ in range(p.n - 1)]
         a = [_random_crat(rng) for _ in range(p.n - 1)]
         if all(c.is_zero() for c in a):
             a[0] = CRat(1)
         full_z = [CRat(0)] + z
-        hit = check(full_z, _tangential_values(hess, full_z), [a])
-        if hit:
-            return hit
-    if pivot is not None:
-        return PositivityVerdict(KIND_REFUTED, witness=_witness(*pivot),
-                                 samples_tried=tried)
-    return PositivityVerdict(KIND_UNKNOWN, samples_tried=tried)
+        value = _form_value(_tangential_values(hess, full_z), a)
+        if value < 0:
+            return PositivityVerdict(KIND_REFUTED,
+                                     witness=_witness(full_z, a, value),
+                                     samples_tried=tried)
+    return PositivityVerdict(KIND_UNKNOWN, samples_tried=samples)
 
 
 def _witness(z: Sequence[CRat], a: Sequence[CRat], value: Fraction) -> dict:

@@ -14,8 +14,7 @@ from catlin.boundary import (VField, _field_from_vector, _neumann_solve,
 from catlin.exact import CZERO, CRat, rat_str
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          PositivityVerdict, _check_tangential, _random_crat,
-                         _squares_certificate, _structured,
-                         cauchy_schwarz_pairing,
+                         _squares_certificate, cauchy_schwarz_pairing,
                          complex_hessian)
 from catlin.normal_form import (_Contradiction, _Degenerate,
                                 _bal_monomial_alpha, _block_direction,
@@ -404,10 +403,32 @@ def multitype_search_oracle(r: Poly, degree_bound: int = 4,
     return Multitype(best, STATUS_LOWER_BOUND, witness)
 
 
+# The earlier tier 3's grid values: its points took the first 4, its
+# vectors all 5.
+_GRID = [CRat(0), CRat(1), CRat(-1), CRat(0, 1), CRat(0, -1)]
+
+
+def grid_tuples(n: int, size: int) -> List[List[CRat]]:
+    """The nonzero tuples over z_2..z_n of the first ``size`` values of
+    ``_GRID`` (one fewer from n = 5 on), in product order: size 4 gives the
+    structured points, size 5 the earlier structured vectors."""
+    vals = _GRID[:size - (n >= 5)]
+    return [list(t) for t in itertools.product(vals, repeat=n - 1)
+            if any(not c.is_zero() for c in t)]
+
+
+def oracle_structured_pairs(n: int) -> int:
+    """The (point, vector) pairs ``psd_verdict_oracle`` tries before its
+    random samples."""
+    return len(grid_tuples(n, 4)) * len(grid_tuples(n, 5))
+
+
 def psd_verdict_oracle(p: Poly, samples: int = 200, seed: int = 0
                        ) -> PositivityVerdict:
     """The earlier ``levi.psd_verdict``: tier 3 evaluates all Hessian entries
-    again for every (point, vector) pair and sums the form entry by entry."""
+    again for every (point, vector) pair and sums the form entry by entry,
+    over every structured vector at every structured point before the
+    random samples."""
     _check_tangential(p)
     cert = _squares_certificate(p)
     if cert is not None:
@@ -442,8 +463,8 @@ def psd_verdict_oracle(p: Poly, samples: int = 200, seed: int = 0
                                      samples_tried=tried)
         return None
 
-    for z in _structured(n, 4):
-        for a in _structured(n, 5):
+    for z in grid_tuples(n, 4):
+        for a in grid_tuples(n, 5):
             hit = check(z, a)
             if hit:
                 return hit
@@ -487,7 +508,7 @@ def first_indefinite_point(p: Poly) -> Optional[List[CRat]]:
     Hessian of p, every entry evaluated on its own, is not PSD; None when it
     is PSD at all of them."""
     hess = complex_hessian(p)
-    for z in _structured(p.n, 4):
+    for z in grid_tuples(p.n, 4):
         full_z = [CRat(0)] + z
         h = [[hess[j][k].evaluate(full_z) for k in range(1, p.n)]
              for j in range(1, p.n)]

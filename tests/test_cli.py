@@ -7,7 +7,7 @@ import pytest
 
 from catlin import cli
 from catlin.cli import main
-from catlin.levi import psd_verdict
+from catlin.levi import psd_verdict, replay_refutation
 from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError
 
@@ -145,7 +145,8 @@ def test_normalize_slot_2_contradiction_message(capsys):
 
 def test_normalize_assert_psc_refutes_indefinite_model(capsys):
     # |w2|^2 + |w3|^2 + 3 Re(w2 conj w3) with w = z^2: every extracted row is
-    # positive, but the Levi form is indefinite (`catlin psd` finds -4)
+    # positive, but the Levi form is indefinite (`catlin psd` finds -5, the
+    # first negative pivot of the Levi matrix at z = (0, 1, 1))
     expr = "-2*Re(z1) + |z2|^4 + |z3|^4 + 2*(3/2)*Re(z2^2*zbar3^2)"
     code, out, err = run_cli(capsys, "normalize", "--expr", expr, "--n", "3",
                              "--assert-psc")
@@ -153,7 +154,12 @@ def test_normalize_assert_psc_refutes_indefinite_model(capsys):
     assert out == ""
     assert "not plurisubharmonic" in err
     witness = json.loads(err.split("witness ", 1)[1])
-    assert witness["value"] == "-4"
+    assert witness == {"z": [{"re": "0", "im": "0"}, {"re": "1", "im": "0"},
+                             {"re": "1", "im": "0"}],
+                       "a": [{"re": "-3/2", "im": "0"}, {"re": "1", "im": "0"}],
+                       "value": "-5"}
+    assert replay_refutation(parse_poly(expr, 3).restrict_support(range(2, 4)),
+                             witness) == -5
     code, out, _ = run_cli(capsys, "normalize", "--expr", expr, "--n", "3")
     assert code == 0
     assert "verified: True" in out
@@ -286,6 +292,16 @@ def test_negative_samples_exit_2(capsys):
                              "--n", "3", "--samples", "-3")
     assert (code, out) == (2, "")
     assert "sample count -3 is negative" in err
+
+
+def test_psd_without_tangential_variable_exits_2(capsys):
+    # tiers 1 and 2 reject a negative constant, and with n = 1 tier 3 has
+    # no tangential variable to decide
+    code, out, err = run_cli(capsys, "psd", "--n", "1", "--expr", "-1")
+    assert (code, out) == (2, "")
+    assert "needs a tangential variable" in err
+    code, out, _err = run_cli(capsys, "psd", "--n", "1", "--expr", "1")
+    assert (code, out) == (0, "CertifiedPSD (tier 1)\n")
 
 
 def test_enumerate(capsys):

@@ -15,8 +15,9 @@ from catlin.parser import parse_poly
 from catlin.poly import NonRealError, Poly, PolyError
 from catlin.weights import Weight
 
-from helpers import (circle_points, first_indefinite_point,
-                     homogenized_modulus_square, psd_verdict_oracle, rand_crat)
+from helpers import (circle_points, first_indefinite_point, grid_tuples,
+                     homogenized_modulus_square, oracle_structured_pairs,
+                     psd_verdict_oracle, rand_crat)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
@@ -190,20 +191,26 @@ def _point_json(z):
 
 
 def _assert_matches_sweep(p, got, want):
-    """``got`` is the per-pair sweep's verdict ``want`` wherever the sweep
-    decides.  Where it ends Unknown, ``got`` is Unknown with every
-    structured Hessian PSD, or Refuted at the first structured point whose
-    Hessian is not PSD, with the sweep's sample count."""
-    if want["kind"] != KIND_UNKNOWN:
+    """``got`` is tier 3's verdict and ``want`` the per-pair sweep's.  Where
+    some structured Hessian is not PSD, ``got`` refutes at the first such
+    point, from its Hessian matrix alone: no sample is drawn, and the
+    witness replays to its recorded value.  Elsewhere no structured vector
+    can refute, and ``got`` is the sweep's verdict, with the sweep's sample
+    count less its structured pairs."""
+    indefinite = first_indefinite_point(p)
+    if indefinite is not None:
+        assert want["kind"] != KIND_CERTIFIED
+        assert got["kind"] == KIND_REFUTED and got["samples_tried"] == 0
+        assert got["tier"] is None and got["certificate"] is None
+        assert got["witness"]["z"] == _point_json(indefinite)
+        assert replay_refutation(p, got["witness"]) == \
+            Fraction(got["witness"]["value"]) < 0
+        return
+    if want["kind"] == KIND_CERTIFIED:
         assert got == want
         return
-    indefinite = first_indefinite_point(p)
-    if got["kind"] == KIND_UNKNOWN:
-        assert got == want and indefinite is None
-        return
-    assert got["kind"] == KIND_REFUTED
-    assert got["samples_tried"] == want["samples_tried"]
-    assert got["witness"]["z"] == _point_json(indefinite)
+    assert got == {**want, "samples_tried":
+                   want["samples_tried"] - oracle_structured_pairs(p.n)}
 
 
 @pytest.mark.parametrize("expr,n", TIER3_MODELS)
@@ -282,39 +289,58 @@ def test_tier3_never_refutes_sums_of_squared_moduli():
     check()
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` to count its calls; returns the counter."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def test_tier3_evaluates_hessian_once_per_point(monkeypatch):
+    # refuted at a structured point: the 3 entries of the Hermitian half at
+    # each point up to it, and no form value
     p = parse_poly("|z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^3*zbar3)", 3)
-    calls = 0
-    evaluate = Poly._evaluate
-
-    def counting(self, zs, zbars):
-        nonlocal calls
-        calls += 1
-        return evaluate(self, zs, zbars)
-
-    monkeypatch.setattr(Poly, "_evaluate", counting)
+    points = [[CRat(0)] + z for z in grid_tuples(3, 4)]
+    evaluated = _count_calls(monkeypatch, Poly, "_evaluate")
+    form_values = _count_calls(monkeypatch, levi, "_form_value")
     v = psd_verdict(p)
-    assert v.kind == KIND_REFUTED and v.samples_tried == 15 * 24 + 200
-    # the 3 entries of the Hermitian half for each of the 15 structured
-    # points and 200 samples
-    assert calls <= 3 * (15 + 200)
+    assert v.kind == KIND_REFUTED and v.samples_tried == 0
+    assert evaluated[0] == 3 * (points.index(first_indefinite_point(p)) + 1)
+    assert form_values[0] == 0
+    # Unknown: the one entry at each of the 3 points and each sample
+    evaluated[0] = 0
+    v = psd_verdict(parse_poly("(Re(z2))^2", 2), samples=37)
+    assert v.kind == KIND_UNKNOWN and v.samples_tried == 37
+    assert evaluated[0] == 3 + 37 and form_values[0] == 37
 
 
 def test_tier3_skips_vectors_at_psd_points(monkeypatch):
-    # the per-pair sweep forms 63 * 124 + 200 = 8012 form values here
+    # the per-pair sweep forms 63 * 124 + 200 = 8012 form values on each
+    form_values = _count_calls(monkeypatch, levi, "_form_value")
     p = parse_poly("|z2|^4 + |z3|^4 + |z4|^4 + 2*(1/3)*Re(z2^3*zbar3)", 4)
-    calls = 0
-    form_value = levi._form_value
-
-    def counting(h, a):
-        nonlocal calls
-        calls += 1
-        return form_value(h, a)
-
-    monkeypatch.setattr(levi, "_form_value", counting)
     v = psd_verdict(p)
-    assert v.kind == KIND_REFUTED and v.samples_tried == 8012
-    assert calls <= 8012 // 3
+    assert v.kind == KIND_REFUTED and v.samples_tried == 0
+    assert form_values[0] == 0
+    v = psd_verdict(parse_poly("(Re(z2))^2 + (Re(z3))^2 + (Re(z4))^2", 4))
+    assert v.kind == KIND_UNKNOWN and v.samples_tried == 200
+    assert form_values[0] == 200
+
+
+def test_tier3_refutes_from_the_first_negative_pivot():
+    # H(z) = -I at every point: the first structured point (z2, z3) = (0, 1)
+    # refutes along the first basis vector, the first of two negative pivots
+    v = psd_verdict(parse_poly("-|z2|^2 - |z3|^2", 3))
+    assert v.to_json() == {
+        "kind": KIND_REFUTED, "tier": None, "certificate": None,
+        "samples_tried": 0,
+        "witness": {"z": _point_json([CRat(0), CRat(0), CRat(1)]),
+                    "a": _point_json([CRat(1), CRat(0)]), "value": "-1"}}
 
 
 def test_replay_refutation_rejects_non_real():
