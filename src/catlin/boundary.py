@@ -14,16 +14,18 @@ formed only in its (1,0) part, the part that dr reads.  All list
 derivatives are formed by ``_ListSearcher``; the slot counts of the lists it
 tries (their skeletons) are the admissible rows of ``weights.admissible_rows``
 over the c-entries found so far.  A list's value is c_j = counts[j]/rem,
-its count of slot-j fields over the remainder of its row.  At the first
-total number of fields where some list does not vanish, the list of
-smallest value wins, the first in scan order on a tie; the first list found
-could be one of larger value and make the c-entries decrease.  The lists
-produce the commutator multitype (1, c_2, ..., c_n); the associated real
-functions r_j and fields L_j form the boundary system.  The first
-equal-value block beyond the Levi slots can be normalized to r_j = Re z_j
-exactly by a holomorphic change of coordinates; the failure of the same
-normalization at the next slot is the torsion obstruction, detected as
-non-pluriharmonic content of r_j.
+its count of slot-j fields over the remainder of its row.  Each direction
+tries the skeletons of a total in value order, ties in scan order, and
+stops at its first nonvanishing list; a later direction tries only smaller
+values.  So at the first total number of fields where some list does not
+vanish, the list of smallest value wins, the first in scan order on a tie;
+the first list found could be one of larger value and make the c-entries
+decrease.  The lists produce the commutator multitype (1, c_2, ..., c_n);
+the associated real functions r_j and fields L_j form the boundary system.
+The first equal-value block beyond the Levi slots can be normalized to
+r_j = Re z_j exactly by a holomorphic change of coordinates; the failure of
+the same normalization at the next slot is the torsion obstruction,
+detected as non-pluriharmonic content of r_j.
 
 Field coefficients are polynomials.  Tangency constraints are solved by an
 exact triangular elimination whose matrix inverse is expanded as a Neumann
@@ -34,9 +36,10 @@ can influence a value at the origin.
 Wherever only low degrees matter, products are formed degree-capped by the
 product kernel of ``poly``: term pairs whose degrees add up to more than the
 cap are never formed.  In the list search this is exact because a term of
-degree d needs d more derivations to reach the origin.  The slow fields are
-built capped at the truncation degree: the Neumann solve reads its matrix
-and right-hand side only to that degree.
+degree d needs d more derivations to reach the origin; each bracket seed is
+formed once, capped for the longest list, and used whole by every list.
+The slow fields are built capped at the truncation degree: the Neumann
+solve reads its matrix and right-hand side only to that degree.
 
 A field is applied by ``_apply_field`` alone, in one pass: for each nonzero
 coefficient a_k, the derivative of the operand in z_k (or zbar_k) is formed
@@ -147,14 +150,13 @@ class _ListSearcher:
     coefficients, and the seed of two conjugate entries is zero.
 
     The bracket seed dr([L^{l-1}, L^l]) is computed once per (entry, entry)
-    pair.  Given ``max_length``, it is capped at the degree the longest list
-    (``max_length`` fields) can still bring to the origin, and truncated to
-    each shorter list's cap where it is used; each later application drops
-    the terms above the number of derivations still to come.  A term of
-    degree d needs d more derivations to reach the origin, so values at 0
-    stay exact.  Without ``max_length`` nothing is capped.  The search walks
-    the skeleton from its tail, so sibling patterns reuse every suffix
-    state."""
+    pair and used whole by every list.  Given ``max_length``, it is capped at
+    the degree the longest list (``max_length`` fields) can still bring to
+    the origin, and each application drops the terms above the number of
+    derivations still to come.  A term of degree d needs d more derivations
+    to reach the origin, so values at 0 stay exact.  Without ``max_length``
+    nothing is capped.  The search walks the skeleton from its tail, so
+    sibling patterns reuse every suffix state."""
 
     def __init__(self, r: Poly, fields: Dict[int, VField],
                  max_length: Optional[int] = None):
@@ -173,9 +175,8 @@ class _ListSearcher:
                 if entry[1] else hol
         return _apply_field(self._coeffs[entry], f, cap, entry[1])
 
-    def seed(self, e1: ListEntry, e2: ListEntry, cap: Optional[int]) -> Poly:
-        """dr([e1, e2]), without the terms above degree ``cap``; None keeps
-        all the terms the searcher holds."""
+    def seed(self, e1: ListEntry, e2: ListEntry) -> Poly:
+        """dr([e1, e2]), capped as the searcher's longest list needs it."""
         key = (e1, e2)
         if key not in self._seeds:
             n, c = self.r.n, self.seed_cap
@@ -187,17 +188,13 @@ class _ListSearcher:
                 hol = [h - self.apply(e2, x, c)
                        for h, x in zip(hol, self.fields[e1[0]].hol)]
             self._seeds[key] = _apply_field(hol, self.r, c)
-        if cap is None or (self.seed_cap is not None
-                           and cap >= self.seed_cap):
-            return self._seeds[key]
-        return _truncate(self._seeds[key], cap)
+        return self._seeds[key]
 
     def derivative(self, entries: Sequence[ListEntry]) -> Poly:
         """The list derivative of ``entries``; given ``max_length``, capped
         as in the search, so that only its value at 0 is exact."""
         capped = self.seed_cap is not None
-        out = self.seed(entries[-2], entries[-1],
-                        len(entries) - 2 if capped else None)
+        out = self.seed(entries[-2], entries[-1])
         for pos in range(len(entries) - 3, -1, -1):
             out = self.apply(entries[pos], out, pos if capped else None)
         return out
@@ -228,7 +225,7 @@ class _ListSearcher:
                 e2 = (skeleton[length - 1], f2)
                 if e1 == e2:
                     continue  # bracket of a field with itself vanishes
-                res = rec(length - 3, self.seed(e1, e2, length - 2))
+                res = rec(length - 3, self.seed(e1, e2))
                 if res is not None:
                     return res + [e1, e2]
         return None
@@ -441,9 +438,9 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         used_dirs = [sl.direction for sl in slow.values()]
         found = None
         directions = [d for d in catalog if not _in_span(d, used_dirs)]
-        # per direction: the searcher over its slow field, None when the
-        # field cannot be built
-        searchers: Dict[Tuple[CRat, ...], Optional[_ListSearcher]] = {}
+        # by position in ``directions``: the searcher over the direction's
+        # slow field, None when the field cannot be built
+        searchers: Dict[int, Optional[_ListSearcher]] = {}
         # While the c-entries equal the floor's prefix, c_j >= floor_j (C = M
         # >= Lambda), so a list whose value is below floor_j vanishes at 0;
         # an infinite floor_j leaves no finite list to try.
@@ -456,32 +453,34 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         # _build_slow_field); two conjugate entries give a zero seed.
         # Within the first total that has a nonvanishing list, the list of
         # smallest value counts[slot] / rem wins, the first in scan order on
-        # a tie: once a list is found, only skeletons below it are tried.
+        # a tie: each direction tries the skeletons in value order (stable,
+        # so ties keep scan order) and stops at its first nonvanishing list,
+        # and a later direction tries only the values below the one found.
         for total in range(3, bound + 1):
-            skeletons = [(counts[slot] / rem, skeleton) for counts, rem,
-                         skeleton in _skeletons(total, slow, slot)
-                         if below is None or counts[slot] / rem >= below]
-            for direction in directions:
-                if found:
-                    skeletons = [(v, sk) for v, sk in skeletons
-                                 if v < found[3]]
-                if not skeletons:
+            skeletons = sorted(
+                ((counts[slot] / rem, skeleton) for counts, rem, skeleton
+                 in _skeletons(total, slow, slot)
+                 if below is None or counts[slot] / rem >= below),
+                key=lambda vs: vs[0])
+            for i, direction in enumerate(directions):
+                todo = [vs for vs in skeletons
+                        if not found or vs[0] < found[3]]
+                if not todo:
                     break
-                if direction not in searchers:
+                if i not in searchers:
                     fld = _build_slow_field(
                         r, c1, p_hess, direction, levi_fields,
                         [slow[j] for j in sorted(slow)], cap)
-                    searchers[direction] = None if fld is None else \
+                    searchers[i] = None if fld is None else \
                         _ListSearcher(r, {**fields_by_slot, slot: fld}, bound)
-                searcher = searchers[direction]
+                searcher = searchers[i]
                 if searcher is None:
                     continue
-                for value, skeleton in skeletons:
-                    if found and value >= found[3]:
-                        continue
+                for value, skeleton in todo:
                     entries = searcher.first_nonzero(skeleton)
                     if entries is not None:
                         found = (direction, searcher.fields, entries, value)
+                        break
             if found:
                 break
         if not found:
@@ -732,6 +731,7 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
     """Independent re-check of the construction invariants; returns the list
     of violations (empty when sound)."""
     problems: List[str] = []
+    zero = (0,) * bs.n
     fields = {j: s.fld for j, s in bs.slow.items()}
     searcher = _ListSearcher(bs.r, fields, max(
         (len(s.entries) for s in bs.slow.values()), default=2))
@@ -741,8 +741,7 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
     for j, sl in sorted(bs.slow.items()):
         if not _apply_field(sl.fld.hol, bs.r).is_zero():
             problems.append(f"slot {j}: L_{j}(r) != 0")
-        # capped at degree 0 in its last step, it holds only its value at 0
-        if searcher.derivative(sl.entries).is_zero():
+        if not searcher.derivative(sl.entries).coeff(zero, zero):
             problems.append(f"slot {j}: list derivative vanishes at 0")
         if sl.entries[0][0] != j:
             problems.append(f"slot {j}: list does not start in S_{j}")

@@ -11,23 +11,11 @@ exact.  The real and imaginary parts are read as ``Fraction`` values.
 from __future__ import annotations
 
 import itertools
-import sys
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
-
-
-_HASH_MODULUS = sys.hash_info.modulus
-
-
-def _rat_hash(a: int, dinv: int) -> int:
-    """hash(Fraction(a, d)), given the inverse dinv of d modulo
-    ``_HASH_MODULUS``: the rule of ``Fraction.__hash__``."""
-    h = hash(abs(a)) * dinv % _HASH_MODULUS
-    h = h if a >= 0 else -h
-    return -2 if h == -1 else h
 
 
 def _frac(x) -> Fraction:
@@ -168,18 +156,7 @@ class CRat:
                 and self._d == other._d)
 
     def __hash__(self) -> int:
-        """hash((self.re, self.im)), without forming the two Fractions.
-
-        Python hashes a rational x / y as x * y^-1 modulo the prime
-        ``sys.hash_info.modulus``, a value that does not change when x and
-        y share a factor, as long as y stays invertible; so the common
-        denominator d serves both parts."""
-        a, b, d = self._a, self._b, self._d
-        try:
-            dinv = pow(d, -1, _HASH_MODULUS)
-        except ValueError:  # d is a multiple of the modulus
-            return hash((self.re, self.im))
-        return hash((_rat_hash(a, dinv), _rat_hash(b, dinv)))
+        return hash((self.re, self.im))
 
     def __repr__(self) -> str:
         return f"CRat(re={self.re!r}, im={self.im!r})"
@@ -292,12 +269,14 @@ def hermitian_reduce(h: Sequence[Sequence[CRat]]
                  for i in range(dim)]
     done: List[Tuple[List[CRat], Fraction]] = []
     while remaining:
-        for v in remaining:
-            for q, d in done:
-                if d != 0:
-                    coef = hermitian_form(h, v, q) / CRat(d)
-                    for k in range(dim):
-                        v[k] = v[k] - coef * q[k]
+        # the remaining vectors are orthogonal to every earlier pivot, so
+        # only the newest one is projected out (a zero value ends the loop)
+        if done:
+            q, d = done[-1]
+            for v in remaining:
+                coef = hermitian_form(h, v, q) / CRat(d)
+                for k in range(dim):
+                    v[k] = v[k] - coef * q[k]
         values = ((v, hermitian_form(h, v, v)) for v in remaining)
         pick, val = next(((v, d) for v, d in values if not d.is_zero()),
                          (None, None))

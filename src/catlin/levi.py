@@ -560,13 +560,13 @@ def _replay_psh(p: Poly, cert: dict) -> bool:
 
 # The values of tier 3's structured points.
 _STRUCTURED = [CRat(0), CRat(1), CRat(-1), CRat(0, 1)]
-# Tier 3 reduces one Levi matrix per structured point: 242 points at n = 6,
-# 728 at n = 7.  In-process on a shared 2-core Xeon (Python 3.11.7), with
-# the limit raised for the measurement: |z2|^4 + ... + |zn|^4
-# + 2*(1/3)*Re(z2^3*zbar3), refuted at a structured point, takes 0.04 s at
-# n = 6 and 0.18 s at n = 7; (Re(z2 + ... + zn))^2 + |z2|^4 + ... + |zn|^4,
-# Unknown after every point and 200 samples, takes 0.26 s and 1.1 s.
-MAX_TIER3_DIMENSION = 6
+# Tier 3 reduces one Levi matrix per structured point: 728 points at n = 7,
+# 2186 at n = 8.  In-process on a shared 2-core Xeon (Python 3.11.7), with
+# the limit raised for the measurement at n = 8: |z2|^4 + ... + |zn|^4
+# + 2*(1/3)*Re(z2^3*zbar3), refuted at a structured point, takes 0.17 s at
+# n = 7 and 0.75 s at n = 8; (Re(z2 + ... + zn))^2 + |z2|^4 + ... + |zn|^4,
+# Unknown after every point and 200 samples, takes 0.92 s and 3.9 s.
+MAX_TIER3_DIMENSION = 7
 
 
 def _structured(n: int) -> List[List[CRat]]:

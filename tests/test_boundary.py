@@ -340,7 +340,7 @@ def test_bracket_seed_matches_commutator_oracle(expr, n):
     nonzero = 0
     for e1, e2 in itertools.product(entries, repeat=2):
         dr, dbar_r = commutator_oracle(r, fields, e1, e2)
-        assert searcher.seed(e1, e2, None) == dr, (e1, e2)
+        assert searcher.seed(e1, e2) == dr, (e1, e2)
         assert dbar_r == -dr, (e1, e2)
         nonzero += not dr.is_zero()
     assert nonzero > 0
@@ -800,6 +800,10 @@ def test_floor_skips_only_lists_that_vanish(monkeypatch):
     assert checked >= 1000
 
 
+SAME_DIRECTION = ("-2*Re(z1) + |z3|^6 + |z2|^2*|z3|^4 + 3*|z2|^6 + 3*|z4|^8"
+                  " + |z2|^2*|z3|^4*|z4|^4")
+
+
 @pytest.mark.parametrize("expr,c", [
     # Six fields first reach the origin at slot 3 along two directions: z2
     # with two slot-2 fields, value 4 / (1 - 2/4) = 8, and z3 alone, value
@@ -808,8 +812,7 @@ def test_floor_skips_only_lists_that_vanish(monkeypatch):
     ("-2*Re(z1) + |z2|^8 + |z3|^6 + |z4|^4 + |z2|^4*|z4|^2", (1, 4, 6, 8)),
     # The list found first at a total keeps its value against the later
     # lists of larger value in the same direction.
-    ("-2*Re(z1) + |z3|^6 + |z2|^2*|z3|^4 + 3*|z2|^6 + 3*|z4|^8"
-     " + |z2|^2*|z3|^4*|z4|^4", (1, 6, 6, 8)),
+    (SAME_DIRECTION, (1, 6, 6, 8)),
 ], ids=["later-direction", "same-direction"])
 def test_smallest_value_wins_within_a_total(expr, c):
     # each c-entry equals Lambda's, with the floor and without it
@@ -820,6 +823,60 @@ def test_smallest_value_wins_within_a_total(expr, c):
         bs = build_boundary_system(r, floor=f)
         assert bs.c_entries == c
         assert audit_boundary_system(bs) == []
+
+
+def test_each_direction_tries_lists_in_value_order(monkeypatch):
+    # Each direction has its own searcher at a slot.  Within a total it
+    # tries the skeletons in nondecreasing value counts[j] / rem and stops
+    # at its first nonvanishing list: no call after that direction's first
+    # hit, at any total.
+    r = parse_poly(SAME_DIRECTION, 4)
+    search = _ListSearcher.first_nonzero
+    calls = []
+
+    def recording(self, skeleton):
+        entries = search(self, skeleton)
+        calls.append((self, list(skeleton), entries is not None))
+        return entries
+
+    for floor in (None, cli._lambda_floor(r)):
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(_ListSearcher, "first_nonzero", recording)
+            bs = build_boundary_system(r, floor=floor)
+        assert bs.c_entries == (1, 6, 6, 8)
+        last = {}
+        hit = set()
+        for searcher, skeleton, nonzero in calls:
+            j = skeleton[0]
+            rem = 1 - sum(Fraction(skeleton.count(k)) / bs.slow[k].c
+                          for k in set(skeleton) if k < j)
+            value = Fraction(skeleton.count(j)) / rem
+            key = searcher, len(skeleton)
+            assert searcher not in hit, skeleton
+            assert value >= last.get(key, value), skeleton
+            last[key] = value
+            if nonzero:
+                hit.add(searcher)
+        # some direction tried more than one skeleton of a total
+        assert len(calls) > len(last)
+
+
+@pytest.mark.parametrize("expr,n", [
+    (TORSION_EXPR, 4),
+    ("-2*Re(z1) + |z2|^4 + 2*|z3|^6 + |z4|^8", 4),
+], ids=["torsion", "three-slow-slots"])
+def test_build_hashes_no_crat(monkeypatch, expr, n):
+    # the list search keys its searchers by direction position, not by the
+    # direction's CRat entries
+    r = parse_poly(expr, n)
+    want = build_boundary_system(r).to_json()
+
+    def unhashable(self):
+        raise AssertionError("CRat hashed")
+
+    monkeypatch.setattr(CRat, "__hash__", unhashable)
+    assert build_boundary_system(r).to_json() == want
 
 
 def test_floor_applies_only_while_the_prefix_agrees():

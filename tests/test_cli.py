@@ -254,18 +254,27 @@ def quartic_sum(n: int) -> str:
      "dimension 10 is above 9, the largest for which the coordinate"),
     (("normalize", "--n", "12", "--expr", "-2*Re(z1) + " + quartic_sum(12)),
      "dimension 12 is above 9, the largest for which the coordinate"),
-    (("psd", "--n", "7", "--expr",
-      quartic_sum(7) + " + 2*(1/3)*Re(z2^3*zbar3)"),
-     "dimension 7 is above 6, the largest for which tier 3 walks"),
     (("psd", "--n", "8", "--expr",
       quartic_sum(8) + " + 2*(1/3)*Re(z2^3*zbar3)"),
-     "dimension 8 is above 6, the largest for which tier 3 walks")])
+     "dimension 8 is above 7, the largest for which tier 3 walks")])
 def test_large_dimension_exits_2_fast(capsys, argv, limit):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert limit in err
+
+
+def test_psd_at_the_tier3_limit_answers_fast(capsys):
+    # n = 7 is the largest dimension tier 3 walks: refuted at a structured
+    # point, with no sample drawn
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "psd", "--json", "--n", "7", "--expr",
+                             quartic_sum(7) + " + 2*(1/3)*Re(z2^3*zbar3)")
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    verdict = json.loads(out)
+    assert verdict["kind"] == "Refuted" and verdict["samples_tried"] == 0
 
 
 def test_large_diagonal_sum_still_certifies(capsys):

@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from catlin import exact
 from catlin.exact import (CRat, hermitian_form, hermitian_reduce, inverse,
                           rank, rat_from_str, rat_str)
 
@@ -130,9 +131,9 @@ def test_crat_agrees_with_fraction_pair_reference():
 
 
 def test_crat_hash_agrees_for_equal_values():
-    # the hash is computed from the three ints; equal values hash equal
-    # however they were built, and as the pair of their parts, also where
-    # the common denominator is a multiple of the hash modulus
+    # equal values hash equal however they were built, and as the pair of
+    # their parts, also where the common denominator is a multiple of the
+    # hash modulus
     m = sys.hash_info.modulus
     half, third = Fraction(1, 2), Fraction(1, 3)
     groups = [
@@ -319,6 +320,23 @@ def test_hermitian_reduce_hyperbolic_and_singular():
                               [CRat(0, -1), CRat(1), CRat(0)],
                               [CRat(0), CRat(0), CRat(0)]]) == [1, 0, 0]
     assert _check_congruence([]) == []
+
+
+def test_hermitian_reduce_projects_out_each_pivot_once(monkeypatch):
+    # a positive definite 6x6 matrix: one value per pivot, and each pivot
+    # projected out of the vectors that remain after it, 6 + 15 forms in all
+    h = [[CRat(7 if i == j else 1) for j in range(6)] for i in range(6)]
+    form, calls = exact.hermitian_form, []
+
+    def counting(*args):
+        calls.append(None)
+        return form(*args)
+
+    monkeypatch.setattr(exact, "hermitian_form", counting)
+    values = [d for _q, d in hermitian_reduce(h)]
+    assert len(calls) == 6 + 15
+    monkeypatch.undo()
+    assert _check_congruence(h) == values and min(values) > 0
 
 
 def test_hermitian_form_value_and_errors():
