@@ -38,8 +38,9 @@ product kernel of ``poly``: term pairs whose degrees add up to more than the
 cap are never formed.  In the list search this is exact because a term of
 degree d needs d more derivations to reach the origin; each bracket seed is
 formed once, capped for the longest list, and used whole by every list.
-The slow fields are built capped at the truncation degree: the Neumann
-solve reads its matrix and right-hand side only to that degree.
+The slow fields are built capped at the truncation degree: every entry of
+their tangency system is a capped product, so the Neumann solve takes its
+matrix as given and caps each product of its own there.
 
 A field is applied by ``_apply_field`` alone, in one pass: for each nonzero
 coefficient a_k, the derivative of the operand in z_k (or zbar_k) is formed
@@ -97,10 +98,6 @@ class VField:
 
     hol: Tuple[Poly, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.hol)
-
     def to_json(self) -> dict:
         return {"hol": [f.to_json_dict() for f in self.hol]}
 
@@ -117,11 +114,6 @@ def _apply_field(coeffs: Sequence[Poly], f: Poly, cap: Optional[int] = None,
             _mul_terms(_derivative_terms(f.terms, i, conjugate), a.terms, cap,
                        out)
     return Poly._unchecked(f.n, out)
-
-
-def _truncate(p: Poly, degree: int) -> Poly:
-    return Poly(p.n, {k: c for k, c in p.terms.items()
-                      if sum(k[0]) + sum(k[1]) <= degree})
 
 
 ListEntry = Tuple[int, bool]  # (slot index, conjugated?)
@@ -304,15 +296,16 @@ def _neumann_solve(matrix: List[List[Poly]], rhs: List[Poly], n: int,
                    cap: int) -> Optional[List[Poly]]:
     """Solve M x = rhs over polynomials, exactly modulo degree > cap.
 
-    Requires M(0) invertible; the series terminates because the nonconstant
-    part of M raises the minimum degree at each iteration."""
+    The entries of M hold no terms above degree cap, and every product is
+    capped there.  Requires M(0) invertible; the series terminates because
+    the nonconstant part of M raises the minimum degree at each iteration."""
     dim, zero = len(matrix), (0,) * n
     m0 = [[entry.coeff(zero, zero) for entry in row] for row in matrix]
     m0inv = inverse(m0)
     if m0inv is None:
         return None
-    npart = [[_truncate(matrix[i][j] - Poly.const(n, m0[i][j]), cap)
-              for j in range(dim)] for i in range(dim)]
+    npart = [[matrix[i][j] - Poly.const(n, m0[i][j]) for j in range(dim)]
+             for i in range(dim)]
 
     def apply_const(mat: List[List[CRat]], vec: List[Poly]) -> List[Poly]:
         return [sum((vec[j] * mat[i][j] for j in range(dim)), Poly.zero(n))
@@ -412,12 +405,12 @@ def _system_slots(r: Poly, list_bound: Optional[int],
     bound = list_bound if list_bound is not None else max(2, p.total_degree())
     cap = max(2, p.total_degree()) + 2
     p_hess = [row[1:] for row in complex_hessian(p)[1:]]
-    h0 = [[p_hess[j][k].terms.get(((0,) * n, (0,) * n), CZERO)
-           for k in range(n - 1)] for j in range(n - 1)]
-    reduced = hermitian_reduce(h0)
-    levi_rank = sum(1 for _v, d in reduced if d != 0)
+    zero = (0,) * n
+    reduced = hermitian_reduce([[entry.coeff(zero, zero) for entry in row]
+                                for row in p_hess])
     levi_fields = [_field_from_vector(r, c1, _const_vec(n, vec))
                    for vec, d in reduced if d != 0]
+    levi_rank = len(levi_fields)
     kernel_dirs = [tuple(vec) for vec, d in reduced if d == 0]
     catalog: List[Tuple[CRat, ...]] = list(kernel_dirs)
     if len(kernel_dirs) > 1:
@@ -636,9 +629,10 @@ def _straighten_first_block(bs: BoundarySystem,
         support = [i + 2 for i, c in enumerate(bs.slow[j].direction)
                    if not c.is_zero()]
         if len(support) != 1:
+            shown = ", ".join(str(c) for c in bs.slow[j].direction)
             raise BoundaryConstructionError(
-                f"slot {j}: direction {bs.slow[j].direction} is not aligned "
-                "with a coordinate axis; apply an aligning linear change first")
+                f"slot {j}: direction ({shown}) is not aligned with a "
+                "coordinate axis; apply an aligning linear change first")
         dirvar = support[0]
         alpha = [0] * n
         beta = [0] * n

@@ -123,9 +123,8 @@ def _form_value(h: List[List[CRat]], a: Sequence[CRat]) -> Fraction:
 
 def _check_tangential(p: Poly):
     require_real(p, "Hessian input")
-    for (a, b) in p.terms:
-        if a[0] or b[0]:
-            raise PolyError("polynomial must depend only on z_2..z_n")
+    if p.degree_in(1) > 0:
+        raise PolyError("polynomial must depend only on z_2..z_n")
 
 
 def _balanced_budget(p: Poly) -> Tuple[Dict[Gamma, Fraction], Optional[Gamma]]:
@@ -353,22 +352,13 @@ def _psh_certificate(p: Poly, memo: Dict[frozenset, Optional[dict]],
 
 
 def _kill_var(p: Poly, j: int) -> Poly:
-    i = j - 1
-    return Poly(p.n, {(a, b): c for (a, b), c in p.terms.items()
-                      if a[i] == 0 and b[i] == 0})
+    """p restricted to z_j = 0."""
+    return p.restrict_support(v for v in range(1, p.n + 1) if v != j)
 
 
 def _diag_entry(p: Poly, j: int) -> Poly:
-    """d^2 p / dz_j dzbar_j restricted to z_j = 0: the terms with
-    alpha_j = beta_j = 1, with the z_j factors stripped."""
-    i = j - 1
-    out = {}
-    for (a, b), c in p.terms.items():
-        if a[i] == 1 and b[i] == 1:
-            na = a[:i] + (0,) + a[i + 1:]
-            nb = b[:i] + (0,) + b[i + 1:]
-            out[(na, nb)] = c
-    return Poly(p.n, out)
+    """The Hessian entry d^2 p / dz_j dzbar_j restricted to z_j = 0."""
+    return _kill_var(p.wirtinger(j).wirtinger(j, conjugate=True), j)
 
 
 def _nonneg_certificate(q: Poly) -> Optional[dict]:
@@ -658,16 +648,6 @@ class CoeffBoundReport:
     C0: Fraction
     bounds: List[Tuple[int, CRat, bool]] = field(default_factory=list)
     nonzero: bool = True
-
-    def all_satisfied(self) -> bool:
-        return self.C0 >= 0 and all(ok for _k, _c, ok in self.bounds)
-
-    def to_json(self) -> dict:
-        return {"var": self.var, "half_degree": self.half_degree,
-                "C0": rat_str(self.C0),
-                "bounds": [{"k": k, "re": rat_str(c.re), "im": rat_str(c.im),
-                            "satisfied": ok} for k, c, ok in self.bounds],
-                "all_satisfied": self.all_satisfied()}
 
 
 def one_var_coeff_check(P: Poly) -> CoeffBoundReport:

@@ -190,8 +190,7 @@ def step_inductive(q: Poly, mu: Weight, m: int
     s = _block_end(entries, m)
     block = list(range(m, s + 1))
     sub = q.restrict_support(list(range(2, s + 1)))
-    if sub.is_zero() or all(
-            all(a[j - 1] + b[j - 1] == 0 for j in block) for (a, b) in sub.terms):
+    if all(sub.degree_in(j) <= 0 for j in block):
         raise _Degenerate(m, q)
     change, q_changed = _block_direction(q, sub, block, entries, m)
     # _block_direction made z_m active here, so p_m is nonzero

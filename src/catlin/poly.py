@@ -24,6 +24,7 @@ they may be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter
@@ -453,25 +454,21 @@ def _mul_terms(t1: Dict[TermKey, CRat], t2: Dict[TermKey, CRat],
                ) -> Dict[TermKey, CRat]:
     """Term table of t1 * t2, which may hold zeros: the one product loop.
 
-    ``cap`` leaves out the terms above that total degree; t2 is walked by
-    ascending degree, so a term pair above the cap is never formed.  The
-    product is added into ``out`` when given, and that table is returned;
-    an empty operand returns it at once."""
+    Each term of t1 walks t2: with ``cap``, by ascending degree, stopping
+    at the first term whose product would exceed that total degree, so a
+    term pair above the cap is never formed; without it, in t2's own order
+    and to its end, so the product's term order is t1's order crossed with
+    t2's.  The product is added into ``out`` when given, and that table is
+    returned; an empty operand returns it at once."""
     if out is None:
         out = {}
     if not t1 or not t2:
         return out
-    if cap is None:
-        for (a1, b1), c1 in t1.items():
-            for (a2, b2), c2 in t2.items():
-                k = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)))
-                s = out.get(k)
-                out[k] = c1 * c2 if s is None else s + c1 * c2
-        return out
-    right = sorted(((sum(a2) + sum(b2), a2, b2, c2)
-                    for (a2, b2), c2 in t2.items()), key=itemgetter(0))
+    right = [(sum(a2) + sum(b2), a2, b2, c2) for (a2, b2), c2 in t2.items()]
+    if cap is not None:
+        right.sort(key=itemgetter(0))
     for (a1, b1), c1 in t1.items():
-        room = cap - sum(a1) - sum(b1)
+        room = math.inf if cap is None else cap - sum(a1) - sum(b1)
         for d2, a2, b2, c2 in right:
             if d2 > room:
                 break

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from catlin.boundary import (VField, _field_from_vector, _neumann_solve,
-                             _truncate)
+from catlin.boundary import VField, _field_from_vector, _neumann_solve
 from catlin.exact import CZERO, CRat, rat_str
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
-                         PositivityVerdict, _check_tangential, _random_crat,
+                         CoeffBoundReport, PositivityVerdict,
+                         _check_tangential, _random_crat,
                          _squares_certificate, cauchy_schwarz_pairing,
                          complex_hessian)
 from catlin.normal_form import (_Contradiction, _Degenerate,
@@ -578,6 +578,18 @@ def commutator_oracle(r: Poly, fields: Dict[int, VField],
     dbar_r = sum((anti[k - 1] * r.wirtinger(k, conjugate=True)
                   for k in range(1, n + 1)), Poly.zero(n))
     return dr, dbar_r
+
+
+def all_satisfied(report: CoeffBoundReport) -> bool:
+    """C_0 >= 0 and every bound |C_k| <= C_0 of a coefficient-bound report
+    holds."""
+    return report.C0 >= 0 and all(ok for _k, _c, ok in report.bounds)
+
+
+def _truncate(p: Poly, degree: int) -> Poly:
+    """The terms of p of total degree at most ``degree``."""
+    return Poly(p.n, {k: c for k, c in p.terms.items()
+                      if sum(k[0]) + sum(k[1]) <= degree})
 
 
 def slow_field_oracle(r: Poly, c1: CRat, p_hess: List[List[Poly]],

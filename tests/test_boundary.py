@@ -14,14 +14,14 @@ from catlin.boundary import (BoundaryConstructionError,
                              first_block_torsion, list_derivative,
                              normalize_first_block, VField, _skeletons,
                              _apply_field, _field_from_vector, _ListSearcher,
-                             _normalize_r, _truncate)
+                             _normalize_r)
 from catlin.cli import main
 from catlin.exact import CRat
 from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError, _mul_terms, split_model
 from catlin.weights import INF, InverseWeight, multitype_search
 
-from helpers import (apply_field_oracle, commutator_oracle,
+from helpers import (_truncate, apply_field_oracle, commutator_oracle,
                      compositions_oracle, rand_crat, slow_field_oracle)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
@@ -435,7 +435,7 @@ def _audit_model():
 
 
 def _drop_z1_coefficient(fld: VField) -> VField:
-    return VField((Poly.zero(fld.n),) + fld.hol[1:])
+    return VField((Poly.zero(len(fld.hol)),) + fld.hol[1:])
 
 
 def _tamper_levi_field(bs):

@@ -217,6 +217,27 @@ def test_torsion_not_applicable(capsys):
     assert code == 2  # no slow block to normalize: input error
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["torsion", "--n", "3", "--expr",
+      "-2*Re(z1) + 2*Re(z2^2*zbar2) + |z3|^4"],
+     "first block value 3 is not an even integer"),
+    (["torsion", "--n", "3", "--expr", "-2*Re(z1) + |z2 + z3|^2 + |z3|^4"],
+     "slot 3: direction (-1, 1) is not aligned with a coordinate axis; "
+     "apply an aligning linear change first"),
+    (["torsion", "--n", "3", "--expr",
+      "-2*Re(z1) + |z2|^4 + |z2|^6 + |z3|^8"],
+     "slot 2: derivative tail depends on z_2; the input is not "
+     "weight-graded"),
+    (["torsion", "--n", "3", "--expr",
+      "-2*Re(z1) + 3*|z2|^4 - 4*Re(z2^3*zbar2) + |z3|^8"],
+     "slot 2: scale factor C+ + conj(C-) vanishes; inconsistent input"),
+    (["boundary-system", "--n", "1", "--expr", "Re(z1)"],
+     "boundary systems need dimension >= 2"),
+])
+def test_first_block_refusals_exit_2(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_oversized_power_exits_2_fast(capsys):
     start = time.perf_counter()
     code, _out, err = run_cli(capsys, "parse", "--expr", "|z2+z3+z4|^64",
@@ -344,6 +365,13 @@ def test_examples_single(capsys):
     assert "PASS  sq-identity" in out
 
 
+def test_examples_all_pass(capsys):
+    code, out, err = run_cli(capsys, "examples")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"PASS  {name}" for name in cli.EXAMPLES]
+    assert len(cli.EXAMPLES) == 6
+
+
 def test_examples_counting_flags_exit_2(capsys):
     # `examples` has no size options; `enumerate --n N --max-type M` covers
     # other sizes.  --n 0 was read as the default n = 3 and passed.
@@ -444,6 +472,54 @@ def _json_input(tmp_path, **term):
     path.write_text(json.dumps(
         {"n": 2, "terms": [{k: v for k, v in t.items() if v is not None}]}))
     return str(path)
+
+
+TEXT_MODEL = "-2*Re(z1) + |z2|^4"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["parse", "FILE", "--expr", "|z2|^2", "--n", "2"],
+     "give either an input file or --expr, not both"),
+    (["parse", "--expr", "|z2|^2"], "--expr requires --n"),
+    (["parse", "FILE"], "text input files require --n"),
+    (["normalize", "--expr", "-2*Re(z1) + |z2|^4 + |z3|^4", "--n", "3",
+      "--weight", "1,1/4"], "weight has 2 entries, expected 3"),
+    (["normalize", "--expr", "-2*Re(z1) + |z2|^2 + |z3|^4", "--n", "3",
+      "--weight", "1,1/4,1/4"],
+     "input has terms of weight below 1; not O_mu(1)"),
+    (["normalize", "--expr", "-2*Re(z1) + |z2|^4", "--n", "3"],
+     "could not infer a finite weight; pass --weight"),
+])
+def test_input_errors_exit_2(capsys, tmp_path, argv, message):
+    path = tmp_path / "model.txt"
+    path.write_text(TEXT_MODEL)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_text_file_input_parses_with_n(capsys, tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text(TEXT_MODEL)
+    assert run_cli(capsys, "parse", str(path), "--n", "2") == \
+        (0, TEXT_MODEL + "\n", "")
+
+
+_TERM = {"alpha": [0, 1], "beta": [0, 1], "re": "1", "im": "0"}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"n": "2", "terms": [_TERM]},
+     "JSON polynomial: n must be an int, not '2'"),
+    ({"n": 2, "terms": [_TERM, {**_TERM, "re": "2"}]},
+     "duplicate term ((0, 1), (0, 1)) in JSON polynomial"),
+    ({"n": 2, "terms": [{**_TERM, "re": "1/0"}]},
+     "JSON polynomial: re: zero denominator: '1/0'"),
+])
+def test_json_input_errors_exit_2(capsys, tmp_path, doc, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "parse", str(path)) == \
+        (2, "", f"error: {message}\n")
 
 
 def test_json_input_missing_key_exits_2(capsys, tmp_path):

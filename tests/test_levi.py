@@ -15,9 +15,9 @@ from catlin.parser import parse_poly
 from catlin.poly import NonRealError, Poly, PolyError
 from catlin.weights import Weight
 
-from helpers import (circle_points, first_indefinite_point, grid_tuples,
-                     homogenized_modulus_square, oracle_structured_pairs,
-                     psd_verdict_oracle, rand_crat)
+from helpers import (all_satisfied, circle_points, first_indefinite_point,
+                     grid_tuples, homogenized_modulus_square,
+                     oracle_structured_pairs, psd_verdict_oracle, rand_crat)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
@@ -540,6 +540,109 @@ def test_tier2_refuses_a_failed_pointwise_entry():
     assert levi._psh_certificate(p, {}, frozenset()) is None
 
 
+def _forged_absorption(p, fractions):
+    """Budget, mixed entries and consumption of p at the given splitting
+    fractions: one list per mixed pair, over all its splittings in
+    ``_find_splittings`` order, summing to 1.  A splitting at fraction 0 is
+    left out of the entry, as the engine leaves it out.  No inequality is
+    checked."""
+    budget, _bad = levi._balanced_budget(p)
+    mixed, cons = [], {}
+    for (a, b, c), fracs in zip(levi._mixed_pairs(p), fractions, strict=True):
+        u = levi._coeff_bound(c)
+        sigma = tuple(x + y for x, y in zip(a, b))
+        pairs = levi._find_splittings(sigma, budget)
+        assert len(fracs) == len(pairs) and sum(fracs) == 1
+        splittings = []
+        for (g1, g2), t in zip(pairs, fracs):
+            for g in (g1, g2):
+                cons[g] = cons.get(g, Fraction(0)) + t * u
+            if t:
+                splittings.append({"fraction": rat_str(t),
+                                   "gamma1": list(g1), "gamma2": list(g2)})
+        mixed.append({"alpha": list(a), "beta": list(b), "bound": rat_str(u),
+                      "splittings": splittings})
+    return budget, mixed, cons
+
+
+def _forged_pointwise(q, fractions):
+    """A pointwise-nonneg entry for q at the given fractions."""
+    budget, mixed, _cons = _forged_absorption(q, fractions)
+    return {"kind": "pointwise-nonneg", "balanced": levi._budget_json(budget),
+            "mixed": mixed}
+
+
+def _forged_psh(p, fractions):
+    """A tier-2 certificate for p laid out as the engine lays it out, at the
+    given fractions and with none of the engine's refusals; consumption,
+    margin and kernel systems are derived from the fractions, and the
+    hyperplane certificates come from the engine."""
+    budget, mixed, cons = _forged_absorption(p, fractions)
+    for mx in mixed:
+        mx["kernel_systems"] = [[sp["gamma1"][1:], sp["gamma2"][1:]]
+                                for sp in mx["splittings"]]
+    active = [j for j in p.support_vars() if j >= 2]
+    return {
+        "tier": 2, "kind": "cauchy-schwarz", "active": active,
+        "balanced": levi._budget_json(budget), "mixed": mixed,
+        "consumption": [{"gamma": list(g), "used": rat_str(v),
+                         "budget": rat_str(budget[g])}
+                        for g, v in sorted(cons.items())],
+        "margin": rat_str(max(v / budget[g] for g, v in cons.items())),
+        "hyperplanes": [
+            {"var": j,
+             "restriction": cauchy_schwarz_pairing(
+                 levi._kill_var(p, j))["certificate"],
+             "entry": levi._nonneg_certificate(levi._diag_entry(p, j))}
+            for j in active]}
+
+
+def test_replay_refuses_a_budget_used_up_exactly():
+    # tier 2 needs strict domination; at c = 1 the one splitting uses up
+    # both budgets exactly, and only the strict consumption clause sees it
+    half = parse_poly("|z2|^4 + |z3|^4 + 2*(1/2)*Re(z2^2*zbar3^2)", 3)
+    assert _forged_psh(half, [[1]]) == \
+        cauchy_schwarz_pairing(half)["certificate"]
+    p = parse_poly("|z2|^4 + |z3|^4 + 2*Re(z2^2*zbar3^2)", 3)
+    cert = _forged_psh(p, [[1]])
+    assert cert["margin"] == "1"
+    assert verify_psd_certificate(p, cert) is False
+
+
+def test_replay_refuses_a_pointwise_overdraw():
+    # a pointwise entry may use its budget up, not more: at c = 2 the form
+    # is negative at (z2, z3) = (1, -1)
+    exact = parse_poly("|z2|^2 + |z3|^2 + 2*Re(z2*zbar3)", 3)
+    cert = _forged_pointwise(exact, [[1]])
+    assert cert == levi._nonneg_certificate(exact)
+    assert verify_psd_certificate(exact, cert)
+    q = parse_poly("|z2|^2 + |z3|^2 + 4*Re(z2*zbar3)", 3)
+    assert q.evaluate([CRat(0), CRat(1), CRat(-1)]) == CRat(-2)
+    assert verify_psd_certificate(q, _forged_pointwise(q, [[1]])) is False
+
+
+def test_replay_refuses_a_linear_slot():
+    # z2 zbar3^2 is linear in z2; absorption, kernels and hyperplanes pass
+    p = parse_poly("|z3|^2 + |z2|^2*|z3|^2 + 2*(1/4)*Re(z2*zbar3^2)", 3)
+    assert not cauchy_schwarz_pairing(p)["certified"]
+    cert = _forged_psh(p, [[1]])
+    assert all(h["entry"] is not None for h in cert["hyperplanes"])
+    assert verify_psd_certificate(p, cert) is False
+
+
+def test_replay_refuses_kernels_that_intersect():
+    # all weight on (0,1,1) + (0,1,1): its two kernel rows coincide, so the
+    # majorant kernels do not intersect trivially on z2, z3
+    p = parse_poly("|z2|^4 + |z3|^4 + |z2|^2*|z3|^2"
+                   " + 2*(1/3)*Re(z2^2*zbar3^2)", 3)
+    equal = Fraction(1, 2)
+    assert _forged_psh(p, [[equal, equal]]) == \
+        cauchy_schwarz_pairing(p)["certificate"]
+    cert = _forged_psh(p, [[0, 1]])
+    assert cert["mixed"][0]["kernel_systems"] == [[[1, 1], [1, 1]]]
+    assert verify_psd_certificate(p, cert) is False
+
+
 # ----------------------------------------------------------------------
 # one-variable coefficient bounds
 # ----------------------------------------------------------------------
@@ -547,7 +650,7 @@ def test_tier2_refuses_a_failed_pointwise_entry():
 
 def test_one_var_pure_modulus():
     rep = one_var_coeff_check(parse_poly("|z1|^4", 1))
-    assert rep.C0 == 1 and rep.all_satisfied() and not rep.bounds
+    assert rep.C0 == 1 and all_satisfied(rep) and not rep.bounds
 
 
 def test_one_var_with_off_diagonal():
@@ -558,7 +661,7 @@ def test_one_var_with_off_diagonal():
         assert p.evaluate([z]).re >= 0
     rep = one_var_coeff_check(p)
     assert rep.C0 == 1
-    assert rep.all_satisfied()
+    assert all_satisfied(rep)
     (k, c, ok), = rep.bounds
     assert k == 1 and c == CRat(Fraction(1, 2)) and ok
 
@@ -567,7 +670,7 @@ def test_one_var_violation_certifies_not_nonneg():
     p = parse_poly("2*Re(z1^2)", 1)
     rep = one_var_coeff_check(p)
     assert rep.C0 == 0
-    assert not rep.all_satisfied()
+    assert not all_satisfied(rep)
     # contrapositive: P takes negative values
     assert any(p.evaluate([z]).re < 0 for z in circle_points(8))
 
@@ -589,7 +692,7 @@ def test_one_var_random_nonneg_suite():
             homogenized_modulus_square(rng, m)
         rep = one_var_coeff_check(p)
         assert rep.C0 > 0
-        assert rep.all_satisfied()
+        assert all_satisfied(rep)
 
 
 # ----------------------------------------------------------------------
