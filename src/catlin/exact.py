@@ -18,14 +18,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 Rat = Union[int, Fraction]
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
-
-
 class CRat:
     """Complex number with exact rational real and imaginary parts.
 
@@ -205,9 +197,8 @@ def _eliminate(rows: Sequence[Sequence["CRat | Rat"]]
                ) -> Tuple[List[list], List[int]]:
     """Gauss-Jordan elimination without scaling the pivot rows; returns
     (rows, pivot columns).  Pivot row i holds the only nonzero entry of pivot
-    column i.  Rational entries stay Fractions, which are several times
-    faster than CRat; CRat entries mix with them exactly."""
-    m = [[x if isinstance(x, CRat) else _frac(x) for x in row] for row in rows]
+    column i.  Every entry is taken as a CRat."""
+    m = [[CRat.of(x) for x in row] for row in rows]
     pivots: List[int] = []
     for col in range(len(m[0]) if m else 0):
         top = len(pivots)

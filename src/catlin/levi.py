@@ -18,13 +18,13 @@ answers:
   hyperplanes.  All inequalities are exact rational comparisons (moduli are
   compared through their squares).
 * Refuted with an exact rational witness making the Hessian form negative.
-  Tier 3 decides the tangential Hessian matrix H(z) exactly at each
-  structured point z, by congruence to diagonal form (hermitian_reduce).
-  The first negative pivot refutes: its vector at its point is the witness,
-  and no sample is drawn.  When every structured H(z) is PSD, seeded random
-  (z, a) samples follow, and the first negative value is the witness.
-* Unknown when every structured H(z) is PSD and no sample is negative, with
-  the number of samples tried; samples_tried counts random samples only.
+  Tier 3 decides the tangential Hessian matrix H(z) exactly at each point
+  z it visits, by congruence to diagonal form (hermitian_reduce): first the
+  structured points, then seeded random points.  The first negative pivot
+  refutes: its vector at its point is the witness.
+* Unknown when H(z) is PSD at every structured point and every random
+  point, with the number of random points tried (samples_tried counts
+  random points only).
 
 verify_psd_certificate replays a certificate from scratch against the
 polynomial, re-deriving every inequality with exact arithmetic.
@@ -84,7 +84,10 @@ def hessian_form_value(hess: Sequence[Sequence[Poly]],
     ``a`` has length n-1 (components for z_2..z_n).  ``hess`` is the complex
     Hessian of a real polynomial: only its entries with k >= j are read.  The
     value of a Hermitian form is real; this is asserted."""
-    return _form_value(_tangential_values(hess, z), a)
+    total = hermitian_form(_tangential_values(hess, z), a, a)
+    if not total.is_real():
+        raise PolyError("Hessian form value is not real; input was not real-valued")
+    return total.re
 
 
 def _tangential_values(hess: Sequence[Sequence[Poly]],
@@ -107,13 +110,6 @@ def _tangential_values(hess: Sequence[Sequence[Poly]],
             if k != j:
                 h[k][j] = h[j][k].conj()
     return h
-
-
-def _form_value(h: List[List[CRat]], a: Sequence[CRat]) -> Fraction:
-    total = hermitian_form(h, a, a)
-    if not total.is_real():
-        raise PolyError("Hessian form value is not real; input was not real-valued")
-    return total.re
 
 
 # ----------------------------------------------------------------------
@@ -544,18 +540,19 @@ def _replay_psh(p: Poly, cert: dict) -> bool:
 
 
 # ----------------------------------------------------------------------
-# tier 3: exact per-point decision and sampling refutation
+# tier 3: exact per-point decision
 # ----------------------------------------------------------------------
 
 
 # The values of tier 3's structured points.
 _STRUCTURED = [CRat(0), CRat(1), CRat(-1), CRat(0, 1)]
-# Tier 3 reduces one Levi matrix per structured point: 728 points at n = 7,
-# 2186 at n = 8.  In-process on a shared 2-core Xeon (Python 3.11.7), with
-# the limit raised for the measurement at n = 8: |z2|^4 + ... + |zn|^4
-# + 2*(1/3)*Re(z2^3*zbar3), refuted at a structured point, takes 0.17 s at
-# n = 7 and 0.75 s at n = 8; (Re(z2 + ... + zn))^2 + |z2|^4 + ... + |zn|^4,
-# Unknown after every point and 200 samples, takes 0.92 s and 3.9 s.
+# Tier 3 reduces one Levi matrix per point: 728 structured points at n = 7,
+# 2186 at n = 8, then up to ``samples`` random points.  In-process on a
+# shared 2-core Xeon (Python 3.11.7), with the limit raised for the
+# measurement at n = 8: |z2|^4 + ... + |zn|^4 + 2*(1/3)*Re(z2^3*zbar3),
+# refuted at a structured point, takes 0.11-0.17 s at n = 7 and 0.5 s at
+# n = 8; (Re(z2 + ... + zn))^2 + |z2|^4 + ... + |zn|^4, Unknown after every
+# point and 200 random points, takes 0.7-1.3 s and 2.9-3.7 s.
 MAX_TIER3_DIMENSION = 7
 
 
@@ -601,24 +598,17 @@ def psd_verdict(p: Poly, samples: int = 200, seed: int = 0
         raise PolyError("tier 3 needs a tangential variable z_2..z_n; "
                         "n = 1 has none")
     hess = complex_hessian(p)
-    for z in _structured(p.n):
+    structured = _structured(p.n)
+    rng = random.Random(seed)
+    drawn = ([_random_crat(rng) for _ in range(p.n - 1)]
+             for _ in range(samples))
+    for visited, z in enumerate(itertools.chain(structured, drawn), 1):
         full_z = [CRat(0)] + z
         for q, d in hermitian_reduce(_tangential_values(hess, full_z)):
             if d < 0:
-                return PositivityVerdict(KIND_REFUTED,
-                                         witness=_witness(full_z, q, d))
-    rng = random.Random(seed)
-    for tried in range(1, samples + 1):
-        z = [_random_crat(rng) for _ in range(p.n - 1)]
-        a = [_random_crat(rng) for _ in range(p.n - 1)]
-        if all(c.is_zero() for c in a):
-            a[0] = CRat(1)
-        full_z = [CRat(0)] + z
-        value = _form_value(_tangential_values(hess, full_z), a)
-        if value < 0:
-            return PositivityVerdict(KIND_REFUTED,
-                                     witness=_witness(full_z, a, value),
-                                     samples_tried=tried)
+                return PositivityVerdict(
+                    KIND_REFUTED, witness=_witness(full_z, q, d),
+                    samples_tried=max(0, visited - len(structured)))
     return PositivityVerdict(KIND_UNKNOWN, samples_tried=samples)
 
 
@@ -643,11 +633,8 @@ def replay_refutation(p: Poly, witness: dict) -> Fraction:
 
 @dataclass
 class CoeffBoundReport:
-    var: int
-    half_degree: int
     C0: Fraction
     bounds: List[Tuple[int, CRat, bool]] = field(default_factory=list)
-    nonzero: bool = True
 
 
 def one_var_coeff_check(P: Poly) -> CoeffBoundReport:
@@ -662,10 +649,8 @@ def one_var_coeff_check(P: Poly) -> CoeffBoundReport:
         raise PolyError(f"polynomial involves several variables: {sup}")
     if not sup:
         c = P.terms.get(((0,) * P.n, (0,) * P.n), CZERO)
-        return CoeffBoundReport(var=0, half_degree=0, C0=c.re,
-                                nonzero=not P.is_zero())
-    var = sup[0]
-    i = var - 1
+        return CoeffBoundReport(C0=c.re)
+    i = sup[0] - 1
     degs = {a[i] + b[i] for (a, b) in P.terms}
     if len(degs) != 1:
         raise PolyError("polynomial is not homogeneous")
@@ -684,8 +669,7 @@ def one_var_coeff_check(P: Poly) -> CoeffBoundReport:
         ck = coeffs[k]
         ok = C0 >= 0 and ck.abs2() <= C0 * C0
         bounds.append((k, ck, ok))
-    return CoeffBoundReport(var=var, half_degree=m, C0=C0, bounds=bounds,
-                            nonzero=not P.is_zero())
+    return CoeffBoundReport(C0=C0, bounds=bounds)
 
 
 # ----------------------------------------------------------------------

@@ -417,18 +417,16 @@ def grid_tuples(n: int, size: int) -> List[List[CRat]]:
             if any(not c.is_zero() for c in t)]
 
 
-def oracle_structured_pairs(n: int) -> int:
-    """The (point, vector) pairs ``psd_verdict_oracle`` tries before its
-    random samples."""
-    return len(grid_tuples(n, 4)) * len(grid_tuples(n, 5))
-
-
 def psd_verdict_oracle(p: Poly, samples: int = 200, seed: int = 0
                        ) -> PositivityVerdict:
-    """The earlier ``levi.psd_verdict``: tier 3 evaluates all Hessian entries
-    again for every (point, vector) pair and sums the form entry by entry,
-    over every structured vector at every structured point before the
-    random samples."""
+    """Tier 3 decided apart from ``levi.psd_verdict``.  At the structured
+    points it is the earlier engine's per-pair sweep: it evaluates all
+    Hessian entries again for every (point, vector) pair and sums the form
+    entry by entry, over every structured vector at every structured point.
+    Then it draws the engine's seeded random points, in the engine's order,
+    and decides the Levi matrix at each by its principal minors
+    (``hermitian_psd_oracle``); a refutation there records its point only.
+    ``samples_tried`` counts random points only."""
     _check_tangential(p)
     cert = _squares_certificate(p)
     if cert is not None:
@@ -439,45 +437,34 @@ def psd_verdict_oracle(p: Poly, samples: int = 200, seed: int = 0
                                  certificate=pairing["certificate"])
     hess = complex_hessian(p)
     n = p.n
-    tried = 0
 
-    def check(z, a):
-        nonlocal tried
-        tried += 1
-        full_z = [CRat(0)] + list(z)
-        zbars = [c.conj() for c in full_z]
-        total = CZERO
-        for j in range(2, n + 1):
-            for k in range(2, n + 1):
-                h = hess[j - 1][k - 1]._evaluate(full_z, zbars)
-                total = total + h * a[j - 2] * a[k - 2].conj()
-        assert total.is_real()
-        if total.re < 0:
-            witness = {
-                "z": [{"re": rat_str(c.re), "im": rat_str(c.im)}
-                      for c in full_z],
-                "a": [{"re": rat_str(c.re), "im": rat_str(c.im)} for c in a],
-                "value": rat_str(total.re),
-            }
-            return PositivityVerdict(KIND_REFUTED, witness=witness,
-                                     samples_tried=tried)
-        return None
+    def point_json(z):
+        return [{"re": rat_str(c.re), "im": rat_str(c.im)} for c in z]
 
     for z in grid_tuples(n, 4):
+        full_z = [CRat(0)] + z
+        zbars = [c.conj() for c in full_z]
         for a in grid_tuples(n, 5):
-            hit = check(z, a)
-            if hit:
-                return hit
+            total = CZERO
+            for j in range(2, n + 1):
+                for k in range(2, n + 1):
+                    h = hess[j - 1][k - 1]._evaluate(full_z, zbars)
+                    total = total + h * a[j - 2] * a[k - 2].conj()
+            assert total.is_real()
+            if total.re < 0:
+                witness = {"z": point_json(full_z), "a": point_json(a),
+                           "value": rat_str(total.re)}
+                return PositivityVerdict(KIND_REFUTED, witness=witness)
     rng = random.Random(seed)
-    for _ in range(samples):
-        z = [_random_crat(rng) for _ in range(n - 1)]
-        a = [_random_crat(rng) for _ in range(n - 1)]
-        if all(c.is_zero() for c in a):
-            a[0] = CRat(1)
-        hit = check(z, a)
-        if hit:
-            return hit
-    return PositivityVerdict(KIND_UNKNOWN, samples_tried=tried)
+    for tried in range(1, samples + 1):
+        full_z = [CRat(0)] + [_random_crat(rng) for _ in range(n - 1)]
+        h = [[hess[j][k].evaluate(full_z) for k in range(1, n)]
+             for j in range(1, n)]
+        if not hermitian_psd_oracle(h):
+            return PositivityVerdict(KIND_REFUTED,
+                                     witness={"z": point_json(full_z)},
+                                     samples_tried=tried)
+    return PositivityVerdict(KIND_UNKNOWN, samples_tried=samples)
 
 
 def _det(m: Sequence[Sequence[CRat]]) -> CRat:

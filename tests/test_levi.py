@@ -17,7 +17,7 @@ from catlin.weights import Weight
 
 from helpers import (all_satisfied, circle_points, first_indefinite_point,
                      grid_tuples, homogenized_modulus_square,
-                     oracle_structured_pairs, psd_verdict_oracle, rand_crat)
+                     psd_verdict_oracle, rand_crat)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
@@ -174,8 +174,8 @@ def test_hessian_form_value_matches_entrywise_evaluation():
 
 
 # the benchmark's `perturbed` shapes at c = 1/3 (not plurisubharmonic, yet
-# no structured pair or sample refutes them), then models refuted at a
-# structured pair and by a random sample
+# no structured pair refutes them), then models refuted at a structured pair
+# and at a random point
 TIER3_MODELS = [
     ("|z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^3*zbar3)", 3),
     ("|z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^2*zbar2*zbar3)", 3),
@@ -191,12 +191,13 @@ def _point_json(z):
 
 
 def _assert_matches_sweep(p, got, want):
-    """``got`` is tier 3's verdict and ``want`` the per-pair sweep's.  Where
-    some structured Hessian is not PSD, ``got`` refutes at the first such
-    point, from its Hessian matrix alone: no sample is drawn, and the
-    witness replays to its recorded value.  Elsewhere no structured vector
-    can refute, and ``got`` is the sweep's verdict, with the sweep's sample
-    count less its structured pairs."""
+    """``got`` is tier 3's verdict and ``want`` the oracle's.  Where some
+    structured Hessian is not PSD, ``got`` refutes at the first such point,
+    from its Hessian matrix alone: no random point is drawn, and the witness
+    replays to its recorded value.  Elsewhere no structured vector can
+    refute; where the oracle refutes at a random point, ``got`` refutes at
+    the same point after the same number of random points, and its witness
+    replays negative; otherwise ``got`` is the oracle's verdict."""
     indefinite = first_indefinite_point(p)
     if indefinite is not None:
         assert want["kind"] != KIND_CERTIFIED
@@ -206,11 +207,14 @@ def _assert_matches_sweep(p, got, want):
         assert replay_refutation(p, got["witness"]) == \
             Fraction(got["witness"]["value"]) < 0
         return
-    if want["kind"] == KIND_CERTIFIED:
-        assert got == want
+    if want["kind"] == KIND_REFUTED:
+        assert want["samples_tried"] > 0
+        assert {**got, "witness": None} == {**want, "witness": None}
+        assert got["witness"]["z"] == want["witness"]["z"]
+        assert replay_refutation(p, got["witness"]) == \
+            Fraction(got["witness"]["value"]) < 0
         return
-    assert got == {**want, "samples_tried":
-                   want["samples_tried"] - oracle_structured_pairs(p.n)}
+    assert got == want
 
 
 @pytest.mark.parametrize("expr,n", TIER3_MODELS)
@@ -219,9 +223,10 @@ def test_tier3_matches_per_pair_sweep(expr, n):
     got = psd_verdict(p).to_json()
     want = psd_verdict_oracle(p).to_json()
     _assert_matches_sweep(p, got, want)
-    if want["kind"] == KIND_UNKNOWN:
-        # the three perturbed shapes: refuted from the Hessian matrix
-        assert got["kind"] == KIND_REFUTED
+    if want["samples_tried"] > 0:
+        # the oracle refutes the last and the three perturbed shapes only at
+        # a random point; tier 3 at a structured point, from its Hessian
+        assert got["kind"] == KIND_REFUTED and got["samples_tried"] == 0
     assert replay_refutation(p, got["witness"]) == \
         Fraction(got["witness"]["value"]) < 0
 
@@ -251,10 +256,13 @@ def test_tier3_matches_per_pair_sweep_random():
         if got["kind"] == KIND_REFUTED:
             assert replay_refutation(p, got["witness"]) == \
                 Fraction(got["witness"]["value"]) < 0
-        kinds.add((want["kind"], got["kind"]))
-    # every branch above is taken
-    assert {(KIND_REFUTED, KIND_REFUTED), (KIND_UNKNOWN, KIND_UNKNOWN),
-            (KIND_UNKNOWN, KIND_REFUTED)} <= kinds
+        kinds.add((want["kind"], got["kind"], got["samples_tried"] > 0))
+    # every branch above is taken: refuted at a structured point and at a
+    # random point, Unknown, and refuted where no structured vector refutes
+    assert {(KIND_REFUTED, KIND_REFUTED, False),
+            (KIND_REFUTED, KIND_REFUTED, True),
+            (KIND_UNKNOWN, KIND_UNKNOWN, True),
+            (KIND_UNKNOWN, KIND_REFUTED, False)} <= kinds
 
 
 def test_tier3_never_refutes_sums_of_squared_moduli():
@@ -304,32 +312,47 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_tier3_evaluates_hessian_once_per_point(monkeypatch):
     # refuted at a structured point: the 3 entries of the Hermitian half at
-    # each point up to it, and no form value
+    # each point up to it, and one reduction per point
     p = parse_poly("|z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^3*zbar3)", 3)
     points = [[CRat(0)] + z for z in grid_tuples(3, 4)]
+    visited = points.index(first_indefinite_point(p)) + 1
     evaluated = _count_calls(monkeypatch, Poly, "_evaluate")
-    form_values = _count_calls(monkeypatch, levi, "_form_value")
+    reductions = _count_calls(monkeypatch, levi, "hermitian_reduce")
     v = psd_verdict(p)
     assert v.kind == KIND_REFUTED and v.samples_tried == 0
-    assert evaluated[0] == 3 * (points.index(first_indefinite_point(p)) + 1)
-    assert form_values[0] == 0
-    # Unknown: the one entry at each of the 3 points and each sample
-    evaluated[0] = 0
+    assert evaluated[0] == 3 * visited and reductions[0] == visited
+    # Unknown: the one entry at each of the 3 structured points and each of
+    # the 37 random points, each point reduced once
+    evaluated[0] = reductions[0] = 0
     v = psd_verdict(parse_poly("(Re(z2))^2", 2), samples=37)
     assert v.kind == KIND_UNKNOWN and v.samples_tried == 37
-    assert evaluated[0] == 3 + 37 and form_values[0] == 37
+    assert evaluated[0] == reductions[0] == 3 + 37
 
 
 def test_tier3_skips_vectors_at_psd_points(monkeypatch):
+    # no direction vector is drawn: one reduction per point visited, where
     # the per-pair sweep forms 63 * 124 + 200 = 8012 form values on each
-    form_values = _count_calls(monkeypatch, levi, "_form_value")
+    reductions = _count_calls(monkeypatch, levi, "hermitian_reduce")
     p = parse_poly("|z2|^4 + |z3|^4 + |z4|^4 + 2*(1/3)*Re(z2^3*zbar3)", 4)
     v = psd_verdict(p)
     assert v.kind == KIND_REFUTED and v.samples_tried == 0
-    assert form_values[0] == 0
+    points = [[CRat(0)] + z for z in grid_tuples(4, 4)]
+    assert reductions[0] == points.index(first_indefinite_point(p)) + 1
+    reductions[0] = 0
     v = psd_verdict(parse_poly("(Re(z2))^2 + (Re(z3))^2 + (Re(z4))^2", 4))
     assert v.kind == KIND_UNKNOWN and v.samples_tried == 200
-    assert form_values[0] == 200
+    assert reductions[0] == 63 + 200
+
+
+def test_tier3_refutes_at_a_random_point():
+    # every structured Levi matrix is PSD; the Levi matrix at the fifth
+    # random point has a negative pivot
+    p = parse_poly("2*Re(i*z2*zbar3^2) + 3*|z3|^4 + 2*|z2|^2*|z3|^2", 3)
+    assert first_indefinite_point(p) is None
+    v = psd_verdict(p)
+    assert v.kind == KIND_REFUTED and 0 < v.samples_tried <= 200
+    assert replay_refutation(p, v.witness) == \
+        Fraction(v.witness["value"]) < 0
 
 
 def test_tier3_refutes_from_the_first_negative_pivot():

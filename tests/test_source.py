@@ -7,6 +7,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "catlin"
 PERFBENCH = ROOT / "perfbench"
+TESTS = ROOT / "tests"
 
 
 def _private_definitions(tree):
@@ -138,6 +139,43 @@ def unread_parameters(src: Path):
     return unread
 
 
+def _is_dataclass(decorator):
+    """Whether a decorator is ``dataclass`` or ``dataclass(...)``, imported
+    or taken from its module."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return getattr(decorator, "id", getattr(decorator, "attr", None)) \
+        == "dataclass"
+
+
+def unread_dataclass_fields(src: Path, readers=()):
+    """Entries "file:Class.field" for each field of a module-level dataclass
+    in ``src`` that no attribute read (``x.field``, not an assignment) in
+    ``src`` or in the ``readers`` directories takes.  Fields match by
+    spelling, like methods in ``unreferenced_public_names``."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    readers_trees = [ast.parse(path.read_text(encoding="utf-8"))
+                     for directory in readers
+                     for path in sorted(directory.glob("*.py"))]
+    read = {sub.attr for tree in list(trees.values()) + readers_trees
+            for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Load)}
+    unread = []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef)
+                    and any(map(_is_dataclass, node.decorator_list))):
+                continue
+            unread += [f"{fname}:{node.name}.{sub.target.id}"
+                       for sub in node.body
+                       if isinstance(sub, ast.AnnAssign)
+                       and isinstance(sub.target, ast.Name)
+                       and sub.target.id not in read]
+    return unread
+
+
 def test_no_unread_parameters():
     assert unread_parameters(SRC) == []
 
@@ -204,3 +242,39 @@ def test_unreferenced_public_names_detector(tmp_path):
     assert unreferenced_public_names(src) == [
         "a.py:dead", "a.py:timed", "a.py:K.orphan", "a.py:K.twin",
         "a.py:_Hidden.unread"]
+
+
+def test_no_unread_dataclass_fields():
+    # a field that nothing reads is dead data, however it is constructed
+    assert unread_dataclass_fields(SRC, [TESTS, PERFBENCH]) == []
+
+
+def test_unread_dataclass_fields_detector(tmp_path):
+    src, tests = tmp_path / "src", tmp_path / "tests"
+    src.mkdir()
+    tests.mkdir()
+    (src / "a.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\n"
+        "class R:\n"
+        "    kept: int\n"
+        "    spare: int\n"
+        "    seen: list = field(default_factory=list)\n"
+        "    def total(self):\n        return self.kept\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class S:\n"
+        "    stored: int\n"
+        "    tested: int\n"
+        "class Plain:\n"
+        "    ignored: int\n"
+        "def build():\n"
+        "    r = R(kept=1, spare=2)\n"
+        "    r.spare = 3\n"
+        "    return r\n")
+    (tests / "t.py").write_text("def test(s):\n    assert s.tested\n"
+                                "    assert build().seen == []\n")
+    assert unread_dataclass_fields(src, [tests]) == [
+        "a.py:R.spare", "a.py:S.stored"]
+    assert unread_dataclass_fields(src) == [
+        "a.py:R.spare", "a.py:R.seen", "a.py:S.stored", "a.py:S.tested"]
