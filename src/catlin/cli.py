@@ -10,6 +10,7 @@ canonical JSON) or --expr with --n.  Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -137,7 +138,7 @@ def cmd_psd(args) -> int:
     elif verdict.kind == KIND_REFUTED:
         human += f" witness value {verdict.witness['value']}"
     else:
-        human += f" after {verdict.samples_tried} samples"
+        human += f" after {verdict.samples_tried} random points"
     _emit(args, verdict.to_json(), human)
     if verdict.kind == KIND_UNKNOWN and args.require_certificate:
         return EXIT_UNKNOWN
@@ -336,7 +337,11 @@ def _add_io(sub):
     sub.add_argument("--json", action="store_true", help="JSON output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: ``parse_args`` makes a fresh namespace per call and no default
+    is mutable, so calls of ``main`` in one process share no state."""
     ap = argparse.ArgumentParser(
         prog="catlin",
         description="Exact multitype, normal form, and boundary-system "

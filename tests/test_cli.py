@@ -1,4 +1,6 @@
+import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -113,6 +115,19 @@ def test_psd_unknown_require_certificate(capsys):
     code, out, _ = run_cli(capsys, "psd", "--expr", "(Re(z2))^2", "--n", "2",
                            "--require-certificate", "--samples", "20")
     assert code == 4
+
+
+@pytest.mark.parametrize("expr, n, line", [
+    ("|z2|^4 + |z3|^6 + 2*(9/10)*Re(z2^2*zbar3^3)", 3,
+     "CertifiedPSD (tier 1)"),
+    ("2*Re(z2^2*zbar3^3)", 3, "Refuted witness value -3"),
+    ("(Re(z2))^2", 2, "Unknown after 20 random points"),
+])
+def test_psd_human_line(capsys, expr, n, line):
+    # an Unknown verdict counts random points, as samples_tried does
+    code, out, err = run_cli(capsys, "psd", "--samples", "20", "--n", str(n),
+                             "--expr", expr)
+    assert (code, out, err) == (0, line + "\n", "")
 
 
 def test_normalize_weighted_model(capsys):
@@ -652,3 +667,76 @@ def test_gate_refuses_an_inadmissible_weight(monkeypatch, capsys, argv):
     floors, gated, ungated = _gated_and_ungated(monkeypatch, capsys, argv)
     assert floors == [None]
     assert gated == ungated
+
+
+# ----------------------------------------------------------------------
+# one parser per process
+# ----------------------------------------------------------------------
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    main(["parse", "--expr", "|z2|^2", "--n", "2"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["parse", "--expr", "|z2|^4", "--n", "2"],
+                 ["psd", "--expr", "|z2|^4", "--n", "2"],
+                 ["normalize", "--expr", "-2*Re(z1) + |z2|^4", "--n", "2"],
+                 ["enumerate", "--n", "3", "--max-type", "6"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert built == []
+
+
+# Refuted at a random point, so its witness depends on --seed
+RANDOM_REFUTED = "2*Re(i*z2*zbar3^2) + 3*|z3|^4 + 2*|z2|^2*|z3|^2"
+# the explicit weight descends at slot 3; the auto weight starts there
+DESCENDS = "-2*Re(z1) + |z2|^4 + |z3|^8"
+
+
+def test_calls_share_no_state(capsys, monkeypatch):
+    """Calls of ``main`` in one process, each after a call with other
+    options, print what the same argv prints in a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, COLUMNS="80")
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def fresh(argv):
+        proc = subprocess.run([sys.executable, "-m", "catlin", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    unknown = ["psd", "--json", "--n", "2", "--expr", "(Re(z2))^2"]
+    runs = [
+        ["psd", "--samples", "7", *unknown[1:]],
+        unknown,
+        ["--seed", "3", "psd", "--n", "3", "--expr", RANDOM_REFUTED],
+        ["psd", "--n", "3", "--expr", RANDOM_REFUTED],
+        ["normalize", "--weight", "1,1/4,1/4", "--n", "3", "--expr",
+         DESCENDS],
+        ["normalize", "--n", "3", "--expr", DESCENDS],
+        ["psd", "--bogus", "--n", "2", "--expr", "(Re(z2))^2"],
+        unknown,
+    ]
+    got = [in_process(argv) for argv in runs]
+    for argv, result in zip(runs, got):
+        assert result == fresh(argv), argv
+    assert json.loads(got[0][1])["samples_tried"] == 7
+    assert json.loads(got[1][1])["samples_tried"] == 200
+    assert got[2][1] != got[3][1]
+    assert "descent:" in got[4][1] and "descent:" not in got[5][1]
+    assert got[6][0] == 2 and "unrecognized arguments" in got[6][2]
+    assert got[7] == got[1]

@@ -89,6 +89,15 @@ def test_golden_cli(name):
     assert run(CASES[name]) == expected
 
 
+def test_golden_cases_in_one_process():
+    # each case after every other, in both orders: no call leaves state
+    # behind that changes a later one
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    names = sorted(CASES)
+    for name in names + names[::-1]:
+        assert run(CASES[name]) == golden[name], name
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
