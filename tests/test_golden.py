@@ -48,6 +48,14 @@ CASES = {
     "normalize-z1-in-p": ["normalize", "--expr",
                           "-2*Re(z1) + |z1|^2 + |z2|^4", "--n", "2",
                           "--weight", "1,1/4"],
+    # z3 is active in the block, z2 is not: slot 2 takes a block change
+    "normalize-block-direction": ["normalize", "--expr",
+                                  "-2*Re(z1) + |z3|^4", "--n", "3",
+                                  "--weight", "1,1/4,1/4"],
+    # slot 2 degenerates: descent to (1, 1/10, 1/10), then a block change
+    "normalize-descent": ["normalize", "--expr",
+                          "-2*Re(z1) + |z2|^4*|z3|^6", "--n", "3",
+                          "--weight", "1,1/4,1/6"],
     "boundary-readme": ["boundary-system", "--expr",
                         "-2*Re(z1) + |z2|^4 + |z3|^8", "--n", "3"],
     "boundary-rank-gap": ["boundary-system", "--expr", RANK_GAP, "--n", "3"],
