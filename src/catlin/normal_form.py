@@ -6,22 +6,23 @@ pipeline extracts, step by step, balanced monomials
     A_2 |z2|^{2 k_22},  A_3 |z2|^{2 k_32} |z3|^{2 k_33},  ...
 
 after weighted homogeneous polynomial coordinate changes.  Every slot m >= 2
-takes the same step: a linear change inside the equal-weight block starting
-at z_m makes z_m active in the remainder's restriction to z_2..z_m, and the
-top (z_m, zbar_m)-degree part of that restriction is filtered down to its
-revlex-maximal balanced monomial.  At m = 2 the remainder is all of p, and
-its restriction to z_2 is real and homogeneous of degree 1/mu_2, so the step
-yields k_22 and C_20 directly; slot 2 adds only the one-variable coefficient
-bound |C| < k_22 C_20.  One loop runs the slots in order, carrying the
-remainder and the parts extracted so far.  The block change at slot m moves
-only z_m and the later variables of its block, so it fixes every earlier
-part (each lies in z_2..z_{m-1}); only the remainder and the terms above
-weight 1 are substituted, and the model in the final coordinates is the
-extracted parts plus the remainder.  Pseudoconvexity forces every extracted
-degree to be even and every extracted coefficient to be positive; when the
-caller asserts pseudoconvexity, a violation raises PseudoconvexityError,
-otherwise it is recorded as a warning and the remaining rows stay
-unrealized.
+takes the same step: when z_m is not active in the remainder's restriction
+to z_2..z_m, a linear change inside the equal-weight block starting at z_m
+makes it active (a slot whose z_m is active already makes no change), and
+the top (z_m, zbar_m)-degree part of that restriction is filtered down to
+its revlex-maximal balanced monomial.  At m = 2 the remainder is all of p,
+and its restriction to z_2 is real and homogeneous of degree 1/mu_2, so the
+step yields k_22 and C_20 directly; slot 2 adds only the one-variable
+coefficient bound |C| < k_22 C_20, checked in canonical term order.  One
+loop runs the slots in order, carrying the remainder and the parts extracted
+so far.  The block change at slot m moves only z_m and the later variables
+of its block, so it fixes every earlier part (each lies in z_2..z_{m-1});
+only the remainder and the terms above weight 1 are substituted, and the
+model in the final coordinates is the extracted parts plus the remainder.
+Pseudoconvexity forces every extracted degree to be even and every extracted
+coefficient to be positive; when the caller asserts pseudoconvexity, a
+violation raises PseudoconvexityError, otherwise it is recorded as a warning
+and the remaining rows stay unrealized.
 
 Harmonic elimination comes first, in closed form: z1 enters r only through
 its linear head, so the shift z1 -> z1 + h that absorbs the pure terms
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exact import CRat, rat_str
 from .poly import (CoordChange, Poly, PolyError, PseudoconvexityError,
@@ -157,17 +158,20 @@ def _direction_maps(n: int, block: Sequence[int], d: Sequence[CRat]
 
 
 def step_first(p: Poly, mu: Weight, assert_psc: bool = False
-               ) -> Tuple[CoordChange, Poly, int, Fraction, List[str]]:
+               ) -> Tuple[Optional[CoordChange], Poly, int, Fraction,
+                          List[str]]:
     """Extraction step for slot 2: ``step_inductive(p, mu, 2)`` plus the
     one-variable coefficient bound |C| < k22*C20 on the restriction p2.
 
-    Returns (change, p2, k22, C20, warnings).  A violated bound raises
-    _Contradiction when ``assert_psc``, otherwise it becomes a warning."""
+    Returns (change, p2, k22, C20, warnings), with change None when z_2 is
+    already active.  The bound is checked in canonical term order; a
+    violation raises _Contradiction when ``assert_psc``, otherwise it
+    becomes a warning."""
     change, p2, (k22,), c20 = step_inductive(p, mu, 2)
     alpha = _bal_monomial_alpha(p.n, (k22,))
     bound = k22 * c20
     warnings: List[str] = []
-    for (a, b), c in p2.terms.items():
+    for a, b, c in p2.iter_terms():
         if a == alpha and b == alpha:
             continue
         if c.abs2() >= bound * bound:
@@ -179,13 +183,15 @@ def step_first(p: Poly, mu: Weight, assert_psc: bool = False
 
 
 def step_inductive(q: Poly, mu: Weight, m: int
-                   ) -> Tuple[CoordChange, Poly, Tuple[int, ...], Fraction]:
+                   ) -> Tuple[Optional[CoordChange], Poly, Tuple[int, ...],
+                              Fraction]:
     """Extraction step for slot m >= 2.
 
     q is the remainder after the previous steps (the whole tangential model
     at m = 2).  Returns (change, p_m, row, C) with row = (k_{m2}, ...,
-    k_{mm}).  Raises _Degenerate when the block restriction adds nothing
-    beyond the earlier variables."""
+    k_{mm}) and change None when z_m is already active, so the coordinates
+    stay as they are.  Raises _Degenerate when the block restriction adds
+    nothing beyond the earlier variables."""
     entries = mu.entries
     s = _block_end(entries, m)
     block = list(range(m, s + 1))
@@ -202,10 +208,10 @@ def step_inductive(q: Poly, mu: Weight, m: int
 
 def _block_direction(q: Poly, sub: Poly, block: List[int],
                      entries: Sequence[Fraction], m: int
-                     ) -> Tuple[CoordChange, Poly]:
+                     ) -> Tuple[Optional[CoordChange], Poly]:
     """Linear change within the block (which starts at z_m) making the z_m
     direction active in the restriction q(z_2..z_m, 0); returns (change, the
-    changed q)."""
+    changed q), with change None when z_m is active already."""
     n = q.n
     scope = list(range(2, m + 1))
 
@@ -214,7 +220,7 @@ def _block_direction(q: Poly, sub: Poly, block: List[int],
         return not f.is_zero() and f.degree_in(m) > 0
 
     if active(sub):
-        return CoordChange.identity(n, entries), q
+        return None, q
     for t in _directions(sub.total_degree()):
         d = [CRat(1)] + [CRat(1) * t ** i for i in range(1, len(block))]
         maps = _direction_maps(n, block, d)
@@ -294,9 +300,11 @@ def normalize(r: Poly, mu: Weight, assert_psc: bool = False) -> NormalForm:
                     warnings.extend(warn)
                 else:
                     change, pm, row, coeff = step_inductive(q, mu, m)
-                q = change.apply(q) - pm
-                tail = change.apply(tail)
-                trace = trace.compose(change)
+                if change is not None:
+                    q = change.apply(q)
+                    tail = change.apply(tail)
+                    trace = trace.compose(change)
+                q = q - pm
                 rows.append(NormalRow(m, row, coeff, True))
                 extracted = extracted + pm
         except _Degenerate as deg:

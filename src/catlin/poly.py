@@ -294,11 +294,9 @@ class Poly:
     def substitute_maps(self, maps: Sequence["Poly"]) -> "Poly":
         """Exact expansion of self under z_j -> maps[j-1], zbar_j -> conj(maps[j-1]).
 
-        Every map must be holomorphic (no zbar content).  A one-term map
-        c z^gamma sends z_j^a to c^a z^(a gamma), so for variables, scaled
-        variables and permutations a term's exponents are shifted and its
-        coefficient scaled; only maps with several terms are expanded, with
-        their powers computed once per call.
+        Every map must be holomorphic (no zbar content).  Each term is its
+        coefficient times the powers of its variables' maps and of their
+        conjugates, each power formed once per call.
         """
         if len(maps) != self.n:
             raise DimensionMismatch("need one component map per variable")
@@ -308,15 +306,6 @@ class Poly:
                 raise DimensionMismatch("component maps disagree on dimension")
             if not f.is_holomorphic():
                 raise PolyError("component maps must be holomorphic")
-        # per variable: None for a multi-term map, else its (gamma, c) with
-        # c None when it is 1; a zero map has no term at all
-        monos = []
-        for f in maps:
-            if len(f.terms) == 1:
-                ((gamma, _), c), = f.terms.items()
-                monos.append((gamma, None if c == CRat(1) else c))
-            else:
-                monos.append(None if f.terms else ())
         pows: Dict[Tuple[int, int, bool], Dict[TermKey, CRat]] = {}
 
         def power(i: int, e: int, bar: bool) -> Dict[TermKey, CRat]:
@@ -326,51 +315,28 @@ class Poly:
                 pows[key] = (f ** e).terms
             return pows[key]
 
+        zero = (0,) * m
         out: Dict[TermKey, CRat] = {}
         for (a, b), c in self.terms.items():
-            alpha = [0] * m
-            beta = [0] * m
-            factors = []
+            piece = {(zero, zero): c}
             for i in range(self.n):
-                ai, bi = a[i], b[i]
-                if not (ai or bi):
-                    continue
-                mono = monos[i]
-                if mono is None:
-                    if ai:
-                        factors.append(power(i, ai, False))
-                    if bi:
-                        factors.append(power(i, bi, True))
-                    continue
-                if not mono:
-                    break  # z_i -> 0 kills the term
-                gamma, ci = mono
-                for v, g in enumerate(gamma):
-                    if g:
-                        alpha[v] += ai * g
-                        beta[v] += bi * g
-                if ci is not None:
-                    if ai:
-                        c = c * ci ** ai
-                    if bi:
-                        c = c * ci.conj() ** bi
-            else:
-                piece = {(tuple(alpha), tuple(beta)): c}
-                for t in factors:
-                    piece = {k: v for k, v in _mul_terms(piece, t).items()
-                             if v}
-                # a key that cancels leaves the table, and a later piece
-                # appends it again: the term order of repeated Poly sums
-                for k, v in piece.items():
-                    s = out.get(k)
-                    if s is None:
-                        out[k] = v
+                for e, bar in ((a[i], False), (b[i], True)):
+                    if e:
+                        piece = {k: v for k, v in
+                                 _mul_terms(piece, power(i, e, bar)).items()
+                                 if v}
+            # a key that cancels leaves the table, and a later piece
+            # appends it again: the term order of repeated Poly sums
+            for k, v in piece.items():
+                s = out.get(k)
+                if s is None:
+                    out[k] = v
+                else:
+                    s = s + v
+                    if s:
+                        out[k] = s
                     else:
-                        s = s + v
-                        if s:
-                            out[k] = s
-                        else:
-                            del out[k]
+                        del out[k]
         return Poly._unchecked(m, out)
 
     def evaluate(self, point: Sequence["CRat | Rat"]) -> CRat:

@@ -697,7 +697,7 @@ def step_first_oracle(p: Poly, mu: Weight, assert_psc: bool = False):
             f"balanced coefficient C_20 = {c20} of the restriction is not "
             "positive")
     bound = Fraction(k22) * c20.re
-    for (a, b), c in p2.terms.items():
+    for a, b, c in p2.iter_terms():
         if a == alpha and b == alpha:
             continue
         if c.abs2() >= bound * bound:

@@ -158,6 +158,24 @@ def test_normalize_slot_2_contradiction_message(capsys):
                    "(z_2, zbar_2) is odd\n")
 
 
+def test_normalize_slot_2_bound_in_canonical_order(capsys):
+    # one polynomial, its off-balanced pair written in either order: both
+    # terms break |C| < k22*C20, and the reports follow the term order
+    outputs = []
+    for term in ("Re(z2^3*zbar2)", "Re(zbar2^3*z2)"):
+        argv = ["normalize", "--n", "2", "--weight", "1,1/4", "--expr",
+                f"-2*Re(z1) + |z2|^4 + 2*(2)*{term}"]
+        human = run_cli(capsys, *argv)
+        blob = run_cli(capsys, *argv, "--json")
+        refused = run_cli(capsys, *argv, "--assert-psc")
+        assert refused[0] == 3 and refused[1] == ""
+        outputs.append((human, blob, refused))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][2][2] == (
+        "pseudoconvexity contradiction: coefficient bound |C| < k22*C20 "
+        "violated at ((0, 1), (0, 3))\n")
+
+
 def test_normalize_assert_psc_refutes_indefinite_model(capsys):
     # |w2|^2 + |w3|^2 + 3 Re(w2 conj w3) with w = z^2: every extracted row is
     # positive, but the Levi form is indefinite (`catlin psd` finds -5, the

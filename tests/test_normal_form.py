@@ -12,7 +12,7 @@ from catlin.normal_form import (NormalForm, NormalRow, PseudoconvexityError,
                                 step_first, step_inductive,
                                 verify_normal_form)
 from catlin.parser import parse_poly
-from catlin.poly import Poly, PolyError
+from catlin.poly import CoordChange, Poly, PolyError
 from catlin.weights import Weight, multitype_search
 
 from helpers import rand_crat, rand_fraction, step_first_oracle
@@ -39,7 +39,7 @@ def test_step_first_modulus_fourth():
     change, p2, k22, c20, _ = step_first(p, mu)
     assert (k22, c20) == (2, 1)
     assert p2 == p
-    assert change.apply(p) == p  # identity change
+    assert change is None  # z2 is active: the coordinates stay
 
 
 def test_step_first_torsion_model():
@@ -58,6 +58,7 @@ def test_step_first_block_direction_mixing():
     change, p2, k22, c20, _ = step_first(p, mu)
     assert k22 == 2 and c20 > 0
     assert not p2.is_zero()
+    assert change is not None
     assert change.apply(p).restrict_support([2]) == p2
 
 
@@ -188,6 +189,7 @@ def test_step_inductive_weighted_model():
     change, pm, row, coeff = step_inductive(q, MU_EQQ, 3)
     assert row == (2, 3) and coeff == 1
     assert pm == model_p("|z2|^4*|z3|^6", 3)
+    assert change is None
 
 
 def test_step_inductive_four_variable():
@@ -218,6 +220,32 @@ def test_normalize_weighted_model():
     assert not nf.lowered
     ok, violations = verify_normal_form(nf, r, MU_EQQ)
     assert ok, violations
+
+
+@pytest.mark.parametrize("expr, mu, changes, substitutions", [
+    # both slots already active: only the harmonic shift is built
+    ("-2*Re(z1) + |z2|^8 + |z2|^4*|z3|^6", MU_EQQ.entries, 1, 0),
+    # slot 2 mixes z3 into z2's direction; slot 3 is then active
+    ("-2*Re(z1) + |z3|^4", (1, Fraction(1, 4), Fraction(1, 4)), 3, 8),
+])
+def test_normalize_makes_only_real_changes(monkeypatch, expr, mu, changes,
+                                           substitutions):
+    counts = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(CoordChange, "__init__")
+    counted(Poly, "substitute_maps")
+    r = parse_poly(expr, 3)
+    normalize(r, Weight(mu), assert_psc=True)
+    assert (counts["__init__"], counts["substitute_maps"]) \
+        == (changes, substitutions)
 
 
 def test_normalize_tube():
