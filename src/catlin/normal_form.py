@@ -7,18 +7,20 @@ pipeline extracts, step by step, balanced monomials
 
 after weighted homogeneous polynomial coordinate changes.  Every slot m >= 2
 takes the same step: when z_m is not active in the remainder's restriction
-to z_2..z_m, a linear change inside the equal-weight block starting at z_m
-makes it active (a slot whose z_m is active already makes no change), and
-the top (z_m, zbar_m)-degree part of that restriction is filtered down to
-its revlex-maximal balanced monomial.  At m = 2 the remainder is all of p,
-and its restriction to z_2 is real and homogeneous of degree 1/mu_2, so the
-step yields k_22 and C_20 directly; slot 2 adds only the one-variable
+to z_2..z_m, a shear of each later variable of the equal-weight block
+starting at z_m by a small Gaussian-integer multiple of z_m makes it active
+(``_block_direction``; a slot whose z_m is active already makes no change),
+and the top (z_m, zbar_m)-degree part of that restriction is filtered down
+to its revlex-maximal balanced monomial.  At m = 2 the remainder is all of
+p, and its restriction to z_2 is real and homogeneous of degree 1/mu_2, so
+the step yields k_22 and C_20 directly; slot 2 adds only the one-variable
 coefficient bound |C| < k_22 C_20, checked in canonical term order.  One
-loop runs the slots in order, carrying the remainder and the parts extracted
-so far.  The block change at slot m moves only z_m and the later variables
-of its block, so it fixes every earlier part (each lies in z_2..z_{m-1});
-only the remainder and the terms above weight 1 are substituted, and the
-model in the final coordinates is the extracted parts plus the remainder.
+loop runs the slots in order, carrying the remainder and the parts
+extracted so far; it alone substitutes the changes.  The change at slot m
+moves only the later variables of its block, so it fixes every earlier
+part (each lies in z_2..z_{m-1}); only the remainder and the terms above
+weight 1 are substituted, and the model in the final coordinates is the
+extracted parts plus the remainder.
 Pseudoconvexity forces every extracted degree to be even and every extracted
 coefficient to be positive; when the caller asserts pseudoconvexity, a
 violation raises PseudoconvexityError, otherwise it is recorded as a warning
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .exact import CRat, rat_str
 from .poly import (CoordChange, Poly, PolyError, PseudoconvexityError,
@@ -61,21 +63,8 @@ class _Contradiction(Exception):
         self.detail = detail
 
 
-# Complex rational direction parameters tried when a restriction vanishes in
-# the given coordinates; enough to hit a nonvanishing direction for any
-# nonzero polynomial (grown with the degree by _directions).
-_BASE_DIRECTIONS = [0, 1, -1, 2, -2, 3, -3]
 # Weight descents that one normalization may take before it gives up.
 MAX_DESCENTS = 64
-
-
-def _directions(degree: int) -> List[CRat]:
-    out = [CRat.of(Fraction(t)) for t in _BASE_DIRECTIONS]
-    out += [CRat(1, 1), CRat(1, -1), CRat(2, 1), CRat(-1, 1), CRat(2, -1),
-            CRat(1, 2), CRat(-2, 1), CRat(3, 1), CRat(-1, -2), CRat(3, -2)]
-    extra = max(0, degree + 2 - len(out))
-    out += [CRat.of(Fraction(4 + k)) for k in range(extra)]
-    return out
 
 
 @dataclass
@@ -141,22 +130,6 @@ def _bal_monomial_alpha(n: int, ks: Sequence[int]) -> Tuple[int, ...]:
     return tuple(alpha)
 
 
-def _direction_maps(n: int, block: Sequence[int], d: Sequence[CRat]
-                    ) -> List[Poly]:
-    """Substitution targets (old in terms of new) of the invertible linear
-    change inside an equal-weight block sending the new z_{block[0]}
-    direction to d: old z_j = d_j * new z_lead (+ new z_j off the pivot)."""
-    lead = block[0]
-    pivot = next(i for i, c in enumerate(d) if not c.is_zero())
-    maps = [Poly.variable(n, j) for j in range(1, n + 1)]
-    for i, j in enumerate(block):
-        f = Poly.variable(n, lead) * d[i]
-        if i != pivot:
-            f = f + Poly.variable(n, j)
-        maps[j - 1] = f
-    return maps
-
-
 def step_first(p: Poly, mu: Weight, assert_psc: bool = False
                ) -> Tuple[Optional[CoordChange], Poly, int, Fraction,
                           List[str]]:
@@ -198,36 +171,62 @@ def step_inductive(q: Poly, mu: Weight, m: int
     sub = q.restrict_support(list(range(2, s + 1)))
     if all(sub.degree_in(j) <= 0 for j in block):
         raise _Degenerate(m, q)
-    change, q_changed = _block_direction(q, sub, block, entries, m)
-    # _block_direction made z_m active here, so p_m is nonzero
-    scoped = q_changed.restrict_support(list(range(2, m + 1)))
+    change, scoped = _block_direction(sub, block, entries, m)
+    # _block_direction made z_m active in scoped, so p_m is nonzero
     pm = scoped.top_degree_part(m)
     row, coeff = _extract_row(pm, m)
     return change, pm, row, coeff
 
 
-def _block_direction(q: Poly, sub: Poly, block: List[int],
+def _block_direction(sub: Poly, block: List[int],
                      entries: Sequence[Fraction], m: int
                      ) -> Tuple[Optional[CoordChange], Poly]:
-    """Linear change within the block (which starts at z_m) making the z_m
-    direction active in the restriction q(z_2..z_m, 0); returns (change, the
-    changed q), with change None when z_m is active already."""
-    n = q.n
-    scope = list(range(2, m + 1))
+    """Linear change within the block z_m..z_s making z_m active in the
+    block restriction ``sub`` (of the remainder, to z_2..z_s); returns
+    (change, the restriction to z_2..z_m in the new coordinates), with
+    change None when z_m is active already.
 
-    def active(f: Poly) -> bool:
-        f = f.restrict_support(scope)
-        return not f.is_zero() and f.degree_in(m) > 0
+    Each later block variable z_j in turn gets the shear z_j -> z_j + x_j z_m,
+    x_j the first value of ``_shear_values(D)``, D the total degree of
+    ``sub``, that leaves content in the block variables still free; only the
+    restriction is substituted (x_j = 0 restricts and substitutes nothing).
+    The new z_m axis points along d = (1, x_{m+1}, ..., x_s), and a value
+    always exists.  Fixing d_0 = 1 loses no direction, since each
+    coefficient of the restriction along d is bihomogeneous in (d, dbar).
+    The content F before a step is nonzero, and (z_m, x) -> (z_m, x z_m) has
+    dense image, so F at z_j = x z_m is a nonzero polynomial of degree <= D
+    in (x, xbar); it cannot vanish on the grid |u|, |v| <= D // 2 + 1, whose
+    sides have more than D points (Schwartz, J. ACM 27, 1980; Alon, Combin.
+    Probab. Comput. 8, 1999).  So the search needs no failure exit, and it
+    makes at most (b - 1) (2 (D // 2) + 3)^2 substitutions, b the block
+    size."""
+    n = sub.n
+    identity = [Poly.variable(n, i) for i in range(1, n + 1)]
+    maps = list(identity)
+    zm = identity[m - 1]
+    degree = sub.total_degree()
+    for j in block[1:]:
+        for x in _shear_values(degree):
+            if x.is_zero():
+                f = sub.restrict_support(i for i in range(2, n + 1) if i != j)
+            else:
+                f = sub.substitute_maps(
+                    identity[:j - 1] + [zm * x] + identity[j:])
+            if any(f.degree_in(i) > 0 for i in block):
+                break
+        sub = f
+        if not x.is_zero():
+            maps[j - 1] = zm * x + identity[j - 1]
+    if maps == identity:
+        return None, sub
+    return CoordChange(n, maps, entries), sub
 
-    if active(sub):
-        return None, q
-    for t in _directions(sub.total_degree()):
-        d = [CRat(1)] + [CRat(1) * t ** i for i in range(1, len(block))]
-        maps = _direction_maps(n, block, d)
-        if active(sub.substitute_maps(maps)):
-            change = CoordChange(n, maps, entries)
-            return change, change.apply(q)
-    raise PolyError("no nonvanishing block direction found")
+
+def _shear_values(degree: int) -> Iterator[CRat]:
+    """The Gaussian integers u + v i with |u|, |v| <= degree // 2 + 1: the
+    real ones 0, 1, -1, 2, -2, ..., then those plus i, minus i, plus 2i, ..."""
+    axis = [0] + [s * t for t in range(1, degree // 2 + 2) for s in (1, -1)]
+    return (CRat(u, v) for v in axis for u in axis)
 
 
 def _extract_row(pm: Poly, m: int) -> Tuple[Tuple[int, ...], Fraction]:

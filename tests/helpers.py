@@ -675,7 +675,7 @@ def step_first_oracle(p: Poly, mu: Weight, assert_psc: bool = False):
     p_block = p.restrict_support(block)
     if p_block.is_zero():
         raise _Degenerate(2, p)
-    change, p_changed = _block_direction(p, p_block, block, entries, 2)
+    change, p_changed = _block_direction(p_block, block, entries, 2)
     p2 = p_changed.restrict_support([2])
     warnings: List[str] = []
     deg = p2.total_degree()

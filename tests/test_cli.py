@@ -79,6 +79,23 @@ def test_multitype_commutator_gap(capsys):
     assert "commutator: (1, 2, inf)" in out
 
 
+def test_multitype_drops_the_commutator_the_build_refuses(capsys):
+    # the boundary build refuses this model (its r_3 has terms above the
+    # exact degree), and multitype then reports the search alone, silently
+    expr = "-2*Re(z1) + |z2|^4 + |z2|^2*|z3|^2 + |z3|^2"
+    code, out, _ = run_cli(capsys, "multitype", "--json", "--expr", expr,
+                           "--n", "3")
+    assert code == 0
+    d = json.loads(out)
+    assert d["lambda"] == ["1", "2", "4"]
+    assert d["status"] == "search-lower-bound"
+    assert "commutator" not in d
+    code, _out, err = run_cli(capsys, "boundary-system", "--expr", expr,
+                              "--n", "3")
+    assert code == 2
+    assert "slot 3: r_3 has terms above degree 5" in err
+
+
 def test_psd_certified(capsys):
     code, out, _ = run_cli(capsys, "psd", "--expr", "|z2|^2 + |z3|^2",
                            "--n", "3")
@@ -210,6 +227,35 @@ def test_normalize_explicit_weight(capsys):
                            "--weight", "1,1/2")
     assert code == 0
     assert "A: [1/2]" in out
+
+
+def test_normalize_shears_a_three_variable_block(capsys):
+    # z2*z4 - z3^2 vanishes along every direction (1, t, t^2): the block
+    # change must shear z4 alone, z4 -> z4 + z2
+    code, out, _ = run_cli(capsys, "normalize", "--json", "--expr",
+                           "-2*Re(z1) + |z2*z4 - z3^2|^2", "--n", "4",
+                           "--weight", "1,1/4,1/4,1/4")
+    assert code == 0
+    d = json.loads(out)
+    assert d["verified"]
+    assert [row["k"] for row in d["rows"]] == [[2], [0, 2], [1, 0, 1]]
+    z4 = [(t["alpha"], t["re"], t["im"])
+          for t in d["transform"]["maps"][3]["terms"]]
+    assert z4 == [([0, 0, 0, 1], "1", "0"), ([0, 1, 0, 0], "1", "0")]
+
+
+def test_normalize_leaves_rows_unrealized_without_lower_weight(capsys):
+    # slot 3 degenerates, and no weight below (1, 1/4, 1/8, 0) supports the
+    # model: the rows from slot 3 on stay unrealized, and the verifier
+    # skips them
+    code, out, _ = run_cli(capsys, "normalize", "--expr",
+                           "-2*Re(z1) + |z2|^4 + |z2|^4*|z4|^2", "--n", "4",
+                           "--weight", "1,1/4,1/8,0")
+    assert code == 0
+    assert "K: [[2]]" in out
+    assert "verified: True" in out
+    assert ("warning: slot 3: restriction vanishes and no lower supporting "
+            "weight exists; remaining rows unrealized") in out
 
 
 def test_boundary_system_json(capsys):

@@ -1,11 +1,12 @@
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from catlin import normal_form
+from catlin import cli, normal_form
 from catlin.exact import CRat
 from catlin.normal_form import (NormalForm, NormalRow, PseudoconvexityError,
                                 _Contradiction, _Degenerate, normalize,
@@ -225,8 +226,9 @@ def test_normalize_weighted_model():
 @pytest.mark.parametrize("expr, mu, changes, substitutions", [
     # both slots already active: only the harmonic shift is built
     ("-2*Re(z1) + |z2|^8 + |z2|^4*|z3|^6", MU_EQQ.entries, 1, 0),
-    # slot 2 mixes z3 into z2's direction; slot 3 is then active
-    ("-2*Re(z1) + |z3|^4", (1, Fraction(1, 4), Fraction(1, 4)), 3, 8),
+    # slot 2 mixes z3 into z2's direction, found on the block restriction
+    # with one substitution; slot 3 is then active
+    ("-2*Re(z1) + |z3|^4", (1, Fraction(1, 4), Fraction(1, 4)), 3, 6),
 ])
 def test_normalize_makes_only_real_changes(monkeypatch, expr, mu, changes,
                                            substitutions):
@@ -246,6 +248,34 @@ def test_normalize_makes_only_real_changes(monkeypatch, expr, mu, changes,
     normalize(r, Weight(mu), assert_psc=True)
     assert (counts["__init__"], counts["substitute_maps"]) \
         == (changes, substitutions)
+
+
+SQUARE_COEFFS = [1, -1, 2, -2, "1/2"]
+
+
+def _sum_of_squared_quadratic_forms(rng, n):
+    """-2 Re z1 plus 1-3 squared moduli of quadratic forms in z2..zn, each
+    with 1-3 monomials and small rational coefficients."""
+    pairs = list(itertools.combinations_with_replacement(range(2, n + 1), 2))
+    forms = [" + ".join(f"({rng.choice(SQUARE_COEFFS)})*z{i}*z{j}"
+                        for i, j in rng.sample(pairs, rng.randint(1, 3)))
+             for _ in range(rng.randint(1, 3))]
+    return "-2*Re(z1) + " + " + ".join(f"|{q}|^2" for q in forms)
+
+
+def test_normalize_verifies_sums_of_squared_quadratic_forms(capsys):
+    # the block change must exist for every certified model; one of these
+    # models, |z2*z5 - z3*z4|^2, vanishes along every direction
+    # (1, t, t^2, t^3) of the block
+    rng = random.Random(1)
+    for k in range(200):
+        n = 4 + k % 2
+        expr = _sum_of_squared_quadratic_forms(rng, n)
+        code = cli.main(["normalize", "--json", "--n", str(n), "--expr", expr,
+                         "--weight", ",".join(["1"] + ["1/4"] * (n - 1))])
+        out = capsys.readouterr().out
+        assert code == 0, expr
+        assert json.loads(out)["verified"], expr
 
 
 def test_normalize_tube():
