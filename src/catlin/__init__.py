@@ -13,11 +13,9 @@ from .poly import (CoordChange, NonRealError, Poly, PolyError,
                    weighted_order)
 from .weights import (InverseWeight, Multitype, Weight, corroborate,
                       counting_bound, enumerate_multitypes, is_admissible,
-                      is_distinguished, multitype_search)
-from .levi import (CoeffBoundReport, PositivityVerdict, cauchy_schwarz_pairing,
-                   complex_hessian, m_dominant_coefficients, model_truncate,
-                   newton_split_check, one_var_coeff_check, psd_verdict,
-                   verify_psd_certificate)
+                      multitype_search)
+from .levi import (PositivityVerdict, cauchy_schwarz_pairing, complex_hessian,
+                   psd_verdict, verify_psd_certificate)
 from .normal_form import (NormalForm, PseudoconvexityError, normalize,
                           step_first, step_inductive, verify_normal_form)
 from .boundary import (BoundarySystem, TorsionReport, VField,

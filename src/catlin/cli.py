@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .boundary import (audit_boundary_system, build_boundary_system,
-                       first_block_torsion)
+                       detect_torsion, first_block_torsion,
+                       normalize_first_block)
 from .exact import rat_str
 from .levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                    psd_certificate, psd_verdict)
@@ -39,20 +40,21 @@ class CliError(Exception):
 
 
 def _load_poly(args) -> Poly:
-    if args.expr and args.input:
+    # presence, not truthiness: the parser rejects "--n 0" and "--expr ''"
+    if args.expr is not None and args.input is not None:
         raise CliError("give either an input file or --expr, not both")
-    if args.expr:
-        if not args.n:
+    if args.expr is not None:
+        if args.n is None:
             raise CliError("--expr requires --n")
         return parse_poly(args.expr, args.n)
-    if not args.input:
+    if args.input is None:
         raise CliError("no input given; use a file argument or --expr/--n")
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return Poly.from_json_dict(json.loads(text))
-    if not args.n:
+    if args.n is None:
         raise CliError("text input files require --n")
     return parse_poly(text.strip(), args.n)
 
@@ -288,12 +290,19 @@ def _torsion_model(eps: Fraction = Fraction(1, 10)) -> Poly:
 
 
 def _example_torsion() -> bool:
+    """The paper's torsion example whole: the model is pseudoconvex (tier 2),
+    its first block normalizes to r_2 = Re z2, and the slot after the block
+    still has torsion.  The report read from the full normalized system is
+    the one ``catlin torsion`` reads from systems built through slot 3."""
     r = _torsion_model()
     verdict = psd_verdict(r.restrict_support(range(2, 5)))
     if verdict.kind != KIND_CERTIFIED or verdict.tier != 2:
         return False
+    bs = normalize_first_block(build_boundary_system(r))
+    if bs.slow[2].r_func != parse_poly("Re(z2)", 4):
+        return False
     report = first_block_torsion(r)
-    return report.applicable and report.torsion
+    return report.torsion and report.slot == 3 and detect_torsion(bs) == report
 
 
 def _example_counting() -> bool:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,7 +42,6 @@ from .exact import (CRat, CZERO, hermitian_form, hermitian_reduce,
                     rank, rat_str)
 from .poly import (DimensionMismatch, Poly, PolyError, require_real,
                    term_sort_key)
-from .weights import Weight
 
 KIND_CERTIFIED = "CertifiedPSD"
 KIND_REFUTED = "Refuted"
@@ -624,114 +623,3 @@ def replay_refutation(p: Poly, witness: dict) -> Fraction:
     z = [CRat(Fraction(c["re"]), Fraction(c["im"])) for c in witness["z"]]
     a = [CRat(Fraction(c["re"]), Fraction(c["im"])) for c in witness["a"]]
     return hessian_form_value(complex_hessian(p), z, a)
-
-
-# ----------------------------------------------------------------------
-# one-variable coefficient bounds
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class CoeffBoundReport:
-    C0: Fraction
-    bounds: List[Tuple[int, CRat, bool]] = field(default_factory=list)
-
-
-def one_var_coeff_check(P: Poly) -> CoeffBoundReport:
-    """Coefficient bounds for a homogeneous one-variable P = sum C_k z^{m+k} zbar^{m-k}.
-
-    Reports C_0 >= 0 and |C_k| <= C_0 for every k (exactly, via squared
-    moduli).  For nonnegative P these must all hold, and C_0 > 0 when P != 0;
-    a violated bound therefore certifies that P is not nonnegative."""
-    require_real(P, "one-variable polynomial")
-    sup = P.support_vars()
-    if len(sup) > 1:
-        raise PolyError(f"polynomial involves several variables: {sup}")
-    if not sup:
-        c = P.terms.get(((0,) * P.n, (0,) * P.n), CZERO)
-        return CoeffBoundReport(C0=c.re)
-    i = sup[0] - 1
-    degs = {a[i] + b[i] for (a, b) in P.terms}
-    if len(degs) != 1:
-        raise PolyError("polynomial is not homogeneous")
-    deg = degs.pop()
-    if deg % 2 != 0:
-        raise PolyError(f"odd degree {deg}; the bounds need even degree")
-    m = deg // 2
-    coeffs: Dict[int, CRat] = {}
-    for (a, b), c in P.terms.items():
-        coeffs[a[i] - m] = c
-    C0 = coeffs.get(0, CZERO).re
-    bounds = []
-    for k in sorted(coeffs):
-        if k <= 0:
-            continue
-        ck = coeffs[k]
-        ok = C0 >= 0 and ck.abs2() <= C0 * C0
-        bounds.append((k, ck, ok))
-    return CoeffBoundReport(C0=C0, bounds=bounds)
-
-
-# ----------------------------------------------------------------------
-# dominance, Newton splits, truncation
-# ----------------------------------------------------------------------
-
-
-def m_dominant_coefficients(P: Poly, M: Fraction) -> List[Tuple[Gamma, Gamma]]:
-    """Exponent pairs whose coefficient is M-dominant: every other coefficient
-    C' satisfies |C'| <= M |C| (compared through squared moduli)."""
-    M = Fraction(M)
-    if M < 0:
-        raise PolyError("dominance factor must be nonnegative")
-    items = list(P.terms.items())
-    out = []
-    m2 = M * M
-    for key, c in items:
-        ca = c.abs2()
-        if all(other.abs2() <= m2 * ca for _k, other in items):
-            out.append(key)
-    return sorted(out, key=term_sort_key)
-
-
-@dataclass
-class SplitPart:
-    deg_a: int
-    deg_b: int
-    part: Poly
-    flagged_nonneg: bool
-
-
-def newton_split_check(P: Poly, partition: Tuple[Sequence[int], Sequence[int]]
-                       ) -> List[SplitPart]:
-    """Bidegree decomposition of an (asserted nonnegative) homogeneous P over
-    a variable bipartition; extremal parts are flagged certified nonnegative
-    (scaling x -> t x, y -> y/t and letting t run to 0 or infinity)."""
-    group_a, group_b = set(partition[0]), set(partition[1])
-    if group_a & group_b:
-        raise PolyError("partition groups overlap")
-    missing = set(P.support_vars()) - (group_a | group_b)
-    if missing:
-        raise PolyError(f"partition does not cover variables {sorted(missing)}")
-    buckets: Dict[Tuple[int, int], Dict] = {}
-    for (a, b), c in P.terms.items():
-        da = sum(a[j - 1] + b[j - 1] for j in group_a)
-        db = sum(a[j - 1] + b[j - 1] for j in group_b)
-        buckets.setdefault((da, db), {})[(a, b)] = c
-    if not buckets:
-        return []
-    max_a = max(d for d, _ in buckets)
-    max_b = max(d for _, d in buckets)
-    return [SplitPart(da, db, Poly(P.n, terms),
-                      flagged_nonneg=(da == max_a or db == max_b))
-            for (da, db), terms in sorted(buckets.items())]
-
-
-def model_truncate(r: Poly, mu: Weight) -> Poly:
-    """Weight-1 part of a model r = -2 Re z1 + O_mu(1); pseudoconvexity of r
-    passes to the truncation by weighted dilation."""
-    require_real(r, "model")
-    parts = r.grade(mu.entries)
-    for w in parts:
-        if w < 1:
-            raise PolyError(f"model contains terms of weight {w} < 1")
-    return parts.get(Fraction(1), Poly.zero(r.n))

@@ -58,8 +58,7 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
 from .exact import rat_str
-from .poly import (DimensionMismatch, Poly, PolyError, eliminate_harmonic,
-                   weighted_order)
+from .poly import DimensionMismatch, Poly, PolyError, eliminate_harmonic
 
 INF = math.inf
 Entry = Union[Fraction, float]  # float only ever +inf
@@ -227,17 +226,8 @@ def is_admissible(lam: InverseWeight) -> Tuple[bool, Dict[int, List[Tuple[int, .
 
 
 # ----------------------------------------------------------------------
-# distinguishedness in fixed coordinates
+# distinguished weights in fixed coordinates
 # ----------------------------------------------------------------------
-
-
-def is_distinguished(r: Poly, lam: InverseWeight) -> bool:
-    """True iff every term of r has total inverse-weighted order >= 1
-    (infinite slots contribute zero) in the given coordinates."""
-    if lam.n != r.n:
-        raise DimensionMismatch("inverse weight length != dimension")
-    mu = [recip(e) for e in lam.entries]  # an infinite lambda weighs 0
-    return all(weighted_order(key, mu) >= 1 for key in r.terms)
 
 
 def _evecs(p: Poly) -> frozenset:

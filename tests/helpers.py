@@ -1,19 +1,19 @@
-"""Shared generators and small oracles for the test suite."""
+"""Shared generators, small oracles and the paper's lemma checks that no
+command runs, for the test suite."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from catlin.boundary import VField, _field_from_vector, _neumann_solve
 from catlin.exact import CZERO, CRat, rat_str
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
-                         CoeffBoundReport, PositivityVerdict,
-                         _check_tangential, _random_crat,
+                         PositivityVerdict, _check_tangential, _random_crat,
                          _squares_certificate, cauchy_schwarz_pairing,
                          complex_hessian)
 from catlin.normal_form import (_Contradiction, _Degenerate,
@@ -21,10 +21,11 @@ from catlin.normal_form import (_Contradiction, _Degenerate,
                                 _block_end)
 from catlin.poly import (CoordChange, DimensionMismatch, Poly, PolyError,
                          TermKey, _capped_products, eliminate_harmonic,
-                         split_model, weighted_order)
+                         require_real, split_model, term_sort_key,
+                         weighted_order)
 from catlin.weights import (INF, STATUS_LOWER_BOUND, Entry, InverseWeight,
                             Multitype, Weight, _catalog, _evecs, _render,
-                            is_admissible)
+                            is_admissible, recip)
 
 
 def _frac(x) -> Fraction:
@@ -567,10 +568,123 @@ def commutator_oracle(r: Poly, fields: Dict[int, VField],
     return dr, dbar_r
 
 
+# ----------------------------------------------------------------------
+# lemma checks of the paper that no command runs
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class CoeffBoundReport:
+    C0: Fraction
+    bounds: List[Tuple[int, CRat, bool]] = field(default_factory=list)
+
+
+def one_var_coeff_check(P: Poly) -> CoeffBoundReport:
+    """Coefficient bounds for a homogeneous one-variable P = sum C_k z^{m+k} zbar^{m-k}.
+
+    Reports C_0 >= 0 and |C_k| <= C_0 for every k (exactly, via squared
+    moduli).  For nonnegative P these must all hold, and C_0 > 0 when P != 0;
+    a violated bound therefore certifies that P is not nonnegative."""
+    require_real(P, "one-variable polynomial")
+    sup = P.support_vars()
+    if len(sup) > 1:
+        raise PolyError(f"polynomial involves several variables: {sup}")
+    if not sup:
+        c = P.terms.get(((0,) * P.n, (0,) * P.n), CZERO)
+        return CoeffBoundReport(C0=c.re)
+    i = sup[0] - 1
+    degs = {a[i] + b[i] for (a, b) in P.terms}
+    if len(degs) != 1:
+        raise PolyError("polynomial is not homogeneous")
+    deg = degs.pop()
+    if deg % 2 != 0:
+        raise PolyError(f"odd degree {deg}; the bounds need even degree")
+    m = deg // 2
+    coeffs: Dict[int, CRat] = {}
+    for (a, b), c in P.terms.items():
+        coeffs[a[i] - m] = c
+    C0 = coeffs.get(0, CZERO).re
+    bounds = []
+    for k in sorted(coeffs):
+        if k <= 0:
+            continue
+        ck = coeffs[k]
+        ok = C0 >= 0 and ck.abs2() <= C0 * C0
+        bounds.append((k, ck, ok))
+    return CoeffBoundReport(C0=C0, bounds=bounds)
+
+
 def all_satisfied(report: CoeffBoundReport) -> bool:
     """C_0 >= 0 and every bound |C_k| <= C_0 of a coefficient-bound report
     holds."""
     return report.C0 >= 0 and all(ok for _k, _c, ok in report.bounds)
+
+
+def m_dominant_coefficients(P: Poly, M: Fraction) -> List[TermKey]:
+    """Exponent pairs whose coefficient is M-dominant: every other coefficient
+    C' satisfies |C'| <= M |C| (compared through squared moduli)."""
+    M = Fraction(M)
+    if M < 0:
+        raise PolyError("dominance factor must be nonnegative")
+    items = list(P.terms.items())
+    out = []
+    m2 = M * M
+    for key, c in items:
+        ca = c.abs2()
+        if all(other.abs2() <= m2 * ca for _k, other in items):
+            out.append(key)
+    return sorted(out, key=term_sort_key)
+
+
+@dataclass
+class SplitPart:
+    deg_a: int
+    deg_b: int
+    part: Poly
+    flagged_nonneg: bool
+
+
+def newton_split_check(P: Poly, partition: Tuple[Sequence[int], Sequence[int]]
+                       ) -> List[SplitPart]:
+    """Bidegree decomposition of an (asserted nonnegative) homogeneous P over
+    a variable bipartition; extremal parts are flagged certified nonnegative
+    (scaling x -> t x, y -> y/t and letting t run to 0 or infinity)."""
+    group_a, group_b = set(partition[0]), set(partition[1])
+    if group_a & group_b:
+        raise PolyError("partition groups overlap")
+    missing = set(P.support_vars()) - (group_a | group_b)
+    if missing:
+        raise PolyError(f"partition does not cover variables {sorted(missing)}")
+    buckets: Dict[Tuple[int, int], Dict] = {}
+    for (a, b), c in P.terms.items():
+        da = sum(a[j - 1] + b[j - 1] for j in group_a)
+        db = sum(a[j - 1] + b[j - 1] for j in group_b)
+        buckets.setdefault((da, db), {})[(a, b)] = c
+    if not buckets:
+        return []
+    max_a = max(d for d, _ in buckets)
+    max_b = max(d for _, d in buckets)
+    return [SplitPart(da, db, Poly(P.n, terms),
+                      flagged_nonneg=(da == max_a or db == max_b))
+            for (da, db), terms in sorted(buckets.items())]
+
+
+def model_truncate(r: Poly, mu: Weight) -> Poly:
+    """Weight-1 part of a model r = -2 Re z1 + O_mu(1); pseudoconvexity of r
+    passes to the truncation by weighted dilation."""
+    parts = r.grade(mu.entries)
+    if any(w < 1 for w in parts):
+        raise PolyError(f"model contains terms of weight {min(parts)} < 1")
+    return parts.get(Fraction(1), Poly.zero(r.n))
+
+
+def is_distinguished(r: Poly, lam: InverseWeight) -> bool:
+    """True iff every term of r has total inverse-weighted order >= 1
+    (infinite slots contribute zero) in the given coordinates."""
+    if lam.n != r.n:
+        raise DimensionMismatch("inverse weight length != dimension")
+    mu = [recip(e) for e in lam.entries]  # an infinite lambda weighs 0
+    return all(weighted_order(key, mu) >= 1 for key in r.terms)
 
 
 def _truncate(p: Poly, degree: int) -> Poly:

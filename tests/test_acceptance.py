@@ -12,8 +12,8 @@ from fractions import Fraction
 from catlin.boundary import (audit_boundary_system, build_boundary_system,
                              detect_torsion, normalize_first_block)
 from catlin.cli import main as cli_main
-from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, one_var_coeff_check,
-                         psd_verdict, replay_refutation, verify_psd_certificate)
+from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, psd_verdict,
+                         replay_refutation, verify_psd_certificate)
 from catlin.normal_form import normalize, verify_normal_form
 from catlin.parser import parse_poly
 from catlin.poly import Poly, eliminate_harmonic, weighted_order
@@ -22,7 +22,7 @@ from catlin.weights import (InverseWeight, counting_bound, enumerate_multitypes,
 
 from helpers import (_rational_rank, all_satisfied,
                      homogenized_modulus_square, linear_change,
-                     rand_real_poly)
+                     one_var_coeff_check, rand_real_poly)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"

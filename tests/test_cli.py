@@ -568,6 +568,11 @@ TEXT_MODEL = "-2*Re(z1) + |z2|^4"
      "input has terms of weight below 1; not O_mu(1)"),
     (["normalize", "--expr", "-2*Re(z1) + |z2|^4", "--n", "3"],
      "could not infer a finite weight; pass --weight"),
+    # --n 0 and an empty --expr are given: the parser rejects them
+    (["parse", "--n", "0", "--expr", "1"], "dimension must be >= 1"),
+    (["parse", "--n", "0", "FILE"], "dimension must be >= 1"),
+    (["parse", "--n", "2", "--expr", ""],
+     "parse error at position 0: unexpected token ''"),
 ])
 def test_input_errors_exit_2(capsys, tmp_path, argv, message):
     path = tmp_path / "model.txt"

@@ -7,9 +7,7 @@ from catlin import levi
 from catlin.exact import CRat, rat_str
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          cauchy_schwarz_pairing, complex_hessian,
-                         hessian_form_value, m_dominant_coefficients,
-                         model_truncate, newton_split_check,
-                         one_var_coeff_check, psd_verdict, replay_refutation,
+                         hessian_form_value, psd_verdict, replay_refutation,
                          verify_psd_certificate)
 from catlin.parser import parse_poly
 from catlin.poly import NonRealError, Poly, PolyError
@@ -17,6 +15,8 @@ from catlin.weights import Weight
 
 from helpers import (all_satisfied, circle_points, first_indefinite_point,
                      grid_tuples, homogenized_modulus_square,
+                     m_dominant_coefficients, model_truncate,
+                     newton_split_check, one_var_coeff_check,
                      psd_verdict_oracle, rand_crat)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"

@@ -214,33 +214,10 @@ def test_unused_private_names_detector(tmp_path):
     assert unused_private_names(tmp_path) == ["a.py:_dead"]
 
 
-# Library API that only the tests read: "file:name" -> a test that reads it
-LIBRARY_API = {
-    "weights.py:is_distinguished": "test_weights.py::test_distinguished_bloom",
-    "levi.py:one_var_coeff_check":
-        "test_levi.py::test_one_var_pure_modulus",
-    "levi.py:m_dominant_coefficients":
-        "test_levi.py::test_m_dominant_single",
-    "levi.py:newton_split_check": "test_levi.py::test_newton_split_flags",
-    "levi.py:model_truncate":
-        "test_levi.py::test_model_truncate_strips_tail",
-    "boundary.py:normalize_first_block":
-        "test_boundary.py::test_normalize_first_block_pure_scaling",
-}
-
-
 def test_no_unreferenced_public_names():
     # public code with no reader in the package or the benchmark harness is
-    # dead or test-only; the listed library API is read by its tests
-    assert sorted(unreferenced_public_names(SRC, [PERFBENCH])) \
-        == sorted(LIBRARY_API)
-    for entry, test in LIBRARY_API.items():
-        name = entry.split(":")[1]
-        fname, test_name = test.split("::")
-        tree = ast.parse((TESTS / fname).read_text(encoding="utf-8"))
-        fn, = [node for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name == test_name]
-        assert name in set(_references(fn)), (entry, test)
+    # dead or test-only
+    assert unreferenced_public_names(SRC, [PERFBENCH]) == []
 
 
 def test_unreferenced_public_names_detector(tmp_path):

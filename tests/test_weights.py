@@ -15,14 +15,14 @@ from catlin.weights import (INF, MAX_DEGREE_BOUND, MAX_ENUMERATE_DIMENSION,
                             _render, _support_after, admissible_rows,
                             best_distinguished_weight, corroborate,
                             counting_bound, enumerate_multitypes,
-                            is_admissible, is_distinguished, lower_weight_at,
-                            multitype_search, recip, STATUS_EXACT,
-                            STATUS_LOWER_BOUND)
+                            is_admissible, lower_weight_at, multitype_search,
+                            recip, STATUS_EXACT, STATUS_LOWER_BOUND)
 
 from helpers import (best_distinguished_weight_oracle, brute_admissible_slot,
                      enumerate_multitypes_oracle, is_admissible_oracle,
-                     lower_weight_at_oracle, multitype_search_oracle,
-                     rand_crat, substitute_maps_oracle)
+                     is_distinguished, lower_weight_at_oracle,
+                     multitype_search_oracle, rand_crat,
+                     substitute_maps_oracle)
 
 
 # ----------------------------------------------------------------------
