@@ -9,15 +9,15 @@ All arithmetic is exact (complex rationals); nothing here uses floats.
 from .exact import CRat
 from .parser import ParseError, parse_poly
 from .poly import (CoordChange, NonRealError, Poly, PolyError,
-                   eliminate_harmonic, revlex_max_balanced, split_model,
-                   weighted_order)
+                   PseudoconvexityError, eliminate_harmonic,
+                   revlex_max_balanced, split_model, weighted_order)
 from .weights import (InverseWeight, Multitype, Weight, corroborate,
                       counting_bound, enumerate_multitypes, is_admissible,
                       multitype_search)
 from .levi import (PositivityVerdict, cauchy_schwarz_pairing, complex_hessian,
                    psd_verdict, verify_psd_certificate)
-from .normal_form import (NormalForm, PseudoconvexityError, normalize,
-                          step_first, step_inductive, verify_normal_form)
+from .normal_form import (NormalForm, normalize, step_first, step_inductive,
+                          verify_normal_form)
 from .boundary import (BoundarySystem, TorsionReport, VField,
                        audit_boundary_system, build_boundary_system,
                        detect_torsion, first_block_torsion, list_derivative,

@@ -53,7 +53,11 @@ def _load_poly(args) -> Poly:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return Poly.from_json_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise CliError("JSON input nests too deeply") from None
+        return Poly.from_json_dict(doc)
     if args.n is None:
         raise CliError("text input files require --n")
     return parse_poly(text.strip(), args.n)

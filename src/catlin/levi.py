@@ -369,18 +369,12 @@ def _nonneg_certificate(q: Poly) -> Optional[dict]:
             "mixed": [entry for _a, _b, _used, entry in mixed]}
 
 
-def cauchy_schwarz_pairing(p: Poly) -> dict:
-    """Cauchy-Schwarz plurisubharmonicity certificate for p(z_2..z_n).
-
-    Returns {"certified": True, "certificate": ...} on success, otherwise
-    {"certified": False, "reason": ...}; failure is a value, not an error."""
+def cauchy_schwarz_pairing(p: Poly) -> Optional[dict]:
+    """Tier-2 Cauchy-Schwarz plurisubharmonicity certificate for
+    p(z_2..z_n), or None when the mixed terms have no full splitting against
+    the balanced budget with trivially intersecting kernels."""
     _check_tangential(p)
-    cert = _psh_certificate(p, {}, frozenset())
-    if cert is None:
-        return {"certified": False,
-                "reason": "no full splitting of the mixed terms against the "
-                          "balanced budget with trivially intersecting kernels"}
-    return {"certified": True, "certificate": cert}
+    return _psh_certificate(p, {}, frozenset())
 
 
 # ----------------------------------------------------------------------
@@ -568,17 +562,12 @@ def _random_crat(rng: random.Random) -> CRat:
                 Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
 
 
-def psd_certificate(p: Poly) -> Optional[Tuple[int, dict]]:
-    """(tier, certificate) from tier 1 (squares) or else tier 2 (Cauchy-Schwarz
-    pairing) for the Hessian form of p; None when neither certifies."""
+def psd_certificate(p: Poly) -> Optional[dict]:
+    """Certificate from tier 1 (squares) or else tier 2 (Cauchy-Schwarz
+    pairing) for the Hessian form of p, its tier under ``"tier"``; None when
+    neither certifies."""
     _check_tangential(p)
-    cert = _squares_certificate(p)
-    if cert is not None:
-        return 1, cert
-    pairing = cauchy_schwarz_pairing(p)
-    if pairing["certified"]:
-        return 2, pairing["certificate"]
-    return None
+    return _squares_certificate(p) or cauchy_schwarz_pairing(p)
 
 
 def psd_verdict(p: Poly, samples: int = 200, seed: int = 0
@@ -586,10 +575,10 @@ def psd_verdict(p: Poly, samples: int = 200, seed: int = 0
     """Three-tier exact positivity verdict for the Hessian form of p."""
     if samples < 0:
         raise PolyError(f"sample count {samples} is negative")
-    certified = psd_certificate(p)
-    if certified is not None:
-        tier, cert = certified
-        return PositivityVerdict(KIND_CERTIFIED, tier=tier, certificate=cert)
+    cert = psd_certificate(p)
+    if cert is not None:
+        return PositivityVerdict(KIND_CERTIFIED, tier=cert["tier"],
+                                 certificate=cert)
     if p.n > MAX_TIER3_DIMENSION:
         raise PolyError(f"dimension {p.n} is above {MAX_TIER3_DIMENSION}, "
                         "the largest for which tier 3 walks its grid")

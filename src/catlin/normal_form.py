@@ -22,9 +22,10 @@ part (each lies in z_2..z_{m-1}); only the remainder and the terms above
 weight 1 are substituted, and the model in the final coordinates is the
 extracted parts plus the remainder.
 Pseudoconvexity forces every extracted degree to be even and every extracted
-coefficient to be positive; when the caller asserts pseudoconvexity, a
-violation raises PseudoconvexityError, otherwise it is recorded as a warning
-and the remaining rows stay unrealized.
+coefficient to be positive; a violation raises PseudoconvexityError where it
+is found.  ``normalize`` lets it through when the caller asserts
+pseudoconvexity, and otherwise records it as a warning and leaves the
+remaining rows unrealized.
 
 Harmonic elimination comes first, in closed form: z1 enters r only through
 its linear head, so the shift z1 -> z1 + h that absorbs the pure terms
@@ -54,13 +55,6 @@ class _Degenerate(Exception):
     def __init__(self, slot: int, remaining: Poly):
         self.slot = slot
         self.remaining = remaining
-
-
-class _Contradiction(Exception):
-    """Internal: a positivity side condition failed."""
-
-    def __init__(self, detail: str):
-        self.detail = detail
 
 
 # Weight descents that one normalization may take before it gives up.
@@ -138,7 +132,7 @@ def step_first(p: Poly, mu: Weight, assert_psc: bool = False
 
     Returns (change, p2, k22, C20, warnings), with change None when z_2 is
     already active.  The bound is checked in canonical term order; a
-    violation raises _Contradiction when ``assert_psc``, otherwise it
+    violation raises PseudoconvexityError when ``assert_psc``, otherwise it
     becomes a warning."""
     change, p2, (k22,), c20 = step_inductive(p, mu, 2)
     alpha = _bal_monomial_alpha(p.n, (k22,))
@@ -150,7 +144,7 @@ def step_first(p: Poly, mu: Weight, assert_psc: bool = False
         if c.abs2() >= bound * bound:
             msg = f"coefficient bound |C| < k22*C20 violated at {(a, b)}"
             if assert_psc:
-                raise _Contradiction(msg)
+                raise PseudoconvexityError(msg)
             warnings.append(msg)
     return change, p2, k22, c20, warnings
 
@@ -242,12 +236,12 @@ def _extract_row(pm: Poly, m: int) -> Tuple[Tuple[int, ...], Fraction]:
             continue
         current = current.top_degree_part(l)
         if dl % 2 != 0:
-            raise _Contradiction(
+            raise PseudoconvexityError(
                 f"slot {m}: top degree {dl} in (z_{l}, zbar_{l}) is odd")
         current = Poly(current.n, {k: c for k, c in current.terms.items()
                                    if k[0][l - 1] == k[1][l - 1] == dl // 2})
         if current.is_zero():
-            raise _Contradiction(
+            raise PseudoconvexityError(
                 f"slot {m}: the top (z_{l}, zbar_{l}) part has no balanced "
                 "term")
         ks[l] = dl // 2
@@ -256,7 +250,7 @@ def _extract_row(pm: Poly, m: int) -> Tuple[Tuple[int, ...], Fraction]:
     row = tuple(ks[l] for l in range(2, m + 1))
     if not c.is_real() or c.re <= 0:
         mono = "*".join(f"|z{l}|^{2 * k}" for l, k in enumerate(row, 2) if k)
-        raise _Contradiction(
+        raise PseudoconvexityError(
             f"slot {m}: coefficient {c} of the extracted {mono} is not "
             "positive")
     return row, c.re
@@ -318,11 +312,11 @@ def normalize(r: Poly, mu: Weight, assert_psc: bool = False) -> NormalForm:
                 warnings.append(
                     f"slot {deg.slot}: restriction vanishes and no lower "
                     "supporting weight exists; remaining rows unrealized")
-        except _Contradiction as con:
+        except PseudoconvexityError as con:
             if assert_psc:
-                raise PseudoconvexityError(con.detail) from None
+                raise
             warnings.append(f"pseudoconvexity side condition failed: "
-                            f"{con.detail}; remaining rows unrealized")
+                            f"{con}; remaining rows unrealized")
         # the rows after the last realized one (none on success) stay
         # unrealized
         start = rows[-1].j + 1 if rows else 2

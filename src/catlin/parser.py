@@ -41,6 +41,14 @@ MAX_POWER_TERMS = 50_000
 # expression of many admitted products fails fast as well.
 MAX_PRODUCT_PAIRS = 1_000_000
 
+# Most parser frames one parse may nest.  The parser is recursive descent:
+# each level of '(', '|' or Re/Im/conj costs four frames (expr, term, factor,
+# atom) and each unary '-' or '~' one, so this admits 100 levels of
+# parentheses or 400 unary signs.  Python's default recursion limit is 1000
+# frames; the 600 left cover the caller and the Poly arithmetic below the
+# deepest parser frame, so deep nesting is a ParseError, not a RecursionError.
+MAX_NESTING = 400
+
 
 class ParseError(PolyError):
     """Syntax error; carries the character position."""
@@ -80,6 +88,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.pairs_left = MAX_PRODUCT_PAIRS
+        self.depth = 0  # parser frames nested so far, at most MAX_NESTING
 
     def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.i]
@@ -93,6 +102,14 @@ class _Parser:
         kind, val, pos = self.next()
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}, found {val!r}", pos)
+
+    def descend(self, frames: int, pos: int):
+        """Charge ``frames`` nested parser frames, opened by the token at
+        ``pos``; the caller gives them back when the nested parse returns."""
+        self.depth += frames
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} parser "
+                             "frames", pos)
 
     def parse(self) -> Poly:
         p = self.expr()
@@ -130,7 +147,10 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            return -self.factor()
+            self.descend(1, pos)
+            p = -self.factor()
+            self.depth -= 1
+            return p
         p, modulus = self.atom()
         kind, val, _ = self.peek()
         exponent: Optional[int] = None
@@ -176,7 +196,9 @@ class _Parser:
             return Poly.conj_variable(self.n, j), False
         if kind == "name":
             self.expect_op("(")
+            self.descend(4, pos)
             inner = self.expr()
+            self.depth -= 4
             self.expect_op(")")
             if val == "conj":
                 return inner.conj(), False
@@ -184,16 +206,22 @@ class _Parser:
                 return (inner + inner.conj()) * Fraction(1, 2), False
             return (inner - inner.conj()) * (CRat(0, Fraction(-1, 2))), False
         if kind == "op" and val == "~":
+            self.descend(1, pos)
             inner, modulus = self.atom()
+            self.depth -= 1
             if modulus:
                 raise ParseError("cannot conjugate a modulus directly", pos)
             return inner.conj(), False
         if kind == "op" and val == "(":
+            self.descend(4, pos)
             inner = self.expr()
+            self.depth -= 4
             self.expect_op(")")
             return inner, False
         if kind == "op" and val == "|":
+            self.descend(4, pos)
             inner = self.expr()
+            self.depth -= 4
             k2, v2, p2 = self.next()
             if k2 != "op" or v2 != "|":
                 raise ParseError("unterminated modulus bar", p2)

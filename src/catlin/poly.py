@@ -698,10 +698,8 @@ def format_poly(p: Poly) -> str:
         if a == b:
             shown.add((a, b))
             body = "*".join(f"|z{i+1}|^{2*a[i]}" for i in range(p.n) if a[i])
-            if not body:
-                body = "1"
             coeff = "" if c == CRat(1) else f"{c}*"
-            chunks.append(f"{coeff}{body}")
+            chunks.append(f"{coeff}{body}" if body else str(c))
         else:
             partner = (b, a)
             if partner in p.terms and p.terms[partner] == c.conj():

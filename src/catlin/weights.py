@@ -139,11 +139,10 @@ class InverseWeight:
         es = tuple(e if e == INF else Fraction(e) for e in entries)
         if not es or es[0] != 1:
             raise PolyError("inverse weight must start with lambda_1 = 1")
+        # nondecreasing from lambda_1 = 1 makes every entry positive
         for a, b in zip(es, es[1:]):
             if b < a:
                 raise PolyError("inverse weight entries must be nondecreasing")
-        if any(e != INF and e <= 0 for e in es):
-            raise PolyError("inverse weight entries must be positive")
         object.__setattr__(self, "entries", es)
 
     @property

@@ -16,13 +16,12 @@ from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          PositivityVerdict, _check_tangential, _random_crat,
                          _squares_certificate, cauchy_schwarz_pairing,
                          complex_hessian)
-from catlin.normal_form import (_Contradiction, _Degenerate,
-                                _bal_monomial_alpha, _block_direction,
-                                _block_end)
+from catlin.normal_form import (_Degenerate, _bal_monomial_alpha,
+                                _block_direction, _block_end)
 from catlin.poly import (CoordChange, DimensionMismatch, Poly, PolyError,
-                         TermKey, _capped_products, eliminate_harmonic,
-                         require_real, split_model, term_sort_key,
-                         weighted_order)
+                         PseudoconvexityError, TermKey, _capped_products,
+                         eliminate_harmonic, require_real, split_model,
+                         term_sort_key, weighted_order)
 from catlin.weights import (INF, STATUS_LOWER_BOUND, Entry, InverseWeight,
                             Multitype, Weight, _catalog, _evecs, _render,
                             is_admissible, recip)
@@ -433,9 +432,8 @@ def psd_verdict_oracle(p: Poly, samples: int = 200, seed: int = 0
     if cert is not None:
         return PositivityVerdict(KIND_CERTIFIED, tier=1, certificate=cert)
     pairing = cauchy_schwarz_pairing(p)
-    if pairing["certified"]:
-        return PositivityVerdict(KIND_CERTIFIED, tier=2,
-                                 certificate=pairing["certificate"])
+    if pairing is not None:
+        return PositivityVerdict(KIND_CERTIFIED, tier=2, certificate=pairing)
     hess = complex_hessian(p)
     n = p.n
 
@@ -798,7 +796,7 @@ def step_first_oracle(p: Poly, mu: Weight, assert_psc: bool = False):
         raise PolyError(f"restriction degree {deg} != 1/mu_2 = {expected}; "
                         "input is not weight-1 homogeneous")
     if deg % 2 != 0:
-        raise _Contradiction(
+        raise PseudoconvexityError(
             f"one-variable restriction has odd degree {deg}; a nonzero "
             "plurisubharmonic restriction must have even degree")
     k22 = deg // 2
@@ -807,7 +805,7 @@ def step_first_oracle(p: Poly, mu: Weight, assert_psc: bool = False):
     if not c20.is_real():
         raise PolyError("balanced coefficient not real")
     if c20.re <= 0:
-        raise _Contradiction(
+        raise PseudoconvexityError(
             f"balanced coefficient C_20 = {c20} of the restriction is not "
             "positive")
     bound = Fraction(k22) * c20.re
@@ -817,7 +815,7 @@ def step_first_oracle(p: Poly, mu: Weight, assert_psc: bool = False):
         if c.abs2() >= bound * bound:
             msg = (f"coefficient bound |C| < k22*C20 violated at {(a, b)}")
             if assert_psc:
-                raise _Contradiction(msg)
+                raise PseudoconvexityError(msg)
             warnings.append(msg)
     return change, p2, k22, c20.re, warnings
 

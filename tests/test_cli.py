@@ -279,6 +279,12 @@ def test_torsion_command(capsys):
     assert "|z4|^2" in out
 
 
+def test_torsion_diagonal_model_has_none(capsys):
+    assert run_cli(capsys, "torsion", "--n", "4", "--expr",
+                   "-2*Re(z1) + |z2|^6 + |z3|^8 + |z4|^10") == \
+        (0, "no torsion at slot 3\n", "")
+
+
 def test_torsion_harmonic_tail_contradiction_exits_3(capsys):
     # the slot-2 derivative tail 1/10*|z3|^2 is not harmonic: a
     # pseudoconvexity contradiction, reported by main as for normalize
@@ -573,12 +579,49 @@ TEXT_MODEL = "-2*Re(z1) + |z2|^4"
     (["parse", "--n", "0", "FILE"], "dimension must be >= 1"),
     (["parse", "--n", "2", "--expr", ""],
      "parse error at position 0: unexpected token ''"),
+    # the parser's syntax errors
+    (["parse", "--n", "2", "--expr", "(z2"],
+     "parse error at position 3: expected ')', found ''"),
+    (["parse", "--n", "2", "--expr", "z2 z2)"],
+     "parse error at position 5: trailing input ')'"),
+    (["parse", "--n", "2", "--expr", "|z2|^z3"],
+     "parse error at position 5: expected an integer exponent"),
+    (["parse", "--n", "2", "--expr", "1/z2"],
+     "parse error at position 2: expected integer denominator"),
+    (["parse", "--n", "2", "--expr", "1/0"],
+     "parse error at position 2: zero denominator"),
+    (["parse", "--n", "2", "--expr", "~|z2|^2"],
+     "parse error at position 0: cannot conjugate a modulus directly"),
+    (["parse", "--n", "2", "--expr", "|z2"],
+     "parse error at position 3: unterminated modulus bar"),
+    # nesting past the parser's limit, and a deeply nested JSON file
+    (["parse", "--n", "2", "--expr", "(" * 300 + "|z2|^2" + ")" * 300],
+     "parse error at position 100: nesting deeper than 400 parser frames"),
+    (["parse", "--n", "2", "--expr", "-" * 5000 + "|z2|^2"],
+     "parse error at position 400: nesting deeper than 400 parser frames"),
+    (["parse", "--n", "2", "--expr", "~" * 5000 + "z2"],
+     "parse error at position 400: nesting deeper than 400 parser frames"),
+    (["parse", "DEEP_JSON"], "JSON input nests too deeply"),
 ])
 def test_input_errors_exit_2(capsys, tmp_path, argv, message):
     path = tmp_path / "model.txt"
     path.write_text(TEXT_MODEL)
-    argv = [str(path) if a == "FILE" else a for a in argv]
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"x": ' * 5000 + "1" + "}" * 5000)
+    files = {"FILE": str(path), "DEEP_JSON": str(deep)}
+    argv = [files.get(a, a) for a in argv]
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 50 + "|z2|^2" + ")" * 50,
+    # the deepest nesting the parser admits: 400 frames
+    "(" * 99 + "|z2|^2" + ")" * 99,
+    "-" * 396 + "|z2|^2",
+], ids=["parens-50", "parens-99", "minus-396"])
+def test_nested_expression_parses(capsys, expr):
+    assert run_cli(capsys, "parse", "--n", "2", "--expr", expr) == \
+        (0, "|z2|^2\n", "")
 
 
 def test_text_file_input_parses_with_n(capsys, tmp_path):

@@ -54,6 +54,12 @@ def test_field_laws_random():
             assert (a / b) * b == a
 
 
+def test_negative_power_raises():
+    with pytest.raises(ValueError) as exc:
+        CRat(2) ** -1
+    assert str(exc.value) == "exponent must be a nonnegative integer"
+
+
 def test_rat_str_round_trip():
     for s in ("0", "5", "-7/3", "12/7"):
         assert rat_str(rat_from_str(s)) == s

@@ -386,7 +386,7 @@ def test_pairing_lattice_fractions_keep_unused_splittings():
     # still lists its exponent, with nothing used
     p = parse_poly("|z2|^4 + |z3|^4 + (1/10)*|z2|^2*|z3|^2"
                    " + 2*(1/4)*Re(z2^2*zbar3^2)", 3)
-    cert = cauchy_schwarz_pairing(p)["certificate"]
+    cert = cauchy_schwarz_pairing(p)
     assert cert["mixed"][0]["splittings"] == [
         {"fraction": "1", "gamma1": [0, 0, 2], "gamma2": [0, 2, 0]}]
     assert cert["consumption"] == [
@@ -398,9 +398,8 @@ def test_pairing_lattice_fractions_keep_unused_splittings():
 
 
 def test_pairing_torsion_kernel_systems():
-    result = cauchy_schwarz_pairing(torsion_p())
-    assert result["certified"]
-    cert = result["certificate"]
+    cert = cauchy_schwarz_pairing(torsion_p())
+    assert cert is not None
     mixed = cert["mixed"]
     assert len(mixed) == 1
     systems = {frozenset(tuple(row) for row in sys_)
@@ -433,22 +432,19 @@ def test_pairing_kernel_intersection_trivial_oracle():
 
 
 def test_pairing_trivial_without_mixed():
-    result = cauchy_schwarz_pairing(parse_poly("|z2|^4 + |z3|^2", 3))
-    assert result["certified"]
-    assert result["certificate"]["kind"] == "diagonal"
+    cert = cauchy_schwarz_pairing(parse_poly("|z2|^4 + |z3|^2", 3))
+    assert cert is not None
+    assert cert["kind"] == "diagonal"
 
 
 def test_pairing_fails_without_balanced():
-    result = cauchy_schwarz_pairing(parse_poly("2*Re(z2^2*zbar3^3)", 3))
-    assert not result["certified"]
-    assert "splitting" in result["reason"]
+    assert cauchy_schwarz_pairing(parse_poly("2*Re(z2^2*zbar3^3)", 3)) is None
 
 
 def test_pairing_margin_scales_with_eps():
     small = cauchy_schwarz_pairing(torsion_p("1/100"))
     big = cauchy_schwarz_pairing(torsion_p("1/10"))
-    assert Fraction(small["certificate"]["margin"]) < \
-        Fraction(big["certificate"]["margin"]) < 1
+    assert Fraction(small["margin"]) < Fraction(big["margin"]) < 1
 
 
 def test_pairing_uses_lattice_when_equal_split_fails():
@@ -456,11 +452,11 @@ def test_pairing_uses_lattice_when_equal_split_fails():
     # second one overloads the slot, a quarter/three-quarters split fits
     p = parse_poly("|z2|^4 + |z3|^4 + |z4|^4 + |z2|^2*|z4|^2"
                    " + 2*(4/5)*Re(z2^2*zbar3^2) + 2*(3/5)*Re(z2^2*zbar4^2)", 4)
-    result = cauchy_schwarz_pairing(p)
-    assert result["certified"]
-    assert verify_psd_certificate(p, result["certificate"])
+    cert = cauchy_schwarz_pairing(p)
+    assert cert is not None
+    assert verify_psd_certificate(p, cert)
     by_pair = {(tuple(m["alpha"]), tuple(m["beta"])): m
-               for m in result["certificate"]["mixed"]}
+               for m in cert["mixed"]}
     competing = by_pair[((0, 0, 0, 2), (0, 2, 0, 0))]
     fractions = sorted(Fraction(sp["fraction"])
                        for sp in competing["splittings"])
@@ -471,9 +467,9 @@ def test_pairing_kernel_check_restricted_to_mixed_support():
     # a mixed term not involving z4 pairs inside {z2, z3}; its majorant
     # kernels need only be trivial there
     p = parse_poly("|z2|^4 + |z3|^4 + |z4|^4 + 2*(1/2)*Re(z2^2*zbar3^2)", 4)
-    result = cauchy_schwarz_pairing(p)
-    assert result["certified"]
-    assert verify_psd_certificate(p, result["certificate"])
+    cert = cauchy_schwarz_pairing(p)
+    assert cert is not None
+    assert verify_psd_certificate(p, cert)
 
 
 def test_m_dominance_of_extracted_restriction():
@@ -486,7 +482,7 @@ def test_m_dominance_of_extracted_restriction():
 
 def test_certificate_tamper_detection():
     p = torsion_p()
-    cert = cauchy_schwarz_pairing(p)["certificate"]
+    cert = cauchy_schwarz_pairing(p)
     assert verify_psd_certificate(p, cert)
     import copy
     bad = copy.deepcopy(cert)
@@ -614,8 +610,7 @@ def _forged_psh(p, fractions):
         "margin": rat_str(max(v / budget[g] for g, v in cons.items())),
         "hyperplanes": [
             {"var": j,
-             "restriction": cauchy_schwarz_pairing(
-                 levi._kill_var(p, j))["certificate"],
+             "restriction": cauchy_schwarz_pairing(levi._kill_var(p, j)),
              "entry": levi._nonneg_certificate(levi._diag_entry(p, j))}
             for j in active]}
 
@@ -624,8 +619,7 @@ def test_replay_refuses_a_budget_used_up_exactly():
     # tier 2 needs strict domination; at c = 1 the one splitting uses up
     # both budgets exactly, and only the strict consumption clause sees it
     half = parse_poly("|z2|^4 + |z3|^4 + 2*(1/2)*Re(z2^2*zbar3^2)", 3)
-    assert _forged_psh(half, [[1]]) == \
-        cauchy_schwarz_pairing(half)["certificate"]
+    assert _forged_psh(half, [[1]]) == cauchy_schwarz_pairing(half)
     p = parse_poly("|z2|^4 + |z3|^4 + 2*Re(z2^2*zbar3^2)", 3)
     cert = _forged_psh(p, [[1]])
     assert cert["margin"] == "1"
@@ -647,7 +641,7 @@ def test_replay_refuses_a_pointwise_overdraw():
 def test_replay_refuses_a_linear_slot():
     # z2 zbar3^2 is linear in z2; absorption, kernels and hyperplanes pass
     p = parse_poly("|z3|^2 + |z2|^2*|z3|^2 + 2*(1/4)*Re(z2*zbar3^2)", 3)
-    assert not cauchy_schwarz_pairing(p)["certified"]
+    assert cauchy_schwarz_pairing(p) is None
     cert = _forged_psh(p, [[1]])
     assert all(h["entry"] is not None for h in cert["hyperplanes"])
     assert verify_psd_certificate(p, cert) is False
@@ -659,8 +653,7 @@ def test_replay_refuses_kernels_that_intersect():
     p = parse_poly("|z2|^4 + |z3|^4 + |z2|^2*|z3|^2"
                    " + 2*(1/3)*Re(z2^2*zbar3^2)", 3)
     equal = Fraction(1, 2)
-    assert _forged_psh(p, [[equal, equal]]) == \
-        cauchy_schwarz_pairing(p)["certificate"]
+    assert _forged_psh(p, [[equal, equal]]) == cauchy_schwarz_pairing(p)
     cert = _forged_psh(p, [[0, 1]])
     assert cert["mixed"][0]["kernel_systems"] == [[[1, 1], [1, 1]]]
     assert verify_psd_certificate(p, cert) is False

@@ -9,9 +9,8 @@ import pytest
 from catlin import cli, normal_form
 from catlin.exact import CRat
 from catlin.normal_form import (NormalForm, NormalRow, PseudoconvexityError,
-                                _Contradiction, _Degenerate, normalize,
-                                step_first, step_inductive,
-                                verify_normal_form)
+                                _Degenerate, normalize, step_first,
+                                step_inductive, verify_normal_form)
 from catlin.parser import parse_poly
 from catlin.poly import CoordChange, Poly, PolyError
 from catlin.weights import Weight, multitype_search
@@ -73,7 +72,7 @@ def test_step_first_degenerate_signals():
 def test_step_first_odd_degree_contradiction():
     p = model_p("2*Re(z2^2*zbar3^3)", 3)
     mu = Weight((Fraction(1), Fraction(1, 5), Fraction(1, 5)))
-    with pytest.raises(_Contradiction):
+    with pytest.raises(PseudoconvexityError):
         step_first(p, mu, assert_psc=True)
 
 
@@ -83,7 +82,7 @@ def _step_first_outcome(step, p, mu, assert_psc):
         return "success", step(p, mu, assert_psc)
     except _Degenerate as deg:
         return "degenerate", (deg.slot, deg.remaining)
-    except _Contradiction:
+    except PseudoconvexityError:
         return "contradiction", None
     except PolyError:
         return "error", None
@@ -369,6 +368,14 @@ def test_normalize_pure_term_with_descent():
     assert not nf.transform.graded
     ok, violations = verify_normal_form(nf, r, MU_EQQ)
     assert ok, violations
+
+
+def test_normalize_refuses_a_weight_of_other_length():
+    with pytest.raises(PolyError) as exc:
+        normalize(parse_poly("-2*Re(z1) + |z2|^4 + |z3|^4", 3),
+                  Weight((Fraction(1), Fraction(1, 4))))
+    assert type(exc.value) is PolyError
+    assert str(exc.value) == "weight length != dimension"
 
 
 def test_normalize_needs_dimension_two():

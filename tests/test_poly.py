@@ -7,8 +7,8 @@ import pytest
 from catlin.exact import CRat
 from catlin import parser
 from catlin.parser import ParseError, parse_poly
-from catlin.poly import (CoordChange, NonRealError, Poly, PolyError,
-                         _capped_products, _derivative_terms,
+from catlin.poly import (CoordChange, DimensionMismatch, NonRealError, Poly,
+                         PolyError, _capped_products, _derivative_terms,
                          eliminate_harmonic, require_real,
                          revlex_max_balanced, split_model, weighted_order)
 
@@ -707,3 +707,55 @@ def test_split_model_returns_head_and_tangential_part():
 def test_split_model_rejects(expr):
     with pytest.raises(PolyError):
         split_model(parse_poly(expr, 2))
+
+
+_MU2 = (Fraction(1), Fraction(1, 2))
+_Z1, _Z2 = Poly.variable(2, 1), Poly.variable(2, 2)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Poly(0, {}), PolyError, "dimension must be >= 1"),
+    (lambda: Poly(2, {((1,), (0,)): 1}), DimensionMismatch,
+     "exponent length != n=2: ((1,), (0,))"),
+    (lambda: Poly(2, {((1, -1), (0, 0)): 1}), PolyError,
+     "negative exponent in ((1, -1), (0, 0))"),
+    (lambda: _Z1 + Poly.variable(3, 1), DimensionMismatch, "n=2 vs n=3"),
+    (lambda: _Z1 ** -1, PolyError, "exponent must be a nonnegative integer"),
+    (lambda: _Z1.evaluate([1]), DimensionMismatch, "point length != n"),
+    (lambda: Poly.from_json_dict({"n": 2, "terms": {}}), PolyError,
+     "JSON polynomial: terms must be a list"),
+    (lambda: Poly.variable(2, 3), DimensionMismatch,
+     "variable index 3 out of range 1..2"),
+    (lambda: weighted_order(((1, 0), (0, 0)), (Fraction(1),)),
+     DimensionMismatch, "weight length != exponent length"),
+    (lambda: CoordChange(2, [_Z1], _MU2), DimensionMismatch,
+     "need one map and one weight per variable"),
+    (lambda: CoordChange(2, [_Z1, Poly.variable(3, 2)], _MU2),
+     DimensionMismatch, "component map dimension mismatch"),
+    (lambda: CoordChange(2, [_Z1, Poly.conj_variable(2, 2)], _MU2),
+     PolyError, "component map 2 is not holomorphic"),
+    (lambda: CoordChange(2, [_Z1, _Z2 + Poly.const(2, 1)], _MU2), PolyError,
+     "component map 2 does not fix the origin"),
+    (lambda: CoordChange(2, [_Z1 + _Z2, _Z1 + _Z2], _MU2, graded=False),
+     PolyError, "linear part of the change is singular"),
+], ids=["dimension", "exponent-length", "negative-exponent", "add-dimension",
+        "negative-power", "point-length", "json-terms", "variable-index",
+        "weight-length", "change-map-count", "change-map-dimension",
+        "change-not-holomorphic", "change-moves-origin",
+        "ungraded-change-singular"])
+def test_input_checks_raise(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("expr, n, text", [
+    ("3", 2, "3"),
+    ("|z2|^2 - 1", 2, "-1 + |z2|^2"),
+    ("-1/2 + 2*Re(z2)", 2, "-1/2 + 2*Re(z2)"),
+    ("-2*Re(z1) + 2 + |z3|^4", 3, "2 - 2*Re(z1) + |z3|^4"),
+], ids=["integer", "negative", "fraction", "model"])
+def test_constant_term_prints_without_a_factor(expr, n, text):
+    p = parse_poly(expr, n)
+    assert str(p) == text
+    assert parse_poly(text, n) == p

@@ -8,7 +8,7 @@ import pytest
 from catlin import weights
 from catlin.exact import CRat
 from catlin.parser import parse_poly
-from catlin.poly import Poly, PolyError
+from catlin.poly import DimensionMismatch, Poly, PolyError
 from catlin.weights import (INF, MAX_DEGREE_BOUND, MAX_ENUMERATE_DIMENSION,
                             MAX_ENUMERATE_TYPE, InverseWeight, Weight,
                             _Shear, _catalog, _evecs, _integer_terms,
@@ -38,6 +38,30 @@ def test_weight_validation():
         Weight((Fraction(1), Fraction(1, 4), Fraction(1, 2)))
     with pytest.raises(PolyError):
         Weight((Fraction(2),))
+
+
+_SLOPE = parse_poly("|z2|^4", 2)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Weight((Fraction(1), Fraction(1, 2), Fraction(-1))), PolyError,
+     "weight entries must be nonnegative"),
+    (lambda: InverseWeight((Fraction(2), Fraction(2))), PolyError,
+     "inverse weight must start with lambda_1 = 1"),
+    (lambda: InverseWeight((Fraction(1), Fraction(0))), PolyError,
+     "inverse weight entries must be nondecreasing"),
+    (lambda: counting_bound(1, 4), PolyError, "counting bound needs n >= 2"),
+    (lambda: counting_bound(3, Fraction(3, 2)), PolyError,
+     "counting bound needs type m >= 2"),
+    (lambda: lower_weight_at(Weight((Fraction(1), Fraction(1, 4))), 3,
+                             _SLOPE),
+     DimensionMismatch, "slot 3 out of range"),
+], ids=["weight-negative", "inverse-first", "inverse-nonpositive",
+        "counting-n", "counting-m", "lower-slot"])
+def test_weight_input_checks_raise(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_reciprocity_involution():
