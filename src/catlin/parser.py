@@ -49,6 +49,16 @@ MAX_PRODUCT_PAIRS = 1_000_000
 # deepest parser frame, so deep nesting is a ParseError, not a RecursionError.
 MAX_NESTING = 400
 
+# Most digits of one number token: a literal, a denominator, an exponent or
+# a variable index.  Python refuses to convert a longer decimal string than
+# sys.get_int_max_str_digits() allows, 4300 digits by default and never
+# fewer than 640, so a token of at most 640 digits always converts, and a
+# longer one is a ParseError, not a ValueError.  Only a literal that long
+# could still mean something, and no model needs a 640-digit coefficient; an
+# index that long is past any dimension, and an exponent that long on a
+# variable is past MAX_POWER_TERMS.
+MAX_DIGITS = 640
+
 
 class ParseError(PolyError):
     """Syntax error; carries the character position."""
@@ -76,6 +86,10 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
             if m.group(kind):
                 tokens.append((kind, m.group(kind), m.start(kind)))
                 break
+        digits = m.group("num") or m.group("idx") or m.group("cidx") or ""
+        if len(digits) > MAX_DIGITS:
+            raise ParseError(f"number longer than {MAX_DIGITS} digits",
+                             m.start(kind))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens

@@ -25,11 +25,13 @@ data (permutation tuples and shears (i, j, k, c)), and a candidate's support
 is computed from the entry without forming its polynomial: a permutation
 moves the exponent vectors, and a shear expands each term by the binomial
 theorem with integer coefficients over p's common denominator, so a term
-leaves the support exactly when it cancels.  Only the winning entry is
-rendered as variable maps and applied by ``Poly.substitute_maps``.  The
-catalog's size is linear in the degree bound, which is limited to
-``MAX_DEGREE_BOUND``, and it grows as (n-1)! with the dimension, which is
-limited to ``MAX_SEARCH_DIMENSION``.
+leaves the support exactly when it cancels.  A larger support weighs no
+more, so a candidate whose support contains the incumbent's is not weighed,
+and a shear that provably cancels no term is not even expanded.  Only the
+winning entry is rendered as variable maps and applied by
+``Poly.substitute_maps``.  The catalog's size is linear in the degree bound,
+which is limited to ``MAX_DEGREE_BOUND``, and it grows as (n-1)! with the
+dimension, which is limited to ``MAX_SEARCH_DIMENSION``.
 
 The weight search runs on integers.  It keeps one common denominator, the
 lcm of the denominators of the weights 1/lambda chosen so far, and holds
@@ -422,8 +424,6 @@ def _support_after(entry: _Change, support: frozenset,
     i, j, k, c = entry
     i, j = i - 2, j - 2  # positions among z_2..z_n
     out = {(a, b): (x, y) for a, b, x, y in terms if not (a[i] or b[i])}
-    if len(out) == len(terms):  # z_i does not occur: nothing moves
-        return support
     for a, b, x, y in terms:
         if not (a[i] or b[i]):
             continue
@@ -446,6 +446,28 @@ def _support_after(entry: _Change, support: frozenset,
                      for (a, b), acc in out.items() if acc != (0, 0))
 
 
+def _cancels_nothing(shear: _Shear, terms: List[_IntTerm]) -> bool:
+    """Whether the shear z_i -> z_i + c*z_j^k keeps every term of p (given
+    as its ``_integer_terms``), so the changed support contains p's.
+
+    Let phi set a_i to 0 and a_j to a_j + k*a_i.  Every term of the binomial
+    expansion of z^a zbar^b has the same (phi(a), phi(b)) as the term itself,
+    so a key of p can cancel only against the expansion of another key of
+    the same class.  When phi is injective on p's keys, each key receives its
+    own coefficient and nothing else, and stays.  The check reads neither c
+    nor the coefficients, and holds at once when z_i does not occur."""
+    i, j, k, _c = shear
+    i, j = i - 2, j - 2  # positions among z_2..z_n
+    classes = set()
+    for a, b, _x, _y in terms:
+        a2, b2 = list(a), list(b)
+        a2[j] += k * a2[i]
+        b2[j] += k * b2[i]
+        a2[i] = b2[i] = 0
+        classes.add((tuple(a2), tuple(b2)))
+    return len(classes) == len(terms)
+
+
 def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
     """Bounded search for the multitype of the model r = c*Re(z1) + p.
 
@@ -454,6 +476,13 @@ def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
     witness records the applied composed maps and the admissibility rows.
     Each candidate is weighed from its support alone (``_support_after``);
     only an improving change is applied to p, by ``substitute_maps``.
+
+    A candidate whose support contains the incumbent's is never weighed:
+    more exponent vectors leave fewer feasible weights, so its lex-max is no
+    higher.  A shear z_i -> z_i + c*z_j^k keeps each term's expansion inside
+    the term's class under phi (a_i set to 0, a_j to a_j + k*a_i); when phi
+    is injective on p's keys no term cancels, the support only grows, and
+    the shear is skipped before it is expanded (``_cancels_nothing``).
     """
     if not 0 <= degree_bound <= MAX_DEGREE_BOUND:
         raise PolyError(f"degree bound {degree_bound} is outside "
@@ -472,17 +501,25 @@ def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
         raise PolyError("no admissible distinguished weight found in given "
                         "coordinates; input is not a graded model")
     catalog = _catalog(r.n, degree_bound)
-    # A support's weight is at most the incumbent once evaluated, and the
+    # The lex-max weight is monotone in the support (more exponent vectors,
+    # fewer feasible weights) and ``best`` is the weight of ``support``, so
+    # no candidate support containing ``support`` can beat it; nor can a
+    # shear whose phi-classes keep p's keys apart (``_cancels_nothing``).  A
+    # support's weight is at most the incumbent once evaluated, and the
     # incumbent only rises: such a support can never win a later round.
     settled = {support}
     applied: List[str] = []
     for _ in range(MAX_ROUNDS):
         terms = _integer_terms(p)
         for entry in catalog:
+            if isinstance(entry, _Shear) and _cancels_nothing(entry, terms):
+                continue
             cand_support = _support_after(entry, support, terms)
             if cand_support in settled:
                 continue
             settled.add(cand_support)
+            if cand_support >= support:
+                continue
             cand = best_distinguished_weight(cand_support, r.n, above=best)
             if cand is not None:
                 name, maps = _render(r.n, entry)

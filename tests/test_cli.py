@@ -602,6 +602,18 @@ TEXT_MODEL = "-2*Re(z1) + |z2|^4"
     (["parse", "--n", "2", "--expr", "~" * 5000 + "z2"],
      "parse error at position 400: nesting deeper than 400 parser frames"),
     (["parse", "DEEP_JSON"], "JSON input nests too deeply"),
+    # number tokens longer than the parser's digit bound: an exponent, a
+    # literal, a variable index, a conjugate index and a denominator
+    (["parse", "--n", "2", "--expr", "z2^" + "9" * 5000],
+     "parse error at position 3: number longer than 640 digits"),
+    (["parse", "--n", "2", "--expr", "9" * 5000],
+     "parse error at position 0: number longer than 640 digits"),
+    (["parse", "--n", "2", "--expr", "z" + "9" * 5000],
+     "parse error at position 0: number longer than 640 digits"),
+    (["parse", "--n", "2", "--expr", "zbar" + "9" * 5000],
+     "parse error at position 0: number longer than 640 digits"),
+    (["parse", "--n", "2", "--expr", "1/" + "9" * 5000],
+     "parse error at position 2: number longer than 640 digits"),
 ])
 def test_input_errors_exit_2(capsys, tmp_path, argv, message):
     path = tmp_path / "model.txt"
@@ -622,6 +634,15 @@ def test_input_errors_exit_2(capsys, tmp_path, argv, message):
 def test_nested_expression_parses(capsys, expr):
     assert run_cli(capsys, "parse", "--n", "2", "--expr", expr) == \
         (0, "|z2|^2\n", "")
+
+
+def test_longest_number_parses(capsys):
+    # a literal and a denominator at the parser's digit bound
+    big = "9" * 640
+    assert run_cli(capsys, "parse", "--n", "2", "--expr", big) == \
+        (0, big + "\n", "")
+    assert run_cli(capsys, "parse", "--n", "2", "--expr",
+                   f"{big}/{big}*|z2|^2") == (0, "|z2|^2\n", "")
 
 
 def test_text_file_input_parses_with_n(capsys, tmp_path):

@@ -11,10 +11,10 @@ from catlin.parser import parse_poly
 from catlin.poly import DimensionMismatch, Poly, PolyError
 from catlin.weights import (INF, MAX_DEGREE_BOUND, MAX_ENUMERATE_DIMENSION,
                             MAX_ENUMERATE_TYPE, InverseWeight, Weight,
-                            _Shear, _catalog, _evecs, _integer_terms,
-                            _render, _support_after, admissible_rows,
-                            best_distinguished_weight, corroborate,
-                            counting_bound, enumerate_multitypes,
+                            _Shear, _cancels_nothing, _catalog, _evecs,
+                            _integer_terms, _render, _support_after,
+                            admissible_rows, best_distinguished_weight,
+                            corroborate, counting_bound, enumerate_multitypes,
                             is_admissible, lower_weight_at, multitype_search,
                             recip, STATUS_EXACT, STATUS_LOWER_BOUND)
 
@@ -341,6 +341,51 @@ def test_catalog_support_matches_substitution():
     assert cancelled >= 500, cancelled
 
 
+def test_cancels_nothing_is_sound():
+    # a shear the search skips unexpanded keeps every term of p, so its
+    # support contains p's; an inverse shear that cancels is never skipped
+    rng = random.Random(1606)
+    counts = {"skipped": 0, "cancelled": 0}
+    for n in (3, 3, 4, 4, 5, 5, 6, 6):
+        p = _gaussian_model(rng, n)
+        support, terms = _evecs(p), _integer_terms(p)
+        for entry in _catalog(n, 4):
+            if not isinstance(entry, _Shear):
+                continue
+            name, maps = _render(n, entry)
+            q = substitute_maps_oracle(p, maps)
+            if _cancels_nothing(entry, terms):
+                assert set(q.terms) >= set(p.terms), name
+                assert _evecs(q) >= support, name
+                counts["skipped"] += 1
+            back = entry._replace(c=-entry.c)
+            if _evecs(q) != support:  # the inverse cancels what q gained
+                assert not _cancels_nothing(back, _integer_terms(q)), name
+                counts["cancelled"] += 1
+    assert counts["cancelled"] >= 500, counts
+    assert min(counts.values()) > 0, counts
+
+
+def test_multitype_search_weighs_no_shear(monkeypatch):
+    # a diagonal model: no shear cancels a term.  Each is skipped unexpanded
+    # but z3 += +-z4, which maps |z3|^6 into |z4|^6's class; its support
+    # contains the model's, so it is not weighed either.  Only the initial
+    # support and the 11 new supports of the 23 permutations are weighed.
+    weighed = []
+    original = weights.best_distinguished_weight
+
+    def counted(support, n, above=None):
+        weighed.append(support)
+        return original(support, n, above)
+    monkeypatch.setattr(weights, "best_distinguished_weight", counted)
+    r = parse_poly("-2*Re(z1) + |z2|^4 + |z3|^6 + |z4|^6 + |z5|^8", 5)
+    mt = multitype_search(r)
+    assert mt.value == InverseWeight((Fraction(1), 4, 6, 6, 8))
+    assert mt.witness["changes"] == []
+    assert len(weighed) == 12
+    assert all(len(support) == 4 for support in weighed)
+
+
 def test_best_distinguished_harmonic_sensitivity():
     # without harmonic elimination the pure term would cap lambda_2 at 2
     r = parse_poly("-2*Re(z1) + |z2|^4 + 2*Re(z2^2)", 2)
@@ -455,11 +500,35 @@ def _random_model(rng, n):
     return head + substitute_maps_oracle(p, maps)
 
 
+def _sheared_diagonal(rng, n):
+    """A diagonal sum of |z_v|^(2k_v), k_v nondecreasing in v, under a
+    random shear z_i -> z_i +- z_j^k with i < j and k*k_i < k_j.  The sheared
+    |z_i|^(2k_i) puts |z_j|^(2k*k_i) in the support, below weight 1 under the
+    diagonal weight, and every other term stays; so the sheared model weighs
+    less than the diagonal one, and the inverse shear alone gets it back."""
+    ks = [1]
+    while ks[0] == ks[-1]:  # until two exponents differ
+        ks = sorted(rng.randint(1, 5) for _ in range(n - 1))
+    i, j = rng.choice([(i, j) for i, j in itertools.combinations(
+        range(2, n + 1), 2) if ks[i - 2] < ks[j - 2]])
+    k = rng.choice([k for k in (1, 2) if k * ks[i - 2] < ks[j - 2]])
+    p = Poly.zero(n)
+    for v, kv in enumerate(ks, start=2):
+        alpha = tuple(kv if u == v else 0 for u in range(1, n + 1))
+        p = p + Poly.monomial(n, alpha, alpha, rand_crat(rng).re ** 2 + 1)
+    maps = [Poly.variable(n, v) for v in range(1, n + 1)]
+    maps[i - 1] = maps[i - 1] + Poly.variable(n, j) ** k * rng.choice((1, -1))
+    return parse_poly("-2*Re(z1)", n) + substitute_maps_oracle(p, maps)
+
+
 def test_multitype_search_matches_oracle_search():
     rng = random.Random(77)
     models = [_random_model(rng, n) for n in (3, 3, 3, 3, 4, 4, 4, 5)]
     models += [parse_poly("-2*Re(z1) + |z2 + z3^2|^4 + |z3|^8", 3),
                parse_poly("-2*Re(z1) + |z2|^6 + |z3|^4 + |z4|^8", 4)]
+    sheared = random.Random(78)
+    models += [_sheared_diagonal(sheared, (3, 3, 4, 4, 5)[m % 5])
+               for m in range(40)]
     changed = 0
     # a shear and then a permutation: the rendered winner is pinned here
     r = parse_poly("-2*Re(z1) + |z2|^6 + |z3+z4|^6 + |z4|^12 + |z5|^8", 5)
@@ -474,7 +543,7 @@ def test_multitype_search_matches_oracle_search():
         assert got.value == want.value, str(r)
         assert got.witness == want.witness, str(r)
         changed += bool(got.witness["changes"])
-    assert changed >= 3
+    assert changed >= 43  # 3, and each sheared diagonal
 
 
 # ----------------------------------------------------------------------
