@@ -6,6 +6,13 @@ The form is canonical, so equality is a comparison of the three ints, and
 each arithmetic result needs at most one gcd (none when its denominator is
 1).  No floating point is used anywhere, so equality and vanishing tests are
 exact.  The real and imaginary parts are read as ``Fraction`` values.
+
+The linear algebra is one path: ``rank`` and ``inverse`` by Gauss-Jordan
+elimination, and the congruence of a Hermitian matrix to diagonal form,
+``hermitian_reduce``, by Schur complements of the Gram matrix of the
+vectors it has not yet used as pivots, with hyperbolic pairs as its 2x2
+steps; ``hermitian_form`` evaluates a form at two vectors, for the
+callers that need one value.
 """
 
 from __future__ import annotations
@@ -115,14 +122,18 @@ class CRat:
     def __pow__(self, e: int) -> "CRat":
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = CRat(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        a, b, d = self._a, self._b, self._d
+        if not b:   # a^e and d^e are coprime, as a and d are
+            return _crat(a ** e, 0, d ** e)
+        # (a + b*i)^e by squaring in the Gaussian integers, over d^e
+        re, im, k = 1, 0, e
+        while k:
+            if k & 1:
+                re, im = re * a - im * b, re * b + im * a
+            k >>= 1
+            if k:
+                a, b = a * a - b * b, 2 * a * b
+        return _reduced(re, im, d ** e)
 
     def conj(self) -> "CRat":
         return _crat(self._a, -self._b, self._d)
@@ -134,6 +145,11 @@ class CRat:
 
     def is_zero(self) -> bool:
         return not (self._a or self._b)
+
+    def bit_length(self) -> int:
+        """Bits of the largest of |a|, |b| and d, for (a + b*i)/d in
+        canonical form: a bound on the size of the number."""
+        return max(abs(self._a), abs(self._b), self._d).bit_length()
 
     def is_real(self) -> bool:
         return not self._b
@@ -190,6 +206,7 @@ def _reduced(a: int, b: int, d: int) -> CRat:
 
 
 CZERO = CRat(0)
+CONE = CRat(1)
 CI = CRat(0, 1)
 
 
@@ -250,46 +267,63 @@ def hermitian_form(h: Sequence[Sequence[CRat]], u: Sequence[CRat],
 def hermitian_reduce(h: Sequence[Sequence[CRat]]
                      ) -> List[Tuple[List[CRat], Fraction]]:
     """Congruence of a Hermitian CRat matrix to diagonal form: exact
-    Gram-Schmidt with hyperbolic pairs.
+    Gram-Schmidt with hyperbolic pairs (the 2x2 steps of Bunch and Parlett's
+    symmetric indefinite factorization), by Schur complements of the Gram
+    matrix.
 
     Returns basis vectors q_i with hermitian_form(h, q_i, q_j) = 0 for i != j,
     as (q_i, hermitian_form(h, q_i, q_i)) pairs, nonzero values first.  A
-    non-real value (h not Hermitian) raises ValueError."""
+    non-real value (h not Hermitian) raises ValueError.
+
+    The remaining vectors v_a start as the unit vectors, and their Gram
+    matrix G[a][b] = hermitian_form(h, v_a, v_b) as h; both are updated in
+    place, so no form is evaluated.  The pivot p is the first remaining
+    vector of nonzero value G[p][p]; each later v_a with G[a][p] != 0 takes
+    c = G[a][p] / G[p][p], v_a -= c * v_p and G[a][b] -= c * G[p][b], the
+    Schur complement (the other term of the update, conj(c_b) times
+    G[a][p] - c * G[p][p], is zero for any h).  When every remaining value is
+    zero, the first pair a < b with G[a][b] != 0 becomes v_a += t * v_b,
+    t = 1, or i when that value G[a][b] + G[b][a] is zero: row a gains t
+    times row b, then column a gains conj(t) times column b."""
     dim = len(h)
-    remaining = [[CRat(1 if i == k else 0) for k in range(dim)]
-                 for i in range(dim)]
+    vecs = [[CONE if i == k else CZERO for k in range(dim)]
+            for i in range(dim)]
+    gram = [[CRat.of(x) for x in row] for row in h]
+    remaining = list(range(dim))
     done: List[Tuple[List[CRat], Fraction]] = []
     while remaining:
-        # the remaining vectors are orthogonal to every earlier pivot, so
-        # only the newest one is projected out (a zero value ends the loop)
-        if done:
-            q, d = done[-1]
-            for v in remaining:
-                coef = hermitian_form(h, v, q) / CRat(d)
-                for k in range(dim):
-                    v[k] = v[k] - coef * q[k]
-        values = ((v, hermitian_form(h, v, v)) for v in remaining)
-        pick, val = next(((v, d) for v, d in values if not d.is_zero()),
-                         (None, None))
-        if pick is None:
-            hyper = None
-            for v, w in itertools.combinations(remaining, 2):
-                if not hermitian_form(h, v, w).is_zero():
-                    hyper = (v, w)
-                    break
-            if hyper is None:
-                done.extend((v, Fraction(0)) for v in remaining)
+        p = next((a for a in remaining if gram[a][a]), None)
+        if p is None:
+            pair = next(((a, b) for a, b in itertools.combinations(
+                remaining, 2) if gram[a][b]), None)
+            if pair is None:
+                done.extend((vecs[a], Fraction(0)) for a in remaining)
                 break
-            v, w = hyper
-            cand = [v[k] + w[k] for k in range(dim)]
-            if hermitian_form(h, cand, cand).is_zero():
-                cand = [v[k] + CI * w[k] for k in range(dim)]
-            remaining[remaining.index(v)] = cand
+            a, b = pair
+            t = CONE if gram[a][b] + gram[b][a] else CI
+            va, vb = vecs[a], vecs[b]
+            vecs[a] = [x + t * y for x, y in zip(va, vb)]
+            row_a, row_b = gram[a], gram[b]
+            for x in remaining:
+                row_a[x] = row_a[x] + t * row_b[x]
+            t = t.conj()
+            for x in remaining:
+                gram[x][a] = gram[x][a] + t * gram[x][b]
             continue
+        val = gram[p][p]
         if not val.is_real():
             raise ValueError("Hermitian form value not real")
-        done.append((pick, val.re))
-        remaining.remove(pick)
+        done.append((vecs[p], val.re))
+        remaining.remove(p)
+        q, row_p = vecs[p], gram[p]
+        for a in remaining:
+            if gram[a][p]:
+                c = gram[a][p] / val
+                v, row = vecs[a], gram[a]
+                for k in range(dim):
+                    v[k] = v[k] - c * q[k]
+                for x in remaining:
+                    row[x] = row[x] - c * row_p[x]
     done.sort(key=lambda t: t[1] == 0)  # stable: nonzero first
     return done
 

@@ -14,6 +14,14 @@ Grammar (documented in the README):
 Sugar: Re/Im expand to Hermitian-symmetric pairs, conj/~ conjugates, and
 |e|^2k expands to (e*conj(e))^k.  A modulus must carry an even power; the
 whole expression must be real-valued after expansion.
+
+The parser works on raw term tables (Dict[TermKey, CRat]) through the
+``poly`` kernels that the Poly ring operations wrap (``_sum_terms``,
+``_neg_terms``, ``_scale_terms``, ``_conj_terms``, ``_mul_terms``), so the
+arithmetic is the same and every table has the key order the Poly
+operations would give it; one Poly is built at the end.  An atom is a
+one-term table, and a power of a one-term base is formed in closed form,
+after the size checks.
 """
 
 from __future__ import annotations
@@ -21,10 +29,14 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .exact import CRat, CI
-from .poly import NonRealError, Poly, PolyError, require_real
+from .exact import CI, CONE, CRat
+from .poly import (NonRealError, Poly, PolyError, TermKey, _conj_terms,
+                   _mul_terms, _neg_terms, _nonzero, _scale_terms, _sum_terms,
+                   require_real)
+
+Terms = Dict[TermKey, CRat]
 
 
 # Most terms a power may expand to.  A power is refused before it is
@@ -59,6 +71,14 @@ MAX_NESTING = 400
 # variable is past MAX_POWER_TERMS.
 MAX_DIGITS = 640
 
+# Most decimal digits of a printed number: Python refuses to convert a
+# longer int to a string (sys.get_int_max_str_digits(), 4300 by default).
+# A power whose coefficient would be longer is refused before it is formed,
+# so a long exponent on a constant fails fast instead of growing a number
+# that cannot be printed.  10^MAX_PRINTED_DIGITS < 2^_PRINTED_BITS.
+MAX_PRINTED_DIGITS = 4300
+_PRINTED_BITS = (10 ** MAX_PRINTED_DIGITS).bit_length()
+
 
 class ParseError(PolyError):
     """Syntax error; carries the character position."""
@@ -68,37 +88,42 @@ class ParseError(PolyError):
         self.pos = pos
 
 
+# One token, after optional whitespace; any other character is ``bad``.
 _TOKEN = _re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<cvar>zbar(?P<cidx>\d+))|(?P<var>z(?P<idx>\d+))"
-    r"|(?P<name>Re|Im|conj)|(?P<op>[-+*^/()|~])|(?P<imag>i))")
+    r"\s*(?:(?P<num>\d+)|(?P<cvar>zbar\d+)|(?P<var>z\d+)"
+    r"|(?P<name>Re|Im|conj)|(?P<op>[-+*^/()|~])|(?P<imag>i)|(?P<bad>\S))")
+
+# The letters before the digits of each token kind that holds a number.
+_LETTERS = {"num": 0, "var": len("z"), "cvar": len("zbar")}
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
+    """(kind, text, position) of each token, then an ``end`` token.  Every
+    non-space character starts a match, so the scan skips only trailing
+    whitespace."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        for kind in ("num", "cvar", "var", "name", "op", "imag"):
-            if m.group(kind):
-                tokens.append((kind, m.group(kind), m.start(kind)))
-                break
-        digits = m.group("num") or m.group("idx") or m.group("cidx") or ""
-        if len(digits) > MAX_DIGITS:
-            raise ParseError(f"number longer than {MAX_DIGITS} digits",
-                             m.start(kind))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[m.start()]!r}",
+                             m.start())
+        val, start = m.group(kind), m.start(kind)
+        if kind in _LETTERS and len(val) - _LETTERS[kind] > MAX_DIGITS:
+            raise ParseError(f"number longer than {MAX_DIGITS} digits", start)
+        tokens.append((kind, val, start))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens, on raw term tables: each rule
+    returns a Dict[TermKey, CRat] without zeros, formed by the ``poly``
+    kernels, and ``parse_poly`` builds one Poly from the last."""
+
     def __init__(self, text: str, n: int):
         self.text = text
         self.n = n
+        self.zero = (0,) * n
         self.tokens = _tokenize(text)
         self.i = 0
         self.pairs_left = MAX_PRODUCT_PAIRS
@@ -125,25 +150,24 @@ class _Parser:
             raise ParseError(f"nesting deeper than {MAX_NESTING} parser "
                              "frames", pos)
 
-    def parse(self) -> Poly:
+    def parse(self) -> Terms:
         p = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", pos)
         return p
 
-    def expr(self) -> Poly:
+    def expr(self) -> Terms:
         p = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                q = self.term()
-                p = p + q if val == "+" else p - q
+                p = _sum_terms(p, self.term(), val == "-")
             else:
                 return p
 
-    def term(self) -> Poly:
+    def term(self) -> Terms:
         p = self.factor()
         while True:
             kind, val, _ = self.peek()
@@ -157,12 +181,12 @@ class _Parser:
             pos = self.peek()[2]
             p = self._product(p, self.factor(), pos)
 
-    def factor(self) -> Poly:
+    def factor(self) -> Terms:
         kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.next()
             self.descend(1, pos)
-            p = -self.factor()
+            p = _neg_terms(self.factor())
             self.depth -= 1
             return p
         p, modulus = self.atom()
@@ -183,11 +207,12 @@ class _Parser:
             return self._power(p, exponent, pos)
         return p
 
-    def atom(self) -> Tuple[Poly, bool]:
-        """Returns (poly, is_modulus)."""
+    def atom(self) -> Tuple[Terms, bool]:
+        """Returns (term table, is_modulus)."""
         kind, val, pos = self.next()
+        zero = self.zero
         if kind == "num":
-            value = Fraction(int(val))
+            value = int(val)
             k2, v2, _ = self.peek()
             if k2 == "op" and v2 == "/":
                 self.next()
@@ -196,18 +221,16 @@ class _Parser:
                     raise ParseError("expected integer denominator", p3)
                 if int(v3) == 0:
                     raise ParseError("zero denominator", p3)
-                value /= int(v3)
-            return Poly.const(self.n, value), False
+                value = Fraction(value, int(v3))
+            return ({(zero, zero): CRat.of(value)} if value else {}), False
         if kind == "imag":
-            return Poly.const(self.n, CI), False
-        if kind == "var":
-            j = int(val[1:])
+            return {(zero, zero): CI}, False
+        if kind in ("var", "cvar"):
+            j = int(val[_LETTERS[kind]:])
             self._check_var(j, pos)
-            return Poly.variable(self.n, j), False
-        if kind == "cvar":
-            j = int(val[4:])
-            self._check_var(j, pos)
-            return Poly.conj_variable(self.n, j), False
+            unit = zero[:j - 1] + (1,) + zero[j:]
+            key = (unit, zero) if kind == "var" else (zero, unit)
+            return {key: CONE}, False
         if kind == "name":
             self.expect_op("(")
             self.descend(4, pos)
@@ -215,17 +238,19 @@ class _Parser:
             self.depth -= 4
             self.expect_op(")")
             if val == "conj":
-                return inner.conj(), False
+                return _conj_terms(inner), False
             if val == "Re":
-                return (inner + inner.conj()) * Fraction(1, 2), False
-            return (inner - inner.conj()) * (CRat(0, Fraction(-1, 2))), False
+                return _scale_terms(_sum_terms(inner, _conj_terms(inner)),
+                                    _HALF), False
+            return _scale_terms(_sum_terms(inner, _conj_terms(inner), True),
+                                _MINUS_HALF_I), False
         if kind == "op" and val == "~":
             self.descend(1, pos)
             inner, modulus = self.atom()
             self.depth -= 1
             if modulus:
                 raise ParseError("cannot conjugate a modulus directly", pos)
-            return inner.conj(), False
+            return _conj_terms(inner), False
         if kind == "op" and val == "(":
             self.descend(4, pos)
             inner = self.expr()
@@ -247,19 +272,19 @@ class _Parser:
             raise ParseError(
                 f"variable z{j} outside dimension n={self.n}", pos)
 
-    def _product(self, p: Poly, q: Poly, pos: int) -> Poly:
+    def _product(self, p: Terms, q: Terms, pos: int) -> Terms:
         """p * q, after charging its term pairs against the parse's budget of
         MAX_PRODUCT_PAIRS."""
-        pairs = len(p.terms) * len(q.terms)
+        pairs = len(p) * len(q)
         if pairs > self.pairs_left:
             raise ParseError(f"product would form {pairs} term pairs, more "
                              f"than the {self.pairs_left} left of the "
                              f"{MAX_PRODUCT_PAIRS} a parse may form", pos)
         self.pairs_left -= pairs
-        return p * q
+        return _nonzero(_mul_terms(p, q))
 
-    def _power(self, p: Poly, k: int, pos: int,
-               modulus: bool = False) -> Poly:
+    def _power(self, p: Terms, k: int, pos: int,
+               modulus: bool = False) -> Terms:
         """p ** k, or |p|^2k = (p * conj(p)) ** k when ``modulus``.
 
         Refused before it is expanded when more than MAX_POWER_TERMS monomials
@@ -268,14 +293,23 @@ class _Parser:
         same for zbar.  The base p * conj(p) of a modulus has every variable of
         p on both sides, and degree the largest holomorphic plus the largest
         antiholomorphic degree of p (top parts of a product of nonzero
-        polynomials never cancel), so it is not formed: a modulus is expanded
-        as q * conj(q) with q = p ** k, which forms far fewer term pairs.
-        Powers are taken from the top bit of k down, so that the last product
-        is the largest; ``_product`` charges each one."""
-        hol = {i for (a, _b) in p.terms for i, e in enumerate(a) if e}
-        anti = {i for (_a, b) in p.terms for i, e in enumerate(b) if e}
-        d_hol = k * max((sum(a) for a, _b in p.terms), default=0)
-        d_anti = k * max((sum(b) for _a, b in p.terms), default=0)
+        polynomials never cancel), so it is not formed.  Refused as well, for
+        k > 1, when a coefficient the power surely has would print more than
+        MAX_PRINTED_DIGITS digits (``_extreme_coefficients``,
+        ``_unprintable_power``); with k <= 1 it is p, 1 or the one product
+        p * conj(p), and a product of two factors is not checked (its
+        coefficients have about the digits of both together).
+
+        A one-term base is raised in closed form, which forms no term pairs:
+        its exponents times k, its coefficient c ** k, or |c|^2k for a
+        modulus.  Any other modulus is expanded as q * conj(q) with
+        q = p ** k, which forms far fewer term pairs than powers of
+        p * conj(p).  Powers are taken from the top bit of k down, so that
+        the last product is the largest; ``_product`` charges each one."""
+        hol = {i for (a, _b) in p for i, e in enumerate(a) if e}
+        anti = {i for (_a, b) in p for i, e in enumerate(b) if e}
+        d_hol = k * max((sum(a) for a, _b in p), default=0)
+        d_anti = k * max((sum(b) for _a, b in p), default=0)
         if modulus:
             hol = anti = hol | anti
             d_hol = d_anti = d_hol + d_anti
@@ -284,12 +318,78 @@ class _Parser:
         if bound > MAX_POWER_TERMS:
             raise ParseError(f"power may expand to {bound} terms, more than "
                              f"{MAX_POWER_TERMS}", pos)
-        out = p if k else Poly.const(p.n, 1)
+        if k > 1 and any(_unprintable_power(w, k)
+                         for w in _extreme_coefficients(p, modulus)):
+            raise ParseError("power's coefficient would have more than "
+                             f"{MAX_PRINTED_DIGITS} digits", pos)
+        if len(p) == 1:
+            ((a, b), c), = p.items()
+            if modulus:
+                e = tuple(k * (x + y) for x, y in zip(a, b))
+                return {(e, e): CRat.of(c.abs2() ** k)}
+            return {(tuple(k * x for x in a), tuple(k * y for y in b)):
+                    c ** k}
+        out = p if k else {(self.zero, self.zero): CONE}
         for bit in f"{k:b}"[1:]:
             out = self._product(out, out, pos)
             if bit == "1":
                 out = self._product(out, p, pos)
-        return self._product(out, out.conj(), pos) if modulus else out
+        return self._product(out, _conj_terms(out), pos) if modulus else out
+
+
+_HALF = CRat(Fraction(1, 2))
+_MINUS_HALF_I = CRat(0, Fraction(-1, 2))
+
+
+def _concatenated(key: TermKey) -> tuple:
+    return key[0] + key[1]
+
+
+def _swapped(key: TermKey) -> tuple:
+    return key[1] + key[0]
+
+
+def _extreme_coefficients(p: Terms, modulus: bool) -> Iterator[CRat]:
+    """Each w such that p ** k, or |p|^2k when ``modulus``, has the
+    coefficient w ** k: at its lex-largest and lex-smallest exponent
+    vector.  Lex order on the concatenated (alpha, beta) is kept by adding
+    a vector, so an extreme term of a product is the product of the
+    factors' extreme terms and never cancels; the extreme terms of conj(p)
+    are those of p with the largest and the smallest swapped key."""
+    for pick in (max, min)[:len(p)]:   # a one-term p has one extreme
+        w = p[pick(p, key=_concatenated)]
+        if modulus:
+            w = w * p[pick(p, key=_swapped)].conj()
+        yield w
+
+
+def _unprintable_power(w: CRat, k: int) -> bool:
+    """True when w ** k surely has a real or imaginary part whose numerator
+    or denominator has more than MAX_PRINTED_DIGITS digits.
+
+    A lower bound from bit lengths, so a power that prints is never
+    refused: 2^(b - 1) <= x < 2^b for an int x >= 1 of b bits.  A real
+    w = a/d in lowest terms has w ** k = a^k/d^k in lowest terms.  For a
+    complex w = (a + b*i)/d with gcd(a, b, d) = 1, one part of w ** k is at
+    least |w|^k / sqrt(2) in modulus, so its numerator is as well; and each
+    prime power p^e of d leaves at least p^(ke/2) in the common denominator
+    of the two parts (when p = 2, 1 + i divides a + b*i at most once; an odd
+    p does not divide a + b*i, so p, or one of its two Gaussian prime
+    factors, does not divide it), so one part's denominator is at least
+    d^(k/4).  Every int of w ** k is below 2^(k * (w.bit_length() + 1)),
+    which settles the common case at once."""
+    if k * (w.bit_length() + 1) < _PRINTED_BITS:
+        return False
+    re, im = w.re, w.im
+    if not im:
+        top = max(abs(re.numerator), re.denominator)
+        return k * (top.bit_length() - 1) >= _PRINTED_BITS
+    norm = w.abs2()
+    grow = (norm.numerator.bit_length() - 1
+            - (norm.denominator - 1).bit_length())   # <= log2 |w|^2
+    d = math.lcm(re.denominator, im.denominator)
+    return (k * grow >= 2 * _PRINTED_BITS + 1
+            or k * (d.bit_length() - 1) >= 4 * _PRINTED_BITS)
 
 
 def parse_poly(text: str, n: int) -> Poly:
@@ -300,5 +400,5 @@ def parse_poly(text: str, n: int) -> Poly:
     """
     if n < 1:
         raise PolyError("dimension must be >= 1")
-    p = _Parser(text, n).parse()
+    p = Poly._unchecked(n, _Parser(text, n).parse())
     return require_real(p, f"expression {text!r}")

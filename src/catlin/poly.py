@@ -90,7 +90,7 @@ class Poly:
         operands produce them.  Only zero coefficients are dropped."""
         p = object.__new__(Poly)
         object.__setattr__(p, "n", n)
-        object.__setattr__(p, "terms", {k: c for k, c in terms.items() if c})
+        object.__setattr__(p, "terms", _nonzero(terms))
         return p
 
     # ------------------------------------------------------------------
@@ -114,13 +114,6 @@ class Poly:
         return Poly(n, {(alpha, (0,) * n): CRat(1)})
 
     @staticmethod
-    def conj_variable(n: int, j: int) -> "Poly":
-        """The monomial zbar_j (1-based)."""
-        _check_var(n, j)
-        beta = tuple(1 if i == j - 1 else 0 for i in range(n))
-        return Poly(n, {((0,) * n, beta): CRat(1)})
-
-    @staticmethod
     def monomial(n: int, alpha: Sequence[int], beta: Sequence[int],
                  c: "CRat | Rat" = 1) -> "Poly":
         return Poly(n, {(tuple(alpha), tuple(beta)): CRat.of(c)})
@@ -135,28 +128,22 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_same(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, CZERO) + c
-        return Poly._unchecked(self.n, out)
+        return Poly._unchecked(self.n, _sum_terms(self.terms, other.terms))
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check_same(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, CZERO) - c
-        return Poly._unchecked(self.n, out)
+        return Poly._unchecked(self.n,
+                               _sum_terms(self.terms, other.terms, True))
 
     def __neg__(self) -> "Poly":
-        return Poly._unchecked(self.n, {k: -c for k, c in self.terms.items()})
+        return Poly._unchecked(self.n, _neg_terms(self.terms))
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
             self._check_same(other)
             return Poly._unchecked(self.n, _mul_terms(self.terms, other.terms))
-        c = CRat.of(other)
         return Poly._unchecked(self.n,
-                               {k: v * c for k, v in self.terms.items()})
+                               _scale_terms(self.terms, CRat.of(other)))
 
     __rmul__ = __mul__
 
@@ -173,8 +160,7 @@ class Poly:
         return result
 
     def conj(self) -> "Poly":
-        return Poly._unchecked(self.n, {(b, a): c.conj()
-                                        for (a, b), c in self.terms.items()})
+        return Poly._unchecked(self.n, _conj_terms(self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -394,6 +380,51 @@ class Poly:
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+# Raw term-table kernels.  Each takes and returns a Dict[TermKey, CRat];
+# the Poly ring operations wrap them, and the parser runs on them directly,
+# building one Poly at the end.  Tables without zeros give tables without
+# zeros, except from _mul_terms.
+
+
+def _nonzero(terms: Dict[TermKey, CRat]) -> Dict[TermKey, CRat]:
+    """The table without its zero coefficients, in its order."""
+    return {k: c for k, c in terms.items() if c}
+
+
+def _sum_terms(t1: Dict[TermKey, CRat], t2: Dict[TermKey, CRat],
+               subtract: bool = False) -> Dict[TermKey, CRat]:
+    """Term table of t1 + t2, or t1 - t2 when ``subtract``: t1's keys in
+    their order, then t2's new keys in theirs, and a key that cancels
+    dropped."""
+    out = dict(t1)
+    for k, c in t2.items():
+        s = out.get(k)
+        if s is None:
+            out[k] = -c if subtract else c
+        else:
+            s = s - c if subtract else s + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _neg_terms(terms: Dict[TermKey, CRat]) -> Dict[TermKey, CRat]:
+    return {k: -c for k, c in terms.items()}
+
+
+def _scale_terms(terms: Dict[TermKey, CRat], c: CRat
+                 ) -> Dict[TermKey, CRat]:
+    """Term table of c times the table; empty when c is zero."""
+    return {k: v * c for k, v in terms.items()} if c else {}
+
+
+def _conj_terms(terms: Dict[TermKey, CRat]) -> Dict[TermKey, CRat]:
+    """Term table of the conjugate: each key's two halves swapped."""
+    return {(b, a): c.conj() for (a, b), c in terms.items()}
 
 
 def _derivative_terms(terms: Dict[TermKey, CRat], i: int,

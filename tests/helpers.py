@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from catlin.boundary import VField, _field_from_vector, _neumann_solve
-from catlin.exact import CZERO, CRat, rat_str
+from catlin.exact import CI, CZERO, CRat, hermitian_form, rat_str
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          PositivityVerdict, _check_tangential, _random_crat,
                          _squares_certificate, cauchy_schwarz_pairing,
@@ -487,6 +487,52 @@ def hermitian_psd_oracle(h: Sequence[Sequence[CRat]]) -> bool:
             if minor.re < 0:
                 return False
     return True
+
+
+def hermitian_reduce_oracle(h: Sequence[Sequence[CRat]]
+                            ) -> List[Tuple[List[CRat], Fraction]]:
+    """Reference for ``catlin.exact.hermitian_reduce``: exact Gram-Schmidt
+    with hyperbolic pairs that evaluates ``hermitian_form`` afresh for every
+    value and projection coefficient, where the kernel updates a Gram
+    matrix.  The two return the same (q_i, d_i) list, or raise the same
+    ValueError."""
+    dim = len(h)
+    remaining = [[CRat(1 if i == k else 0) for k in range(dim)]
+                 for i in range(dim)]
+    done: List[Tuple[List[CRat], Fraction]] = []
+    while remaining:
+        # the remaining vectors are orthogonal to every earlier pivot, so
+        # only the newest one is projected out (a zero value ends the loop)
+        if done:
+            q, d = done[-1]
+            for v in remaining:
+                coef = hermitian_form(h, v, q) / CRat(d)
+                for k in range(dim):
+                    v[k] = v[k] - coef * q[k]
+        values = ((v, hermitian_form(h, v, v)) for v in remaining)
+        pick, val = next(((v, d) for v, d in values if not d.is_zero()),
+                         (None, None))
+        if pick is None:
+            hyper = None
+            for v, w in itertools.combinations(remaining, 2):
+                if not hermitian_form(h, v, w).is_zero():
+                    hyper = (v, w)
+                    break
+            if hyper is None:
+                done.extend((v, Fraction(0)) for v in remaining)
+                break
+            v, w = hyper
+            cand = [v[k] + w[k] for k in range(dim)]
+            if hermitian_form(h, cand, cand).is_zero():
+                cand = [v[k] + CI * w[k] for k in range(dim)]
+            remaining[remaining.index(v)] = cand
+            continue
+        if not val.is_real():
+            raise ValueError("Hermitian form value not real")
+        done.append((pick, val.re))
+        remaining.remove(pick)
+    done.sort(key=lambda t: t[1] == 0)  # stable: nonzero first
+    return done
 
 
 def first_indefinite_point(p: Poly) -> Optional[List[CRat]]:

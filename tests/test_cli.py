@@ -614,6 +614,14 @@ TEXT_MODEL = "-2*Re(z1) + |z2|^4"
      "parse error at position 0: number longer than 640 digits"),
     (["parse", "--n", "2", "--expr", "1/" + "9" * 5000],
      "parse error at position 2: number longer than 640 digits"),
+    # a power whose coefficient would not print: 9^5000 has 4,772 digits,
+    # and a 640-digit exponent on a constant is refused before it is formed
+    (["parse", "--n", "2", "--expr", "9^5000"],
+     "parse error at position 0: power's coefficient would have more than "
+     "4300 digits"),
+    (["parse", "--n", "2", "--expr", "|z2|^2 + (3/2)^" + "9" * 640],
+     "parse error at position 9: power's coefficient would have more than "
+     "4300 digits"),
 ])
 def test_input_errors_exit_2(capsys, tmp_path, argv, message):
     path = tmp_path / "model.txt"
@@ -643,6 +651,18 @@ def test_longest_number_parses(capsys):
         (0, big + "\n", "")
     assert run_cli(capsys, "parse", "--n", "2", "--expr",
                    f"{big}/{big}*|z2|^2") == (0, "|z2|^2\n", "")
+
+
+def test_longest_power_parses(capsys):
+    # 2^14284 has 4,300 digits, the most Python prints by default; one
+    # factor more is refused, and so is |c*z2|^4 for c = (1/2)^7143, which
+    # prints (2,151 digits) while |c|^4 would not
+    code, out, err = run_cli(capsys, "parse", "--n", "2", "--expr",
+                             "2^14284")
+    assert (code, out, err) == (0, str(2 ** 14284) + "\n", "")
+    for text in ("2^14285", "|(1/2)^7143*z2|^4"):
+        code, out, err = run_cli(capsys, "parse", "--n", "2", "--expr", text)
+        assert code == 2 and out == "" and "more than 4300 digits" in err
 
 
 def test_text_file_input_parses_with_n(capsys, tmp_path):

@@ -12,7 +12,8 @@ from catlin import exact
 from catlin.exact import (CRat, hermitian_form, hermitian_reduce, inverse,
                           rank, rat_from_str, rat_str)
 
-from helpers import FractionPairCRat, _rational_rank, rand_crat
+from helpers import (FractionPairCRat, _rational_rank, hermitian_reduce_oracle,
+                     rand_crat, rand_fraction)
 
 
 def test_basic_arithmetic():
@@ -328,19 +329,73 @@ def test_hermitian_reduce_hyperbolic_and_singular():
     assert _check_congruence([]) == []
 
 
-def test_hermitian_reduce_projects_out_each_pivot_once(monkeypatch):
-    # a positive definite 6x6 matrix: one value per pivot, and each pivot
-    # projected out of the vectors that remain after it, 6 + 15 forms in all
+def _non_hermitian(rng, dim):
+    """A matrix whose entries are drawn independently: real diagonal entries
+    mostly (so the congruence runs before a value turns out non-real),
+    zeros often."""
+    def entry(i, j):
+        if rng.random() < 0.4:
+            return CRat(0)
+        if i == j and rng.random() < 0.8:
+            return CRat(rand_fraction(rng))
+        return rand_crat(rng)
+    return [[entry(i, j) for j in range(dim)] for i in range(dim)]
+
+
+def _outcome(reduce, h):
+    try:
+        return reduce(h)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_hermitian_reduce_matches_oracle():
+    # the Gram-matrix kernel against the Gram-Schmidt that evaluates every
+    # form afresh: equal (q, d) lists, in order, or the same ValueError
+    rng = random.Random(2029)
+    counts = {"zero-diagonal": 0, "singular": 0, "raised": 0, "other": 0}
+    for case in range(2400):
+        dim = case % 7
+        kind = rng.random()
+        if kind < 0.4:
+            h = _random_hermitian(rng, dim)
+        elif kind < 0.6:
+            # zero diagonal: the congruence starts from a hyperbolic pair
+            h = _random_hermitian(rng, dim)
+            for i in range(dim):
+                h[i][i] = CRat(0)
+        else:
+            h = _non_hermitian(rng, dim)
+        got = _outcome(hermitian_reduce, h)
+        want = _outcome(hermitian_reduce_oracle, h)
+        assert got == want, h
+        if isinstance(want, tuple):
+            counts["raised"] += 1
+        elif dim and all(h[i][i].is_zero() for i in range(dim)) \
+                and any(d for _q, d in want):
+            counts["zero-diagonal"] += 1
+        elif any(d == 0 for _q, d in want):
+            counts["singular"] += 1
+        else:
+            counts["other"] += 1
+    assert min(counts.values()) >= 150, counts
+
+
+def test_hermitian_reduce_divides_once_per_projection(monkeypatch):
+    # a positive definite 6x6 matrix with no zero entry: each pivot is
+    # projected out of each vector that remains after it, one division
+    # each, 5 + 4 + 3 + 2 + 1 = 15 in all, and no form is evaluated
     h = [[CRat(7 if i == j else 1) for j in range(6)] for i in range(6)]
-    form, calls = exact.hermitian_form, []
+    divide, calls = CRat.__truediv__, []
 
     def counting(*args):
         calls.append(None)
-        return form(*args)
+        return divide(*args)
 
-    monkeypatch.setattr(exact, "hermitian_form", counting)
+    monkeypatch.setattr(CRat, "__truediv__", counting)
+    monkeypatch.setattr(exact, "hermitian_form", None)
     values = [d for _q, d in hermitian_reduce(h)]
-    assert len(calls) == 6 + 15
+    assert len(calls) == 15
     monkeypatch.undo()
     assert _check_congruence(h) == values and min(values) > 0
 

@@ -78,6 +78,9 @@ CASES = {
     "psd-unknown": ["psd", "--expr",
                     "|z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^3*zbar3)", "--n", "3"],
     "psd-unknown-psh": ["psd", "--expr", "(Re(z2))^2", "--n", "2"],
+    # every diagonal entry of the Levi matrix is zero: the congruence
+    # starts from a hyperbolic pair
+    "psd-hyperbolic": ["psd", "--n", "3", "--expr", "2*Re(z2*zbar3)"],
     "torsion": ["torsion", "--expr", TORSION_EXPR, "--n", "4"],
     "torsion-lift": ["torsion", "--expr", TORSION_LIFT_EXPR, "--n", "4"],
 }

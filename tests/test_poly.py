@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,128 @@ def test_parse_modulus_power_equals_power_of_product():
             k = 1
         assert parse_poly(f"|{_poly_text(e)}|^{2 * k}", 3) == \
             (e * e.conj()) ** k
+
+
+def _grammar_expression(rng, depth, sp, z, zbar):
+    """(text, sympy value) of a random expression of the README grammar in
+    z1..z3, with z_j and zbar_j as independent real sympy symbols, so that
+    conjugation conjugates the numbers and swaps the two."""
+    swap = {**dict(zip(z, zbar)), **dict(zip(zbar, z))}
+
+    def conj(v):
+        return sp.conjugate(v).xreplace(swap)
+
+    def atom(d):
+        pick = rng.randrange(11 if d > 0 else 4)
+        if pick == 0:
+            num, den = rng.randint(0, 5), rng.choice((1, 1, 2, 3))
+            return (f"{num}/{den}" if den > 1 else f"{num}"), \
+                sp.Rational(num, den)
+        if pick == 1:
+            return "i", sp.I
+        if pick in (2, 3):
+            j = rng.randint(1, 3)
+            return (f"z{j}", z[j - 1]) if pick == 2 else \
+                (f"zbar{j}", zbar[j - 1])
+        if pick == 4:
+            text, v = atom(d - 1)
+            if text.startswith(("-", "|")):
+                return f"({text})", v
+            return f"~{text}", conj(v)
+        text, v = expression(d - 1)
+        if pick == 5:
+            return f"conj({text})", conj(v)
+        if pick == 6:
+            return f"Re({text})", (v + conj(v)) / 2
+        if pick == 7:
+            return f"Im({text})", (v - conj(v)) / (2 * sp.I)
+        if pick == 8:
+            k = rng.randint(1, 2 if d == 1 else 1)
+            return f"|{text}|^{2 * k}", (v * conj(v)) ** k
+        return f"({text})", v
+
+    def factor(d):
+        if d > 0 and rng.random() < 0.1:
+            text, v = factor(d - 1)
+            return f"-{text}", -v
+        text, v = atom(d)
+        if not text.startswith("|") and rng.random() < 0.25:
+            k = rng.randint(0, 2)
+            return f"{text}^{k}", v ** k
+        return text, v
+
+    def term(d):
+        text, v = factor(d)
+        for _ in range(rng.randint(0, 1)):
+            t2, v2 = factor(d)
+            sep = "*" if t2.startswith(("-", "|")) or rng.random() < 0.5 \
+                else " "
+            text, v = f"{text}{sep}{t2}", v * v2
+        return text, v
+
+    def expression(d):
+        text, v = term(d)
+        for _ in range(rng.randint(0, 2)):
+            t2, v2 = term(d)
+            if rng.random() < 0.5:
+                text, v = f"{text} + {t2}", v + v2
+            else:
+                text, v = f"{text} - {t2}", v - v2
+        return text, v
+
+    # a real-valued whole: Re, Im or a modulus of each piece (a modulus
+    # only around a piece without one, which keeps its power well inside
+    # MAX_POWER_TERMS)
+    pieces = []
+    for _ in range(rng.randint(1, 2)):
+        text, v = expression(depth)
+        wrap = rng.randrange(2 if "|" in text else 3)
+        if wrap == 0:
+            pieces.append((f"Re({text})", (v + conj(v)) / 2))
+        elif wrap == 1:
+            pieces.append((f"Im({text})", (v - conj(v)) / (2 * sp.I)))
+        else:
+            pieces.append((f"|{text}|^2", v * conj(v)))
+    return " + ".join(t for t, _v in pieces), sum(v for _t, v in pieces)
+
+
+def test_parse_matches_sympy_expansion():
+    # the parser's term tables against sympy's expansion of the same
+    # expression, on seeded random expressions of the README grammar
+    sp = pytest.importorskip("sympy")
+    z = sp.symbols("z1:4", real=True)
+    zbar = sp.symbols("zbar1:4", real=True)
+    rng = random.Random(2026)
+    nonzero = 0
+    for _ in range(320):
+        text, value = _grammar_expression(rng, 1, sp, z, zbar)
+        want = {}
+        expanded = sp.expand(value)
+        if expanded != 0:
+            for monom, c in sp.Poly(expanded, *z, *zbar).terms():
+                re, im = (Fraction(int(x.p), int(x.q))
+                          for x in (sp.re(c), sp.im(c)))
+                want[(tuple(monom[:3]), tuple(monom[3:]))] = CRat(re, im)
+        assert parse_poly(text, 3).terms == want, text
+        nonzero += bool(want)
+    assert nonzero >= 250
+
+
+# The term tables of the golden, README and benchmark workload (seeds 5, 7
+# and 23) expressions, and of a few sums that meet, cancel and re-add keys,
+# each key in the order the parser forms it, recorded from the parser that
+# built a Poly at every step.
+PARSE_TERMS = Path(__file__).parent / "golden" / "parse_terms.json"
+
+
+def test_parse_keeps_recorded_term_order():
+    cases = json.loads(PARSE_TERMS.read_text(encoding="utf-8"))
+    assert len(cases) >= 200
+    for case in cases:
+        p = parse_poly(case["expr"], case["n"])
+        got = [[list(a), list(b), str(c.re), str(c.im)]
+               for (a, b), c in p.terms.items()]
+        assert got == case["terms"], case["expr"]
 
 
 def test_parse_dimension_mismatch():
@@ -481,7 +604,8 @@ def test_substitute_maps_rejects_bad_maps():
     with pytest.raises(PolyError):
         p.substitute_maps([Poly.variable(2, 1)])
     with pytest.raises(PolyError):
-        p.substitute_maps([Poly.variable(2, 1), Poly.conj_variable(2, 2)])
+        p.substitute_maps([Poly.variable(2, 1),
+                           Poly.monomial(2, (0, 0), (0, 1))])
     with pytest.raises(PolyError):
         p.substitute_maps([Poly.variable(2, 1), Poly.variable(3, 2)])
 
@@ -732,7 +856,7 @@ _Z1, _Z2 = Poly.variable(2, 1), Poly.variable(2, 2)
      "need one map and one weight per variable"),
     (lambda: CoordChange(2, [_Z1, Poly.variable(3, 2)], _MU2),
      DimensionMismatch, "component map dimension mismatch"),
-    (lambda: CoordChange(2, [_Z1, Poly.conj_variable(2, 2)], _MU2),
+    (lambda: CoordChange(2, [_Z1, Poly.monomial(2, (0, 0), (0, 1))], _MU2),
      PolyError, "component map 2 is not holomorphic"),
     (lambda: CoordChange(2, [_Z1, _Z2 + Poly.const(2, 1)], _MU2), PolyError,
      "component map 2 does not fix the origin"),
