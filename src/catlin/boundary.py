@@ -59,11 +59,12 @@ the c-entries built so far equal Lambda's prefix, c_j >= Lambda_j, so every
 list whose value counts[j]/rem is below Lambda_j vanishes at 0 and is not
 tried; an infinite Lambda_j leaves no finite list, and the remaining entries
 are +inf.  The skip changes which lists are tried, not which one is found.
-The gate is the caller's (``cli._lambda_floor``): a floor is passed only when
-the tangential part has a tier-1 or tier-2 certificate (the model is
-pseudoconvex), the search does not raise and Lambda is admissible; otherwise
-the build scans every list.  The audit keeps its full scan of the shorter
-lists, because it is the check.
+Every build works out its floor (``_lambda_floor``): Lambda when the
+tangential part has a tier-1 or tier-2 certificate (r is pseudoconvex) and
+the search does not raise, else none.  Lambda is admissible by construction:
+each finite entry leaves the positive row remainder it is picked from
+exactly 0, an admissibility witness.  The audit keeps its full scan of the
+shorter lists, because it is the check.
 """
 
 from __future__ import annotations
@@ -74,12 +75,12 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import CRat, CZERO, hermitian_reduce, inverse, rank, rat_str
-from .levi import complex_hessian
+from .levi import complex_hessian, psd_certificate
 from .poly import (CoordChange, ModelShapeError, Poly, PolyError,
                    PseudoconvexityError, TermKey, _capped_products,
                    _derivative_terms, _mul_terms, _unit, split_model)
 from .weights import (INF, Entry, InverseWeight, Weight, admissible_rows,
-                      entry_str, recip)
+                      entry_str, multitype_search, recip)
 
 
 class BoundaryConstructionError(PolyError):
@@ -370,25 +371,34 @@ def _skeletons(total: int, slow: Dict[int, SlowSlot], slot: int
                             for _ in range(counts[s])]
 
 
-def build_boundary_system(r: Poly, list_bound: Optional[int] = None,
-                          floor: Optional[Tuple[Entry, ...]] = None
+def build_boundary_system(r: Poly, list_bound: Optional[int] = None
                           ) -> BoundarySystem:
     """Construct a boundary system and the commutator multitype of the model.
 
     The search frontier for list lengths defaults to the total degree of the
     tangential polynomial; at the first slot where every admissible ordered
     list within the frontier vanishes at 0, the remaining entries are +inf.
-    ``floor``, the entries of an admissible distinguished inverse weight of
-    a pseudoconvex r, skips the lists below it (see the module docstring);
-    None scans every list."""
-    *_, bs = _system_slots(r, list_bound, floor)
+    The lists below ``_lambda_floor(r)`` are skipped (module docstring)."""
+    *_, bs = _system_slots(r, list_bound, _lambda_floor(r))
     return bs
 
 
+def _lambda_floor(r: Poly) -> Optional[Tuple[Entry, ...]]:
+    """The entries of Lambda, the multitype search's weight, when the
+    tangential part has a tier-1 or tier-2 certificate, so C = M >= Lambda;
+    otherwise, or when either raises, None (the build scans every list)."""
+    try:
+        if psd_certificate(split_model(r)[1]) is None:
+            return None
+        return multitype_search(r).value.entries
+    except PolyError:
+        return None
+
+
 def _system_slots(r: Poly, list_bound: Optional[int],
-                  floor: Optional[Tuple[Entry, ...]] = None
+                  floor: Optional[Tuple[Entry, ...]]
                   ) -> Iterator[BoundarySystem]:
-    """The construction of ``build_boundary_system``, slot by slot.
+    """``build_boundary_system`` slot by slot, with ``floor`` given.
 
     Yields one system object after the Levi slots and again after each slow
     slot.  Until the last yield its ``c_entries`` hold the entries built so
@@ -586,14 +596,14 @@ def normalize_first_block(bs: BoundarySystem) -> BoundarySystem:
     return rebuilt
 
 
-def first_block_torsion(r0: Poly, list_bound: Optional[int] = None,
-                        floor: Optional[Tuple[Entry, ...]] = None
+def first_block_torsion(r0: Poly, list_bound: Optional[int] = None
                         ) -> TorsionReport:
     """The report of ``detect_torsion(normalize_first_block(
-    build_boundary_system(r0, list_bound, floor)))``, from systems built
-    only through the slot the report reads: the first slot past the first
-    block, before and after the change that straightens the block.  Both
-    builds take ``floor``: C and M are biholomorphic invariants."""
+    build_boundary_system(r0, list_bound)))``, from systems built only
+    through the slot the report reads: the first slot past the first block,
+    before and after the change that straightens the block.  Both builds
+    take the floor of r0: C and M are biholomorphic invariants."""
+    floor = _lambda_floor(r0)
     slots = _system_slots(r0, list_bound, floor)
     bs = _through_torsion_slot(slots)
     r_cur, _trace = _straighten_first_block(bs, slots)
@@ -634,14 +644,11 @@ def _straighten_first_block(bs: BoundarySystem,
                 f"slot {j}: direction ({shown}) is not aligned with a "
                 "coordinate axis; apply an aligning linear change first")
         dirvar = support[0]
-        alpha = [0] * n
-        beta = [0] * n
-        alpha[dirvar - 1] = k - 1
-        beta[dirvar - 1] = k
-        norm = Fraction(1, math.factorial(k - 1) * math.factorial(k))
-        g = r_cur.deriv_multi(alpha, beta) * norm
-        c_plus, c_minus = _linear_coeffs(g, dirvar)
         e, zero = _unit(n, dirvar), (0,) * n
+        norm = Fraction(1, math.factorial(k - 1) * math.factorial(k))
+        g = r_cur.deriv_multi([(k - 1) * x for x in e],
+                              [k * x for x in e]) * norm
+        c_plus, c_minus = _linear_coeffs(g, dirvar)
         tail = g - Poly(n, {(e, zero): c_plus, (zero, e): c_minus})
         if tail.degree_in(dirvar) > 0:
             raise BoundaryConstructionError(

@@ -14,20 +14,17 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Tuple
 
 from .boundary import (audit_boundary_system, build_boundary_system,
                        detect_torsion, first_block_torsion,
                        normalize_first_block)
 from .exact import rat_str
-from .levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
-                   psd_certificate, psd_verdict)
+from .levi import KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN, psd_verdict
 from .normal_form import normalize, verify_normal_form
 from .parser import parse_poly
 from .poly import Poly, PolyError, PseudoconvexityError, split_model
-from .weights import (INF, Entry, Multitype, Weight, corroborate,
-                      counting_bound, enumerate_multitypes, is_admissible,
-                      multitype_search)
+from .weights import (INF, Weight, corroborate, counting_bound,
+                      enumerate_multitypes, is_admissible, multitype_search)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -80,24 +77,6 @@ def _auto_weight(r: Poly, degree_bound: int) -> Weight:
     return mt.value.weight()
 
 
-def _lambda_floor(r: Poly, mt: Optional[Multitype] = None
-                  ) -> Optional[Tuple[Entry, ...]]:
-    """The floor for the boundary build: the entries of Lambda, the
-    multitype search's weight (``mt``, or a fresh search), when Catlin's
-    C = M >= Lambda applies.  That needs a tier-1 or tier-2 certificate for
-    the tangential part (the model is pseudoconvex) and an admissible Lambda.
-    Otherwise, and whenever the certificate or the search raises, None: the
-    build then scans every list and raises its own errors, if any."""
-    try:
-        if psd_certificate(split_model(r)[1]) is None:
-            return None
-        if mt is None:
-            mt = multitype_search(r)
-    except PolyError:
-        return None
-    return mt.value.entries if is_admissible(mt.value)[0] else None
-
-
 def _emit(args, payload: dict, human: str):
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -114,10 +93,8 @@ def cmd_parse(args) -> int:
 def cmd_multitype(args) -> int:
     r = _load_poly(args)
     mt = multitype_search(r, args.degree_bound)
-    commutator = None
     try:
-        bs = build_boundary_system(r, floor=_lambda_floor(r, mt))
-        commutator = bs.commutator_multitype()
+        commutator = build_boundary_system(r).commutator_multitype()
         mt = corroborate(mt, commutator)
     except PolyError:
         commutator = None
@@ -186,7 +163,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_boundary_system(args) -> int:
     r = _load_poly(args)
-    bs = build_boundary_system(r, args.list_bound, _lambda_floor(r))
+    bs = build_boundary_system(r, args.list_bound)
     problems = audit_boundary_system(bs)
     payload = bs.to_json()
     payload["audit"] = problems
@@ -199,7 +176,7 @@ def cmd_boundary_system(args) -> int:
 
 def cmd_torsion(args) -> int:
     r = _load_poly(args)
-    report = first_block_torsion(r, args.list_bound, _lambda_floor(r))
+    report = first_block_torsion(r, args.list_bound)
     payload = report.to_json()
     if not report.applicable:
         human = f"torsion: not applicable ({report.detail})"

@@ -157,6 +157,15 @@ def _coeff_bound(c: CRat) -> Fraction:
 _LATTICE = sorted({Fraction(k, d) for d in range(1, 5) for k in range(d + 1)})
 
 
+def _lattice_splits(k: int, rest: Fraction) -> List[Tuple[Fraction, ...]]:
+    """The k-tuples (k >= 1) of ``_LATTICE`` entries that sum to ``rest``,
+    in product order, built without walking the 7^k tuples of the product."""
+    if k == 1:
+        return [(rest,)] if rest in _LATTICE else []
+    return [(t,) + tail for t in _LATTICE if t <= rest
+            for tail in _lattice_splits(k - 1, rest - t)]
+
+
 # ----------------------------------------------------------------------
 # tier 1: diagonal terms and complete squares
 # ----------------------------------------------------------------------
@@ -243,9 +252,7 @@ def _choose_fractions(mixed_pairs, budget, strict):
     if cons is not None:
         return fracs, cons
     for i, (_u, pairs) in enumerate(mixed_pairs):
-        for combo in itertools.product(_LATTICE, repeat=len(pairs)):
-            if sum(combo) != 1:
-                continue
+        for combo in _lattice_splits(len(pairs), Fraction(1)):
             fracs[i] = list(combo)
             cons = feasible(fracs)
             if cons is not None:

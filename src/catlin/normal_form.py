@@ -268,6 +268,9 @@ def normalize(r: Poly, mu: Weight, assert_psc: bool = False) -> NormalForm:
     if r.coeff((1,) + (0,) * (n - 1), (0,) * n) != CRat(-1):
         raise PolyError("model must start with -2 Re z1 "
                         "(coefficient -1 on z1)")
+    if constant := r.coeff((0,) * n, (0,) * n):
+        raise PolyError(f"model has the constant term {constant}: the "
+                        "hypersurface r = 0 must pass through the origin")
     r_work, h = eliminate_harmonic(r)  # checks reality and the model shape
     harmonic_maps = [Poly.variable(n, j) for j in range(1, n + 1)]
     harmonic_maps[0] = harmonic_maps[0] + h

@@ -73,11 +73,12 @@ MAX_DIGITS = 640
 
 # Most decimal digits of a printed number: Python refuses to convert a
 # longer int to a string (sys.get_int_max_str_digits(), 4300 by default).
-# A power whose coefficient would be longer is refused before it is formed,
-# so a long exponent on a constant fails fast instead of growing a number
-# that cannot be printed.  10^MAX_PRINTED_DIGITS < 2^_PRINTED_BITS.
+# A product or power that forms a longer coefficient is refused, a power
+# before it is formed when it surely would, so a long exponent on a constant
+# fails fast.  10^MAX_PRINTED_DIGITS < 2^_PRINTED_BITS.
 MAX_PRINTED_DIGITS = 4300
-_PRINTED_BITS = (10 ** MAX_PRINTED_DIGITS).bit_length()
+_PRINTED_LIMIT = 10 ** MAX_PRINTED_DIGITS
+_PRINTED_BITS = _PRINTED_LIMIT.bit_length()
 
 
 class ParseError(PolyError):
@@ -274,14 +275,14 @@ class _Parser:
 
     def _product(self, p: Terms, q: Terms, pos: int) -> Terms:
         """p * q, after charging its term pairs against the parse's budget of
-        MAX_PRODUCT_PAIRS."""
+        MAX_PRODUCT_PAIRS, and checked by ``_printable``."""
         pairs = len(p) * len(q)
         if pairs > self.pairs_left:
             raise ParseError(f"product would form {pairs} term pairs, more "
                              f"than the {self.pairs_left} left of the "
                              f"{MAX_PRODUCT_PAIRS} a parse may form", pos)
         self.pairs_left -= pairs
-        return _nonzero(_mul_terms(p, q))
+        return _printable(_nonzero(_mul_terms(p, q)), pos)
 
     def _power(self, p: Terms, k: int, pos: int,
                modulus: bool = False) -> Terms:
@@ -296,16 +297,15 @@ class _Parser:
         polynomials never cancel), so it is not formed.  Refused as well, for
         k > 1, when a coefficient the power surely has would print more than
         MAX_PRINTED_DIGITS digits (``_extreme_coefficients``,
-        ``_unprintable_power``); with k <= 1 it is p, 1 or the one product
-        p * conj(p), and a product of two factors is not checked (its
-        coefficients have about the digits of both together).
+        ``_unprintable_power``), so that it fails fast.
 
         A one-term base is raised in closed form, which forms no term pairs:
         its exponents times k, its coefficient c ** k, or |c|^2k for a
-        modulus.  Any other modulus is expanded as q * conj(q) with
-        q = p ** k, which forms far fewer term pairs than powers of
-        p * conj(p).  Powers are taken from the top bit of k down, so that
-        the last product is the largest; ``_product`` charges each one."""
+        modulus, checked by ``_printable`` once formed.  Any other modulus
+        is expanded as q * conj(q) with q = p ** k, which forms far fewer
+        term pairs than powers of p * conj(p).  Powers are taken from the top
+        bit of k down, so that the last product is the largest; ``_product``
+        charges and checks each one."""
         hol = {i for (a, _b) in p for i, e in enumerate(a) if e}
         anti = {i for (_a, b) in p for i, e in enumerate(b) if e}
         d_hol = k * max((sum(a) for a, _b in p), default=0)
@@ -324,11 +324,11 @@ class _Parser:
                              f"{MAX_PRINTED_DIGITS} digits", pos)
         if len(p) == 1:
             ((a, b), c), = p.items()
+            w = CRat.of(c.abs2()) if modulus else c
             if modulus:
-                e = tuple(k * (x + y) for x, y in zip(a, b))
-                return {(e, e): CRat.of(c.abs2() ** k)}
-            return {(tuple(k * x for x in a), tuple(k * y for y in b)):
-                    c ** k}
+                a = b = tuple(x + y for x, y in zip(a, b))
+            return _printable({(tuple(k * x for x in a),
+                                tuple(k * y for y in b)): w ** k}, pos)
         out = p if k else {(self.zero, self.zero): CONE}
         for bit in f"{k:b}"[1:]:
             out = self._product(out, out, pos)
@@ -341,26 +341,30 @@ _HALF = CRat(Fraction(1, 2))
 _MINUS_HALF_I = CRat(0, Fraction(-1, 2))
 
 
-def _concatenated(key: TermKey) -> tuple:
-    return key[0] + key[1]
-
-
-def _swapped(key: TermKey) -> tuple:
-    return key[1] + key[0]
-
-
 def _extreme_coefficients(p: Terms, modulus: bool) -> Iterator[CRat]:
     """Each w such that p ** k, or |p|^2k when ``modulus``, has the
     coefficient w ** k: at its lex-largest and lex-smallest exponent
-    vector.  Lex order on the concatenated (alpha, beta) is kept by adding
-    a vector, so an extreme term of a product is the product of the
-    factors' extreme terms and never cancels; the extreme terms of conj(p)
-    are those of p with the largest and the smallest swapped key."""
+    vector.  Lex order on the key (alpha, beta) is kept by adding a vector,
+    so an extreme term of a product is the product of the factors' extreme
+    terms and never cancels; the extreme terms of conj(p) are those of p
+    with the largest and the smallest swapped key (beta, alpha)."""
     for pick in (max, min)[:len(p)]:   # a one-term p has one extreme
-        w = p[pick(p, key=_concatenated)]
+        w = p[pick(p)]
         if modulus:
-            w = w * p[pick(p, key=_swapped)].conj()
+            w = w * p[pick(p, key=lambda key: key[::-1])].conj()
         yield w
+
+
+def _printable(terms: Terms, pos: int) -> Terms:
+    """``terms``, refused when a coefficient has a part whose numerator or
+    denominator has more than MAX_PRINTED_DIGITS digits (exactly)."""
+    for c in terms.values():
+        if c.bit_length() >= _PRINTED_BITS and any(
+                max(abs(x.numerator), x.denominator) >= _PRINTED_LIMIT
+                for x in (c.re, c.im)):
+            raise ParseError("coefficient has more than "
+                             f"{MAX_PRINTED_DIGITS} digits", pos)
+    return terms
 
 
 def _unprintable_power(w: CRat, k: int) -> bool:

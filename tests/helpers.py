@@ -124,6 +124,15 @@ class FractionPairCRat:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
+# 24 diagonal terms |z2|^2a |z3|^2b (0 <= a, b <= 4) and one mixed term
+# with 12 splittings, tangential: tier 2's fraction walk meets 7^12 product
+# tuples, of which 1,717 sum to 1
+MANY_SPLITTINGS = " + ".join(
+    ["*".join(f"|z{j}|^{2 * e}" for j, e in ((2, a), (3, b)) if e)
+     for a in range(5) for b in range(5) if a or b]
+    + ["40*Re(z2^4*zbar3^4)"])
+
+
 def rand_fraction(rng: random.Random, span: int = 4) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 

@@ -7,22 +7,22 @@ from types import SimpleNamespace
 import pytest
 
 import catlin.boundary as boundary
-from catlin import cli
 from catlin.boundary import (BoundaryConstructionError,
                              audit_boundary_system, build_boundary_system,
                              detect_torsion, first_block_slots,
                              first_block_torsion, list_derivative,
                              normalize_first_block, VField, _skeletons,
-                             _apply_field, _field_from_vector, _ListSearcher,
-                             _normalize_r)
+                             _apply_field, _field_from_vector, _lambda_floor,
+                             _ListSearcher, _normalize_r)
 from catlin.cli import main
 from catlin.exact import CRat
 from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError, _mul_terms, split_model
-from catlin.weights import INF, InverseWeight, multitype_search
+from catlin.weights import INF, InverseWeight, is_admissible, multitype_search
 
 from helpers import (_truncate, apply_field_oracle, commutator_oracle,
-                     compositions_oracle, rand_crat, slow_field_oracle)
+                     compositions_oracle, rand_crat, rand_real_poly,
+                     slow_field_oracle)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
@@ -752,6 +752,22 @@ def _certified_model(rng: random.Random) -> Poly:
     return r
 
 
+def _built(r: Poly, floor) -> "boundary.BoundarySystem":
+    """The system ``build_boundary_system(r)`` builds, with ``floor`` in
+    place of the one it works out (None scans every list)."""
+    *_, bs = boundary._system_slots(r, None, floor)
+    return bs
+
+
+def _list_value(bs, skeleton) -> Fraction:
+    """counts[j] / rem for a skeleton of slot j = skeleton[0], over the
+    c-entries of ``bs``."""
+    j = skeleton[0]
+    rem = 1 - sum(Fraction(skeleton.count(k)) / bs.slow[k].c
+                  for k in set(skeleton) if k < j)
+    return skeleton.count(j) / rem
+
+
 def test_floor_skips_only_lists_that_vanish(monkeypatch):
     # Catlin (Ann. Math. 120, 1984): C = M >= Lambda on a pseudoconvex
     # model.  So while the c-entries equal Lambda's prefix, no list whose
@@ -771,14 +787,14 @@ def test_floor_skips_only_lists_that_vanish(monkeypatch):
     models = checked = 0
     while models < 120:
         r = _certified_model(rng)
-        floor = cli._lambda_floor(r)
+        floor = _lambda_floor(r)
         if floor is None:
             continue
         models += 1
         tried.clear()
         with monkeypatch.context() as patch:
             patch.setattr(_ListSearcher, "first_nonzero", recording)
-            slots = boundary._system_slots(r, None)
+            slots = boundary._system_slots(r, None, None)
             try:
                 for bs in slots:
                     pass
@@ -789,13 +805,10 @@ def test_floor_skips_only_lists_that_vanish(monkeypatch):
             j = skeleton[0]
             if bs.c_entries[:j - 1] != floor[:j - 1]:
                 continue
-            rem = 1 - sum(Fraction(skeleton.count(k)) / bs.slow[k].c
-                          for k in set(skeleton) if k < j)
-            if skeleton.count(j) / rem < floor[j - 1]:
+            if _list_value(bs, skeleton) < floor[j - 1]:
                 checked += 1
                 assert not nonzero, (str(r), skeleton, floor)
-        assert _outcome(lambda: build_boundary_system(r, floor=floor)) == \
-            full, str(r)
+        assert _outcome(lambda: _built(r, floor)) == full, str(r)
     # the floor had lists to skip: the check is not vacuous
     assert checked >= 1000
 
@@ -817,10 +830,10 @@ SAME_DIRECTION = ("-2*Re(z1) + |z3|^6 + |z2|^2*|z3|^4 + 3*|z2|^6 + 3*|z4|^8"
 def test_smallest_value_wins_within_a_total(expr, c):
     # each c-entry equals Lambda's, with the floor and without it
     r = parse_poly(expr, 4)
-    floor = cli._lambda_floor(r)
+    floor = _lambda_floor(r)
     assert floor == c
     for f in (None, floor):
-        bs = build_boundary_system(r, floor=f)
+        bs = _built(r, f)
         assert bs.c_entries == c
         assert audit_boundary_system(bs) == []
 
@@ -839,19 +852,16 @@ def test_each_direction_tries_lists_in_value_order(monkeypatch):
         calls.append((self, list(skeleton), entries is not None))
         return entries
 
-    for floor in (None, cli._lambda_floor(r)):
+    for floor in (None, _lambda_floor(r)):
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(_ListSearcher, "first_nonzero", recording)
-            bs = build_boundary_system(r, floor=floor)
+            bs = _built(r, floor)
         assert bs.c_entries == (1, 6, 6, 8)
         last = {}
         hit = set()
         for searcher, skeleton, nonzero in calls:
-            j = skeleton[0]
-            rem = 1 - sum(Fraction(skeleton.count(k)) / bs.slow[k].c
-                          for k in set(skeleton) if k < j)
-            value = Fraction(skeleton.count(j)) / rem
+            value = _list_value(bs, skeleton)
             key = searcher, len(skeleton)
             assert searcher not in hit, skeleton
             assert value >= last.get(key, value), skeleton
@@ -884,12 +894,71 @@ def test_floor_applies_only_while_the_prefix_agrees():
     # infinite entry under an agreeing prefix leaves no finite list, and a
     # prefix the c-entries leave (c_2 = 4, not 2) ends the skipping
     r = parse_poly("-2*Re(z1) + |z2|^4 + |z3|^6", 3)
-    full = build_boundary_system(r)
+    full = _built(r, None)
     assert full.c_entries == (1, 4, 6)
-    assert build_boundary_system(r, floor=(1, 4, INF)).c_entries == \
-        (1, 4, INF)
-    assert build_boundary_system(r, floor=(1, 2, 8)).to_json() == \
-        full.to_json()
+    assert _built(r, (1, 4, INF)).c_entries == (1, 4, INF)
+    assert _built(r, (1, 2, 8)).to_json() == full.to_json()
+
+
+def test_build_skips_the_lists_below_its_own_floor(monkeypatch):
+    # build_boundary_system, given no floor, works out Lambda itself: on a
+    # certified model it tries no list whose value is below Lambda_j while
+    # the c-entries equal Lambda's prefix, where the full scan tries some
+    rng = random.Random(1987)
+    tried = []
+    search = _ListSearcher.first_nonzero
+
+    def recording(self, skeleton):
+        tried.append(skeleton)
+        return search(self, skeleton)
+
+    def below(bs, floor):
+        return [skeleton for skeleton in tried
+                if bs.c_entries[:skeleton[0] - 1] == floor[:skeleton[0] - 1]
+                and _list_value(bs, skeleton) < floor[skeleton[0] - 1]]
+
+    models = [parse_poly(TORSION_EXPR, 4), parse_poly(SAME_DIRECTION, 4)]
+    while len(models) < 30:
+        r = _certified_model(rng)
+        if _lambda_floor(r) is not None and \
+                isinstance(_outcome(lambda: _built(r, None)), dict):
+            models.append(r)
+    skipped = 0
+    for r in models:
+        floor = _lambda_floor(r)
+        with monkeypatch.context() as patch:
+            patch.setattr(_ListSearcher, "first_nonzero", recording)
+            tried.clear()
+            bs = build_boundary_system(r)
+            assert below(bs, floor) == [], str(r)
+            tried.clear()
+            full = _built(r, None)
+            skipped += len(below(full, floor))
+        assert bs.to_json() == full.to_json(), str(r)
+    assert skipped >= 100
+
+
+def test_search_weight_is_admissible():
+    # The gate passes Lambda on unchecked: _best_distinguished picks each
+    # finite lambda_j = a*L/R from a positive row remainder R/L, which
+    # leaves that row's remainder exactly 0, an admissibility witness.
+    rng = random.Random(1984)
+    certified = random_models = 0
+    while certified < 120:
+        lam = multitype_search(_certified_model(rng)).value
+        assert is_admissible(lam)[0], lam
+        certified += 1
+    while random_models < 120:
+        n = rng.choice((3, 4))
+        q = rand_real_poly(rng, n - 1, terms=rng.randint(1, 4))
+        r = parse_poly("-2*Re(z1)", n) + Poly(n, {
+            ((0,) + a, (0,) + b): c for (a, b), c in q.terms.items()})
+        try:
+            lam = multitype_search(r).value
+        except PolyError:
+            continue
+        assert is_admissible(lam)[0], (str(r), lam)
+        random_models += 1
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,14 @@ import time
 
 import pytest
 
+import catlin.boundary as boundary
 from catlin import cli
 from catlin.cli import main
 from catlin.levi import psd_verdict, replay_refutation
 from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError
+
+from helpers import MANY_SPLITTINGS
 
 
 def run_cli(capsys, *argv):
@@ -339,6 +342,18 @@ def test_oversized_power_exits_2_fast(capsys):
         assert "term pairs, more than" in err
 
 
+def test_boundary_system_with_many_splittings_answers_fast(capsys):
+    # the floor gate certifies the tangential part first: its tier-2
+    # fraction walk must not visit all 7^12 tuples of 12 splittings
+    expr = "-2*Re(z1) + " + MANY_SPLITTINGS
+    start = time.perf_counter()
+    code, out, _err = run_cli(capsys, "boundary-system", "--n", "3",
+                              "--expr", expr)
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert out.startswith("commutator multitype: (1, 2, 2)\n")
+
+
 def test_degree_bound_out_of_range_exits_2_fast(capsys):
     for command in ("normalize", "multitype"):
         for bound in ("-1", "65"):
@@ -622,6 +637,14 @@ TEXT_MODEL = "-2*Re(z1) + |z2|^4"
     (["parse", "--n", "2", "--expr", "|z2|^2 + (3/2)^" + "9" * 640],
      "parse error at position 9: power's coefficient would have more than "
      "4300 digits"),
+    # each power prints (3,817 digits), their product would not
+    (["parse", "--n", "2", "--expr", "9^4000*9^4000"],
+     "parse error at position 7: coefficient has more than "
+     "4300 digits"),
+    # a translation is no coordinate change: the constant is refused by name
+    (["normalize", "--n", "3", "--expr", "-2*Re(z1) + 1 + |z2|^4 + |z3|^8"],
+     "model has the constant term 1: the hypersurface r = 0 must pass "
+     "through the origin"),
 ])
 def test_input_errors_exit_2(capsys, tmp_path, argv, message):
     path = tmp_path / "model.txt"
@@ -735,21 +758,21 @@ UNCERTIFIED = "-2*Re(z1) + |z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^3*zbar3)"
 
 
 def _gated_and_ungated(monkeypatch, capsys, argv):
-    """The floors the gate returned in a run of ``argv``, that run's
-    (exit code, stdout, stderr), and those of a run whose gate returns
-    None, that is, of builds that scan every list."""
+    """The floors the build's gate returned in a run of ``argv``, that
+    run's (exit code, stdout, stderr), and those of a run whose gate
+    returns None, that is, of builds that scan every list."""
     floors = []
-    gate = cli._lambda_floor
+    gate = boundary._lambda_floor
 
-    def recording(r, mt=None):
-        floors.append(gate(r, mt))
+    def recording(r):
+        floors.append(gate(r))
         return floors[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_lambda_floor", recording)
+        patch.setattr(boundary, "_lambda_floor", recording)
         gated = run_cli(capsys, *argv)
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_lambda_floor", lambda r, mt=None: None)
+        patch.setattr(boundary, "_lambda_floor", lambda r: None)
         ungated = run_cli(capsys, *argv)
     return floors, gated, ungated
 
@@ -768,22 +791,28 @@ def _build_runs(expr, n, commands=("boundary-system", "torsion")):
 
 
 def test_gate_gives_the_search_weight_on_a_certified_model():
-    floor = cli._lambda_floor(parse_poly(TORSION, 4))
+    floor = boundary._lambda_floor(parse_poly(TORSION, 4))
     assert floor == (1, 6, 9, 18)
 
 
 def test_multitype_gate_reuses_its_search(monkeypatch, capsys):
+    # the command's search and the build's gate each run the search once:
+    # the build works out its own floor, so a certified model costs two
     calls = []
-    search = cli.multitype_search
 
-    def counting(*args):
-        calls.append(args)
-        return search(*args)
+    def counting(search):
+        def counted(*args):
+            calls.append((search, args))
+            return search(*args)
+        return counted
 
-    monkeypatch.setattr(cli, "multitype_search", counting)
+    for module in (cli, boundary):
+        monkeypatch.setattr(module, "multitype_search",
+                            counting(module.multitype_search))
     code, out, _err = run_cli(capsys, "multitype", "--json", "--commutator",
                               "--n", "4", "--expr", TORSION)
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and len(calls) == 2
+    assert [args[1:] for _search, args in calls] == [(4,), ()]
     payload = json.loads(out)
     assert payload["status"] == "exact-commutator"
     assert payload["commutator"] == ["1", "6", "9", "18"]
@@ -807,16 +836,7 @@ def test_gate_refuses_when_the_search_raises(monkeypatch, capsys, argv):
     def raising(*_args):
         raise PolyError("no admissible distinguished weight found")
 
-    monkeypatch.setattr(cli, "multitype_search", raising)
-    floors, gated, ungated = _gated_and_ungated(monkeypatch, capsys, argv)
-    assert floors == [None]
-    assert gated == ungated
-
-
-@pytest.mark.parametrize("argv", _build_runs(
-    TORSION, 4, ("boundary-system", "torsion", "multitype")))
-def test_gate_refuses_an_inadmissible_weight(monkeypatch, capsys, argv):
-    monkeypatch.setattr(cli, "is_admissible", lambda lam: (False, {2: []}))
+    monkeypatch.setattr(boundary, "multitype_search", raising)
     floors, gated, ungated = _gated_and_ungated(monkeypatch, capsys, argv)
     assert floors == [None]
     assert gated == ungated

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,10 +15,10 @@ from catlin.parser import parse_poly
 from catlin.poly import NonRealError, Poly, PolyError
 from catlin.weights import Weight
 
-from helpers import (all_satisfied, circle_points, first_indefinite_point,
-                     grid_tuples, homogenized_modulus_square,
-                     m_dominant_coefficients, model_truncate,
-                     newton_split_check, one_var_coeff_check,
+from helpers import (MANY_SPLITTINGS, all_satisfied, circle_points,
+                     first_indefinite_point, grid_tuples,
+                     homogenized_modulus_square, m_dominant_coefficients,
+                     model_truncate, newton_split_check, one_var_coeff_check,
                      psd_verdict_oracle, rand_crat)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
@@ -171,6 +173,24 @@ def test_hessian_form_value_matches_entrywise_evaluation():
         hessian_form_value(h, [CRat(0)] * 3, [CRat(1)] * 3)
     with pytest.raises(ValueError):  # a witness vector of the wrong length
         hessian_form_value(h, [CRat(0)] * 4, [CRat(1)] * 2)
+
+
+def test_lattice_splits_are_the_product_tuples_that_sum_to_one():
+    # tier 2 takes the first feasible tuple into its certificate, so the
+    # walk keeps the product's order, not only its set of tuples
+    for k in range(1, 6):
+        assert levi._lattice_splits(k, Fraction(1)) == [
+            combo for combo in itertools.product(levi._LATTICE, repeat=k)
+            if sum(combo) == 1], k
+
+
+def test_many_splittings_get_a_verdict_at_once():
+    p = parse_poly(MANY_SPLITTINGS, 3)
+    assert len(p.terms) == 26
+    start = time.perf_counter()
+    verdict = psd_verdict(p)
+    assert time.perf_counter() - start < 10
+    assert verdict.kind == KIND_REFUTED and verdict.witness["value"] == "-1026"
 
 
 # the benchmark's `perturbed` shapes at c = 1/3 (not plurisubharmonic, yet
