@@ -61,7 +61,9 @@ tried; an infinite Lambda_j leaves no finite list, and the remaining entries
 are +inf.  The skip changes which lists are tried, not which one is found.
 Every build works out its floor (``_lambda_floor``): Lambda when the
 tangential part has a tier-1 or tier-2 certificate (r is pseudoconvex) and
-the search does not raise, else none.  Lambda is admissible by construction:
+the search does not raise, else none.  The system records it as ``floor``,
+and every first-block rebuild in the straightened coordinates reuses it, as
+C and M are biholomorphic invariants.  Lambda is admissible by construction:
 each finite entry leaves the positive row remainder it is picked from
 exactly 0, an admissibility witness.  The audit keeps its full scan of the
 shorter lists, because it is the check.
@@ -69,6 +71,7 @@ shorter lists, because it is the check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -260,6 +263,7 @@ class BoundarySystem:
                                       # the build runs
     list_bound: int
     trunc_degree: int
+    floor: Optional[Tuple[Entry, ...]] = None  # the build's Lambda floor
     transform: Optional[CoordChange] = None
 
     @property
@@ -344,8 +348,6 @@ def _build_slow_field(r: Poly, c1: CRat, p_hess: List[List[Poly]],
             for conj in ([a.conj() for a in lf.hol[1:]] for lf in levi)]
     rows += [[sl.r_func.wirtinger(k) for k in range(2, n + 1)]
              for sl in prior]
-    if not rows:
-        return _field_from_vector(r, c1, base)
     matrix = [[_capped_products(n, zip(col, w), cap) for col in columns]
               for w in rows]
     rhs = [-_capped_products(n, zip(base, w), cap) for w in rows]
@@ -434,13 +436,14 @@ def _system_slots(r: Poly, list_bound: Optional[int],
     bs = BoundarySystem(n=n, r=r, rank=levi_rank, levi_fields=levi_fields,
                         slow=slow,
                         c_entries=(Fraction(1),) + (Fraction(2),) * levi_rank,
-                        list_bound=bound, trunc_degree=cap)
+                        list_bound=bound, trunc_degree=cap, floor=floor)
     yield bs
     for slot in range(levi_rank + 2, n + 1):
         fields_by_slot = {k: sl.fld for k, sl in slow.items()}
-        used_dirs = [sl.direction for sl in slow.values()]
+        used = [sl.direction for sl in slow.values()]
         found = None
-        directions = [d for d in catalog if not _in_span(d, used_dirs)]
+        # the catalog directions outside the span of the slots built so far
+        directions = [d for d in catalog if rank(used + [d]) > rank(used)]
         # by position in ``directions``: the searcher over the direction's
         # slow field, None when the field cannot be built
         searchers: Dict[int, Optional[_ListSearcher]] = {}
@@ -505,12 +508,6 @@ def _system_slots(r: Poly, list_bound: Optional[int],
                               c=c_j, r_func=r_func, scale=scale)
         bs.c_entries += (c_j,)
         yield bs
-
-
-def _in_span(direction: Sequence[CRat], used: List[Tuple[CRat, ...]]) -> bool:
-    if not used:
-        return False
-    return rank(list(used) + [direction]) == rank(used)
 
 
 def _normalize_r(g: Poly, direction: Sequence[CRat]) -> Tuple[Poly, CRat]:
@@ -589,10 +586,11 @@ def normalize_first_block(bs: BoundarySystem) -> BoundarySystem:
     z_j -> (z_j - phi - psi)/(c_+ + conj(c_-)) with T = phi + conj(psi)
     straightens r_j.  A non-harmonic T raises PseudoconvexityError, a
     vanishing scale factor is inconsistent input.  Returns the system of
-    ``bs.r`` rebuilt in the new coordinates, the change as ``transform``."""
-    r_cur, trace = _straighten_first_block(bs, iter(()))
-    rebuilt = build_boundary_system(r_cur, bs.list_bound)
-    rebuilt.transform = trace
+    ``bs.r`` rebuilt in the new coordinates with the floor of ``bs``, the
+    changes composed as ``transform``."""
+    r_cur, changes = _straighten_first_block(bs, iter(()))
+    *_, rebuilt = _system_slots(r_cur, bs.list_bound, bs.floor)
+    rebuilt.transform = functools.reduce(CoordChange.compose, changes)
     return rebuilt
 
 
@@ -601,28 +599,30 @@ def first_block_torsion(r0: Poly, list_bound: Optional[int] = None
     """The report of ``detect_torsion(normalize_first_block(
     build_boundary_system(r0, list_bound)))``, from systems built only
     through the slot the report reads: the first slot past the first block,
-    before and after the change that straightens the block.  Both builds
-    take the floor of r0: C and M are biholomorphic invariants."""
-    floor = _lambda_floor(r0)
-    slots = _system_slots(r0, list_bound, floor)
+    before and after the change that straightens the block.  The second
+    reuses the floor of the first (C and M are biholomorphic invariants)."""
+    slots = _system_slots(r0, list_bound, _lambda_floor(r0))
     bs = _through_torsion_slot(slots)
-    r_cur, _trace = _straighten_first_block(bs, slots)
-    return detect_torsion(
-        _through_torsion_slot(_system_slots(r_cur, bs.list_bound, floor)))
+    r_cur, _changes = _straighten_first_block(bs, slots)
+    return detect_torsion(_through_torsion_slot(
+        _system_slots(r_cur, bs.list_bound, bs.floor)))
 
 
 def _straighten_first_block(bs: BoundarySystem,
                             rest: Iterator[BoundarySystem]
-                            ) -> Tuple[Poly, CoordChange]:
+                            ) -> Tuple[Poly, List[CoordChange]]:
     """The model ``bs.r`` in coordinates where r_j = Re z_j on the first
-    block (see ``normalize_first_block``), and the change that gets there.
+    block (see ``normalize_first_block``), and the change made at each slot
+    of the block, in order.
 
-    ``bs`` may be partial, with ``rest`` the rest of its build.  The change
+    ``bs`` may be partial, with ``rest`` the rest of its build.  Each change
     is graded by the weights 1/c_j.  When one of its maps involves the
     variable of a slot not built yet, its weight is needed, and the build
     runs to the end first.  Otherwise those variables keep identity maps, so
     no check of ``CoordChange`` depends on their weights; they take the
-    weight of the last slot built."""
+    weight of the last slot built.  Input that is not weight-graded keeps
+    its refusal: the paper normalizes the model, and truncating it to its
+    weight-1 part silently would answer for another hypersurface."""
     block = first_block_slots(bs)
     if not block:
         raise BoundaryConstructionError("no finite slow block to normalize")
@@ -634,7 +634,7 @@ def _straighten_first_block(bs: BoundarySystem,
     n = bs.n
     mu = _change_weight(bs)
     r_cur = bs.r
-    trace = CoordChange.identity(n, mu.entries)
+    changes: List[CoordChange] = []
     for j in block:
         support = [i + 2 for i, c in enumerate(bs.slow[j].direction)
                    if not c.is_zero()]
@@ -674,8 +674,8 @@ def _straighten_first_block(bs: BoundarySystem,
         maps[dirvar - 1] = (Poly.variable(n, dirvar) - phi - psi) * (CRat(1) / a)
         change = CoordChange(n, maps, mu.entries)
         r_cur = change.apply(r_cur)
-        trace = trace.compose(change)
-    return r_cur, trace
+        changes.append(change)
+    return r_cur, changes
 
 
 @dataclass
@@ -712,15 +712,12 @@ def detect_torsion(bs: BoundarySystem) -> TorsionReport:
                                            "block")
     j = beyond[0]
     sl = bs.slow[j]
-    c1 = sl.scale
     mixed = sl.r_func - sl.r_func.pure_part()
-    if mixed.is_zero():
-        return TorsionReport(True, slot=j, torsion=False, linear_coeff=c1,
-                             obstruction=Poly.zero(bs.n),
-                             detail=f"r_{j} has pluriharmonic tail only")
-    return TorsionReport(True, slot=j, torsion=True, linear_coeff=c1,
-                         obstruction=mixed,
-                         detail=f"r_{j} carries non-pluriharmonic content")
+    torsion = not mixed.is_zero()
+    detail = "carries non-pluriharmonic content" if torsion \
+        else "has pluriharmonic tail only"
+    return TorsionReport(True, slot=j, torsion=torsion, linear_coeff=sl.scale,
+                         obstruction=mixed, detail=f"r_{j} {detail}")
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,8 @@ from .exact import rat_str
 from .levi import KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN, psd_verdict
 from .normal_form import normalize, verify_normal_form
 from .parser import parse_poly
-from .poly import Poly, PolyError, PseudoconvexityError, split_model
+from .poly import (Poly, PolyError, PseudoconvexityError, require_real,
+                   split_model)
 from .weights import (INF, Weight, corroborate, counting_bound,
                       enumerate_multitypes, is_admissible, multitype_search)
 
@@ -54,7 +55,7 @@ def _load_poly(args) -> Poly:
             doc = json.loads(text)
         except RecursionError:
             raise CliError("JSON input nests too deeply") from None
-        return Poly.from_json_dict(doc)
+        return require_real(Poly.from_json_dict(doc), "JSON polynomial")
     if args.n is None:
         raise CliError("text input files require --n")
     return parse_poly(text.strip(), args.n)
@@ -262,20 +263,15 @@ def _example_four_variable_selection() -> bool:
     return nf.K == [[2], [1, 1], [0, 1, 1]]
 
 
-def _torsion_model(eps: Fraction = Fraction(1, 10)) -> Poly:
-    e = f"({eps.numerator}/{eps.denominator})"
-    return parse_poly(
-        "-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
-        f" + |z2|^2*|z3|^4*|z4|^4 + 2*{e}*Re(z2*zbar2*z3^2*zbar3^3*z4*zbar4)"
-        " + |z3|^8*|z4|^2", 4)
-
-
 def _example_torsion() -> bool:
     """The paper's torsion example whole: the model is pseudoconvex (tier 2),
     its first block normalizes to r_2 = Re z2, and the slot after the block
     still has torsion.  The report read from the full normalized system is
     the one ``catlin torsion`` reads from systems built through slot 3."""
-    r = _torsion_model()
+    r = parse_poly(
+        "-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
+        " + |z2|^2*|z3|^4*|z4|^4 + 2*(1/10)*Re(z2*zbar2*z3^2*zbar3^3*z4*zbar4)"
+        " + |z3|^8*|z4|^2", 4)
     verdict = psd_verdict(r.restrict_support(range(2, 5)))
     if verdict.kind != KIND_CERTIFIED or verdict.tier != 2:
         return False

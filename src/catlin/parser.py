@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .exact import CI, CONE, CRat
-from .poly import (NonRealError, Poly, PolyError, TermKey, _conj_terms,
+from .poly import (MAX_PRINTED_DIGITS, Poly, PolyError, TermKey, _conj_terms,
                    _mul_terms, _neg_terms, _nonzero, _scale_terms, _sum_terms,
                    require_real)
 
@@ -71,12 +71,10 @@ MAX_NESTING = 400
 # variable is past MAX_POWER_TERMS.
 MAX_DIGITS = 640
 
-# Most decimal digits of a printed number: Python refuses to convert a
-# longer int to a string (sys.get_int_max_str_digits(), 4300 by default).
-# A product or power that forms a longer coefficient is refused, a power
-# before it is formed when it surely would, so a long exponent on a constant
-# fails fast.  10^MAX_PRINTED_DIGITS < 2^_PRINTED_BITS.
-MAX_PRINTED_DIGITS = 4300
+# A sum, product or power that forms a coefficient of more than
+# MAX_PRINTED_DIGITS digits is refused, a power before it is formed when it
+# surely would, so a long exponent on a constant fails fast.
+# 10^MAX_PRINTED_DIGITS < 2^_PRINTED_BITS.
 _PRINTED_LIMIT = 10 ** MAX_PRINTED_DIGITS
 _PRINTED_BITS = _PRINTED_LIMIT.bit_length()
 
@@ -161,10 +159,14 @@ class _Parser:
     def expr(self) -> Terms:
         p = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                p = _sum_terms(p, self.term(), val == "-")
+                q = self.term()
+                size = len(p) + len(q)
+                p = _sum_terms(p, q, val == "-")
+                if len(p) < size:   # q shares a key with p: a sum formed
+                    _printable({k: p[k] for k in q if k in p}, pos)
             else:
                 return p
 

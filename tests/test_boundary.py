@@ -17,7 +17,8 @@ from catlin.boundary import (BoundaryConstructionError,
 from catlin.cli import main
 from catlin.exact import CRat
 from catlin.parser import parse_poly
-from catlin.poly import Poly, PolyError, _mul_terms, split_model
+from catlin.poly import (CoordChange, Poly, PolyError, _mul_terms,
+                         split_model)
 from catlin.weights import INF, InverseWeight, is_admissible, multitype_search
 
 from helpers import (_truncate, apply_field_oracle, commutator_oracle,
@@ -668,6 +669,49 @@ def test_first_block_torsion_matches_full_systems(expr, n):
     assert _outcome(lambda: first_block_torsion(r)) == full
 
 
+def test_normalize_first_block_reuses_the_floor(monkeypatch):
+    # the system keeps the floor its build worked out, and the rebuild in
+    # the straightened coordinates reuses it: one gate, one search
+    calls = collections.Counter()
+
+    def counting(name):
+        orig = getattr(boundary, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return orig(*args)
+        return counted
+
+    for name in ("_lambda_floor", "multitype_search"):
+        monkeypatch.setattr(boundary, name, counting(name))
+    r = parse_poly(TORSION_EXPR, 4)
+    bs = build_boundary_system(r)
+    bs2 = normalize_first_block(bs)
+    assert calls == {"_lambda_floor": 1, "multitype_search": 1}
+    assert bs.floor == bs2.floor == (1, 6, 9, 18)
+    assert bs2.commutator_multitype() == bs.commutator_multitype()
+
+
+def test_straightening_composes_only_for_the_transform(monkeypatch):
+    # a two-slot first block makes two changes: the torsion report, which
+    # throws the transform away, composes none of them, and
+    # normalize_first_block composes them once
+    composed = []
+    compose = CoordChange.compose
+
+    def counting(self, after):
+        composed.append(after)
+        return compose(self, after)
+
+    monkeypatch.setattr(CoordChange, "compose", counting)
+    r = parse_poly("-2*Re(z1) + |z2|^4 + |z3|^4 + |z2|^2*|z3|^2", 3)
+    first_block_torsion(r)
+    assert composed == []
+    bs = normalize_first_block(build_boundary_system(r))
+    assert len(composed) == 1
+    assert bs.transform.apply(r) == bs.r
+
+
 def test_torsion_command_builds_no_field_past_the_torsion_slot(
         monkeypatch, capsys):
     # the torsion model has Levi rank 0, so a slow field built with k
@@ -898,6 +942,10 @@ def test_floor_applies_only_while_the_prefix_agrees():
     assert full.c_entries == (1, 4, 6)
     assert _built(r, (1, 4, INF)).c_entries == (1, 4, INF)
     assert _built(r, (1, 2, 8)).to_json() == full.to_json()
+    # each system records the floor it was given, which it does not print
+    for floor in (None, (1, 4, INF), (1, 2, 8)):
+        assert _built(r, floor).floor == floor
+    assert "floor" not in full.to_json()
 
 
 def test_build_skips_the_lists_below_its_own_floor(monkeypatch):
@@ -931,6 +979,7 @@ def test_build_skips_the_lists_below_its_own_floor(monkeypatch):
             tried.clear()
             bs = build_boundary_system(r)
             assert below(bs, floor) == [], str(r)
+            assert bs.floor == floor
             tried.clear()
             full = _built(r, None)
             skipped += len(below(full, floor))

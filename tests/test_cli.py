@@ -645,6 +645,10 @@ TEXT_MODEL = "-2*Re(z1) + |z2|^4"
     (["normalize", "--n", "3", "--expr", "-2*Re(z1) + 1 + |z2|^4 + |z3|^8"],
      "model has the constant term 1: the hypersurface r = 0 must pass "
      "through the origin"),
+    # each power prints, their sum's common denominator would not
+    (["parse", "--n", "2", "--expr", "(1/3)^9000 + (1/7)^5000"],
+     "parse error at position 11: coefficient has more than "
+     "4300 digits"),
 ])
 def test_input_errors_exit_2(capsys, tmp_path, argv, message):
     path = tmp_path / "model.txt"
@@ -705,6 +709,14 @@ _TERM = {"alpha": [0, 1], "beta": [0, 1], "re": "1", "im": "0"}
      "duplicate term ((0, 1), (0, 1)) in JSON polynomial"),
     ({"n": 2, "terms": [{**_TERM, "re": "1/0"}]},
      "JSON polynomial: re: zero denominator: '1/0'"),
+    # the rules text input follows: a real-valued model, and numbers short
+    # enough to convert and print
+    ({"n": 2, "terms": [{**_TERM, "alpha": [0, 2], "beta": [0, 0]}]},
+     "JSON polynomial is not real-valued; offending exponent pairs: "
+     "[((0, 2), (0, 0))]"),
+    ({"n": 2, "terms": [{**_TERM, "im": "1/" + "7" * 5000}]},
+     "JSON polynomial: im: numerator or denominator has more than 4300 "
+     "digits"),
 ])
 def test_json_input_errors_exit_2(capsys, tmp_path, doc, message):
     path = tmp_path / "model.json"

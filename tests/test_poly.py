@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,6 +69,19 @@ def test_parse_refuses_oversized_power():
                  "|(1+z2+z3+z4)^40|^2"):
         with pytest.raises(ParseError, match="term pairs, more than"):
             parse_poly(text, 4)
+    # a complex constant to a 600-digit power is refused before it is
+    # formed, by its modulus |3+4i| = 5 and by the denominator 5 of
+    # (3+4i)/5, whose modulus is 1; (2+i)^12000, 4,194 digits, prints
+    big = "9" * 600
+    for text in (f"Re((3+4*i)^{big})", f"Re(((3/5)+(4/5)*i)^{big})"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="power's coefficient") as err:
+            parse_poly(text, 2)
+        assert time.perf_counter() - start < 0.5
+        assert err.value.pos == 3   # the opening parenthesis of the base
+    c = CRat(2, 1) ** 12000
+    assert parse_poly("Re((2+i)^12000)", 2) == Poly.const(2, c.re)
+    assert len(str(c.re)) <= parser.MAX_PRINTED_DIGITS
 
 
 def test_parse_product_cap_is_exact(monkeypatch):
@@ -487,8 +501,7 @@ def _is_parent(parent, child, j, conjugate):
 
 def test_substitute_identity():
     p = parse_poly("|z2|^4 + 2*Re(z2*zbar3)", 3)
-    mu = (Fraction(1), Fraction(1, 2), Fraction(1, 2))
-    assert CoordChange.identity(3, mu).apply(p) == p
+    assert p.substitute_maps([Poly.variable(3, j) for j in (1, 2, 3)]) == p
 
 
 def test_substitute_square_identity():
