@@ -37,10 +37,23 @@ Wherever only low degrees matter, products are formed degree-capped by the
 product kernel of ``poly``: term pairs whose degrees add up to more than the
 cap are never formed.  In the list search this is exact because a term of
 degree d needs d more derivations to reach the origin; each bracket seed is
-formed once, capped for the longest list, and used whole by every list.
+capped for the longest list and used whole by every list.
 The slow fields are built capped at the truncation degree: every entry of
 their tangency system is a capped product, so the Neumann solve takes its
 matrix as given and caps each product of its own there.
+
+Each build keeps one store of the seeds and tail states whose entries all
+lie in finished slots (``_ListSearcher.with_field``), shared by every
+candidate direction and every later slot: the skeletons are in descending
+slot order, so the search walks each list from its tail, where only finished
+slots lie, and their fields no longer change.  Within one build r, the seed
+cap and those fields are fixed, and a state's key (list length, suffix of
+entries) fixes its positions and caps, so a stored value is exactly what a
+searcher of its own would form; each is formed once per build.  The entries
+of the slot under test, whose field changes with the direction, are formed
+by each direction's view alone.  The store is dropped with its build; the
+audit keeps a searcher of its own, as it is the check, and the two builds of
+``first_block_torsion`` (different r) share nothing.
 
 A field is applied by ``_apply_field`` alone, in one pass: for each nonzero
 coefficient a_k, the derivative of the operand in z_k (or zbar_k) is formed
@@ -146,13 +159,28 @@ class _ListSearcher:
     coefficients, and the seed of two conjugate entries is zero.
 
     The bracket seed dr([L^{l-1}, L^l]) is computed once per (entry, entry)
-    pair and used whole by every list.  Given ``max_length``, it is capped at
-    the degree the longest list (``max_length`` fields) can still bring to
-    the origin, and each application drops the terms above the number of
-    derivations still to come.  A term of degree d needs d more derivations
-    to reach the origin, so values at 0 stay exact.  Without ``max_length``
-    nothing is capped.  The search walks the skeleton from its tail, so
-    sibling patterns reuse every suffix state."""
+    pair and used whole by every list of the searcher, or of the build when
+    both entries lie in finished slots (below).  Given ``max_length``, it
+    is capped at the degree the longest list (``max_length`` fields) can
+    still bring to the origin, and each application drops the terms above
+    the number of derivations still to come.  A term of degree d needs d
+    more derivations to reach the origin, so values at 0 stay exact.
+    Without ``max_length`` nothing is capped.  The search walks the
+    skeleton from its tail, so sibling patterns reuse every suffix state.
+
+    A build keeps one searcher over its finished slots, whose fields no
+    longer change, and hands each candidate direction a view,
+    ``with_field``, over those fields and the direction's field at the slot
+    under test.  Every view shares the store of the build's searcher: each
+    seed and each tail state whose entries all lie in finished slots, the
+    seed keyed by its entry pair, the state by (list length, suffix of
+    entries).  Within a build r, the seed cap and the finished fields are
+    fixed, and the length and the suffix fix the positions and so the caps,
+    so a stored value is a pure function of its key, formed once for every
+    direction and every later slot.  A key with an entry of the slot under
+    test is not shared, as that field changes with the direction.  A
+    searcher made directly (the audit's, ``list_derivative``'s) has no
+    finished slots and shares nothing."""
 
     def __init__(self, r: Poly, fields: Dict[int, VField],
                  max_length: Optional[int] = None):
@@ -161,6 +189,18 @@ class _ListSearcher:
         self.seed_cap = None if max_length is None else max_length - 2
         self._coeffs: Dict[ListEntry, Tuple[Poly, ...]] = {}
         self._seeds: Dict[Tuple[ListEntry, ListEntry], Poly] = {}
+        # the slots whose seeds and tail states go into the shared store
+        self._finished: frozenset = frozenset()
+        self._store: Dict[tuple, Poly] = {}
+
+    def with_field(self, slot: int, fld: VField) -> _ListSearcher:
+        """A searcher over these fields and ``fld`` at ``slot`` that shares
+        this one's store for the entries of the slots of ``self.fields``."""
+        view = _ListSearcher(self.r, {**self.fields, slot: fld})
+        view.seed_cap = self.seed_cap
+        view._finished = frozenset(self.fields)
+        view._store = self._store
+        return view
 
     def apply(self, entry: ListEntry, f: Poly, cap: Optional[int]) -> Poly:
         """The field of ``entry`` applied to f, without the terms above
@@ -174,7 +214,9 @@ class _ListSearcher:
     def seed(self, e1: ListEntry, e2: ListEntry) -> Poly:
         """dr([e1, e2]), capped as the searcher's longest list needs it."""
         key = (e1, e2)
-        if key not in self._seeds:
+        seeds = self._store if e1[0] in self._finished \
+            and e2[0] in self._finished else self._seeds
+        if key not in seeds:
             n, c = self.r.n, self.seed_cap
             hol = [Poly.zero(n)] * n
             if not e2[1]:
@@ -183,8 +225,8 @@ class _ListSearcher:
             if not e1[1]:
                 hol = [h - self.apply(e2, x, c)
                        for h, x in zip(hol, self.fields[e1[0]].hol)]
-            self._seeds[key] = _apply_field(hol, self.r, c)
-        return self._seeds[key]
+            seeds[key] = _apply_field(hol, self.r, c)
+        return seeds[key]
 
     def derivative(self, entries: Sequence[ListEntry]) -> Poly:
         """The list derivative of ``entries``; given ``max_length``, capped
@@ -201,15 +243,24 @@ class _ListSearcher:
         pattern over the skeleton whose list derivative at 0 is nonzero."""
         length = len(skeleton)
         zero = (0,) * self.r.n
+        finished, store = self._finished, self._store
 
-        def rec(pos: int, current: Poly) -> Optional[List[ListEntry]]:
+        def rec(pos: int, current: Poly, suffix: Optional[tuple]
+                ) -> Optional[List[ListEntry]]:
+            # ``suffix``: the entries after ``pos`` while all are finished
             if current.is_zero():
                 return None
             if pos < 0:
                 return [] if current.coeff(zero, zero) else None
             for flag in (False, True):
                 entry = (skeleton[pos], flag)
-                res = rec(pos - 1, self.apply(entry, current, pos))
+                if suffix is not None and entry[0] in finished:
+                    tail = (entry,) + suffix
+                    if (length, tail) not in store:
+                        store[length, tail] = self.apply(entry, current, pos)
+                    res = rec(pos - 1, store[length, tail], tail)
+                else:
+                    res = rec(pos - 1, self.apply(entry, current, pos), None)
                 if res is not None:
                     res.append(entry)  # ascending positions 0..pos
                     return res
@@ -221,7 +272,9 @@ class _ListSearcher:
                 e2 = (skeleton[length - 1], f2)
                 if e1 == e2:
                     continue  # bracket of a field with itself vanishes
-                res = rec(length - 3, self.seed(e1, e2))
+                shared = e1[0] in finished and e2[0] in finished
+                res = rec(length - 3, self.seed(e1, e2),
+                          (e1, e2) if shared else None)
                 if res is not None:
                     return res + [e1, e2]
         return None
@@ -433,13 +486,15 @@ def _system_slots(r: Poly, list_bound: Optional[int],
                 for k in range(n - 1))
             catalog.append(combo)
     slow: Dict[int, SlowSlot] = {}
+    # the searcher over the finished slots, whose store every direction's
+    # view shares; dropped with the build
+    finished = _ListSearcher(r, {}, bound)
     bs = BoundarySystem(n=n, r=r, rank=levi_rank, levi_fields=levi_fields,
                         slow=slow,
                         c_entries=(Fraction(1),) + (Fraction(2),) * levi_rank,
                         list_bound=bound, trunc_degree=cap, floor=floor)
     yield bs
     for slot in range(levi_rank + 2, n + 1):
-        fields_by_slot = {k: sl.fld for k, sl in slow.items()}
         used = [sl.direction for sl in slow.values()]
         found = None
         # the catalog directions outside the span of the slots built so far
@@ -478,7 +533,7 @@ def _system_slots(r: Poly, list_bound: Optional[int],
                         r, c1, p_hess, direction, levi_fields,
                         [slow[j] for j in sorted(slow)], cap)
                     searchers[i] = None if fld is None else \
-                        _ListSearcher(r, {**fields_by_slot, slot: fld}, bound)
+                        finished.with_field(slot, fld)
                 searcher = searchers[i]
                 if searcher is None:
                     continue
@@ -506,6 +561,7 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         slow[slot] = SlowSlot(slot=slot, direction=tuple(direction),
                               fld=fields[slot], entries=list(entries),
                               c=c_j, r_func=r_func, scale=scale)
+        finished.fields[slot] = fields[slot]
         bs.c_entries += (c_j,)
         yield bs
 

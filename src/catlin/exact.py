@@ -18,6 +18,7 @@ callers that need one value.
 from __future__ import annotations
 
 import itertools
+import re as _re
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple, Union
@@ -333,11 +334,19 @@ def rat_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+_RATIONAL = _re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def rat_from_str(s: str) -> Fraction:
-    """Rational from "3" or "-1/2"; ValueError for anything else."""
+    """Rational from "3" or "-1/2": an optional sign, digits and an optional
+    "/" and digits.  ValueError for anything else, so a decimal or exponent
+    notation ("1e99999999", which ``Fraction`` would expand) is refused
+    before any number is formed."""
     s = s.strip()
     if "." in s:
         raise ValueError(f"decimal rationals are not accepted: {s!r}")
+    if not _RATIONAL.fullmatch(s):
+        raise ValueError(f"not a rational such as \"-1/2\": {s!r}")
     try:
         return Fraction(s)
     except ZeroDivisionError:

@@ -242,11 +242,14 @@ class _Parser:
             self.expect_op(")")
             if val == "conj":
                 return _conj_terms(inner), False
+            # the sum forms a coefficient where inner and its conjugate
+            # share a key, and the halving can add a digit at every key
             if val == "Re":
-                return _scale_terms(_sum_terms(inner, _conj_terms(inner)),
-                                    _HALF), False
-            return _scale_terms(_sum_terms(inner, _conj_terms(inner), True),
-                                _MINUS_HALF_I), False
+                return _printable(_scale_terms(
+                    _sum_terms(inner, _conj_terms(inner)), _HALF), pos), False
+            return _printable(_scale_terms(
+                _sum_terms(inner, _conj_terms(inner), True), _MINUS_HALF_I),
+                pos), False
         if kind == "op" and val == "~":
             self.descend(1, pos)
             inner, modulus = self.atom()

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from catlin.boundary import VField, _field_from_vector, _neumann_solve
+from catlin.boundary import (ListEntry, VField, _apply_field,
+                             _field_from_vector, _neumann_solve)
 from catlin.exact import CI, CZERO, CRat, hermitian_form, rat_str
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          PositivityVerdict, _check_tangential, _random_crat,
@@ -619,6 +620,62 @@ def commutator_oracle(r: Poly, fields: Dict[int, VField],
     dbar_r = sum((anti[k - 1] * r.wirtinger(k, conjugate=True)
                   for k in range(1, n + 1)), Poly.zero(n))
     return dr, dbar_r
+
+
+class ListSearcherOracle:
+    """The earlier per-direction ``boundary._ListSearcher``: one searcher
+    per candidate direction, with its own bracket seeds, that forms every
+    tail state it walks through and shares nothing with any other."""
+
+    def __init__(self, r: Poly, fields: Dict[int, VField], seed_cap: int):
+        self.r = r
+        self.fields = fields
+        self.seed_cap = seed_cap
+        self._seeds: Dict[Tuple[ListEntry, ListEntry], Poly] = {}
+
+    def apply(self, entry: ListEntry, f: Poly, cap: int) -> Poly:
+        hol = self.fields[entry[0]].hol
+        coeffs = [a.conj() for a in hol] if entry[1] else hol
+        return _apply_field(coeffs, f, cap, entry[1])
+
+    def seed(self, e1: ListEntry, e2: ListEntry) -> Poly:
+        if (e1, e2) not in self._seeds:
+            n, c = self.r.n, self.seed_cap
+            hol = [Poly.zero(n)] * n
+            if not e2[1]:
+                hol = [h + self.apply(e1, y, c)
+                       for h, y in zip(hol, self.fields[e2[0]].hol)]
+            if not e1[1]:
+                hol = [h - self.apply(e2, x, c)
+                       for h, x in zip(hol, self.fields[e1[0]].hol)]
+            self._seeds[e1, e2] = _apply_field(hol, self.r, c)
+        return self._seeds[e1, e2]
+
+    def first_nonzero(self, skeleton: Sequence[int]
+                      ) -> Optional[List[ListEntry]]:
+        length = len(skeleton)
+        zero = (0,) * self.r.n
+
+        def rec(pos: int, current: Poly) -> Optional[List[ListEntry]]:
+            if current.is_zero():
+                return None
+            if pos < 0:
+                return [] if current.coeff(zero, zero) else None
+            for flag in (False, True):
+                entry = (skeleton[pos], flag)
+                res = rec(pos - 1, self.apply(entry, current, pos))
+                if res is not None:
+                    return res + [entry]
+            return None
+
+        for f1, f2 in itertools.product((False, True), repeat=2):
+            e1 = (skeleton[length - 2], f1)
+            e2 = (skeleton[length - 1], f2)
+            if e1 != e2:
+                res = rec(length - 3, self.seed(e1, e2))
+                if res is not None:
+                    return res + [e1, e2]
+        return None
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,9 @@ from catlin.poly import (CoordChange, Poly, PolyError, _mul_terms,
                          split_model)
 from catlin.weights import INF, InverseWeight, is_admissible, multitype_search
 
-from helpers import (_truncate, apply_field_oracle, commutator_oracle,
-                     compositions_oracle, rand_crat, rand_real_poly,
-                     slow_field_oracle)
+from helpers import (ListSearcherOracle, _truncate, apply_field_oracle,
+                     commutator_oracle, compositions_oracle, rand_crat,
+                     rand_real_poly, slow_field_oracle)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
@@ -914,6 +914,105 @@ def test_each_direction_tries_lists_in_value_order(monkeypatch):
                 hit.add(searcher)
         # some direction tried more than one skeleton of a total
         assert len(calls) > len(last)
+
+
+def test_shared_store_matches_per_direction_searchers(monkeypatch):
+    # Every direction's view shares the build's store of the seeds and tail
+    # states over finished slots.  A searcher per direction that shares
+    # nothing (the earlier search) gives the same c-entries, lists and JSON
+    # on the certified models of test_floor_skips_only_lists_that_vanish,
+    # with the floor and without it.
+    rng = random.Random(1984)
+
+    def per_direction(self, slot, fld):
+        return ListSearcherOracle(self.r, {**self.fields, slot: fld},
+                                  self.seed_cap)
+
+    models = later = 0
+    while models < 120:
+        r = _certified_model(rng)
+        floor = _lambda_floor(r)
+        if floor is None:
+            continue
+        models += 1
+        for f in (None, floor):
+            shared = _outcome(lambda: _built(r, f))
+            with monkeypatch.context() as patch:
+                patch.setattr(_ListSearcher, "with_field", per_direction)
+                alone = _outcome(lambda: _built(r, f))
+            assert shared == alone, (str(r), f)
+            # a slot built after another reads the store
+            later += isinstance(shared, dict) and len(shared["slots"]) > 1
+    assert later >= 100
+
+
+def test_finished_slot_seeds_and_states_are_formed_once(monkeypatch):
+    # In one build, each seed and each tail state whose entries all lie in
+    # finished slots (below the slot under test, the largest slot of the
+    # searcher's fields) is formed once, for every direction and every
+    # later slot.  A seed is keyed by its entry pair and formed where its
+    # bracket reaches r; a tail state is keyed by (list length, its
+    # entries), and formed where the search applies an entry to a seed or
+    # a state (below the seed cap).  Different keys may give equal states.
+    r = parse_poly("-2*Re(z1) + |z2|^4 + |z3|^6 + |z4|^8", 4)
+    seed, apply, search = (_ListSearcher.seed, _ListSearcher.apply,
+                           _ListSearcher.first_nonzero)
+    apply_field = boundary._apply_field
+    seeds, states = collections.Counter(), collections.Counter()
+    forming, lengths = [], []
+    entries_of = {}  # id of a seed or state -> (its entries, itself)
+
+    def finished(self, entries):
+        return all(e[0] < max(self.fields) for e in entries)
+
+    def recording_seed(self, e1, e2):
+        forming.append((e1, e2) if finished(self, (e1, e2)) else None)
+        try:
+            out = seed(self, e1, e2)
+        finally:
+            forming.pop()
+        entries_of[id(out)] = (e1, e2), out
+        return out
+
+    def recording_field(coeffs, f, cap=None, conjugate=False):
+        if forming and forming[-1] and f is r and cap is not None:
+            seeds[forming[-1]] += 1
+        return apply_field(coeffs, f, cap, conjugate)
+
+    def recording_apply(self, entry, f, cap):
+        out = apply(self, entry, f, cap)
+        if lengths and cap is not None and cap < self.seed_cap:
+            tail = (entry,) + entries_of[id(f)][0]
+            entries_of[id(out)] = tail, out
+            if finished(self, tail):
+                states[lengths[-1], tail] += 1
+        return out
+
+    def recording_search(self, skeleton):
+        lengths.append(len(skeleton))
+        try:
+            return search(self, skeleton)
+        finally:
+            lengths.pop()
+
+    monkeypatch.setattr(_ListSearcher, "seed", recording_seed)
+    monkeypatch.setattr(_ListSearcher, "apply", recording_apply)
+    monkeypatch.setattr(_ListSearcher, "first_nonzero", recording_search)
+    monkeypatch.setattr(boundary, "_apply_field", recording_field)
+    bs = build_boundary_system(r)
+    assert bs.c_entries == (1, 4, 6, 8)
+    assert len(seeds) >= 8 and len(states) >= 70, (seeds, len(states))
+    assert set(seeds.values()) == {1} and set(states.values()) == {1}
+
+
+def test_diagonal_family_n6():
+    # the scaled diagonal family |z2|^4 + ... + |zn|^2n at n = 6: five slow
+    # slots, each reading the store of the slots below it
+    r = parse_poly("-2*Re(z1) + |z2|^4 + |z3|^6 + |z4|^8 + |z5|^10"
+                   " + |z6|^12", 6)
+    bs = build_boundary_system(r)
+    assert bs.c_entries == (1, 4, 6, 8, 10, 12)
+    assert audit_boundary_system(bs) == []
 
 
 @pytest.mark.parametrize("expr,n", [

@@ -649,6 +649,16 @@ TEXT_MODEL = "-2*Re(z1) + |z2|^4"
     (["parse", "--n", "2", "--expr", "(1/3)^9000 + (1/7)^5000"],
      "parse error at position 11: coefficient has more than "
      "4300 digits"),
+    # the sum Re(...) forms where its operand and the conjugate share a
+    # key, and the halving, which adds a digit to 7^5088 (4,300 digits)
+    (["parse", "--n", "3", "--expr",
+      "Re((1/3)^9000*z2*zbar3 + (1/7)^5000*z3*zbar2)"],
+     "parse error at position 0: coefficient has more than 4300 digits"),
+    (["parse", "--n", "3", "--expr",
+      "|z2|^2 + Im((1/3)^9000*z2*zbar3 + (1/7)^5000*z3*zbar2)"],
+     "parse error at position 9: coefficient has more than 4300 digits"),
+    (["parse", "--n", "2", "--expr", "Re((1/7)^5088*z2)"],
+     "parse error at position 0: coefficient has more than 4300 digits"),
 ])
 def test_input_errors_exit_2(capsys, tmp_path, argv, message):
     path = tmp_path / "model.txt"
@@ -717,12 +727,27 @@ _TERM = {"alpha": [0, 1], "beta": [0, 1], "re": "1", "im": "0"}
     ({"n": 2, "terms": [{**_TERM, "im": "1/" + "7" * 5000}]},
      "JSON polynomial: im: numerator or denominator has more than 4300 "
      "digits"),
+    # only an optional sign, digits and an optional /digits: no exponent
+    # notation, which Fraction would expand
+    ({"n": 2, "terms": [{**_TERM, "re": "1e2"}]},
+     "JSON polynomial: re: not a rational such as \"-1/2\": '1e2'"),
 ])
 def test_json_input_errors_exit_2(capsys, tmp_path, doc, message):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     assert run_cli(capsys, "parse", str(path)) == \
         (2, "", f"error: {message}\n")
+
+
+def test_json_exponent_notation_exits_2_fast(capsys, tmp_path):
+    # "1e99999999" would expand to a hundred-million-digit integer
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "parse",
+                             _json_input(tmp_path, re="1e99999999"))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (
+        2, "", "error: JSON polynomial: re: not a rational such as "
+        "\"-1/2\": '1e99999999'\n")
 
 
 def test_json_input_missing_key_exits_2(capsys, tmp_path):

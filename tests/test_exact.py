@@ -64,7 +64,9 @@ def test_negative_power_raises():
 def test_rat_str_round_trip():
     for s in ("0", "5", "-7/3", "12/7"):
         assert rat_str(rat_from_str(s)) == s
-    for bad in ("0.5", "1/0", "x"):
+    assert rat_from_str("+4/6") == Fraction(2, 3)
+    for bad in ("0.5", "1/0", "x", "1e2", "1e99999999", "1_000", "1/-2",
+                "/2", "1/", "٣"):
         with pytest.raises(ValueError):
             rat_from_str(bad)
 
