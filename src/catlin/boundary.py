@@ -31,7 +31,11 @@ Field coefficients are polynomials.  Tangency constraints are solved by an
 exact triangular elimination whose matrix inverse is expanded as a Neumann
 series; because the nonconstant part raises degrees, the series is exact up
 to the stored truncation degree, which exceeds every derivative order that
-can influence a value at the origin.
+can influence a value at the origin.  The tangency system of a slot (its
+rows, columns and matrix M, M(0)^{-1} and the nonconstant part of M) does
+not depend on the candidate direction, so it is formed once per slot
+(``_tangency_system``); each direction adds its right-hand side, the
+Neumann iteration and the z_1 coefficient.
 
 Wherever only low degrees matter, products are formed degree-capped by the
 product kernel of ``poly``: term pairs whose degrees add up to more than the
@@ -55,12 +59,20 @@ by each direction's view alone.  The store is dropped with its build; the
 audit keeps a searcher of its own, as it is the check, and the two builds of
 ``first_block_torsion`` (different r) share nothing.
 
-A field is applied by ``_apply_field`` alone, in one pass: for each nonzero
-coefficient a_k, the derivative of the operand in z_k (or zbar_k) is formed
-as a raw term table by ``poly._derivative_terms``, the loop behind
+A field is applied by one loop, ``_field_terms``, in one pass: for each
+nonzero coefficient a_k, the derivative of the operand in z_k (or zbar_k)
+is formed as a raw term table by ``poly._derivative_terms``, the loop behind
 ``Poly.wirtinger``, and multiplied by a_k into one table by the capped
-product kernel, which returns at once on an empty derivative; one ``Poly``
-is built per application.
+product kernel, which returns at once on an empty derivative.  The list
+search runs on raw term tables, the way the parser does: its states, seeds
+and store are tables, each entry keeps the tables of its nonzero
+coefficients, already conjugated, and a ``Poly`` is built only for what
+``_ListSearcher.derivative`` returns.  ``_apply_field`` wraps the loop for
+``Poly`` operands (the slow fields' z_1 coefficients and the audit).
+
+The admissible rows of a slot are formed once, for its largest total
+(``_skeletons``): the rows of a smaller total are the rows whose entries
+sum to at most total - 1, in the same order.
 
 The list search at a slot starts at three fields (a two-field list vanishes
 at 0; the argument is stated where the search runs) and can skip lists below
@@ -88,13 +100,14 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import CRat, CZERO, hermitian_reduce, inverse, rank, rat_str
 from .levi import complex_hessian, psd_certificate
 from .poly import (CoordChange, ModelShapeError, Poly, PolyError,
                    PseudoconvexityError, TermKey, _capped_products,
-                   _derivative_terms, _mul_terms, _unit, split_model)
+                   _conj_terms, _derivative_terms, _mul_terms, _nonzero,
+                   _sum_terms, _unit, split_model)
 from .weights import (INF, Entry, InverseWeight, Weight, admissible_rows,
                       entry_str, multitype_search, recip)
 
@@ -119,18 +132,30 @@ class VField:
         return {"hol": [f.to_json_dict() for f in self.hol]}
 
 
+def _field_terms(coeffs: Sequence[Tuple[int, Dict[TermKey, CRat]]],
+                 terms: Dict[TermKey, CRat], cap: Optional[int],
+                 conjugate: bool) -> Dict[TermKey, CRat]:
+    """Term table of the field sum_k a_k d/dz_k, or sum_k a_k d/dzbar_k
+    when ``conjugate``, applied to ``terms``, without the terms above degree
+    ``cap``: the one field loop.  ``coeffs`` pairs k - 1 with the table of
+    each nonzero a_k.  Each derivative is a raw term table, multiplied into
+    one table (the kernel returns at once on an empty one); the result holds
+    no zeros."""
+    out: Dict[TermKey, CRat] = {}
+    for i, a in coeffs:
+        _mul_terms(_derivative_terms(terms, i, conjugate), a, cap, out)
+    return _nonzero(out) if out else out
+
+
 def _apply_field(coeffs: Sequence[Poly], f: Poly, cap: Optional[int] = None,
                  conjugate: bool = False) -> Poly:
     """The field sum_k coeffs[k-1] d/dz_k, or sum_k coeffs[k-1] d/dzbar_k
     when ``conjugate``, applied to f, without the terms above degree
-    ``cap``: each derivative a raw term table, multiplied into one table
-    (the kernel returns at once on an empty one)."""
-    out: Dict[TermKey, CRat] = {}
-    for i, a in enumerate(coeffs):
-        if a.terms:
-            _mul_terms(_derivative_terms(f.terms, i, conjugate), a.terms, cap,
-                       out)
-    return Poly._unchecked(f.n, out)
+    ``cap``: ``_field_terms`` on the tables of f and the nonzero
+    coefficients."""
+    return Poly._unchecked(f.n, _field_terms(
+        [(i, a.terms) for i, a in enumerate(coeffs) if a.terms], f.terms,
+        cap, conjugate))
 
 
 ListEntry = Tuple[int, bool]  # (slot index, conjugated?)
@@ -151,12 +176,16 @@ class _ListSearcher:
     """List derivatives of ``fields`` on r, and the search for conjugation
     patterns whose list derivative does not vanish at 0.
 
-    An entry (slot, False) applies the slot's field sum_k a_k d/dz_k, and
-    (slot, True) its conjugate sum_k conj(a_k) d/dzbar_k; the conjugated
-    coefficients are formed once per entry.  dr reads only the (1,0) part
-    of a bracket, hol_k = X(Y_k) - Y(X_k) with Y_k the d/dz_k coefficient of
-    Y, so only that part is formed.  A conjugate entry has no (1,0)
-    coefficients, and the seed of two conjugate entries is zero.
+    The search runs on raw term tables, the way the parser does: its
+    states, seeds and store hold tables, and ``derivative`` alone builds a
+    ``Poly``.  An entry (slot, False) applies the slot's field
+    sum_k a_k d/dz_k, and (slot, True) its conjugate sum_k conj(a_k)
+    d/dzbar_k; each entry keeps the tables of its nonzero coefficients,
+    conjugated for a conjugate entry, formed once per searcher.  dr reads
+    only the (1,0) part of a bracket, hol_k = X(Y_k) - Y(X_k) with Y_k the
+    d/dz_k coefficient of Y, so only that part is formed.  A conjugate entry
+    has no (1,0) coefficients, and the seed of two conjugate entries is
+    zero.
 
     The bracket seed dr([L^{l-1}, L^l]) is computed once per (entry, entry)
     pair and used whole by every list of the searcher, or of the build when
@@ -171,7 +200,7 @@ class _ListSearcher:
     A build keeps one searcher over its finished slots, whose fields no
     longer change, and hands each candidate direction a view,
     ``with_field``, over those fields and the direction's field at the slot
-    under test.  Every view shares the store of the build's searcher: each
+    under test, which the slot's one tangency system gives.  Every view shares the store of the build's searcher: each
     seed and each tail state whose entries all lie in finished slots, the
     seed keyed by its entry pair, the state by (list length, suffix of
     entries).  Within a build r, the seed cap and the finished fields are
@@ -187,11 +216,13 @@ class _ListSearcher:
         self.r = r
         self.fields = fields
         self.seed_cap = None if max_length is None else max_length - 2
-        self._coeffs: Dict[ListEntry, Tuple[Poly, ...]] = {}
-        self._seeds: Dict[Tuple[ListEntry, ListEntry], Poly] = {}
+        self._coeffs: Dict[ListEntry,
+                           List[Tuple[int, Dict[TermKey, CRat]]]] = {}
+        self._seeds: Dict[Tuple[ListEntry, ListEntry],
+                          Dict[TermKey, CRat]] = {}
         # the slots whose seeds and tail states go into the shared store
         self._finished: frozenset = frozenset()
-        self._store: Dict[tuple, Poly] = {}
+        self._store: Dict[tuple, Dict[TermKey, CRat]] = {}
 
     def with_field(self, slot: int, fld: VField) -> _ListSearcher:
         """A searcher over these fields and ``fld`` at ``slot`` that shares
@@ -202,30 +233,34 @@ class _ListSearcher:
         view._store = self._store
         return view
 
-    def apply(self, entry: ListEntry, f: Poly, cap: Optional[int]) -> Poly:
-        """The field of ``entry`` applied to f, without the terms above
-        degree ``cap``."""
-        if entry not in self._coeffs:
-            hol = self.fields[entry[0]].hol
-            self._coeffs[entry] = tuple(a.conj() for a in hol) \
-                if entry[1] else hol
-        return _apply_field(self._coeffs[entry], f, cap, entry[1])
+    def apply(self, entry: ListEntry, f: Dict[TermKey, CRat],
+              cap: Optional[int]) -> Dict[TermKey, CRat]:
+        """The field of ``entry`` applied to the table f, without the terms
+        above degree ``cap``."""
+        coeffs = self._coeffs.get(entry)
+        if coeffs is None:
+            coeffs = self._coeffs[entry] = [
+                (i, _conj_terms(a.terms) if entry[1] else a.terms)
+                for i, a in enumerate(self.fields[entry[0]].hol) if a.terms]
+        return _field_terms(coeffs, f, cap, entry[1])
 
-    def seed(self, e1: ListEntry, e2: ListEntry) -> Poly:
-        """dr([e1, e2]), capped as the searcher's longest list needs it."""
+    def seed(self, e1: ListEntry, e2: ListEntry) -> Dict[TermKey, CRat]:
+        """The table of dr([e1, e2]), capped as the searcher's longest list
+        needs it."""
         key = (e1, e2)
         seeds = self._store if e1[0] in self._finished \
             and e2[0] in self._finished else self._seeds
         if key not in seeds:
-            n, c = self.r.n, self.seed_cap
-            hol = [Poly.zero(n)] * n
+            c = self.seed_cap
+            hol: List[Dict[TermKey, CRat]] = [{}] * self.r.n
             if not e2[1]:
-                hol = [h + self.apply(e1, y, c)
+                hol = [_sum_terms(h, self.apply(e1, y.terms, c))
                        for h, y in zip(hol, self.fields[e2[0]].hol)]
             if not e1[1]:
-                hol = [h - self.apply(e2, x, c)
+                hol = [_sum_terms(h, self.apply(e2, x.terms, c), True)
                        for h, x in zip(hol, self.fields[e1[0]].hol)]
-            seeds[key] = _apply_field(hol, self.r, c)
+            seeds[key] = _field_terms([(i, h) for i, h in enumerate(hol) if h],
+                                      self.r.terms, c, False)
         return seeds[key]
 
     def derivative(self, entries: Sequence[ListEntry]) -> Poly:
@@ -235,23 +270,24 @@ class _ListSearcher:
         out = self.seed(entries[-2], entries[-1])
         for pos in range(len(entries) - 3, -1, -1):
             out = self.apply(entries[pos], out, pos if capped else None)
-        return out
+        return Poly._unchecked(self.r.n, out)
 
     def first_nonzero(self, skeleton: Sequence[int]
                       ) -> Optional[List[ListEntry]]:
         """First (in canonical flag order, tail varying slowest) conjugation
         pattern over the skeleton whose list derivative at 0 is nonzero."""
         length = len(skeleton)
-        zero = (0,) * self.r.n
+        origin = ((0,) * self.r.n,) * 2
         finished, store = self._finished, self._store
 
-        def rec(pos: int, current: Poly, suffix: Optional[tuple]
-                ) -> Optional[List[ListEntry]]:
-            # ``suffix``: the entries after ``pos`` while all are finished
-            if current.is_zero():
+        def rec(pos: int, current: Dict[TermKey, CRat],
+                suffix: Optional[tuple]) -> Optional[List[ListEntry]]:
+            # ``suffix``: the entries after ``pos`` while all are finished;
+            # a table holds no zeros, so an empty one is the zero function
+            if not current:
                 return None
             if pos < 0:
-                return [] if current.coeff(zero, zero) else None
+                return [] if origin in current else None
             for flag in (False, True):
                 entry = (skeleton[pos], flag)
                 if suffix is not None and entry[0] in finished:
@@ -350,20 +386,15 @@ def _const_vec(n: int, direction: Sequence[CRat]) -> List[Poly]:
     return [Poly.const(n, c) for c in direction]
 
 
-def _neumann_solve(matrix: List[List[Poly]], rhs: List[Poly], n: int,
-                   cap: int) -> Optional[List[Poly]]:
-    """Solve M x = rhs over polynomials, exactly modulo degree > cap.
+def _neumann_solve(m0inv: List[List[CRat]], npart: List[List[Poly]],
+                   rhs: List[Poly], n: int, cap: int) -> List[Poly]:
+    """Solve M x = rhs over polynomials, exactly modulo degree > cap, given
+    M(0)^{-1} and the nonconstant part N = M - M(0).
 
-    The entries of M hold no terms above degree cap, and every product is
-    capped there.  Requires M(0) invertible; the series terminates because
-    the nonconstant part of M raises the minimum degree at each iteration."""
-    dim, zero = len(matrix), (0,) * n
-    m0 = [[entry.coeff(zero, zero) for entry in row] for row in matrix]
-    m0inv = inverse(m0)
-    if m0inv is None:
-        return None
-    npart = [[matrix[i][j] - Poly.const(n, m0[i][j]) for j in range(dim)]
-             for i in range(dim)]
+    The entries of N hold no terms above degree cap, and every product is
+    capped there.  The series sum_i (-M(0)^{-1} N)^i M(0)^{-1} rhs
+    terminates because N raises the minimum degree at each iteration."""
+    dim = len(m0inv)
 
     def apply_const(mat: List[List[CRat]], vec: List[Poly]) -> List[Poly]:
         return [sum((vec[j] * mat[i][j] for j in range(dim)), Poly.zero(n))
@@ -383,14 +414,19 @@ def _neumann_solve(matrix: List[List[Poly]], rhs: List[Poly], n: int,
     return acc
 
 
-def _build_slow_field(r: Poly, c1: CRat, p_hess: List[List[Poly]],
-                      direction: Sequence[CRat],
-                      levi: List[VField], prior: List[SlowSlot],
-                      cap: int) -> Optional[VField]:
-    """Field along ``direction`` corrected to annihilate the Levi pairings
-    with the block fields and the earlier slow functions r_k."""
+def _tangency_system(r: Poly, c1: CRat, p_hess: List[List[Poly]],
+                     levi: List[VField], prior: List[SlowSlot], cap: int
+                     ) -> Callable[[Sequence[CRat]], Optional[VField]]:
+    """The slow fields of one slot: a function that takes a direction to
+    the field along it corrected to annihilate the Levi pairings with the
+    block fields and the earlier slow functions r_k, or to None when M(0)
+    is singular.
+
+    The tangency matrix M, M(0)^{-1} and the nonconstant part of M are
+    built from the rows and the columns alone, which do not depend on the
+    direction, so they are formed once per slot; a direction adds only its
+    right-hand side, the Neumann iteration and the z_1 coefficient."""
     n = r.n
-    base = _const_vec(n, direction)
     columns = [list(lf.hol[1:]) for lf in levi]
     columns += [_const_vec(n, sl.direction) for sl in prior]
     # A row w sends v over z_2..z_n to sum_k v_k w_k: the Levi pairing with
@@ -403,27 +439,51 @@ def _build_slow_field(r: Poly, c1: CRat, p_hess: List[List[Poly]],
              for sl in prior]
     matrix = [[_capped_products(n, zip(col, w), cap) for col in columns]
               for w in rows]
-    rhs = [-_capped_products(n, zip(base, w), cap) for w in rows]
-    sol = _neumann_solve(matrix, rhs, n, cap)
-    if sol is None:
-        return None
-    vec = [b + _capped_products(n, [(x, col[k])
-                                    for x, col in zip(sol, columns)], cap)
-           for k, b in enumerate(base)]
-    return _field_from_vector(r, c1, vec)
+    zero = (0,) * n
+    m0 = [[entry.coeff(zero, zero) for entry in row] for row in matrix]
+    m0inv = inverse(m0)
+    npart = [[entry - Poly.const(n, c) for entry, c in zip(row, row0)]
+             for row, row0 in zip(matrix, m0)]
+
+    def field(direction: Sequence[CRat]) -> Optional[VField]:
+        if m0inv is None:
+            return None
+        base = _const_vec(n, direction)
+        rhs = [-_capped_products(n, zip(base, w), cap) for w in rows]
+        sol = _neumann_solve(m0inv, npart, rhs, n, cap)
+        vec = [b + _capped_products(n, [(x, col[k])
+                                        for x, col in zip(sol, columns)], cap)
+               for k, b in enumerate(base)]
+        return _field_from_vector(r, c1, vec)
+
+    return field
 
 
-def _skeletons(total: int, slow: Dict[int, SlowSlot], slot: int
-               ) -> Iterator[Tuple[Dict[int, int], Fraction, List[int]]]:
-    """The admissible lists of ``total`` fields over the slow slots below
-    ``slot`` and ``slot``, as (counts, rem, skeleton): the earlier counts are
-    a row of ``admissible_rows`` over their c_k, rem its remainder, and the
-    skeleton holds the slot of each field, in descending order."""
+def _skeletons(slow: Dict[int, SlowSlot], slot: int, most: int
+               ) -> Callable[[int], Iterator[Tuple[Dict[int, int], Fraction,
+                                                   List[int]]]]:
+    """The admissible lists over the slow slots below ``slot`` and
+    ``slot``, by number of fields: a function that takes a total up to
+    ``most + 1`` to its lists, as (counts, rem, skeleton).  The earlier
+    counts are a row of ``admissible_rows`` over their c_k, rem its
+    remainder, and the skeleton holds the slot of each field, in descending
+    order.  The rows are formed once, with ``most``: those of a total are
+    the rows whose entries sum to at most total - 1, in the same order."""
     earlier = [k for k in sorted(slow) if k < slot]
-    for row, rem in admissible_rows([slow[k].c for k in earlier], total - 1):
-        counts = {**dict(zip(earlier, row)), slot: total - sum(row)}
-        yield counts, rem, [s for s in sorted(counts, reverse=True)
-                            for _ in range(counts[s])]
+    rows = [(row, rem, sum(row),
+             [k for k, a in zip(reversed(earlier), reversed(row))
+              for _ in range(a)])
+            for row, rem in admissible_rows([slow[k].c for k in earlier],
+                                            most)]
+
+    def of_total(total: int
+                 ) -> Iterator[Tuple[Dict[int, int], Fraction, List[int]]]:
+        for row, rem, used, tail in rows:
+            if used < total:
+                yield ({**dict(zip(earlier, row)), slot: total - used}, rem,
+                       [slot] * (total - used) + tail)
+
+    return of_total
 
 
 def build_boundary_system(r: Poly, list_bound: Optional[int] = None
@@ -502,6 +562,9 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         # by position in ``directions``: the searcher over the direction's
         # slow field, None when the field cannot be built
         searchers: Dict[int, Optional[_ListSearcher]] = {}
+        # the slot's tangency system, formed when its first field is built
+        system: Optional[Callable[[Sequence[CRat]], Optional[VField]]] = None
+        lists = _skeletons(slow, slot, bound - 1)
         # While the c-entries equal the floor's prefix, c_j >= floor_j (C = M
         # >= Lambda), so a list whose value is below floor_j vanishes at 0;
         # an infinite floor_j leaves no finite list to try.
@@ -511,17 +574,17 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         # 0, as _field_from_vector solves each z1 coefficient exactly; for
         # L, conj(M) it is the Levi form at 0 on values in the Levi kernel
         # (M(0)'s Levi block is decoupled from the kernel columns in
-        # _build_slow_field); two conjugate entries give a zero seed.
+        # _tangency_system); two conjugate entries give a zero seed.
         # Within the first total that has a nonvanishing list, the list of
         # smallest value counts[slot] / rem wins, the first in scan order on
         # a tie: each direction tries the skeletons in value order (stable,
         # so ties keep scan order) and stops at its first nonvanishing list,
         # and a later direction tries only the values below the one found.
         for total in range(3, bound + 1):
+            valued = ((counts[slot] / rem, skeleton)
+                      for counts, rem, skeleton in lists(total))
             skeletons = sorted(
-                ((counts[slot] / rem, skeleton) for counts, rem, skeleton
-                 in _skeletons(total, slow, slot)
-                 if below is None or counts[slot] / rem >= below),
+                (vs for vs in valued if below is None or vs[0] >= below),
                 key=lambda vs: vs[0])
             for i, direction in enumerate(directions):
                 todo = [vs for vs in skeletons
@@ -529,9 +592,11 @@ def _system_slots(r: Poly, list_bound: Optional[int],
                 if not todo:
                     break
                 if i not in searchers:
-                    fld = _build_slow_field(
-                        r, c1, p_hess, direction, levi_fields,
-                        [slow[j] for j in sorted(slow)], cap)
+                    if system is None:
+                        system = _tangency_system(
+                            r, c1, p_hess, levi_fields,
+                            [slow[j] for j in sorted(slow)], cap)
+                    fld = system(direction)
                     searchers[i] = None if fld is None else \
                         finished.with_field(slot, fld)
                 searcher = searchers[i]
@@ -826,8 +891,10 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
 
 def _shorter_lists_all_vanish(bs: BoundarySystem, j: int,
                               searcher: _ListSearcher) -> Optional[str]:
-    for total in range(2, len(bs.slow[j].entries)):
-        for _counts, _rem, skeleton in _skeletons(total, bs.slow, j):
+    length = len(bs.slow[j].entries)
+    lists = _skeletons(bs.slow, j, length - 2)
+    for total in range(2, length):
+        for _counts, _rem, skeleton in lists(total):
             entries = searcher.first_nonzero(skeleton)
             if entries is not None:
                 return (f"slot {j}: shorter admissible list {entries} has "

@@ -11,8 +11,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from catlin.boundary import (ListEntry, VField, _apply_field,
-                             _field_from_vector, _neumann_solve)
-from catlin.exact import CI, CZERO, CRat, hermitian_form, rat_str
+                             _field_from_vector)
+from catlin.exact import CI, CZERO, CRat, hermitian_form, inverse, rat_str
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          PositivityVerdict, _check_tangential, _random_crat,
                          _squares_certificate, cauchy_schwarz_pairing,
@@ -803,13 +803,44 @@ def _truncate(p: Poly, degree: int) -> Poly:
                       if sum(k[0]) + sum(k[1]) <= degree})
 
 
+def neumann_solve_oracle(matrix: List[List[Poly]], rhs: List[Poly], n: int,
+                         cap: int) -> Optional[List[Poly]]:
+    """The earlier ``boundary._neumann_solve``, which formed M(0)^{-1} and
+    the nonconstant part of M from the matrix at every call: M x = rhs
+    solved exactly modulo degree > cap, or None when M(0) is singular."""
+    dim, zero = len(matrix), (0,) * n
+    m0 = [[entry.coeff(zero, zero) for entry in row] for row in matrix]
+    m0inv = inverse(m0)
+    if m0inv is None:
+        return None
+    npart = [[matrix[i][j] - Poly.const(n, m0[i][j]) for j in range(dim)]
+             for i in range(dim)]
+
+    def apply_const(mat: List[List[CRat]], vec: List[Poly]) -> List[Poly]:
+        return [sum((vec[j] * mat[i][j] for j in range(dim)), Poly.zero(n))
+                for i in range(dim)]
+
+    def apply_poly(mat: List[List[Poly]], vec: List[Poly]) -> List[Poly]:
+        return [_capped_products(n, zip(mat[i], vec), cap)
+                for i in range(dim)]
+
+    x = apply_const(m0inv, rhs)
+    acc = list(x)
+    for _ in range(cap + 2):
+        x = [-f for f in apply_const(m0inv, apply_poly(npart, x))]
+        if all(f.is_zero() for f in x):
+            break
+        acc = [a + b for a, b in zip(acc, x)]
+    return acc
+
+
 def slow_field_oracle(r: Poly, c1: CRat, p_hess: List[List[Poly]],
                       direction: Sequence[CRat], levi: List[VField],
                       prior: list, cap: int) -> Optional[VField]:
-    """Reference for ``boundary._build_slow_field``: the earlier build, whose
-    Levi rows and r_k rows are formed in full, with plain ``Poly`` products
-    and no degree cap; only the correction of the field is truncated at
-    ``cap``."""
+    """Reference for the fields of ``boundary._tangency_system``: the
+    earlier build, one tangency system per direction, whose Levi rows and
+    r_k rows are formed in full, with plain ``Poly`` products and no degree
+    cap; only the correction of the field is truncated at ``cap``."""
     n = r.n
     base = [Poly.const(n, c) for c in direction]
     columns = [[lf.hol[k - 1] for k in range(2, n + 1)] for lf in levi]
@@ -833,7 +864,7 @@ def slow_field_oracle(r: Poly, c1: CRat, p_hess: List[List[Poly]],
         return _field_from_vector(r, c1, base)
     matrix = [[row(col) for col in columns] for row in rows]
     rhs = [-row(base) for row in rows]
-    sol = _neumann_solve(matrix, rhs, n, cap)
+    sol = neumann_solve_oracle(matrix, rhs, n, cap)
     if sol is None:
         return None
     vec = list(base)

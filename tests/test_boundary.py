@@ -15,7 +15,7 @@ from catlin.boundary import (BoundaryConstructionError,
                              _apply_field, _field_from_vector, _lambda_floor,
                              _ListSearcher, _normalize_r)
 from catlin.cli import main
-from catlin.exact import CRat
+from catlin.exact import CRat, hermitian_reduce
 from catlin.parser import parse_poly
 from catlin.poly import (CoordChange, Poly, PolyError, _mul_terms,
                          split_model)
@@ -130,7 +130,8 @@ def _rand_poly(rng, n, terms, max_exp):
 
 def test_skeletons_match_recursive_compositions():
     # same lists in the same order as the earlier recursion, and each
-    # remainder is the one c_j = counts[slot] / rem reads
+    # remainder is the one c_j = counts[slot] / rem reads; the rows are
+    # formed once, for the largest total, and serve every smaller one
     rng = random.Random(1403)
     lists = 0
     for _ in range(2000):
@@ -139,7 +140,7 @@ def test_skeletons_match_recursive_compositions():
                   for k in range(2, slot) if rng.random() < 0.7}
         total = rng.randint(2, 10)
         slow = {k: SimpleNamespace(c=c) for k, c in c_prev.items()}
-        got = list(_skeletons(total, slow, slot))
+        got = list(_skeletons(slow, slot, rng.randint(total - 1, 9))(total))
         want = compositions_oracle(total, sorted(c_prev) + [slot], c_prev)
         assert [counts for counts, _rem, _sk in got] == want
         for counts, rem, skeleton in got:
@@ -235,18 +236,23 @@ def test_slow_fields_equal_uncapped_oracle(monkeypatch):
     # from Levi rows and r_k rows formed in full
     rows = collections.Counter()
     built = []
-    orig = boundary._build_slow_field
+    orig = boundary._tangency_system
 
-    def checked(r, c1, p_hess, direction, levi, prior, cap):
-        fld = orig(r, c1, p_hess, direction, levi, prior, cap)
-        assert fld == slow_field_oracle(r, c1, p_hess, direction, levi,
-                                        prior, cap)
-        rows["levi"] += bool(levi)
-        rows["prior"] += bool(prior)
-        built.append(fld)
-        return fld
+    def checked_system(r, c1, p_hess, levi, prior, cap):
+        system = orig(r, c1, p_hess, levi, prior, cap)
 
-    monkeypatch.setattr(boundary, "_build_slow_field", checked)
+        def checked(direction):
+            fld = system(direction)
+            assert fld == slow_field_oracle(r, c1, p_hess, direction, levi,
+                                            prior, cap)
+            rows["levi"] += bool(levi)
+            rows["prior"] += bool(prior)
+            built.append(fld)
+            return fld
+
+        return checked
+
+    monkeypatch.setattr(boundary, "_tangency_system", checked_system)
     models = [(TORSION_EXPR, 4), (torsion_lift(2), 4),
               ("-2*Re(z1) + |z2|^4 + |z3|^8", 3),
               ("Re(z1) + (Re(z2) + |z3|^2)^2", 3)]
@@ -308,8 +314,9 @@ def test_list_search_matches_uncapped_oracle(expr, n):
                              max(len(sl.entries) for sl in bs.slow.values()))
     checked = 0
     for j, sl in sorted(bs.slow.items()):
+        lists = _skeletons(bs.slow, j, len(sl.entries) - 1)
         for total in range(2, len(sl.entries) + 1):
-            for _counts, _rem, skeleton in _skeletons(total, bs.slow, j):
+            for _counts, _rem, skeleton in lists(total):
                 want = next((list(p) for p in _flag_patterns(skeleton)
                              if not origin_value(uncapped(p)).is_zero()),
                             None)
@@ -330,9 +337,10 @@ def test_list_search_matches_uncapped_oracle(expr, n):
 ], ids=["torsion", "shear", "diagonal-n4", "levi-rank-one"])
 def test_bracket_seed_matches_commutator_oracle(expr, n):
     # the searcher applies conjugate entries directly and forms only the
-    # (1,0) part of a bracket; the full commutator gives the same dr, and
-    # its (0,1) part gives -dr: the fields are tangent, X r = Y r = 0, so
-    # [X, Y] r = dr([X, Y]) + dbar-r([X, Y]) vanishes
+    # (1,0) part of a bracket, as a raw term table; the full commutator
+    # gives the same dr, and its (0,1) part gives -dr: the fields are
+    # tangent, X r = Y r = 0, so [X, Y] r = dr([X, Y]) + dbar-r([X, Y])
+    # vanishes
     r = parse_poly(expr, n)
     bs = build_boundary_system(r)
     fields = {j: s.fld for j, s in bs.slow.items()}
@@ -341,7 +349,7 @@ def test_bracket_seed_matches_commutator_oracle(expr, n):
     nonzero = 0
     for e1, e2 in itertools.product(entries, repeat=2):
         dr, dbar_r = commutator_oracle(r, fields, e1, e2)
-        assert searcher.seed(e1, e2) == dr, (e1, e2)
+        assert searcher.seed(e1, e2) == dr.terms, (e1, e2)
         assert dbar_r == -dr, (e1, e2)
         nonzero += not dr.is_zero()
     assert nonzero > 0
@@ -717,13 +725,18 @@ def test_torsion_command_builds_no_field_past_the_torsion_slot(
     # the torsion model has Levi rank 0, so a slow field built with k
     # earlier slots in place belongs to slot k + 2
     built = collections.Counter()
-    orig = boundary._build_slow_field
+    orig = boundary._tangency_system
 
-    def counting(r, c1, p_hess, direction, levi, prior, cap):
-        built[2 + len(levi) + len(prior)] += 1
-        return orig(r, c1, p_hess, direction, levi, prior, cap)
+    def counting_system(r, c1, p_hess, levi, prior, cap):
+        system = orig(r, c1, p_hess, levi, prior, cap)
 
-    monkeypatch.setattr(boundary, "_build_slow_field", counting)
+        def counting(direction):
+            built[2 + len(levi) + len(prior)] += 1
+            return system(direction)
+
+        return counting
+
+    monkeypatch.setattr(boundary, "_tangency_system", counting_system)
     assert main(["torsion", "--expr", TORSION_EXPR, "--n", "4"]) == 0
     assert "torsion at slot 3" in capsys.readouterr().out
     assert set(built) == {2, 3}
@@ -946,6 +959,9 @@ def test_shared_store_matches_per_direction_searchers(monkeypatch):
     assert later >= 100
 
 
+DIAGONAL_N4 = "-2*Re(z1) + |z2|^4 + |z3|^6 + |z4|^8"
+
+
 def test_finished_slot_seeds_and_states_are_formed_once(monkeypatch):
     # In one build, each seed and each tail state whose entries all lie in
     # finished slots (below the slot under test, the largest slot of the
@@ -954,10 +970,10 @@ def test_finished_slot_seeds_and_states_are_formed_once(monkeypatch):
     # bracket reaches r; a tail state is keyed by (list length, its
     # entries), and formed where the search applies an entry to a seed or
     # a state (below the seed cap).  Different keys may give equal states.
-    r = parse_poly("-2*Re(z1) + |z2|^4 + |z3|^6 + |z4|^8", 4)
+    r = parse_poly(DIAGONAL_N4, 4)
     seed, apply, search = (_ListSearcher.seed, _ListSearcher.apply,
                            _ListSearcher.first_nonzero)
-    apply_field = boundary._apply_field
+    field_terms = boundary._field_terms
     seeds, states = collections.Counter(), collections.Counter()
     forming, lengths = [], []
     entries_of = {}  # id of a seed or state -> (its entries, itself)
@@ -974,10 +990,10 @@ def test_finished_slot_seeds_and_states_are_formed_once(monkeypatch):
         entries_of[id(out)] = (e1, e2), out
         return out
 
-    def recording_field(coeffs, f, cap=None, conjugate=False):
-        if forming and forming[-1] and f is r and cap is not None:
+    def recording_field(coeffs, terms, cap, conjugate):
+        if forming and forming[-1] and terms is r.terms and cap is not None:
             seeds[forming[-1]] += 1
-        return apply_field(coeffs, f, cap, conjugate)
+        return field_terms(coeffs, terms, cap, conjugate)
 
     def recording_apply(self, entry, f, cap):
         out = apply(self, entry, f, cap)
@@ -998,11 +1014,100 @@ def test_finished_slot_seeds_and_states_are_formed_once(monkeypatch):
     monkeypatch.setattr(_ListSearcher, "seed", recording_seed)
     monkeypatch.setattr(_ListSearcher, "apply", recording_apply)
     monkeypatch.setattr(_ListSearcher, "first_nonzero", recording_search)
-    monkeypatch.setattr(boundary, "_apply_field", recording_field)
+    monkeypatch.setattr(boundary, "_field_terms", recording_field)
     bs = build_boundary_system(r)
     assert bs.c_entries == (1, 4, 6, 8)
     assert len(seeds) >= 8 and len(states) >= 70, (seeds, len(states))
     assert set(seeds.values()) == {1} and set(states.values()) == {1}
+
+
+def test_tangency_system_is_formed_once_per_slot(monkeypatch):
+    # The tangency matrix, M(0)^{-1} and the nonconstant part of the
+    # Neumann solve depend on the slot alone, not on the direction: the
+    # n = 4 diagonal build forms 10 slow fields over its 3 slots and
+    # inverts one M(0) per slot.
+    inverses, fields = [], []
+    inverse, field_from_vector = boundary.inverse, boundary._field_from_vector
+
+    def counting_inverse(m):
+        inverses.append(len(m))
+        return inverse(m)
+
+    def counting_field(r, c1, vec):
+        fields.append(vec)
+        return field_from_vector(r, c1, vec)
+
+    monkeypatch.setattr(boundary, "inverse", counting_inverse)
+    monkeypatch.setattr(boundary, "_field_from_vector", counting_field)
+    bs = build_boundary_system(parse_poly(DIAGONAL_N4, 4))
+    assert bs.c_entries == (1, 4, 6, 8) and bs.rank == 0
+    assert len(fields) == 10
+    # one per slot, each over the r_k rows of the slots below it
+    assert inverses == [0, 1, 2]
+
+
+def test_admissible_rows_once_per_slot(monkeypatch):
+    # a build and its audit each form the admissible rows of a slot once,
+    # for its largest total, not once per total
+    calls = []
+    rows = boundary.admissible_rows
+
+    def counting(lams, most=None):
+        calls.append((tuple(lams), most))
+        return rows(lams, most)
+
+    monkeypatch.setattr(boundary, "admissible_rows", counting)
+    bs = build_boundary_system(parse_poly(DIAGONAL_N4, 4))
+    assert calls == [((), 7), ((4,), 7), ((4, 6), 7)]
+    calls.clear()
+    assert audit_boundary_system(bs) == []
+    assert calls == [((), 2), ((4,), 4), ((4, 6), 6)]
+
+
+def _catalog_directions(p_hess):
+    """The candidate directions of a build: the kernel vectors of the Levi
+    form at 0 and, when there are several, the combinations sum t^i k_i
+    for t = 1, 2, -1."""
+    n = p_hess[0][0].n
+    zero = (0,) * n
+    reduced = hermitian_reduce([[entry.coeff(zero, zero) for entry in row]
+                                for row in p_hess])
+    kernel = [tuple(vec) for vec, d in reduced if d == 0]
+    combos = [tuple(sum((k[m] * CRat(t) ** i for i, k in enumerate(kernel)),
+                        CRat(0)) for m in range(n - 1))
+              for t in (1, 2, -1)] if len(kernel) > 1 else []
+    return kernel + combos
+
+
+def test_every_catalog_direction_matches_the_slow_field_oracle(monkeypatch):
+    # The per-slot tangency system gives, for every catalog direction of
+    # every slot a build reaches, tried or not, the field of the earlier
+    # build, which formed its whole system for each direction, on the
+    # certified models of test_floor_skips_only_lists_that_vanish.
+    rng = random.Random(1984)
+    orig = boundary._tangency_system
+    checked = collections.Counter()
+
+    def every_direction(r, c1, p_hess, levi, prior, cap):
+        system = orig(r, c1, p_hess, levi, prior, cap)
+        for direction in _catalog_directions(p_hess):
+            assert system(direction) == slow_field_oracle(
+                r, c1, p_hess, direction, levi, prior, cap), (str(r),
+                                                              direction)
+            checked[bool(levi), bool(prior)] += 1
+        return system
+
+    monkeypatch.setattr(boundary, "_tangency_system", every_direction)
+    models = 0
+    while models < 120:
+        r = _certified_model(rng)
+        floor = _lambda_floor(r)
+        if floor is None:
+            continue
+        models += 1
+        _outcome(lambda: _built(r, floor))
+    # directions over slots with and without Levi rows and r_k rows
+    assert min(checked.values()) >= 80 and len(checked) == 4, checked
 
 
 def test_diagonal_family_n6():
