@@ -11,9 +11,8 @@ from .parser import ParseError, parse_poly
 from .poly import (CoordChange, NonRealError, Poly, PolyError,
                    PseudoconvexityError, eliminate_harmonic,
                    revlex_max_balanced, split_model, weighted_order)
-from .weights import (InverseWeight, Multitype, Weight, corroborate,
-                      counting_bound, enumerate_multitypes, is_admissible,
-                      multitype_search)
+from .weights import (InverseWeight, Multitype, Weight, counting_bound,
+                      enumerate_multitypes, is_admissible, multitype_search)
 from .levi import (PositivityVerdict, cauchy_schwarz_pairing, complex_hessian,
                    psd_verdict, verify_psd_certificate)
 from .normal_form import (NormalForm, normalize, step_first, step_inductive,

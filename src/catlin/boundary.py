@@ -11,17 +11,18 @@ derivative of the (1,0) differential,
 does not vanish at the origin.  A list entry is a field L = sum a_k d/dz_k
 or its conjugate sum conj(a_k) d/dzbar_k, applied directly.  A bracket is
 formed only in its (1,0) part, the part that dr reads.  All list
-derivatives are formed by ``_ListSearcher``; the slot counts of the lists it
-tries (their skeletons) are the admissible rows of ``weights.admissible_rows``
-over the c-entries found so far.  A list's value is c_j = counts[j]/rem,
-its count of slot-j fields over the remainder of its row.  Each direction
-tries the skeletons of a total in value order, ties in scan order, and
-stops at its first nonvanishing list; a later direction tries only smaller
-values.  So at the first total number of fields where some list does not
-vanish, the list of smallest value wins, the first in scan order on a tie;
-the first list found could be one of larger value and make the c-entries
-decrease.  The lists produce the commutator multitype (1, c_2, ..., c_n);
-the associated real functions r_j and fields L_j form the boundary system.
+derivatives are formed by ``_ListSearcher``.  The lists of a slot are
+ranked once, by ``_ranked``: by number of fields, then by value
+c_j = counts[j]/rem, the list's count of slot-j fields over the remainder
+of its row of ``weights.admissible_rows`` over the c-entries found so far,
+then in scan order.  A slot takes the least nonvanishing (fields, value,
+direction, scan position), not the first nonvanishing list found at its
+number of fields, which could be of larger value and make the c-entries
+decrease.  The audit reads the same ranking: every list ranked before the
+slot's own (shorter, or as long and of smaller value, or of equal value and
+earlier in scan order) must vanish.  The lists produce the commutator
+multitype (1, c_2, ..., c_n); the associated real functions r_j and fields
+L_j form the boundary system.
 The first equal-value block beyond the Levi slots can be normalized to
 r_j = Re z_j exactly by a holomorphic change of coordinates; the failure of
 the same normalization at the next slot is the torsion obstruction,
@@ -70,9 +71,9 @@ coefficients, already conjugated, and a ``Poly`` is built only for what
 ``_ListSearcher.derivative`` returns.  ``_apply_field`` wraps the loop for
 ``Poly`` operands (the slow fields' z_1 coefficients and the audit).
 
-The admissible rows of a slot are formed once, for its largest total
-(``_skeletons``): the rows of a smaller total are the rows whose entries
-sum to at most total - 1, in the same order.
+The admissible rows of a slot are formed once, for its longest list
+(``_ranked``): the rows of fewer fields are the rows whose entries sum to
+at most fields - 1, in the same order.
 
 The list search at a slot starts at three fields (a two-field list vanishes
 at 0; the argument is stated where the search runs) and can skip lists below
@@ -85,21 +86,23 @@ list whose value counts[j]/rem is below Lambda_j vanishes at 0 and is not
 tried; an infinite Lambda_j leaves no finite list, and the remaining entries
 are +inf.  The skip changes which lists are tried, not which one is found.
 Every build works out its floor (``_lambda_floor``): Lambda when the
-tangential part has a tier-1 or tier-2 certificate (r is pseudoconvex) and
-the search does not raise, else none.  The system records it as ``floor``,
-and every first-block rebuild in the straightened coordinates reuses it, as
-C and M are biholomorphic invariants.  Lambda is admissible by construction:
-each finite entry leaves the positive row remainder it is picked from
-exactly 0, an admissibility witness.  The audit keeps its full scan of the
-shorter lists, because it is the check.
+tangential part without its pure terms has a tier-1 or tier-2 certificate
+(r is pseudoconvex) and the search does not raise, else none.  The system
+records it as ``floor``, and every first-block rebuild in the straightened
+coordinates reuses it, as C and M are biholomorphic invariants.  Lambda is
+admissible by construction: each finite entry leaves the positive row
+remainder it is picked from exactly 0, an admissibility witness.  The audit
+skips no list below the floor, because it is the check.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import CRat, CZERO, hermitian_reduce, inverse, rank, rat_str
@@ -107,7 +110,7 @@ from .levi import complex_hessian, psd_certificate
 from .poly import (CoordChange, ModelShapeError, Poly, PolyError,
                    PseudoconvexityError, TermKey, _capped_products,
                    _conj_terms, _derivative_terms, _mul_terms, _nonzero,
-                   _sum_terms, _unit, split_model)
+                   _sum_terms, _unit, eliminate_harmonic, split_model)
 from .weights import (INF, Entry, InverseWeight, Weight, admissible_rows,
                       entry_str, multitype_search, recip)
 
@@ -147,15 +150,14 @@ def _field_terms(coeffs: Sequence[Tuple[int, Dict[TermKey, CRat]]],
     return _nonzero(out) if out else out
 
 
-def _apply_field(coeffs: Sequence[Poly], f: Poly, cap: Optional[int] = None,
-                 conjugate: bool = False) -> Poly:
-    """The field sum_k coeffs[k-1] d/dz_k, or sum_k coeffs[k-1] d/dzbar_k
-    when ``conjugate``, applied to f, without the terms above degree
-    ``cap``: ``_field_terms`` on the tables of f and the nonzero
-    coefficients."""
+def _apply_field(coeffs: Sequence[Poly], f: Poly, cap: Optional[int] = None
+                 ) -> Poly:
+    """The field sum_k coeffs[k-1] d/dz_k applied to f, without the terms
+    above degree ``cap``: ``_field_terms`` on the tables of f and the
+    nonzero coefficients."""
     return Poly._unchecked(f.n, _field_terms(
         [(i, a.terms) for i, a in enumerate(coeffs) if a.terms], f.terms,
-        cap, conjugate))
+        cap, False))
 
 
 ListEntry = Tuple[int, bool]  # (slot index, conjugated?)
@@ -459,31 +461,31 @@ def _tangency_system(r: Poly, c1: CRat, p_hess: List[List[Poly]],
     return field
 
 
-def _skeletons(slow: Dict[int, SlowSlot], slot: int, most: int
-               ) -> Callable[[int], Iterator[Tuple[Dict[int, int], Fraction,
-                                                   List[int]]]]:
-    """The admissible lists over the slow slots below ``slot`` and
-    ``slot``, by number of fields: a function that takes a total up to
-    ``most + 1`` to its lists, as (counts, rem, skeleton).  The earlier
-    counts are a row of ``admissible_rows`` over their c_k, rem its
-    remainder, and the skeleton holds the slot of each field, in descending
-    order.  The rows are formed once, with ``most``: those of a total are
-    the rows whose entries sum to at most total - 1, in the same order."""
+def _ranked(slow: Dict[int, SlowSlot], slot: int, first: int, last: int
+            ) -> Iterator[Tuple[int, Fraction, List[int]]]:
+    """The admissible lists of ``first`` to ``last`` fields at ``slot``, as
+    (fields, value, skeleton), in the order that decides c_j (module
+    docstring).  The earlier counts are a row of ``admissible_rows`` over
+    their c_k, and the skeleton holds the slot of each field, in descending
+    order.  The rows are formed once, for ``last`` fields: those of fewer
+    fields sum to at most fields - 1, in the same order."""
     earlier = [k for k in sorted(slow) if k < slot]
-    rows = [(row, rem, sum(row),
+    rows = admissible_rows([slow[k].c for k in earlier], last - 1)
+    # each value (fields - used) / rem is sorted as an integer over one
+    # common denominator, the lcm of the remainders' numerators
+    common = math.lcm(*(rem.numerator for _row, rem in rows))
+    rows = [(sum(row), rem, rem.denominator * (common // rem.numerator),
              [k for k, a in zip(reversed(earlier), reversed(row))
               for _ in range(a)])
-            for row, rem in admissible_rows([slow[k].c for k in earlier],
-                                            most)]
-
-    def of_total(total: int
-                 ) -> Iterator[Tuple[Dict[int, int], Fraction, List[int]]]:
-        for row, rem, used, tail in rows:
-            if used < total:
-                yield ({**dict(zip(earlier, row)), slot: total - used}, rem,
-                       [slot] * (total - used) + tail)
-
-    return of_total
+            for row, rem in rows]
+    for fields in range(first, last + 1):
+        # sorted is stable: lists of equal value keep their scan order
+        for _key, count, rem, tail in sorted(
+                (((fields - used) * scale, fields - used, rem, tail)
+                 for used, rem, scale, tail in rows if used < fields),
+                key=itemgetter(0)):
+            yield (fields, Fraction(count * rem.denominator, rem.numerator),
+                   [slot] * count + tail)
 
 
 def build_boundary_system(r: Poly, list_bound: Optional[int] = None
@@ -500,10 +502,11 @@ def build_boundary_system(r: Poly, list_bound: Optional[int] = None
 
 def _lambda_floor(r: Poly) -> Optional[Tuple[Entry, ...]]:
     """The entries of Lambda, the multitype search's weight, when the
-    tangential part has a tier-1 or tier-2 certificate, so C = M >= Lambda;
-    otherwise, or when either raises, None (the build scans every list)."""
+    polynomial it weighs, the tangential part without the pure terms the
+    Levi form never reads, has a tier-1 or tier-2 certificate, so C = M >=
+    Lambda; otherwise, or when either raises, None (no list is skipped)."""
     try:
-        if psd_certificate(split_model(r)[1]) is None:
+        if psd_certificate(split_model(eliminate_harmonic(r)[0])[1]) is None:
             return None
         return multitype_search(r).value.entries
     except PolyError:
@@ -564,7 +567,6 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         searchers: Dict[int, Optional[_ListSearcher]] = {}
         # the slot's tangency system, formed when its first field is built
         system: Optional[Callable[[Sequence[CRat]], Optional[VField]]] = None
-        lists = _skeletons(slow, slot, bound - 1)
         # While the c-entries equal the floor's prefix, c_j >= floor_j (C = M
         # >= Lambda), so a list whose value is below floor_j vanishes at 0;
         # an infinite floor_j leaves no finite list to try.
@@ -575,22 +577,16 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         # L, conj(M) it is the Levi form at 0 on values in the Levi kernel
         # (M(0)'s Levi block is decoupled from the kernel columns in
         # _tangency_system); two conjugate entries give a zero seed.
-        # Within the first total that has a nonvanishing list, the list of
-        # smallest value counts[slot] / rem wins, the first in scan order on
-        # a tie: each direction tries the skeletons in value order (stable,
-        # so ties keep scan order) and stops at its first nonvanishing list,
-        # and a later direction tries only the values below the one found.
-        for total in range(3, bound + 1):
-            valued = ((counts[slot] / rem, skeleton)
-                      for counts, rem, skeleton in lists(total))
-            skeletons = sorted(
-                (vs for vs in valued if below is None or vs[0] >= below),
-                key=lambda vs: vs[0])
+        # The least nonvanishing (fields, value, direction, scan position)
+        # wins: the ranking is walked one group of equal fields and value at
+        # a time, and within a group each direction, in catalog order, tries
+        # the group's lists in scan order.
+        ranked = (lst for lst in _ranked(slow, slot, 3, bound)
+                  if below is None or lst[1] >= below)
+        for (_fields, value), group in itertools.groupby(ranked,
+                                                         itemgetter(0, 1)):
+            skeletons = [skeleton for *_, skeleton in group]
             for i, direction in enumerate(directions):
-                todo = [vs for vs in skeletons
-                        if not found or vs[0] < found[3]]
-                if not todo:
-                    break
                 if i not in searchers:
                     if system is None:
                         system = _tangency_system(
@@ -600,13 +596,13 @@ def _system_slots(r: Poly, list_bound: Optional[int],
                     searchers[i] = None if fld is None else \
                         finished.with_field(slot, fld)
                 searcher = searchers[i]
-                if searcher is None:
-                    continue
-                for value, skeleton in todo:
-                    entries = searcher.first_nonzero(skeleton)
-                    if entries is not None:
-                        found = (direction, searcher.fields, entries, value)
-                        break
+                if searcher is not None:
+                    found = next(((direction, searcher.fields, entries, value)
+                                  for entries in map(searcher.first_nonzero,
+                                                     skeletons)
+                                  if entries is not None), None)
+                if found:
+                    break
             if found:
                 break
         if not found:
@@ -883,20 +879,15 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
                     problems.append(
                         f"slot {j}: L_{j} r_{k} != 0 (up to degree "
                         f"{bs.trunc_degree})")
-        shorter = _shorter_lists_all_vanish(bs, j, searcher)
-        if shorter:
-            problems.append(shorter)
-    return problems
-
-
-def _shorter_lists_all_vanish(bs: BoundarySystem, j: int,
-                              searcher: _ListSearcher) -> Optional[str]:
-    length = len(bs.slow[j].entries)
-    lists = _skeletons(bs.slow, j, length - 2)
-    for total in range(2, length):
-        for _counts, _rem, skeleton in lists(total):
+        # minimality: every list ranked before the slot's own vanishes at 0
+        for fields, value, skeleton in _ranked(bs.slow, j, 2, len(groups)):
+            if skeleton == groups or (fields, value) > (len(groups), sl.c):
+                break
             entries = searcher.first_nonzero(skeleton)
             if entries is not None:
-                return (f"slot {j}: shorter admissible list {entries} has "
-                        "nonzero derivative; minimality broken")
-    return None
+                which = "shorter admissible list" if fields < len(groups) \
+                    else f"admissible list of equal length and value {value}"
+                problems.append(f"slot {j}: {which} {entries} has nonzero "
+                                "derivative; minimality broken")
+                break
+    return problems

@@ -24,7 +24,7 @@ from .normal_form import normalize, verify_normal_form
 from .parser import parse_poly
 from .poly import (Poly, PolyError, PseudoconvexityError, require_real,
                    split_model)
-from .weights import (INF, Weight, corroborate, counting_bound,
+from .weights import (INF, Multitype, Weight, counting_bound,
                       enumerate_multitypes, is_admissible, multitype_search)
 
 EXIT_OK = 0
@@ -95,10 +95,13 @@ def cmd_multitype(args) -> int:
     r = _load_poly(args)
     mt = multitype_search(r, args.degree_bound)
     try:
-        commutator = build_boundary_system(r).commutator_multitype()
-        mt = corroborate(mt, commutator)
+        bs = build_boundary_system(r)
+        commutator = bs.commutator_multitype()
     except PolyError:
-        commutator = None
+        bs = commutator = None
+    if bs is not None and bs.floor is not None:
+        # a certified Levi part: C = M, so agreement makes the weight exact
+        mt = Multitype(mt.value, mt.witness, commutator)
     payload = mt.to_json()
     if commutator is not None:
         payload["commutator"] = commutator.to_json()["lambda"]

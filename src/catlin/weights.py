@@ -12,8 +12,8 @@ making the model distinguished is computed exactly from the supporting values
 of the Newton diagram; a finite catalog of holomorphic coordinate changes
 (permutations, and shears z_i -> z_i +- z_j^k up to a degree bound, the
 k = 1 shears being its linear changes) is then hill-climbed.  The result is
-flagged ``search-lower-bound`` unless the caller corroborates it with the
-commutator multitype.
+flagged ``search-lower-bound`` unless it carries the commutator multitype
+of a certified model and agrees with it (``Multitype.status``).
 
 The hill-climb only asks whether a candidate beats the incumbent weight, so
 each candidate's weight search is pruned against the incumbent and stops as
@@ -163,14 +163,25 @@ class InverseWeight:
 
 @dataclass
 class Multitype:
+    """The search's weight and witness, and the commutator multitype of a
+    build whose Levi part is certified (tier 1 or 2), where C = M (Catlin,
+    Ann. Math. 120, 1984): only there does agreement make it the multitype."""
     value: InverseWeight
-    status: str = STATUS_LOWER_BOUND
     witness: dict = field(default_factory=dict)
+    commutator: Optional[InverseWeight] = None
+
+    @property
+    def status(self) -> str:
+        return STATUS_EXACT if self.commutator == self.value \
+            else STATUS_LOWER_BOUND
 
     def to_json(self) -> dict:
         out = self.value.to_json()
         out["status"] = self.status
         out["witness"] = self.witness
+        if self.status == STATUS_EXACT:
+            out["witness"] = {**self.witness, "commutator":
+                              self.commutator.to_json()["lambda"]}
         return out
 
 
@@ -528,23 +539,14 @@ def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
                 break
         else:
             break
-    ok, wit = is_admissible(best)
+    wit = is_admissible(best)[1]  # best is admissible by construction
     witness = {
         "changes": applied,
         "admissibility": {str(i): [list(a) for a in rows]
-                          for i, rows in wit.items()} if ok else {},
+                          for i, rows in wit.items()},
         "coordinates_polynomial": p.to_json_dict(),
     }
-    return Multitype(best, STATUS_LOWER_BOUND, witness)
-
-
-def corroborate(mt: Multitype, commutator: InverseWeight) -> Multitype:
-    """Upgrade the search result to exact-commutator when the commutator
-    multitype agrees (Catlin's theorem for pseudoconvex models)."""
-    if mt.value.entries == commutator.entries:
-        mt.status = STATUS_EXACT
-        mt.witness["commutator"] = [entry_str(e) for e in commutator.entries]
-    return mt
+    return Multitype(best, witness)
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from catlin.boundary import (ListEntry, VField, _apply_field,
-                             _field_from_vector)
+from catlin.boundary import ListEntry, VField, _field_from_vector
 from catlin.exact import CI, CZERO, CRat, hermitian_form, inverse, rat_str
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          PositivityVerdict, _check_tangential, _random_crat,
@@ -23,9 +22,8 @@ from catlin.poly import (CoordChange, DimensionMismatch, Poly, PolyError,
                          PseudoconvexityError, TermKey, _capped_products,
                          eliminate_harmonic, require_real, split_model,
                          term_sort_key, weighted_order)
-from catlin.weights import (INF, STATUS_LOWER_BOUND, Entry, InverseWeight,
-                            Multitype, Weight, _catalog, _evecs, _render,
-                            is_admissible, recip)
+from catlin.weights import (INF, Entry, InverseWeight, Multitype, Weight,
+                            _catalog, _evecs, _render, is_admissible, recip)
 
 
 def _frac(x) -> Fraction:
@@ -410,7 +408,7 @@ def multitype_search_oracle(r: Poly, degree_bound: int = 4,
                           for i, rows in wit.items()} if ok else {},
         "coordinates_polynomial": p.to_json_dict(),
     }
-    return Multitype(best, STATUS_LOWER_BOUND, witness)
+    return Multitype(best, witness)
 
 
 # The earlier tier 3's grid values: its points took the first 4, its
@@ -625,7 +623,9 @@ def commutator_oracle(r: Poly, fields: Dict[int, VField],
 class ListSearcherOracle:
     """The earlier per-direction ``boundary._ListSearcher``: one searcher
     per candidate direction, with its own bracket seeds, that forms every
-    tail state it walks through and shares nothing with any other."""
+    tail state it walks through and shares nothing with any other.  Fields
+    are applied by ``apply_field_oracle``, apart from the kernel under
+    test."""
 
     def __init__(self, r: Poly, fields: Dict[int, VField], seed_cap: int):
         self.r = r
@@ -636,7 +636,7 @@ class ListSearcherOracle:
     def apply(self, entry: ListEntry, f: Poly, cap: int) -> Poly:
         hol = self.fields[entry[0]].hol
         coeffs = [a.conj() for a in hol] if entry[1] else hol
-        return _apply_field(coeffs, f, cap, entry[1])
+        return apply_field_oracle(coeffs, f, cap, entry[1])
 
     def seed(self, e1: ListEntry, e2: ListEntry) -> Poly:
         if (e1, e2) not in self._seeds:
@@ -648,7 +648,7 @@ class ListSearcherOracle:
             if not e1[1]:
                 hol = [h - self.apply(e2, x, c)
                        for h, x in zip(hol, self.fields[e1[0]].hol)]
-            self._seeds[e1, e2] = _apply_field(hol, self.r, c)
+            self._seeds[e1, e2] = apply_field_oracle(hol, self.r, c)
         return self._seeds[e1, e2]
 
     def first_nonzero(self, skeleton: Sequence[int]

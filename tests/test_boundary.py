@@ -11,11 +11,12 @@ from catlin.boundary import (BoundaryConstructionError,
                              audit_boundary_system, build_boundary_system,
                              detect_torsion, first_block_slots,
                              first_block_torsion, list_derivative,
-                             normalize_first_block, VField, _skeletons,
+                             normalize_first_block, VField, _ranked,
                              _apply_field, _field_from_vector, _lambda_floor,
                              _ListSearcher, _normalize_r)
 from catlin.cli import main
-from catlin.exact import CRat, hermitian_reduce
+from catlin.exact import CRat, hermitian_reduce, rank
+from catlin.levi import complex_hessian
 from catlin.parser import parse_poly
 from catlin.poly import (CoordChange, Poly, PolyError, _mul_terms,
                          split_model)
@@ -129,9 +130,10 @@ def _rand_poly(rng, n, terms, max_exp):
 
 
 def test_skeletons_match_recursive_compositions():
-    # same lists in the same order as the earlier recursion, and each
-    # remainder is the one c_j = counts[slot] / rem reads; the rows are
-    # formed once, for the largest total, and serve every smaller one
+    # the lists of each number of fields are the earlier recursion's,
+    # stably sorted by value c_j = counts[slot] / rem, the fields counts
+    # ascending; the rows are formed once, for the largest number of
+    # fields, and serve every smaller one
     rng = random.Random(1403)
     lists = 0
     for _ in range(2000):
@@ -140,12 +142,23 @@ def test_skeletons_match_recursive_compositions():
                   for k in range(2, slot) if rng.random() < 0.7}
         total = rng.randint(2, 10)
         slow = {k: SimpleNamespace(c=c) for k, c in c_prev.items()}
-        got = list(_skeletons(slow, slot, rng.randint(total - 1, 9))(total))
-        want = compositions_oracle(total, sorted(c_prev) + [slot], c_prev)
-        assert [counts for counts, _rem, _sk in got] == want
-        for counts, rem, skeleton in got:
-            assert rem == 1 - sum(Fraction(counts[k]) / c
-                                  for k, c in c_prev.items())
+        ranked = list(_ranked(slow, slot, rng.randint(2, total),
+                              rng.randint(total, 10)))
+        assert [f for f, _v, _sk in ranked] == sorted(f for f, _v, _sk
+                                                      in ranked)
+        got = [(value, skeleton) for fields, value, skeleton in ranked
+               if fields == total]
+
+        def value(counts):
+            rem = 1 - sum(Fraction(counts[k]) / c for k, c in c_prev.items())
+            return counts[slot] / rem
+
+        want = sorted(compositions_oracle(total, sorted(c_prev) + [slot],
+                                          c_prev), key=value)
+        assert [dict(collections.Counter(sk)) for _v, sk in got] == \
+            [{k: a for k, a in counts.items() if a} for counts in want]
+        for (v, skeleton), counts in zip(got, want):
+            assert v == value(counts)
             assert skeleton == [s for s in sorted(counts, reverse=True)
                                 for _ in range(counts[s])]
         lists += len(got)
@@ -203,7 +216,11 @@ def test_apply_field_matches_oracle():
                 not a.is_zero() and f.wirtinger(k, conjugate).is_zero()
                 for k, a in enumerate(coeffs, start=1))
             for cap in [None] + list(range(-1, top + 2)):
-                got = _apply_field(coeffs, f, cap, conjugate)
+                # the conjugate field is applied by the field loop itself
+                got = Poly._unchecked(n, boundary._field_terms(
+                    [(i, a.terms) for i, a in enumerate(coeffs) if a.terms],
+                    f.terms, cap, True)) if conjugate else \
+                    _apply_field(coeffs, f, cap)
                 assert got == apply_field_oracle(coeffs, f, cap, conjugate)
                 assert all(not c.is_zero() for c in got.terms.values())
                 cases += 1
@@ -314,14 +331,12 @@ def test_list_search_matches_uncapped_oracle(expr, n):
                              max(len(sl.entries) for sl in bs.slow.values()))
     checked = 0
     for j, sl in sorted(bs.slow.items()):
-        lists = _skeletons(bs.slow, j, len(sl.entries) - 1)
-        for total in range(2, len(sl.entries) + 1):
-            for _counts, _rem, skeleton in lists(total):
-                want = next((list(p) for p in _flag_patterns(skeleton)
-                             if not origin_value(uncapped(p)).is_zero()),
-                            None)
-                assert searcher.first_nonzero(skeleton) == want, skeleton
-                checked += 1
+        for _fields, _value, skeleton in _ranked(bs.slow, j, 2,
+                                                 len(sl.entries)):
+            want = next((list(p) for p in _flag_patterns(skeleton)
+                         if not origin_value(uncapped(p)).is_zero()), None)
+            assert searcher.first_nonzero(skeleton) == want, skeleton
+            checked += 1
         assert searcher.first_nonzero(
             [s for s, _c in sl.entries]) == sl.entries
         assert not origin_value(
@@ -895,6 +910,38 @@ def test_smallest_value_wins_within_a_total(expr, c):
         assert audit_boundary_system(bs) == []
 
 
+LARGER_VALUE = "-2*Re(z1) + |z2|^4 + |z3|^6 + |z2|^2*|z3|^4"
+
+
+@pytest.mark.parametrize("expr,n,value", [
+    # slot 3's field has two nonvanishing lists of six fields: its own, all
+    # in S_3, of value 6, and four in S_3 with two in S_2, of value
+    # 4 / (1 - 2/4) = 8
+    (LARGER_VALUE, 3, 8),
+    # c_2 = 6, so every six-field list of slot 3 has value 6: the list with
+    # two slot-2 fields is ranked after the slot's own by scan order
+    (SAME_DIRECTION, 4, 6),
+], ids=["larger-value", "same-direction"])
+def test_audit_flags_a_list_ranked_after_a_nonvanishing_one(expr, n, value):
+    # record at slot 3 the nonvanishing six-field list with two slot-2
+    # fields, with its c: the record keeps property (5) and no shorter list
+    # is nonzero, but the slot's own list is ranked before it and is nonzero
+    bs = build_boundary_system(parse_poly(expr, n))
+    assert audit_boundary_system(bs) == []
+    own = bs.slow[3].entries
+    assert own == [(3, True), (3, True), (3, False), (3, False), (3, False),
+                   (3, True)]
+    skeleton = [3, 3, 3, 3, 2, 2]
+    searcher = _ListSearcher(bs.r, {j: s.fld for j, s in bs.slow.items()},
+                             len(skeleton))
+    bs.slow[3].entries = searcher.first_nonzero(skeleton)
+    bs.slow[3].c = _list_value(bs, skeleton)
+    assert bs.slow[3].c == value
+    assert audit_boundary_system(bs) == [
+        f"slot 3: admissible list of equal length and value 6 {own} has "
+        "nonzero derivative; minimality broken"]
+
+
 def test_each_direction_tries_lists_in_value_order(monkeypatch):
     # Each direction has its own searcher at a slot.  Within a total it
     # tries the skeletons in nondecreasing value counts[j] / rem and stops
@@ -957,6 +1004,76 @@ def test_shared_store_matches_per_direction_searchers(monkeypatch):
             # a slot built after another reads the store
             later += isinstance(shared, dict) and len(shared["slots"]) > 1
     assert later >= 100
+
+
+def test_build_takes_the_least_nonvanishing_list_by_brute_force():
+    # c_j is the value of the least nonvanishing (fields, value, direction,
+    # scan position).  Each slot a build reaches is judged again from the
+    # slots before it: every catalog direction outside their span gets the
+    # field of slow_field_oracle, and every admissible list of the earlier
+    # recursion (compositions_oracle) of every number of fields up to the
+    # first one with a nonvanishing pair is judged for every direction by
+    # ListSearcherOracle.  The least nonvanishing pair gives the slot's
+    # direction, list and c_j; none gives +inf for the rest, on the
+    # certified models of test_floor_skips_only_lists_that_vanish.
+    rng = random.Random(1984)
+    models = judged = 0
+    while models < 120:
+        r = _certified_model(rng)
+        floor = _lambda_floor(r)
+        if floor is None:
+            continue
+        models += 1
+        bs = None
+        try:
+            for bs in boundary._system_slots(r, None, floor):
+                pass
+        except PolyError:
+            pass  # the slots built before the refusal are still judged
+        c1, p = split_model(r)
+        p_hess = [row[1:] for row in complex_hessian(p)[1:]]
+        catalog = _catalog_directions(p_hess)
+        for j in range(bs.rank + 2, len(bs.c_entries) + 1):
+            prior = [bs.slow[k] for k in sorted(bs.slow) if k < j]
+            used = [sl.direction for sl in prior]
+            c_prev = {sl.slot: sl.c for sl in prior}
+            best = None
+            for total in range(3, bs.list_bound + 1):
+                lists = compositions_oracle(total, sorted(c_prev) + [j],
+                                            c_prev)
+                for i, direction in enumerate(catalog):
+                    if rank(used + [direction]) == rank(used):
+                        continue
+                    fld = slow_field_oracle(r, c1, p_hess, direction,
+                                            bs.levi_fields, prior,
+                                            bs.trunc_degree)
+                    if fld is None:
+                        continue
+                    searcher = ListSearcherOracle(
+                        r, {**{sl.slot: sl.fld for sl in prior}, j: fld},
+                        bs.list_bound - 2)
+                    for position, counts in enumerate(lists):
+                        rem = 1 - sum(Fraction(counts[k]) / c
+                                      for k, c in c_prev.items())
+                        key = (total, counts[j] / rem, i, position)
+                        entries = searcher.first_nonzero(
+                            [k for k in sorted(counts, reverse=True)
+                             for _ in range(counts[k])])
+                        if entries is not None and (best is None
+                                                    or key < best[0]):
+                            best = key, direction, entries
+                if best is not None:
+                    break
+            judged += 1
+            if best is None:
+                assert bs.c_entries[j - 1:] == (INF,) * (bs.n - j + 1), \
+                    str(r)
+                break
+            (_total, value, _i, _pos), direction, entries = best
+            sl = bs.slow[j]
+            assert (sl.c, sl.direction, sl.entries) == (
+                value, tuple(direction), entries), (str(r), j)
+    assert judged >= 200
 
 
 DIAGONAL_N4 = "-2*Re(z1) + |z2|^4 + |z3|^6 + |z4|^8"
@@ -1061,7 +1178,7 @@ def test_admissible_rows_once_per_slot(monkeypatch):
     assert calls == [((), 7), ((4,), 7), ((4, 6), 7)]
     calls.clear()
     assert audit_boundary_system(bs) == []
-    assert calls == [((), 2), ((4,), 4), ((4, 6), 6)]
+    assert calls == [((), 3), ((4,), 5), ((4, 6), 7)]
 
 
 def _catalog_directions(p_hess):

@@ -855,6 +855,30 @@ def test_multitype_gate_reuses_its_search(monkeypatch, capsys):
     assert payload["commutator"] == ["1", "6", "9", "18"]
 
 
+@pytest.mark.parametrize("expr,exact", [
+    # psd refutes both tangential forms; the search and the build agree on
+    # them, but without C = M agreement proves nothing
+    (UNCERTIFIED, False),
+    ("-2*Re(z1) + |z2|^4 - |z3|^4 + |z3|^6", False),
+    # the gate certifies the tangential part without its pure terms, which
+    # the Levi form never reads
+    ("-2*Re(z1) + 2*Re(z2^3) + |z2|^4 + |z3|^6", True),
+    ("-2*Re(z1) + (Re(z2))^2 + |z3|^4", True),
+])
+def test_multitype_is_exact_only_on_a_certified_model(capsys, expr, exact):
+    code, out, _err = run_cli(capsys, "multitype", "--json", "--n", "3",
+                              "--expr", expr)
+    payload = json.loads(out)
+    assert code == 0 and payload["lambda"] == payload["commutator"]
+    assert payload["status"] == ("exact-commutator" if exact
+                                 else "search-lower-bound")
+    assert ("commutator" in payload["witness"]) == exact
+    assert (boundary._lambda_floor(parse_poly(expr, 3)) is not None) == exact
+    if not exact:
+        code, out, _err = run_cli(capsys, "psd", "--n", "3", "--expr", expr)
+        assert code == 0 and out.startswith("Refuted")
+
+
 @pytest.mark.parametrize("argv", [
     *_build_runs(UNCERTIFIED, 3, ("boundary-system", "torsion", "multitype")),
     # a certified model past the search's dimension limit: it raises

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -14,7 +15,7 @@ from catlin.weights import (INF, MAX_DEGREE_BOUND, MAX_ENUMERATE_DIMENSION,
                             _Shear, _cancels_nothing, _catalog, _evecs,
                             _integer_terms, _render, _support_after,
                             admissible_rows, best_distinguished_weight,
-                            corroborate, counting_bound, enumerate_multitypes,
+                            counting_bound, enumerate_multitypes,
                             is_admissible, lower_weight_at, multitype_search,
                             recip, STATUS_EXACT, STATUS_LOWER_BOUND)
 
@@ -195,7 +196,8 @@ def test_multitype_weighted_model():
     mt = multitype_search(r)
     assert mt.value == InverseWeight((Fraction(1), 8, 12))
     assert mt.status == STATUS_LOWER_BOUND
-    mt = corroborate(mt, InverseWeight((Fraction(1), 8, 12)))
+    mt = dataclasses.replace(
+        mt, commutator=InverseWeight((Fraction(1), 8, 12)))
     assert mt.status == STATUS_EXACT
 
 
