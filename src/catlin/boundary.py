@@ -47,17 +47,14 @@ The slow fields are built capped at the truncation degree: every entry of
 their tangency system is a capped product, so the Neumann solve takes its
 matrix as given and caps each product of its own there.
 
-Each build keeps one store of the seeds and tail states whose entries all
-lie in finished slots (``_ListSearcher.with_field``), shared by every
-candidate direction and every later slot: the skeletons are in descending
-slot order, so the search walks each list from its tail, where only finished
-slots lie, and their fields no longer change.  Within one build r, the seed
-cap and those fields are fixed, and a state's key (list length, suffix of
-entries) fixes its positions and caps, so a stored value is exactly what a
-searcher of its own would form; each is formed once per build.  The entries
-of the slot under test, whose field changes with the direction, are formed
-by each direction's view alone.  The store is dropped with its build; the
-audit keeps a searcher of its own, as it is the check, and the two builds of
+The list search keeps its tables by one rule (``_ListSearcher``): a table
+through the slot under test, whose field changes with the candidate
+direction, is that direction's searcher's; every other one, over finished
+slots only, is in the build's store, shared by every direction and every
+later slot and formed once per build.  The skeletons are in descending
+slot order, so the search walks each list from its tail, where only
+finished slots lie.  The store is dropped with its build; the audit keeps
+a searcher of its own, as it is the check, and the two builds of
 ``first_block_torsion`` (different r) share nothing.
 
 A field is applied by one loop, ``_field_terms``, in one pass: for each
@@ -103,7 +100,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .exact import CRat, CZERO, hermitian_reduce, inverse, rank, rat_str
 from .levi import complex_hessian, psd_certificate
@@ -183,11 +181,11 @@ class _ListSearcher:
     ``Poly``.  An entry (slot, False) applies the slot's field
     sum_k a_k d/dz_k, and (slot, True) its conjugate sum_k conj(a_k)
     d/dzbar_k; each entry keeps the tables of its nonzero coefficients,
-    conjugated for a conjugate entry, formed once per searcher.  dr reads
-    only the (1,0) part of a bracket, hol_k = X(Y_k) - Y(X_k) with Y_k the
-    d/dz_k coefficient of Y, so only that part is formed.  A conjugate entry
-    has no (1,0) coefficients, and the seed of two conjugate entries is
-    zero.
+    conjugated for a conjugate entry, formed once where they are kept
+    (below).  dr reads only the (1,0) part of a bracket, hol_k = X(Y_k) -
+    Y(X_k) with Y_k the d/dz_k coefficient of Y, so only that part is
+    formed.  A conjugate entry has no (1,0) coefficients, and the seed of
+    two conjugate entries is zero.
 
     The bracket seed dr([L^{l-1}, L^l]) is computed once per (entry, entry)
     pair and used whole by every list of the searcher, or of the build when
@@ -199,49 +197,39 @@ class _ListSearcher:
     Without ``max_length`` nothing is capped.  The search walks the
     skeleton from its tail, so sibling patterns reuse every suffix state.
 
-    A build keeps one searcher over its finished slots, whose fields no
-    longer change, and hands each candidate direction a view,
-    ``with_field``, over those fields and the direction's field at the slot
-    under test, which the slot's one tangency system gives.  Every view shares the store of the build's searcher: each
-    seed and each tail state whose entries all lie in finished slots, the
-    seed keyed by its entry pair, the state by (list length, suffix of
-    entries).  Within a build r, the seed cap and the finished fields are
-    fixed, and the length and the suffix fix the positions and so the caps,
-    so a stored value is a pure function of its key, formed once for every
-    direction and every later slot.  A key with an entry of the slot under
-    test is not shared, as that field changes with the direction.  A
-    searcher made directly (the audit's, ``list_derivative``'s) has no
-    finished slots and shares nothing."""
+    One rule decides where a table is kept: one with an entry of the slot
+    under test (that slot's coefficient tables, and any seed or tail state
+    through it) is the searcher's own, as that field changes with the
+    direction; every other one is in ``store``, the build's, keyed by its
+    entry, entry pair or (list length, suffix of entries).  Within a build
+    r, the seed cap and the finished fields are fixed, and a state's length
+    and suffix fix its positions and so its caps, so a stored table is a
+    pure function of its key.  Tail states through the slot under test are
+    not kept.  A searcher made without a store (the audit's,
+    ``list_derivative``'s) has no finished slots and keeps every table to
+    itself."""
 
     def __init__(self, r: Poly, fields: Dict[int, VField],
-                 max_length: Optional[int] = None):
+                 max_length: Optional[int] = None,
+                 store: Optional[Dict[tuple, Any]] = None,
+                 slot: Optional[int] = None):
         self.r = r
         self.fields = fields
         self.seed_cap = None if max_length is None else max_length - 2
-        self._coeffs: Dict[ListEntry,
-                           List[Tuple[int, Dict[TermKey, CRat]]]] = {}
-        self._seeds: Dict[Tuple[ListEntry, ListEntry],
-                          Dict[TermKey, CRat]] = {}
-        # the slots whose seeds and tail states go into the shared store
-        self._finished: frozenset = frozenset()
-        self._store: Dict[tuple, Dict[TermKey, CRat]] = {}
-
-    def with_field(self, slot: int, fld: VField) -> _ListSearcher:
-        """A searcher over these fields and ``fld`` at ``slot`` that shares
-        this one's store for the entries of the slots of ``self.fields``."""
-        view = _ListSearcher(self.r, {**self.fields, slot: fld})
-        view.seed_cap = self.seed_cap
-        view._finished = frozenset(self.fields)
-        view._store = self._store
-        return view
+        # the searcher's own tables: those through a slot not in _finished
+        self._own: Dict[tuple, Any] = {}
+        self._store = self._own if store is None else store
+        self._finished = frozenset() if store is None \
+            else frozenset(fields) - {slot}
 
     def apply(self, entry: ListEntry, f: Dict[TermKey, CRat],
               cap: Optional[int]) -> Dict[TermKey, CRat]:
         """The field of ``entry`` applied to the table f, without the terms
         above degree ``cap``."""
-        coeffs = self._coeffs.get(entry)
+        tables = self._store if entry[0] in self._finished else self._own
+        coeffs = tables.get(entry)
         if coeffs is None:
-            coeffs = self._coeffs[entry] = [
+            coeffs = tables[entry] = [
                 (i, _conj_terms(a.terms) if entry[1] else a.terms)
                 for i, a in enumerate(self.fields[entry[0]].hol) if a.terms]
         return _field_terms(coeffs, f, cap, entry[1])
@@ -251,7 +239,7 @@ class _ListSearcher:
         needs it."""
         key = (e1, e2)
         seeds = self._store if e1[0] in self._finished \
-            and e2[0] in self._finished else self._seeds
+            and e2[0] in self._finished else self._own
         if key not in seeds:
             c = self.seed_cap
             hol: List[Dict[TermKey, CRat]] = [{}] * self.r.n
@@ -549,9 +537,9 @@ def _system_slots(r: Poly, list_bound: Optional[int],
                 for k in range(n - 1))
             catalog.append(combo)
     slow: Dict[int, SlowSlot] = {}
-    # the searcher over the finished slots, whose store every direction's
-    # view shares; dropped with the build
-    finished = _ListSearcher(r, {}, bound)
+    # the list search's tables over finished slots, shared by every
+    # direction's searcher; dropped with the build
+    store: Dict[tuple, Any] = {}
     bs = BoundarySystem(n=n, r=r, rank=levi_rank, levi_fields=levi_fields,
                         slow=slow,
                         c_entries=(Fraction(1),) + (Fraction(2),) * levi_rank,
@@ -559,6 +547,7 @@ def _system_slots(r: Poly, list_bound: Optional[int],
     yield bs
     for slot in range(levi_rank + 2, n + 1):
         used = [sl.direction for sl in slow.values()]
+        finished = {j: sl.fld for j, sl in slow.items()}
         found = None
         # the catalog directions outside the span of the slots built so far
         directions = [d for d in catalog if rank(used + [d]) > rank(used)]
@@ -593,8 +582,8 @@ def _system_slots(r: Poly, list_bound: Optional[int],
                             r, c1, p_hess, levi_fields,
                             [slow[j] for j in sorted(slow)], cap)
                     fld = system(direction)
-                    searchers[i] = None if fld is None else \
-                        finished.with_field(slot, fld)
+                    searchers[i] = None if fld is None else _ListSearcher(
+                        r, {**finished, slot: fld}, bound, store, slot)
                 searcher = searchers[i]
                 if searcher is not None:
                     found = next(((direction, searcher.fields, entries, value)
@@ -622,7 +611,6 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         slow[slot] = SlowSlot(slot=slot, direction=tuple(direction),
                               fld=fields[slot], entries=list(entries),
                               c=c_j, r_func=r_func, scale=scale)
-        finished.fields[slot] = fields[slot]
         bs.c_entries += (c_j,)
         yield bs
 
@@ -843,8 +831,10 @@ def detect_torsion(bs: BoundarySystem) -> TorsionReport:
 
 
 def audit_boundary_system(bs: BoundarySystem) -> List[str]:
-    """Independent re-check of the construction invariants; returns the list
-    of violations (empty when sound)."""
+    """Re-check of the construction invariants; returns the list of
+    violations (empty when sound).  It is not independent of the build: it
+    reads the same ranking, ``_ranked``, and list search, ``_ListSearcher``
+    (a searcher of its own, without the build's store)."""
     problems: List[str] = []
     zero = (0,) * bs.n
     fields = {j: s.fld for j, s in bs.slow.items()}

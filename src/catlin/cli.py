@@ -18,7 +18,7 @@ from fractions import Fraction
 from .boundary import (audit_boundary_system, build_boundary_system,
                        detect_torsion, first_block_torsion,
                        normalize_first_block)
-from .exact import rat_str
+from .exact import ZeroDenominatorError, rat_from_str, rat_str
 from .levi import KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN, psd_verdict
 from .normal_form import normalize, verify_normal_form
 from .parser import parse_poly
@@ -63,8 +63,8 @@ def _load_poly(args) -> Poly:
 
 def _parse_weight(spec: str, n: int) -> Weight:
     try:
-        parts = [Fraction(s.strip()) for s in spec.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
+        parts = [rat_from_str(s) for s in spec.split(",")]
+    except ValueError as exc:
         raise CliError(f"bad weight {spec!r}: {exc}") from None
     if len(parts) != n:
         raise CliError(f"weight has {len(parts)} entries, expected {n}")
@@ -196,9 +196,11 @@ def cmd_torsion(args) -> int:
 
 def cmd_enumerate(args) -> int:
     try:
-        m = Fraction(args.max_type)
-    except ZeroDivisionError:
+        m = rat_from_str(args.max_type)
+    except ZeroDenominatorError:
         raise CliError(f"type bound {args.max_type} divides by 0") from None
+    except ValueError as exc:
+        raise CliError(f"type bound: {exc}") from None
     weights = enumerate_multitypes(args.n, m)
     bound = counting_bound(args.n, m)
     for w in weights:

@@ -25,6 +25,10 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
+# Most decimal digits of a number read or printed: Python's default limit on
+# int-string conversion (sys.get_int_max_str_digits()).
+MAX_PRINTED_DIGITS = 4300
+
 
 class CRat:
     """Complex number with exact rational real and imaginary parts.
@@ -337,11 +341,20 @@ def rat_str(x: Fraction) -> str:
 _RATIONAL = _re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+class ZeroDenominatorError(ValueError):
+    """A rational string whose denominator is 0."""
+
+
 def rat_from_str(s: str) -> Fraction:
     """Rational from "3" or "-1/2": an optional sign, digits and an optional
-    "/" and digits.  ValueError for anything else, so a decimal or exponent
-    notation ("1e99999999", which ``Fraction`` would expand) is refused
-    before any number is formed."""
+    "/" and digits (README's ``RATIONAL``), each part of at most
+    MAX_PRINTED_DIGITS digits.  ValueError for anything else, so a decimal
+    or exponent notation ("1e99999999", which ``Fraction`` would expand) or
+    an overlong part is refused before any number is formed."""
+    if any(sum(map(str.isdigit, part)) > MAX_PRINTED_DIGITS
+           for part in s.split("/")):
+        raise ValueError("numerator or denominator has more than "
+                         f"{MAX_PRINTED_DIGITS} digits")
     s = s.strip()
     if "." in s:
         raise ValueError(f"decimal rationals are not accepted: {s!r}")
@@ -350,4 +363,4 @@ def rat_from_str(s: str) -> Fraction:
     try:
         return Fraction(s)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {s!r}") from None
+        raise ZeroDenominatorError(f"zero denominator: {s!r}") from None

@@ -31,9 +31,9 @@ import re as _re
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .exact import CI, CONE, CRat
-from .poly import (MAX_PRINTED_DIGITS, Poly, PolyError, TermKey, _conj_terms,
-                   _mul_terms, _neg_terms, _nonzero, _scale_terms, _sum_terms,
+from .exact import CI, CONE, MAX_PRINTED_DIGITS, CRat
+from .poly import (Poly, PolyError, TermKey, _conj_terms, _mul_terms,
+                   _neg_terms, _nonzero, _scale_terms, _sum_terms,
                    require_real)
 
 Terms = Dict[TermKey, CRat]

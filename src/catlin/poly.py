@@ -35,10 +35,6 @@ from .exact import CRat, CZERO, Rat, rank, rat_from_str, rat_str
 Exponents = Tuple[int, ...]
 TermKey = Tuple[Exponents, Exponents]
 
-# Most decimal digits of a number read or printed: Python's default limit on
-# int-string conversion (sys.get_int_max_str_digits()).
-MAX_PRINTED_DIGITS = 4300
-
 
 class PolyError(ValueError):
     """Invalid polynomial construction or operation."""
@@ -508,10 +504,6 @@ def _json_rat(t, key: str) -> Fraction:
     if not isinstance(s, str):
         raise PolyError(f"JSON polynomial: {key} must be a string such as "
                         f"\"-1/2\", not {s!r}")
-    if any(sum(map(str.isdigit, part)) > MAX_PRINTED_DIGITS
-           for part in s.split("/")):
-        raise PolyError(f"JSON polynomial: {key}: numerator or denominator "
-                        f"has more than {MAX_PRINTED_DIGITS} digits")
     try:
         return rat_from_str(s)
     except ValueError as exc:

@@ -977,16 +977,15 @@ def test_each_direction_tries_lists_in_value_order(monkeypatch):
 
 
 def test_shared_store_matches_per_direction_searchers(monkeypatch):
-    # Every direction's view shares the build's store of the seeds and tail
-    # states over finished slots.  A searcher per direction that shares
-    # nothing (the earlier search) gives the same c-entries, lists and JSON
+    # Every direction's searcher shares the build's store of the tables
+    # over finished slots.  Searchers made without a store, which keep
+    # every table to themselves, give the same c-entries, lists and JSON
     # on the certified models of test_floor_skips_only_lists_that_vanish,
     # with the floor and without it.
     rng = random.Random(1984)
 
-    def per_direction(self, slot, fld):
-        return ListSearcherOracle(self.r, {**self.fields, slot: fld},
-                                  self.seed_cap)
+    def per_direction(r, fields, max_length=None, store=None, slot=None):
+        return _ListSearcher(r, fields, max_length)
 
     models = later = 0
     while models < 120:
@@ -998,12 +997,50 @@ def test_shared_store_matches_per_direction_searchers(monkeypatch):
         for f in (None, floor):
             shared = _outcome(lambda: _built(r, f))
             with monkeypatch.context() as patch:
-                patch.setattr(_ListSearcher, "with_field", per_direction)
+                patch.setattr(boundary, "_ListSearcher", per_direction)
                 alone = _outcome(lambda: _built(r, f))
             assert shared == alone, (str(r), f)
             # a slot built after another reads the store
             later += isinstance(shared, dict) and len(shared["slots"]) > 1
     assert later >= 100
+
+
+# Certified models whose earlier c_k differ (4 and 6) and whose mixed terms
+# have weight above 1 under the weight (1/4, 1/6, 1/8), so that at slot 4
+# value order and scan order pick different lists: the six-field list of
+# row (2, 0) over (c_2, c_3), value 8, reaches |z2|^2*|z4|^4, while the
+# list of row (1, 4) before it in scan order, value 12, reaches the cross
+# term z2*z3*z4*zbar3^3 and does not vanish either.  The last two take
+# their slots in another order than their variables.
+MIXED_MODELS = [
+    "-2*Re(z1) + |z2|^4 + |z3|^6 + |z4|^8 + |z2*z4^2|^2"
+    " + |z2*z3*z4 + z3^3|^2",
+    "-2*Re(z1) + |z2|^4 + 2*|z3|^6 + |z4|^8 + |z2*z4^2 + (1/2)*z2^2|^2"
+    " + |z2*z3*z4 + (1+i)*z3^3|^2",
+    "-2*Re(z1) + |z4|^4 + |z3|^6 + |z2|^8 + |z4*z2^2|^2"
+    " + |z4*z3*z2 + z3^3|^2",
+    "-2*Re(z1) + |z3|^4 + |z2|^6 + |z4|^8 + |z3*z4^2|^2"
+    " + |z3*z2*z4 + z2^3|^2",
+]
+
+
+def _judged_models():
+    """(r, floor) for the 120 certified models of
+    test_floor_skips_only_lists_that_vanish with a floor, then for
+    MIXED_MODELS, each of which has one."""
+    rng = random.Random(1984)
+    models = 0
+    while models < 120:
+        r = _certified_model(rng)
+        floor = _lambda_floor(r)
+        if floor is not None:
+            models += 1
+            yield r, floor
+    for expr in MIXED_MODELS:
+        r = parse_poly(expr, 4)
+        floor = _lambda_floor(r)
+        assert floor is not None, expr
+        yield r, floor
 
 
 def test_build_takes_the_least_nonvanishing_list_by_brute_force():
@@ -1015,15 +1052,10 @@ def test_build_takes_the_least_nonvanishing_list_by_brute_force():
     # first one with a nonvanishing pair is judged for every direction by
     # ListSearcherOracle.  The least nonvanishing pair gives the slot's
     # direction, list and c_j; none gives +inf for the rest, on the
-    # certified models of test_floor_skips_only_lists_that_vanish.
-    rng = random.Random(1984)
-    models = judged = 0
-    while models < 120:
-        r = _certified_model(rng)
-        floor = _lambda_floor(r)
-        if floor is None:
-            continue
-        models += 1
+    # certified models of test_floor_skips_only_lists_that_vanish and on
+    # MIXED_MODELS, where value order and scan order pick different lists.
+    judged = 0
+    for r, floor in _judged_models():
         bs = None
         try:
             for bs in boundary._system_slots(r, None, floor):
@@ -1136,6 +1168,36 @@ def test_finished_slot_seeds_and_states_are_formed_once(monkeypatch):
     assert bs.c_entries == (1, 4, 6, 8)
     assert len(seeds) >= 8 and len(states) >= 70, (seeds, len(states))
     assert set(seeds.values()) == {1} and set(states.values()) == {1}
+
+
+def test_finished_slot_coefficient_tables_are_formed_once(monkeypatch):
+    # A finished slot's field no longer changes, so each of its conjugate
+    # entries has its coefficient tables conjugated once per build, for
+    # every direction and every later slot; those of the slot under test
+    # (the largest slot of the searcher's fields) are each searcher's own.
+    r = parse_poly(DIAGONAL_N4, 4)
+    apply, conj_terms = _ListSearcher.apply, boundary._conj_terms
+    formed = collections.Counter()
+    applying = []  # the entry being applied, None unless of a finished slot
+
+    def recording_apply(self, entry, f, cap):
+        applying.append(entry if entry[0] < max(self.fields) else None)
+        try:
+            return apply(self, entry, f, cap)
+        finally:
+            applying.pop()
+
+    def recording_conj(terms):
+        if applying and applying[-1] is not None:
+            formed[applying[-1], id(terms)] += 1
+        return conj_terms(terms)
+
+    monkeypatch.setattr(_ListSearcher, "apply", recording_apply)
+    monkeypatch.setattr(boundary, "_conj_terms", recording_conj)
+    bs = build_boundary_system(r)
+    assert bs.c_entries == (1, 4, 6, 8)
+    assert {entry for entry, _table in formed} == {(2, True), (3, True)}
+    assert set(formed.values()) == {1}, formed
 
 
 def test_tangency_system_is_formed_once_per_slot(monkeypatch):

@@ -750,6 +750,35 @@ def test_json_exponent_notation_exits_2_fast(capsys, tmp_path):
         "\"-1/2\": '1e99999999'\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    # Fraction("1e-99999999") would expand a hundred-million-digit integer
+    (["normalize", "--n", "3", "--expr", "-2*Re(z1) + |z2|^4 + |z3|^6",
+      "--weight", "1,1/4,1e-99999999"],
+     "error: bad weight '1,1/4,1e-99999999': not a rational such as "
+     "\"-1/2\": '1e-99999999'\n"),
+    (["enumerate", "--n", "2", "--max-type", "1e9999999"],
+     "error: type bound: not a rational such as \"-1/2\": '1e9999999'\n"),
+    (["normalize", "--n", "2", "--expr", "-2*Re(z1) + |z2|^4",
+      "--weight", "1,1/" + "7" * 5000],
+     "error: bad weight '1,1/" + "7" * 5000 + "': numerator or denominator "
+     "has more than 4300 digits\n"),
+    (["normalize", "--n", "3", "--expr", "-2*Re(z1) + |z2|^4 + |z3|^6",
+      "--weight", "1,0.25,1/6"],
+     "error: bad weight '1,0.25,1/6': decimal rationals are not accepted: "
+     "'0.25'\n"),
+    (["enumerate", "--n", "2", "--max-type", "4.5"],
+     "error: type bound: decimal rationals are not accepted: '4.5'\n"),
+])
+def test_option_rationals_follow_the_grammar(capsys, argv, message):
+    # --weight entries and --max-type are read as README's RATIONAL, as
+    # JSON coefficients are: no decimal or exponent notation, at most
+    # 4300 digits a part, refused before any number is formed
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", message)
+
+
 def test_json_input_missing_key_exits_2(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"n": 2}))
