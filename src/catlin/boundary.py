@@ -11,18 +11,18 @@ derivative of the (1,0) differential,
 does not vanish at the origin.  A list entry is a field L = sum a_k d/dz_k
 or its conjugate sum conj(a_k) d/dzbar_k, applied directly.  A bracket is
 formed only in its (1,0) part, the part that dr reads.  All list
-derivatives are formed by ``_ListSearcher``.  The lists of a slot are
-ranked once, by ``_ranked``: by number of fields, then by value
-c_j = counts[j]/rem, the list's count of slot-j fields over the remainder
-of its row of ``weights.admissible_rows`` over the c-entries found so far,
-then in scan order.  A slot takes the least nonvanishing (fields, value,
-direction, scan position), not the first nonvanishing list found at its
-number of fields, which could be of larger value and make the c-entries
-decrease.  The audit reads the same ranking: every list ranked before the
-slot's own (shorter, or as long and of smaller value, or of equal value and
-earlier in scan order) must vanish.  The lists produce the commutator
-multitype (1, c_2, ..., c_n); the associated real functions r_j and fields
-L_j form the boundary system.
+derivatives are formed by ``_ListSearcher``.  The lists of a slot, up to
+the bound, are ranked once, by ``_ranked``: by value c_j = counts[j]/rem,
+the list's count of slot-j fields over the remainder of its row of
+``weights.admissible_rows`` over the c-entries found so far, then by number
+of fields, then in scan order.  A slot takes the least nonvanishing (value,
+fields, direction, scan position).  Value first is exact: if every earlier
+c_k is at most t, a list of t fields has rem <= counts[j]/t, so value >= t:
+while they are at most the bound, no longer list has a smaller value.  The
+audit reads the same ranking: every list ranked before the slot's own, a
+longer one of smaller value included, must vanish.  The lists produce the
+commutator multitype (1, c_2, ..., c_n); the associated real functions r_j
+and fields L_j form the boundary system.
 The first equal-value block beyond the Levi slots can be normalized to
 r_j = Re z_j exactly by a holomorphic change of coordinates; the failure of
 the same normalization at the next slot is the torsion obstruction,
@@ -54,8 +54,8 @@ slots only, is in the build's store, shared by every direction and every
 later slot and formed once per build.  The skeletons are in descending
 slot order, so the search walks each list from its tail, where only
 finished slots lie.  The store is dropped with its build; the audit keeps
-a searcher of its own, as it is the check, and the two builds of
-``first_block_torsion`` (different r) share nothing.
+its tables by the same rule in a store of its own, as it is the check, and
+the two builds of ``first_block_torsion`` (different r) share nothing.
 
 A field is applied by one loop, ``_field_terms``, in one pass: for each
 nonzero coefficient a_k, the derivative of the operand in z_k (or zbar_k)
@@ -68,9 +68,9 @@ coefficients, already conjugated, and a ``Poly`` is built only for what
 ``_ListSearcher.derivative`` returns.  ``_apply_field`` wraps the loop for
 ``Poly`` operands (the slow fields' z_1 coefficients and the audit).
 
-The admissible rows of a slot are formed once, for its longest list
-(``_ranked``): the rows of fewer fields are the rows whose entries sum to
-at most fields - 1, in the same order.
+The ranking (``_ranked``) forms the admissible rows of a slot once, for
+its longest list, and merges their runs lazily, so a slot forms no list
+ranked after the one it takes.
 
 The list search at a slot starts at three fields (a two-field list vanishes
 at 0; the argument is stated where the search runs) and can skip lists below
@@ -95,6 +95,7 @@ skips no list below the floor, because it is the check.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -205,9 +206,8 @@ class _ListSearcher:
     r, the seed cap and the finished fields are fixed, and a state's length
     and suffix fix its positions and so its caps, so a stored table is a
     pure function of its key.  Tail states through the slot under test are
-    not kept.  A searcher made without a store (the audit's,
-    ``list_derivative``'s) has no finished slots and keeps every table to
-    itself."""
+    not kept.  A searcher made without a store (``list_derivative``'s)
+    has no finished slots and keeps every table to itself."""
 
     def __init__(self, r: Poly, fields: Dict[int, VField],
                  max_length: Optional[int] = None,
@@ -450,30 +450,34 @@ def _tangency_system(r: Poly, c1: CRat, p_hess: List[List[Poly]],
 
 
 def _ranked(slow: Dict[int, SlowSlot], slot: int, first: int, last: int
-            ) -> Iterator[Tuple[int, Fraction, List[int]]]:
+            ) -> Iterator[Tuple[Fraction, int, List[int]]]:
     """The admissible lists of ``first`` to ``last`` fields at ``slot``, as
-    (fields, value, skeleton), in the order that decides c_j (module
+    (value, fields, skeleton), lazily, in the order that decides c_j (module
     docstring).  The earlier counts are a row of ``admissible_rows`` over
     their c_k, and the skeleton holds the slot of each field, in descending
     order.  The rows are formed once, for ``last`` fields: those of fewer
-    fields sum to at most fields - 1, in the same order."""
+    fields sum to at most fields - 1.  Within a row the value (fields -
+    used) / rem grows with fields, so a heap merge of the rows' runs, ties
+    going to the earlier row, gives the ranking."""
     earlier = [k for k in sorted(slow) if k < slot]
     rows = admissible_rows([slow[k].c for k in earlier], last - 1)
-    # each value (fields - used) / rem is sorted as an integer over one
-    # common denominator, the lcm of the remainders' numerators
+    # each value is compared as an integer over one common denominator, the
+    # lcm of the remainders' numerators
     common = math.lcm(*(rem.numerator for _row, rem in rows))
-    rows = [(sum(row), rem, rem.denominator * (common // rem.numerator),
-             [k for k, a in zip(reversed(earlier), reversed(row))
-              for _ in range(a)])
-            for row, rem in rows]
-    for fields in range(first, last + 1):
-        # sorted is stable: lists of equal value keep their scan order
-        for _key, count, rem, tail in sorted(
-                (((fields - used) * scale, fields - used, rem, tail)
-                 for used, rem, scale, tail in rows if used < fields),
-                key=itemgetter(0)):
-            yield (fields, Fraction(count * rem.denominator, rem.numerator),
-                   [slot] * count + tail)
+
+    def run(position: int, row: Tuple[int, ...], rem: Fraction
+            ) -> Iterator[tuple]:
+        used, scale = sum(row), rem.denominator * (common // rem.numerator)
+        tail = [k for k, a in zip(reversed(earlier), reversed(row))
+                for _ in range(a)]
+        for fields in range(max(first, used + 1), last + 1):
+            yield (fields - used) * scale, fields, position, rem, tail
+
+    for _key, fields, _pos, rem, tail in heapq.merge(
+            *(run(i, row, rem) for i, (row, rem) in enumerate(rows))):
+        count = fields - len(tail)
+        yield (Fraction(count * rem.denominator, rem.numerator), fields,
+               [slot] * count + tail)
 
 
 def build_boundary_system(r: Poly, list_bound: Optional[int] = None
@@ -566,13 +570,15 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         # L, conj(M) it is the Levi form at 0 on values in the Levi kernel
         # (M(0)'s Levi block is decoupled from the kernel columns in
         # _tangency_system); two conjugate entries give a zero seed.
-        # The least nonvanishing (fields, value, direction, scan position)
-        # wins: the ranking is walked one group of equal fields and value at
+        # The least nonvanishing (value, fields, direction, scan position)
+        # wins: the ranking is walked one group of equal value and fields at
         # a time, and within a group each direction, in catalog order, tries
-        # the group's lists in scan order.
-        ranked = (lst for lst in _ranked(slow, slot, 3, bound)
-                  if below is None or lst[1] >= below)
-        for (_fields, value), group in itertools.groupby(ranked,
+        # the group's lists in scan order.  The lists below the floor come
+        # first.
+        ranked = _ranked(slow, slot, 3, bound)
+        if below is not None:
+            ranked = itertools.dropwhile(lambda lst: lst[0] < below, ranked)
+        for (value, _fields), group in itertools.groupby(ranked,
                                                          itemgetter(0, 1)):
             skeletons = [skeleton for *_, skeleton in group]
             for i, direction in enumerate(directions):
@@ -834,16 +840,17 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
     """Re-check of the construction invariants; returns the list of
     violations (empty when sound).  It is not independent of the build: it
     reads the same ranking, ``_ranked``, and list search, ``_ListSearcher``
-    (a searcher of its own, without the build's store)."""
+    (by the build's table rule, in a store of its own)."""
     problems: List[str] = []
     zero = (0,) * bs.n
     fields = {j: s.fld for j, s in bs.slow.items()}
-    searcher = _ListSearcher(bs.r, fields, max(
-        (len(s.entries) for s in bs.slow.values()), default=2))
+    store: Dict[tuple, Any] = {}
+    longest = max([bs.list_bound] + [len(s.entries) for s in bs.slow.values()])
     for i, lf in enumerate(bs.levi_fields):
         if not _apply_field(lf.hol, bs.r).is_zero():
             problems.append(f"Levi field {i + 2}: L(r) != 0")
     for j, sl in sorted(bs.slow.items()):
+        searcher = _ListSearcher(bs.r, fields, longest, store, j)
         if not _apply_field(sl.fld.hol, bs.r).is_zero():
             problems.append(f"slot {j}: L_{j}(r) != 0")
         if not searcher.derivative(sl.entries).coeff(zero, zero):
@@ -870,14 +877,14 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
                         f"slot {j}: L_{j} r_{k} != 0 (up to degree "
                         f"{bs.trunc_degree})")
         # minimality: every list ranked before the slot's own vanishes at 0
-        for fields, value, skeleton in _ranked(bs.slow, j, 2, len(groups)):
-            if skeleton == groups or (fields, value) > (len(groups), sl.c):
+        for value, length, skeleton in _ranked(bs.slow, j, 2, bs.list_bound):
+            if skeleton == groups or (value, length) > (sl.c, len(groups)):
                 break
             entries = searcher.first_nonzero(skeleton)
             if entries is not None:
-                which = "shorter admissible list" if fields < len(groups) \
-                    else f"admissible list of equal length and value {value}"
-                problems.append(f"slot {j}: {which} {entries} has nonzero "
-                                "derivative; minimality broken")
+                problems.append(
+                    f"slot {j}: admissible list of value {value} and "
+                    f"{length} fields {entries} has nonzero derivative and is "
+                    "ranked before the slot's own; minimality broken")
                 break
     return problems

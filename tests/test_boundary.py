@@ -130,39 +130,43 @@ def _rand_poly(rng, n, terms, max_exp):
 
 
 def test_skeletons_match_recursive_compositions():
-    # the lists of each number of fields are the earlier recursion's,
-    # stably sorted by value c_j = counts[slot] / rem, the fields counts
-    # ascending; the rows are formed once, for the largest number of
-    # fields, and serve every smaller one
+    # the lists of first..last fields are the earlier recursion's, ranked
+    # by (value c_j = counts[slot] / rem, fields, scan position), the scan
+    # position being the row of earlier counts in lexicographic order, so
+    # a longer list of smaller value comes first; the rows are formed once,
+    # for the largest number of fields, and serve every smaller one
     rng = random.Random(1403)
-    lists = 0
+    lists = longer_first = 0
     for _ in range(2000):
         slot = rng.randint(2, 6)
         c_prev = {k: Fraction(rng.randint(2, 16), rng.randint(1, 3))
                   for k in range(2, slot) if rng.random() < 0.7}
-        total = rng.randint(2, 10)
+        first = rng.randint(2, 10)
+        last = rng.randint(first, 10)
         slow = {k: SimpleNamespace(c=c) for k, c in c_prev.items()}
-        ranked = list(_ranked(slow, slot, rng.randint(2, total),
-                              rng.randint(total, 10)))
-        assert [f for f, _v, _sk in ranked] == sorted(f for f, _v, _sk
-                                                      in ranked)
-        got = [(value, skeleton) for fields, value, skeleton in ranked
-               if fields == total]
+        got = list(_ranked(slow, slot, first, last))
 
         def value(counts):
             rem = 1 - sum(Fraction(counts[k]) / c for k, c in c_prev.items())
             return counts[slot] / rem
 
-        want = sorted(compositions_oracle(total, sorted(c_prev) + [slot],
-                                          c_prev), key=value)
-        assert [dict(collections.Counter(sk)) for _v, sk in got] == \
-            [{k: a for k, a in counts.items() if a} for counts in want]
-        for (v, skeleton), counts in zip(got, want):
-            assert v == value(counts)
+        want = sorted(
+            ((value(counts), total, [counts[k] for k in sorted(c_prev)],
+              counts)
+             for total in range(first, last + 1)
+             for counts in compositions_oracle(total, sorted(c_prev) + [slot],
+                                               c_prev)),
+            key=lambda w: w[:3])
+        assert [(v, f) for v, f, _sk in got] == [w[:2] for w in want]
+        for (_v, _f, skeleton), (*_key, counts) in zip(got, want):
             assert skeleton == [s for s in sorted(counts, reverse=True)
                                 for _ in range(counts[s])]
         lists += len(got)
+        longer_first += any(f > g for (_v, f, _s), (_w, g, _t)
+                            in zip(got, got[1:]))
     assert lists > 4000
+    # the value order is not the field order on many of the draws
+    assert longer_first > 100
 
 
 def test_capped_products_equal_truncated_products():
@@ -512,9 +516,12 @@ def _tamper_minimality(bs):
     (_tamper_property_5, "slot 4: property-(5) sum 3/4 != 1"),
     (_tamper_r_j, "slot 3: L_3 r_3 vanishes at 0"),
     (_tamper_r_k, "slot 4: L_4 r_3 != 0 (up to degree 10)"),
-    (_tamper_minimality,
-     "slot 3: shorter admissible list [(3, True), (3, False), (3, False), "
-     "(3, True)] has nonzero derivative; minimality broken")])
+    pytest.param(
+        _tamper_minimality,
+        "slot 3: admissible list of value 4 and 4 fields [(3, True), "
+        "(3, False), (3, False), (3, True)] has nonzero derivative and is "
+        "ranked before the slot's own; minimality broken",
+        id="_tamper_minimality-minimality broken")])
 def test_audit_flags_each_tampered_invariant(tamper, problem):
     bs = _audit_model()
     assert audit_boundary_system(bs) == []
@@ -938,15 +945,36 @@ def test_audit_flags_a_list_ranked_after_a_nonvanishing_one(expr, n, value):
     bs.slow[3].c = _list_value(bs, skeleton)
     assert bs.slow[3].c == value
     assert audit_boundary_system(bs) == [
-        f"slot 3: admissible list of equal length and value 6 {own} has "
-        "nonzero derivative; minimality broken"]
+        f"slot 3: admissible list of value 6 and 6 fields {own} has nonzero "
+        "derivative and is ranked before the slot's own; minimality broken"]
+
+
+def test_audit_flags_a_shorter_list_of_larger_value():
+    # The last of MIXED_MODELS as a fields-first ranking built it: slot 4
+    # recorded with the six-field list of value 12, which keeps property
+    # (5).  The eight-field list of value 8 is ranked before it and is
+    # nonzero, so the audit flags it, though it is longer.
+    bs = build_boundary_system(parse_poly(MIXED_MODELS[-1], 4))
+    assert bs.c_entries == (1, 4, 6, 8)
+    assert audit_boundary_system(bs) == []
+    own = bs.slow[4].entries
+    assert [s for s, _c in own] == [4] * 8
+    skeleton = [4, 4, 3, 3, 2, 2]
+    searcher = _ListSearcher(bs.r, {j: s.fld for j, s in bs.slow.items()},
+                             len(skeleton))
+    bs.slow[4].entries = searcher.first_nonzero(skeleton)
+    bs.slow[4].c = _list_value(bs, skeleton)
+    assert bs.slow[4].c == 12
+    assert audit_boundary_system(bs) == [
+        f"slot 4: admissible list of value 8 and 8 fields {own} has nonzero "
+        "derivative and is ranked before the slot's own; minimality broken"]
 
 
 def test_each_direction_tries_lists_in_value_order(monkeypatch):
-    # Each direction has its own searcher at a slot.  Within a total it
-    # tries the skeletons in nondecreasing value counts[j] / rem and stops
-    # at its first nonvanishing list: no call after that direction's first
-    # hit, at any total.
+    # Each direction has its own searcher at a slot.  It tries the
+    # skeletons in nondecreasing (value counts[j] / rem, fields), whatever
+    # their number of fields, and stops at its first nonvanishing list: no
+    # call after that direction's first hit.
     r = parse_poly(SAME_DIRECTION, 4)
     search = _ListSearcher.first_nonzero
     calls = []
@@ -965,14 +993,13 @@ def test_each_direction_tries_lists_in_value_order(monkeypatch):
         last = {}
         hit = set()
         for searcher, skeleton, nonzero in calls:
-            value = _list_value(bs, skeleton)
-            key = searcher, len(skeleton)
+            rank = _list_value(bs, skeleton), len(skeleton)
             assert searcher not in hit, skeleton
-            assert value >= last.get(key, value), skeleton
-            last[key] = value
+            assert rank >= last.get(searcher, rank), skeleton
+            last[searcher] = rank
             if nonzero:
                 hit.add(searcher)
-        # some direction tried more than one skeleton of a total
+        # some direction tried more than one skeleton
         assert len(calls) > len(last)
 
 
@@ -1021,6 +1048,12 @@ MIXED_MODELS = [
     " + |z4*z3*z2 + z3^3|^2",
     "-2*Re(z1) + |z3|^4 + |z2|^6 + |z4|^8 + |z3*z4^2|^2"
     " + |z3*z2*z4 + z2^3|^2",
+    # At slot 4 a longer list has the smaller value: six fields, two in
+    # each slot, reach |z2|^2*|z3|^2*|z4|^2 with value 2 / (1 - 2/6 - 2/4)
+    # = 12, and eight fields of slot 4 reach |z2|^8 with value 8, which
+    # Lambda_4 is.
+    "-2*Re(z1) + |z3|^4 + 2*|z4|^6 + |z3|^2*|z4|^4 + |z2|^2*|z3|^2*|z4|^2"
+    " + |z2|^8",
 ]
 
 
@@ -1044,16 +1077,16 @@ def _judged_models():
 
 
 def test_build_takes_the_least_nonvanishing_list_by_brute_force():
-    # c_j is the value of the least nonvanishing (fields, value, direction,
+    # c_j is the value of the least nonvanishing (value, fields, direction,
     # scan position).  Each slot a build reaches is judged again from the
     # slots before it: every catalog direction outside their span gets the
     # field of slow_field_oracle, and every admissible list of the earlier
     # recursion (compositions_oracle) of every number of fields up to the
-    # first one with a nonvanishing pair is judged for every direction by
-    # ListSearcherOracle.  The least nonvanishing pair gives the slot's
-    # direction, list and c_j; none gives +inf for the rest, on the
-    # certified models of test_floor_skips_only_lists_that_vanish and on
-    # MIXED_MODELS, where value order and scan order pick different lists.
+    # build's bound is judged for every direction by ListSearcherOracle.
+    # The least nonvanishing pair gives the slot's direction, list and c_j;
+    # none gives +inf for the rest, on the certified models of
+    # test_floor_skips_only_lists_that_vanish and on MIXED_MODELS, where
+    # value order differs from scan order and from field order.
     judged = 0
     for r, floor in _judged_models():
         bs = None
@@ -1087,21 +1120,19 @@ def test_build_takes_the_least_nonvanishing_list_by_brute_force():
                     for position, counts in enumerate(lists):
                         rem = 1 - sum(Fraction(counts[k]) / c
                                       for k, c in c_prev.items())
-                        key = (total, counts[j] / rem, i, position)
+                        key = (counts[j] / rem, total, i, position)
                         entries = searcher.first_nonzero(
                             [k for k in sorted(counts, reverse=True)
                              for _ in range(counts[k])])
                         if entries is not None and (best is None
                                                     or key < best[0]):
                             best = key, direction, entries
-                if best is not None:
-                    break
             judged += 1
             if best is None:
                 assert bs.c_entries[j - 1:] == (INF,) * (bs.n - j + 1), \
                     str(r)
                 break
-            (_total, value, _i, _pos), direction, entries = best
+            (value, _total, _i, _pos), direction, entries = best
             sl = bs.slow[j]
             assert (sl.c, sl.direction, sl.entries) == (
                 value, tuple(direction), entries), (str(r), j)
@@ -1109,29 +1140,32 @@ def test_build_takes_the_least_nonvanishing_list_by_brute_force():
 
 
 DIAGONAL_N4 = "-2*Re(z1) + |z2|^4 + |z3|^6 + |z4|^8"
+# no tier-1 or tier-2 certificate, so no floor: every list below the
+# slot's value is walked
+SHEAR_N4 = "-2*Re(z1) + |z2 + (1/2)*z3^2|^4 + 3*|z3|^8 + 2*|z4|^10"
 
 
-def test_finished_slot_seeds_and_states_are_formed_once(monkeypatch):
-    # In one build, each seed and each tail state whose entries all lie in
-    # finished slots (below the slot under test, the largest slot of the
-    # searcher's fields) is formed once, for every direction and every
-    # later slot.  A seed is keyed by its entry pair and formed where its
-    # bracket reaches r; a tail state is keyed by (list length, its
-    # entries), and formed where the search applies an entry to a seed or
-    # a state (below the seed cap).  Different keys may give equal states.
-    r = parse_poly(DIAGONAL_N4, 4)
-    seed, apply, search = (_ListSearcher.seed, _ListSearcher.apply,
-                           _ListSearcher.first_nonzero)
+def _finished_tables_formed(monkeypatch, r, run):
+    """The seeds and tail states over finished slots (below the slot under
+    test, the first slot of the list searched or derived) that ``run()``
+    forms, each counted per formation.  A seed is keyed by its entry pair
+    and formed where its bracket reaches r; a tail state is keyed by (list
+    length, its entries), and formed where the search applies an entry to
+    a seed or a state (below the seed cap).  Different keys may give equal
+    states."""
+    seed, apply, search, derivative = (
+        _ListSearcher.seed, _ListSearcher.apply, _ListSearcher.first_nonzero,
+        _ListSearcher.derivative)
     field_terms = boundary._field_terms
     seeds, states = collections.Counter(), collections.Counter()
-    forming, lengths = [], []
+    forming, lengths, under_test = [], [], []
     entries_of = {}  # id of a seed or state -> (its entries, itself)
 
-    def finished(self, entries):
-        return all(e[0] < max(self.fields) for e in entries)
+    def finished(entries):
+        return all(e[0] < under_test[-1] for e in entries)
 
     def recording_seed(self, e1, e2):
-        forming.append((e1, e2) if finished(self, (e1, e2)) else None)
+        forming.append((e1, e2) if finished((e1, e2)) else None)
         try:
             out = seed(self, e1, e2)
         finally:
@@ -1149,25 +1183,64 @@ def test_finished_slot_seeds_and_states_are_formed_once(monkeypatch):
         if lengths and cap is not None and cap < self.seed_cap:
             tail = (entry,) + entries_of[id(f)][0]
             entries_of[id(out)] = tail, out
-            if finished(self, tail):
+            if finished(tail):
                 states[lengths[-1], tail] += 1
         return out
 
     def recording_search(self, skeleton):
         lengths.append(len(skeleton))
+        under_test.append(skeleton[0])
         try:
             return search(self, skeleton)
         finally:
             lengths.pop()
+            under_test.pop()
 
-    monkeypatch.setattr(_ListSearcher, "seed", recording_seed)
-    monkeypatch.setattr(_ListSearcher, "apply", recording_apply)
-    monkeypatch.setattr(_ListSearcher, "first_nonzero", recording_search)
-    monkeypatch.setattr(boundary, "_field_terms", recording_field)
+    def recording_derivative(self, entries):
+        under_test.append(entries[0][0])
+        try:
+            return derivative(self, entries)
+        finally:
+            under_test.pop()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_ListSearcher, "seed", recording_seed)
+        patch.setattr(_ListSearcher, "apply", recording_apply)
+        patch.setattr(_ListSearcher, "first_nonzero", recording_search)
+        patch.setattr(_ListSearcher, "derivative", recording_derivative)
+        patch.setattr(boundary, "_field_terms", recording_field)
+        out = run()
+    return out, seeds, states
+
+
+def test_finished_slot_seeds_and_states_are_formed_once(monkeypatch):
+    # In one build, each seed and each tail state whose entries all lie in
+    # finished slots (below the slot under test) is formed once, for every
+    # direction and every later slot.  The states guard on SHEAR_N4 checks
+    # that the test reaches the store.
+    for expr, c, least_states in ((DIAGONAL_N4, (1, 4, 6, 8), 8),
+                                  (SHEAR_N4, (1, 4, 8, 10), 70)):
+        r = parse_poly(expr, 4)
+        bs, seeds, states = _finished_tables_formed(
+            monkeypatch, r, lambda: build_boundary_system(r))
+        assert bs.c_entries == c
+        assert len(seeds) >= 8 and len(states) >= least_states, \
+            (expr, seeds, len(states))
+        assert set(seeds.values()) == {1} and set(states.values()) == {1}
+
+
+def test_audit_seeds_and_states_are_formed_once(monkeypatch):
+    # The audit keeps a store of its own by the build's table rule: each of
+    # its seeds and tail states over the slots below the slot it checks is
+    # formed once per audit, for every list it derives or searches and
+    # every later slot.
+    r = parse_poly(DIAGONAL_N4, 4)
     bs = build_boundary_system(r)
-    assert bs.c_entries == (1, 4, 6, 8)
-    assert len(seeds) >= 8 and len(states) >= 70, (seeds, len(states))
-    assert set(seeds.values()) == {1} and set(states.values()) == {1}
+    problems, seeds, states = _finished_tables_formed(
+        monkeypatch, r, lambda: audit_boundary_system(bs))
+    assert problems == []
+    assert set(states.values()) == {1} and set(seeds.values()) == {1}
+    assert len(seeds) >= 8 and len(states) >= 50, (seeds, len(states))
 
 
 def test_finished_slot_coefficient_tables_are_formed_once(monkeypatch):
@@ -1227,7 +1300,8 @@ def test_tangency_system_is_formed_once_per_slot(monkeypatch):
 
 def test_admissible_rows_once_per_slot(monkeypatch):
     # a build and its audit each form the admissible rows of a slot once,
-    # for its largest total, not once per total
+    # for its largest total (the build's bound, as the audit ranks every
+    # list the build could take), not once per total
     calls = []
     rows = boundary.admissible_rows
 
@@ -1240,7 +1314,7 @@ def test_admissible_rows_once_per_slot(monkeypatch):
     assert calls == [((), 7), ((4,), 7), ((4, 6), 7)]
     calls.clear()
     assert audit_boundary_system(bs) == []
-    assert calls == [((), 3), ((4,), 5), ((4, 6), 7)]
+    assert calls == [((), 7), ((4,), 7), ((4, 6), 7)]
 
 
 def _catalog_directions(p_hess):
