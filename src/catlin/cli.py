@@ -10,6 +10,7 @@ canonical JSON) or --expr with --n.  Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -24,8 +25,8 @@ from .normal_form import normalize, verify_normal_form
 from .parser import parse_poly
 from .poly import (Poly, PolyError, PseudoconvexityError, require_real,
                    split_model)
-from .weights import (INF, Multitype, Weight, counting_bound,
-                      enumerate_multitypes, is_admissible, multitype_search)
+from .weights import (INF, Weight, counting_bound, enumerate_multitypes,
+                      is_admissible, multitype_search)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -101,7 +102,8 @@ def cmd_multitype(args) -> int:
         bs = commutator = None
     if bs is not None and bs.floor is not None:
         # a certified Levi part: C = M, so agreement makes the weight exact
-        mt = Multitype(mt.value, mt.witness, commutator)
+        # and disagreement is reported as such
+        mt = dataclasses.replace(mt, commutator=commutator)
     payload = mt.to_json()
     if commutator is not None:
         payload["commutator"] = commutator.to_json()["lambda"]

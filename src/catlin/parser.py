@@ -20,8 +20,9 @@ The parser works on raw term tables (Dict[TermKey, CRat]) through the
 ``_neg_terms``, ``_scale_terms``, ``_conj_terms``, ``_mul_terms``), so the
 arithmetic is the same and every table has the key order the Poly
 operations would give it; one Poly is built at the end.  An atom is a
-one-term table, and a power of a one-term base is formed in closed form,
-after the size checks.
+one-term table, and a power of a one-term base is formed in closed form
+by ``_monomial_power``, as ``Poly.__pow__`` forms it, after the size
+checks.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .exact import CI, CONE, MAX_PRINTED_DIGITS, CRat
-from .poly import (Poly, PolyError, TermKey, _conj_terms, _mul_terms,
-                   _neg_terms, _nonzero, _scale_terms, _sum_terms,
-                   require_real)
+from .poly import (Poly, PolyError, TermKey, _check_dimension, _conj_terms,
+                   _monomial_power, _mul_terms, _neg_terms, _nonzero,
+                   _scale_terms, _sum_terms, require_real)
 
 Terms = Dict[TermKey, CRat]
 
@@ -304,13 +305,14 @@ class _Parser:
         MAX_PRINTED_DIGITS digits (``_extreme_coefficients``,
         ``_unprintable_power``), so that it fails fast.
 
-        A one-term base is raised in closed form, which forms no term pairs:
-        its exponents times k, its coefficient c ** k, or |c|^2k for a
-        modulus, checked by ``_printable`` once formed.  Any other modulus
-        is expanded as q * conj(q) with q = p ** k, which forms far fewer
-        term pairs than powers of p * conj(p).  Powers are taken from the top
-        bit of k down, so that the last product is the largest; ``_product``
-        charges and checks each one."""
+        A one-term base is raised in closed form by ``_monomial_power``, the
+        kernel ``Poly.__pow__`` uses, which forms no term pairs: its
+        exponents times k and its coefficient c ** k, a modulus's base being
+        |c|^2 |z^(a+b)|^2, checked by ``_printable`` once formed.  Any other
+        modulus is expanded as q * conj(q) with q = p ** k, which forms far
+        fewer term pairs than powers of p * conj(p).  Powers are taken from
+        the top bit of k down, so that the last product is the largest;
+        ``_product`` charges and checks each one."""
         hol = {i for (a, _b) in p for i, e in enumerate(a) if e}
         anti = {i for (_a, b) in p for i, e in enumerate(b) if e}
         d_hol = k * max((sum(a) for a, _b in p), default=0)
@@ -328,12 +330,11 @@ class _Parser:
             raise ParseError("power's coefficient would have more than "
                              f"{MAX_PRINTED_DIGITS} digits", pos)
         if len(p) == 1:
-            ((a, b), c), = p.items()
-            w = CRat.of(c.abs2()) if modulus else c
-            if modulus:
-                a = b = tuple(x + y for x, y in zip(a, b))
-            return _printable({(tuple(k * x for x in a),
-                                tuple(k * y for y in b)): w ** k}, pos)
+            if modulus:  # |c z^a zbar^b|^2 = |c|^2 |z^(a+b)|^2
+                ((a, b), c), = p.items()
+                ab = tuple(x + y for x, y in zip(a, b))
+                p = {(ab, ab): CRat.of(c.abs2())}
+            return _printable(_monomial_power(p, k), pos)
         out = p if k else {(self.zero, self.zero): CONE}
         for bit in f"{k:b}"[1:]:
             out = self._product(out, out, pos)
@@ -407,7 +408,6 @@ def parse_poly(text: str, n: int) -> Poly:
     Raises ParseError on syntax problems and NonRealError when the expanded
     expression is not Hermitian-symmetric (e.g. a lone "z2^2").
     """
-    if n < 1:
-        raise PolyError("dimension must be >= 1")
+    _check_dimension(n)
     p = Poly._unchecked(n, _Parser(text, n).parse())
     return require_real(p, f"expression {text!r}")

@@ -35,6 +35,13 @@ from .exact import CRat, CZERO, Rat, rank, rat_from_str, rat_str
 Exponents = Tuple[int, ...]
 TermKey = Tuple[Exponents, Exponents]
 
+# Largest dimension n of a polynomial.  Every term carries two dense
+# exponent tuples of length n, so memory and output grow with n whatever the
+# expression; a larger n is refused before any term is built.  The largest n
+# in the tests, examples, README and benchmark workloads is 12, so this
+# leaves a margin of more than five times.
+MAX_DIMENSION = 64
+
 
 class PolyError(ValueError):
     """Invalid polynomial construction or operation."""
@@ -69,8 +76,7 @@ class Poly:
     terms: Dict[TermKey, CRat]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise PolyError("dimension must be >= 1")
+        _check_dimension(self.n)
         clean = {}
         for (alpha, beta), c in self.terms.items():
             if len(alpha) != self.n or len(beta) != self.n:
@@ -148,8 +154,12 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Poly":
+        """self ** e: a one-term self in closed form (``_monomial_power``),
+        any other by repeated squaring."""
         if not isinstance(e, int) or e < 0:
             raise PolyError("exponent must be a nonnegative integer")
+        if len(self.terms) == 1:
+            return Poly._unchecked(self.n, _monomial_power(self.terms, e))
         result = Poly.const(self.n, 1)
         base = self
         while e:
@@ -282,7 +292,9 @@ class Poly:
 
         Every map must be holomorphic (no zbar content).  Each term is its
         coefficient times the powers of its variables' maps and of their
-        conjugates, each power formed once per call.
+        conjugates, each power formed once per call, and a power of a
+        one-term map (an identity or monomial component) in closed form, with
+        no product.
         """
         if len(maps) != self.n:
             raise DimensionMismatch("need one component map per variable")
@@ -366,6 +378,7 @@ class Poly:
         n = _json_get(d, "n")
         if type(n) is not int:
             raise PolyError(f"JSON polynomial: n must be an int, not {n!r}")
+        _check_dimension(n)
         raw = _json_get(d, "terms")
         if not isinstance(raw, list):
             raise PolyError("JSON polynomial: terms must be a list")
@@ -445,6 +458,15 @@ def _derivative_terms(terms: Dict[TermKey, CRat], i: int,
     return out
 
 
+def _monomial_power(terms: Dict[TermKey, CRat], k: int
+                    ) -> Dict[TermKey, CRat]:
+    """Term table of a one-term table raised to the power k >= 0, in closed
+    form: the exponents times k and the coefficient c ** k, so no term pair
+    is formed."""
+    ((a, b), c), = terms.items()
+    return {(tuple(k * x for x in a), tuple(k * y for y in b)): c ** k}
+
+
 def _mul_terms(t1: Dict[TermKey, CRat], t2: Dict[TermKey, CRat],
                cap: Optional[int] = None,
                out: Optional[Dict[TermKey, CRat]] = None
@@ -508,6 +530,14 @@ def _json_rat(t, key: str) -> Fraction:
         return rat_from_str(s)
     except ValueError as exc:
         raise PolyError(f"JSON polynomial: {key}: {exc}") from None
+
+
+def _check_dimension(n: int):
+    if n < 1:
+        raise PolyError("dimension must be >= 1")
+    if n > MAX_DIMENSION:
+        raise PolyError(f"dimension {n} is above {MAX_DIMENSION}, the largest "
+                        "a polynomial may have")
 
 
 def _check_var(n: int, j: int):

@@ -13,7 +13,13 @@ of the Newton diagram; a finite catalog of holomorphic coordinate changes
 (permutations, and shears z_i -> z_i +- z_j^k up to a degree bound, the
 k = 1 shears being its linear changes) is then hill-climbed.  The result is
 flagged ``search-lower-bound`` unless it carries the commutator multitype
-of a certified model and agrees with it (``Multitype.status``).
+of a certified model: ``exact-commutator`` when the two agree, and
+``commutator-disagrees`` when they do not, which under C = M means the
+catalog missed the multitype's coordinates or a fault
+(``Multitype.status``).  The search returns the names of the changes it
+applied and the model part in the coordinates they reach; its witness (the
+admissibility rows and the coordinates polynomial's JSON) is formed only
+when it is read, so the callers that read only the weight form none of it.
 
 The hill-climb only asks whether a candidate beats the incumbent weight, so
 each candidate's weight search is pruned against the incumbent and stops as
@@ -27,7 +33,9 @@ moves the exponent vectors, and a shear expands each term by the binomial
 theorem with integer coefficients over p's common denominator, so a term
 leaves the support exactly when it cancels.  A larger support weighs no
 more, so a candidate whose support contains the incumbent's is not weighed,
-and a shear that provably cancels no term is not even expanded.  Only the
+and a shear under which no term cancels is not even expanded: whether a key
+cancels is read off the coefficients of the keys the shear can send onto it
+(``_cancels_nothing``), an exact test.  Only the
 winning entry is rendered as variable maps and applied by
 ``Poly.substitute_maps``.  The catalog's size is linear in the degree bound,
 which is limited to ``MAX_DEGREE_BOUND``, and it grows as (n-1)! with the
@@ -54,7 +62,7 @@ import functools
 import itertools
 import math
 from operator import add, itemgetter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
@@ -85,6 +93,7 @@ MAX_ENUMERATE_WORK = 1_000_000
 
 STATUS_EXACT = "exact-commutator"
 STATUS_LOWER_BOUND = "search-lower-bound"
+STATUS_DISAGREES = "commutator-disagrees"
 
 
 def entry_str(x: Entry) -> str:
@@ -163,25 +172,44 @@ class InverseWeight:
 
 @dataclass
 class Multitype:
-    """The search's weight and witness, and the commutator multitype of a
-    build whose Levi part is certified (tier 1 or 2), where C = M (Catlin,
-    Ann. Math. 120, 1984): only there does agreement make it the multitype."""
+    """The search's weight, the catalog changes it applied (``changes``,
+    their witness names) and the model part in the coordinates they reach
+    (``coordinates``), and the commutator multitype of a build whose Levi
+    part is certified (tier 1 or 2), where C = M (Catlin, Ann. Math. 120,
+    1984): only there does agreement make it the multitype, and
+    disagreement means the catalog missed the multitype's coordinates or a
+    fault (``status``).
+
+    The ``witness`` is formed when it is read: the admissibility rows of the
+    weight and the coordinates polynomial's JSON, which only ``catlin
+    multitype`` prints, so a caller that reads only ``value`` forms neither.
+    """
     value: InverseWeight
-    witness: dict = field(default_factory=dict)
+    changes: List[str]
+    coordinates: Poly
     commutator: Optional[InverseWeight] = None
 
     @property
     def status(self) -> str:
+        if self.commutator is None:
+            return STATUS_LOWER_BOUND
         return STATUS_EXACT if self.commutator == self.value \
-            else STATUS_LOWER_BOUND
+            else STATUS_DISAGREES
+
+    @property
+    def witness(self) -> dict:
+        wit = is_admissible(self.value)[1]  # admissible by construction
+        return {"changes": list(self.changes),
+                "admissibility": {str(i): [list(a) for a in rows]
+                                  for i, rows in wit.items()},
+                "coordinates_polynomial": self.coordinates.to_json_dict()}
 
     def to_json(self) -> dict:
         out = self.value.to_json()
         out["status"] = self.status
         out["witness"] = self.witness
         if self.status == STATUS_EXACT:
-            out["witness"] = {**self.witness, "commutator":
-                              self.commutator.to_json()["lambda"]}
+            out["witness"]["commutator"] = self.commutator.to_json()["lambda"]
         return out
 
 
@@ -462,38 +490,60 @@ def _cancels_nothing(shear: _Shear, terms: List[_IntTerm]) -> bool:
     as its ``_integer_terms``), so the changed support contains p's.
 
     Let phi set a_i to 0 and a_j to a_j + k*a_i.  Every term of the binomial
-    expansion of z^a zbar^b has the same (phi(a), phi(b)) as the term itself,
-    so a key of p can cancel only against the expansion of another key of
-    the same class.  When phi is injective on p's keys, each key receives its
-    own coefficient and nothing else, and stays.  The check reads neither c
-    nor the coefficients, and holds at once when z_i does not occur."""
-    i, j, k, _c = shear
+    expansion of z^a zbar^b has the same (phi(a), phi(b)) as the term
+    itself, and the expansion of a key K = (a, b) reaches a key K' = (a', b')
+    of its class exactly when a_i >= a'_i and b_i >= b'_i, with the factor
+    C(a_i, a'_i) C(b_i, b'_i) c^(a_i - a'_i + b_i - b'_i).  So K' keeps the
+    sum of those factors times the coefficients of the keys K of p that
+    reach it, K' itself (factor 1) included, and it cancels exactly when
+    that sum is 0; a key alone in its class never cancels.  The sums are
+    integers over p's common denominator, so the test is exact: True
+    exactly when no key of p cancels."""
+    i, j, k, c = shear
     i, j = i - 2, j - 2  # positions among z_2..z_n
-    classes = set()
-    for a, b, _x, _y in terms:
-        a2, b2 = list(a), list(b)
-        a2[j] += k * a2[i]
-        b2[j] += k * b2[i]
-        a2[i] = b2[i] = 0
-        classes.add((tuple(a2), tuple(b2)))
-    return len(classes) == len(terms)
+    classes: Dict[tuple, List[_IntTerm]] = {}
+    for term in terms:
+        a, b = list(term[0]), list(term[1])
+        a[j] += k * a[i]
+        b[j] += k * b[i]
+        a[i] = b[i] = 0
+        classes.setdefault((tuple(a), tuple(b)), []).append(term)
+    for members in classes.values():
+        if len(members) == 1:
+            continue
+        for a2, b2, _x, _y in members:
+            sx = sy = 0
+            for a, b, x, y in members:
+                s, t = a[i] - a2[i], b[i] - b2[i]
+                if s >= 0 and t >= 0:
+                    m = math.comb(a[i], s) * math.comb(b[i], t) * c ** (s + t)
+                    sx += x * m
+                    sy += y * m
+            if not (sx or sy):
+                return False
+    return True
 
 
 def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
     """Bounded search for the multitype of the model r = c*Re(z1) + p.
 
     Returns the lexicographic supremum of admissible distinguished weights
-    found over the coordinate catalog, flagged search-lower-bound.  The
-    witness records the applied composed maps and the admissibility rows.
-    Each candidate is weighed from its support alone (``_support_after``);
-    only an improving change is applied to p, by ``substitute_maps``.
+    found over the coordinate catalog, flagged search-lower-bound, with the
+    names of the changes applied and p in the coordinates they reach; the
+    witness (those names, the admissibility rows and that polynomial's JSON)
+    is formed when it is read (``Multitype.witness``).  Each candidate is
+    weighed from its support alone (``_support_after``); only an improving
+    change is applied to p, by ``substitute_maps``.
 
     A candidate whose support contains the incumbent's is never weighed:
     more exponent vectors leave fewer feasible weights, so its lex-max is no
     higher.  A shear z_i -> z_i + c*z_j^k keeps each term's expansion inside
-    the term's class under phi (a_i set to 0, a_j to a_j + k*a_i); when phi
-    is injective on p's keys no term cancels, the support only grows, and
-    the shear is skipped before it is expanded (``_cancels_nothing``).
+    the term's class under phi (a_i set to 0, a_j to a_j + k*a_i), where a
+    key K' receives C(a_i, a'_i) C(b_i, b'_i) c^(a_i - a'_i + b_i - b'_i)
+    times the coefficient of each key K of its class with a_i >= a'_i and
+    b_i >= b'_i, itself included; when none of these sums is 0 no term
+    cancels, the support only grows, and the shear is skipped before it is
+    expanded (``_cancels_nothing``).
     """
     if not 0 <= degree_bound <= MAX_DEGREE_BOUND:
         raise PolyError(f"degree bound {degree_bound} is outside "
@@ -515,7 +565,7 @@ def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
     # The lex-max weight is monotone in the support (more exponent vectors,
     # fewer feasible weights) and ``best`` is the weight of ``support``, so
     # no candidate support containing ``support`` can beat it; nor can a
-    # shear whose phi-classes keep p's keys apart (``_cancels_nothing``).  A
+    # shear under which no key of p cancels (``_cancels_nothing``).  A
     # support's weight is at most the incumbent once evaluated, and the
     # incumbent only rises: such a support can never win a later round.
     settled = {support}
@@ -539,14 +589,7 @@ def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
                 break
         else:
             break
-    wit = is_admissible(best)[1]  # best is admissible by construction
-    witness = {
-        "changes": applied,
-        "admissibility": {str(i): [list(a) for a in rows]
-                          for i, rows in wit.items()},
-        "coordinates_polynomial": p.to_json_dict(),
-    }
-    return Multitype(best, witness)
+    return Multitype(best, applied, p)
 
 
 # ----------------------------------------------------------------------

@@ -22,8 +22,7 @@ from catlin.poly import (CoordChange, DimensionMismatch, Poly, PolyError,
                          PseudoconvexityError, TermKey, _capped_products,
                          eliminate_harmonic, require_real, split_model,
                          term_sort_key, weighted_order)
-from catlin.weights import (INF, Entry, InverseWeight, Multitype, Weight,
-                            _catalog, _evecs, _render, is_admissible, recip)
+from catlin.weights import INF, Entry, InverseWeight, Weight, recip
 
 
 def _frac(x) -> Fraction:
@@ -375,24 +374,51 @@ def substitute_maps_oracle(self: Poly, maps: Sequence[Poly]) -> Poly:
 
 
 def best_distinguished_weight_oracle(p: Poly) -> Optional[InverseWeight]:
-    tail = best_distinguished_oracle(_evecs(p), p.n - 1)
+    evecs = {tuple(x + y for x, y in zip(a[1:], b[1:])) for (a, b) in p.terms}
+    tail = best_distinguished_oracle(sorted(evecs), p.n - 1)
     if tail is None:
         return None
     return InverseWeight((Fraction(1),) + tail)
 
 
+def catalog_oracle(n: int, degree_bound: int) -> List[Tuple[str, List[Poly]]]:
+    """The multitype search's coordinate catalog as documented, written out
+    as term tables: each non-identity permutation of z_2..z_n in itertools
+    order, named perm(...), then for each ordered pair i != j, each
+    k = 1..degree_bound and c = 1, -1 the shear z_i -> z_i + c*z_j^k, named
+    "shear z{i} += {c}*z{j}^{k}"; each with its variable maps z_1..z_n."""
+    def table(*powers):  # (variable, exponent, coefficient) triples
+        return Poly(n, {(tuple(e if v == i else 0 for i in range(1, n + 1)),
+                         (0,) * n): CRat(c) for v, e, c in powers})
+
+    idx = tuple(range(2, n + 1))
+    out = []
+    for perm in itertools.permutations(idx):
+        if perm != idx:
+            out.append((f"perm{perm}", [table((1, 1, 1))] +
+                        [table((v, 1, 1)) for v in perm]))
+    for i, j in itertools.permutations(idx, 2):
+        for k in range(1, degree_bound + 1):
+            for c in (1, -1):
+                maps = [table((v, 1, 1)) for v in range(1, n + 1)]
+                maps[i - 1] = table((i, 1, 1), (j, k, c))
+                out.append((f"shear z{i} += {c}*z{j}^{k}", maps))
+    return out
+
+
 def multitype_search_oracle(r: Poly, degree_bound: int = 4,
-                            max_rounds: int = 40) -> Multitype:
+                            max_rounds: int = 40
+                            ) -> Tuple[InverseWeight, dict]:
     """The earlier ``weights.multitype_search``, driven by the oracles: every
-    catalog candidate of every round is expanded and weighed in full."""
+    entry of ``catalog_oracle`` in every round is expanded and weighed in
+    full.  Returns the weight and the witness the search prints."""
     r0, _h = eliminate_harmonic(r)
     p = r0.restrict_support(range(2, r.n + 1))
     best = best_distinguished_weight_oracle(p)
     applied: List[str] = []
     for _ in range(max_rounds):
         improved = False
-        for entry in _catalog(r.n, degree_bound):
-            name, maps = _render(r.n, entry)
+        for name, maps in catalog_oracle(r.n, degree_bound):
             q = substitute_maps_oracle(p, maps)
             cand = best_distinguished_weight_oracle(q)
             if cand is not None and cand.entries > best.entries:
@@ -401,14 +427,14 @@ def multitype_search_oracle(r: Poly, degree_bound: int = 4,
                 break
         if not improved:
             break
-    ok, wit = is_admissible(best)
+    ok, wit = is_admissible_oracle(best)
     witness = {
         "changes": applied,
         "admissibility": {str(i): [list(a) for a in rows]
                           for i, rows in wit.items()} if ok else {},
         "coordinates_polynomial": p.to_json_dict(),
     }
-    return Multitype(best, witness)
+    return best, witness
 
 
 # The earlier tier 3's grid values: its points took the first 4, its

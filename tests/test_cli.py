@@ -670,6 +670,35 @@ def test_input_errors_exit_2(capsys, tmp_path, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", [
+    "parse", "psd", "normalize", "boundary-system", "torsion", "multitype"])
+def test_dimension_above_the_cap_exits_2_fast(capsys, tmp_path, command):
+    # every term carries two exponent tuples of length n: a dimension past
+    # poly.MAX_DIMENSION is refused before any term is built, for --n, a
+    # text file and a JSON model alike
+    from catlin.poly import MAX_DIMENSION
+    assert MAX_DIMENSION == 64
+    message = ("error: dimension 1000000 is above 64, the largest a "
+               "polynomial may have\n")
+    text = tmp_path / "model.txt"
+    text.write_text("|z2|^2")
+    model = tmp_path / "model.json"
+    # the dimension is read before the terms
+    model.write_text(json.dumps({"n": 10 ** 6, "terms": [
+        {"alpha": [0, 1], "beta": [0, 1], "re": "1", "im": "0"}]}))
+    for source in (("--n", "1000000", "--expr", "|z2|^2"),
+                   (str(text), "--n", "1000000"), (str(model),)):
+        start = time.perf_counter()
+        got = run_cli(capsys, command, "--json", *source)
+        assert time.perf_counter() - start < 0.5, source
+        assert got == (2, "", message), source
+    assert run_cli(capsys, "parse", "--n", "65", "--expr", "|z2|^2") == (
+        2, "", "error: dimension 65 is above 64, the largest a polynomial "
+               "may have\n")
+    assert run_cli(capsys, "parse", "--n", "64", "--expr", "|z64|^2") == (
+        0, "|z64|^2\n", "")
+
+
 @pytest.mark.parametrize("expr", [
     "(" * 50 + "|z2|^2" + ")" * 50,
     # the deepest nesting the parser admits: 400 frames
@@ -906,6 +935,51 @@ def test_multitype_is_exact_only_on_a_certified_model(capsys, expr, exact):
     if not exact:
         code, out, _err = run_cli(capsys, "psd", "--n", "3", "--expr", expr)
         assert code == 0 and out.startswith("Refuted")
+
+
+def test_multitype_reports_a_disagreeing_certified_build(monkeypatch,
+                                                        capsys):
+    # a certified build whose commutator multitype is not the search's
+    # weight: under C = M the catalog missed the coordinates, or a fault.
+    # A floor raised past slot 3's value makes the build skip |z3|^6
+    expr = "-2*Re(z1) + |z2|^4 + |z3|^6"
+    assert boundary._lambda_floor(parse_poly(expr, 3)) == (1, 4, 6)
+    monkeypatch.setattr(boundary, "_lambda_floor", lambda _r: (1, 4, 8))
+    code, out, _err = run_cli(capsys, "multitype", "--json", "--n", "3",
+                              "--expr", expr)
+    payload = json.loads(out)
+    assert code == 0 and payload["lambda"] == ["1", "4", "6"]
+    assert payload["commutator"] != payload["lambda"]
+    assert payload["status"] == "commutator-disagrees"
+    assert "commutator" not in payload["witness"]
+    code, out, _err = run_cli(capsys, "multitype", "--n", "3", "--expr", expr)
+    assert (code, out) == (0, "(1, 4, 6) [commutator-disagrees]\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("normalize", "--n", "4", "--expr", TORSION),
+    ("normalize", "--json", "--n", "5", "--expr",
+     "-2*Re(z1) + |z2|^4 + |z3|^6 + |z4|^6 + |z5|^8"),
+    ("normalize", "--n", "3", "--expr", "-2*Re(z1) + |z2 + z3^2|^4 + |z3|^8"),
+    ("boundary-system", "--json", "--n", "4", "--expr", TORSION),
+    ("torsion", "--n", "4", "--expr", TORSION)])
+def test_weight_readers_form_no_witness(monkeypatch, capsys, argv):
+    # the auto weight and the build's floor read only the search's value,
+    # so no admissibility witness is formed
+    from catlin import weights
+    calls = []
+    admissible = weights.is_admissible
+
+    def counted(lam):
+        calls.append(lam)
+        return admissible(lam)
+    monkeypatch.setattr(weights, "is_admissible", counted)
+    code, out, _err = run_cli(capsys, *argv)
+    assert code == 0 and out and calls == []
+    code, out, _err = run_cli(capsys, "multitype", "--json", "--n", "4",
+                              "--expr", TORSION)
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["witness"]["admissibility"]["2"] == [[0, 6]]
 
 
 @pytest.mark.parametrize("argv", [

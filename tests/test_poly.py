@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from catlin.exact import CRat
-from catlin import parser
+from catlin import parser, poly
 from catlin.parser import ParseError, parse_poly
 from catlin.poly import (CoordChange, DimensionMismatch, NonRealError, Poly,
                          PolyError, _capped_products, _derivative_terms,
@@ -610,6 +610,48 @@ def test_substitute_maps_cancellation_keeps_oracle_order():
     want = substitute_maps_oracle(p, maps)
     assert list(got.terms.items()) == list(want.terms.items())
     assert list(got.terms)[-1] == ((0, 1), (0, 1))
+
+
+def test_power_matches_repeated_products():
+    # one-term bases are raised in closed form, any other by squaring; both
+    # equal the product of e copies, key order included
+    rng = random.Random(3808)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        base = Poly.zero(n)
+        for _t in range(rng.choice((1, 1, 2, 3))):
+            a, b = (tuple(rng.randint(0, 2) for _ in range(n))
+                    for _ in range(2))
+            base = base + Poly.monomial(n, a, b, CRat(
+                Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+        want = Poly.const(n, 1)
+        for e in range(6):
+            got = base ** e
+            assert got == want and list(got.terms) == list(want.terms), \
+                (str(base), e)
+            want = want * base
+
+
+def test_one_term_power_forms_no_product(monkeypatch):
+    # a one-term power, and so each power of an identity or monomial map in
+    # substitute_maps, is formed without the product kernel
+    calls = []
+    mul = poly._mul_terms
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]) * len(args[1]))
+        return mul(*args, **kwargs)
+    monkeypatch.setattr(poly, "_mul_terms", counted)
+    z = Poly.monomial(3, (0, 2, 1), (1, 0, 0), CRat(Fraction(2, 3), 1))
+    assert z ** 7 == Poly.monomial(3, (0, 14, 7), (7, 0, 0),
+                                   CRat(Fraction(2, 3), 1) ** 7)
+    assert calls == []
+    p = parse_poly("|z2|^4 + |z3|^6 + 2*Re(z2^2*zbar3^3)", 3)
+    identity = [Poly.variable(3, v) for v in (1, 2, 3)]
+    assert p.substitute_maps(identity) == p
+    # one product per variable power of each term, none inside a power
+    assert calls == [1] * 8
 
 
 def test_substitute_maps_rejects_bad_maps():

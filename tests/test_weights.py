@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from catlin import weights
-from catlin.exact import CRat
 from catlin.parser import parse_poly
 from catlin.poly import DimensionMismatch, Poly, PolyError
 from catlin.weights import (INF, MAX_DEGREE_BOUND, MAX_ENUMERATE_DIMENSION,
@@ -20,10 +19,10 @@ from catlin.weights import (INF, MAX_DEGREE_BOUND, MAX_ENUMERATE_DIMENSION,
                             recip, STATUS_EXACT, STATUS_LOWER_BOUND)
 
 from helpers import (best_distinguished_weight_oracle, brute_admissible_slot,
-                     enumerate_multitypes_oracle, is_admissible_oracle,
-                     is_distinguished, lower_weight_at_oracle,
-                     multitype_search_oracle, rand_crat,
-                     substitute_maps_oracle)
+                     catalog_oracle, enumerate_multitypes_oracle,
+                     is_admissible_oracle, is_distinguished,
+                     lower_weight_at_oracle, multitype_search_oracle,
+                     rand_crat, substitute_maps_oracle)
 
 
 # ----------------------------------------------------------------------
@@ -267,29 +266,6 @@ def test_multitype_degree_bound_range():
     assert multitype_search(r, 0).value == InverseWeight((Fraction(1), 4, 6))
 
 
-def _explicit_catalog(n, degree_bound):
-    """The catalog written out as term tables: each non-identity permutation
-    of z_2..z_n in itertools order, then for each ordered pair i != j, each
-    k = 1..degree_bound and c = 1, -1 the shear z_i -> z_i + c*z_j^k."""
-    def table(*powers):  # (variable, exponent, coefficient) triples
-        return {(tuple(e if v == i else 0 for i in range(1, n + 1)),
-                 (0,) * n): CRat(c) for v, e, c in powers}
-
-    idx = tuple(range(2, n + 1))
-    out = []
-    for perm in itertools.permutations(idx):
-        if perm != idx:
-            out.append((f"perm{perm}", [table((1, 1, 1))] +
-                        [table((v, 1, 1)) for v in perm]))
-    for i, j in itertools.permutations(idx, 2):
-        for k in range(1, degree_bound + 1):
-            for c in (1, -1):
-                maps = [table((v, 1, 1)) for v in range(1, n + 1)]
-                maps[i - 1] = table((i, 1, 1), (j, k, c))
-                out.append((f"shear z{i} += {c}*z{j}^{k}", maps))
-    return out
-
-
 def test_catalog_names_order_and_maps():
     # the search's "changes" witness names catalog entries in this order
     assert [_render(3, e)[0] for e in _catalog(3, 2)] == [
@@ -300,11 +276,11 @@ def test_catalog_names_order_and_maps():
         "shear z3 += 1*z2^2", "shear z3 += -1*z2^2"]
     for n in (3, 4):
         got = [_render(n, e) for e in _catalog(n, 4)]
-        want = _explicit_catalog(n, 4)
+        want = catalog_oracle(n, 4)
         assert [name for name, _ in got] == [name for name, _ in want]
         for (name, maps), (_, tables) in zip(got, want):
             assert [m.n for m in maps] == [n] * n, name
-            assert [m.terms for m in maps] == tables, name
+            assert [m.terms for m in maps] == [t.terms for t in tables], name
 
 
 def _gaussian_model(rng, n):
@@ -366,6 +342,48 @@ def test_cancels_nothing_is_sound():
                 counts["cancelled"] += 1
     assert counts["cancelled"] >= 500, counts
     assert min(counts.values()) > 0, counts
+
+
+def test_cancels_nothing_is_exact():
+    # _cancels_nothing is False exactly when some key of p cancels under
+    # the shear, read off the fully expanded polynomial: on the models of
+    # test_cancels_nothing_is_sound, and on each image q under a shear,
+    # whose expanded keys share classes, under the shear's inverse, which
+    # cancels what the shear added, and under the shear again, which mostly
+    # cancels nothing
+    rng = random.Random(1606)
+    counts = {"cancels": 0, "keeps": 0}
+    for n in (3, 3, 4, 4, 5, 5, 6, 6):
+        p = _gaussian_model(rng, n)
+        for entry in _catalog(n, 4):
+            if not isinstance(entry, _Shear):
+                continue
+            maps = _render(n, entry)[1]
+            q = substitute_maps_oracle(p, maps)
+            back = entry._replace(c=-entry.c)
+            for base, shear, image in (
+                    (p, entry, q),
+                    (q, back, substitute_maps_oracle(q, _render(n, back)[1])),
+                    (q, entry, substitute_maps_oracle(q, maps))):
+                cancels = not set(image.terms) >= set(base.terms)
+                got = _cancels_nothing(shear, _integer_terms(base))
+                assert got == (not cancels), _render(n, shear)[0]
+                counts["cancels" if cancels else "keeps"] += 1
+    assert min(counts.values()) >= 100, counts
+
+
+def test_cancels_nothing_reads_the_coefficients():
+    # |z2|^2 + |z3|^2 and |z2|^2 - 2*Re(z2*zbar3) + |z3|^2 = |z2 - z3|^2 have
+    # the same keys in one class under z2 -> z2 + z3; only the second loses
+    # keys, and a coefficient-blind test cannot tell them apart
+    shear = _Shear(2, 3, 1, 1)
+    for expr, cancels in (("|z2|^2 + |z3|^2", False),
+                          ("|z2|^2 + 2*Re(z2*zbar3) + |z3|^2", False),
+                          ("|z2|^2 - 2*Re(z2*zbar3) + |z3|^2", True)):
+        p = parse_poly(expr, 3)
+        q = substitute_maps_oracle(p, _render(3, shear)[1])
+        assert (not set(q.terms) >= set(p.terms)) == cancels, expr
+        assert _cancels_nothing(shear, _integer_terms(p)) == (not cancels)
 
 
 def test_multitype_search_weighs_no_shear(monkeypatch):
@@ -541,9 +559,9 @@ def test_multitype_search_matches_oracle_search():
     models.append(r)
     for r in models:
         got = multitype_search(r)
-        want = multitype_search_oracle(r)
-        assert got.value == want.value, str(r)
-        assert got.witness == want.witness, str(r)
+        value, witness = multitype_search_oracle(r)
+        assert got.value == value, str(r)
+        assert got.witness == witness, str(r)
         changed += bool(got.witness["changes"])
     assert changed >= 43  # 3, and each sheared diagonal
 
