@@ -6,14 +6,16 @@ and inf^-1 = 0.  Infinite entries are represented by ``math.inf``, which
 compares correctly against ``Fraction`` values, so tuples of entries order
 lexicographically out of the box.
 
-The multitype of a polynomial model is approximated by a bounded search: in
-fixed coordinates the lexicographically largest admissible inverse weight
-making the model distinguished is computed exactly from the supporting values
-of the Newton diagram; a finite catalog of holomorphic coordinate changes
-(permutations, and shears z_i -> z_i +- z_j^k up to a degree bound, the
-k = 1 shears being its linear changes) is then hill-climbed.  The result is
-flagged ``search-lower-bound`` unless it carries the commutator multitype
-of a certified model: ``exact-commutator`` when the two agree, and
+The multitype of a polynomial model is approximated by a bounded search: the
+lexicographically largest admissible inverse weight making the model
+distinguished, over every order of z_2..z_n, is computed exactly from the
+supporting values of the Newton diagram by one walk that also chooses the
+order; a finite catalog of holomorphic coordinate changes (the shears
+z_i -> z_i +- z_j^k up to a degree bound, the k = 1 shears being its linear
+changes) is then hill-climbed, each improving shear followed by its
+weight's order as one permutation.  The result is flagged
+``search-lower-bound`` unless it carries the commutator multitype of a
+certified model: ``exact-commutator`` when the two agree, and
 ``commutator-disagrees`` when they do not, which under C = M means the
 catalog missed the multitype's coordinates or a fault
 (``Multitype.status``).  The search returns the names of the changes it
@@ -27,19 +29,18 @@ soon as it cannot beat it.  A candidate's weight depends only on its support
 (the exponent vectors of its terms), and the incumbent only rises, so one
 search remembers every support it has weighed and skips it in later rounds;
 the memo and the catalog live in that search call alone.  The catalog is
-data (permutation tuples and shears (i, j, k, c)), and a candidate's support
-is computed from the entry without forming its polynomial: a permutation
-moves the exponent vectors, and a shear expands each term by the binomial
-theorem with integer coefficients over p's common denominator, so a term
-leaves the support exactly when it cancels.  A larger support weighs no
-more, so a candidate whose support contains the incumbent's is not weighed,
-and a shear under which no term cancels is not even expanded: whether a key
-cancels is read off the coefficients of the keys the shear can send onto it
-(``_cancels_nothing``), an exact test.  Only the
-winning entry is rendered as variable maps and applied by
+data (shears (i, j, k, c)), and a candidate's support is computed from the
+entry without forming its polynomial: a shear expands each term by the
+binomial theorem with integer coefficients over p's common denominator, so
+a term leaves the support exactly when it cancels.  A larger support weighs
+no more, so a candidate whose support contains the incumbent's is not
+weighed, and a shear under which no term cancels is not even expanded:
+whether a key cancels is read off the coefficients of the keys the shear can
+send onto it (``_cancels_nothing``), an exact test.  Only the winning shear
+and its order are rendered as variable maps and applied by
 ``Poly.substitute_maps``.  The catalog's size is linear in the degree bound,
-which is limited to ``MAX_DEGREE_BOUND``, and it grows as (n-1)! with the
-dimension, which is limited to ``MAX_SEARCH_DIMENSION``.
+which is limited to ``MAX_DEGREE_BOUND``, and quadratic in the dimension,
+which is limited to ``MAX_SEARCH_DIMENSION``.
 
 The weight search runs on integers.  It keeps one common denominator, the
 lcm of the denominators of the weights 1/lambda chosen so far, and holds
@@ -61,7 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import add, itemgetter
+from operator import add
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
@@ -76,13 +77,17 @@ Entry = Union[Fraction, float]  # float only ever +inf
 # The shear catalog grows linearly with the degree bound; past this, a search
 # runs for seconds to minutes instead of failing fast.
 MAX_DEGREE_BOUND = 64
-# Rounds of the multitype hill-climb; each improving round applies one change.
+# Rounds of the multitype hill-climb; each improving round applies one shear
+# and its order.
 MAX_ROUNDS = 40
-# The catalog holds (n-1)! - 1 permutations and 2 (n-1)(n-2) shears per
-# unit of degree bound: at most 47,487 entries in dimension 9, and 362,879
-# permutations alone in dimension 10.  In dimension 9 the search on
-# |z2|^4 + |z3|^6 + ... + |z9|^18, where every permutation is a new support,
-# takes 0.9 s, and 4.6 s at degree bound 64 (Python 3.11, shared 2-core Xeon).
+# The catalog holds 2 (n-1)(n-2) shears per unit of degree bound, each
+# weighed over every order in one walk: the search on the diagonal
+# |z2|^4 + |z3|^6 + ... + |z9|^18 takes 0.01 s, and 0.08 s at degree bound
+# 64, and 0.09 s in dimension 12.  What limits the dimension is the
+# commutator build that ``catlin multitype`` runs on the search's floor: on
+# that diagonal it takes about 1 s in dimension 9, 3.3-5.2 s in dimension
+# 10 (the permutation catalog took 2.9-4.3 s in dimension 9) and 18.6 s in
+# dimension 11 (Python 3.11, shared 2-core Xeon).
 MAX_SEARCH_DIMENSION = 9
 # Limits of ``enumerate_multitypes``: the dimension keeps the counting bound
 # printable, the type keeps dimension 2 small, and the budget charges a prefix
@@ -280,116 +285,171 @@ def _evecs(p: Poly) -> frozenset:
 _BY_VALUE = functools.cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
 
 
+def _slot_bound(live: List[Tuple[int, int, tuple]], big_l: int
+                ) -> Optional[Tuple[int, int]]:
+    """The bound (num, den) on the next slot over the ``live`` vectors, with
+    den = 0 for INF (none live); None when a live vector has no unplaced
+    variable left (tail 0), so no weight lifts it to 1."""
+    bn, bd = 1, 0
+    for pre, tail, _e in live:
+        if tail == 0:
+            return None
+        if tail * bd < bn * (big_l - pre):
+            bn, bd = tail, big_l - pre
+    return bn * big_l, bd
+
+
 def _best_distinguished(evecs: Iterable[Tuple[int, ...]], nvars: int,
                         above: Optional[Tuple[Entry, ...]] = None
-                        ) -> Optional[Tuple[Entry, ...]]:
+                        ) -> Optional[Tuple[Tuple[Entry, ...],
+                                            Tuple[int, ...]]]:
     """Lex-max admissible nondecreasing (lambda_2..lambda_n) with every
-    exponent vector weighted >= 1; None when infeasible, and also when
-    ``above`` is given and the lex-max is not strictly above it.
+    exponent vector weighted >= 1, over every order of the variables, and
+    the order that reaches it: order[s] is the position (0-based) of the
+    variable put in slot s.  None when infeasible, and also when ``above``
+    is given and the lex-max is not strictly above it.
 
-    Slots are chosen depth first, largest candidate first, so the first
-    complete tuple is the lex-max.  Each level carries what the next slot
-    needs: ``live`` pairs each exponent vector still weighted below 1 with
-    its weighted order over the prefix, and ``rems`` holds the positive
+    Slots are filled depth first, largest candidate first, and each slot
+    also chooses which unplaced variable fills it.  Each level carries what
+    the next slot needs: ``live`` holds each exponent vector still weighted
+    below 1 with its weighted order over the prefix and its tail, the sum of
+    its exponents of the unplaced variables, and ``rems`` holds the positive
     remainders 1 - sum a_j/lambda_j of the admissibility rows through the
-    prefix (lambda_1 = 1 included).  While the prefix equals ``above``'s
-    (``tight``), a bound or candidate below ``above``'s entry ends the search:
+    prefix (lambda_1 = 1 included).  A live vector bounds the slot by its
+    tail over 1 minus its weighted order, and neither reads which unplaced
+    variable comes next, nor do the remainders: so the bound and the
+    candidate lambdas belong to the slot, and only the choice of variable
+    moves the next slot's bound.  Within a run of equal lambdas the
+    variables are placed in ascending order: swapping two of them changes
+    no weighted order and no remainder, so sorting a run keeps every tuple
+    and gives an order no later in ``itertools.permutations`` order.  Among
+    the variables allowed, the one leaving the next slot the largest bound
+    is tried first.
+
+    The first complete tuple is not the lex-max over all orders, so the walk
+    is repeated strictly above each tuple it finds until none is left; a
+    last walk, pinned to that tuple and trying the variables in ascending
+    order, finds the first order in ``itertools.permutations`` order that
+    reaches it (the tie rule), unless the order found is the identity,
+    which comes first anyway.  While the prefix equals ``above``'s
+    (``tight``), a bound or candidate below ``above``'s entry ends a walk:
     every later tuple is below ``above``.
 
     Invariant: all state is integer over one common denominator L, the lcm
     of the numerators of the lambdas chosen so far (the denominators of the
     weights 1/lambda).  A weighted order is an int P for P/L < 1, and a
-    remainder an int R for R/L > 0.  A live vector with tail t = sum e[j:]
-    bounds slot j by t/(1 - P/L), the pair (t*L, L - P); pairs compare by
+    remainder an int R for R/L > 0.  A live vector with tail t bounds the
+    slot by t/(1 - P/L), the pair (t*L, L - P); pairs compare by
     cross-multiplication.  Remainder R offers lambda = a*L/R, kept as a
     reduced (num, den) pair.  Choosing num/den moves to L' = lcm(L, num),
-    rescales P and R by L'/L, adds e[j]*den*L'/num to each P and steps each R
-    down by den*L'/num.  ``above`` becomes (num, den) pairs once, INF staying
-    INF; a Fraction is built only for the entries of the returned tuple."""
-    if above is not None:
-        above = tuple((x.numerator, x.denominator)
-                      if isinstance(x, Fraction) else INF for x in above)
+    rescales P and R by L'/L, adds e[v]*den*L'/num to each P for the
+    variable v placed and steps each R down by den*L'/num.  ``above``
+    becomes (num, den) pairs once, INF staying INF; a Fraction is built only
+    for the entries of the returned tuple."""
+    live = [(0, sum(e), e) for e in evecs]
+    root = _slot_bound(live, 1)
 
-    def rec(prefix: Tuple[Tuple[int, int], ...], big_l: int,
-            live: List[Tuple[int, tuple]], rems: set,
-            tight: bool) -> Optional[Tuple[Entry, ...]]:
-        j = len(prefix)
-        if j == nvars:
-            return None if tight else tuple(Fraction(*x) for x in prefix)
-        bn, bd = 1, 0  # the slot bound bn/bd; 1/0 is INF
-        for pre, e in live:
-            tail = sum(e[j:])
-            if tail == 0:
+    def walk(above, pinned: bool):
+        # the first complete tuple strictly above ``above`` (equal to it
+        # when ``pinned``), with its order
+        def rec(prefix, order, big_l, live, rems, bound, tight):
+            j = len(prefix)
+            bn, bd = bound
+            if bd == 0:  # nothing live: INF for every slot left
+                if (tight and all(x == INF for x in above[j:])) != pinned:
+                    return None
+                return (prefix + (INF,) * (nvars - j), order +
+                        tuple(v for v in range(nvars) if v not in order))
+            target = above[j] if tight else None
+            if tight and (target == INF or bn * target[1] < target[0] * bd):
                 return None
-            if tail * bd < bn * (big_l - pre):
-                bn, bd = tail, big_l - pre
-        target = above[j] if tight else None
-        if bd == 0:
-            if tight and all(x == INF for x in above[j:]):
-                return None
-            return tuple(Fraction(*x) for x in prefix) + (INF,) * (nvars - j)
-        bn *= big_l
-        if tight and (target == INF or bn * target[1] < target[0] * bd):
-            return None
-        lo_n, lo_d = prefix[-1] if prefix else (1, 1)
-        vals = set()
-        for r in rems:
-            # lo <= a*L/r <= bn/bd
-            for a in range(-(-lo_n * r // (lo_d * big_l)),
-                           bn * r // (bd * big_l) + 1):
-                num = a * big_l
-                g = math.gcd(num, r)
-                vals.add((num // g, r // g))
-        last = j + 1 == nvars
-        for num, den in sorted(vals, key=_BY_VALUE, reverse=True):
-            if tight and (target == INF
-                          or num * target[1] < target[0] * den):
-                return None
-            if last:  # a complete tuple needs no further state
-                sub_l, sub_live, sub_rems = big_l, live, rems
-            else:
+            lo_n, lo_d = prefix[-1] if prefix else (1, 1)
+            vals = set()
+            for r in rems:
+                # lo <= a*L/r <= bn/bd
+                for a in range(-(-lo_n * r // (lo_d * big_l)),
+                               bn * r // (bd * big_l) + 1):
+                    num = a * big_l
+                    g = math.gcd(num, r)
+                    vals.add((num // g, r // g))
+            for lam in sorted(vals, key=_BY_VALUE, reverse=True):
+                num, den = lam
+                if tight and (target == INF
+                              or num * target[1] < target[0] * den):
+                    return None
+                if pinned and lam != target:
+                    continue
                 sub_l = big_l * num // math.gcd(big_l, num)
                 scale = sub_l // big_l
                 step = den * (sub_l // num)  # 1/lambda over sub_l
-                sub_live = []
-                for pre, e in live:
-                    pre *= scale
-                    if e[j]:
-                        pre += e[j] * step
-                        if pre >= sub_l:
-                            continue
-                    sub_live.append((pre, e))
                 sub_rems = set()
-                for r in rems:
-                    r *= scale
-                    while r > 0:
-                        sub_rems.add(r)
-                        r -= step
-            res = rec(prefix + ((num, den),), sub_l, sub_live, sub_rems,
-                      tight and (num, den) == target)
-            if res is not None:
-                return res
-        return None
+                if j + 1 < nvars:  # a complete tuple needs no remainders
+                    for r in rems:
+                        r *= scale
+                        while r > 0:
+                            sub_rems.add(r)
+                            r -= step
+                first = order[-1] + 1 if prefix and lam == prefix[-1] else 0
+                kids = []
+                for v in sorted(set(range(first, nvars)).difference(order)):
+                    sub_live = []
+                    for pre, tail, e in live:
+                        pre *= scale
+                        if e[v]:
+                            pre += e[v] * step
+                            if pre >= sub_l:
+                                continue
+                        sub_live.append((pre, tail - e[v], e))
+                    sub_bound = _slot_bound(sub_live, sub_l)
+                    if sub_bound is not None:
+                        kids.append((sub_bound, v, sub_live))
+                if not pinned:  # stable: ascending among equal bounds
+                    kids.sort(key=lambda kid: _BY_VALUE(kid[0]), reverse=True)
+                for sub_bound, v, sub_live in kids:
+                    res = rec(prefix + (lam,), order + (v,), sub_l, sub_live,
+                              sub_rems, sub_bound, tight and lam == target)
+                    if res is not None:
+                        return res
+            return None
 
-    return rec((), 1, [(0, e) for e in evecs], {1}, above is not None)
+        return rec((), (), 1, live, {1}, root, above is not None)
+
+    if root is None:
+        return None
+    if above is not None:
+        above = tuple((x.numerator, x.denominator)
+                      if isinstance(x, Fraction) else INF for x in above)
+    best = None
+    while (found := walk(best[0] if best else above, False)) is not None:
+        best = found
+    if best is None:
+        return None
+    lams, order = best if best[1] == tuple(range(nvars)) else \
+        walk(best[0], True)
+    return tuple(x if x == INF else Fraction(*x) for x in lams), order
 
 
 def best_distinguished_weight(support: Iterable[Tuple[int, ...]], n: int,
                               above: Optional[InverseWeight] = None
-                              ) -> Optional[InverseWeight]:
+                              ) -> Optional[Tuple[InverseWeight,
+                                                  Tuple[int, ...]]]:
     """Lex-max admissible distinguished inverse weight in dimension n of a
-    model part (variables 2..n) with the given support, its ``_evecs`` in
-    its given coordinates.
+    model part (variables 2..n) with the given support, its ``_evecs``,
+    over every order of z_2..z_n, with the first order reaching it in
+    ``itertools.permutations`` order: order[s - 2] is the variable that
+    slot s takes.
 
     With ``above``, the result is None unless the lex-max is strictly above
     it; the search then stops as soon as it cannot beat ``above``."""
     if above is not None and above.n != n:
         raise DimensionMismatch("inverse weight length != dimension")
-    tail = _best_distinguished(
+    found = _best_distinguished(
         support, n - 1, None if above is None else above.entries[1:])
-    if tail is None:
+    if found is None:
         return None
-    return InverseWeight((Fraction(1),) + tail)
+    tail, order = found
+    return (InverseWeight((Fraction(1),) + tail),
+            tuple(v + 2 for v in order))
 
 
 # ----------------------------------------------------------------------
@@ -406,32 +466,37 @@ class _Shear(NamedTuple):
     c: int
 
 
-# a catalog entry: a permutation tuple of (2..n), or a shear
-_Change = Union[Tuple[int, ...], _Shear]
 # a term over z_2..z_n: (alpha, beta, x, y), its coefficient (x + y*i)/D
 _IntTerm = Tuple[Tuple[int, ...], Tuple[int, ...], int, int]
 
 
-def _catalog(n: int, degree_bound: int) -> List[_Change]:
+def _catalog(n: int, degree_bound: int) -> List[_Shear]:
     """Candidate holomorphic changes of z_2..z_n as data, in search order:
-    each non-identity permutation of (2..n), z_v -> z_perm[v-2], then the
-    shears z_i -> z_i +- z_j^k (i != j) with 1 <= k <= degree_bound; the
-    k = 1 shears are the catalog's linear changes."""
-    idx = tuple(range(2, n + 1))
-    return ([perm for perm in itertools.permutations(idx) if perm != idx] +
-            [_Shear(i, j, k, c) for i, j in itertools.permutations(idx, 2)
-             for k in range(1, degree_bound + 1) for c in (1, -1)])
+    the shears z_i -> z_i +- z_j^k (i != j) with 1 <= k <= degree_bound;
+    the k = 1 shears are the catalog's linear changes.  No permutation is
+    an entry: every candidate is weighed over every order of z_2..z_n."""
+    return [_Shear(i, j, k, c)
+            for i, j in itertools.permutations(range(2, n + 1), 2)
+            for k in range(1, degree_bound + 1) for c in (1, -1)]
 
 
-def _render(n: int, entry: _Change) -> Tuple[str, List[Poly]]:
-    """A catalog entry's witness name and its variable maps z_1..z_n."""
+def _render(n: int, shear: _Shear) -> Tuple[str, List[Poly]]:
+    """A shear's witness name and its variable maps z_1..z_n."""
     zs = [Poly.variable(n, v) for v in range(1, n + 1)]
-    if isinstance(entry, _Shear):
-        i, j, k, c = entry
-        power = tuple(k if v == j else 0 for v in range(1, n + 1))
-        zs[i - 1] = zs[i - 1] + Poly.monomial(n, power, (0,) * n, c)
-        return f"shear z{i} += {c}*z{j}^{k}", zs
-    return f"perm{entry}", [zs[0]] + [zs[src - 1] for src in entry]
+    i, j, k, c = shear
+    power = tuple(k if v == j else 0 for v in range(1, n + 1))
+    zs[i - 1] = zs[i - 1] + Poly.monomial(n, power, (0,) * n, c)
+    return f"shear z{i} += {c}*z{j}^{k}", zs
+
+
+def _reorder(p: Poly, order: Tuple[int, ...], applied: List[str]) -> Poly:
+    """p with slot s taking the variable order[s - 2], by the change
+    z_v -> z_s named perm(...) in ``applied``; p itself for the identity."""
+    if order == tuple(sorted(order)):
+        return p
+    perm = tuple(order.index(v) + 2 for v in sorted(order))
+    applied.append(f"perm{perm}")
+    return p.substitute_maps([Poly.variable(p.n, s) for s in (1,) + perm])
 
 
 def _integer_terms(p: Poly) -> List[_IntTerm]:
@@ -443,24 +508,17 @@ def _integer_terms(p: Poly) -> List[_IntTerm]:
     return [(a, b, int(re * den), int(im * den)) for a, b, re, im in parts]
 
 
-def _support_after(entry: _Change, support: frozenset,
-                   terms: List[_IntTerm]) -> frozenset:
-    """``_evecs`` of p after a catalog change, from p's support and its
-    ``_integer_terms``, without forming the changed polynomial.
+def _support_after(shear: _Shear, terms: List[_IntTerm]) -> frozenset:
+    """``_evecs`` of p after a shear, from p's ``_integer_terms``, without
+    forming the changed polynomial.
 
-    A permutation moves exponents and cancels nothing.  A shear
-    z_i -> z_i + c*z_j^k expands a term w z^a zbar^b (c real, so zbar_i ->
-    zbar_i + c*zbar_j^k) by the binomial theorem into the terms
+    The shear z_i -> z_i + c*z_j^k expands a term w z^a zbar^b (c real, so
+    zbar_i -> zbar_i + c*zbar_j^k) by the binomial theorem into the terms
     C(a_i, s) C(b_i, t) c^(s+t) w z^(a - s e_i + ks e_j) zbar^(b - t e_i +
     kt e_j); their coefficients are summed per key as integers over p's
     common denominator, so a key leaves the support exactly when it
     cancels."""
-    if not isinstance(entry, _Shear):
-        order = [0] * len(entry)
-        for t, src in enumerate(entry):
-            order[src - 2] = t
-        return frozenset(map(itemgetter(*order), support))
-    i, j, k, c = entry
+    i, j, k, c = shear
     i, j = i - 2, j - 2  # positions among z_2..z_n
     out = {(a, b): (x, y) for a, b, x, y in terms if not (a[i] or b[i])}
     for a, b, x, y in terms:
@@ -528,12 +586,16 @@ def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
     """Bounded search for the multitype of the model r = c*Re(z1) + p.
 
     Returns the lexicographic supremum of admissible distinguished weights
-    found over the coordinate catalog, flagged search-lower-bound, with the
-    names of the changes applied and p in the coordinates they reach; the
-    witness (those names, the admissibility rows and that polynomial's JSON)
-    is formed when it is read (``Multitype.witness``).  Each candidate is
-    weighed from its support alone (``_support_after``); only an improving
-    change is applied to p, by ``substitute_maps``.
+    found over the coordinate catalog and every order of z_2..z_n, flagged
+    search-lower-bound, with the names of the changes applied and p in the
+    coordinates they reach; the witness (those names, the admissibility
+    rows and that polynomial's JSON) is formed when it is read
+    (``Multitype.witness``).  Each candidate, the input and each shear of
+    the catalog, is weighed from its support alone (``_support_after``)
+    over every order at once (``best_distinguished_weight``); only an
+    improving shear is applied to p, by ``substitute_maps``, followed by
+    its order as one perm(...) change, so a round applies one shear and its
+    order, and the input's order comes first.
 
     A candidate whose support contains the incumbent's is never weighed:
     more exponent vectors leave fewer feasible weights, so its lex-max is no
@@ -556,11 +618,14 @@ def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
                         "searched")
     r0, _h = eliminate_harmonic(r)  # checks reality and the model shape
     p = r0.restrict_support(range(2, r.n + 1))
-    support = _evecs(p)
-    best = best_distinguished_weight(support, r.n)
-    if best is None:
+    found = best_distinguished_weight(_evecs(p), r.n)
+    if found is None:
         raise PolyError("no admissible distinguished weight found in given "
                         "coordinates; input is not a graded model")
+    best, order = found
+    applied: List[str] = []
+    p = _reorder(p, order, applied)
+    support = _evecs(p)
     catalog = _catalog(r.n, degree_bound)
     # The lex-max weight is monotone in the support (more exponent vectors,
     # fewer feasible weights) and ``best`` is the weight of ``support``, so
@@ -569,23 +634,24 @@ def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
     # support's weight is at most the incumbent once evaluated, and the
     # incumbent only rises: such a support can never win a later round.
     settled = {support}
-    applied: List[str] = []
     for _ in range(MAX_ROUNDS):
         terms = _integer_terms(p)
-        for entry in catalog:
-            if isinstance(entry, _Shear) and _cancels_nothing(entry, terms):
+        for shear in catalog:
+            if _cancels_nothing(shear, terms):
                 continue
-            cand_support = _support_after(entry, support, terms)
+            cand_support = _support_after(shear, terms)
             if cand_support in settled:
                 continue
             settled.add(cand_support)
             if cand_support >= support:
                 continue
-            cand = best_distinguished_weight(cand_support, r.n, above=best)
-            if cand is not None:
-                name, maps = _render(r.n, entry)
-                p, support, best = p.substitute_maps(maps), cand_support, cand
+            found = best_distinguished_weight(cand_support, r.n, above=best)
+            if found is not None:
+                name, maps = _render(r.n, shear)
                 applied.append(name)
+                best, order = found
+                p = _reorder(p.substitute_maps(maps), order, applied)
+                support = _evecs(p)
                 break
         else:
             break

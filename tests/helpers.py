@@ -3,11 +3,13 @@ command runs, for the test suite."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from catlin.boundary import ListEntry, VField, _field_from_vector
@@ -257,23 +259,54 @@ def circle_points(count: int) -> List[CRat]:
     return pts
 
 
-def best_distinguished_oracle(evecs: Sequence[Tuple[int, ...]],
+@functools.lru_cache(maxsize=1 << 16)
+def _oracle_remainders(prefix: Tuple[Entry, ...]) -> frozenset:
+    """The positive remainders 1 - sum a_j/lambda_j over every witness row
+    through (1,) + prefix, rebuilt slot by slot from the prefix's own; they
+    depend on the lambdas alone, so every order of the variables shares
+    them."""
+    if not prefix:
+        remaining = {Fraction(1)}
+        lam = Fraction(1)
+    else:
+        remaining, lam = _oracle_remainders(prefix[:-1]), prefix[-1]
+        if lam == INF:
+            return remaining
+    return frozenset(r - Fraction(a) / lam for r in remaining
+                     for a in range(math.floor(r * lam) + 1)
+                     if r - Fraction(a) / lam > 0)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _oracle_candidates(prefix: Tuple[Entry, ...], hi: Fraction,
+                       lo: Fraction) -> List[Fraction]:
+    """The lambdas a/r in [lo, hi] over the remainders r through the
+    prefix, largest first; the orders of one support share many."""
+    vals = set()
+    for r in _oracle_remainders(prefix):
+        for a in range(max(1, math.ceil(lo * r)), math.floor(hi * r) + 1):
+            lamv = Fraction(a) / r
+            if lo <= lamv <= hi:
+                vals.add(lamv)
+    return sorted(vals, reverse=True)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def best_distinguished_oracle(evecs: Tuple[Tuple[int, ...], ...],
                               nvars: int) -> Optional[Tuple[Entry, ...]]:
-    """Reference for ``weights._best_distinguished``: the earlier search in
-    ``Fraction`` arithmetic, which never prunes and rebuilds every
-    admissibility remainder at each node.
+    """Reference for ``weights._best_distinguished`` in one fixed order of
+    the variables: the earlier search in ``Fraction`` arithmetic, which
+    never prunes and takes each node's admissibility remainders from
+    ``_oracle_remainders``; remembered per support, as the orders of one
+    support and the candidates of the search's rounds repeat.
 
     Lex-max admissible nondecreasing (lambda_2..lambda_n) with every
     exponent vector weighted >= 1; None when infeasible."""
 
-    def slot_bound(prefix: Tuple[Entry, ...]) -> Optional[Entry]:
-        j = len(prefix)
+    def slot_bound(j: int, pres: List[Fraction]) -> Optional[Entry]:
+        # pres: each vector's weighted order over the j slots chosen
         bound: Entry = INF
-        for e in evecs:
-            pre = Fraction(0)
-            for x, lam in zip(e[:j], prefix):
-                if x and lam != INF:
-                    pre += Fraction(x) / lam
+        for e, pre in zip(evecs, pres):
             if pre >= 1:
                 continue
             tail = sum(e[j:])
@@ -284,30 +317,12 @@ def best_distinguished_oracle(evecs: Sequence[Tuple[int, ...]],
                 bound = cand
         return bound
 
-    def candidates(prefix: Tuple[Entry, ...], hi: Fraction,
-                   lo: Fraction) -> List[Fraction]:
-        # the positive remainders 1 - sum a_j/lambda_j over every witness
-        # row through the prefix, rebuilt slot by slot at each node
-        remaining = {Fraction(1)}
-        for lam in (Fraction(1),) + prefix:
-            if lam == INF:
-                continue
-            remaining = {r - Fraction(a) / lam for r in remaining
-                         for a in range(math.floor(r * lam) + 1)
-                         if r - Fraction(a) / lam > 0}
-        vals = set()
-        for r in remaining:
-            for a in range(max(1, math.ceil(lo * r)),
-                           math.floor(hi * r) + 1):
-                lamv = Fraction(a) / r
-                if lo <= lamv <= hi:
-                    vals.add(lamv)
-        return sorted(vals, reverse=True)
-
-    def rec(prefix: Tuple[Entry, ...]) -> Optional[Tuple[Entry, ...]]:
-        if len(prefix) == nvars:
+    def rec(prefix: Tuple[Entry, ...],
+            pres: List[Fraction]) -> Optional[Tuple[Entry, ...]]:
+        j = len(prefix)
+        if j == nvars:
             return prefix
-        bound = slot_bound(prefix)
+        bound = slot_bound(j, pres)
         if bound is None:
             return None
         if bound == INF:
@@ -321,13 +336,14 @@ def best_distinguished_oracle(evecs: Sequence[Tuple[int, ...]],
             lo = Fraction(1)
         if prefix and prefix[-1] == INF:
             return None  # finite after infinite would break monotonicity
-        for lam in candidates(prefix, bound, lo):
-            res = rec(prefix + (lam,))
+        for lam in _oracle_candidates(prefix, bound, lo):
+            res = rec(prefix + (lam,), [pre + Fraction(e[j]) / lam
+                                        for e, pre in zip(evecs, pres)])
             if res is not None:
                 return res
         return None
 
-    return rec(())
+    return rec((), [Fraction(0)] * len(evecs))
 
 
 def substitute_maps_oracle(self: Poly, maps: Sequence[Poly]) -> Poly:
@@ -373,59 +389,85 @@ def substitute_maps_oracle(self: Poly, maps: Sequence[Poly]) -> Poly:
     return total
 
 
-def best_distinguished_weight_oracle(p: Poly) -> Optional[InverseWeight]:
-    evecs = {tuple(x + y for x, y in zip(a[1:], b[1:])) for (a, b) in p.terms}
-    tail = best_distinguished_oracle(sorted(evecs), p.n - 1)
-    if tail is None:
+def best_ordered_weight_oracle(p: Poly
+                               ) -> Optional[Tuple[InverseWeight,
+                                                   Tuple[int, ...]]]:
+    """Reference for ``weights.best_distinguished_weight``: for each order of
+    z_2..z_n in ``itertools.permutations`` order, slot s taking the variable
+    order[s - 2], p's lex-max distinguished inverse weight in that order;
+    the first maximum with its order, None when no order has one."""
+    evecs = {tuple(map(add, a[1:], b[1:])) for (a, b) in p.terms}
+    best = None
+    for order in itertools.permutations(range(2, p.n + 1)):
+        tail = best_distinguished_oracle(
+            tuple(sorted({tuple(e[v - 2] for v in order) for e in evecs})),
+            p.n - 1)
+        if tail is not None and (best is None or tail > best[0]):
+            best = tail, order
+    if best is None:
         return None
-    return InverseWeight((Fraction(1),) + tail)
+    return InverseWeight((Fraction(1),) + best[0]), best[1]
+
+
+def _maps_table(n: int, *powers) -> Poly:
+    """The holomorphic polynomial sum c*z_v^e over (v, e, c) triples."""
+    return Poly(n, {(tuple(e if v == i else 0 for i in range(1, n + 1)),
+                     (0,) * n): CRat(c) for v, e, c in powers})
 
 
 def catalog_oracle(n: int, degree_bound: int) -> List[Tuple[str, List[Poly]]]:
     """The multitype search's coordinate catalog as documented, written out
-    as term tables: each non-identity permutation of z_2..z_n in itertools
-    order, named perm(...), then for each ordered pair i != j, each
-    k = 1..degree_bound and c = 1, -1 the shear z_i -> z_i + c*z_j^k, named
+    as term tables: for each ordered pair i != j, each k = 1..degree_bound
+    and c = 1, -1 the shear z_i -> z_i + c*z_j^k, named
     "shear z{i} += {c}*z{j}^{k}"; each with its variable maps z_1..z_n."""
-    def table(*powers):  # (variable, exponent, coefficient) triples
-        return Poly(n, {(tuple(e if v == i else 0 for i in range(1, n + 1)),
-                         (0,) * n): CRat(c) for v, e, c in powers})
-
-    idx = tuple(range(2, n + 1))
     out = []
-    for perm in itertools.permutations(idx):
-        if perm != idx:
-            out.append((f"perm{perm}", [table((1, 1, 1))] +
-                        [table((v, 1, 1)) for v in perm]))
-    for i, j in itertools.permutations(idx, 2):
+    for i, j in itertools.permutations(range(2, n + 1), 2):
         for k in range(1, degree_bound + 1):
             for c in (1, -1):
-                maps = [table((v, 1, 1)) for v in range(1, n + 1)]
-                maps[i - 1] = table((i, 1, 1), (j, k, c))
+                maps = [_maps_table(n, (v, 1, 1)) for v in range(1, n + 1)]
+                maps[i - 1] = _maps_table(n, (i, 1, 1), (j, k, c))
                 out.append((f"shear z{i} += {c}*z{j}^{k}", maps))
     return out
+
+
+def reorder_oracle(p: Poly, order: Tuple[int, ...], applied: List[str]
+                   ) -> Poly:
+    """p with slot s taking the variable order[s - 2]: the change z_v -> z_s
+    for each v, named "perm(...)" by the tuple of those s and recorded in
+    ``applied``; p itself when every variable keeps its slot."""
+    perm = tuple(order.index(v) + 2 for v in range(2, p.n + 1))
+    if perm == tuple(range(2, p.n + 1)):
+        return p
+    applied.append(f"perm{perm}")
+    maps = [_maps_table(p.n, (1, 1, 1))] + \
+        [_maps_table(p.n, (s, 1, 1)) for s in perm]
+    return substitute_maps_oracle(p, maps)
 
 
 def multitype_search_oracle(r: Poly, degree_bound: int = 4,
                             max_rounds: int = 40
                             ) -> Tuple[InverseWeight, dict]:
-    """The earlier ``weights.multitype_search``, driven by the oracles: every
-    entry of ``catalog_oracle`` in every round is expanded and weighed in
-    full.  Returns the weight and the witness the search prints."""
+    """The documented ``weights.multitype_search``, driven by the oracles:
+    the input and, in every round, every shear of ``catalog_oracle`` is
+    expanded and weighed in full over every order
+    (``best_ordered_weight_oracle``); the first improving shear is applied,
+    and after it (and first, for the input) the order of its weight, as one
+    perm(...).  Returns the weight and the witness the search prints."""
     r0, _h = eliminate_harmonic(r)
     p = r0.restrict_support(range(2, r.n + 1))
-    best = best_distinguished_weight_oracle(p)
+    best, order = best_ordered_weight_oracle(p)
     applied: List[str] = []
+    p = reorder_oracle(p, order, applied)
     for _ in range(max_rounds):
-        improved = False
         for name, maps in catalog_oracle(r.n, degree_bound):
             q = substitute_maps_oracle(p, maps)
-            cand = best_distinguished_weight_oracle(q)
-            if cand is not None and cand.entries > best.entries:
-                p, best, improved = q, cand, True
+            found = best_ordered_weight_oracle(q)
+            if found is not None and found[0].entries > best.entries:
                 applied.append(name)
+                best, order = found
+                p = reorder_oracle(q, order, applied)
                 break
-        if not improved:
+        else:
             break
     ok, wit = is_admissible_oracle(best)
     witness = {

@@ -18,7 +18,7 @@ from catlin.weights import (INF, MAX_DEGREE_BOUND, MAX_ENUMERATE_DIMENSION,
                             is_admissible, lower_weight_at, multitype_search,
                             recip, STATUS_EXACT, STATUS_LOWER_BOUND)
 
-from helpers import (best_distinguished_weight_oracle, brute_admissible_slot,
+from helpers import (best_ordered_weight_oracle, brute_admissible_slot,
                      catalog_oracle, enumerate_multitypes_oracle,
                      is_admissible_oracle, is_distinguished,
                      lower_weight_at_oracle, multitype_search_oracle,
@@ -267,9 +267,9 @@ def test_multitype_degree_bound_range():
 
 
 def test_catalog_names_order_and_maps():
-    # the search's "changes" witness names catalog entries in this order
+    # the search's "changes" witness names catalog entries in this order;
+    # the catalog holds shears only, every order being weighed at once
     assert [_render(3, e)[0] for e in _catalog(3, 2)] == [
-        "perm(3, 2)",
         "shear z2 += 1*z3^1", "shear z2 += -1*z3^1",
         "shear z2 += 1*z3^2", "shear z2 += -1*z3^2",
         "shear z3 += 1*z2^1", "shear z3 += -1*z2^1",
@@ -307,14 +307,12 @@ def test_catalog_support_matches_substitution():
         for entry in _catalog(n, 4):
             name, maps = _render(n, entry)
             q = substitute_maps_oracle(p, maps)
-            assert _support_after(entry, support, terms) == _evecs(q), name
-            if not isinstance(entry, _Shear):
-                continue
+            assert _support_after(entry, terms) == _evecs(q), name
             back = entry._replace(c=-entry.c)
             q_support, q_terms = _evecs(q), _integer_terms(q)
             want = _evecs(substitute_maps_oracle(q, _render(n, back)[1]))
             assert want == support, name
-            assert _support_after(back, q_support, q_terms) == want, name
+            assert _support_after(back, q_terms) == want, name
             cancelled += q_support != support  # the inverse must cancel
     assert cancelled >= 500, cancelled
 
@@ -328,8 +326,6 @@ def test_cancels_nothing_is_sound():
         p = _gaussian_model(rng, n)
         support, terms = _evecs(p), _integer_terms(p)
         for entry in _catalog(n, 4):
-            if not isinstance(entry, _Shear):
-                continue
             name, maps = _render(n, entry)
             q = substitute_maps_oracle(p, maps)
             if _cancels_nothing(entry, terms):
@@ -356,8 +352,6 @@ def test_cancels_nothing_is_exact():
     for n in (3, 3, 4, 4, 5, 5, 6, 6):
         p = _gaussian_model(rng, n)
         for entry in _catalog(n, 4):
-            if not isinstance(entry, _Shear):
-                continue
             maps = _render(n, entry)[1]
             q = substitute_maps_oracle(p, maps)
             back = entry._replace(c=-entry.c)
@@ -390,7 +384,7 @@ def test_multitype_search_weighs_no_shear(monkeypatch):
     # a diagonal model: no shear cancels a term.  Each is skipped unexpanded
     # but z3 += +-z4, which maps |z3|^6 into |z4|^6's class; its support
     # contains the model's, so it is not weighed either.  Only the initial
-    # support and the 11 new supports of the 23 permutations are weighed.
+    # support is weighed, over every order at once.
     weighed = []
     original = weights.best_distinguished_weight
 
@@ -402,7 +396,7 @@ def test_multitype_search_weighs_no_shear(monkeypatch):
     mt = multitype_search(r)
     assert mt.value == InverseWeight((Fraction(1), 4, 6, 6, 8))
     assert mt.witness["changes"] == []
-    assert len(weighed) == 12
+    assert len(weighed) == 1
     assert all(len(support) == 4 for support in weighed)
 
 
@@ -457,22 +451,49 @@ def _above_cases(rng, n, lam):
     return cases
 
 
+def _symmetric_support(rng, n):
+    """Random exponent vectors over z_2..z_n closed under swapping two of
+    the variables, so every order that reaches the lex-max has a twin."""
+    i, j = rng.sample(range(n - 1), 2)
+    evecs = set()
+    for _ in range(rng.randint(1, 3)):
+        e = [rng.randint(0, 8) for _ in range(n - 1)]
+        evecs.add(tuple(e))
+        e[i], e[j] = e[j], e[i]
+        evecs.add(tuple(e))
+    return evecs
+
+
 def test_best_distinguished_above_matches_unpruned_oracle():
+    # the weight is the lex-max over every order of z_2..z_n and the order
+    # the first in itertools.permutations order to reach it, by brute force
+    # over the orders with the unpruned oracle, with and without ``above``:
+    # on 300 random supports, then on 300 supports symmetric under a swap,
+    # whose orders tie in pairs, so the tie rule decides them
     rng = random.Random(505)
-    checked = {"above": 0, "none": 0, "infeasible": 0}
-    for _ in range(300):
-        n = rng.randint(2, 6)
-        evecs = {tuple(rng.randint(0, 10) for _ in range(n - 1))
-                 for _ in range(rng.randint(1, 4))}
-        if rng.random() < 0.1:
-            evecs.add(tuple(0 for _ in range(n - 1)))  # weight 0: infeasible
+    symmetric = random.Random(3906)
+    checked = {"above": 0, "none": 0, "infeasible": 0, "reordered": 0}
+    for case in range(600):
+        if case < 300:
+            n = rng.randint(2, 6)
+            evecs = {tuple(rng.randint(0, 10) for _ in range(n - 1))
+                     for _ in range(rng.randint(1, 4))}
+            if rng.random() < 0.1:
+                evecs.add(tuple(0 for _ in range(n - 1)))  # infeasible
+        else:
+            n = symmetric.randint(3, 6)
+            evecs = _symmetric_support(symmetric, n)
         p = _support_poly(n, evecs)
-        lam = best_distinguished_weight_oracle(p)
-        assert best_distinguished_weight(_evecs(p), p.n) == lam
+        found = best_ordered_weight_oracle(p)
+        assert best_distinguished_weight(_evecs(p), p.n) == found, evecs
+        lam = None if found is None else found[0]
         if lam is None:
             checked["infeasible"] += 1
+        elif case >= 300:
+            checked["reordered"] += found[1] != tuple(range(2, n + 1))
         for w in _above_cases(rng, n, lam):
-            want = lam if lam is not None and lam.entries > w.entries else None
+            want = found if lam is not None and lam.entries > w.entries \
+                else None
             got = best_distinguished_weight(_evecs(p), p.n, above=w)
             assert got == want, (evecs, w)
             checked["above" if want else "none"] += 1
@@ -482,17 +503,24 @@ def test_best_distinguished_above_matches_unpruned_oracle():
 def test_best_distinguished_above_ties_and_inf_tails():
     p = parse_poly("|z2|^4 + |z3|^8", 3)
     lam = InverseWeight((Fraction(1), 4, 8))
-    assert best_distinguished_weight(_evecs(p), p.n) == lam
+    assert best_distinguished_weight(_evecs(p), p.n) == (lam, (2, 3))
     assert best_distinguished_weight(_evecs(p), p.n, above=lam) is None
     assert best_distinguished_weight(_evecs(p), p.n, above=InverseWeight(
-        (Fraction(1), 4, Fraction(15, 2)))) == lam
+        (Fraction(1), 4, Fraction(15, 2)))) == (lam, (2, 3))
     assert best_distinguished_weight(_evecs(p), p.n, above=InverseWeight(
         (Fraction(1), 4, INF))) is None
+    # the same weight in the other order: slot 2 takes z3
+    swapped = parse_poly("|z2|^8 + |z3|^4", 3)
+    assert best_distinguished_weight(_evecs(swapped), 3) == (lam, (3, 2))
     q = parse_poly("|z2|^4", 3)  # z3 absent: lambda_3 = INF
     inf_tail = InverseWeight((Fraction(1), 4, INF))
-    assert best_distinguished_weight(_evecs(q), q.n) == inf_tail
+    assert best_distinguished_weight(_evecs(q), q.n) == (inf_tail, (2, 3))
     assert best_distinguished_weight(_evecs(q), q.n, above=inf_tail) is None
-    assert best_distinguished_weight(_evecs(q), q.n, above=lam) == inf_tail
+    assert best_distinguished_weight(_evecs(q), q.n, above=lam) == (
+        inf_tail, (2, 3))
+    # z2 absent: z3 takes slot 2 and z2 the INF slot
+    assert best_distinguished_weight(
+        _evecs(parse_poly("|z3|^4", 3)), 3) == (inf_tail, (3, 2))
     with pytest.raises(PolyError):
         best_distinguished_weight(_evecs(q), q.n,
                                   above=InverseWeight((Fraction(1), 2)))
@@ -546,6 +574,19 @@ def test_multitype_search_matches_oracle_search():
     models = [_random_model(rng, n) for n in (3, 3, 3, 3, 4, 4, 4, 5)]
     models += [parse_poly("-2*Re(z1) + |z2 + z3^2|^4 + |z3|^8", 3),
                parse_poly("-2*Re(z1) + |z2|^6 + |z3|^4 + |z4|^8", 4)]
+    # the reversed diagonals |z2|^(2n) + ... + |zn|^4: one perm(...) each
+    for n in (4, 5, 6):
+        r = parse_poly("-2*Re(z1) + " + " + ".join(
+            f"|z{v}|^{2 * (n + 2 - v)}" for v in range(2, n + 1)), n)
+        got = multitype_search(r)
+        assert got.changes == [f"perm{tuple(range(n, 1, -1))}"]
+        models.append(r)
+    # symmetric under swapping z3 and z4: both orders of them tie, and the
+    # first in itertools.permutations order puts z3 first
+    r = parse_poly(
+        "-2*Re(z1) + |z2|^8 + |z3|^4 + |z4|^4 + |z3|^2*|z4|^2", 4)
+    assert multitype_search(r).changes == ["perm(4, 2, 3)"]
+    models.append(r)
     sheared = random.Random(78)
     models += [_sheared_diagonal(sheared, (3, 3, 4, 4, 5)[m % 5])
                for m in range(40)]
@@ -563,7 +604,7 @@ def test_multitype_search_matches_oracle_search():
         assert got.value == value, str(r)
         assert got.witness == witness, str(r)
         changed += bool(got.witness["changes"])
-    assert changed >= 43  # 3, and each sheared diagonal
+    assert changed >= 47  # 3, the 4 reordered models, 40 sheared diagonals
 
 
 # ----------------------------------------------------------------------
