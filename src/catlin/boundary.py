@@ -70,18 +70,20 @@ coefficients, already conjugated, and a ``Poly`` is built only for what
 
 The ranking (``_ranked``) forms the admissible rows of a slot once, for
 its longest list, and merges their runs lazily, so a slot forms no list
-ranked after the one it takes.
+ranked after the one it takes; given a floor, each run starts at its first
+list of value at least the floor, so no list below it is formed either.
 
 The list search at a slot starts at three fields (a two-field list vanishes
-at 0; the argument is stated where the search runs) and can skip lists below
+at 0; the argument is stated where the search runs) and forms no list below
 a floor: the entries of Lambda, an admissible distinguished inverse weight
 found by ``weights.multitype_search``.  On a pseudoconvex model the
 commutator multitype C equals the multitype M, the lexicographic sup of the
 distinguished weights (Catlin, Ann. Math. 120, 1984), so C >= Lambda.  While
 the c-entries built so far equal Lambda's prefix, c_j >= Lambda_j, so every
-list whose value counts[j]/rem is below Lambda_j vanishes at 0 and is not
-tried; an infinite Lambda_j leaves no finite list, and the remaining entries
-are +inf.  The skip changes which lists are tried, not which one is found.
+list whose value counts[j]/rem is below Lambda_j vanishes at 0 and is never
+formed; an infinite Lambda_j leaves no finite list, and the remaining
+entries are +inf.  The floor changes which lists are formed, not which one
+is found.
 Every build works out its floor (``_lambda_floor``): Lambda when the
 tangential part without its pure terms has a tier-1 or tier-2 certificate
 (r is pseudoconvex) and the search does not raise, else none.  The system
@@ -89,7 +91,7 @@ records it as ``floor``, and every first-block rebuild in the straightened
 coordinates reuses it, as C and M are biholomorphic invariants.  Lambda is
 admissible by construction: each finite entry leaves the positive row
 remainder it is picked from exactly 0, an admissibility witness.  The audit
-skips no list below the floor, because it is the check.
+ranks its lists with no floor, because it is the check.
 """
 
 from __future__ import annotations
@@ -449,16 +451,22 @@ def _tangency_system(r: Poly, c1: CRat, p_hess: List[List[Poly]],
     return field
 
 
-def _ranked(slow: Dict[int, SlowSlot], slot: int, first: int, last: int
+def _ranked(slow: Dict[int, SlowSlot], slot: int, first: int, last: int,
+            floor: Optional[Entry] = None
             ) -> Iterator[Tuple[Fraction, int, List[int]]]:
-    """The admissible lists of ``first`` to ``last`` fields at ``slot``, as
-    (value, fields, skeleton), lazily, in the order that decides c_j (module
-    docstring).  The earlier counts are a row of ``admissible_rows`` over
-    their c_k, and the skeleton holds the slot of each field, in descending
-    order.  The rows are formed once, for ``last`` fields: those of fewer
-    fields sum to at most fields - 1.  Within a row the value (fields -
-    used) / rem grows with fields, so a heap merge of the rows' runs, ties
-    going to the earlier row, gives the ranking."""
+    """The admissible lists of ``first`` to ``last`` fields at ``slot`` whose
+    value is at least ``floor`` (every list when it is None, none when it is
+    infinite), as (value, fields, skeleton), lazily, in the order that
+    decides c_j (module docstring).  The earlier counts are a row of
+    ``admissible_rows`` over their c_k, and the skeleton holds the slot of
+    each field, in descending order.  The rows are formed once, for
+    ``last`` fields: those of fewer fields sum to at most fields - 1.
+    Within a row the value (fields - used) / rem grows with fields, so each
+    row's run starts at its first list of value at least the floor, fields
+    >= used + ceil(floor * rem), and a heap merge of the runs, ties going
+    to the earlier row, gives the ranking."""
+    if floor == INF:
+        return
     earlier = [k for k in sorted(slow) if k < slot]
     rows = admissible_rows([slow[k].c for k in earlier], last - 1)
     # each value is compared as an integer over one common denominator, the
@@ -470,7 +478,8 @@ def _ranked(slow: Dict[int, SlowSlot], slot: int, first: int, last: int
         used, scale = sum(row), rem.denominator * (common // rem.numerator)
         tail = [k for k, a in zip(reversed(earlier), reversed(row))
                 for _ in range(a)]
-        for fields in range(max(first, used + 1), last + 1):
+        least = 1 if floor is None else math.ceil(floor * rem)
+        for fields in range(max(first, used + least), last + 1):
             yield (fields - used) * scale, fields, position, rem, tail
 
     for _key, fields, _pos, rem, tail in heapq.merge(
@@ -487,7 +496,7 @@ def build_boundary_system(r: Poly, list_bound: Optional[int] = None
     The search frontier for list lengths defaults to the total degree of the
     tangential polynomial; at the first slot where every admissible ordered
     list within the frontier vanishes at 0, the remaining entries are +inf.
-    The lists below ``_lambda_floor(r)`` are skipped (module docstring)."""
+    No list below ``_lambda_floor(r)`` is formed (module docstring)."""
     *_, bs = _system_slots(r, list_bound, _lambda_floor(r))
     return bs
 
@@ -496,7 +505,7 @@ def _lambda_floor(r: Poly) -> Optional[Tuple[Entry, ...]]:
     """The entries of Lambda, the multitype search's weight, when the
     polynomial it weighs, the tangential part without the pure terms the
     Levi form never reads, has a tier-1 or tier-2 certificate, so C = M >=
-    Lambda; otherwise, or when either raises, None (no list is skipped)."""
+    Lambda; otherwise, or when either raises, None (no floor)."""
     try:
         if psd_certificate(split_model(eliminate_harmonic(r)[0])[1]) is None:
             return None
@@ -573,11 +582,8 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         # The least nonvanishing (value, fields, direction, scan position)
         # wins: the ranking is walked one group of equal value and fields at
         # a time, and within a group each direction, in catalog order, tries
-        # the group's lists in scan order.  The lists below the floor come
-        # first.
-        ranked = _ranked(slow, slot, 3, bound)
-        if below is not None:
-            ranked = itertools.dropwhile(lambda lst: lst[0] < below, ranked)
+        # the group's lists in scan order.
+        ranked = _ranked(slow, slot, 3, bound, below)
         for (value, _fields), group in itertools.groupby(ranked,
                                                          itemgetter(0, 1)):
             skeletons = [skeleton for *_, skeleton in group]

@@ -25,18 +25,17 @@ when it is read, so the callers that read only the weight form none of it.
 
 The hill-climb only asks whether a candidate beats the incumbent weight, so
 each candidate's weight search is pruned against the incumbent and stops as
-soon as it cannot beat it.  A candidate's weight depends only on its support
-(the exponent vectors of its terms), and the incumbent only rises, so one
-search remembers every support it has weighed and skips it in later rounds;
-the memo and the catalog live in that search call alone.  The catalog is
-data (shears (i, j, k, c)), and a candidate's support is computed from the
-entry without forming its polynomial: a shear expands each term by the
-binomial theorem with integer coefficients over p's common denominator, so
-a term leaves the support exactly when it cancels.  A larger support weighs
-no more, so a candidate whose support contains the incumbent's is not
-weighed, and a shear under which no term cancels is not even expanded:
-whether a key cancels is read off the coefficients of the keys the shear can
-send onto it (``_cancels_nothing``), an exact test.  Only the winning shear
+soon as it cannot beat it; a candidate that cannot, a support weighed in an
+earlier round or one containing the incumbent's included, costs one pruned
+walk.  A candidate's weight depends only on its support (the exponent
+vectors of its terms).  The catalog is data (shears (i, j, k, c)), and a
+candidate's support is computed from the entry without forming its
+polynomial: a shear expands each term by the binomial theorem with integer
+coefficients over p's common denominator, so a term leaves the support
+exactly when it cancels.  A larger support weighs no more, so a shear under
+which no term cancels is not even expanded: whether a key cancels is read
+off the coefficients of the keys the shear can send onto it
+(``_cancels_nothing``), an exact test.  Only the winning shear
 and its order are rendered as variable maps and applied by
 ``Poly.substitute_maps``.  The catalog's size is linear in the degree bound,
 which is limited to ``MAX_DEGREE_BOUND``, and quadratic in the dimension,
@@ -85,9 +84,9 @@ MAX_ROUNDS = 40
 # |z2|^4 + |z3|^6 + ... + |z9|^18 takes 0.01 s, and 0.08 s at degree bound
 # 64, and 0.09 s in dimension 12.  What limits the dimension is the
 # commutator build that ``catlin multitype`` runs on the search's floor: on
-# that diagonal it takes about 1 s in dimension 9, 3.3-5.2 s in dimension
-# 10 (the permutation catalog took 2.9-4.3 s in dimension 9) and 18.6 s in
-# dimension 11 (Python 3.11, shared 2-core Xeon).
+# that diagonal ``catlin multitype --json`` takes 0.97-1.04 s in dimension
+# 9, 2.3-3.4 s in dimension 10 and 8.4-11.3 s in dimension 11 (one process
+# per run, Python 3.11, shared 2-core Xeon).
 MAX_SEARCH_DIMENSION = 9
 # Limits of ``enumerate_multitypes``: the dimension keeps the counting bound
 # printable, the type keeps dimension 2 small, and the budget charges a prefix
@@ -327,13 +326,23 @@ def _best_distinguished(evecs: Iterable[Tuple[int, ...]], nvars: int,
     is tried first.
 
     The first complete tuple is not the lex-max over all orders, so the walk
-    is repeated strictly above each tuple it finds until none is left; a
-    last walk, pinned to that tuple and trying the variables in ascending
-    order, finds the first order in ``itertools.permutations`` order that
-    reaches it (the tie rule), unless the order found is the identity,
-    which comes first anyway.  While the prefix equals ``above``'s
-    (``tight``), a bound or candidate below ``above``'s entry ends a walk:
-    every later tuple is below ``above``.
+    is repeated strictly above each tuple it finds until none is left.  The
+    last tuple found is the lex-max M, and its order is the first in
+    ``itertools.permutations`` order that reaches M (the tie rule), because
+    for each order the largest tuple takes at every slot the bound B that
+    the slots before it leave.  B is a candidate: the vector setting it has
+    tail t and weighted order P, its exponents over the prefix are a row of
+    remainder 1 - P, and B = t/(1 - P).  B completes: with B at every slot
+    left each live vector weighs at least P + t/B >= 1, and once a variable
+    is placed at B, no live vector has tail 0 and each bounds the next slot
+    by at least B.  So where two orders reaching M first part, both leave
+    the bound M's next entry; the smaller variable, tried first among equal
+    bounds, leads to a tuple above the walk's ``above``, and the walk
+    returns there.  The first order reaching M is ascending within each run
+    of equal lambdas, as the walk requires.
+    While the prefix equals ``above``'s (``tight``), a bound or candidate
+    below ``above``'s entry ends a walk: every later tuple is below
+    ``above``.
 
     Invariant: all state is integer over one common denominator L, the lcm
     of the numerators of the lambdas chosen so far (the denominators of the
@@ -349,14 +358,13 @@ def _best_distinguished(evecs: Iterable[Tuple[int, ...]], nvars: int,
     live = [(0, sum(e), e) for e in evecs]
     root = _slot_bound(live, 1)
 
-    def walk(above, pinned: bool):
-        # the first complete tuple strictly above ``above`` (equal to it
-        # when ``pinned``), with its order
+    def walk(above):
+        # the first complete tuple strictly above ``above``, with its order
         def rec(prefix, order, big_l, live, rems, bound, tight):
             j = len(prefix)
             bn, bd = bound
             if bd == 0:  # nothing live: INF for every slot left
-                if (tight and all(x == INF for x in above[j:])) != pinned:
+                if tight and all(x == INF for x in above[j:]):
                     return None
                 return (prefix + (INF,) * (nvars - j), order +
                         tuple(v for v in range(nvars) if v not in order))
@@ -377,8 +385,6 @@ def _best_distinguished(evecs: Iterable[Tuple[int, ...]], nvars: int,
                 if tight and (target == INF
                               or num * target[1] < target[0] * den):
                     return None
-                if pinned and lam != target:
-                    continue
                 sub_l = big_l * num // math.gcd(big_l, num)
                 scale = sub_l // big_l
                 step = den * (sub_l // num)  # 1/lambda over sub_l
@@ -403,8 +409,8 @@ def _best_distinguished(evecs: Iterable[Tuple[int, ...]], nvars: int,
                     sub_bound = _slot_bound(sub_live, sub_l)
                     if sub_bound is not None:
                         kids.append((sub_bound, v, sub_live))
-                if not pinned:  # stable: ascending among equal bounds
-                    kids.sort(key=lambda kid: _BY_VALUE(kid[0]), reverse=True)
+                # stable: ascending among equal bounds
+                kids.sort(key=lambda kid: _BY_VALUE(kid[0]), reverse=True)
                 for sub_bound, v, sub_live in kids:
                     res = rec(prefix + (lam,), order + (v,), sub_l, sub_live,
                               sub_rems, sub_bound, tight and lam == target)
@@ -420,12 +426,11 @@ def _best_distinguished(evecs: Iterable[Tuple[int, ...]], nvars: int,
         above = tuple((x.numerator, x.denominator)
                       if isinstance(x, Fraction) else INF for x in above)
     best = None
-    while (found := walk(best[0] if best else above, False)) is not None:
+    while (found := walk(best[0] if best else above)) is not None:
         best = found
     if best is None:
         return None
-    lams, order = best if best[1] == tuple(range(nvars)) else \
-        walk(best[0], True)
+    lams, order = best
     return tuple(x if x == INF else Fraction(*x) for x in lams), order
 
 
@@ -597,15 +602,16 @@ def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
     its order as one perm(...) change, so a round applies one shear and its
     order, and the input's order comes first.
 
-    A candidate whose support contains the incumbent's is never weighed:
-    more exponent vectors leave fewer feasible weights, so its lex-max is no
-    higher.  A shear z_i -> z_i + c*z_j^k keeps each term's expansion inside
-    the term's class under phi (a_i set to 0, a_j to a_j + k*a_i), where a
-    key K' receives C(a_i, a'_i) C(b_i, b'_i) c^(a_i - a'_i + b_i - b'_i)
-    times the coefficient of each key K of its class with a_i >= a'_i and
-    b_i >= b'_i, itself included; when none of these sums is 0 no term
-    cancels, the support only grows, and the shear is skipped before it is
-    expanded (``_cancels_nothing``).
+    More exponent vectors leave fewer feasible weights, so a support that
+    only grows weighs no more.  A shear z_i -> z_i + c*z_j^k keeps each
+    term's expansion inside the term's class under phi (a_i set to 0, a_j
+    to a_j + k*a_i), where a key K' receives C(a_i, a'_i) C(b_i, b'_i)
+    c^(a_i - a'_i + b_i - b'_i) times the coefficient of each key K of its
+    class with a_i >= a'_i and b_i >= b'_i, itself included; when none of
+    these sums is 0 no term cancels, the support only grows, and the shear
+    is skipped before it is expanded (``_cancels_nothing``).  Every other
+    candidate is weighed against the incumbent by one walk that stops as
+    soon as it cannot beat it.
     """
     if not 0 <= degree_bound <= MAX_DEGREE_BOUND:
         raise PolyError(f"degree bound {degree_bound} is outside "
@@ -625,33 +631,19 @@ def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
     best, order = found
     applied: List[str] = []
     p = _reorder(p, order, applied)
-    support = _evecs(p)
     catalog = _catalog(r.n, degree_bound)
-    # The lex-max weight is monotone in the support (more exponent vectors,
-    # fewer feasible weights) and ``best`` is the weight of ``support``, so
-    # no candidate support containing ``support`` can beat it; nor can a
-    # shear under which no key of p cancels (``_cancels_nothing``).  A
-    # support's weight is at most the incumbent once evaluated, and the
-    # incumbent only rises: such a support can never win a later round.
-    settled = {support}
     for _ in range(MAX_ROUNDS):
         terms = _integer_terms(p)
         for shear in catalog:
             if _cancels_nothing(shear, terms):
                 continue
-            cand_support = _support_after(shear, terms)
-            if cand_support in settled:
-                continue
-            settled.add(cand_support)
-            if cand_support >= support:
-                continue
-            found = best_distinguished_weight(cand_support, r.n, above=best)
+            found = best_distinguished_weight(_support_after(shear, terms),
+                                              r.n, above=best)
             if found is not None:
                 name, maps = _render(r.n, shear)
                 applied.append(name)
                 best, order = found
                 p = _reorder(p.substitute_maps(maps), order, applied)
-                support = _evecs(p)
                 break
         else:
             break

@@ -1317,6 +1317,76 @@ def test_admissible_rows_once_per_slot(monkeypatch):
     assert calls == [((), 7), ((4,), 7), ((4, 6), 7)]
 
 
+def _check_floored_ranking(slow, slot, first, last, floors):
+    """``_ranked`` with each floor yields exactly the lists of the unfloored
+    ranking of value at least the floor, in the same order; an infinite
+    floor yields none.  Returns the number of lists the floors cut."""
+    full = list(_ranked(slow, slot, first, last))
+    assert list(_ranked(slow, slot, first, last, INF)) == []
+    cut = 0
+    for floor in floors:
+        kept = [lst for lst in full if lst[0] >= floor]
+        assert list(_ranked(slow, slot, first, last, floor)) == kept, \
+            (slot, first, last, floor)
+        cut += len(full) - len(kept)
+    return cut
+
+
+def test_ranked_floor_keeps_the_unfloored_order():
+    # The slot states of built models (MIXED_MODELS, whose value order
+    # differs from scan order, and DIAGONAL_N4), each floored at its value
+    # of Lambda, at every value its ranking reaches and between them, and
+    # seeded random states under random floors.
+    cut = 0
+    for expr in MIXED_MODELS + [DIAGONAL_N4]:
+        bs = build_boundary_system(parse_poly(expr, 4))
+        for slot in range(bs.rank + 2, bs.n + 1):
+            values = sorted({value for value, _f, _sk in
+                             _ranked(bs.slow, slot, 2, bs.list_bound)})
+            floors = values + [(a + b) / 2 for a, b in zip(values,
+                                                           values[1:])]
+            floors += [Fraction(1, 2), values[-1] + 1]
+            if bs.floor is not None and bs.floor[slot - 1] != INF:
+                floors.append(bs.floor[slot - 1])
+            for first in (2, 3):
+                cut += _check_floored_ranking(bs.slow, slot, first,
+                                              bs.list_bound, floors)
+    rng = random.Random(1806)
+    for _ in range(500):
+        slot = rng.randint(2, 6)
+        slow = {k: SimpleNamespace(c=Fraction(rng.randint(2, 16),
+                                              rng.randint(1, 3)))
+                for k in range(2, slot) if rng.random() < 0.7}
+        first = rng.randint(2, 10)
+        last = rng.randint(first, 10)
+        floors = [Fraction(rng.randint(1, 80), rng.randint(1, 4))
+                  for _ in range(3)]
+        cut += _check_floored_ranking(slow, slot, first, last, floors)
+    assert cut >= 1000, cut
+
+
+def test_certified_diagonal_build_forms_no_list_below_its_floor(monkeypatch):
+    # The n = 6 diagonal is certified, so its build has the floor Lambda =
+    # C, and at each slot the ranking forms no list of value below it.
+    ranked = boundary._ranked
+    formed = []
+
+    def spy(slow, slot, first, last, *floor):
+        for lst in ranked(slow, slot, first, last, *floor):
+            formed.append((slot, lst[0]))
+            yield lst
+
+    monkeypatch.setattr(boundary, "_ranked", spy)
+    r = parse_poly("-2*Re(z1) + |z2|^4 + |z3|^6 + |z4|^8 + |z5|^10"
+                   " + |z6|^12", 6)
+    bs = build_boundary_system(r)
+    assert bs.floor == bs.c_entries == (1, 4, 6, 8, 10, 12)
+    assert {slot for slot, _value in formed} == {2, 3, 4, 5, 6}
+    below = [(slot, value) for slot, value in formed
+             if value < bs.floor[slot - 1]]
+    assert below == []
+
+
 def _catalog_directions(p_hess):
     """The candidate directions of a build: the kernel vectors of the Levi
     form at 0 and, when there are several, the combinations sum t^i k_i
