@@ -75,19 +75,22 @@ list of value at least the floor, so no list below it is formed either.
 
 The list search at a slot starts at three fields (a two-field list vanishes
 at 0; the argument is stated where the search runs) and forms no list below
-a floor: the entries of Lambda, an admissible distinguished inverse weight
-found by ``weights.multitype_search``.  On a pseudoconvex model the
+a floor: the entries of Lambda, the lex-max admissible distinguished
+inverse weight over every order of z_2..z_n, found by the weight walk
+``weights.best_distinguished_weight`` alone.  On a pseudoconvex model the
 commutator multitype C equals the multitype M, the lexicographic sup of the
-distinguished weights (Catlin, Ann. Math. 120, 1984), so C >= Lambda.  While
-the c-entries built so far equal Lambda's prefix, c_j >= Lambda_j, so every
-list whose value counts[j]/rem is below Lambda_j vanishes at 0 and is never
-formed; an infinite Lambda_j leaves no finite list, and the remaining
-entries are +inf.  The floor changes which lists are formed, not which one
-is found.
+distinguished weights in all holomorphic coordinates (Catlin, Ann. Math.
+120, 1984), so C >= Lambda.  While the c-entries built so far equal
+Lambda's prefix, c_j >= Lambda_j, so every list whose value counts[j]/rem
+is below Lambda_j vanishes at 0 and is never formed; an infinite Lambda_j
+leaves no finite list, and the remaining entries are +inf.  The floor
+changes which lists are formed, not which one is found.
 Every build works out its floor (``_lambda_floor``): Lambda when the
 tangential part without its pure terms has a tier-1 or tier-2 certificate
-(r is pseudoconvex) and the search does not raise, else none.  The system
-records it as ``floor``, and every first-block rebuild in the straightened
+(r is pseudoconvex) and the walk finds a weight, else none.  No build runs
+the multitype search's shear catalog: a shear could only raise Lambda, and
+a higher floor forms fewer lists but not other ones.  The system records
+the floor as ``floor``, and every first-block rebuild in the straightened
 coordinates reuses it, as C and M are biholomorphic invariants.  Lambda is
 admissible by construction: each finite entry leaves the positive row
 remainder it is picked from exactly 0, an admissibility witness.  The audit
@@ -112,8 +115,9 @@ from .poly import (CoordChange, ModelShapeError, Poly, PolyError,
                    PseudoconvexityError, TermKey, _capped_products,
                    _conj_terms, _derivative_terms, _mul_terms, _nonzero,
                    _sum_terms, _unit, eliminate_harmonic, split_model)
-from .weights import (INF, Entry, InverseWeight, Weight, admissible_rows,
-                      entry_str, multitype_search, recip)
+from .weights import (INF, Entry, InverseWeight, Weight, _evecs,
+                      admissible_rows, best_distinguished_weight, entry_str,
+                      recip)
 
 
 class BoundaryConstructionError(PolyError):
@@ -272,26 +276,34 @@ class _ListSearcher:
         origin = ((0,) * self.r.n,) * 2
         finished, store = self._finished, self._store
 
-        def rec(pos: int, current: Dict[TermKey, CRat],
-                suffix: Optional[tuple]) -> Optional[List[ListEntry]]:
-            # ``suffix``: the entries after ``pos`` while all are finished;
-            # a table holds no zeros, so an empty one is the zero function
-            if not current:
-                return None
-            if pos < 0:
-                return [] if origin in current else None
-            for flag in (False, True):
+        def walk(state: Dict[TermKey, CRat], suffix: Optional[tuple]
+                 ) -> Optional[List[ListEntry]]:
+            # depth first over positions length - 3 .. 0, the flag False
+            # before True at each, by an explicit stack, as a list may be
+            # longer than the recursion limit; ``tail``: the entries after
+            # a position while all are finished, else None; a table holds
+            # no zeros, so an empty one is the zero function
+            if length == 2 or not state:
+                return [] if origin in state else None
+            path: List[ListEntry] = []  # the entries from length - 3 down
+            todo = [(length - 3, f, state, suffix) for f in (True, False)]
+            while todo:
+                pos, flag, current, tail = todo.pop()
+                del path[length - 3 - pos:]
                 entry = (skeleton[pos], flag)
-                if suffix is not None and entry[0] in finished:
-                    tail = (entry,) + suffix
+                path.append(entry)
+                if tail is not None and entry[0] in finished:
+                    tail = (entry,) + tail
                     if (length, tail) not in store:
                         store[length, tail] = self.apply(entry, current, pos)
-                    res = rec(pos - 1, store[length, tail], tail)
+                    current = store[length, tail]
                 else:
-                    res = rec(pos - 1, self.apply(entry, current, pos), None)
-                if res is not None:
-                    res.append(entry)  # ascending positions 0..pos
-                    return res
+                    tail, current = None, self.apply(entry, current, pos)
+                if current and pos == 0 and origin in current:
+                    return path[::-1]  # ascending positions
+                if current and pos > 0:
+                    todo += [(pos - 1, f, current, tail)
+                             for f in (True, False)]
             return None
 
         for f1 in (False, True):
@@ -301,8 +313,7 @@ class _ListSearcher:
                 if e1 == e2:
                     continue  # bracket of a field with itself vanishes
                 shared = e1[0] in finished and e2[0] in finished
-                res = rec(length - 3, self.seed(e1, e2),
-                          (e1, e2) if shared else None)
+                res = walk(self.seed(e1, e2), (e1, e2) if shared else None)
                 if res is not None:
                     return res + [e1, e2]
         return None
@@ -496,22 +507,34 @@ def build_boundary_system(r: Poly, list_bound: Optional[int] = None
     The search frontier for list lengths defaults to the total degree of the
     tangential polynomial; at the first slot where every admissible ordered
     list within the frontier vanishes at 0, the remaining entries are +inf.
-    No list below ``_lambda_floor(r)`` is formed (module docstring)."""
+    No list below ``_lambda_floor(r)``, the weight walk's Lambda of a
+    certified model, is formed (module docstring)."""
     *_, bs = _system_slots(r, list_bound, _lambda_floor(r))
     return bs
 
 
 def _lambda_floor(r: Poly) -> Optional[Tuple[Entry, ...]]:
-    """The entries of Lambda, the multitype search's weight, when the
-    polynomial it weighs, the tangential part without the pure terms the
-    Levi form never reads, has a tier-1 or tier-2 certificate, so C = M >=
-    Lambda; otherwise, or when either raises, None (no floor)."""
+    """The entries of Lambda, the weight walk's lex-max admissible
+    distinguished inverse weight over every order of z_2..z_n, when the
+    polynomial it weighs, the tangential part p without the pure terms the
+    Levi form never reads, has a tier-1 or tier-2 certificate; otherwise,
+    or when either raises or the walk finds no weight, None (no floor).
+
+    The floor is sound: the walk's tuple is admissible and distinguished in
+    the coordinates that the permutation of its order reaches, so Lambda
+    is at most the multitype search's weight, which is at most M, and M =
+    C on the certified (pseudoconvex) model.  The floor decides only which
+    vanishing lists are formed, never which list a slot takes, so a model
+    on which a shear of the search's catalog would raise Lambda builds the
+    same system; it only forms more lists.  So no build runs the catalog."""
     try:
-        if psd_certificate(split_model(eliminate_harmonic(r)[0])[1]) is None:
+        p = split_model(eliminate_harmonic(r)[0])[1]
+        if psd_certificate(p) is None:
             return None
-        return multitype_search(r).value.entries
+        found = best_distinguished_weight(_evecs(p), r.n)
     except PolyError:
         return None
+    return None if found is None else found[0].entries
 
 
 def _system_slots(r: Poly, list_bound: Optional[int],

@@ -38,8 +38,10 @@ off the coefficients of the keys the shear can send onto it
 (``_cancels_nothing``), an exact test.  Only the winning shear
 and its order are rendered as variable maps and applied by
 ``Poly.substitute_maps``.  The catalog's size is linear in the degree bound,
-which is limited to ``MAX_DEGREE_BOUND``, and quadratic in the dimension,
-which is limited to ``MAX_SEARCH_DIMENSION``.
+which is limited to ``MAX_DEGREE_BOUND``, and quadratic in the dimension.
+The dimension is limited to ``MAX_SEARCH_DIMENSION`` by the weight walk
+(``best_distinguished_weight``), which the search and the boundary build's
+floor both run and whose own cost grows fastest past dimension 12.
 
 The weight search runs on integers.  It keeps one common denominator, the
 lcm of the denominators of the weights 1/lambda chosen so far, and holds
@@ -80,13 +82,26 @@ MAX_DEGREE_BOUND = 64
 # and its order.
 MAX_ROUNDS = 40
 # The catalog holds 2 (n-1)(n-2) shears per unit of degree bound, each
-# weighed over every order in one walk: the search on the diagonal
-# |z2|^4 + |z3|^6 + ... + |z9|^18 takes 0.01 s, and 0.08 s at degree bound
-# 64, and 0.09 s in dimension 12.  What limits the dimension is the
-# commutator build that ``catlin multitype`` runs on the search's floor: on
-# that diagonal ``catlin multitype --json`` takes 0.97-1.04 s in dimension
-# 9, 2.3-3.4 s in dimension 10 and 8.4-11.3 s in dimension 11 (one process
-# per run, Python 3.11, shared 2-core Xeon).
+# weighed over every order in one walk.  The limit is checked in that walk,
+# ``best_distinguished_weight``, which the search and the boundary build's
+# floor both run.  The walk alone, in-process, one run each on three
+# occasions, on the quartic sum |z2|^4 + ... + |zn|^4, the diagonal
+# |z2|^4 + |z3|^6 + ... + |zn|^(2n) and the reversed diagonal:
+#
+#     n    quartic          diagonal          reversed
+#     9    0.002-0.004 s    0.004-0.007 s     0.003-0.005 s
+#    12    0.015-0.026 s    0.09-0.12 s       0.09-0.12 s
+#    16    0.29-0.45 s      3.2-5.5 s         3.5-5.0 s
+#    20    5.2-6.4 s        over 100 s
+#
+# (unfinished when stopped), and the whole search 0.11-0.14 s on the n = 12
+# diagonal, 3.6-5.1 s on the n = 16 diagonal and 5.1-8.2 s on the n = 20
+# quartic sum.  Up to dimension 12 the commutator build that ``catlin
+# multitype`` runs sets the cost: on the diagonal ``catlin multitype
+# --json`` takes 0.97-1.04 s in dimension 9, 2.3-3.4 s in dimension 10 and
+# 8.4-11.3 s in dimension 11 (one process per run).  Past dimension 12 the
+# walk itself does, so without a limit ``catlin normalize --n 20`` would
+# run for seconds to minutes.  (Python 3.11, shared 2-core Xeon.)
 MAX_SEARCH_DIMENSION = 9
 # Limits of ``enumerate_multitypes``: the dimension keeps the counting bound
 # printable, the type keeps dimension 2 small, and the budget charges a prefix
@@ -445,7 +460,13 @@ def best_distinguished_weight(support: Iterable[Tuple[int, ...]], n: int,
     slot s takes.
 
     With ``above``, the result is None unless the lex-max is strictly above
-    it; the search then stops as soon as it cannot beat ``above``."""
+    it; the search then stops as soon as it cannot beat ``above``.  A
+    dimension above ``MAX_SEARCH_DIMENSION`` is refused here, as this walk
+    is what that limit bounds."""
+    if n > MAX_SEARCH_DIMENSION:
+        raise PolyError(f"dimension {n} is above {MAX_SEARCH_DIMENSION}, "
+                        "the largest for which the coordinate catalog is "
+                        "searched")
     if above is not None and above.n != n:
         raise DimensionMismatch("inverse weight length != dimension")
     found = _best_distinguished(
@@ -618,10 +639,6 @@ def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
                         f"0..{MAX_DEGREE_BOUND}")
     if r.n < 2:
         raise DimensionMismatch("multitype needs dimension >= 2")
-    if r.n > MAX_SEARCH_DIMENSION:
-        raise PolyError(f"dimension {r.n} is above {MAX_SEARCH_DIMENSION}, "
-                        "the largest for which the coordinate catalog is "
-                        "searched")
     r0, _h = eliminate_harmonic(r)  # checks reality and the model shape
     p = r0.restrict_support(range(2, r.n + 1))
     found = best_distinguished_weight(_evecs(p), r.n)

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import catlin.boundary as boundary
+import catlin.weights as weights
 from catlin.boundary import (BoundaryConstructionError,
                              audit_boundary_system, build_boundary_system,
                              detect_torsion, first_block_slots,
@@ -701,7 +702,7 @@ def test_first_block_torsion_matches_full_systems(expr, n):
 
 def test_normalize_first_block_reuses_the_floor(monkeypatch):
     # the system keeps the floor its build worked out, and the rebuild in
-    # the straightened coordinates reuses it: one gate, one search
+    # the straightened coordinates reuses it: one gate, one weight walk
     calls = collections.Counter()
 
     def counting(name):
@@ -712,12 +713,12 @@ def test_normalize_first_block_reuses_the_floor(monkeypatch):
             return orig(*args)
         return counted
 
-    for name in ("_lambda_floor", "multitype_search"):
+    for name in ("_lambda_floor", "best_distinguished_weight"):
         monkeypatch.setattr(boundary, name, counting(name))
     r = parse_poly(TORSION_EXPR, 4)
     bs = build_boundary_system(r)
     bs2 = normalize_first_block(bs)
-    assert calls == {"_lambda_floor": 1, "multitype_search": 1}
+    assert calls == {"_lambda_floor": 1, "best_distinguished_weight": 1}
     assert bs.floor == bs2.floor == (1, 6, 9, 18)
     assert bs2.commutator_multitype() == bs.commutator_multitype()
 
@@ -1535,6 +1536,37 @@ def test_search_weight_is_admissible():
             continue
         assert is_admissible(lam)[0], (str(r), lam)
         random_models += 1
+
+
+@pytest.mark.parametrize("expr", [TORSION_EXPR, DIAGONAL_N4],
+                         ids=["torsion", "diagonal-n4"])
+def test_builds_run_no_shear_catalog(monkeypatch, expr):
+    # the floor needs the weight walk alone: no build, first-block rebuild
+    # or torsion report lists the catalog or tests a shear
+    def raising(*_args):
+        raise AssertionError("a boundary build ran the shear catalog")
+
+    for name in ("_catalog", "_cancels_nothing"):
+        monkeypatch.setattr(weights, name, raising)
+    r = parse_poly(expr, 4)
+    bs = build_boundary_system(r)
+    assert bs.floor == bs.c_entries
+    assert normalize_first_block(bs).floor == bs.floor
+    assert first_block_torsion(r).slot == 3
+
+
+def test_walk_floor_is_the_search_weight():
+    # On every certified model below, the catalog raises nothing: the
+    # floor, the weight walk's tuple over every order of z_2..z_n, is the
+    # whole search's weight.  (Where a shear would raise it, the build
+    # forms more lists and takes the same ones.)
+    models = list(_judged_models())
+    for expr in [DIAGONAL_N4] + [torsion_lift(k) for k in (1, 2, 3)]:
+        r = parse_poly(expr, 4)
+        models.append((r, _lambda_floor(r)))
+    for r, floor in models:
+        assert floor is not None, str(r)
+        assert floor == multitype_search(r).value.entries, str(r)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import time
 import pytest
 
 import catlin.boundary as boundary
+import catlin.weights as weights
 from catlin import cli
 from catlin.cli import main
 from catlin.levi import psd_verdict, replay_refutation
@@ -396,6 +397,45 @@ def test_psd_at_the_tier3_limit_answers_fast(capsys):
     assert (code, err) == (0, "")
     verdict = json.loads(out)
     assert verdict["kind"] == "Refuted" and verdict["samples_tried"] == 0
+
+
+def _long_list_model(tmp_path) -> str:
+    """A JSON file of -2*Re(z1) + |z2|^2000 + |z3|^4: slot 3 takes a list
+    of 2000 fields."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(parse_poly(
+        "-2*Re(z1) + " + "*".join(["|z2|^400"] * 5) + " + |z3|^4",
+        3).to_json_dict()))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("boundary-system", "--json", "--n", "2", "--expr",
+      "-2*Re(z1) + |z2|^400*|z2|^400*|z2|^400"), ["1", "1200"]),
+    (("boundary-system", "--json", "--n", "3", "--expr",
+      "-2*Re(z1) + |z2|^400*|z2|^400*|z2|^400 + |z3|^4"), ["1", "4", "1200"]),
+    (("torsion", "--n", "3", "--expr",
+      "-2*Re(z1) + |z2|^4 + |z3|^400*|z3|^400*|z3|^400"), None),
+    (("boundary-system", "--json", "LONG"), ["1", "4", "2000"]),
+    (("multitype", "--json", "LONG"), ["1", "4", "2000"])],
+    ids=["n2", "n3", "torsion", "json-build", "json-multitype"])
+def test_list_longer_than_the_recursion_limit(capsys, tmp_path, argv, want):
+    # the list search walks the positions of a list by an explicit stack,
+    # so a list of more fields than Python's recursion limit (1000) answers
+    argv = [_long_list_model(tmp_path) if a == "LONG" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    if want is None:
+        assert out == "no torsion at slot 3\n"
+    elif argv[0] == "multitype":
+        payload = json.loads(out)
+        assert payload["lambda"] == payload["commutator"] == want
+        assert payload["status"] == "exact-commutator"
+    else:
+        payload = json.loads(out)
+        assert payload["c"] == want and payload["audit"] == []
 
 
 def test_large_diagonal_sum_still_certifies(capsys):
@@ -891,26 +931,29 @@ def test_gate_gives_the_search_weight_on_a_certified_model():
 
 
 def test_multitype_gate_reuses_its_search(monkeypatch, capsys):
-    # the command's search and the build's gate each run the search once:
-    # the build works out its own floor, so a certified model costs two
+    # the command's search is the only one: the build's gate runs the
+    # weight walk alone, so boundary-system and torsion run no search
     calls = []
+    search = weights.multitype_search
 
-    def counting(search):
-        def counted(*args):
-            calls.append((search, args))
-            return search(*args)
-        return counted
+    def counted(*args):
+        calls.append(args[1:])
+        return search(*args)
 
-    for module in (cli, boundary):
-        monkeypatch.setattr(module, "multitype_search",
-                            counting(module.multitype_search))
+    for module in (cli, weights):
+        monkeypatch.setattr(module, "multitype_search", counted)
+    assert not hasattr(boundary, "multitype_search")
     code, out, _err = run_cli(capsys, "multitype", "--json", "--commutator",
                               "--n", "4", "--expr", TORSION)
-    assert code == 0 and len(calls) == 2
-    assert [args[1:] for _search, args in calls] == [(4,), ()]
+    assert code == 0 and calls == [(4,)]
     payload = json.loads(out)
     assert payload["status"] == "exact-commutator"
     assert payload["commutator"] == ["1", "6", "9", "18"]
+    for command in ("boundary-system", "torsion"):
+        calls.clear()
+        code, out, _err = run_cli(capsys, command, "--json", "--n", "4",
+                                  "--expr", TORSION)
+        assert code == 0 and out and calls == []
 
 
 @pytest.mark.parametrize("expr,exact", [
@@ -966,7 +1009,6 @@ def test_multitype_reports_a_disagreeing_certified_build(monkeypatch,
 def test_weight_readers_form_no_witness(monkeypatch, capsys, argv):
     # the auto weight and the build's floor read only the search's value,
     # so no admissibility witness is formed
-    from catlin import weights
     calls = []
     admissible = weights.is_admissible
 
@@ -1000,7 +1042,7 @@ def test_gate_refuses_when_the_search_raises(monkeypatch, capsys, argv):
     def raising(*_args):
         raise PolyError("no admissible distinguished weight found")
 
-    monkeypatch.setattr(boundary, "multitype_search", raising)
+    monkeypatch.setattr(boundary, "best_distinguished_weight", raising)
     floors, gated, ungated = _gated_and_ungated(monkeypatch, capsys, argv)
     assert floors == [None]
     assert gated == ungated
