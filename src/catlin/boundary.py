@@ -740,9 +740,14 @@ def first_block_torsion(r0: Poly, list_bound: Optional[int] = None
     build_boundary_system(r0, list_bound)))``, from systems built only
     through the slot the report reads: the first slot past the first block,
     before and after the change that straightens the block.  The second
-    reuses the floor of the first (C and M are biholomorphic invariants)."""
+    reuses the floor of the first (C and M are biholomorphic invariants).
+    A model without a first block has nothing to straighten: its report is
+    ``detect_torsion(build_boundary_system(r0, list_bound))``, not
+    applicable."""
     slots = _system_slots(r0, list_bound, _lambda_floor(r0))
     bs = _through_torsion_slot(slots)
+    if not first_block_slots(bs):  # the whole build: no block to straighten
+        return detect_torsion(bs)
     r_cur, _changes = _straighten_first_block(bs, slots)
     return detect_torsion(_through_torsion_slot(
         _system_slots(r_cur, bs.list_bound, bs.floor)))

@@ -50,13 +50,15 @@ def _load_poly(args) -> Poly:
         raise CliError("no input given; use a file argument or --expr/--n")
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
         except RecursionError:
             raise CliError("JSON input nests too deeply") from None
-        return require_real(Poly.from_json_dict(doc), "JSON polynomial")
+        p = Poly.from_json_dict(doc)  # checks the dimension cap first
+        if args.n not in (None, p.n):
+            raise CliError(f"--n {args.n} differs from the JSON n = {p.n}")
+        return require_real(p, "JSON polynomial")
     if args.n is None:
         raise CliError("text input files require --n")
     return parse_poly(text.strip(), args.n)
@@ -72,8 +74,8 @@ def _parse_weight(spec: str, n: int) -> Weight:
     return Weight(tuple(parts))
 
 
-def _auto_weight(r: Poly, degree_bound: int) -> Weight:
-    mt = multitype_search(r, degree_bound)
+def _auto_weight(r: Poly) -> Weight:
+    mt = multitype_search(r)
     if INF in mt.value.entries:
         raise CliError("could not infer a finite weight; pass --weight")
     return mt.value.weight()
@@ -94,7 +96,7 @@ def cmd_parse(args) -> int:
 
 def cmd_multitype(args) -> int:
     r = _load_poly(args)
-    mt = multitype_search(r, args.degree_bound)
+    mt = multitype_search(r)
     try:
         bs = build_boundary_system(r)
         commutator = bs.commutator_multitype()
@@ -136,10 +138,8 @@ def cmd_psd(args) -> int:
 
 def cmd_normalize(args) -> int:
     r = _load_poly(args)
-    if args.weight and args.weight != "auto":
-        mu = _parse_weight(args.weight, r.n)
-    else:
-        mu = _auto_weight(r, args.degree_bound)
+    mu = _auto_weight(r) if args.weight == "auto" \
+        else _parse_weight(args.weight, r.n)
     nf = normalize(r, mu, assert_psc=args.assert_psc)
     if args.assert_psc:
         # the extraction steps check only the rows they extract; the Levi
@@ -349,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("multitype", help="multitype search with commutator "
                                         "corroboration")
     _add_io(s)
-    s.add_argument("--degree-bound", type=int, default=4)
     s.add_argument("--commutator", action="store_true",
                    help="print search and commutator values separately")
     s.set_defaults(fn=cmd_multitype)
@@ -364,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(s)
     s.add_argument("--weight", default="auto",
                    help='comma-separated weight entries or "auto"')
-    s.add_argument("--degree-bound", type=int, default=4)
     s.add_argument("--assert-psc", action="store_true",
                    help="treat positivity failures as contradictions")
     s.set_defaults(fn=cmd_normalize)

@@ -11,13 +11,13 @@ lexicographically largest admissible inverse weight making the model
 distinguished, over every order of z_2..z_n, is computed exactly from the
 supporting values of the Newton diagram by one walk that also chooses the
 order; a finite catalog of holomorphic coordinate changes (the shears
-z_i -> z_i +- z_j^k up to a degree bound, the k = 1 shears being its linear
-changes) is then hill-climbed, each improving shear followed by its
-weight's order as one permutation.  The result is flagged
-``search-lower-bound`` unless it carries the commutator multitype of a
-certified model: ``exact-commutator`` when the two agree, and
-``commutator-disagrees`` when they do not, which under C = M means the
-catalog missed the multitype's coordinates or a fault
+z_i -> z_i +- z_j^k with k at most D_j, the largest exponent of z_j in the
+model, the k = 1 shears being its linear changes) is then hill-climbed,
+each improving shear followed by its weight's order as one permutation.
+The result is flagged ``search-lower-bound`` unless it carries the
+commutator multitype of a certified model: ``exact-commutator`` when the
+two agree, and ``commutator-disagrees`` when they do not, which under
+C = M means the catalog missed the multitype's coordinates or a fault
 (``Multitype.status``).  The search returns the names of the changes it
 applied and the model part in the coordinates they reach; its witness (the
 admissibility rows and the coordinates polynomial's JSON) is formed only
@@ -35,11 +35,12 @@ coefficients over p's common denominator, so a term leaves the support
 exactly when it cancels.  A larger support weighs no more, so a shear under
 which no term cancels is not even expanded: whether a key cancels is read
 off the coefficients of the keys the shear can send onto it
-(``_cancels_nothing``), an exact test.  Only the winning shear
-and its order are rendered as variable maps and applied by
-``Poly.substitute_maps``.  The catalog's size is linear in the degree bound,
-which is limited to ``MAX_DEGREE_BOUND``, and quadratic in the dimension.
-The dimension is limited to ``MAX_SEARCH_DIMENSION`` by the weight walk
+(``_cancels_nothing``), an exact test.  Only the winning shear and its
+order are rendered as variable maps and applied by
+``Poly.substitute_maps``.  A shear of degree k > D_j cancels no term, so
+the catalog reaches no further: its size is linear in the D_j, each capped
+at ``MAX_DEGREE_BOUND``, and quadratic in the dimension.  The dimension is
+limited to ``MAX_SEARCH_DIMENSION`` by the weight walk
 (``best_distinguished_weight``), which the search and the boundary build's
 floor both run and whose own cost grows fastest past dimension 12.
 
@@ -75,13 +76,15 @@ from .poly import DimensionMismatch, Poly, PolyError, eliminate_harmonic
 INF = math.inf
 Entry = Union[Fraction, float]  # float only ever +inf
 
-# The shear catalog grows linearly with the degree bound; past this, a search
-# runs for seconds to minutes instead of failing fast.
+# The largest degree k of a catalog shear z_i -> z_i +- z_j^k, whatever the
+# exponent D_j of z_j in the model: the catalog grows linearly with the
+# degrees it reaches, and past this a search would run for seconds to minutes.
 MAX_DEGREE_BOUND = 64
 # Rounds of the multitype hill-climb; each improving round applies one shear
 # and its order.
 MAX_ROUNDS = 40
-# The catalog holds 2 (n-1)(n-2) shears per unit of degree bound, each
+# The catalog holds 2 min(D_j, MAX_DEGREE_BOUND) shears z_i -> z_i +- z_j^k
+# per ordered pair (i, j), D_j the largest exponent of z_j in the model, each
 # weighed over every order in one walk.  The limit is checked in that walk,
 # ``best_distinguished_weight``, which the search and the boundary build's
 # floor both run.  The walk alone, in-process, one run each on three
@@ -500,7 +503,9 @@ def _catalog(n: int, degree_bound: int) -> List[_Shear]:
     """Candidate holomorphic changes of z_2..z_n as data, in search order:
     the shears z_i -> z_i +- z_j^k (i != j) with 1 <= k <= degree_bound;
     the k = 1 shears are the catalog's linear changes.  No permutation is
-    an entry: every candidate is weighed over every order of z_2..z_n."""
+    an entry: every candidate is weighed over every order of z_2..z_n.  The
+    search reads the shears of degree at most D_j off the catalog of the
+    largest D_j."""
     return [_Shear(i, j, k, c)
             for i, j in itertools.permutations(range(2, n + 1), 2)
             for k in range(1, degree_bound + 1) for c in (1, -1)]
@@ -608,7 +613,7 @@ def _cancels_nothing(shear: _Shear, terms: List[_IntTerm]) -> bool:
     return True
 
 
-def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
+def multitype_search(r: Poly) -> Multitype:
     """Bounded search for the multitype of the model r = c*Re(z1) + p.
 
     Returns the lexicographic supremum of admissible distinguished weights
@@ -633,10 +638,16 @@ def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
     is skipped before it is expanded (``_cancels_nothing``).  Every other
     candidate is weighed against the incumbent by one walk that stops as
     soon as it cannot beat it.
+
+    So the catalog of a round needs no shear of degree k above D_j, the
+    largest exponent of z_j (or zbar_j) in that round's p: a key K' of p
+    that cancels receives from some other key K of p with s = a_i - a'_i or
+    t = b_i - b'_i positive, and then a'_j = a_j + k*s >= k or
+    b'_j = b_j + k*t >= k.  A round weighs the shears with
+    k <= min(D_j, ``MAX_DEGREE_BOUND``), in catalog order (ordered pairs
+    (i, j), then k, then c); the degrees are read off the model, not set by
+    the caller.
     """
-    if not 0 <= degree_bound <= MAX_DEGREE_BOUND:
-        raise PolyError(f"degree bound {degree_bound} is outside "
-                        f"0..{MAX_DEGREE_BOUND}")
     if r.n < 2:
         raise DimensionMismatch("multitype needs dimension >= 2")
     r0, _h = eliminate_harmonic(r)  # checks reality and the model shape
@@ -648,11 +659,12 @@ def multitype_search(r: Poly, degree_bound: int = 4) -> Multitype:
     best, order = found
     applied: List[str] = []
     p = _reorder(p, order, applied)
-    catalog = _catalog(r.n, degree_bound)
     for _ in range(MAX_ROUNDS):
         terms = _integer_terms(p)
-        for shear in catalog:
-            if _cancels_nothing(shear, terms):
+        reach = [min(max(col), MAX_DEGREE_BOUND) for col in
+                 zip(*(map(max, a, b) for a, b, _x, _y in terms))]
+        for shear in _catalog(r.n, max(reach, default=0)):
+            if shear.k > reach[shear.j - 2] or _cancels_nothing(shear, terms):
                 continue
             found = best_distinguished_weight(_support_after(shear, terms),
                                               r.n, above=best)

@@ -415,14 +415,18 @@ def _maps_table(n: int, *powers) -> Poly:
                      (0,) * n): CRat(c) for v, e, c in powers})
 
 
-def catalog_oracle(n: int, degree_bound: int) -> List[Tuple[str, List[Poly]]]:
-    """The multitype search's coordinate catalog as documented, written out
-    as term tables: for each ordered pair i != j, each k = 1..degree_bound
-    and c = 1, -1 the shear z_i -> z_i + c*z_j^k, named
+def catalog_oracle(p: Poly) -> List[Tuple[str, List[Poly]]]:
+    """The multitype search's coordinate catalog for p as documented,
+    written out as term tables: for each ordered pair i != j, each
+    k = 1..min(D_j, 64), D_j the largest exponent of z_j or zbar_j in a term
+    of p, and c = 1, -1 the shear z_i -> z_i + c*z_j^k, named
     "shear z{i} += {c}*z{j}^{k}"; each with its variable maps z_1..z_n."""
+    n = p.n
     out = []
     for i, j in itertools.permutations(range(2, n + 1), 2):
-        for k in range(1, degree_bound + 1):
+        reach = max([0] + [e for a, b in p.terms
+                           for e in (a[j - 1], b[j - 1])])
+        for k in range(1, min(reach, 64) + 1):
             for c in (1, -1):
                 maps = [_maps_table(n, (v, 1, 1)) for v in range(1, n + 1)]
                 maps[i - 1] = _maps_table(n, (i, 1, 1), (j, k, c))
@@ -444,12 +448,11 @@ def reorder_oracle(p: Poly, order: Tuple[int, ...], applied: List[str]
     return substitute_maps_oracle(p, maps)
 
 
-def multitype_search_oracle(r: Poly, degree_bound: int = 4,
-                            max_rounds: int = 40
+def multitype_search_oracle(r: Poly, max_rounds: int = 40
                             ) -> Tuple[InverseWeight, dict]:
     """The documented ``weights.multitype_search``, driven by the oracles:
-    the input and, in every round, every shear of ``catalog_oracle`` is
-    expanded and weighed in full over every order
+    the input and, in every round, every shear of ``catalog_oracle`` for
+    that round's p is expanded and weighed in full over every order
     (``best_ordered_weight_oracle``); the first improving shear is applied,
     and after it (and first, for the input) the order of its weight, as one
     perm(...).  Returns the weight and the witness the search prints."""
@@ -459,7 +462,7 @@ def multitype_search_oracle(r: Poly, degree_bound: int = 4,
     applied: List[str] = []
     p = reorder_oracle(p, order, applied)
     for _ in range(max_rounds):
-        for name, maps in catalog_oracle(r.n, degree_bound):
+        for name, maps in catalog_oracle(p):
             q = substitute_maps_oracle(p, maps)
             found = best_ordered_weight_oracle(q)
             if found is not None and found[0].entries > best.entries:

@@ -83,6 +83,29 @@ def test_multitype_commutator_gap(capsys):
     assert "commutator: (1, 2, inf)" in out
 
 
+SHEAR_5 = "-2*Re(z1) + |z2 + z3^5|^2 + |z3|^12"
+
+
+def test_multitype_finds_a_shear_of_degree_5(capsys):
+    # the catalog reaches z3^5 because z3 has exponent 6 in the model
+    code, out, _ = run_cli(capsys, "multitype", "--json", "--n", "3",
+                           "--expr", SHEAR_5)
+    assert code == 0
+    d = json.loads(out)
+    assert d["lambda"] == ["1", "2", "12"]
+    assert d["status"] == "exact-commutator"
+    assert d["witness"]["changes"] == ["shear z2 += -1*z3^5"]
+    # normalize keeps the input coordinates, where z3^5 zbar2 weighs 1/2 +
+    # 5/12 < 1 under the automatic weight; the weight of those coordinates
+    # is accepted
+    assert run_cli(capsys, "normalize", "--n", "3", "--expr", SHEAR_5) == (
+        2, "", "error: input has terms of weight below 1; not O_mu(1)\n")
+    assert run_cli(capsys, "normalize", "--n", "3", "--expr", SHEAR_5,
+                   "--weight", "1,1/2,1/10") == (
+        0, "weight: (1, 1/2, 1/10)\nK: [[1], [0, 5]]\nA: [1, 1]\n"
+        "residual: 2*Re(z2*zbar3^5)\nverified: True\n", "")
+
+
 def test_multitype_drops_the_commutator_the_build_refuses(capsys):
     # the boundary build refuses this model (its r_3 has terms above the
     # exact degree), and multitype then reports the search alone, silently
@@ -301,9 +324,12 @@ def test_torsion_harmonic_tail_contradiction_exits_3(capsys):
 
 
 def test_torsion_not_applicable(capsys):
-    code, out, _ = run_cli(capsys, "torsion", "--expr",
-                           "-2*Re(z1) + |z2|^2 + |z3|^2", "--n", "3")
-    assert code == 2  # no slow block to normalize: input error
+    # no slow block: nothing to normalize, and no slot after one to read;
+    # the second is the rank-gap model, c = (1, 2, inf)
+    for expr in ("-2*Re(z1) + |z2|^2 + |z3|^2",
+                 "Re(z1) + (Re(z2) + |z3|^2)^2"):
+        assert run_cli(capsys, "torsion", "--expr", expr, "--n", "3") == (
+            0, "torsion: not applicable (no slow block present)\n", ""), expr
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -353,18 +379,6 @@ def test_boundary_system_with_many_splittings_answers_fast(capsys):
     assert time.perf_counter() - start < 10
     assert code == 0
     assert out.startswith("commutator multitype: (1, 2, 2)\n")
-
-
-def test_degree_bound_out_of_range_exits_2_fast(capsys):
-    for command in ("normalize", "multitype"):
-        for bound in ("-1", "65"):
-            start = time.perf_counter()
-            code, _out, err = run_cli(
-                capsys, command, "--expr", "-2*Re(z1) + |z2|^4 + |z3|^6",
-                "--n", "3", "--degree-bound", bound)
-            assert time.perf_counter() - start < 1.0
-            assert code == 2, (command, bound)
-            assert f"degree bound {bound} is outside 0..64" in err
 
 
 def quartic_sum(n: int) -> str:
@@ -536,7 +550,10 @@ def test_examples_only_unknown_name_exits_2(capsys):
 def test_removed_options_exit_2(capsys):
     for argv in (["examples", "--json"],
                  ["psd", "--expr", "|z2|^4", "--n", "2",
-                  "--cs-lattice-denominator", "4"]):
+                  "--cs-lattice-denominator", "4"],
+                 *([command, "--degree-bound", "4", "--expr",
+                    "-2*Re(z1) + |z2|^4 + |z3|^6", "--n", "3"]
+                   for command in ("multitype", "normalize"))):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -699,13 +716,21 @@ TEXT_MODEL = "-2*Re(z1) + |z2|^4"
      "parse error at position 9: coefficient has more than 4300 digits"),
     (["parse", "--n", "2", "--expr", "Re((1/7)^5088*z2)"],
      "parse error at position 0: coefficient has more than 4300 digits"),
+    # an empty weight is given, and is no weight
+    (["normalize", "--expr", "-2*Re(z1) + |z2|^4 + |z3|^4", "--n", "3",
+      "--weight", ""], "bad weight '': not a rational such as \"-1/2\": ''"),
+    # a JSON model carries its own dimension
+    (["parse", "JSON", "--n", "5"],
+     "--n 5 differs from the JSON n = 3"),
 ])
 def test_input_errors_exit_2(capsys, tmp_path, argv, message):
     path = tmp_path / "model.txt"
     path.write_text(TEXT_MODEL)
     deep = tmp_path / "deep.json"
     deep.write_text('{"x": ' * 5000 + "1" + "}" * 5000)
-    files = {"FILE": str(path), "DEEP_JSON": str(deep)}
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(parse_poly(TEXT_MODEL, 3).to_json_dict()))
+    files = {"FILE": str(path), "DEEP_JSON": str(deep), "JSON": str(model)}
     argv = [files.get(a, a) for a in argv]
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
@@ -776,6 +801,14 @@ def test_text_file_input_parses_with_n(capsys, tmp_path):
     path.write_text(TEXT_MODEL)
     assert run_cli(capsys, "parse", str(path), "--n", "2") == \
         (0, TEXT_MODEL + "\n", "")
+
+
+def test_json_input_accepts_its_own_n(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(parse_poly(TEXT_MODEL, 3).to_json_dict()))
+    for extra in ((), ("--n", "3")):
+        assert run_cli(capsys, "parse", str(path), *extra) == \
+            (0, TEXT_MODEL + "\n", "")
 
 
 _TERM = {"alpha": [0, 1], "beta": [0, 1], "re": "1", "im": "0"}
@@ -945,7 +978,7 @@ def test_multitype_gate_reuses_its_search(monkeypatch, capsys):
     assert not hasattr(boundary, "multitype_search")
     code, out, _err = run_cli(capsys, "multitype", "--json", "--commutator",
                               "--n", "4", "--expr", TORSION)
-    assert code == 0 and calls == [(4,)]
+    assert code == 0 and calls == [()]
     payload = json.loads(out)
     assert payload["status"] == "exact-commutator"
     assert payload["commutator"] == ["1", "6", "9", "18"]
