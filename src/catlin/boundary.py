@@ -87,14 +87,16 @@ leaves no finite list, and the remaining entries are +inf.  The floor
 changes which lists are formed, not which one is found.
 Every build works out its floor (``_lambda_floor``): Lambda when the
 tangential part without its pure terms has a tier-1 or tier-2 certificate
-(r is pseudoconvex) and the walk finds a weight, else none.  No build runs
-the multitype search's shear catalog: a shear could only raise Lambda, and
-a higher floor forms fewer lists but not other ones.  The system records
-the floor as ``floor``, and every first-block rebuild in the straightened
-coordinates reuses it, as C and M are biholomorphic invariants.  Lambda is
-admissible by construction: each finite entry leaves the positive row
-remainder it is picked from exactly 0, an admissibility witness.  The audit
-ranks its lists with no floor, because it is the check.
+(r is pseudoconvex), else none; the walk always finds a weight there, as
+no exponent vector of that part is zero.  No build runs the multitype
+search's shear catalog: a shear could only raise Lambda, and a higher floor
+forms fewer lists but not other ones.  The system records the floor as
+``floor``, and every first-block rebuild in the straightened coordinates
+reuses it, as C and M are biholomorphic invariants.  Lambda is admissible
+by construction: each finite entry is the bound t/(1 - P) of an exponent
+vector whose exponents over the slots before it form a row of remainder
+1 - P, and the entry leaves that remainder exactly 0, an admissibility
+witness.  The audit ranks its lists with no floor, because it is the check.
 """
 
 from __future__ import annotations
@@ -518,7 +520,7 @@ def _lambda_floor(r: Poly) -> Optional[Tuple[Entry, ...]]:
     distinguished inverse weight over every order of z_2..z_n, when the
     polynomial it weighs, the tangential part p without the pure terms the
     Levi form never reads, has a tier-1 or tier-2 certificate; otherwise,
-    or when either raises or the walk finds no weight, None (no floor).
+    or when either raises, None (no floor).
 
     The floor is sound: the walk's tuple is admissible and distinguished in
     the coordinates that the permutation of its order reaches, so Lambda
@@ -531,10 +533,12 @@ def _lambda_floor(r: Poly) -> Optional[Tuple[Entry, ...]]:
         p = split_model(eliminate_harmonic(r)[0])[1]
         if psd_certificate(p) is None:
             return None
-        found = best_distinguished_weight(_evecs(p), r.n)
+        # never None: p has no z1 and, after eliminate_harmonic, no constant,
+        # so no exponent vector is zero, and without ``above`` the walk
+        # then always completes
+        return best_distinguished_weight(_evecs(p), r.n)[0].entries
     except PolyError:
         return None
-    return None if found is None else found[0].entries
 
 
 def _system_slots(r: Poly, list_bound: Optional[int],
@@ -806,9 +810,14 @@ def _straighten_first_block(bs: BoundarySystem,
                 f"{non_harmonic}")
         a = c_plus + c_minus.conj()
         if a.is_zero():
+            # a list mixing in other slots' fields need not reach its value
+            # along z_dirvar alone
+            others = sorted({s for s, _c in bs.slow[j].entries} - {j})
+            cause = "inconsistent input" if not others else (
+                f"its list holds fields of slot {', '.join(map(str, others))}"
+                f", and the straightening differentiates along z{dirvar} alone")
             raise BoundaryConstructionError(
-                f"slot {j}: scale factor C+ + conj(C-) vanishes; "
-                "inconsistent input")
+                f"slot {j}: scale factor C+ + conj(C-) vanishes; {cause}")
         if any(tail.degree_in(v) > 0
                for v in range(len(bs.c_entries) + 1, n + 1)):
             *_, bs = rest

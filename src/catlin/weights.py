@@ -42,21 +42,22 @@ the catalog reaches no further: its size is linear in the D_j, each capped
 at ``MAX_DEGREE_BOUND``, and quadratic in the dimension.  The dimension is
 limited to ``MAX_SEARCH_DIMENSION`` by the weight walk
 (``best_distinguished_weight``), which the search and the boundary build's
-floor both run and whose own cost grows fastest past dimension 12.
+floor both run and whose own cost grows fastest, past dimension 12, on
+models whose variables tie, such as the quartic sum.
 
 The weight search runs on integers.  It keeps one common denominator, the
 lcm of the denominators of the weights 1/lambda chosen so far, and holds
-every weighted order and admissibility remainder as an integer over it;
-slot bounds and candidate lambdas are integer pairs compared by
-cross-multiplication.  ``Fraction`` appears only in the returned weight, and
-in the admissibility and descent helpers, which are not on the hot path.
+every weighted order as an integer over it; slot bounds are integer pairs
+compared by cross-multiplication, and each slot takes its bound as its
+lambda.  ``Fraction`` appears only in the returned weight, and in the
+admissibility and descent helpers, which are not on the hot path.
 
 Admissible rows (a_j >= 0, sum a_j/lambda_j < 1) are enumerated only by
 ``admissible_rows``, one slot per ``_grow_rows`` step; ``is_admissible``
 takes those steps itself, reading each slot's witnesses off the rows over the
-slots before it in one pass.  The weight search keeps its own remainders: it
-reads only their values, as integers over its common denominator, not the
-rows.
+slots before it in one pass.  The weight search needs no rows and no
+remainders: a slot's bound t/(1 - P) is admissible through the row of the
+vector setting it (``_best_distinguished``).
 """
 
 from __future__ import annotations
@@ -87,24 +88,28 @@ MAX_ROUNDS = 40
 # per ordered pair (i, j), D_j the largest exponent of z_j in the model, each
 # weighed over every order in one walk.  The limit is checked in that walk,
 # ``best_distinguished_weight``, which the search and the boundary build's
-# floor both run.  The walk alone, in-process, one run each on three
-# occasions, on the quartic sum |z2|^4 + ... + |zn|^4, the diagonal
-# |z2|^4 + |z3|^6 + ... + |zn|^(2n) and the reversed diagonal:
+# floor both run.  Each slot takes its bound, so the walk's cost does not
+# grow with the exponents; it grows with ties, since the repeat strictly
+# above a tuple tries every allowed variable at each slot that ties.  The
+# walk alone, in-process, three runs each, on the quartic sum
+# |z2|^4 + ... + |zn|^4, the diagonal |z2|^4 + |z3|^6 + ... + |zn|^(2n) and
+# the reversed diagonal:
 #
 #     n    quartic          diagonal          reversed
-#     9    0.002-0.004 s    0.004-0.007 s     0.003-0.005 s
-#    12    0.015-0.026 s    0.09-0.12 s       0.09-0.12 s
-#    16    0.29-0.45 s      3.2-5.5 s         3.5-5.0 s
-#    20    5.2-6.4 s        over 100 s
+#     9    0.002 s          0.0003-0.0004 s   0.0003 s
+#    12    0.013 s          0.0006-0.0009 s   0.0006-0.0007 s
+#    16    0.16-0.23 s      0.0012-0.0013 s   0.0012-0.0015 s
+#    20    2.8-3.3 s        0.0022-0.0026 s   0.0015-0.0017 s
 #
-# (unfinished when stopped), and the whole search 0.11-0.14 s on the n = 12
-# diagonal, 3.6-5.1 s on the n = 16 diagonal and 5.1-8.2 s on the n = 20
-# quartic sum.  Up to dimension 12 the commutator build that ``catlin
-# multitype`` runs sets the cost: on the diagonal ``catlin multitype
-# --json`` takes 0.97-1.04 s in dimension 9, 2.3-3.4 s in dimension 10 and
-# 8.4-11.3 s in dimension 11 (one process per run).  Past dimension 12 the
-# walk itself does, so without a limit ``catlin normalize --n 20`` would
-# run for seconds to minutes.  (Python 3.11, shared 2-core Xeon.)
+# and the whole search 0.02 s on the n = 12 diagonal, 0.06-0.07 s on the
+# n = 16 diagonal, 0.16-0.19 s on the n = 16 quartic sum and 2.9-3.2 s on
+# the n = 20 quartic sum.  Up to dimension 12 the commutator build that
+# ``catlin multitype`` runs sets the cost: on the diagonal ``catlin
+# multitype --json`` takes 0.8 s in dimension 9, 1.9-2.4 s in dimension 10
+# and 7.8-8.7 s in dimension 11 (in-process, two runs each).  Past
+# dimension 12 the walk itself does on the quartic sums, so without a limit
+# ``catlin normalize --n 20`` would run for seconds.  (Python 3.11, shared
+# 2-core Xeon.)
 MAX_SEARCH_DIMENSION = 9
 # Limits of ``enumerate_multitypes``: the dimension keeps the counting bound
 # printable, the type keeps dimension 2 small, and the budget charges a prefix
@@ -326,59 +331,76 @@ def _best_distinguished(evecs: Iterable[Tuple[int, ...]], nvars: int,
     variable put in slot s.  None when infeasible, and also when ``above``
     is given and the lex-max is not strictly above it.
 
-    Slots are filled depth first, largest candidate first, and each slot
-    also chooses which unplaced variable fills it.  Each level carries what
-    the next slot needs: ``live`` holds each exponent vector still weighted
-    below 1 with its weighted order over the prefix and its tail, the sum of
-    its exponents of the unplaced variables, and ``rems`` holds the positive
-    remainders 1 - sum a_j/lambda_j of the admissibility rows through the
-    prefix (lambda_1 = 1 included).  A live vector bounds the slot by its
-    tail over 1 minus its weighted order, and neither reads which unplaced
-    variable comes next, nor do the remainders: so the bound and the
-    candidate lambdas belong to the slot, and only the choice of variable
-    moves the next slot's bound.  Within a run of equal lambdas the
-    variables are placed in ascending order: swapping two of them changes
-    no weighted order and no remainder, so sorting a run keeps every tuple
-    and gives an order no later in ``itertools.permutations`` order.  Among
-    the variables allowed, the one leaving the next slot the largest bound
-    is tried first.
+    Slots are filled depth first, and each slot also chooses which
+    unplaced variable fills it.  Each level carries what the next slot
+    needs: ``live`` holds each exponent vector still weighted below 1 with
+    its weighted order over the prefix and its tail, the sum of its
+    exponents of the unplaced variables.  A live vector bounds the slot by
+    its tail over 1 minus its weighted order, which reads no choice of the
+    next variable: so the bound belongs to the slot, and only the choice
+    of variable moves the next slot's bound.  Within a run of equal lambdas
+    the variables are placed in ascending order: swapping two of them
+    changes no weighted order, so sorting a run keeps every tuple and gives
+    an order no later in ``itertools.permutations`` order.  Among the
+    variables allowed, the one leaving the next slot the largest bound is
+    tried first.
+
+    Each slot takes its bound B and no other lambda.  The lemma: B is
+    admissible, since the vector setting it has tail t and weighted order
+    P, its exponents over the prefix are a row of remainder 1 - P, and
+    B = t/(1 - P); no lambda above B lifts that vector to weight 1; and B
+    completes: with B at every slot left each live vector weighs at least
+    P + t/B >= 1, and once a variable v is placed at B, a live vector whose
+    whole tail it takes weighs P + t/B >= 1 and leaves ``live``, so none is
+    left with tail 0, and each bounds the next slot by
+    (t - e_v)/(1 - P - e_v/B) >= B.  So every unplaced variable leaves the
+    next slot a bound, and the bounds never decrease.
+
+    Nothing is lost by trying no lambda below B.  Outside ``tight``, a walk
+    through B always completes, because the smallest unplaced variable is
+    always an allowed kid: it is at the root, and where a walk leaves
+    ``tight`` below a slot whose B is above ``above``'s entry, hence above
+    the lambda before it (``above`` is nondecreasing); if the first kid
+    leaves a bound above B the next slot allows every variable, and if it
+    leaves B every kid does, so the first kid is the smallest variable and
+    the next slot allows every variable left, all larger.  Under ``tight``
+    (the prefix equals ``above``'s), a bound below ``above``'s entry ends
+    the walk, a bound above it leaves its kids outside ``tight``, where
+    they complete, and a bound equal to it leaves below B only lambdas
+    below ``above``'s entry, whose tuples are all below ``above``.  So a
+    walk that also tried the admissible lambdas below B, largest first,
+    would return a tuple through B or none, and this walk forms no
+    admissibility remainder at all.  Without ``above`` it returns a tuple
+    whenever no exponent vector is zero, since only a zero vector leaves
+    the root no bound.
 
     The first complete tuple is not the lex-max over all orders, so the walk
     is repeated strictly above each tuple it finds until none is left.  The
     last tuple found is the lex-max M, and its order is the first in
     ``itertools.permutations`` order that reaches M (the tie rule), because
     for each order the largest tuple takes at every slot the bound B that
-    the slots before it leave.  B is a candidate: the vector setting it has
-    tail t and weighted order P, its exponents over the prefix are a row of
-    remainder 1 - P, and B = t/(1 - P).  B completes: with B at every slot
-    left each live vector weighs at least P + t/B >= 1, and once a variable
-    is placed at B, no live vector has tail 0 and each bounds the next slot
-    by at least B.  So where two orders reaching M first part, both leave
-    the bound M's next entry; the smaller variable, tried first among equal
-    bounds, leads to a tuple above the walk's ``above``, and the walk
-    returns there.  The first order reaching M is ascending within each run
-    of equal lambdas, as the walk requires.
-    While the prefix equals ``above``'s (``tight``), a bound or candidate
-    below ``above``'s entry ends a walk: every later tuple is below
-    ``above``.
+    the slots before it leave.  So where two orders reaching M first part,
+    both leave the bound M's next entry; the smaller variable, tried first
+    among equal bounds, leads to a tuple above the walk's ``above``, and the
+    walk returns there.  The first order reaching M is ascending within each
+    run of equal lambdas, as the walk requires.
 
     Invariant: all state is integer over one common denominator L, the lcm
     of the numerators of the lambdas chosen so far (the denominators of the
-    weights 1/lambda).  A weighted order is an int P for P/L < 1, and a
-    remainder an int R for R/L > 0.  A live vector with tail t bounds the
-    slot by t/(1 - P/L), the pair (t*L, L - P); pairs compare by
-    cross-multiplication.  Remainder R offers lambda = a*L/R, kept as a
-    reduced (num, den) pair.  Choosing num/den moves to L' = lcm(L, num),
-    rescales P and R by L'/L, adds e[v]*den*L'/num to each P for the
-    variable v placed and steps each R down by den*L'/num.  ``above``
-    becomes (num, den) pairs once, INF staying INF; a Fraction is built only
-    for the entries of the returned tuple."""
+    weights 1/lambda).  A weighted order is an int P for P/L < 1.  A live
+    vector with tail t bounds the slot by t/(1 - P/L), the pair
+    (t*L, L - P); pairs compare by cross-multiplication, and the slot's
+    lambda is its bound reduced by one gcd to (num, den).  Choosing it moves
+    to L' = lcm(L, num), rescales each P by L'/L and adds e[v]*den*L'/num to
+    each P for the variable v placed.  ``above`` becomes (num, den) pairs
+    once, INF staying INF; a Fraction is built only for the entries of the
+    returned tuple."""
     live = [(0, sum(e), e) for e in evecs]
     root = _slot_bound(live, 1)
 
     def walk(above):
         # the first complete tuple strictly above ``above``, with its order
-        def rec(prefix, order, big_l, live, rems, bound, tight):
+        def rec(prefix, order, big_l, live, bound, tight):
             j = len(prefix)
             bn, bd = bound
             if bd == 0:  # nothing live: INF for every slot left
@@ -389,54 +411,35 @@ def _best_distinguished(evecs: Iterable[Tuple[int, ...]], nvars: int,
             target = above[j] if tight else None
             if tight and (target == INF or bn * target[1] < target[0] * bd):
                 return None
-            lo_n, lo_d = prefix[-1] if prefix else (1, 1)
-            vals = set()
-            for r in rems:
-                # lo <= a*L/r <= bn/bd
-                for a in range(-(-lo_n * r // (lo_d * big_l)),
-                               bn * r // (bd * big_l) + 1):
-                    num = a * big_l
-                    g = math.gcd(num, r)
-                    vals.add((num // g, r // g))
-            for lam in sorted(vals, key=_BY_VALUE, reverse=True):
-                num, den = lam
-                if tight and (target == INF
-                              or num * target[1] < target[0] * den):
-                    return None
-                sub_l = big_l * num // math.gcd(big_l, num)
-                scale = sub_l // big_l
-                step = den * (sub_l // num)  # 1/lambda over sub_l
-                sub_rems = set()
-                if j + 1 < nvars:  # a complete tuple needs no remainders
-                    for r in rems:
-                        r *= scale
-                        while r > 0:
-                            sub_rems.add(r)
-                            r -= step
-                first = order[-1] + 1 if prefix and lam == prefix[-1] else 0
-                kids = []
-                for v in sorted(set(range(first, nvars)).difference(order)):
-                    sub_live = []
-                    for pre, tail, e in live:
-                        pre *= scale
-                        if e[v]:
-                            pre += e[v] * step
-                            if pre >= sub_l:
-                                continue
-                        sub_live.append((pre, tail - e[v], e))
-                    sub_bound = _slot_bound(sub_live, sub_l)
-                    if sub_bound is not None:
-                        kids.append((sub_bound, v, sub_live))
-                # stable: ascending among equal bounds
-                kids.sort(key=lambda kid: _BY_VALUE(kid[0]), reverse=True)
-                for sub_bound, v, sub_live in kids:
-                    res = rec(prefix + (lam,), order + (v,), sub_l, sub_live,
-                              sub_rems, sub_bound, tight and lam == target)
-                    if res is not None:
-                        return res
+            g = math.gcd(bn, bd)
+            lam = num, den = bn // g, bd // g  # the slot's bound B
+            sub_l = big_l * num // math.gcd(big_l, num)
+            scale = sub_l // big_l
+            step = den * (sub_l // num)  # 1/lambda over sub_l
+            first = order[-1] + 1 if prefix and lam == prefix[-1] else 0
+            kids = []
+            for v in sorted(set(range(first, nvars)).difference(order)):
+                sub_live = []
+                for pre, tail, e in live:
+                    pre *= scale
+                    if e[v]:
+                        pre += e[v] * step
+                        if pre >= sub_l:
+                            continue
+                    sub_live.append((pre, tail - e[v], e))
+                sub_bound = _slot_bound(sub_live, sub_l)
+                if sub_bound is not None:
+                    kids.append((sub_bound, v, sub_live))
+            # stable: ascending among equal bounds
+            kids.sort(key=lambda kid: _BY_VALUE(kid[0]), reverse=True)
+            for sub_bound, v, sub_live in kids:
+                res = rec(prefix + (lam,), order + (v,), sub_l, sub_live,
+                          sub_bound, tight and lam == target)
+                if res is not None:
+                    return res
             return None
 
-        return rec((), (), 1, live, {1}, root, above is not None)
+        return rec((), (), 1, live, root, above is not None)
 
     if root is None:
         return None
@@ -652,11 +655,10 @@ def multitype_search(r: Poly) -> Multitype:
         raise DimensionMismatch("multitype needs dimension >= 2")
     r0, _h = eliminate_harmonic(r)  # checks reality and the model shape
     p = r0.restrict_support(range(2, r.n + 1))
-    found = best_distinguished_weight(_evecs(p), r.n)
-    if found is None:
-        raise PolyError("no admissible distinguished weight found in given "
-                        "coordinates; input is not a graded model")
-    best, order = found
+    # never None: p has no z1 and, after eliminate_harmonic, no constant,
+    # so no exponent vector is zero, and without ``above`` the walk then
+    # always completes
+    best, order = best_distinguished_weight(_evecs(p), r.n)
     applied: List[str] = []
     p = _reorder(p, order, applied)
     for _ in range(MAX_ROUNDS):

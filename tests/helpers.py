@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from catlin.boundary import ListEntry, VField, _field_from_vector
 from catlin.exact import CI, CZERO, CRat, hermitian_form, inverse, rat_str
@@ -344,6 +344,108 @@ def best_distinguished_oracle(evecs: Tuple[Tuple[int, ...], ...],
         return None
 
     return rec((), [Fraction(0)] * len(evecs))
+
+
+def best_distinguished_candidates_oracle(
+        evecs: Iterable[Tuple[int, ...]], nvars: int,
+        above: Optional[Tuple[Entry, ...]] = None
+) -> Optional[Tuple[Tuple[Entry, ...], Tuple[int, ...]]]:
+    """The earlier ``weights._best_distinguished``, which also enumerated,
+    at every slot, each lambda a*L/R between the previous slot's lambda and
+    the slot's bound, over the positive remainders R of the admissibility
+    rows through the prefix (``rems``, stepped down slot by slot), and
+    walked them largest first.  Same arguments and result: the lex-max
+    tuple over every order and the first order reaching it, None when
+    infeasible or not strictly above ``above``.  It keeps its own copies
+    of the slot bound and the value order of (num, den) pairs."""
+    by_value = functools.cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
+
+    def slot_bound(live, big_l):
+        bn, bd = 1, 0
+        for pre, tail, _e in live:
+            if tail == 0:
+                return None
+            if tail * bd < bn * (big_l - pre):
+                bn, bd = tail, big_l - pre
+        return bn * big_l, bd
+
+    live = [(0, sum(e), e) for e in evecs]
+    root = slot_bound(live, 1)
+
+    def walk(above):
+        # the first complete tuple strictly above ``above``, with its order
+        def rec(prefix, order, big_l, live, rems, bound, tight):
+            j = len(prefix)
+            bn, bd = bound
+            if bd == 0:  # nothing live: INF for every slot left
+                if tight and all(x == INF for x in above[j:]):
+                    return None
+                return (prefix + (INF,) * (nvars - j), order +
+                        tuple(v for v in range(nvars) if v not in order))
+            target = above[j] if tight else None
+            if tight and (target == INF or bn * target[1] < target[0] * bd):
+                return None
+            lo_n, lo_d = prefix[-1] if prefix else (1, 1)
+            vals = set()
+            for r in rems:
+                # lo <= a*L/r <= bn/bd
+                for a in range(-(-lo_n * r // (lo_d * big_l)),
+                               bn * r // (bd * big_l) + 1):
+                    num = a * big_l
+                    g = math.gcd(num, r)
+                    vals.add((num // g, r // g))
+            for lam in sorted(vals, key=by_value, reverse=True):
+                num, den = lam
+                if tight and (target == INF
+                              or num * target[1] < target[0] * den):
+                    return None
+                sub_l = big_l * num // math.gcd(big_l, num)
+                scale = sub_l // big_l
+                step = den * (sub_l // num)  # 1/lambda over sub_l
+                sub_rems = set()
+                if j + 1 < nvars:  # a complete tuple needs no remainders
+                    for r in rems:
+                        r *= scale
+                        while r > 0:
+                            sub_rems.add(r)
+                            r -= step
+                first = order[-1] + 1 if prefix and lam == prefix[-1] else 0
+                kids = []
+                for v in sorted(set(range(first, nvars)).difference(order)):
+                    sub_live = []
+                    for pre, tail, e in live:
+                        pre *= scale
+                        if e[v]:
+                            pre += e[v] * step
+                            if pre >= sub_l:
+                                continue
+                        sub_live.append((pre, tail - e[v], e))
+                    sub_bound = slot_bound(sub_live, sub_l)
+                    if sub_bound is not None:
+                        kids.append((sub_bound, v, sub_live))
+                # stable: ascending among equal bounds
+                kids.sort(key=lambda kid: by_value(kid[0]), reverse=True)
+                for sub_bound, v, sub_live in kids:
+                    res = rec(prefix + (lam,), order + (v,), sub_l, sub_live,
+                              sub_rems, sub_bound, tight and lam == target)
+                    if res is not None:
+                        return res
+            return None
+
+        return rec((), (), 1, live, {1}, root, above is not None)
+
+    if root is None:
+        return None
+    if above is not None:
+        above = tuple((x.numerator, x.denominator)
+                      if isinstance(x, Fraction) else INF for x in above)
+    best = None
+    while (found := walk(best[0] if best else above)) is not None:
+        best = found
+    if best is None:
+        return None
+    lams, order = best
+    return tuple(x if x == INF else Fraction(*x) for x in lams), order
 
 
 def substitute_maps_oracle(self: Poly, maps: Sequence[Poly]) -> Poly:

@@ -353,6 +353,27 @@ def test_first_block_refusals_exit_2(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+def test_torsion_names_a_mixed_list(capsys):
+    # a sum of squared moduli with a clean system, c = (1, 4, 4, 6), and
+    # the multitype confirmed; but slot 3 (direction z4) takes a list with
+    # two slot-2 fields, of value 2/(1 - 2/4) = 4, which the straightening,
+    # differentiating along z4 alone, does not reach
+    expr = "-2*Re(z1) + |z2|^4 + |z3|^6 + |z2|^2*|z4|^2"
+    code, out, _err = run_cli(capsys, "boundary-system", "--json", "--n", "4",
+                              "--expr", expr)
+    system = json.loads(out)
+    assert (code, system["c"], system["audit"]) == (
+        0, ["1", "4", "4", "6"], [])
+    assert system["slots"]["3"]["list"] == [[3, True], [3, False],
+                                            [2, False], [2, True]]
+    code, out, _err = run_cli(capsys, "multitype", "--n", "4", "--expr", expr)
+    assert (code, out) == (0, "(1, 4, 4, 6) [exact-commutator]\n")
+    assert run_cli(capsys, "torsion", "--n", "4", "--expr", expr) == (
+        2, "", "error: slot 3: scale factor C+ + conj(C-) vanishes; its list "
+        "holds fields of slot 2, and the straightening differentiates "
+        "along z4 alone\n")
+
+
 def test_oversized_power_exits_2_fast(capsys):
     start = time.perf_counter()
     code, _out, err = run_cli(capsys, "parse", "--expr", "|z2+z3+z4|^64",

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,8 @@ from catlin.weights import (INF, MAX_DEGREE_BOUND, MAX_ENUMERATE_DIMENSION,
                             is_admissible, lower_weight_at, multitype_search,
                             recip, STATUS_EXACT, STATUS_LOWER_BOUND)
 
-from helpers import (best_ordered_weight_oracle, brute_admissible_slot,
+from helpers import (best_distinguished_candidates_oracle,
+                     best_ordered_weight_oracle, brute_admissible_slot,
                      catalog_oracle, enumerate_multitypes_oracle,
                      is_admissible_oracle, is_distinguished,
                      lower_weight_at_oracle, multitype_search_oracle,
@@ -541,6 +544,113 @@ def test_best_distinguished_above_ties_and_inf_tails():
     with pytest.raises(PolyError):
         best_distinguished_weight(_evecs(q), q.n,
                                   above=InverseWeight((Fraction(1), 2)))
+
+
+def _nondecreasing_aboves(rng, nvars, found):
+    """``above`` tuples over slots 2..n for the walk: its result ``found``
+    (a tie), a step below and above it at one slot with a finite or INF
+    tail, and one random nondecreasing tuple with an INF tail."""
+    out = []
+    if found is not None:
+        lams = found[0]
+        out.append(lams)
+        j = rng.randrange(nvars)
+        x, prev = lams[j], lams[j - 1] if j else Fraction(1)
+        steps = (x - Fraction(1, 2), x + Fraction(1, 2)) if x != INF \
+            else (prev + rng.randint(0, 20),)
+        for y in steps:
+            if y >= prev:
+                out.append(lams[:j] + (y,) +
+                           (rng.choice((y, INF)),) * (nvars - j - 1))
+    tail = sorted(Fraction(rng.randint(1, 40), rng.randint(1, 3))
+                  for _ in range(nvars))
+    cut = rng.randint(0, nvars)
+    out.append(tuple(max(x, 1) for x in tail[:cut]) + (INF,) * (nvars - cut))
+    return out
+
+
+def test_best_distinguished_matches_candidate_oracle():
+    # the walk takes each slot's bound; the earlier walk also tried every
+    # admissible lambda below it, over the admissibility remainders.  Both
+    # give the same (tuple, order), or None, on 2000 random supports over up
+    # to 5 variables with exponents up to 15, some with a zero vector, with
+    # ``above`` unset, set to the result, stepped at one slot and random
+    rng = random.Random(4301)
+    checked = {"found": 0, "infeasible": 0, "above": 0, "none": 0}
+    for _ in range(2000):
+        nvars = rng.randint(1, 5)
+        evecs = {tuple(rng.randint(1, 15) if rng.random() < 0.4 else 0
+                       for _ in range(nvars))
+                 for _ in range(rng.randint(1, 3))}
+        if rng.random() < 0.1:
+            evecs.add((0,) * nvars)
+        want = best_distinguished_candidates_oracle(evecs, nvars)
+        assert weights._best_distinguished(evecs, nvars) == want, evecs
+        checked["found" if want else "infeasible"] += 1
+        for above in _nondecreasing_aboves(rng, nvars, want):
+            pruned = best_distinguished_candidates_oracle(evecs, nvars, above)
+            assert weights._best_distinguished(evecs, nvars, above) == \
+                pruned, (evecs, above)
+            checked["above" if pruned else "none"] += 1
+    assert min(checked.values()) > 100, checked
+
+
+def test_best_distinguished_high_degree_diagonal_is_fast():
+    # each slot takes its bound at once: the earlier walk enumerated every
+    # admissibility remainder below it and took 51 s here
+    n = 6
+    r = parse_poly("-2*Re(z1) + " + " + ".join(
+        f"|z{v}|^{128 + 2 * v}" for v in range(2, n + 1)), n)
+    start = time.perf_counter()
+    found = best_distinguished_weight(_evecs(r.restrict_support(range(2, 7))),
+                                      n)
+    assert time.perf_counter() - start < 1.0
+    assert found == (InverseWeight((1, 132, 134, 136, 138, 140)),
+                     (2, 3, 4, 5, 6))
+
+
+def test_best_distinguished_forms_no_remainder_set():
+    # a profiler sees every return of the walk's recursion, with its depth
+    # and whether it found a tuple: one call per slot and one for the end
+    # in the walk, then the repeat strictly above (4, 6, 10), which at a
+    # tie tries each allowed variable; and none holds a set (of remainders
+    # or of candidate lambdas) among its locals
+    calls, sets = [], []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "return" and code.co_name == "rec" and \
+                code.co_filename == weights.__file__:
+            calls.append((len(frame.f_locals["prefix"]), arg is not None))
+            sets.extend(name for name, value in frame.f_locals.items()
+                        if isinstance(value, (set, frozenset)))
+    evecs = _evecs(parse_poly("|z2|^4 + |z3|^6 + |z4|^10", 4))
+    sys.setprofile(profile)
+    try:
+        found = weights._best_distinguished(evecs, 3)
+    finally:
+        sys.setprofile(None)
+    assert found == ((4, 6, 10), (0, 1, 2))
+    assert calls == [(3, True), (2, True), (1, True), (0, True),
+                     (3, False), (2, False), (2, False),
+                     (1, False), (1, False), (1, False), (0, False)]
+    assert sets == []
+
+
+def test_best_distinguished_without_above_always_finds_a_weight():
+    # without ``above`` only a zero exponent vector leaves no weight, and
+    # eliminate_harmonic leaves none: so the search and the boundary floor
+    # need no branch for a missing weight
+    rng = random.Random(4302)
+    for _ in range(1000):
+        nvars = rng.randint(1, 8)
+        evecs = set()
+        while len(evecs) < rng.randint(1, 6):
+            e = tuple(rng.randint(1, 20) if rng.random() < 0.4 else 0
+                      for _ in range(nvars))
+            if any(e):
+                evecs.add(e)
+        assert weights._best_distinguished(evecs, nvars) is not None, evecs
 
 
 def _random_model(rng, n):
