@@ -20,7 +20,8 @@ fields, direction, scan position).  Value first is exact: if every earlier
 c_k is at most t, a list of t fields has rem <= counts[j]/t, so value >= t:
 while they are at most the bound, no longer list has a smaller value.  The
 audit reads the same ranking: every list ranked before the slot's own, a
-longer one of smaller value included, must vanish.  The lists produce the
+longer one of smaller value included, must vanish (on a graded build, those
+below c_j do by a degree count, below).  The lists produce the
 commutator multitype (1, c_2, ..., c_n); the associated real functions r_j
 and fields L_j form the boundary system.
 The first equal-value block beyond the Levi slots can be normalized to
@@ -96,7 +97,31 @@ reuses it, as C and M are biholomorphic invariants.  Lambda is admissible
 by construction: each finite entry is the bound t/(1 - P) of an exponent
 vector whose exponents over the slots before it form a row of remainder
 1 - P, and the entry leaves that remainder exactly 0, an admissibility
-witness.  The audit ranks its lists with no floor, because it is the check.
+witness.
+
+The audit takes no floor from Lambda, because it is the check.  Its floor
+is a weighted-degree count in the grading of Catlin's construction (Ann.
+Math. 126, 1987), which it checks on the built system term by term
+(``_graded``), so it does not trust c.  When each Levi field (c = 2) and
+each slow slot points along one coordinate axis, each axis used once, give
+z_1 weight 1 and the axis variable of a field of value c the weight 1/c.
+Suppose every term of r has weighted degree at least 1, and every term of
+each coefficient a_k of each field of value c has weighted degree at least
+w(z_k) - 1/c.  Then the field, or its conjugate, lowers the weighted
+degree of every term by at most 1/c: d/dz_k lowers it by w(z_k), and a_k
+raises it by at least w(z_k) - 1/c.  The (1,0) part of a bracket of two
+fields X, Y, hol_k = X(Y_k) - Y(X_k), has weighted degree at least w(z_k) -
+1/c_X - 1/c_Y, and dr/dz_k at least 1 - w(z_k), so the seed dr([X, Y]) =
+sum_k hol_k dr/dz_k has at least 1 - 1/c_X - 1/c_Y.  A list at slot j with
+counts[k] fields of each slot k, of value v = counts[j]/rem, so has a
+derivative of weighted degree at least 1 - sum_k counts[k]/c_k = rem (1 -
+v/c_j).  When v < c_j that is positive: no term is constant, and the list
+vanishes at 0 without being formed.  Degree capping keeps the bound, as a
+capped product only drops term pairs, and each pair it keeps obeys the
+bound term by term.  A c_j that is too large puts some term below its
+bound, and the check fails; so does a direction off the axes or a
+variable with no finite slot.  Where the check fails, the audit walks every
+list ranked before a slot's own, with no floor.
 """
 
 from __future__ import annotations
@@ -879,15 +904,63 @@ def detect_torsion(bs: BoundarySystem) -> TorsionReport:
 # ----------------------------------------------------------------------
 
 
+def _graded(bs: BoundarySystem) -> bool:
+    """Whether the grading check of the module docstring holds on ``bs``:
+    each Levi field (its value at 0) and each slow slot's direction lies
+    on one coordinate axis, each of z_2..z_n used once; every term of r has
+    weighted degree at least 1; and every term of each coefficient a_k of a
+    field of value c has weighted degree at least w(z_k) - 1/c.  Weights
+    are integers over one common denominator, the lcm of the c-entries'
+    numerators, so z_1 weighs ``common``."""
+    zero = (0,) * bs.n
+    axes: Dict[int, Fraction] = {}  # k (z_{k+1}'s position) -> its field's c
+    fields: List[Tuple[VField, int]] = []
+    for fld, direction, c in (
+            [(lf, [a.coeff(zero, zero) for a in lf.hol[1:]], Fraction(2))
+             for lf in bs.levi_fields]
+            + [(sl.fld, sl.direction, sl.c) for sl in bs.slow.values()]):
+        support = [k for k, x in enumerate(direction, 1) if not x.is_zero()]
+        if len(support) != 1:
+            return False
+        axes[support[0]] = c
+        fields.append((fld, support[0]))
+    if len(axes) < bs.n - 1:
+        # an axis used twice, or a variable with no finite slot, whose
+        # weight is unset (there are at most n - 1 fields)
+        return False
+    common = math.lcm(*(c.numerator for c in axes.values()))
+    weight = [common] + [common * axes[k].denominator // axes[k].numerator
+                         for k in range(1, bs.n)]
+
+    def degree(key: TermKey) -> int:
+        return sum((x + y) * w for x, y, w in zip(*key, weight))
+
+    return all(degree(key) >= common for key in bs.r.terms) and all(
+        degree(key) >= weight[k] - weight[axis]
+        for fld, axis in fields for k, a in enumerate(fld.hol)
+        for key in a.terms)
+
+
 def audit_boundary_system(bs: BoundarySystem) -> List[str]:
     """Re-check of the construction invariants; returns the list of
     violations (empty when sound).  It is not independent of the build: it
     reads the same ranking, ``_ranked``, and list search, ``_ListSearcher``
-    (by the build's table rule, in a store of its own)."""
+    (by the build's table rule, in a store of its own).
+
+    Minimality: every list ranked before a slot's own must vanish at 0.
+    When ``_graded(bs)`` holds, the lists of value below c_j do by the
+    degree count of the module docstring, so the walk at slot j starts at
+    value c_j and ends at the slot's own list: it checks the lists of value
+    c_j ranked before it, none longer.  A slot whose own list breaks
+    admissibility or property (5) is flagged for that, and keeps the walk
+    from the first list, so that the report names the first nonvanishing
+    list ranked before its own, as the unfloored walk does.  When the check
+    fails, every slot walks with no floor, up to the build's bound."""
     problems: List[str] = []
     zero = (0,) * bs.n
     fields = {j: s.fld for j, s in bs.slow.items()}
     store: Dict[tuple, Any] = {}
+    graded = _graded(bs)
     longest = max([bs.list_bound] + [len(s.entries) for s in bs.slow.values()])
     for i, lf in enumerate(bs.levi_fields):
         if not _apply_field(lf.hol, bs.r).is_zero():
@@ -919,8 +992,12 @@ def audit_boundary_system(bs: BoundarySystem) -> List[str]:
                     problems.append(
                         f"slot {j}: L_{j} r_{k} != 0 (up to degree "
                         f"{bs.trunc_degree})")
-        # minimality: every list ranked before the slot's own vanishes at 0
-        for value, length, skeleton in _ranked(bs.slow, j, 2, bs.list_bound):
+        # minimality: every list ranked before the slot's own vanishes at 0;
+        # with property (5), the own list's value is c_j
+        ranked = _ranked(bs.slow, j, 2, len(groups), sl.c) \
+            if graded and frac < 1 and total == 1 \
+            else _ranked(bs.slow, j, 2, bs.list_bound)
+        for value, length, skeleton in ranked:
             if skeleton == groups or (value, length) > (sl.c, len(groups)):
                 break
             entries = searcher.first_nonzero(skeleton)

@@ -12,7 +12,9 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from catlin.boundary import ListEntry, VField, _field_from_vector
+from catlin.boundary import (BoundarySystem, ListEntry, VField,
+                             _apply_field, _field_from_vector, _ListSearcher,
+                             _ranked)
 from catlin.exact import CI, CZERO, CRat, hermitian_form, inverse, rat_str
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          PositivityVerdict, _check_tangential, _random_crat,
@@ -849,6 +851,58 @@ class ListSearcherOracle:
                 if res is not None:
                     return res + [e1, e2]
         return None
+
+
+def audit_boundary_system_oracle(bs: BoundarySystem) -> List[str]:
+    """The earlier ``boundary.audit_boundary_system``, without the grading
+    check: every slot's minimality walk ranks every list before the slot's
+    own from the first one, with no floor, up to the build's bound."""
+    problems: List[str] = []
+    zero = (0,) * bs.n
+    fields = {j: s.fld for j, s in bs.slow.items()}
+    store: Dict[tuple, object] = {}
+    longest = max([bs.list_bound] + [len(s.entries) for s in bs.slow.values()])
+    for i, lf in enumerate(bs.levi_fields):
+        if not _apply_field(lf.hol, bs.r).is_zero():
+            problems.append(f"Levi field {i + 2}: L(r) != 0")
+    for j, sl in sorted(bs.slow.items()):
+        searcher = _ListSearcher(bs.r, fields, longest, store, j)
+        if not _apply_field(sl.fld.hol, bs.r).is_zero():
+            problems.append(f"slot {j}: L_{j}(r) != 0")
+        if not searcher.derivative(sl.entries).coeff(zero, zero):
+            problems.append(f"slot {j}: list derivative vanishes at 0")
+        if sl.entries[0][0] != j:
+            problems.append(f"slot {j}: list does not start in S_{j}")
+        groups = [s for s, _c in sl.entries]
+        if groups != sorted(groups, reverse=True):
+            problems.append(f"slot {j}: list is not ordered")
+        frac = sum((Fraction(groups.count(k)) / bs.slow[k].c
+                    for k in bs.slow if k < j), Fraction(0))
+        if frac >= 1:
+            problems.append(f"slot {j}: admissibility sum {frac} >= 1")
+        total = frac + Fraction(groups.count(j)) / sl.c
+        if total != 1:
+            problems.append(f"slot {j}: property-(5) sum {total} != 1")
+        if _apply_field(sl.fld.hol, sl.r_func, 0).is_zero():
+            problems.append(f"slot {j}: L_{j} r_{j} vanishes at 0")
+        for k, other in bs.slow.items():
+            if k < j:
+                lr = _apply_field(sl.fld.hol, other.r_func, bs.trunc_degree)
+                if not lr.is_zero():
+                    problems.append(
+                        f"slot {j}: L_{j} r_{k} != 0 (up to degree "
+                        f"{bs.trunc_degree})")
+        for value, length, skeleton in _ranked(bs.slow, j, 2, bs.list_bound):
+            if skeleton == groups or (value, length) > (sl.c, len(groups)):
+                break
+            entries = searcher.first_nonzero(skeleton)
+            if entries is not None:
+                problems.append(
+                    f"slot {j}: admissible list of value {value} and "
+                    f"{length} fields {entries} has nonzero derivative and is "
+                    "ranked before the slot's own; minimality broken")
+                break
+    return problems
 
 
 # ----------------------------------------------------------------------

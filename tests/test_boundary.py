@@ -1,7 +1,12 @@
 import collections
+import copy
+import importlib.util
 import itertools
+import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +29,7 @@ from catlin.poly import (CoordChange, Poly, PolyError, _mul_terms,
 from catlin.weights import INF, InverseWeight, is_admissible, multitype_search
 
 from helpers import (ListSearcherOracle, _truncate, apply_field_oracle,
+                     audit_boundary_system_oracle,
                      commutator_oracle, compositions_oracle, rand_crat,
                      rand_real_poly, slow_field_oracle)
 
@@ -507,7 +513,7 @@ def _tamper_minimality(bs):
     bs.slow[3].entries = bs.slow[3].entries + [(3, False)]
 
 
-@pytest.mark.parametrize("tamper,problem", [
+TAMPERED = [
     (_tamper_levi_field, "Levi field 2: L(r) != 0"),
     (_tamper_slow_field, "slot 4: L_4(r) != 0"),
     (_tamper_vanishing_list, "slot 3: list derivative vanishes at 0"),
@@ -522,7 +528,10 @@ def _tamper_minimality(bs):
         "slot 3: admissible list of value 4 and 4 fields [(3, True), "
         "(3, False), (3, False), (3, True)] has nonzero derivative and is "
         "ranked before the slot's own; minimality broken",
-        id="_tamper_minimality-minimality broken")])
+        id="_tamper_minimality-minimality broken")]
+
+
+@pytest.mark.parametrize("tamper,problem", TAMPERED)
 def test_audit_flags_each_tampered_invariant(tamper, problem):
     bs = _audit_model()
     assert audit_boundary_system(bs) == []
@@ -959,10 +968,15 @@ def test_audit_flags_a_shorter_list_of_larger_value():
     # The last of MIXED_MODELS as a fields-first ranking built it: slot 4
     # recorded with the six-field list of value 12, which keeps property
     # (5).  The eight-field list of value 8 is ranked before it and is
-    # nonzero, so the audit flags it, though it is longer.
+    # nonzero, so the audit flags it, though it is longer.  The recorded c =
+    # (1, 4, 6, 12) fails the audit's grading check (slot 4 lies along z2,
+    # and |z2|^8 has weighted degree 8/12 < 1), so the audit walks the
+    # lists below c_4 with no floor, as the unfloored oracle does.
     bs = build_boundary_system(parse_poly(MIXED_MODELS[-1], 4))
     assert bs.c_entries == (1, 4, 6, 8)
     assert audit_boundary_system(bs) == []
+    assert boundary._graded(bs)
+    assert bs.slow[4].direction == (CRat(1), CRat(0), CRat(0))
     own = bs.slow[4].entries
     assert [s for s, _c in own] == [4] * 8
     skeleton = [4, 4, 3, 3, 2, 2]
@@ -971,7 +985,8 @@ def test_audit_flags_a_shorter_list_of_larger_value():
     bs.slow[4].entries = searcher.first_nonzero(skeleton)
     bs.slow[4].c = _list_value(bs, skeleton)
     assert bs.slow[4].c == 12
-    assert audit_boundary_system(bs) == [
+    assert not boundary._graded(bs)
+    assert _audits_agree(bs) == [
         f"slot 4: admissible list of value 8 and 8 fields {own} has nonzero "
         "derivative and is ranked before the slot's own; minimality broken"]
 
@@ -1109,20 +1124,23 @@ def test_build_takes_the_least_nonvanishing_list_by_brute_force():
             used = [sl.direction for sl in prior]
             c_prev = {sl.slot: sl.c for sl in prior}
             best = None
+            # each direction's field and searcher, formed once per slot:
+            # neither depends on the number of fields
+            searchers = []
+            for i, direction in enumerate(catalog):
+                if rank(used + [direction]) == rank(used):
+                    continue
+                fld = slow_field_oracle(r, c1, p_hess, direction,
+                                        bs.levi_fields, prior,
+                                        bs.trunc_degree)
+                if fld is not None:
+                    searchers.append((i, direction, ListSearcherOracle(
+                        r, {**{sl.slot: sl.fld for sl in prior}, j: fld},
+                        bs.list_bound - 2)))
             for total in range(3, bs.list_bound + 1):
                 lists = compositions_oracle(total, sorted(c_prev) + [j],
                                             c_prev)
-                for i, direction in enumerate(catalog):
-                    if rank(used + [direction]) == rank(used):
-                        continue
-                    fld = slow_field_oracle(r, c1, p_hess, direction,
-                                            bs.levi_fields, prior,
-                                            bs.trunc_degree)
-                    if fld is None:
-                        continue
-                    searcher = ListSearcherOracle(
-                        r, {**{sl.slot: sl.fld for sl in prior}, j: fld},
-                        bs.list_bound - 2)
+                for i, direction, searcher in searchers:
                     for position, counts in enumerate(lists):
                         rem = 1 - sum(Fraction(counts[k]) / c
                                       for k, c in c_prev.items())
@@ -1235,18 +1253,33 @@ def test_finished_slot_seeds_and_states_are_formed_once(monkeypatch):
         assert set(seeds.values()) == {1} and set(states.values()) == {1}
 
 
+# DIAGONAL_N4 with z3 -> z3 + z4: the same c-entries along the same axes,
+# but |z4|^6 in r has weighted degree 6/8 < 1, so the audit's grading check
+# fails and every slot's minimality walk starts at the first list
+MIXED_N4 = "-2*Re(z1) + |z2|^4 + |z3 + z4|^6 + |z4|^8"
+
+
 def test_audit_seeds_and_states_are_formed_once(monkeypatch):
     # The audit keeps a store of its own by the build's table rule: each of
     # its seeds and tail states over the slots below the slot it checks is
     # formed once per audit, for every list it derives or searches and
-    # every later slot.
-    r = parse_poly(DIAGONAL_N4, 4)
-    bs = build_boundary_system(r)
-    problems, seeds, states = _finished_tables_formed(
-        monkeypatch, r, lambda: audit_boundary_system(bs))
-    assert problems == []
-    assert set(states.values()) == {1} and set(seeds.values()) == {1}
-    assert len(seeds) >= 8 and len(states) >= 50, (seeds, len(states))
+    # every later slot.  MIXED_N4 fails the grading check, so its audit
+    # walks every list below c_j, as every audit once did; the graded
+    # DIAGONAL_N4 walks only the lists of value c_j, and forms 8 of each.
+    for expr, graded, least_states in ((MIXED_N4, False, 50),
+                                       (DIAGONAL_N4, True, 8)):
+        r = parse_poly(expr, 4)
+        bs = build_boundary_system(r)
+        assert bs.c_entries == (1, 4, 6, 8)
+        assert boundary._graded(bs) == graded
+        problems, seeds, states = _finished_tables_formed(
+            monkeypatch, r, lambda: audit_boundary_system(bs))
+        assert problems == []
+        assert set(states.values()) == {1} and set(seeds.values()) == {1}
+        assert len(seeds) >= 8 and len(states) >= least_states, \
+            (expr, seeds, len(states))
+        if graded:
+            assert (len(seeds), len(states)) == (8, 8)
 
 
 def test_finished_slot_coefficient_tables_are_formed_once(monkeypatch):
@@ -1306,8 +1339,10 @@ def test_tangency_system_is_formed_once_per_slot(monkeypatch):
 
 def test_admissible_rows_once_per_slot(monkeypatch):
     # a build and its audit each form the admissible rows of a slot once,
-    # for its largest total (the build's bound, as the audit ranks every
-    # list the build could take), not once per total
+    # for its largest total, not once per total: the build's bound for the
+    # build, and for the audit of this graded build the length of the
+    # slot's own list (4, 6 and 8 fields), as it walks only the lists of
+    # value c_j ranked before that list
     calls = []
     rows = boundary.admissible_rows
 
@@ -1320,7 +1355,245 @@ def test_admissible_rows_once_per_slot(monkeypatch):
     assert calls == [((), 7), ((4,), 7), ((4, 6), 7)]
     calls.clear()
     assert audit_boundary_system(bs) == []
-    assert calls == [((), 7), ((4,), 7), ((4, 6), 7)]
+    assert calls == [((), 3), ((4,), 5), ((4, 6), 7)]
+
+
+# ----------------------------------------------------------------------
+# the audit's grading check: lists below c_j vanish by a degree count
+# ----------------------------------------------------------------------
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" \
+    / "workloads.py"
+
+
+def _benchmark_models():
+    """Each distinct (expr, n) of the benchmark's normalize and boundary
+    workloads, timed jobs and after-jobs, at seeds 5, 7 and 23.
+    ``perfbench/workloads.py`` imports only the standard library, so it is
+    loaded here by path, without the harness."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        models = {}
+        for seed in (5, 7, 23):
+            for make in (module.make_normalize, module.make_boundary,
+                         module.boundary_after):
+                for job in make(random.Random(seed)):
+                    models.setdefault((job.expr, job.n), job.command)
+    finally:
+        del sys.modules[spec.name]
+    return list(models)
+
+
+def _audits_agree(bs):
+    """The audit's problems, after checking that the unfloored oracle
+    reports the same ones."""
+    problems = audit_boundary_system(bs)
+    assert problems == audit_boundary_system_oracle(bs), str(bs.r)
+    return problems
+
+
+def test_audit_matches_the_unfloored_oracle_on_named_models():
+    # The distinct models of the benchmark's workloads at seeds 5, 7 and 23
+    # (110: boundary, torsion and normalize jobs), MIXED_MODELS and the
+    # torsion model's z4 lifts: the audit reports what the oracle does,
+    # though on a graded build it walks no list below c_j.
+    models = _benchmark_models()
+    assert len(models) >= 100
+    models += [(expr, 4) for expr in MIXED_MODELS]
+    models += [(torsion_lift(k), 4) for k in (1, 2, 3)]
+    graded = 0
+    for expr, n in models:
+        try:
+            bs = build_boundary_system(parse_poly(expr, n))
+        except PolyError:
+            continue  # refused builds have nothing to audit
+        assert _audits_agree(bs) == [], expr
+        graded += boundary._graded(bs)
+    # both walks are reached
+    assert 90 <= graded < len(models) - 10, graded
+
+
+def _changed(bs, slot=None, **changes):
+    """A copy of ``bs`` with ``changes`` made to slot ``slot``, or to the
+    system itself when no slot is given; the copy shares every unchanged
+    part with ``bs``."""
+    out = copy.copy(bs)
+    out.slow = {k: copy.copy(sl) for k, sl in bs.slow.items()}
+    for name, value in changes.items():
+        setattr(out if slot is None else out.slow[slot], name, value)
+    return out
+
+
+def _tamper(bs, j, kind):
+    """A copy of ``bs`` with one invariant of slot j broken by ``kind``."""
+    sl = bs.slow[j]
+    if kind == "levi":
+        return _changed(bs, levi_fields=[
+            _drop_z1_coefficient(bs.levi_fields[0])] + bs.levi_fields[1:])
+    if kind in ("c+1", "c-1"):
+        return _changed(bs, j, c=sl.c + (1 if kind == "c+1" else -1))
+    if kind == "field":
+        return _changed(bs, j, fld=_drop_z1_coefficient(sl.fld))
+    if kind == "r_j":
+        return _changed(bs, j, r_func=Poly.zero(bs.n))
+    if kind == "r_k":
+        return _changed(bs, j, r_func=sl.r_func + parse_poly(
+            f"Re(z{bs.n})", bs.n))
+    first, rest = sl.entries[0], sl.entries[1:]
+    return _changed(bs, j, entries={
+        "longer": lambda: sl.entries + [(j, False)],
+        "shorter": lambda: rest,
+        "flag": lambda: [(first[0], not first[1])] + rest,
+        "reversed": lambda: sl.entries[::-1],
+        # slot j's fields alone, as many as keep the value below c_j
+        "below": lambda: [(j, True)] + [(j, False)] * (math.ceil(sl.c) - 2),
+    }[kind]())
+
+
+TAMPERS = ["c+1", "c-1", "field", "longer", "shorter", "flag", "reversed",
+           "below", "r_j", "r_k", "levi"]
+
+
+def test_audit_matches_the_unfloored_oracle_on_random_tampered_builds():
+    # 520 seeded random builds (the certified models of _certified_model,
+    # with Levi rank, permuted variables and infinite entries among them),
+    # each audited as built and with one invariant of a random slot broken:
+    # c_j raised and lowered by one, a field's z1 coefficient dropped, a
+    # list grown, shortened, conjugated, reversed or replaced by one of
+    # value below c_j, r_j zeroed or shifted; and the tampered builds of
+    # test_audit_flags_each_tampered_invariant.  The audit reports what the
+    # unfloored oracle does on every one.
+    rng = random.Random(20261020)
+    builds = graded = flagged = 0
+    kinds = collections.Counter()
+    while builds < 520:
+        r = _certified_model(rng)
+        try:
+            bs = build_boundary_system(r)
+        except PolyError:
+            continue
+        builds += 1
+        graded += boundary._graded(bs)
+        _audits_agree(bs)
+        if not bs.slow:
+            continue
+        j = rng.choice(sorted(bs.slow))
+        kind = rng.choice(TAMPERS[:-1] if not bs.levi_fields
+                          else TAMPERS)
+        if kind == "shorter" and len(bs.slow[j].entries) < 4 or \
+                kind == "below" and bs.slow[j].c <= 3:
+            kind = rng.choice(["c+1", "c-1"])
+        kinds[kind] += 1
+        flagged += bool(_audits_agree(_tamper(bs, j, kind)))
+    for case in TAMPERED:
+        tamper, _problem = getattr(case, "values", case)
+        bs = _audit_model()
+        tamper(bs)
+        assert _audits_agree(bs)
+    # both walks are reached, and most tampers are flagged
+    assert 300 <= graded <= builds - 100 and flagged >= 400, (graded,
+                                                              flagged)
+    assert len(kinds) == len(TAMPERS) and min(kinds.values()) >= 10, kinds
+
+
+def test_grading_check_fails_when_any_condition_breaks():
+    # The check holds on the graded DIAGONAL_N4 build and on _audit_model's
+    # (Levi rank 1 along z2), and fails once one condition breaks: a term
+    # of r below weighted degree 1 (|z4|^6 weighs 6/8), a field coefficient
+    # term below its bound (a constant in a_2 of slot 4's field, bound 1/4 -
+    # 1/8), two fields on one axis, a slow direction or a Levi field off
+    # the axes, or a variable with no finite slot.
+    bs = build_boundary_system(parse_poly(DIAGONAL_N4, 4))
+    levi = _audit_model()
+    assert boundary._graded(bs) and boundary._graded(levi)
+    one = Poly.const(4, CRat(1))
+
+    hol = bs.slow[4].fld.hol
+    cases = [
+        _changed(bs, r=bs.r + parse_poly("|z4|^6", 4)),
+        _changed(bs, 4, fld=VField((hol[0], hol[1] + one) + hol[2:])),
+        _changed(bs, 3, direction=bs.slow[2].direction),
+        _changed(bs, 4, direction=(CRat(0), CRat(1), CRat(1))),
+        _changed(levi, levi_fields=[VField(
+            (levi.levi_fields[0].hol[0], one, one, Poly.zero(4)))]),
+        build_boundary_system(parse_poly("-2*Re(z1) + |z2|^4 + |z3|^6", 4)),
+    ]
+    assert [boundary._graded(system) for system in cases] == [False] * 6
+
+
+def _grading_weights(bs):
+    """The weights of the lemma, as Fractions: z_1 weighs 1, and the axis
+    variable of each Levi field 1/2 and of each slow slot 1/c_j."""
+    zero = (0,) * bs.n
+    weight = [Fraction(1)] + [None] * (bs.n - 1)
+    for lf in bs.levi_fields:
+        k, = [k for k, a in enumerate(lf.hol)
+              if k and not a.coeff(zero, zero).is_zero()]
+        weight[k] = Fraction(1, 2)
+    for sl in bs.slow.values():
+        k, = [k for k, x in enumerate(sl.direction, 1) if not x.is_zero()]
+        weight[k] = 1 / sl.c
+    return weight
+
+
+def test_lists_below_c_j_have_positive_weighted_degree():
+    # The lemma behind the audit's floor, by brute force: on every graded
+    # build of test_build_takes_the_least_nonvanishing_list_by_brute_force,
+    # every admissible list at slot j of value below c_j, up to the bound,
+    # in every conjugation pattern, has a derivative (formed uncapped by
+    # ListSearcherOracle) whose terms all have weighted degree at least
+    # 1 - sum of 1/c over its fields, which is positive; each tail of the
+    # list, a shorter list derivative, obeys the same bound.
+    builds = lists = terms = 0
+    for r, floor in _judged_models():
+        try:
+            bs = _built(r, floor)
+        except PolyError:
+            continue
+        if not boundary._graded(bs):
+            continue
+        builds += 1
+        weight = _grading_weights(bs)
+        lowers = {k: 1 / sl.c for k, sl in bs.slow.items()}
+        searcher = ListSearcherOracle(
+            bs.r, {k: sl.fld for k, sl in bs.slow.items()}, None)
+        for j, sl in sorted(bs.slow.items()):
+            c_prev = {k: bs.slow[k].c for k in bs.slow if k < j}
+            for total in range(2, bs.list_bound + 1):
+                for counts in compositions_oracle(
+                        total, sorted(c_prev) + [j], c_prev):
+                    rem = 1 - sum(Fraction(counts[k]) / c
+                                  for k, c in c_prev.items())
+                    if counts[j] / rem >= sl.c:
+                        continue
+                    lists += 1
+                    skeleton = [k for k in sorted(counts, reverse=True)
+                                for _ in range(counts[k])]
+                    e1s, e2s = ([(skeleton[i], f) for f in (False, True)]
+                                for i in (-2, -1))
+                    todo = [(len(skeleton) - 3, searcher.seed(e1, e2),
+                             1 - lowers[e1[0]] - lowers[e2[0]])
+                            for e1 in e1s for e2 in e2s if e1 != e2]
+                    while todo:
+                        pos, derivative, least = todo.pop()
+                        # the whole list lowers the degree by less than 1
+                        assert pos >= 0 or least > 0
+                        for a, b in derivative.terms:
+                            assert sum((x + y) * w for x, y, w in
+                                       zip(a, b, weight)) >= least, \
+                                (str(r), skeleton)
+                        terms += len(derivative.terms)
+                        if pos >= 0 and not derivative.is_zero():
+                            todo += [(pos - 1, searcher.apply(
+                                (skeleton[pos], f), derivative, None),
+                                      least - lowers[skeleton[pos]])
+                                     for f in (False, True)]
+    assert builds >= 80 and lists >= 2000 and terms >= 10000, \
+        (builds, lists, terms)
 
 
 def _check_floored_ranking(slow, slot, first, last, floors):
