@@ -10,7 +10,7 @@ from .exact import CRat
 from .parser import ParseError, parse_poly
 from .poly import (CoordChange, NonRealError, Poly, PolyError,
                    PseudoconvexityError, eliminate_harmonic,
-                   revlex_max_balanced, split_model, weighted_order)
+                   revlex_max_balanced, split_model)
 from .weights import (InverseWeight, Multitype, Weight, counting_bound,
                       enumerate_multitypes, is_admissible, multitype_search)
 from .levi import (PositivityVerdict, cauchy_schwarz_pairing, complex_hessian,

@@ -614,8 +614,10 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         used = [sl.direction for sl in slow.values()]
         finished = {j: sl.fld for j, sl in slow.items()}
         found = None
-        # the catalog directions outside the span of the slots built so far
-        directions = [d for d in catalog if rank(used + [d]) > rank(used)]
+        # the catalog directions outside the span of the slots built so far;
+        # each slot's direction lay outside the span of those before it, so
+        # ``used`` is independent and its rank is its length
+        directions = [d for d in catalog if rank(used + [d]) > len(used)]
         # by position in ``directions``: the searcher over the direction's
         # slow field, None when the field cannot be built
         searchers: Dict[int, Optional[_ListSearcher]] = {}

@@ -238,8 +238,9 @@ def _extract_row(pm: Poly, m: int) -> Tuple[Tuple[int, ...], Fraction]:
         if dl % 2 != 0:
             raise PseudoconvexityError(
                 f"slot {m}: top degree {dl} in (z_{l}, zbar_{l}) is odd")
-        current = Poly(current.n, {k: c for k, c in current.terms.items()
-                                   if k[0][l - 1] == k[1][l - 1] == dl // 2})
+        current = Poly._unchecked(current.n, {
+            k: c for k, c in current.terms.items()
+            if k[0][l - 1] == k[1][l - 1] == dl // 2})
         if current.is_zero():
             raise PseudoconvexityError(
                 f"slot {m}: the top (z_{l}, zbar_{l}) part has no balanced "

@@ -104,10 +104,10 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     tokens = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {text[m.start()]!r}",
-                             m.start())
+        # the match's own start would count its leading whitespace
         val, start = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {val!r}", start)
         if kind in _LETTERS and len(val) - _LETTERS[kind] > MAX_DIGITS:
             raise ParseError(f"number longer than {MAX_DIGITS} digits", start)
         tokens.append((kind, val, start))

@@ -18,6 +18,18 @@ Conventions used throughout the package:
 * the zero polynomial has an empty term map; the dimension is carried
   separately.
 
+Validation happens at the edge.  The checked constructor ``Poly(n, terms)``,
+``Poly.monomial``, ``Poly.from_json_dict`` and the parser check what comes
+from outside the program: the dimension, each key's length and signs, each
+coefficient.  A polynomial derived from a valid one (ring operations, pure
+and holomorphic parts, restrictions, top-degree parts, the parts of
+``grade``, ``split_model``'s p) is built by ``Poly._unchecked``, which only
+drops zero coefficients; ``Poly.zero``, ``const`` and ``variable`` check
+their arguments and build the same way.  A weighted order (alpha + beta | mu)
+is an integer, the dot product with mu scaled by its common denominator
+(``_integer_weight``), in ``Poly.grade`` and in ``CoordChange``'s weight
+clause.
+
 All values are immutable after construction and all operations are pure, so
 they may be shared freely across threads.
 """
@@ -27,8 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from operator import add, itemgetter, mul
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import CRat, CZERO, Rat, rank, rat_from_str, rat_str
 
@@ -105,19 +117,22 @@ class Poly:
 
     @staticmethod
     def zero(n: int) -> "Poly":
-        return Poly(n, {})
+        _check_dimension(n)
+        return Poly._unchecked(n, {})
 
     @staticmethod
     def const(n: int, c: "CRat | Rat") -> "Poly":
+        c = CRat.of(c)
+        _check_dimension(n)
         z = (0,) * n
-        return Poly(n, {(z, z): CRat.of(c)})
+        return Poly._unchecked(n, {(z, z): c})
 
     @staticmethod
     def variable(n: int, j: int) -> "Poly":
         """The monomial z_j (1-based)."""
         _check_var(n, j)
-        alpha = tuple(1 if i == j - 1 else 0 for i in range(n))
-        return Poly(n, {(alpha, (0,) * n): CRat(1)})
+        _check_dimension(n)
+        return Poly._unchecked(n, {(_unit(n, j), (0,) * n): CRat(1)})
 
     @staticmethod
     def monomial(n: int, alpha: Sequence[int], beta: Sequence[int],
@@ -197,18 +212,18 @@ class Poly:
     def pure_part(self) -> "Poly":
         """Terms z^alpha or zbar^beta (harmonic monomials), constants included."""
         zero = (0,) * self.n
-        return Poly(self.n, {k: c for k, c in self.terms.items()
-                             if k[0] == zero or k[1] == zero})
+        return Poly._unchecked(self.n, {k: c for k, c in self.terms.items()
+                                        if k[0] == zero or k[1] == zero})
 
     def holomorphic_part(self) -> "Poly":
         zero = (0,) * self.n
-        return Poly(self.n, {k: c for k, c in self.terms.items()
-                             if k[1] == zero and k[0] != zero})
+        return Poly._unchecked(self.n, {k: c for k, c in self.terms.items()
+                                        if k[1] == zero and k[0] != zero})
 
     def antiholomorphic_part(self) -> "Poly":
         zero = (0,) * self.n
-        return Poly(self.n, {k: c for k, c in self.terms.items()
-                             if k[0] == zero and k[1] != zero})
+        return Poly._unchecked(self.n, {k: c for k, c in self.terms.items()
+                                        if k[0] == zero and k[1] != zero})
 
     def is_holomorphic(self) -> bool:
         zero = (0,) * self.n
@@ -238,29 +253,35 @@ class Poly:
     def restrict_support(self, keep: Iterable[int]) -> "Poly":
         """Terms supported on the 1-based variable set ``keep`` (others set to 0)."""
         ks = {j - 1 for j in keep}
-        out = {}
-        for (a, b), c in self.terms.items():
-            if all((a[i] == 0 and b[i] == 0) or i in ks for i in range(self.n)):
-                out[(a, b)] = c
-        return Poly(self.n, out)
+        drop = [i for i in range(self.n) if i not in ks]
+        return Poly._unchecked(self.n, {
+            (a, b): c for (a, b), c in self.terms.items()
+            if not any(a[i] or b[i] for i in drop)})
 
     def top_degree_part(self, j: int) -> "Poly":
         """Terms of maximal total degree in (z_j, zbar_j)."""
         d = self.degree_in(j)
-        return Poly(self.n, {k: c for k, c in self.terms.items()
-                             if k[0][j - 1] + k[1][j - 1] == d})
+        return Poly._unchecked(self.n, {k: c for k, c in self.terms.items()
+                                        if k[0][j - 1] + k[1][j - 1] == d})
 
     # ------------------------------------------------------------------
     # weights and grading
     # ------------------------------------------------------------------
 
     def grade(self, mu: Sequence[Fraction]) -> Dict[Fraction, "Poly"]:
-        """Partition of terms by exact weighted order; the parts sum back to self."""
-        buckets: Dict[Fraction, Dict[TermKey, CRat]] = {}
-        for (a, b), c in self.terms.items():
-            w = weighted_order((a, b), mu)
-            buckets.setdefault(w, {})[(a, b)] = c
-        return {w: Poly(self.n, t) for w, t in sorted(buckets.items())}
+        """Partition of terms by exact weighted order (alpha + beta | mu), in
+        ascending order; the parts sum back to self.  Each order is an
+        integer dot product over mu's common denominator."""
+        if len(mu) != self.n:
+            raise DimensionMismatch("weight length != exponent length")
+        w, den = _integer_weight(mu)
+        buckets: Dict[int, Dict[TermKey, CRat]] = {}
+        for key, c in self.terms.items():
+            a, b = key
+            order = sum(map(mul, a, w)) + sum(map(mul, b, w))
+            buckets.setdefault(order, {})[key] = c
+        return {Fraction(order, den): Poly._unchecked(self.n, t)
+                for order, t in sorted(buckets.items())}
 
     # ------------------------------------------------------------------
     # calculus
@@ -556,17 +577,13 @@ def require_real(p: Poly, what: str = "polynomial") -> Poly:
     return p
 
 
-def weighted_order(pair: TermKey, mu: Sequence[Fraction]) -> Fraction:
-    """(alpha + beta | mu), an exact rational."""
-    alpha, beta = pair
-    if len(alpha) != len(mu):
-        raise DimensionMismatch("weight length != exponent length")
-    total = Fraction(0)
-    for a, b, m in zip(alpha, beta, mu):
-        e = a + b
-        if e:
-            total += e * Fraction(m)
-    return total
+def _integer_weight(mu: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(w, d) with mu = w / d: d the least common denominator of mu's
+    entries, so a weighted order (alpha + beta | mu) is the integer
+    (alpha + beta | w) over d."""
+    mu = [Fraction(m) for m in mu]
+    den = math.lcm(*(m.denominator for m in mu))
+    return [m.numerator * (den // m.denominator) for m in mu], den
 
 
 def split_model(r: Poly) -> Tuple[CRat, Poly]:
@@ -588,7 +605,7 @@ def split_model(r: Poly) -> Tuple[CRat, Poly]:
                 raise ModelShapeError("z1 appears beyond the linear head")
             continue
         p_terms[(a, b)] = c
-    return c1, Poly(n, p_terms)
+    return c1, Poly._unchecked(n, p_terms)
 
 
 def eliminate_harmonic(r: Poly) -> Tuple[Poly, Poly]:
@@ -672,6 +689,7 @@ class CoordChange:
         if len(self.maps) != self.n or len(self.mu) != self.n:
             raise DimensionMismatch("need one map and one weight per variable")
         zero = (0,) * self.n
+        w, _den = _integer_weight(self.mu)
         for j, f in enumerate(self.maps, start=1):
             if f.n != self.n:
                 raise DimensionMismatch("component map dimension mismatch")
@@ -681,11 +699,10 @@ class CoordChange:
                 raise PolyError(f"component map {j} does not fix the origin")
             if not self.graded:
                 continue
-            wj = self.mu[j - 1]
-            for (a, b) in f.terms:
-                if weighted_order((a, b), self.mu) < wj:
-                    raise PolyError(
-                        f"component map {j} has a monomial of weight below {wj}")
+            # f is holomorphic: each term's order is (alpha | w)
+            if any(sum(map(mul, a, w)) < w[j - 1] for a, _b in f.terms):
+                raise PolyError(f"component map {j} has a monomial of weight "
+                                f"below {self.mu[j - 1]}")
         if self.graded:
             for block in _weight_blocks(self.mu):
                 m = [[self.maps[j - 1].coeff(_unit(self.n, i), zero)

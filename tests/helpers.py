@@ -4,12 +4,15 @@ command runs, for the test suite."""
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
+from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from catlin.boundary import (BoundarySystem, ListEntry, VField,
@@ -25,8 +28,34 @@ from catlin.normal_form import (_Degenerate, _bal_monomial_alpha,
 from catlin.poly import (CoordChange, DimensionMismatch, Poly, PolyError,
                          PseudoconvexityError, TermKey, _capped_products,
                          eliminate_harmonic, require_real, split_model,
-                         term_sort_key, weighted_order)
+                         term_sort_key)
 from catlin.weights import INF, Entry, InverseWeight, Weight, recip
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" \
+    / "workloads.py"
+
+
+def benchmark_models() -> List[Tuple[str, int]]:
+    """Each distinct (expr, n) of the benchmark's normalize and boundary
+    workloads, timed jobs and after-jobs, at seeds 5, 7 and 23.
+    ``perfbench/workloads.py`` imports only the standard library, so it is
+    loaded here by path, without the harness."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        models = {}
+        for seed in (5, 7, 23):
+            for make in (module.make_normalize, module.make_boundary,
+                         module.boundary_after):
+                for job in make(random.Random(seed)):
+                    models.setdefault((job.expr, job.n), job.command)
+    finally:
+        del sys.modules[spec.name]
+    return list(models)
 
 
 def _frac(x) -> Fraction:
@@ -242,6 +271,21 @@ def linear_change(n: int, matrix: Dict[Tuple[int, int], Fraction],
                  for (i, j), c in matrix.items() if i == row), Poly.zero(n))
             for row in range(1, n + 1)]
     return CoordChange(n, maps, mu)
+
+
+def weighted_order(pair: TermKey, mu: Sequence[Fraction]) -> Fraction:
+    """(alpha + beta | mu), an exact rational summed entry by entry: the
+    oracle for ``Poly.grade`` and ``CoordChange``, which weigh on integers
+    over mu's common denominator."""
+    alpha, beta = pair
+    if len(alpha) != len(mu):
+        raise DimensionMismatch("weight length != exponent length")
+    total = Fraction(0)
+    for a, b, m in zip(alpha, beta, mu):
+        e = a + b
+        if e:
+            total += e * Fraction(m)
+    return total
 
 
 def tail(p: Poly, mu: Sequence[Fraction]) -> Poly:

@@ -16,13 +16,13 @@ from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, psd_verdict,
                          replay_refutation, verify_psd_certificate)
 from catlin.normal_form import normalize, verify_normal_form
 from catlin.parser import parse_poly
-from catlin.poly import Poly, eliminate_harmonic, weighted_order
+from catlin.poly import Poly, eliminate_harmonic
 from catlin.weights import (InverseWeight, counting_bound, enumerate_multitypes,
                             is_admissible, multitype_search)
 
 from helpers import (_rational_rank, all_satisfied,
                      homogenized_modulus_square, linear_change,
-                     one_var_coeff_check, rand_real_poly)
+                     one_var_coeff_check, rand_real_poly, weighted_order)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"

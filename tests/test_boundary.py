@@ -1,12 +1,9 @@
 import collections
 import copy
-import importlib.util
 import itertools
 import math
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -29,7 +26,7 @@ from catlin.poly import (CoordChange, Poly, PolyError, _mul_terms,
 from catlin.weights import INF, InverseWeight, is_admissible, multitype_search
 
 from helpers import (ListSearcherOracle, _truncate, apply_field_oracle,
-                     audit_boundary_system_oracle,
+                     audit_boundary_system_oracle, benchmark_models,
                      commutator_oracle, compositions_oracle, rand_crat,
                      rand_real_poly, slow_field_oracle)
 
@@ -1362,32 +1359,6 @@ def test_admissible_rows_once_per_slot(monkeypatch):
 # the audit's grading check: lists below c_j vanish by a degree count
 # ----------------------------------------------------------------------
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" \
-    / "workloads.py"
-
-
-def _benchmark_models():
-    """Each distinct (expr, n) of the benchmark's normalize and boundary
-    workloads, timed jobs and after-jobs, at seeds 5, 7 and 23.
-    ``perfbench/workloads.py`` imports only the standard library, so it is
-    loaded here by path, without the harness."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-        models = {}
-        for seed in (5, 7, 23):
-            for make in (module.make_normalize, module.make_boundary,
-                         module.boundary_after):
-                for job in make(random.Random(seed)):
-                    models.setdefault((job.expr, job.n), job.command)
-    finally:
-        del sys.modules[spec.name]
-    return list(models)
-
-
 def _audits_agree(bs):
     """The audit's problems, after checking that the unfloored oracle
     reports the same ones."""
@@ -1401,7 +1372,7 @@ def test_audit_matches_the_unfloored_oracle_on_named_models():
     # (110: boundary, torsion and normalize jobs), MIXED_MODELS and the
     # torsion model's z4 lifts: the audit reports what the oracle does,
     # though on a graded build it walks no list below c_j.
-    models = _benchmark_models()
+    models = benchmark_models()
     assert len(models) >= 100
     models += [(expr, 4) for expr in MIXED_MODELS]
     models += [(torsion_lift(k), 4) for k in (1, 2, 3)]

@@ -743,6 +743,10 @@ TEXT_MODEL = "-2*Re(z1) + |z2|^4"
     # a JSON model carries its own dimension
     (["parse", "JSON", "--n", "5"],
      "--n 5 differs from the JSON n = 3"),
+    # a bad character is named at its own position, not at the space
+    # before it
+    (["parse", "--n", "2", "--expr", "z2 + $"],
+     "parse error at position 5: unexpected character '$'"),
 ])
 def test_input_errors_exit_2(capsys, tmp_path, argv, message):
     path = tmp_path / "model.txt"

@@ -1,23 +1,28 @@
+import contextlib
+import io
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from catlin.cli import main
 from catlin.exact import CRat
 from catlin import parser, poly
 from catlin.parser import ParseError, parse_poly
 from catlin.poly import (CoordChange, DimensionMismatch, NonRealError, Poly,
                          PolyError, _capped_products, _derivative_terms,
                          eliminate_harmonic, require_real,
-                         revlex_max_balanced, split_model, weighted_order)
+                         revlex_max_balanced, split_model)
 
-from helpers import (eliminate_harmonic_oracle, leading_model,
+from helpers import (benchmark_models, eliminate_harmonic_oracle,
+                     leading_model,
                      linear_change, rand_crat, rand_fraction,
                      rand_holomorphic, rand_real_poly,
-                     substitute_maps_oracle, tail)
+                     substitute_maps_oracle, tail, weighted_order)
 
 
 # ----------------------------------------------------------------------
@@ -334,6 +339,147 @@ def test_leading_model_and_tail():
     assert leading_model(r, mu) == parse_poly("-2*Re(z1) + |z2|^4", 2)
     assert tail(r, mu) == parse_poly("|z2|^6", 2)
     assert leading_model(r, mu) + tail(r, mu) == r
+
+
+def _rand_weight(rng, n):
+    """(1, mu_2, ..., mu_n), entries drawn over mixed denominators, zero
+    included."""
+    return (Fraction(1),) + tuple(
+        Fraction(rng.randint(0, 7), rng.choice((1, 2, 3, 4, 5, 7, 12)))
+        for _ in range(n - 1))
+
+
+def _assert_checked(p, n, oracle_terms):
+    """p is the checked constructor's Poly on ``oracle_terms``, key for key
+    in the same order, and its own table passes that constructor as is."""
+    expected = Poly(n, oracle_terms)
+    assert p.n == n
+    assert list(p.terms.items()) == list(expected.terms.items())
+    assert list(Poly(n, dict(p.terms)).terms.items()) == list(p.terms.items())
+
+
+def test_grade_matches_fraction_oracle():
+    # integer orders over the common denominator bucket each term where
+    # its Fraction order does, in ascending order, with the same keys;
+    # the weights mix denominators and hold a zero entry
+    rng = random.Random(45)
+    weights = [(Fraction(1), Fraction(2, 3), Fraction(3, 4), Fraction(0),
+                Fraction(5, 7), Fraction(1, 12))]
+    weights += [_rand_weight(rng, 6) for _ in range(40)]
+    for mu in weights:
+        for _ in range(10):
+            p = rand_real_poly(rng, 6, terms=rng.randint(0, 6))
+            parts = p.grade(mu)
+            buckets = {}
+            for key, c in p.terms.items():
+                buckets.setdefault(weighted_order(key, mu), {})[key] = c
+            assert list(parts) == sorted(buckets)
+            assert all(type(w) is Fraction for w in parts)
+            for w, part in parts.items():
+                _assert_checked(part, 6, buckets[w])
+    with pytest.raises(DimensionMismatch,
+                       match="weight length != exponent length"):
+        parse_poly("|z2|^2", 2).grade((Fraction(1),))
+
+
+def _check_derivations(p, rng):
+    """Each derivation of p built without re-validation against its checked
+    oracle: the filter over p's table, through the checked constructor
+    (``grade``'s parts are checked beside the grading oracle above)."""
+    n = p.n
+    zero = (0,) * n
+    items = p.terms.items()
+    _assert_checked(p.pure_part(), n, {k: c for k, c in items
+                                       if k[0] == zero or k[1] == zero})
+    _assert_checked(p.holomorphic_part(), n, {
+        k: c for k, c in items if k[1] == zero and k[0] != zero})
+    _assert_checked(p.antiholomorphic_part(), n, {
+        k: c for k, c in items if k[0] == zero and k[1] != zero})
+    # out-of-range entries of keep select nothing
+    keep = [j for j in range(n + 2) if rng.random() < 0.5]
+    ks = {j - 1 for j in keep}
+    _assert_checked(p.restrict_support(keep), n, {
+        (a, b): c for (a, b), c in items
+        if all((a[i] == 0 and b[i] == 0) or i in ks for i in range(n))})
+    for j in range(1, n + 1):
+        d = p.degree_in(j)
+        _assert_checked(p.top_degree_part(j), n, {
+            k: c for k, c in items if k[0][j - 1] + k[1][j - 1] == d})
+
+
+def test_derivations_match_their_checked_oracles():
+    rng = random.Random(46)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            p = rand_real_poly(rng, n, terms=rng.randint(0, 5))
+        else:
+            p = _rand_cancelling_poly(rng, n)
+        _check_derivations(p, rng)
+        # split_model's p: a model -2 Re z1 + q, q without z1
+        q = rand_real_poly(rng, n).restrict_support(range(2, n + 1))
+        r = parse_poly("-2*Re(z1)", n) + q
+        c1, got = split_model(r)
+        assert c1 == CRat(-1)
+        _assert_checked(got, n, {(a, b): c for (a, b), c in r.terms.items()
+                                 if not (a[0] or b[0])})
+    for expr, n in benchmark_models():
+        r = parse_poly(expr, n)
+        _check_derivations(r, rng)
+        _check_derivations(split_model(r)[1], rng)
+
+
+def test_normalize_builds_only_valid_polys(monkeypatch):
+    # Every Poly built without re-validation while `catlin normalize` runs
+    # on the benchmark's models equals its checked copy, in the same key
+    # order.  The callers seen include each derivation of a valid
+    # polynomial that normalize runs, the row extraction's balanced filter
+    # among them.
+    unchecked = Poly._unchecked
+    callers = set()
+
+    def checked(n, terms):
+        p = unchecked(n, terms)
+        copy = Poly(n, dict(p.terms))
+        assert list(copy.terms.items()) == list(p.terms.items())
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension
+            frame = frame.f_back
+        callers.add(frame.f_code.co_name)
+        return p
+
+    monkeypatch.setattr(Poly, "_unchecked", staticmethod(checked))
+    for expr, n in benchmark_models():
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["normalize", "--json", "--expr", expr, "--n", str(n)])
+    assert {"zero", "const", "variable", "pure_part", "holomorphic_part",
+            "restrict_support", "top_degree_part", "grade", "split_model",
+            "_extract_row"} <= callers, callers
+
+
+def test_constructors_keep_their_argument_checks():
+    for n in range(1, 5):
+        z = (0,) * n
+        _assert_checked(Poly.zero(n), n, {})
+        for c in (0, 3, Fraction(-1, 2), CRat(1, -1)):
+            _assert_checked(Poly.const(n, c), n, {(z, z): CRat.of(c)})
+        for j in range(1, n + 1):
+            e = tuple(int(i == j - 1) for i in range(n))
+            _assert_checked(Poly.variable(n, j), n, {(e, z): CRat(1)})
+    above = "dimension 65 is above 64, the largest a polynomial may have"
+    for build, error, message in [
+            (lambda: Poly.zero(0), PolyError, "dimension must be >= 1"),
+            (lambda: Poly.zero(65), PolyError, above),
+            (lambda: Poly.const(0, 1), PolyError, "dimension must be >= 1"),
+            (lambda: Poly.const(65, 1), PolyError, above),
+            (lambda: Poly.const(2, "x"), TypeError,
+             "not an exact rational: 'x'"),
+            (lambda: Poly.variable(0, 1), DimensionMismatch,
+             "variable index 1 out of range 1..0"),
+            (lambda: Poly.variable(65, 1), PolyError, above)]:
+        with pytest.raises(error) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_grading_reconstruction_random():
@@ -737,6 +883,19 @@ def test_coord_change_rejects_singular_block():
     mu = (Fraction(1), Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(PolyError):
         linear_change(3, {(1, 1): 1, (2, 2): 1, (3, 2): 1}, mu)
+
+
+def test_coord_change_weight_bound_is_exact():
+    # z3*z4 weighs 1/4 + 1/6 = 5/12, exactly mu_2, and is accepted; z4^2
+    # weighs 4/12, the next order below it, and is refused
+    mu = (Fraction(1), Fraction(5, 12), Fraction(1, 4), Fraction(1, 6))
+    z1, z2, z3, z4 = (Poly.variable(4, j) for j in range(1, 5))
+    change = CoordChange(4, [z1, z2 + z3 * z4, z3, z4], mu)
+    assert change.maps[1] == z2 + z3 * z4
+    with pytest.raises(PolyError) as exc:
+        CoordChange(4, [z1, z2 + z4 ** 2, z3, z4], mu)
+    assert str(exc.value) == \
+        "component map 2 has a monomial of weight below 5/12"
 
 
 def test_coord_change_rejects_low_weight_monomial():

@@ -25,7 +25,7 @@ from helpers import (best_distinguished_candidates_oracle,
                      catalog_oracle, enumerate_multitypes_oracle,
                      is_admissible_oracle, is_distinguished,
                      lower_weight_at_oracle, multitype_search_oracle,
-                     rand_crat, substitute_maps_oracle)
+                     rand_crat, substitute_maps_oracle, weighted_order)
 
 
 # ----------------------------------------------------------------------
@@ -865,7 +865,6 @@ def test_lower_weight_at_matches_candidate_scan():
 
 
 def test_lower_weight_keeps_terms_at_least_one():
-    from catlin.poly import Poly, weighted_order
     rng = random.Random(31)
     mu = Weight((Fraction(1), Fraction(1, 4), Fraction(1, 8)))
     for _ in range(50):
