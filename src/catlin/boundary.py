@@ -25,9 +25,10 @@ below c_j do by a degree count, below).  The lists produce the
 commutator multitype (1, c_2, ..., c_n); the associated real functions r_j
 and fields L_j form the boundary system.
 The first equal-value block beyond the Levi slots can be normalized to
-r_j = Re z_j exactly by a holomorphic change of coordinates; the failure of
-the same normalization at the next slot is the torsion obstruction,
-detected as non-pluriharmonic content of r_j.
+r_j = Re z_j exactly by a holomorphic change of coordinates, read off each
+block slot's own r_j; the failure of the same normalization at the next
+slot is the torsion obstruction, detected as non-pluriharmonic content of
+r_j.
 
 Field coefficients are polynomials.  Tangency constraints are solved by an
 exact triangular elimination whose matrix inverse is expanded as a Neumann
@@ -142,7 +143,7 @@ from .poly import (CoordChange, ModelShapeError, Poly, PolyError,
                    PseudoconvexityError, TermKey, _capped_products,
                    _conj_terms, _derivative_terms, _mul_terms, _nonzero,
                    _sum_terms, _unit, eliminate_harmonic, split_model)
-from .weights import (INF, Entry, InverseWeight, Weight, _evecs,
+from .weights import (INF, Entry, InverseWeight, _evecs,
                       admissible_rows, best_distinguished_weight, entry_str,
                       recip)
 
@@ -730,8 +731,8 @@ def _through_torsion_slot(slots: Iterator[BoundarySystem]) -> BoundarySystem:
     """Run a slot-by-slot build until it has built the first slot past the
     first block, the slot ``detect_torsion`` reads.
 
-    The first-block change is graded by the weight 1/c_j, so c-entries must
-    not decrease (``Weight`` refuses them otherwise), and the change keeps
+    The c-entries of a boundary system do not decrease (the commutator
+    multitype is an ``InverseWeight``), and the first-block change keeps
     them (Catlin, Ann. Math. 126, 1987).  So no later slot can rejoin the
     block, and the report reads no slot after this one."""
     for bs in slots:
@@ -741,24 +742,17 @@ def _through_torsion_slot(slots: Iterator[BoundarySystem]) -> BoundarySystem:
     return bs
 
 
-def _change_weight(bs: BoundarySystem) -> Weight:
-    """The weight (1/c_1, ..., 1/c_n) that grades the first-block change,
-    the slots not built yet taking the weight of the last slot built."""
-    c = bs.c_entries
-    return Weight(tuple(recip(e) for e in c + c[-1:] * (bs.n - len(c))))
-
-
 def normalize_first_block(bs: BoundarySystem) -> BoundarySystem:
     """Normalize the first slow block to r_j = Re z_j exactly (model level).
 
-    For each slot j in the block, the (k-1, k) Wirtinger derivative of the
-    model (k = lambda_j / 2) has the shape c_+ z_j + c_- zbar_j + T with T a
-    harmonic polynomial in the later variables; the change
-    z_j -> (z_j - phi - psi)/(c_+ + conj(c_-)) with T = phi + conj(psi)
-    straightens r_j.  A non-harmonic T raises PseudoconvexityError, a
-    vanishing scale factor is inconsistent input.  Returns the system of
-    ``bs.r`` rebuilt in the new coordinates with the floor of ``bs``, the
-    changes composed as ``transform``."""
+    For each slot j in the block, along z_j, the slot's own r_j, in the
+    coordinates of the changes made so far, has the shape Re z_j + T with T
+    a harmonic polynomial in the other variables; z_j -> z_j/a - phi - psi
+    with T = phi + conj(psi) straightens it, a the slot's scale over
+    (k-1)! k! (k = lambda_j / 2 an integer).  A non-harmonic T raises
+    PseudoconvexityError; no Re z_j part is inconsistent input.  Returns
+    the system of ``bs.r`` rebuilt in the new coordinates with the floor of
+    ``bs``, the changes composed as ``transform``."""
     r_cur, changes = _straighten_first_block(bs, iter(()))
     *_, rebuilt = _system_slots(r_cur, bs.list_bound, bs.floor)
     rebuilt.transform = functools.reduce(CoordChange.compose, changes)
@@ -792,13 +786,14 @@ def _straighten_first_block(bs: BoundarySystem,
     of the block, in order.
 
     ``bs`` may be partial, with ``rest`` the rest of its build.  Each change
-    is graded by the weights 1/c_j.  When one of its maps involves the
-    variable of a slot not built yet, its weight is needed, and the build
-    runs to the end first.  Otherwise those variables keep identity maps, so
-    no check of ``CoordChange`` depends on their weights; they take the
-    weight of the last slot built.  Input that is not weight-graded keeps
-    its refusal: the paper normalizes the model, and truncating it to its
-    weight-1 part silently would answer for another hypersurface."""
+    is graded by weighing each variable 1/c of the field on its axis
+    (``_axis_fields``).  When one of its maps involves a variable on no
+    built axis, whose slot may not be built yet, the build runs to the end
+    first.  Otherwise such variables keep identity maps, so no check of
+    ``CoordChange`` depends on their weights; they take the weight of the
+    last slot built.  Input that is not weight-graded keeps its refusal: the
+    paper normalizes the model, and truncating it to its weight-1 part
+    silently would answer for another hypersurface."""
     block = first_block_slots(bs)
     if not block:
         raise BoundaryConstructionError("no finite slow block to normalize")
@@ -807,8 +802,12 @@ def _straighten_first_block(bs: BoundarySystem,
         raise BoundaryConstructionError(
             f"first block value {lam} is not an even integer")
     k = int(lam) // 2
+    # a list of k - 1 fields L_j and k fields conj(L_j) is (k-1)! k! times
+    # the normalized (k-1, k) Wirtinger derivative: scaling by that keeps the
+    # linear coefficient and offending part reported as that derivative's
+    norm = Fraction(1, math.factorial(k - 1) * math.factorial(k))
     n = bs.n
-    mu = _change_weight(bs)
+    axes = _axis_fields(bs)
     r_cur = bs.r
     changes: List[CoordChange] = []
     for j in block:
@@ -820,40 +819,41 @@ def _straighten_first_block(bs: BoundarySystem,
                 f"slot {j}: direction ({shown}) is not aligned with a "
                 "coordinate axis; apply an aligning linear change first")
         dirvar = support[0]
+        g = functools.reduce(lambda f, change: change.apply(f), changes,
+                             bs.slow[j].r_func)
         e, zero = _unit(n, dirvar), (0,) * n
-        norm = Fraction(1, math.factorial(k - 1) * math.factorial(k))
-        g = r_cur.deriv_multi([(k - 1) * x for x in e],
-                              [k * x for x in e]) * norm
         c_plus, c_minus = _linear_coeffs(g, dirvar)
         tail = g - Poly(n, {(e, zero): c_plus, (zero, e): c_minus})
         if tail.degree_in(dirvar) > 0:
             raise BoundaryConstructionError(
                 f"slot {j}: derivative tail depends on z_{dirvar}; the input "
                 "is not weight-graded")
+        # earlier changes keep r_j's linear part (the build solves L_j r_i = 0
+        # for i < j), so a zero scale, with no such part, is refused here too
+        if (c_plus + c_minus).is_zero():
+            raise BoundaryConstructionError(
+                f"slot {j}: scale factor C+ + conj(C-) vanishes; inconsistent "
+                "input")
+        a = bs.slow[j].scale * norm
         non_harmonic = tail - tail.pure_part()
         if not non_harmonic.is_zero():
             raise PseudoconvexityError(
                 f"slot {j}: harmonic tail certificate fails; offending part "
-                f"{non_harmonic}")
-        a = c_plus + c_minus.conj()
-        if a.is_zero():
-            # a list mixing in other slots' fields need not reach its value
-            # along z_dirvar alone
-            others = sorted({s for s, _c in bs.slow[j].entries} - {j})
-            cause = "inconsistent input" if not others else (
-                f"its list holds fields of slot {', '.join(map(str, others))}"
-                f", and the straightening differentiates along z{dirvar} alone")
-            raise BoundaryConstructionError(
-                f"slot {j}: scale factor C+ + conj(C-) vanishes; {cause}")
-        if any(tail.degree_in(v) > 0
-               for v in range(len(bs.c_entries) + 1, n + 1)):
+                f"{non_harmonic * a}")
+        if len(bs.c_entries) < n and any(
+                tail.degree_in(pos + 1) > 0 for pos in range(1, n)
+                if pos not in axes):
             *_, bs = rest
-            mu = _change_weight(bs)
+            axes = _axis_fields(bs)
+        last = recip(bs.c_entries[-1])
+        mu = [Fraction(1)] + [recip(axes[pos][0]) if pos in axes else last
+                              for pos in range(1, n)]
+        # r_j = Re z_j + Re(phi + psi), and z_j -> z_j/a - phi - psi leaves Re
         phi = tail.holomorphic_part()
         psi = tail.antiholomorphic_part().conj()
         maps = [Poly.variable(n, v) for v in range(1, n + 1)]
-        maps[dirvar - 1] = (Poly.variable(n, dirvar) - phi - psi) * (CRat(1) / a)
-        change = CoordChange(n, maps, mu.entries)
+        maps[dirvar - 1] = Poly.variable(n, dirvar) * (CRat(1) / a) - phi - psi
+        change = CoordChange(n, maps, mu)
         r_cur = change.apply(r_cur)
         changes.append(change)
     return r_cur, changes
@@ -906,40 +906,46 @@ def detect_torsion(bs: BoundarySystem) -> TorsionReport:
 # ----------------------------------------------------------------------
 
 
-def _graded(bs: BoundarySystem) -> bool:
-    """Whether the grading check of the module docstring holds on ``bs``:
-    each Levi field (its value at 0) and each slow slot's direction lies
-    on one coordinate axis, each of z_2..z_n used once; every term of r has
-    weighted degree at least 1; and every term of each coefficient a_k of a
-    field of value c has weighted degree at least w(z_k) - 1/c.  Weights
-    are integers over one common denominator, the lcm of the c-entries'
-    numerators, so z_1 weighs ``common``."""
+def _axis_fields(bs: BoundarySystem) -> Dict[int, Tuple[Fraction, VField]]:
+    """The built fields whose direction at 0 lies on one coordinate axis,
+    by that axis: k (z_{k+1}'s position) -> (c, field), each Levi field (its
+    value at 0) at c = 2.  A field off the axes is left out; of two on one
+    axis the later is kept, leaving some axis unused (n - 1 fields at most)."""
     zero = (0,) * bs.n
-    axes: Dict[int, Fraction] = {}  # k (z_{k+1}'s position) -> its field's c
-    fields: List[Tuple[VField, int]] = []
+    axes: Dict[int, Tuple[Fraction, VField]] = {}
     for fld, direction, c in (
             [(lf, [a.coeff(zero, zero) for a in lf.hol[1:]], Fraction(2))
              for lf in bs.levi_fields]
             + [(sl.fld, sl.direction, sl.c) for sl in bs.slow.values()]):
         support = [k for k, x in enumerate(direction, 1) if not x.is_zero()]
-        if len(support) != 1:
-            return False
-        axes[support[0]] = c
-        fields.append((fld, support[0]))
+        if len(support) == 1:
+            axes[support[0]] = (c, fld)
+    return axes
+
+
+def _graded(bs: BoundarySystem) -> bool:
+    """Whether the grading check of the module docstring holds on ``bs``:
+    each Levi field and each slow slot's direction lies on one coordinate
+    axis, each of z_2..z_n used once (``_axis_fields``); every term of r has
+    weighted degree at least 1; and every term of each coefficient a_k of a
+    field of value c has weighted degree at least w(z_k) - 1/c.  Weights
+    are integers over one common denominator, the lcm of the c-entries'
+    numerators, so z_1 weighs ``common``."""
+    axes = _axis_fields(bs)
     if len(axes) < bs.n - 1:
-        # an axis used twice, or a variable with no finite slot, whose
-        # weight is unset (there are at most n - 1 fields)
+        # a field off the axes, an axis used twice, or a variable with no
+        # finite slot, whose weight is unset
         return False
-    common = math.lcm(*(c.numerator for c in axes.values()))
-    weight = [common] + [common * axes[k].denominator // axes[k].numerator
-                         for k in range(1, bs.n)]
+    common = math.lcm(*(c.numerator for c, _fld in axes.values()))
+    weight = [common] + [common * c.denominator // c.numerator
+                         for c, _fld in map(axes.get, range(1, bs.n))]
 
     def degree(key: TermKey) -> int:
         return sum((x + y) * w for x, y, w in zip(*key, weight))
 
     return all(degree(key) >= common for key in bs.r.terms) and all(
         degree(key) >= weight[k] - weight[axis]
-        for fld, axis in fields for k, a in enumerate(fld.hol)
+        for axis, (_c, fld) in axes.items() for k, a in enumerate(fld.hol)
         for key in a.terms)
 
 

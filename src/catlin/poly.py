@@ -23,8 +23,9 @@ Validation happens at the edge.  The checked constructor ``Poly(n, terms)``,
 from outside the program: the dimension, each key's length and signs, each
 coefficient.  A polynomial derived from a valid one (ring operations, pure
 and holomorphic parts, restrictions, top-degree parts, the parts of
-``grade``, ``split_model``'s p) is built by ``Poly._unchecked``, which only
-drops zero coefficients; ``Poly.zero``, ``const`` and ``variable`` check
+``grade``, ``split_model``'s p) is built by ``Poly._unchecked``, which
+wraps its table as given: only a product forms zeros, and each caller of
+``_mul_terms`` drops them; ``Poly.zero``, ``const`` and ``variable`` check
 their arguments and build the same way.  A weighted order (alpha + beta | mu)
 is an integer, the dot product with mu scaled by its common denominator
 (``_integer_weight``), in ``Poly.grade`` and in ``CoordChange``'s weight
@@ -103,12 +104,12 @@ class Poly:
 
     @staticmethod
     def _unchecked(n: int, terms: Dict[TermKey, CRat]) -> "Poly":
-        """Poly from terms that are already valid (tuple keys of length n,
-        nonnegative exponents, CRat values), as ring operations on valid
-        operands produce them.  Only zero coefficients are dropped."""
+        """Poly wrapping ``terms`` as given: a valid table (tuple keys of
+        length n, nonnegative exponents, nonzero CRat values), as ring
+        operations on valid operands produce it."""
         p = object.__new__(Poly)
         object.__setattr__(p, "n", n)
-        object.__setattr__(p, "terms", _nonzero(terms))
+        object.__setattr__(p, "terms", terms)
         return p
 
     # ------------------------------------------------------------------
@@ -125,7 +126,7 @@ class Poly:
         c = CRat.of(c)
         _check_dimension(n)
         z = (0,) * n
-        return Poly._unchecked(n, {(z, z): c})
+        return Poly._unchecked(n, {(z, z): c} if c else {})
 
     @staticmethod
     def variable(n: int, j: int) -> "Poly":
@@ -162,7 +163,8 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
             self._check_same(other)
-            return Poly._unchecked(self.n, _mul_terms(self.terms, other.terms))
+            terms = _mul_terms(self.terms, other.terms)
+            return Poly._unchecked(self.n, _nonzero(terms))
         return Poly._unchecked(self.n,
                                _scale_terms(self.terms, CRat.of(other)))
 
@@ -292,17 +294,6 @@ class Poly:
         _check_var(self.n, j)
         return Poly._unchecked(self.n,
                                _derivative_terms(self.terms, j - 1, conjugate))
-
-    def deriv_multi(self, alpha: Sequence[int], beta: Sequence[int]) -> "Poly":
-        """Iterated raw derivative D^alpha Dbar^beta (no factorial normalization)."""
-        p = self
-        for j, e in enumerate(alpha, start=1):
-            for _ in range(e):
-                p = p.wirtinger(j)
-        for j, e in enumerate(beta, start=1):
-            for _ in range(e):
-                p = p.wirtinger(j, conjugate=True)
-        return p
 
     # ------------------------------------------------------------------
     # substitution and evaluation
@@ -525,7 +516,7 @@ def _capped_products(n: int, pairs: Iterable[Tuple[Poly, Poly]],
     out: Dict[TermKey, CRat] = {}
     for a, b in pairs:
         _mul_terms(a.terms, b.terms, cap, out)
-    return Poly._unchecked(n, out)
+    return Poly._unchecked(n, _nonzero(out))
 
 
 def _json_get(d, key: str):

@@ -15,9 +15,10 @@ from operator import add
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from catlin.boundary import (BoundarySystem, ListEntry, VField,
-                             _apply_field, _field_from_vector, _ListSearcher,
-                             _ranked)
+from catlin.boundary import (BoundaryConstructionError, BoundarySystem,
+                             ListEntry, VField, _apply_field,
+                             _field_from_vector, _ListSearcher, _ranked,
+                             first_block_slots)
 from catlin.exact import CI, CZERO, CRat, hermitian_form, inverse, rat_str
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          PositivityVerdict, _check_tangential, _random_crat,
@@ -36,26 +37,39 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" \
     / "workloads.py"
 
 
-def benchmark_models() -> List[Tuple[str, int]]:
-    """Each distinct (expr, n) of the benchmark's normalize and boundary
-    workloads, timed jobs and after-jobs, at seeds 5, 7 and 23.
-    ``perfbench/workloads.py`` imports only the standard library, so it is
-    loaded here by path, without the harness."""
+def _workloads():
+    """``perfbench/workloads.py``, which imports only the standard library,
+    loaded by path, without the harness."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     try:
         spec.loader.exec_module(module)
-        models = {}
-        for seed in (5, 7, 23):
-            for make in (module.make_normalize, module.make_boundary,
-                         module.boundary_after):
-                for job in make(random.Random(seed)):
-                    models.setdefault((job.expr, job.n), job.command)
     finally:
         del sys.modules[spec.name]
+    return module
+
+
+def benchmark_models() -> List[Tuple[str, int]]:
+    """Each distinct (expr, n) of the benchmark's normalize and boundary
+    workloads, timed jobs and after-jobs, at seeds 5, 7 and 23."""
+    module = _workloads()
+    models = {}
+    for seed in (5, 7, 23):
+        for make in (module.make_normalize, module.make_boundary,
+                     module.boundary_after):
+            for job in make(random.Random(seed)):
+                models.setdefault((job.expr, job.n), job.command)
     return list(models)
+
+
+def workload_argvs(seed: int) -> List[List[str]]:
+    """The command line of each timed job of the benchmark's normalize,
+    boundary and positivity workloads at ``seed``: one pass of each."""
+    workloads = _workloads().WORKLOADS
+    return [job.argv() for name in ("normalize", "boundary", "positivity")
+            for job in workloads[name].make(random.Random(seed))]
 
 
 def _frac(x) -> Fraction:
@@ -947,6 +961,65 @@ def audit_boundary_system_oracle(bs: BoundarySystem) -> List[str]:
                     "ranked before the slot's own; minimality broken")
                 break
     return problems
+
+
+def straighten_first_block_oracle(bs: BoundarySystem
+                                  ) -> Tuple[Poly, List[CoordChange]]:
+    """The first-block straightening read off the model instead of each
+    slot's r_j: at each block slot j along z_d, with k = c/2, the (k-1, k)
+    Wirtinger derivative of the current model in z_d, by iterated
+    ``Poly.wirtinger``, normalized by 1/((k-1)! k!), has the shape
+    c_+ z_d + c_- zbar_d + T, and z_d -> (z_d - phi - psi)/(c_+ + conj(c_-))
+    with T = phi + conj(psi) straightens it.  The changes are graded by the
+    weights 1/c_j in slot order, so ``bs`` must be complete.  It agrees with
+    ``boundary._straighten_first_block`` when each block slot's list holds
+    only its own fields, whose derivative is (k-1)! k! times this one, and
+    no change maps a block variable to a function of a later slot's
+    variable (whose derivative would then differ by the chain rule)."""
+    block = first_block_slots(bs)
+    lam = bs.c_entries[block[0] - 1]
+    if lam != int(lam) or int(lam) % 2 != 0:
+        raise BoundaryConstructionError(
+            f"first block value {lam} is not an even integer")
+    k = int(lam) // 2
+    n = bs.n
+    mu = [recip(e) for e in bs.c_entries]
+    r_cur = bs.r
+    changes: List[CoordChange] = []
+    for j in block:
+        support = [i + 2 for i, c in enumerate(bs.slow[j].direction)
+                   if not c.is_zero()]
+        if len(support) != 1:
+            raise BoundaryConstructionError(f"slot {j}: direction off the axes")
+        d = support[0]
+        g = r_cur
+        for conjugate in [False] * (k - 1) + [True] * k:
+            g = g.wirtinger(d, conjugate)
+        g = g * Fraction(1, math.factorial(k - 1) * math.factorial(k))
+        e, zero = tuple(int(i == d - 1) for i in range(n)), (0,) * n
+        c_plus, c_minus = g.coeff(e, zero), g.coeff(zero, e)
+        tail = g - Poly(n, {(e, zero): c_plus, (zero, e): c_minus})
+        if tail.degree_in(d) > 0:
+            raise BoundaryConstructionError(
+                f"slot {j}: derivative tail depends on z_{d}; the input is "
+                "not weight-graded")
+        non_harmonic = tail - tail.pure_part()
+        if not non_harmonic.is_zero():
+            raise PseudoconvexityError(
+                f"slot {j}: harmonic tail certificate fails; offending part "
+                f"{non_harmonic}")
+        a = c_plus + c_minus.conj()
+        if a.is_zero():
+            raise BoundaryConstructionError(
+                f"slot {j}: scale factor C+ + conj(C-) vanishes")
+        phi = tail.holomorphic_part()
+        psi = tail.antiholomorphic_part().conj()
+        maps = [Poly.variable(n, v) for v in range(1, n + 1)]
+        maps[d - 1] = (Poly.variable(n, d) - phi - psi) * (CRat(1) / a)
+        change = CoordChange(n, maps, mu)
+        r_cur = change.apply(r_cur)
+        changes.append(change)
+    return r_cur, changes
 
 
 # ----------------------------------------------------------------------

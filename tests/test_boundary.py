@@ -1,5 +1,7 @@
 import collections
 import copy
+import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -28,7 +30,8 @@ from catlin.weights import INF, InverseWeight, is_admissible, multitype_search
 from helpers import (ListSearcherOracle, _truncate, apply_field_oracle,
                      audit_boundary_system_oracle, benchmark_models,
                      commutator_oracle, compositions_oracle, rand_crat,
-                     rand_real_poly, slow_field_oracle)
+                     rand_real_poly, slow_field_oracle,
+                     straighten_first_block_oracle)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
@@ -638,11 +641,132 @@ def test_detect_torsion_direct_derivative_agrees():
     r = parse_poly(TORSION_EXPR, 4)
     p = Poly(4, {k: c for k, c in r.terms.items()
                  if k[0][0] == 0 and k[1][0] == 0})
-    f = p.deriv_multi((0, 1, 2, 0), (0, 1, 3, 0))
+    f = p.wirtinger(2).wirtinger(2, conjugate=True)
+    for conjugate in (False, False, True, True, True):
+        f = f.wirtinger(3, conjugate)
     lin = f.coeff((0, 0, 1, 0), (0, 0, 0, 0))
     bal = f.coeff((0, 0, 0, 1), (0, 0, 0, 1))
     assert not lin.is_zero() and not bal.is_zero()
     assert len(f.terms) == 2
+
+
+@pytest.fixture(scope="module")
+def first_block_systems():
+    """(r, full system) for each benchmark model, MIXED_MODELS, the
+    torsion lifts k = 1..3 and a block of two slots whose r_3 is linear in
+    z2, so that r_3 must be read after slot 2's change, whose system has a
+    first block."""
+    models = benchmark_models() + [(expr, 4) for expr in MIXED_MODELS] \
+        + [(torsion_lift(k), 4) for k in (1, 2, 3)] \
+        + [("-2*Re(z1) + |z2|^4 + |z3|^4 + |z4|^8"
+            " + 2*(1/4)*Re(z2*z3*zbar3^2) + |z3|^2*|z4|^4", 4)]
+    systems = []
+    for expr, n in dict.fromkeys(models):
+        r = parse_poly(expr, n)
+        bs = build_boundary_system(r)
+        if first_block_slots(bs):
+            systems.append((r, bs))
+    return systems
+
+
+def _axis(direction) -> int:
+    (v,) = [k for k, c in enumerate(direction, 2) if not c.is_zero()]
+    return v
+
+
+def _own_fields_only(bs) -> bool:
+    return all(s == j for j in first_block_slots(bs)
+               for s, _c in bs.slow[j].entries)
+
+
+def test_straightening_matches_the_derivative_oracle(first_block_systems):
+    # Where the model's (k-1, k) Wirtinger derivative along each block
+    # slot's axis straightens the block (the oracle), the straightening read
+    # off each slot's own r_j makes the same changes: the same maps, the
+    # same model and the same torsion report.  The oracle refuses the
+    # blocks of odd value, as the straightening does, and the blocks whose
+    # lists hold another slot's fields, whose value the derivative along
+    # one axis does not reach (its scale factor vanishes).
+    compared = odd = mixed = 0
+    for r, bs in first_block_systems:
+        try:
+            r_oracle, changes = straighten_first_block_oracle(bs)
+        except BoundaryConstructionError as exc:
+            if "not an even integer" in str(exc):
+                odd += 1
+                with pytest.raises(BoundaryConstructionError,
+                                   match=str(exc)):
+                    normalize_first_block(bs)
+            else:
+                assert "scale factor" in str(exc) and not _own_fields_only(bs)
+                mixed += 1
+            continue
+        rebuilt = normalize_first_block(bs)
+        oracle = functools.reduce(CoordChange.compose, changes)
+        assert rebuilt.transform.maps == oracle.maps
+        assert rebuilt.r == r_oracle
+        assert first_block_torsion(r) == detect_torsion(rebuilt)
+        compared += 1
+    # 64 benchmark models (the other 3 of the 67 answered have no first
+    # block), the 5 MIXED_MODELS, the 3 lifts and the two-slot block
+    assert (compared, odd, mixed) == (73, 11, 32)
+
+
+def test_mixed_list_blocks_straighten_and_replay(first_block_systems):
+    # The 32 benchmark models whose first block, of even value, holds a
+    # slot whose list mixes in fields of another slot, which the derivative
+    # oracle refuses: the transform of normalize_first_block replays from
+    # the input, every rebuilt block r_j is Re z_j, and the torsion report
+    # is the one read from the rebuilt system.
+    replayed = 0
+    for r, bs in first_block_systems:
+        lam = bs.c_entries[first_block_slots(bs)[0] - 1]
+        if _own_fields_only(bs) or lam % 2 != 0:
+            continue
+        rebuilt = normalize_first_block(bs)
+        assert rebuilt.transform.apply(r) == rebuilt.r
+        assert first_block_slots(rebuilt) == first_block_slots(bs)
+        for j in first_block_slots(rebuilt):
+            z = Poly.variable(r.n, _axis(rebuilt.slow[j].direction))
+            assert rebuilt.slow[j].r_func == (z + z.conj()) * Fraction(1, 2)
+        assert first_block_torsion(r) == detect_torsion(rebuilt)
+        replayed += 1
+    assert replayed == 32
+
+
+def test_torsion_report_survives_relabeling():
+    # Each permutation of z3..zn of an answered benchmark model with n >= 4
+    # (127 twins: 103 of models answered before the block slots read their
+    # own r_j, and 24 of the n = 4 models that now answer) gets the same
+    # report, the obstruction relabeled.  The linear coefficient is left
+    # out: it is the scale of the torsion slot's list derivative, so it
+    # depends on the coefficient of the variable that takes the slot, and
+    # among slots of one value the first direction in index order takes it,
+    # which a relabeling can change (39 of the 103 twins, as before).
+    def relabel(p, order):
+        return p.substitute_maps([Poly.variable(p.n, v) for v in order])
+
+    twins = 0
+    for expr, n in benchmark_models():
+        if n < 4:
+            continue
+        r = parse_poly(expr, n)
+        try:
+            report = first_block_torsion(r)
+        except PolyError:
+            continue
+        for perm in itertools.permutations(range(3, n + 1)):
+            if list(perm) == sorted(perm):
+                continue
+            order = (1, 2) + perm
+            twin = first_block_torsion(relabel(r, order))
+            expected = dataclasses.replace(
+                report, linear_coeff=None, obstruction=None
+                if report.obstruction is None
+                else relabel(report.obstruction, order))
+            assert dataclasses.replace(twin, linear_coeff=None) == expected
+            twins += 1
+    assert twins == 127
 
 
 def test_no_torsion_for_diagonal_model():

@@ -353,11 +353,11 @@ def test_first_block_refusals_exit_2(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
-def test_torsion_names_a_mixed_list(capsys):
+def test_torsion_answers_a_mixed_list(capsys):
     # a sum of squared moduli with a clean system, c = (1, 4, 4, 6), and
-    # the multitype confirmed; but slot 3 (direction z4) takes a list with
-    # two slot-2 fields, of value 2/(1 - 2/4) = 4, which the straightening,
-    # differentiating along z4 alone, does not reach
+    # the multitype confirmed; slot 3 (direction z4) takes a list with two
+    # slot-2 fields, of value 2/(1 - 2/4) = 4, which no derivative along z4
+    # alone reaches, and the straightening reads the slot's own r_3
     expr = "-2*Re(z1) + |z2|^4 + |z3|^6 + |z2|^2*|z4|^2"
     code, out, _err = run_cli(capsys, "boundary-system", "--json", "--n", "4",
                               "--expr", expr)
@@ -369,9 +369,36 @@ def test_torsion_names_a_mixed_list(capsys):
     code, out, _err = run_cli(capsys, "multitype", "--n", "4", "--expr", expr)
     assert (code, out) == (0, "(1, 4, 4, 6) [exact-commutator]\n")
     assert run_cli(capsys, "torsion", "--n", "4", "--expr", expr) == (
-        2, "", "error: slot 3: scale factor C+ + conj(C-) vanishes; its list "
-        "holds fields of slot 2, and the straightening differentiates "
-        "along z4 alone\n")
+        0, "no torsion at slot 4\n", "")
+
+
+@pytest.mark.parametrize("expr, twin, c, slot", [
+    # slot 3 lies along z4, so z4 weighs 1/8 and the straightening's map
+    # z2 -> z2 - z4^2 has weight 1/4; the twin exchanges z3 and z4
+    ("-2*Re(z1) + |z2 + z4^2|^4 + |z3|^12 + |z4|^8",
+     "-2*Re(z1) + |z2 + z3^2|^4 + |z4|^12 + |z3|^8", ["1", "4", "8", "12"], 3),
+    # the Levi field lies along z3, slot 3 along z2: z2 weighs 1/4, not the
+    # 1/2 of slot 2; the twin puts each slot on the axis of its index
+    ("-2*Re(z1) + |z2 + z4^2|^4 + |z4|^8 + |z3|^2",
+     "-2*Re(z1) + |z3 + z4^2|^4 + |z4|^8 + |z2|^2", ["1", "2", "4", "8"], 4),
+])
+def test_torsion_weighs_each_variable_by_its_axis(capsys, expr, twin, c,
+                                                  slot):
+    # each variable weighs 1/c of the field whose direction lies on its
+    # axis, so a model whose slots lie on permuted axes answers as its twin
+    reports = []
+    for model in (expr, twin):
+        code, out, _err = run_cli(capsys, "boundary-system", "--json",
+                                  "--n", "4", "--expr", model)
+        system = json.loads(out)
+        assert (code, system["c"], system["audit"]) == (0, c, [])
+        assert run_cli(capsys, "torsion", "--n", "4", "--expr", model) == (
+            0, f"no torsion at slot {slot}\n", "")
+        code, out, _err = run_cli(capsys, "torsion", "--json", "--n", "4",
+                                  "--expr", model)
+        reports.append((code, json.loads(out)))
+    assert reports[0] == reports[1]
+    assert reports[0][1]["linear_coeff"] == "576"
 
 
 def test_oversized_power_exits_2_fast(capsys):

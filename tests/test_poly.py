@@ -22,7 +22,8 @@ from helpers import (benchmark_models, eliminate_harmonic_oracle,
                      leading_model,
                      linear_change, rand_crat, rand_fraction,
                      rand_holomorphic, rand_real_poly,
-                     substitute_maps_oracle, tail, weighted_order)
+                     substitute_maps_oracle, tail, weighted_order,
+                     workload_argvs)
 
 
 # ----------------------------------------------------------------------
@@ -457,6 +458,31 @@ def test_normalize_builds_only_valid_polys(monkeypatch):
             "_extract_row"} <= callers, callers
 
 
+def test_no_table_reaching_unchecked_holds_a_zero(monkeypatch):
+    # Poly._unchecked wraps its table as given, so every table it receives
+    # must be free of zeros: over one seeded pass of each benchmark
+    # workload's jobs, none holds one.  Only the callers of _mul_terms drop
+    # zeros; every other derivation of a valid table forms none.
+    unchecked = Poly._unchecked
+    calls = 0
+
+    def spy(n, terms):
+        nonlocal calls
+        calls += 1
+        assert all(terms.values()), [k for k, c in terms.items() if not c]
+        return unchecked(n, terms)
+
+    monkeypatch.setattr(Poly, "_unchecked", staticmethod(spy))
+    commands = set()
+    for argv in workload_argvs(5):
+        commands.add(argv[0])
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+    assert commands == {"normalize", "torsion", "boundary-system", "psd"}
+    assert calls > 1_000
+
+
 def test_constructors_keep_their_argument_checks():
     for n in range(1, 5):
         z = (0,) * n
@@ -608,12 +634,6 @@ def test_wirtinger_against_shift_oracle():
                 raw = _derivative_terms(_derivative_terms(p.terms, j - 1, False),
                                         k - 1, True)
                 assert oracle == direct == Poly(2, raw).evaluate(w)
-
-
-def test_deriv_multi_matches_iterated():
-    p = parse_poly("|z2|^6 + 2*Re(z2^2*zbar3^3)", 3)
-    assert p.deriv_multi((0, 1, 0), (0, 1, 1)) == \
-        p.wirtinger(2).wirtinger(2, conjugate=True).wirtinger(3, conjugate=True)
 
 
 def test_wirtinger_lowers_weight_by_mu_j():
