@@ -71,9 +71,10 @@ coefficients, already conjugated, and a ``Poly`` is built only for what
 ``Poly`` operands (the slow fields' z_1 coefficients and the audit).
 
 The ranking (``_ranked``) forms the admissible rows of a slot once, for
-its longest list, and merges their runs lazily, so a slot forms no list
-ranked after the one it takes; given a floor, each run starts at its first
-list of value at least the floor, so no list below it is formed either.
+its longest list, on integers, and merges their runs lazily, so a slot
+forms no list ranked after the one it takes, nor the value or skeleton of
+a list it does not yield; given a floor, each run starts at its first list
+of value at least the floor, so no list below it is formed either.
 
 The list search at a slot starts at three fields (a two-field list vanishes
 at 0; the argument is stated where the search runs) and forms no list below
@@ -141,8 +142,9 @@ from .exact import CRat, CZERO, hermitian_reduce, inverse, rank, rat_str
 from .levi import complex_hessian, psd_certificate
 from .poly import (CoordChange, ModelShapeError, Poly, PolyError,
                    PseudoconvexityError, TermKey, _capped_products,
-                   _conj_terms, _derivative_terms, _mul_terms, _nonzero,
-                   _sum_terms, _unit, eliminate_harmonic, split_model)
+                   _conj_terms, _derivative_terms, _integer_weight,
+                   _mul_terms, _nonzero, _sum_terms, _unit,
+                   eliminate_harmonic, split_model)
 from .weights import (INF, Entry, InverseWeight, _evecs,
                       admissible_rows, best_distinguished_weight, entry_str,
                       recip)
@@ -497,35 +499,36 @@ def _ranked(slow: Dict[int, SlowSlot], slot: int, first: int, last: int,
     value is at least ``floor`` (every list when it is None, none when it is
     infinite), as (value, fields, skeleton), lazily, in the order that
     decides c_j (module docstring).  The earlier counts are a row of
-    ``admissible_rows`` over their c_k, and the skeleton holds the slot of
-    each field, in descending order.  The rows are formed once, for
-    ``last`` fields: those of fewer fields sum to at most fields - 1.
-    Within a row the value (fields - used) / rem grows with fields, so each
-    row's run starts at its first list of value at least the floor, fields
-    >= used + ceil(floor * rem), and a heap merge of the runs, ties going
-    to the earlier row, gives the ranking."""
+    ``admissible_rows`` over their c_k, of remainder rem/den, and the
+    skeleton holds the slot of each field, in descending order.  The rows
+    are formed once, for ``last`` fields: those of fewer fields sum to at
+    most fields - 1.  Within a row the value (fields - used) * den / rem
+    grows with fields, so each row's run starts at fields >= used +
+    ceil(floor * rem / den), and a heap merge of the runs on the integers
+    (fields - used) * (common // rem), common the lcm of the remainders,
+    ties going to the earlier row, gives the ranking."""
     if floor == INF:
         return
     earlier = [k for k in sorted(slow) if k < slot]
-    rows = admissible_rows([slow[k].c for k in earlier], last - 1)
-    # each value is compared as an integer over one common denominator, the
-    # lcm of the remainders' numerators
-    common = math.lcm(*(rem.numerator for _row, rem in rows))
+    rows, den = admissible_rows([slow[k].c for k in earlier], last - 1)
+    common = math.lcm(*(rem for _row, rem in rows))
 
-    def run(position: int, row: Tuple[int, ...], rem: Fraction
-            ) -> Iterator[tuple]:
-        used, scale = sum(row), rem.denominator * (common // rem.numerator)
+    def run(position: int, row: Tuple[int, ...], rem: int
+            ) -> Iterator[Tuple[int, int, int]]:
+        used, scale = sum(row), common // rem
+        # ceil(floor * rem / den) in integers, as it runs once per row
+        least = 1 if floor is None else -(-floor.numerator * rem
+                                          // (floor.denominator * den))
+        for fields in range(max(first, used + least), last + 1):
+            yield (fields - used) * scale, fields, position
+
+    for _key, fields, position in heapq.merge(
+            *(run(i, row, rem) for i, (row, rem) in enumerate(rows))):
+        row, rem = rows[position]
         tail = [k for k, a in zip(reversed(earlier), reversed(row))
                 for _ in range(a)]
-        least = 1 if floor is None else math.ceil(floor * rem)
-        for fields in range(max(first, used + least), last + 1):
-            yield (fields - used) * scale, fields, position, rem, tail
-
-    for _key, fields, _pos, rem, tail in heapq.merge(
-            *(run(i, row, rem) for i, (row, rem) in enumerate(rows))):
         count = fields - len(tail)
-        yield (Fraction(count * rem.denominator, rem.numerator), fields,
-               [slot] * count + tail)
+        yield Fraction(count * den, rem), fields, [slot] * count + tail
 
 
 def build_boundary_system(r: Poly, list_bound: Optional[int] = None
@@ -929,16 +932,15 @@ def _graded(bs: BoundarySystem) -> bool:
     axis, each of z_2..z_n used once (``_axis_fields``); every term of r has
     weighted degree at least 1; and every term of each coefficient a_k of a
     field of value c has weighted degree at least w(z_k) - 1/c.  Weights
-    are integers over one common denominator, the lcm of the c-entries'
-    numerators, so z_1 weighs ``common``."""
+    are integers over their common denominator (``poly._integer_weight``
+    of 1 and each axis's 1/c), so z_1 weighs ``common``."""
     axes = _axis_fields(bs)
     if len(axes) < bs.n - 1:
         # a field off the axes, an axis used twice, or a variable with no
         # finite slot, whose weight is unset
         return False
-    common = math.lcm(*(c.numerator for c, _fld in axes.values()))
-    weight = [common] + [common * c.denominator // c.numerator
-                         for c, _fld in map(axes.get, range(1, bs.n))]
+    weight, common = _integer_weight(
+        [1] + [1 / c for c, _fld in map(axes.get, range(1, bs.n))])
 
     def degree(key: TermKey) -> int:
         return sum((x + y) * w for x, y, w in zip(*key, weight))

@@ -109,14 +109,6 @@ class NormalForm:
         }
 
 
-def _block_end(mu: Sequence[Fraction], m: int) -> int:
-    """Largest s with mu_m = ... = mu_s (1-based slots)."""
-    s = m
-    while s + 1 <= len(mu) and mu[s] == mu[m - 1]:
-        s += 1
-    return s
-
-
 def _bal_monomial_alpha(n: int, ks: Sequence[int]) -> Tuple[int, ...]:
     alpha = [0] * n
     for offset, k in enumerate(ks):
@@ -160,9 +152,9 @@ def step_inductive(q: Poly, mu: Weight, m: int
     stay as they are.  Raises _Degenerate when the block restriction adds
     nothing beyond the earlier variables."""
     entries = mu.entries
-    s = _block_end(entries, m)
-    block = list(range(m, s + 1))
-    sub = q.restrict_support(list(range(2, s + 1)))
+    # mu is nonincreasing, so the slots of mu_m's value are contiguous
+    block = [j for j in range(m, mu.n + 1) if entries[j - 1] == entries[m - 1]]
+    sub = q.restrict_support(list(range(2, block[-1] + 1)))
     if all(sub.degree_in(j) <= 0 for j in block):
         raise _Degenerate(m, q)
     change, scoped = _block_direction(sub, block, entries, m)

@@ -26,10 +26,11 @@ and holomorphic parts, restrictions, top-degree parts, the parts of
 ``grade``, ``split_model``'s p) is built by ``Poly._unchecked``, which
 wraps its table as given: only a product forms zeros, and each caller of
 ``_mul_terms`` drops them; ``Poly.zero``, ``const`` and ``variable`` check
-their arguments and build the same way.  A weighted order (alpha + beta | mu)
-is an integer, the dot product with mu scaled by its common denominator
-(``_integer_weight``), in ``Poly.grade`` and in ``CoordChange``'s weight
-clause.
+their arguments and build the same way.  Every weighted sum is an integer
+over its weights' common denominator (``_integer_weight``): the weighted
+orders of ``grade``, ``CoordChange`` and ``weights.lower_weight_at``, the
+remainders of ``weights.admissible_rows`` (read by ``is_admissible``,
+``enumerate_multitypes`` and ``boundary._ranked``) and ``boundary._graded``.
 
 All values are immutable after construction and all operations are pure, so
 they may be shared freely across threads.

@@ -45,19 +45,19 @@ limited to ``MAX_SEARCH_DIMENSION`` by the weight walk
 floor both run and whose own cost grows fastest, past dimension 12, on
 models whose variables tie, such as the quartic sum.
 
-The weight search runs on integers.  It keeps one common denominator, the
-lcm of the denominators of the weights 1/lambda chosen so far, and holds
-every weighted order as an integer over it; slot bounds are integer pairs
-compared by cross-multiplication, and each slot takes its bound as its
-lambda.  ``Fraction`` appears only in the returned weight, and in the
-admissibility and descent helpers, which are not on the hot path.
-
+Rows, witnesses and descent are integers over ``poly._integer_weight``.
 Admissible rows (a_j >= 0, sum a_j/lambda_j < 1) are enumerated only by
-``admissible_rows``, one slot per ``_grow_rows`` step; ``is_admissible``
-takes those steps itself, reading each slot's witnesses off the rows over the
-slots before it in one pass.  The weight search needs no rows and no
-remainders: a slot's bound t/(1 - P) is admissible through the row of the
-vector setting it (``_best_distinguished``).
+``admissible_rows``, each remainder a positive integer over the weights'
+common denominator, one slot per ``_grow_rows`` step; ``is_admissible``
+takes those steps itself, and a row witnesses slot i when w_i divides its
+remainder.  The weight search keeps its own integer scheme, as it picks its
+lambdas as it walks: its denominator, the lcm of those of the weights
+1/lambda chosen so far, grows slot by slot, and its slot bounds are integer
+pairs compared by cross-multiplication.  It needs no rows: a slot's bound
+t/(1 - P) is admissible through the row of the vector setting it
+(``_best_distinguished``).  The boundary audit's admissibility and
+property-(5) sums and ``verify_normal_form``'s homogeneity sums stay in
+``Fraction``: they are the checks, and they print their values.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
 from .exact import rat_str
-from .poly import DimensionMismatch, Poly, PolyError, eliminate_harmonic
+from .poly import (DimensionMismatch, Poly, PolyError, _integer_weight,
+                   eliminate_harmonic)
 
 INF = math.inf
 Entry = Union[Fraction, float]  # float only ever +inf
@@ -245,30 +246,31 @@ class Multitype:
 # ----------------------------------------------------------------------
 
 
-def _grow_rows(rows: List[Tuple[Tuple[int, ...], Fraction]], lam: Entry,
+def _grow_rows(rows: List[Tuple[Tuple[int, ...], int]], w: int,
                most: Optional[int] = None
-               ) -> List[Tuple[Tuple[int, ...], Fraction]]:
-    """The rows of ``admissible_rows`` extended by one slot over ``lam``."""
-    step = recip(lam)  # 0 for an infinite lambda
+               ) -> List[Tuple[Tuple[int, ...], int]]:
+    """``admissible_rows`` one slot on, of integer weight ``w`` (0 for INF)."""
     grown = []
     for row, rem in rows:
-        top = 0 if step == 0 else math.ceil(rem / step) - 1
+        top = 0 if w == 0 else (rem - 1) // w
         if most is not None:
             top = min(top, most - sum(row))
-        grown += [(row + (a,), rem - a * step) for a in range(top + 1)]
+        grown += [(row + (a,), rem - a * w) for a in range(top + 1)]
     return grown
 
 
 def admissible_rows(lams: Sequence[Entry], most: Optional[int] = None
-                    ) -> List[Tuple[Tuple[int, ...], Fraction]]:
-    """Every row (a_1..a_k) of nonnegative integers over ``lams`` whose
-    remainder 1 - sum a_j/lambda_j is positive, paired with that remainder,
-    in lexicographic order.  An infinite lambda takes only a_j = 0; with
-    ``most``, only the rows whose entries sum to at most ``most`` are kept."""
-    rows = [((), Fraction(1))]
-    for lam in lams:
-        rows = _grow_rows(rows, lam, most)
-    return rows
+                    ) -> Tuple[List[Tuple[Tuple[int, ...], int]], int]:
+    """(rows, den): each row (a_1..a_k) of nonnegative integers over
+    ``lams`` of positive remainder 1 - sum a_j/lambda_j, in lexicographic
+    order, with that remainder times den, the weights' common denominator
+    (an infinite lambda weighs 0: a_j = 0); with ``most``, the rows of sum
+    at most ``most``."""
+    w, den = _integer_weight([recip(lam) for lam in lams])
+    rows = [((), den)]
+    for w_j in w:
+        rows = _grow_rows(rows, w_j, most)
+    return rows, den
 
 
 def is_admissible(lam: InverseWeight) -> Tuple[bool, Dict[int, List[Tuple[int, ...]]]]:
@@ -276,19 +278,19 @@ def is_admissible(lam: InverseWeight) -> Tuple[bool, Dict[int, List[Tuple[int, .
     to all integer witness tuples (a_1..a_i) with a_i > 0 and sum a_j/lambda_j = 1.
 
     On failure the dict maps the first failing slot to an empty list.  The
-    rows over the slots before i are grown one slot at a time, in one pass.
-    """
+    rows over the slots before i are grown one slot at a time, in one pass;
+    one witnesses slot i when w_i divides its remainder (a_i = rem // w_i)."""
     witnesses: Dict[int, List[Tuple[int, ...]]] = {}
-    rows = admissible_rows(())
-    for i, lam_i in enumerate(lam.entries, start=1):
+    w, den = _integer_weight([recip(x) for x in lam.entries])
+    rows = [((), den)]
+    for i, (lam_i, w_i) in enumerate(zip(lam.entries, w), start=1):
         if lam_i != INF:
-            sols = [row + (a.numerator,) for row, rem in rows
-                    if (a := rem * lam_i).denominator == 1]
+            sols = [row + (rem // w_i,) for row, rem in rows if rem % w_i == 0]
             if not sols:
                 return False, {i: []}
             witnesses[i] = sols
         if i < lam.n:
-            rows = _grow_rows(rows, lam_i)
+            rows = _grow_rows(rows, w_i)
     return True, witnesses
 
 
@@ -717,14 +719,14 @@ def enumerate_multitypes(n: int, m) -> List[InverseWeight]:
     for _ in range(2, n + 1):
         grown = []
         for prefix in prefixes:
-            rows = admissible_rows([x / 2 for x in prefix[1:]])
-            tops = [math.floor(m * rem / 2) for _row, rem in rows]
+            rows, den = admissible_rows([x / 2 for x in prefix[1:]])
+            tops = [math.floor(m * rem / (2 * den)) for _row, rem in rows]
             work -= len(prefix) * len(rows) * (1 + sum(tops))
             if work < 0:
                 raise PolyError(f"dimension {n} and type {rat_str(m)} need "
                                 f"more than {MAX_ENUMERATE_WORK} row entries")
-            slot = {2 * k / rem for (_row, rem), top in zip(rows, tops)
-                    for k in range(1, top + 1)}
+            slot = {Fraction(2 * k * den, rem) for (_row, rem), top in
+                    zip(rows, tops) for k in range(1, top + 1)}
             grown += [prefix + (x,) for x in sorted(slot) if x >= prefix[-1]]
         prefixes = grown
     return [InverseWeight(t) for t in prefixes]
@@ -750,16 +752,17 @@ def lower_weight_at(mu: Weight, j: int, q: Poly) -> Optional[Weight]:
     entries = mu.entries
     if not 2 <= j <= mu.n:
         raise DimensionMismatch(f"slot {j} out of range")
+    w, den = _integer_weight(entries[:j - 1])
     top = None
     for (a, b) in q.terms:
         e = [x + y for x, y in zip(a, b)]
-        pre = sum((e[i] * entries[i] for i in range(j - 1)), Fraction(0))
-        if pre >= 1:
+        pre = sum(x * y for x, y in zip(e, w))
+        if pre >= den:
             continue
         tail = sum(e[j - 1:])
         if tail == 0:
             return None
-        t = (1 - pre) / tail
+        t = Fraction(den - pre, den * tail)
         if top is None or t > top:
             top = t
     if top is None or top >= entries[j - 1]:

@@ -4,6 +4,7 @@ command runs, for the test suite."""
 from __future__ import annotations
 
 import functools
+import heapq
 import importlib.util
 import itertools
 import math
@@ -25,7 +26,7 @@ from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          _squares_certificate, cauchy_schwarz_pairing,
                          complex_hessian)
 from catlin.normal_form import (_Degenerate, _bal_monomial_alpha,
-                                _block_direction, _block_end)
+                                _block_direction)
 from catlin.poly import (CoordChange, DimensionMismatch, Poly, PolyError,
                          PseudoconvexityError, TermKey, _capped_products,
                          eliminate_harmonic, require_real, split_model,
@@ -1269,8 +1270,7 @@ def step_first_oracle(p: Poly, mu: Weight, assert_psc: bool = False):
     Returns (change, p2, k22, C20, warnings)."""
     entries = mu.entries
     n = p.n
-    s = _block_end(entries, 2)
-    block = list(range(2, s + 1))
+    block = [j for j in range(2, mu.n + 1) if entries[j - 1] == entries[1]]
     p_block = p.restrict_support(block)
     if p_block.is_zero():
         raise _Degenerate(2, p)
@@ -1344,6 +1344,78 @@ def is_admissible_oracle(lam: InverseWeight
             return False, {i: []}
         witnesses[i] = sols
     return True, witnesses
+
+
+def _grow_rows_oracle(rows: List[Tuple[Tuple[int, ...], Fraction]],
+                     lam: Entry, most: Optional[int] = None
+                     ) -> List[Tuple[Tuple[int, ...], Fraction]]:
+    """The earlier ``weights._grow_rows``: one slot over ``lam``, with each
+    remainder a ``Fraction``."""
+    step = recip(lam)  # 0 for an infinite lambda
+    grown = []
+    for row, rem in rows:
+        top = 0 if step == 0 else math.ceil(rem / step) - 1
+        if most is not None:
+            top = min(top, most - sum(row))
+        grown += [(row + (a,), rem - a * step) for a in range(top + 1)]
+    return grown
+
+
+def admissible_rows_oracle(lams: Sequence[Entry], most: Optional[int] = None
+                           ) -> List[Tuple[Tuple[int, ...], Fraction]]:
+    """The earlier ``weights.admissible_rows``: each row paired with its
+    remainder 1 - sum a_j/lambda_j as a ``Fraction``."""
+    rows = [((), Fraction(1))]
+    for lam in lams:
+        rows = _grow_rows_oracle(rows, lam, most)
+    return rows
+
+
+def is_admissible_rows_oracle(
+        lam: InverseWeight) -> Tuple[bool, Dict[int, List[Tuple[int, ...]]]]:
+    """The earlier ``weights.is_admissible``: a row witnesses slot i when
+    its ``Fraction`` remainder times lambda_i is an integer."""
+    witnesses: Dict[int, List[Tuple[int, ...]]] = {}
+    rows = admissible_rows_oracle(())
+    for i, lam_i in enumerate(lam.entries, start=1):
+        if lam_i != INF:
+            sols = [row + (a.numerator,) for row, rem in rows
+                    if (a := rem * lam_i).denominator == 1]
+            if not sols:
+                return False, {i: []}
+            witnesses[i] = sols
+        if i < lam.n:
+            rows = _grow_rows_oracle(rows, lam_i)
+    return True, witnesses
+
+
+def ranked_oracle(slow, slot: int, first: int, last: int,
+                  floor: Optional[Entry] = None
+                  ) -> List[Tuple[Fraction, int, List[int]]]:
+    """The earlier ``boundary._ranked``, as a list: the rows of
+    ``admissible_rows_oracle``, each value scaled to an integer over the
+    lcm of the remainders' numerators, merged by (value, fields, row)."""
+    if floor == INF:
+        return []
+    earlier = [k for k in sorted(slow) if k < slot]
+    rows = admissible_rows_oracle([slow[k].c for k in earlier], last - 1)
+    common = math.lcm(*(rem.numerator for _row, rem in rows))
+
+    def run(position, row, rem):
+        used, scale = sum(row), rem.denominator * (common // rem.numerator)
+        tail = [k for k, a in zip(reversed(earlier), reversed(row))
+                for _ in range(a)]
+        least = 1 if floor is None else math.ceil(floor * rem)
+        for fields in range(max(first, used + least), last + 1):
+            yield (fields - used) * scale, fields, position, rem, tail
+
+    out = []
+    for _key, fields, _pos, rem, tail in heapq.merge(
+            *(run(i, row, rem) for i, (row, rem) in enumerate(rows))):
+        count = fields - len(tail)
+        out.append((Fraction(count * rem.denominator, rem.numerator), fields,
+                    [slot] * count + tail))
+    return out
 
 
 def compositions_oracle(total: int, slots: List[int],

@@ -30,7 +30,7 @@ from catlin.weights import INF, InverseWeight, is_admissible, multitype_search
 from helpers import (ListSearcherOracle, _truncate, apply_field_oracle,
                      audit_boundary_system_oracle, benchmark_models,
                      commutator_oracle, compositions_oracle, rand_crat,
-                     rand_real_poly, slow_field_oracle,
+                     rand_real_poly, ranked_oracle, slow_field_oracle,
                      straighten_first_block_oracle)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
@@ -174,6 +174,37 @@ def test_skeletons_match_recursive_compositions():
     assert lists > 4000
     # the value order is not the field order on many of the draws
     assert longer_first > 100
+
+
+def test_ranked_matches_the_fraction_ranking():
+    # the integer ranking (remainders over the c-entries' common
+    # denominator) yields what the earlier Fraction one did, list for
+    # list, on seeded c-prefixes with INF entries, under every kind of
+    # floor: none, rational, an earlier c and INF
+    rng = random.Random(1404)
+    kinds = collections.Counter()
+    lists = 0
+    for _ in range(2400):
+        slot = rng.randint(2, 6)
+        c_prev = {k: INF if rng.random() < 0.15
+                  else Fraction(rng.randint(2, 16), rng.randint(1, 3))
+                  for k in range(2, slot) if rng.random() < 0.7}
+        first = rng.randint(2, 10)
+        last = rng.randint(first, 10)
+        finite = [c for c in c_prev.values() if c != INF]
+        kind = rng.choice(("none", "rational", "earlier", "inf"))
+        if kind == "earlier" and not finite:
+            kind = "rational"
+        floor = {"none": None, "inf": INF,
+                 "rational": Fraction(rng.randint(1, 40), rng.randint(1, 4)),
+                 "earlier": rng.choice(finite) if finite else None}[kind]
+        kinds[kind] += 1
+        slow = {k: SimpleNamespace(c=c) for k, c in c_prev.items()}
+        got = list(_ranked(slow, slot, first, last, floor))
+        assert got == ranked_oracle(slow, slot, first, last, floor), \
+            (c_prev, slot, first, last, floor)
+        lists += len(got)
+    assert min(kinds.values()) > 300 and lists > 4000, (kinds, lists)
 
 
 def test_capped_products_equal_truncated_products():

@@ -23,9 +23,10 @@ from catlin.weights import (INF, MAX_DEGREE_BOUND, MAX_ENUMERATE_DIMENSION,
 from helpers import (best_distinguished_candidates_oracle,
                      best_ordered_weight_oracle, brute_admissible_slot,
                      catalog_oracle, enumerate_multitypes_oracle,
-                     is_admissible_oracle, is_distinguished,
-                     lower_weight_at_oracle, multitype_search_oracle,
-                     rand_crat, substitute_maps_oracle, weighted_order)
+                     is_admissible_oracle, is_admissible_rows_oracle,
+                     is_distinguished, lower_weight_at_oracle,
+                     multitype_search_oracle, rand_crat,
+                     substitute_maps_oracle, weighted_order)
 
 
 # ----------------------------------------------------------------------
@@ -140,6 +141,14 @@ def _random_lams(rng, count):
             for _ in range(count)]
 
 
+def _as_fractions(rows_den):
+    """``admissible_rows``' (rows, den) with each remainder, a positive
+    integer over den, as a Fraction."""
+    rows, den = rows_den
+    assert all(isinstance(rem, int) and rem > 0 for _row, rem in rows)
+    return [(row, Fraction(rem, den)) for row, rem in rows]
+
+
 def test_admissible_rows_matches_brute_force():
     # Every row of the box a_j < lambda_j (a_j = 0 for INF), in itertools'
     # lexicographic order, filtered by remainder and row sum.
@@ -152,9 +161,9 @@ def test_admissible_rows_matches_brute_force():
                                in zip(row, lams) if a), Fraction(0)))
                 for row in itertools.product(*box)]
         brute = [(row, rem) for row, rem in rems if rem > 0]
-        assert admissible_rows(lams) == brute, lams
+        assert _as_fractions(admissible_rows(lams)) == brute, lams
         most = rng.randint(0, 5)
-        assert admissible_rows(lams, most) == [
+        assert _as_fractions(admissible_rows(lams, most)) == [
             (row, rem) for row, rem in brute if sum(row) <= most], (lams, most)
 
 
@@ -168,6 +177,9 @@ def test_is_admissible_matches_recursive_oracle():
                             + [INF] * rng.choice((0, 0, 1, 2)))
         got = is_admissible(lam)
         assert got == is_admissible_oracle(lam), lam
+        # the integer witnesses (w_i divides rem) are the earlier Fraction
+        # ones ((rem * lambda_i).denominator == 1), failures included
+        assert got == is_admissible_rows_oracle(lam), lam
         admissible += got[0]
     assert 300 < admissible < 2700
 
