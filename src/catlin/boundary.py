@@ -30,15 +30,15 @@ block slot's own r_j; the failure of the same normalization at the next
 slot is the torsion obstruction, detected as non-pluriharmonic content of
 r_j.
 
-Field coefficients are polynomials.  Tangency constraints are solved by an
-exact triangular elimination whose matrix inverse is expanded as a Neumann
-series; because the nonconstant part raises degrees, the series is exact up
-to the stored truncation degree, which exceeds every derivative order that
-can influence a value at the origin.  The tangency system of a slot (its
-rows, columns and matrix M, M(0)^{-1} and the nonconstant part of M) does
-not depend on the candidate direction, so it is formed once per slot
-(``_tangency_system``); each direction adds its right-hand side, the
-Neumann iteration and the z_1 coefficient.
+Field coefficients are polynomials.  Tangency constraints M x = b are
+solved by one power series: with M(0)^{-1} exact, x = sum_i K^i M(0)^{-1} b
+for K = I - M(0)^{-1} M, which has no constant term, so the series is exact
+up to the stored truncation degree, which exceeds every derivative order
+that can influence a value at the origin.  The tangency system of a slot
+(its rows, columns and matrix M) does not depend on the candidate
+direction, so M(0) is inverted once per slot, which forms K and the matrix
+that takes a direction to the series' first term (``_tangency_system``);
+each direction adds the series and the z_1 coefficient.
 
 Wherever only low degrees matter, products are formed degree-capped by the
 product kernel of ``poly``: term pairs whose degrees add up to more than the
@@ -46,8 +46,8 @@ cap are never formed.  In the list search this is exact because a term of
 degree d needs d more derivations to reach the origin; each bracket seed is
 capped for the longest list and used whole by every list.
 The slow fields are built capped at the truncation degree: every entry of
-their tangency system is a capped product, so the Neumann solve takes its
-matrix as given and caps each product of its own there.
+their tangency system, and every product of the series, is a capped
+product there.
 
 The list search keeps its tables by one rule (``_ListSearcher``): a table
 through the slot under test, whose field changes with the candidate
@@ -419,34 +419,6 @@ def _const_vec(n: int, direction: Sequence[CRat]) -> List[Poly]:
     return [Poly.const(n, c) for c in direction]
 
 
-def _neumann_solve(m0inv: List[List[CRat]], npart: List[List[Poly]],
-                   rhs: List[Poly], n: int, cap: int) -> List[Poly]:
-    """Solve M x = rhs over polynomials, exactly modulo degree > cap, given
-    M(0)^{-1} and the nonconstant part N = M - M(0).
-
-    The entries of N hold no terms above degree cap, and every product is
-    capped there.  The series sum_i (-M(0)^{-1} N)^i M(0)^{-1} rhs
-    terminates because N raises the minimum degree at each iteration."""
-    dim = len(m0inv)
-
-    def apply_const(mat: List[List[CRat]], vec: List[Poly]) -> List[Poly]:
-        return [sum((vec[j] * mat[i][j] for j in range(dim)), Poly.zero(n))
-                for i in range(dim)]
-
-    def apply_poly(mat: List[List[Poly]], vec: List[Poly]) -> List[Poly]:
-        return [_capped_products(n, zip(mat[i], vec), cap)
-                for i in range(dim)]
-
-    x = apply_const(m0inv, rhs)
-    acc = list(x)
-    for _ in range(cap + 2):
-        x = [-f for f in apply_const(m0inv, apply_poly(npart, x))]
-        if all(f.is_zero() for f in x):
-            break
-        acc = [a + b for a, b in zip(acc, x)]
-    return acc
-
-
 def _tangency_system(r: Poly, c1: CRat, p_hess: List[List[Poly]],
                      levi: List[VField], prior: List[SlowSlot], cap: int
                      ) -> Callable[[Sequence[CRat]], Optional[VField]]:
@@ -455,16 +427,19 @@ def _tangency_system(r: Poly, c1: CRat, p_hess: List[List[Poly]],
     block fields and the earlier slow functions r_k, or to None when M(0)
     is singular.
 
-    The tangency matrix M, M(0)^{-1} and the nonconstant part of M are
-    built from the rows and the columns alone, which do not depend on the
-    direction, so they are formed once per slot; a direction adds only its
-    right-hand side, the Neumann iteration and the z_1 coefficient."""
+    The field is base + columns . x, where M x = -rows . base and M is the
+    tangency matrix rows . columns.  Its solution modulo degree > cap is
+    the series sum_i K^i lead . base, with lead = -M(0)^{-1} . rows and
+    K = I - M(0)^{-1} . M.  Both are formed once per slot from the rows
+    and the columns, which do not depend on the direction, so M(0) is
+    inverted once per slot; a direction adds only the series and the z_1
+    coefficient.  Every product is capped at ``cap``."""
     n = r.n
     columns = [list(lf.hol[1:]) for lf in levi]
     columns += [_const_vec(n, sl.direction) for sl in prior]
     # A row w sends v over z_2..z_n to sum_k v_k w_k: the Levi pairing with
     # a block field, w_k = sum_l p_kl conj(a_l), or dr_k, w_k = d r_k/dz_k.
-    # Its values are capped, as _neumann_solve reads nothing above the cap.
+    # Its values are capped, as the series reads nothing above the cap.
     rows = [[_capped_products(n, zip(hess_row, conj), cap)
              for hess_row in p_hess]
             for conj in ([a.conj() for a in lf.hol[1:]] for lf in levi)]
@@ -473,19 +448,32 @@ def _tangency_system(r: Poly, c1: CRat, p_hess: List[List[Poly]],
     matrix = [[_capped_products(n, zip(col, w), cap) for col in columns]
               for w in rows]
     zero = (0,) * n
-    m0 = [[entry.coeff(zero, zero) for entry in row] for row in matrix]
-    m0inv = inverse(m0)
-    npart = [[entry - Poly.const(n, c) for entry, c in zip(row, row0)]
-             for row, row0 in zip(matrix, m0)]
+    m0inv = inverse([[entry.coeff(zero, zero) for entry in row]
+                     for row in matrix])
+    if m0inv is None:
+        return lambda _direction: None
+    # -M(0)^{-1}, whose rows give lead and step = K
+    neg = [[Poly.const(n, -c) for c in row] for row in m0inv]
+    lead = [[_capped_products(n, [(a, w[k]) for a, w in zip(row, rows)], cap)
+             for k in range(n - 1)] for row in neg]
+    step = [[_capped_products(n, [(a, m[l]) for a, m in zip(row, matrix)],
+                              cap) + Poly.const(n, int(i == l))
+             for l in range(len(matrix))] for i, row in enumerate(neg)]
 
     def field(direction: Sequence[CRat]) -> Optional[VField]:
-        if m0inv is None:
-            return None
         base = _const_vec(n, direction)
-        rhs = [-_capped_products(n, zip(base, w), cap) for w in rows]
-        sol = _neumann_solve(m0inv, npart, rhs, n, cap)
-        vec = [b + _capped_products(n, [(x, col[k])
-                                        for x, col in zip(sol, columns)], cap)
+        x = [_capped_products(n, zip(row, base), cap) for row in lead]
+        sol = [Poly.zero(n)] * len(x)
+        # M(0)^{-1} . M is I plus terms of positive degree, so K has no
+        # constant term: each step raises the least degree of x by one,
+        # and x is zero within cap + 1 steps
+        for _ in range(cap + 1):
+            if all(f.is_zero() for f in x):
+                break
+            sol = [s + f for s, f in zip(sol, x)]
+            x = [_capped_products(n, zip(row, x), cap) for row in step]
+        vec = [b + _capped_products(n, [(s, col[k])
+                                        for s, col in zip(sol, columns)], cap)
                for k, b in enumerate(base)]
         return _field_from_vector(r, c1, vec)
 
@@ -686,9 +674,13 @@ def _system_slots(r: Poly, list_bound: Optional[int],
 
 
 def _normalize_r(g: Poly, direction: Sequence[CRat]) -> Tuple[Poly, CRat]:
-    """Canonical real function from the list derivative: scale so the linear
-    part along the slot direction is exactly Re z_dir; prefer Re over Im.
-    Also returns the scale (the linear coefficient that was divided out)."""
+    """Canonical real function from the list derivative: divide it by the
+    scale a = C+ + conj(C-), C+ and C- its coefficients of z_dir and
+    zbar_dir, and take the real part; prefer Re over Im.  The linear part
+    along z_dir is then exactly Re z_dir only when a is real: its z_dir
+    coefficient is (C+/a + conj(C-)/conj(a))/2, which is 1/2 for real a
+    (likewise Im z_dir when the scale -i(C+ - conj(C-)) is real).  Also
+    returns the scale (the linear coefficient that was divided out)."""
     # no catalog direction is zero: each is a hermitian_reduce basis vector
     # or a combination sum t^i k_i of independent kernel vectors
     dirvar = next(k + 2 for k, c in enumerate(direction) if not c.is_zero())

@@ -53,7 +53,8 @@ takes those steps itself, and a row witnesses slot i when w_i divides its
 remainder.  The weight search keeps its own integer scheme, as it picks its
 lambdas as it walks: its denominator, the lcm of those of the weights
 1/lambda chosen so far, grows slot by slot, and its slot bounds are integer
-pairs compared by cross-multiplication.  It needs no rows: a slot's bound
+pairs compared by cross-multiplication (``_slot_bound``, whose reciprocal
+is also descent's supporting value).  It needs no rows: a slot's bound
 t/(1 - P) is admissible through the row of the vector setting it
 (``_best_distinguished``).  The boundary audit's admissibility and
 property-(5) sums and ``verify_normal_form``'s homogeneity sums stay in
@@ -745,26 +746,26 @@ def lower_weight_at(mu: Weight, j: int, q: Poly) -> Optional[Weight]:
     pre from the slots before j and tail its total degree from slot j on.
     The weight keeps every term at weight >= 1 exactly when t >= T, the
     largest (1 - pre)/tail over the terms with pre < 1, and its value T is
-    the one that puts such a term at weight exactly 1.  So the answer drops
-    slot j on to T; it is None when a term with pre < 1 has tail 0 (no t
-    lifts it), when no term has pre < 1, or when T >= mu_j (no descent).
+    the one that puts such a term at weight exactly 1: the reciprocal of
+    the bound ``_slot_bound`` puts on a slot of the weight walk, with pre
+    over ``_integer_weight``'s denominator.  So the answer drops slot j on
+    to T; it is None when a term with pre < 1 has tail 0 (no t lifts it),
+    when no term has pre < 1, or when T >= mu_j (no descent).
     T < mu_j <= mu_{j-1} keeps the result nonincreasing."""
     entries = mu.entries
     if not 2 <= j <= mu.n:
         raise DimensionMismatch(f"slot {j} out of range")
     w, den = _integer_weight(entries[:j - 1])
-    top = None
+    live = []
     for (a, b) in q.terms:
-        e = [x + y for x, y in zip(a, b)]
+        e = tuple(map(add, a, b))
         pre = sum(x * y for x, y in zip(e, w))
-        if pre >= den:
-            continue
-        tail = sum(e[j - 1:])
-        if tail == 0:
-            return None
-        t = Fraction(den - pre, den * tail)
-        if top is None or t > top:
-            top = t
-    if top is None or top >= entries[j - 1]:
+        if pre < den:
+            live.append((pre, sum(e[j - 1:]), e))
+    bound = _slot_bound(live, den)
+    if bound is None or bound[1] == 0:
+        return None
+    top = Fraction(bound[1], bound[0])
+    if top >= entries[j - 1]:
         return None
     return Weight(entries[:j - 1] + (top,) * (mu.n - j + 1))

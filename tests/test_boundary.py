@@ -23,8 +23,8 @@ from catlin.cli import main
 from catlin.exact import CRat, hermitian_reduce, rank
 from catlin.levi import complex_hessian
 from catlin.parser import parse_poly
-from catlin.poly import (CoordChange, Poly, PolyError, _mul_terms,
-                         split_model)
+from catlin.poly import (CoordChange, Poly, PolyError, _capped_products,
+                         _mul_terms, split_model)
 from catlin.weights import INF, InverseWeight, is_admissible, multitype_search
 
 from helpers import (ListSearcherOracle, _truncate, apply_field_oracle,
@@ -325,6 +325,55 @@ def test_slow_fields_equal_uncapped_oracle(monkeypatch):
             continue
         assert all(sl.fld in built for sl in bs.slow.values())
     assert rows["levi"] > 20 and rows["prior"] > 20, rows
+
+
+LEVI_AND_SLOT_EXPR = "-2*Re(z1) + |z2 + z3^2|^2 + |z3|^6 + |z4 + z3^2|^4"
+
+
+def test_slow_fields_solve_their_tangency_equations(monkeypatch):
+    # every slow field a build forms, emitted or not, solves the equations
+    # it is built from, up to the cap: L r = 0, a zero Levi pairing with
+    # each block field, w_k = sum_l p_kl conj(a_l), and L r_k = 0 for each
+    # earlier slot, w_k = d r_k/dz_k
+    rows = collections.Counter()
+    orig = boundary._tangency_system
+
+    def checked_system(r, c1, p_hess, levi, prior, cap):
+        system = orig(r, c1, p_hess, levi, prior, cap)
+        n = r.n
+        pairings = [[sum((p * a.conj() for p, a in zip(hess_row, lf.hol[1:])),
+                         Poly.zero(n)) for hess_row in p_hess] for lf in levi]
+        pairings += [[sl.r_func.wirtinger(k) for k in range(2, n + 1)]
+                     for sl in prior]
+
+        def checked(direction):
+            fld = system(direction)
+            if fld is not None:
+                v = fld.hol[1:]
+                assert _apply_field(fld.hol, r).is_zero()
+                for w in pairings:
+                    assert _capped_products(n, zip(v, w), cap).is_zero()
+                rows["fields"] += 1
+                rows["levi"] += len(levi)
+                rows["prior"] += len(prior)
+                rows["both"] += bool(levi) and bool(prior)
+            return fld
+
+        return checked
+
+    monkeypatch.setattr(boundary, "_tangency_system", checked_system)
+    models = [(TORSION_EXPR, 4), (torsion_lift(2), 4),
+              ("-2*Re(z1) + |z2|^4 + |z3|^8", 3),
+              ("Re(z1) + (Re(z2) + |z3|^2)^2", 3), (LEVI_AND_SLOT_EXPR, 4)]
+    models = [parse_poly(e, n) for e, n in models]
+    rng = random.Random(20261018)
+    models += [_finite_type_model(rng, rng.randint(3, 4)) for _ in range(30)]
+    for r in models:
+        try:
+            build_boundary_system(r)
+        except BoundaryConstructionError:
+            continue
+    assert rows["levi"] > 20 and rows["prior"] > 20 and rows["both"], rows
 
 
 def _flag_patterns(skeleton):
@@ -1465,8 +1514,8 @@ def test_finished_slot_coefficient_tables_are_formed_once(monkeypatch):
 
 
 def test_tangency_system_is_formed_once_per_slot(monkeypatch):
-    # The tangency matrix, M(0)^{-1} and the nonconstant part of the
-    # Neumann solve depend on the slot alone, not on the direction: the
+    # The tangency matrix, M(0)^{-1} and the two matrices of the series,
+    # lead and K, depend on the slot alone, not on the direction: the
     # n = 4 diagonal build forms 10 slow fields over its 3 slots and
     # inverts one M(0) per slot.
     inverses, fields = [], []
