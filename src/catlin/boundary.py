@@ -124,6 +124,30 @@ bound term by term.  A c_j that is too large puts some term below its
 bound, and the check fails; so does a direction off the axes or a
 variable with no finite slot.  Where the check fails, the audit walks every
 list ranked before a slot's own, with no floor.
+
+A second lemma decides list searches before they run, in the build, both
+torsion builds and the audit alike (``_ListSearcher``): a torus charge.  The
+circle acts on one axis k >= 2 by z_k -> e^{it} z_k, and a term z^a zbar^b
+has charge a_k - b_k.  Call r balanced on k when every term of r has
+charge 0 there.  A field sum_m a_m d/dz_m is charge-homogeneous on k, of
+charge q, when every term of every a_m has a_k - b_k - [m = k] = q; its
+conjugate entry then has charge -q.  Applying a field of charge q to a
+function of one charge adds q to it, and the (1,0) part of a bracket of
+fields of charges q and q' has coefficients hol_m of charge q + q' + [m =
+k], which dr/dz_m, of charge -[m = k] on a balanced axis, brings to q +
+q'.  So on an axis where r is balanced and each field of a list is
+homogeneous, the list derivative has the sum of its entries' charges, and
+its value at 0, a constant, has charge 0.  Each entry counts q or -q, so
+when the fields' charges add up to an odd number no conjugation pattern
+can sum to 0: the skeleton vanishes and is skipped without forming a seed.
+Capped products drop term pairs only, so the capped search keeps each
+charge.  Both conditions are checked term by term on the built fields, the
+way ``_graded`` checks weighted degree; a field along a combination of
+axes is not homogeneous, and the check stands down for it.  Within a
+pattern no bound on the charge is needed: a term of charge Q has degree at
+least |Q|, a homogeneous field, nonzero at 0, has charge 0 or -1, and the
+degree cap already empties every state whose charge its remaining fields
+cannot cancel.
 """
 
 from __future__ import annotations
@@ -243,7 +267,15 @@ class _ListSearcher:
     and suffix fix its positions and so its caps, so a stored table is a
     pure function of its key.  Tail states through the slot under test are
     not kept.  A searcher made without a store (``list_derivative``'s)
-    has no finished slots and keeps every table to itself."""
+    has no finished slots and keeps every table to itself.
+
+    ``first_nonzero`` first reads the torus-charge lemma (module
+    docstring): a skeleton whose fields' charges add up to an odd number on
+    an axis where r is balanced and each of them is charge-homogeneous
+    vanishes, and is not walked.  r's balanced axes are found once per
+    store, so once per build or audit, and a model with none pays that one
+    scan of r; each field's charges are found once per field and kept by
+    the rule above."""
 
     def __init__(self, r: Poly, fields: Dict[int, VField],
                  max_length: Optional[int] = None,
@@ -279,15 +311,66 @@ class _ListSearcher:
         if key not in seeds:
             c = self.seed_cap
             hol: List[Dict[TermKey, CRat]] = [{}] * self.r.n
+            # a field applied to a zero coefficient gives zero
             if not e2[1]:
-                hol = [_sum_terms(h, self.apply(e1, y.terms, c))
-                       for h, y in zip(hol, self.fields[e2[0]].hol)]
+                hol = [_sum_terms(h, self.apply(e1, y.terms, c)) if y.terms
+                       else h for h, y in zip(hol, self.fields[e2[0]].hol)]
             if not e1[1]:
                 hol = [_sum_terms(h, self.apply(e2, x.terms, c), True)
+                       if x.terms else h
                        for h, x in zip(hol, self.fields[e1[0]].hol)]
             seeds[key] = _field_terms([(i, h) for i, h in enumerate(hol) if h],
                                       self.r.terms, c, False)
         return seeds[key]
+
+    def _charges(self, slot: int, axes: Sequence[int]) -> Tuple[int, int]:
+        """The field of ``slot`` on ``axes``, r's balanced axes, as two bit
+        masks over a term's exponent positions: the axes on which it is
+        charge-homogeneous, and of those the ones of odd charge (module
+        docstring).  Formed once per field, kept by the table rule.  The
+        z_1 coefficient is not read: r holds z_1 only in c Re z_1, so L(r) =
+        0 fixes a_1 = -(1/c) sum_m a_m dr/dz_m, of charge q on a balanced
+        axis when every other a_m is homogeneous of charge q.
+        ``_field_from_vector`` solves a_1 so, and the audit checks L(r) = 0
+        on every field it searches."""
+        tables = self._store if slot in self._finished else self._own
+        key = ("charges", slot)
+        if key not in tables:
+            homogeneous = odd = 0
+            hol = self.fields[slot].hol
+            for i in axes:
+                charges = {a[i] - b[i] - (m == i)
+                           for m in range(1, len(hol)) for a, b in hol[m].terms}
+                if len(charges) == 1:
+                    homogeneous |= 1 << i
+                    odd |= (charges.pop() & 1) << i
+            tables[key] = homogeneous, odd
+        return tables[key]
+
+    def _odd_charge(self, skeleton: Sequence[int]) -> bool:
+        """Whether every list over ``skeleton`` vanishes at 0 by the
+        torus-charge lemma (module docstring): on some axis where r is
+        balanced and each field of the skeleton is charge-homogeneous, the
+        fields' charges add up to an odd number.  r's balanced axes are
+        found once per store."""
+        axes = self._store.get(("balanced",))
+        if axes is None:
+            axes = self._store[("balanced",)] = [
+                i for i in range(1, self.r.n)
+                if all(a[i] == b[i] for a, b in self.r.terms)]
+        if not axes:
+            return False
+        slots = set(skeleton)
+        odd_slots = {slot for slot in slots if skeleton.count(slot) & 1}
+        if not odd_slots:
+            return False  # every charge sum is even: no field is read
+        homogeneous, odd = -1, 0
+        for slot in slots:
+            slot_homogeneous, slot_odd = self._charges(slot, axes)
+            homogeneous &= slot_homogeneous
+            if slot in odd_slots:
+                odd ^= slot_odd
+        return bool(homogeneous & odd)
 
     def derivative(self, entries: Sequence[ListEntry]) -> Poly:
         """The list derivative of ``entries``; given ``max_length``, capped
@@ -301,7 +384,10 @@ class _ListSearcher:
     def first_nonzero(self, skeleton: Sequence[int]
                       ) -> Optional[List[ListEntry]]:
         """First (in canonical flag order, tail varying slowest) conjugation
-        pattern over the skeleton whose list derivative at 0 is nonzero."""
+        pattern over the skeleton whose list derivative at 0 is nonzero;
+        None without a walk when the charge lemma decides the skeleton."""
+        if self._odd_charge(skeleton):
+            return None
         length = len(skeleton)
         origin = ((0,) * self.r.n,) * 2
         finished, store = self._finished, self._store

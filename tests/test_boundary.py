@@ -1368,6 +1368,12 @@ DIAGONAL_N4 = "-2*Re(z1) + |z2|^4 + |z3|^6 + |z4|^8"
 # no tier-1 or tier-2 certificate, so no floor: every list below the
 # slot's value is walked
 SHEAR_N4 = "-2*Re(z1) + |z2 + (1/2)*z3^2|^4 + 3*|z3|^8 + 2*|z4|^10"
+# DIAGONAL_N4 with two terms of weighted degree 1 that leave no axis
+# balanced: the same c-entries along the same axes and a graded build, but
+# no list search that the torus-charge check decides, so every list the
+# build or the audit walks reaches the store
+UNBALANCED_N4 = ("-2*Re(z1) + |z2|^4 + |z3|^6 + |z4|^8"
+                 " + 2*(1/10)*Re(z2^2*zbar4^4) + 2*(1/10)*Re(z3^3*zbar2^2)")
 
 
 def _finished_tables_formed(monkeypatch, r, run):
@@ -1442,8 +1448,9 @@ def test_finished_slot_seeds_and_states_are_formed_once(monkeypatch):
     # In one build, each seed and each tail state whose entries all lie in
     # finished slots (below the slot under test) is formed once, for every
     # direction and every later slot.  The states guard on SHEAR_N4 checks
-    # that the test reaches the store.
-    for expr, c, least_states in ((DIAGONAL_N4, (1, 4, 6, 8), 8),
+    # that the test reaches the store; UNBALANCED_N4 has no balanced axis,
+    # so the torus-charge check empties none of its searches.
+    for expr, c, least_states in ((UNBALANCED_N4, (1, 4, 6, 8), 8),
                                   (SHEAR_N4, (1, 4, 8, 10), 70)):
         r = parse_poly(expr, 4)
         bs, seeds, states = _finished_tables_formed(
@@ -1454,10 +1461,12 @@ def test_finished_slot_seeds_and_states_are_formed_once(monkeypatch):
         assert set(seeds.values()) == {1} and set(states.values()) == {1}
 
 
-# DIAGONAL_N4 with z3 -> z3 + z4: the same c-entries along the same axes,
-# but |z4|^6 in r has weighted degree 6/8 < 1, so the audit's grading check
-# fails and every slot's minimality walk starts at the first list
-MIXED_N4 = "-2*Re(z1) + |z2|^4 + |z3 + z4|^6 + |z4|^8"
+# DIAGONAL_N4 with z3 -> z3 + z4 and z2 -> z2 + z4^2: the same c-entries
+# along the same axes, but |z4|^6 in r has weighted degree 6/8 < 1, so the
+# audit's grading check fails and every slot's minimality walk starts at
+# the first list; no axis is balanced, so the torus-charge check decides
+# none of its searches
+MIXED_N4 = "-2*Re(z1) + |z2 + z4^2|^4 + |z3 + z4|^6 + |z4|^8"
 
 
 def test_audit_seeds_and_states_are_formed_once(monkeypatch):
@@ -1466,9 +1475,10 @@ def test_audit_seeds_and_states_are_formed_once(monkeypatch):
     # formed once per audit, for every list it derives or searches and
     # every later slot.  MIXED_N4 fails the grading check, so its audit
     # walks every list below c_j, as every audit once did; the graded
-    # DIAGONAL_N4 walks only the lists of value c_j, and forms 8 of each.
+    # UNBALANCED_N4 walks only the lists of value c_j, and forms 8 seeds
+    # and 16 states.
     for expr, graded, least_states in ((MIXED_N4, False, 50),
-                                       (DIAGONAL_N4, True, 8)):
+                                       (UNBALANCED_N4, True, 8)):
         r = parse_poly(expr, 4)
         bs = build_boundary_system(r)
         assert bs.c_entries == (1, 4, 6, 8)
@@ -1480,7 +1490,7 @@ def test_audit_seeds_and_states_are_formed_once(monkeypatch):
         assert len(seeds) >= 8 and len(states) >= least_states, \
             (expr, seeds, len(states))
         if graded:
-            assert (len(seeds), len(states)) == (8, 8)
+            assert (len(seeds), len(states)) == (8, 16)
 
 
 def test_finished_slot_coefficient_tables_are_formed_once(monkeypatch):
@@ -1488,7 +1498,9 @@ def test_finished_slot_coefficient_tables_are_formed_once(monkeypatch):
     # entries has its coefficient tables conjugated once per build, for
     # every direction and every later slot; those of the slot under test
     # (the largest slot of the searcher's fields) are each searcher's own.
-    r = parse_poly(DIAGONAL_N4, 4)
+    # UNBALANCED_N4 has no balanced axis, so the torus-charge check skips
+    # none of the searches that apply them.
+    r = parse_poly(UNBALANCED_N4, 4)
     apply, conj_terms = _ListSearcher.apply, boundary._conj_terms
     formed = collections.Counter()
     applying = []  # the entry being applied, None unless of a finished slot
@@ -1769,6 +1781,92 @@ def test_lists_below_c_j_have_positive_weighted_degree():
                                      for f in (False, True)]
     assert builds >= 80 and lists >= 2000 and terms >= 10000, \
         (builds, lists, terms)
+
+
+QUARTIC_N4 = "-2*Re(z1) + |z2|^4 + |z3|^4 + |z4|^4"
+
+
+def _field_charges(r, fld):
+    """The charges of a field on each axis k where r is balanced (every term
+    of r has alpha_k = beta_k), from their definition: alpha_k - beta_k -
+    [m = k] over every term of every coefficient a_m, a_1 included."""
+    return {k: {a[k] - b[k] - (m == k) for m, coeff in enumerate(fld.hol)
+                for a, b in coeff.terms}
+            for k in range(1, r.n) if all(a[k] == b[k] for a, b in r.terms)}
+
+
+def _charge_oracle(charges, skeleton) -> bool:
+    """The torus-charge lemma's test: on some balanced axis, the field of
+    each slot of ``skeleton`` (``charges``: slot -> ``_field_charges``) has
+    one charge, and those charges, one per field, add up to an odd
+    number."""
+    return any(all(len(charges[slot][k]) == 1 for slot in skeleton)
+               and sum(min(charges[slot][k]) for slot in skeleton) % 2
+               for k in charges[skeleton[0]])
+
+
+def test_lists_the_charge_check_discharges_vanish():
+    # The torus-charge lemma behind _ListSearcher's check, by brute force.
+    # On every build of test_build_takes_the_least_nonvanishing_list_by_
+    # brute_force whose r is balanced on some axis, and on QUARTIC_N4, at
+    # every slot a build reaches, the field of every catalog direction
+    # outside the span of the slots before it (slow_field_oracle) joins the
+    # finished fields.  Every admissible list up to the build's bound is
+    # discharged by the check exactly when _charge_oracle says so, and each
+    # discharged list vanishes at 0 in every conjugation pattern, by
+    # ListSearcherOracle without a seed cap.  QUARTIC_N4's combination
+    # directions give fields that are not charge-homogeneous; the lists
+    # holding an odd number of them are counted, as the check must stand
+    # down for them.
+    builds = discharged = mixed = 0
+    quartic = parse_poly(QUARTIC_N4, 4)
+    for r, floor in itertools.chain(_judged_models(),
+                                    [(quartic, _lambda_floor(quartic))]):
+        if all(any(a[k] != b[k] for a, b in r.terms) for k in range(1, r.n)):
+            continue  # no balanced axis
+        bs = None
+        try:
+            for bs in boundary._system_slots(r, None, floor):
+                pass
+        except PolyError:
+            pass  # the slots built before the refusal are still judged
+        builds += 1
+        c1, p = split_model(r)
+        p_hess = [row[1:] for row in complex_hessian(p)[1:]]
+        for j in range(bs.rank + 2, len(bs.c_entries) + 1):
+            prior = [bs.slow[k] for k in sorted(bs.slow) if k < j]
+            used = [sl.direction for sl in prior]
+            c_prev = {sl.slot: sl.c for sl in prior}
+            lists = [[k for k in sorted(counts, reverse=True)
+                      for _ in range(counts[k])]
+                     for total in range(3, bs.list_bound + 1)
+                     for counts in compositions_oracle(
+                         total, sorted(c_prev) + [j], c_prev)]
+            for direction in _catalog_directions(p_hess):
+                if rank(used + [direction]) == rank(used):
+                    continue
+                fld = slow_field_oracle(r, c1, p_hess, direction,
+                                        bs.levi_fields, prior,
+                                        bs.trunc_degree)
+                if fld is None:
+                    continue
+                fields = {**{sl.slot: sl.fld for sl in prior}, j: fld}
+                charges = {k: _field_charges(r, f) for k, f in fields.items()}
+                searcher = _ListSearcher(r, fields, bs.list_bound, {}, j)
+                oracle = ListSearcherOracle(r, fields, None)
+                for skeleton in lists:
+                    decided = searcher._odd_charge(skeleton)
+                    assert decided == _charge_oracle(charges, skeleton), \
+                        (str(r), j, direction, skeleton)
+                    if decided:
+                        discharged += 1
+                        assert oracle.first_nonzero(skeleton) is None, \
+                            (str(r), j, direction, skeleton)
+                    mixed += any(len(charges[j][k]) > 1
+                                 for k in charges[j]) \
+                        and skeleton.count(j) % 2 == 1
+    assert builds >= 80 and discharged >= 5000 and mixed >= 1000, \
+        (builds, discharged, mixed)
 
 
 def _check_floored_ranking(slow, slot, first, last, floors):
