@@ -5,6 +5,13 @@ enumerate, examples.  Input is either a positional file (text expression or
 canonical JSON) or --expr with --n.  Exit codes: 0 success, 2 input error,
 3 mathematical contradiction detected, 4 Unknown verdict under
 --require-certificate.
+
+Each command builds its JSON report in both modes and hands ``_emit`` its
+text as a zero-argument callable, built only when printed (without --json).
+The report is built first and holds every number the text prints, so what
+can fail fails in both modes and the exit code does not depend on --json.
+``_json_value`` writes the report byte for byte as
+``json.dumps(report, indent=2, sort_keys=True)`` would.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .boundary import (audit_boundary_system, build_boundary_system,
                        detect_torsion, first_block_torsion,
@@ -81,16 +89,52 @@ def _auto_weight(r: Poly) -> Weight:
     return mt.value.weight()
 
 
-def _emit(args, payload: dict, human: str):
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
+# Any indent sends json.dumps to the standard library's pure-Python encoder;
+# its C encoder writes only the compact form.  So the reports are written
+# here, with the strings quoted by the function json.dumps quotes them with.
+_quote = json.encoder.encode_basestring_ascii
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json_value(o, pad: str) -> str:
+    """``o`` as ``json.dumps(o, indent=2, sort_keys=True)`` writes it, where
+    ``pad`` is a newline and the indent of the line ``o`` starts on.  Only
+    the types catlin prints are written: str, int, bool, None, and dicts
+    with str keys, lists and tuples of them; any other value or key (a
+    float, a Fraction, a CRat, a set) raises TypeError."""
+    t = type(o)
+    if t is str:
+        return _quote(o)
+    if t is int:
+        return str(o)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        # _quote refuses a key that is not a str
+        return "{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _json_value(o[k], inner) for k in sorted(o)]
+        ) + pad + "}"
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join(
+            [_json_value(v, inner) for v in o]) + pad + "]"
+    if t is bool or o is None:
+        return _CONSTANTS[o]
+    raise TypeError(f"catlin prints no {t.__name__} as JSON: {o!r}")
+
+
+def _emit(args, payload: dict, human: Callable[[], str]):
+    """Print the JSON report under --json and the text, built here,
+    otherwise."""
+    print(_json_value(payload, "\n") if args.json else human())
 
 
 def cmd_parse(args) -> int:
     p = _load_poly(args)
-    _emit(args, p.to_json_dict(), str(p))
+    _emit(args, p.to_json_dict(), p.__str__)
     return EXIT_OK
 
 
@@ -109,10 +153,12 @@ def cmd_multitype(args) -> int:
     payload = mt.to_json()
     if commutator is not None:
         payload["commutator"] = commutator.to_json()["lambda"]
-    if args.commutator and commutator is not None:
-        human = f"search: {mt.value}; commutator: {commutator}"
-    else:
-        human = f"{mt.value} [{mt.status}]"
+
+    def human():
+        if args.commutator and commutator is not None:
+            return f"search: {mt.value}; commutator: {commutator}"
+        return f"{mt.value} [{mt.status}]"
+
     _emit(args, payload, human)
     return EXIT_OK
 
@@ -123,13 +169,14 @@ def cmd_psd(args) -> int:
     # c * Re z1 + p is accepted, and the verdict is about p
     tangential = split_model(p)[1] if p.degree_in(1) > 0 else p
     verdict = psd_verdict(tangential, samples=args.samples, seed=args.seed)
-    human = f"{verdict.kind}"
-    if verdict.kind == KIND_CERTIFIED:
-        human += f" (tier {verdict.tier})"
-    elif verdict.kind == KIND_REFUTED:
-        human += f" witness value {verdict.witness['value']}"
-    else:
-        human += f" after {verdict.samples_tried} random points"
+
+    def human():
+        if verdict.kind == KIND_CERTIFIED:
+            return f"{verdict.kind} (tier {verdict.tier})"
+        if verdict.kind == KIND_REFUTED:
+            return f"{verdict.kind} witness value {verdict.witness['value']}"
+        return f"{verdict.kind} after {verdict.samples_tried} random points"
+
     _emit(args, verdict.to_json(), human)
     if verdict.kind == KIND_UNKNOWN and args.require_certificate:
         return EXIT_UNKNOWN
@@ -154,16 +201,20 @@ def cmd_normalize(args) -> int:
     payload = nf.to_json()
     payload["verified"] = ok
     payload["violations"] = violations
-    lines = [f"weight: {nf.mu_final}"]
-    if nf.lowered:
-        lines.append("descent: " + "; ".join(nf.descent))
-    lines.append("K: " + str(nf.K))
-    lines.append("A: [" + ", ".join(rat_str(a) for a in nf.A) + "]")
-    lines.append(f"residual: {nf.residual}")
-    lines.append(f"verified: {ok}")
-    for w in nf.warnings:
-        lines.append(f"warning: {w}")
-    _emit(args, payload, "\n".join(lines))
+
+    def human():
+        lines = [f"weight: {nf.mu_final}"]
+        if nf.lowered:
+            lines.append("descent: " + "; ".join(nf.descent))
+        lines.append("K: " + str(nf.K))
+        lines.append("A: [" + ", ".join(rat_str(a) for a in nf.A) + "]")
+        lines.append(f"residual: {nf.residual}")
+        lines.append(f"verified: {ok}")
+        for w in nf.warnings:
+            lines.append(f"warning: {w}")
+        return "\n".join(lines)
+
+    _emit(args, payload, human)
     return EXIT_OK if ok else EXIT_CONTRADICTION
 
 
@@ -173,9 +224,14 @@ def cmd_boundary_system(args) -> int:
     problems = audit_boundary_system(bs)
     payload = bs.to_json()
     payload["audit"] = problems
-    human = f"commutator multitype: {bs.commutator_multitype()}\n" \
-            f"Levi rank: {bs.rank}; codimension slots: " \
-            f"{sorted(bs.slow)}; audit: {'ok' if not problems else problems}"
+    # raises PolyError when the c-entries decrease, under --json too
+    commutator = bs.commutator_multitype()
+
+    def human():
+        return (f"commutator multitype: {commutator}\n"
+                f"Levi rank: {bs.rank}; codimension slots: {sorted(bs.slow)}; "
+                f"audit: {'ok' if not problems else problems}")
+
     _emit(args, payload, human)
     return EXIT_OK if not problems else EXIT_CONTRADICTION
 
@@ -183,16 +239,17 @@ def cmd_boundary_system(args) -> int:
 def cmd_torsion(args) -> int:
     r = _load_poly(args)
     report = first_block_torsion(r, args.list_bound)
-    payload = report.to_json()
-    if not report.applicable:
-        human = f"torsion: not applicable ({report.detail})"
-    elif report.torsion:
-        human = (f"torsion at slot {report.slot}: obstruction "
-                 f"{report.obstruction} (linear coefficient "
-                 f"{report.linear_coeff})")
-    else:
-        human = f"no torsion at slot {report.slot}"
-    _emit(args, payload, human)
+
+    def human():
+        if not report.applicable:
+            return f"torsion: not applicable ({report.detail})"
+        if report.torsion:
+            return (f"torsion at slot {report.slot}: obstruction "
+                    f"{report.obstruction} (linear coefficient "
+                    f"{report.linear_coeff})")
+        return f"no torsion at slot {report.slot}"
+
+    _emit(args, report.to_json(), human)
     return EXIT_OK
 
 
@@ -212,9 +269,9 @@ def cmd_enumerate(args) -> int:
             return EXIT_CONTRADICTION
     payload = {"count": len(weights), "bound": bound,
                "weights": [w.to_json()["lambda"] for w in weights]}
-    human = "\n".join(str(w) for w in weights) + \
-            f"\nenumerated {len(weights)} <= {bound}"
-    _emit(args, payload, human)
+    _emit(args, payload,
+          lambda: "\n".join(str(w) for w in weights)
+          + f"\nenumerated {len(weights)} <= {bound}")
     return EXIT_OK
 
 

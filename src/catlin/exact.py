@@ -5,7 +5,8 @@ arbitrary-precision ints: (a + b*i) / d with d > 0 and gcd(a, b, d) == 1.
 The form is canonical, so equality is a comparison of the three ints, and
 each arithmetic result needs at most one gcd (none when its denominator is
 1).  No floating point is used anywhere, so equality and vanishing tests are
-exact.  The real and imaginary parts are read as ``Fraction`` values.
+exact.  The real and imaginary parts are read as ``Fraction`` values, and
+printed from the ints by ``_rat_text``, as ``Fraction`` prints them.
 
 The linear algebra is one path: ``rank`` and ``inverse`` by Gauss-Jordan
 elimination, and the congruence of a Hermitian matrix to diagonal form,
@@ -175,13 +176,17 @@ class CRat:
         return f"CRat(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        if re == 0:
-            return f"{im}i"
-        sign = "+" if im > 0 else "-"
-        return f"{re}{sign}{abs(im)}i"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _rat_text(a, d)
+        if not a:
+            return _rat_text(b, d) + "i"
+        sign = "+" if b > 0 else "-"
+        return f"{_rat_text(a, d)}{sign}{_rat_text(abs(b), d)}i"
+
+    def part_strs(self) -> Tuple[str, str]:
+        """The real and imaginary parts as ``rat_str`` prints them."""
+        return _rat_text(self._a, self._d), _rat_text(self._b, self._d)
 
 
 _set_a = CRat._a.__set__
@@ -333,9 +338,20 @@ def hermitian_reduce(h: Sequence[Sequence[CRat]]
     return done
 
 
-def rat_str(x: Fraction) -> str:
+def _rat_text(a: int, d: int) -> str:
+    """a/d for d > 0 in lowest terms, as ``str(Fraction(a, d))`` prints it
+    ("3", "-1/2"), by one gcd and without forming a Fraction."""
+    if d != 1:
+        g = gcd(a, d)
+        if g != d:
+            return f"{a // g}/{d // g}"
+        a //= g
+    return str(a)
+
+
+def rat_str(x: Rat) -> str:
     """Decimal-free string form of a rational ("3", "-1/2")."""
-    return str(Fraction(x))
+    return _rat_text(x.numerator, x.denominator)
 
 
 _RATIONAL = _re.compile(r"[+-]?[0-9]+(/[0-9]+)?")

@@ -608,8 +608,8 @@ def psd_verdict(p: Poly, samples: int = 200, seed: int = 0
 
 
 def _witness(z: Sequence[CRat], a: Sequence[CRat], value: Fraction) -> dict:
-    return {"z": [{"re": rat_str(c.re), "im": rat_str(c.im)} for c in z],
-            "a": [{"re": rat_str(c.re), "im": rat_str(c.im)} for c in a],
+    return {"z": [dict(zip(("re", "im"), c.part_strs())) for c in z],
+            "a": [dict(zip(("re", "im"), c.part_strs())) for c in a],
             "value": rat_str(value)}
 
 

@@ -376,14 +376,12 @@ class Poly:
     # ------------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"alpha": list(a), "beta": list(b),
-                 "re": rat_str(c.re), "im": rat_str(c.im)}
-                for a, b, c in self.iter_terms()
-            ],
-        }
+        terms = []
+        for a, b, c in self.iter_terms():
+            re, im = c.part_strs()
+            terms.append({"alpha": list(a), "beta": list(b),
+                          "re": re, "im": im})
+        return {"n": self.n, "terms": terms}
 
     @staticmethod
     def from_json_dict(d: dict) -> "Poly":

@@ -1,21 +1,28 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import catlin.boundary as boundary
 import catlin.weights as weights
 from catlin import cli
+from catlin import poly as poly_module
 from catlin.cli import main
+from catlin.exact import CRat
 from catlin.levi import psd_verdict, replay_refutation
 from catlin.parser import parse_poly
 from catlin.poly import Poly, PolyError
 
-from helpers import MANY_SPLITTINGS
+from helpers import MANY_SPLITTINGS, workload_argvs
+from test_golden import CASES as GOLDEN_CASES, GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -1204,3 +1211,160 @@ def test_calls_share_no_state(capsys, monkeypatch):
     assert "descent:" in got[4][1] and "descent:" not in got[5][1]
     assert got[6][0] == 2 and "unrecognized arguments" in got[6][2]
     assert got[7] == got[1]
+
+
+# ----------------------------------------------------------------------
+# --json output: the writer and the form each command builds
+# ----------------------------------------------------------------------
+
+
+def _stdlib_json(o):
+    return json.dumps(o, indent=2, sort_keys=True)
+
+
+def _written(o):
+    return cli._json_value(o, "\n")
+
+
+def test_json_writer_matches_json_dumps_on_every_golden_report(monkeypatch):
+    write = cli._json_value
+    reports = []
+
+    def record(o, pad):
+        if pad == "\n":   # a whole report, not a part of one
+            reports.append(o)
+        return write(o, pad)
+
+    monkeypatch.setattr(cli, "_json_value", record)
+    for argv in GOLDEN_CASES.values():
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            main(argv + ["--json"])
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(reports) == sum(bool(c["stdout"]) for c in golden.values())
+    for report in reports:
+        assert write(report, "\n") == _stdlib_json(report)
+
+
+# quotes, backslashes, control characters, non-ASCII, astral code points
+# and a lone surrogate: every escape encode_basestring_ascii makes
+_CHARS = ('"\\/\x00\x01\x1f\x7f\n\t\r\b\f \u00e9\u20ac\U0001f600'
+          '\U0010ffff\ud800az09')
+
+
+def _random_string(rng):
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _random_json(rng, depth=0):
+    kind = rng.randrange(11 if depth < 4 else 6)
+    if kind == 0:
+        return _random_string(rng)
+    if kind == 1:
+        return rng.randint(-10, 10)
+    if kind == 2:   # past 64 bits, either sign
+        return rng.choice((-1, 1)) * rng.randrange(2 ** 64, 2 ** 200)
+    if kind == 3:   # booleans next to the ints equal to them
+        return rng.choice((True, False, 1, 0))
+    if kind == 4:
+        return None
+    if kind == 5:
+        return rng.choice(([], {}, (), [[]], {"": {}}, [{}, ()]))
+    items = [_random_json(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind in (6, 7):
+        return items
+    if kind == 8:
+        return tuple(items)
+    return {_random_string(rng): v for v in items}
+
+
+def test_json_writer_matches_json_dumps_on_random_values():
+    rng = random.Random(50)
+    for _ in range(2500):
+        value = _random_json(rng)
+        assert _written(value) == _stdlib_json(value), value
+
+
+def test_json_writer_matches_json_dumps_under_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = st.none() | st.booleans() | st.integers() | st.text()
+    values = st.recursive(
+        scalars, lambda inner: st.lists(inner) | st.tuples(inner, inner)
+        | st.dictionaries(st.text(), inner), max_leaves=20)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(values)
+    def check(value):
+        assert _written(value) == _stdlib_json(value)
+
+    check()
+
+
+@pytest.mark.parametrize("value", [
+    1.5, float("inf"), Fraction(1, 2), CRat(1, 2), {1, 2}, frozenset(),
+    b"x", {1: "a"}, {None: 1}, {True: 1}, {("a",): 1}, {"a": 1, 2: 3},
+    [1, 2.0], {"a": {"b": Fraction(1)}}, ("x", CRat(0))])
+def test_json_writer_refuses_what_catlin_never_prints(value):
+    with pytest.raises(TypeError):
+        _written(value)
+
+
+def _spy_on_the_printed_forms(monkeypatch):
+    """Counters of the calls that build each form: ``iterencode`` (json's
+    pure-Python encoder) and ``text`` (``format_poly``, and Weight and
+    InverseWeight ``__str__`` called from the front end; the library's
+    descent record formats the weights it passes in either mode)."""
+    counts = {"iterencode": 0, "text": 0}
+
+    def counted(kind, fn, only_from=None):
+        def spy(*args, **kwargs):
+            if only_from is None or \
+                    sys._getframe(1).f_globals.get("__name__") == only_from:
+                counts[kind] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counted(
+        "iterencode", json.encoder._make_iterencode))
+    monkeypatch.setattr(poly_module, "format_poly",
+                        counted("text", poly_module.format_poly))
+    for cls in (weights.Weight, weights.InverseWeight):
+        monkeypatch.setattr(cls, "__str__",
+                            counted("text", cls.__str__, "catlin.cli"))
+    return counts
+
+
+def test_a_json_run_builds_no_text(monkeypatch):
+    # every golden case and one seed-5 pass of each benchmark workload, as
+    # JSON and as text
+    counts = _spy_on_the_printed_forms(monkeypatch)
+    runs = [argv + ["--json"] for argv in GOLDEN_CASES.values()] \
+        + workload_argvs(5)
+    assert {argv[0] for argv in runs} >= {"normalize", "boundary-system",
+                                         "torsion", "psd", "multitype"}
+    for as_json in (True, False):
+        for argv in runs:
+            argv = argv if as_json else [a for a in argv if a != "--json"]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                main(argv)
+        assert counts["iterencode"] == 0
+        assert (counts["text"] > 0) is not as_json, (as_json, counts)
+
+
+UNPRINTABLE_R2 = ["--n", "3", "--expr",
+                  "-2*Re(z1) + |z2|^2 + 2*Re((7^4000)*z2*zbar3^2) + |z3|^6"]
+
+
+def test_a_text_run_fails_where_its_report_would_not_print(capsys):
+    # a coefficient of the boundary system has more digits than Python
+    # converts; the text prints none of them, but the report is built in
+    # both modes
+    for flags in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "boundary-system", *flags,
+                                 *UNPRINTABLE_R2)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit (")
+

@@ -11,6 +11,7 @@ import pytest
 from catlin import exact
 from catlin.exact import (CRat, hermitian_form, hermitian_reduce, inverse,
                           rank, rat_from_str, rat_str)
+from catlin.poly import Poly
 
 from helpers import (FractionPairCRat, _rational_rank, hermitian_reduce_oracle,
                      rand_crat, rand_fraction)
@@ -69,6 +70,41 @@ def test_rat_str_round_trip():
                 "/2", "1/", "٣"):
         with pytest.raises(ValueError):
             rat_from_str(bad)
+
+
+def test_rat_text_prints_as_fraction_does():
+    rng = random.Random(50)
+    pairs = [(0, 1), (0, 7), (6, 4), (-6, 4), (5, 1), (-5, 5), (12, 3)]
+    for _ in range(3000):
+        top = rng.choice((10, 10 ** 6, 10 ** 40))
+        g = rng.randint(1, 50)   # unreduced
+        pairs.append((rng.randint(0, top) * g, rng.randint(1, top) * g))
+    long_part = (10 ** (exact.MAX_PRINTED_DIGITS - 1),
+                 10 ** exact.MAX_PRINTED_DIGITS)
+    for _ in range(60):   # parts of 4,300 digits, reduced or not
+        a, d = rng.randrange(*long_part), rng.randrange(*long_part)
+        g = rng.choice((1, gcd(a, d)))
+        pairs.append((a // g, d // g))
+    for a, d in pairs:
+        a = rng.choice((-1, 0, 1, 1)) * a   # negative, zero over d > 1
+        assert exact._rat_text(a, d) == str(Fraction(a, d)), (a, d)
+        assert rat_str(Fraction(a, d)) == str(Fraction(a, d))
+
+
+def test_printed_crats_keep_their_fraction_forms():
+    # CRat.__str__ and the re/im fields of Poly.to_json_dict against the
+    # forms printed from Fraction parts
+    rng = random.Random(51)
+    values = [CRat(_rand_rational(rng), _rand_rational(rng))
+              for _ in range(2000)]
+    for c in values:
+        assert str(c) == str(FractionPairCRat(c.re, c.im))
+        assert c.part_strs() == (str(Fraction(c.re)), str(Fraction(c.im)))
+    for k in range(0, len(values), 40):
+        p = Poly(2, {((i, 0), (0, i)): c
+                     for i, c in enumerate(values[k:k + 40]) if c})
+        for t, (_, _, c) in zip(p.to_json_dict()["terms"], p.iter_terms()):
+            assert (t["re"], t["im"]) == (str(c.re), str(c.im))
 
 
 # ----------------------------------------------------------------------
