@@ -27,8 +27,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 Rat = Union[int, Fraction]
 
 # Most decimal digits of a number read or printed: Python's default limit on
-# int-string conversion (sys.get_int_max_str_digits()).
+# int-string conversion (sys.get_int_max_str_digits()), kept whatever that
+# limit is set to.  An int x has more than MAX_PRINTED_DIGITS digits exactly
+# when abs(x) >= _PRINTED_LIMIT, which needs abs(x) >= 2^(_PRINTED_BITS - 1).
 MAX_PRINTED_DIGITS = 4300
+_PRINTED_LIMIT = 10 ** MAX_PRINTED_DIGITS
+_PRINTED_BITS = _PRINTED_LIMIT.bit_length()
 
 
 class CRat:
@@ -340,13 +344,19 @@ def hermitian_reduce(h: Sequence[Sequence[CRat]]
 
 def _rat_text(a: int, d: int) -> str:
     """a/d for d > 0 in lowest terms, as ``str(Fraction(a, d))`` prints it
-    ("3", "-1/2"), by one gcd and without forming a Fraction."""
+    ("3", "-1/2"), by one gcd and without forming a Fraction.  A numerator
+    or denominator of more than MAX_PRINTED_DIGITS digits is a ValueError
+    with catlin's own text, under any int-string limit of Python's."""
     if d != 1:
         g = gcd(a, d)
-        if g != d:
-            return f"{a // g}/{d // g}"
-        a //= g
-    return str(a)
+        if g != 1:
+            a //= g
+            d //= g
+    if (a.bit_length() >= _PRINTED_BITS or d.bit_length() >= _PRINTED_BITS) \
+            and max(abs(a), d) >= _PRINTED_LIMIT:
+        raise ValueError("a number to print has more than "
+                         f"{MAX_PRINTED_DIGITS} digits")
+    return str(a) if d == 1 else f"{a}/{d}"
 
 
 def rat_str(x: Rat) -> str:

@@ -32,7 +32,8 @@ import re as _re
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .exact import CI, CONE, MAX_PRINTED_DIGITS, CRat
+from .exact import (_PRINTED_BITS, _PRINTED_LIMIT, CI, CONE,
+                    MAX_PRINTED_DIGITS, CRat)
 from .poly import (Poly, PolyError, TermKey, _check_dimension, _conj_terms,
                    _monomial_power, _mul_terms, _neg_terms, _nonzero,
                    _scale_terms, _sum_terms, require_real)
@@ -75,9 +76,6 @@ MAX_DIGITS = 640
 # A sum, product or power that forms a coefficient of more than
 # MAX_PRINTED_DIGITS digits is refused, a power before it is formed when it
 # surely would, so a long exponent on a constant fails fast.
-# 10^MAX_PRINTED_DIGITS < 2^_PRINTED_BITS.
-_PRINTED_LIMIT = 10 ** MAX_PRINTED_DIGITS
-_PRINTED_BITS = _PRINTED_LIMIT.bit_length()
 
 
 class ParseError(PolyError):

@@ -1358,13 +1358,33 @@ UNPRINTABLE_R2 = ["--n", "3", "--expr",
                   "-2*Re(z1) + |z2|^2 + 2*Re((7^4000)*z2*zbar3^2) + |z3|^6"]
 
 
+UNPRINTABLE = "error: a number to print has more than 4300 digits\n"
+
+
 def test_a_text_run_fails_where_its_report_would_not_print(capsys):
-    # a coefficient of the boundary system has more digits than Python
-    # converts; the text prints none of them, but the report is built in
+    # a coefficient of the boundary system has more than MAX_PRINTED_DIGITS
+    # digits; the text prints none of them, but the report is built in
     # both modes
     for flags in ([], ["--json"]):
         code, out, err = run_cli(capsys, "boundary-system", *flags,
                                  *UNPRINTABLE_R2)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: Exceeds the limit (")
+        assert (code, out, err) == (2, "", UNPRINTABLE)
+
+
+def test_an_unprintable_number_exits_2_under_any_int_digit_limit():
+    # catlin refuses the number itself, so Python's int-string limit, here
+    # switched off, neither lets the report print nor words the error
+    runs = []
+    for limit in (None, "0"):
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONINTMAXSTRDIGITS"}
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        for flags in ([], ["--json"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "catlin", "boundary-system", *flags,
+                 *UNPRINTABLE_R2],
+                capture_output=True, text=True, env=env, timeout=120)
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs == [(2, "", UNPRINTABLE)] * 4
 

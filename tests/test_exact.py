@@ -91,6 +91,23 @@ def test_rat_text_prints_as_fraction_does():
         assert rat_str(Fraction(a, d)) == str(Fraction(a, d))
 
 
+def test_rat_text_refuses_a_part_past_the_printed_digits():
+    # the parser's exact comparison: a part of 4,300 digits prints and one
+    # of 4,301 is refused, after reduction, whatever Python's own limit
+    most = 10 ** exact.MAX_PRINTED_DIGITS - 1
+    for a, d in ((most, 1), (-most, most - 1), (1, most),
+                 (most * 7, 7 * 3), (10 ** 4400, 10 ** 4399)):
+        assert exact._rat_text(a, d) == str(Fraction(a, d))
+    for a, d in ((most + 1, 1), (-most - 1, 3), (1, most + 1),
+                 (2 * (most + 1), 2 * 3)):
+        with pytest.raises(ValueError) as exc:
+            exact._rat_text(a, d)
+        assert str(exc.value) == ("a number to print has more than "
+                                  f"{exact.MAX_PRINTED_DIGITS} digits")
+    with pytest.raises(ValueError):
+        str(CRat(1, Fraction(1, most + 1)))
+
+
 def test_printed_crats_keep_their_fraction_forms():
     # CRat.__str__ and the re/im fields of Poly.to_json_dict against the
     # forms printed from Fraction parts
