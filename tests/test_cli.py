@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -1388,3 +1389,34 @@ def test_an_unprintable_number_exits_2_under_any_int_digit_limit():
             runs.append((proc.returncode, proc.stdout, proc.stderr))
     assert runs == [(2, "", UNPRINTABLE)] * 4
 
+
+
+def test_enumerate_exits_3_when_a_weight_fails_its_recheck(capsys,
+                                                           monkeypatch):
+    monkeypatch.setattr(cli, "is_admissible", lambda w: (False, None))
+    code, out, err = run_cli(capsys, "enumerate", "--n", "2",
+                             "--max-type", "4")
+    assert (code, out) == (3, "")
+    assert err == "error: enumerated weight (1, 2) is not admissible\n"
+
+
+@pytest.mark.parametrize("example, name, replacement", [
+    # the search finds another multitype
+    ("weighted-model", "multitype_search", lambda r: weights.multitype_search(
+        parse_poly("-2*Re(z1) + |z2|^4 + |z3|^6", 3))),
+    # the Levi part is not certified by tier 2
+    ("torsion", "psd_verdict",
+     lambda p: argparse.Namespace(kind="Unknown", tier=None)),
+    # the first block is not straightened: r_2 doubled
+    ("torsion", "normalize_first_block", lambda bs: dataclasses.replace(
+        bs, slow={**bs.slow, 2: dataclasses.replace(
+            bs.slow[2], r_func=bs.slow[2].r_func * 2)})),
+    # more weights than the counting bound
+    ("counting", "counting_bound", lambda n, m: 0),
+], ids=["weighted-model", "torsion-tier", "torsion-block", "counting"])
+def test_a_failing_example_prints_fail_and_exits_3(capsys, monkeypatch,
+                                                    example, name,
+                                                    replacement):
+    monkeypatch.setattr(cli, name, replacement)
+    code, out, err = run_cli(capsys, "examples", "--only", example)
+    assert (code, out, err) == (3, f"FAIL  {example}\n", "")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -849,3 +850,39 @@ def test_refutation_soundness_random():
             refuted += 1
             assert replay_refutation(p, v.witness) < 0
     assert refuted > 0
+
+
+def test_hessian_form_value_refuses_a_value_that_is_not_real():
+    # only a Hessian of a polynomial that is not real has a form value that
+    # is not real: i*|z2|^2 has H_22 = i
+    p = Poly(2, {((0, 1), (0, 1)): CRat(0, 1)})
+    with pytest.raises(PolyError) as exc:
+        hessian_form_value(complex_hessian(p), [CRat(0)] * 2, [CRat(1)])
+    assert str(exc.value) == ("Hessian form value is not real; input was "
+                              "not real-valued")
+
+
+def test_pairing_fails_where_a_hyperplane_restriction_has_none(monkeypatch):
+    # a restriction to z_j = 0 without a certificate fails the whole
+    # certificate; a restriction with a negative balanced coefficient forged
+    # in its place has none
+    assert cauchy_schwarz_pairing(torsion_p()) is not None
+    monkeypatch.setattr(levi, "_kill_var",
+                        lambda p, j: parse_poly("-|z2|^2", p.n))
+    assert cauchy_schwarz_pairing(torsion_p()) is None
+
+
+def test_replay_refuses_a_splitting_outside_the_budget():
+    # a splitting with the right sum whose exponents carry no balanced
+    # coefficient is refused before its fraction is counted
+    p = torsion_p()
+    cert = cauchy_schwarz_pairing(p)
+    forged = json.loads(json.dumps(cert))
+    split = forged["mixed"][0]["splittings"][0]
+    assert (split["gamma1"], split["gamma2"]) == ([0, 0, 4, 1], [0, 2, 1, 1])
+    split["gamma1"], split["gamma2"] = [0, 1, 4, 1], [0, 1, 1, 1]
+    assert {tuple(b["gamma"]) for b in cert["balanced"]}.isdisjoint(
+        {(0, 1, 4, 1), (0, 1, 1, 1)})
+    assert levi._replay_absorption(p, forged, strict=True) is None
+    assert verify_psd_certificate(p, cert)
+    assert not verify_psd_certificate(p, forged)

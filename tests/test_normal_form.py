@@ -487,3 +487,24 @@ def test_normalize_sound_on_random_balanced_models():
         for row in nf.rows:
             if row.realized:
                 assert row.ks[-1] > 0
+
+
+def test_normalize_refuses_past_the_descent_cap(monkeypatch):
+    # each descent lowers the weight lexicographically; this model descends
+    # once, so a cap of one descent is reached
+    r = parse_poly("-2*Re(z1) + |z2|^4*|z3|^6", 3)
+    monkeypatch.setattr(normal_form, "MAX_DESCENTS", 1)
+    with pytest.raises(PolyError) as exc:
+        normalize(r, MU_EQQ)
+    assert str(exc.value) == "weight descent did not terminate within the cap"
+
+
+def test_verify_flags_a_row_whose_last_exponent_is_not_positive():
+    # a forged row (2, 0) for the row (2, 3) of the weighted model
+    r = parse_poly("-2*Re(z1) + |z2|^8 + |z2|^4*|z3|^6", 3)
+    mu = multitype_search(r).value.weight()
+    nf = normalize(r, mu)
+    assert verify_normal_form(nf, r, mu) == (True, [])
+    nf.rows[1] = NormalRow(3, (2, 0), nf.rows[1].coeff, True)
+    ok, violations = verify_normal_form(nf, r, mu)
+    assert not ok and "row 3: k_jj must be positive" in violations

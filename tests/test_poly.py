@@ -1117,3 +1117,12 @@ def test_constant_term_prints_without_a_factor(expr, n, text):
     p = parse_poly(expr, n)
     assert str(p) == text
     assert parse_poly(text, n) == p
+
+
+def test_a_term_without_its_conjugate_prints_alone():
+    # only a polynomial that is not real has one: z2^2 has no partner, and
+    # z3*zbar2 has one whose coefficient is not its conjugate
+    p = Poly(3, {((0, 2, 0), (0, 0, 0)): CRat(1),
+                 ((0, 1, 0), (0, 0, 1)): CRat(2),
+                 ((0, 0, 1), (0, 1, 0)): CRat(0, 3)})
+    assert str(p) == "(3i)*z3*zbar2 + (2)*z2*zbar3 + (1)*z2^2"
