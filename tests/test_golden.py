@@ -6,14 +6,16 @@ Two files under ``golden/`` pin what ``catlin.cli.main`` prints:
   case of ``CASES``, so a changed report reads as a diff;
 * ``corpus.json`` holds one line per run: its literal argv and the SHA-256
   of its (exit code, stdout, stderr), as ``digest`` forms it.  The runs are
-  the comparison corpus that every refactor is checked against, each as
-  JSON and as text: every golden case; every job, after-job and known
-  defect of the benchmark's workloads at seeds 5, 7 and 23; `multitype`
-  (with and without ``--commutator``), `boundary-system` and `torsion` on
-  each benchmark model; the scaled diagonal, reversed and quartic families;
-  the CI, FOUND, test and large-coefficient models under every command;
-  `enumerate`, `normalize --weight`, the long lists and `examples`; and
-  every command of the CI workflow's installed-script step.
+  the comparison corpus that every refactor is checked against, as
+  ``corpus_runs`` names them, each as JSON and as text: every golden case;
+  every job, after-job and known defect of the benchmark's workloads at
+  seeds 5, 7 and 23; `multitype`, `boundary-system` and `torsion` on each
+  benchmark model (`multitype --commutator` as text, since its JSON is
+  `multitype`'s); the scaled diagonal, reversed and quartic families; the
+  CI, FOUND, test and large-coefficient models under every command;
+  `enumerate`, `normalize --weight`, the long lists and `examples`.  Then
+  every command the CI workflow ran by hand (``CI_RUNS``), as it ran, and
+  the reproducers of ROADMAP items 1-4 (``KNOWN_DEFECTS``).
 
 An entry may also carry ``bound``, the most seconds its run may take (the
 ``timeout`` the command had in CI), and ``known-defect``, the ROADMAP item
@@ -36,7 +38,8 @@ After an intended change of output, rewrite both files with
 It prints one line per corpus run whose digest changed, and per run added
 or removed, as ``changed|added|removed: catlin <argv>``: the list of runs a
 change of output names.  Run from outside the checkout, the test replays
-against whichever ``catlin`` Python imports, an installed wheel included.
+against whichever ``catlin`` Python imports, an installed wheel included;
+CI replays it so on every Python of its matrix, under two hash seeds.
 """
 
 import contextlib
@@ -67,10 +70,18 @@ TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
                 " + 2*(1/10)*Re(z2*zbar2*z3^2*zbar3^3*z4*zbar4)"
                 " + |z3|^8*|z4|^2")
-TORSION_LIFT_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^4"
-                     " + |z2|^2*|z3|^4*|z4|^8"
-                     " + 2*(1/10)*Re(z2*zbar2*z3^2*zbar3^3*z4^2*zbar4^2)"
-                     " + |z3|^8*|z4|^4")
+MODEL = "-2*Re(z1) + "
+
+
+def _torsion_lift(k):
+    """The torsion model with z4 -> z4^k; k = 1 is TORSION_EXPR's model."""
+    return (f"{MODEL}|z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^{2 * k}"
+            f" + |z2|^2*|z3|^4*|z4|^{4 * k}"
+            f" + 2*(1/10)*Re(z2*zbar2*z3^2*zbar3^3*z4^{k}*zbar4^{k})"
+            f" + |z3|^8*|z4|^{2 * k}")
+
+
+TORSION_LIFT_EXPR = _torsion_lift(2)
 WEIGHTED = "-2*Re(z1) + |z2|^8 + |z2|^4*|z3|^6"
 RANK_GAP = "Re(z1) + (Re(z2) + |z3|^2)^2"
 
@@ -130,11 +141,8 @@ CASES = {
 
 
 def run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv + ["--json"])
-    return {"exit": code, "stdout": out.getvalue()}
+    code, out, _err = outcome(argv + ["--json"])
+    return {"exit": code, "stdout": out}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -156,7 +164,6 @@ def test_golden_cases_in_one_process():
 # the corpus
 # ----------------------------------------------------------------------
 
-MODEL = "-2*Re(z1) + "
 DIAGONAL = [MODEL + " + ".join(f"|z{j}|^{2 * j}" for j in range(2, n + 1))
             for n in range(10)]          # DIAGONAL[n]: |z2|^4 + ... + |zn|^2n
 REVERSED_9 = MODEL + " + ".join(f"|z{j}|^{22 - 2 * j}" for j in range(2, 10))
@@ -170,14 +177,6 @@ LONG_LIST = MODEL + "|z2|^400*|z2|^400*|z2|^400"
 
 def quartic(n):
     return " + ".join(f"|z{j}|^4" for j in range(2, n + 1))
-
-
-def _torsion_lift(k):
-    """The torsion model with z4 -> z4^k; k = 1 is TORSION_EXPR."""
-    return (f"{MODEL}|z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^{2 * k}"
-            f" + |z2|^2*|z3|^4*|z4|^{4 * k}"
-            f" + 2*(1/10)*Re(z2*zbar2*z3^2*zbar3^3*z4^{k}*zbar4^{k})"
-            f" + |z3|^8*|z4|^{2 * k}")
 
 
 # Every catlin command of the CI workflow's installed-script step but
@@ -324,7 +323,7 @@ KNOWN_DEFECTS = [
 # Models of the CI workflow, of FOUND notes, of the tests and with large
 # coefficients, each run under every command that reads a model.
 EXTRA_MODELS = [
-    (TORSION_EXPR, 4), (_torsion_lift(2), 4), (_torsion_lift(3), 4),
+    (TORSION_EXPR, 4), (TORSION_LIFT_EXPR, 4), (_torsion_lift(3), 4),
     (MODEL + "|z3|^4", 3), (MODEL + "|z2*z4 - z3^2|^2", 4),
     (MODEL + "2*(1/4)*Re(z2^2*zbar3^3)", 3),
     (MODEL + "|z2|^4 + |z3|^8 + 2*(1/10)*Re(z2*zbar2^2*z3*zbar3)", 3),
@@ -380,6 +379,11 @@ def corpus_runs():
         for one in _as_json_and_text(argv) if both else [argv]:
             runs.setdefault(tuple(one), {}).update(extra)
 
+    def add_model(command, expr, n):
+        # --commutator changes the text only: its JSON is multitype's
+        add([*command, "--n", str(n), "--expr", expr],
+            both=command != ["multitype", "--commutator"])
+
     for name in sorted(CASES):
         add(CASES[name])
     workloads = _workloads()
@@ -389,11 +393,6 @@ def corpus_runs():
             for job in (w.make(random.Random(seed))
                         + w.after(random.Random(seed)) + w.known_defects()):
                 add(job.argv())
-    def add_model(command, expr, n):
-        # --commutator changes the text only: its JSON is multitype's
-        add([*command, "--n", str(n), "--expr", expr],
-            both=command != ["multitype", "--commutator"])
-
     for expr, n in benchmark_models():
         for command in (["multitype"], ["multitype", "--commutator"],
                         ["boundary-system"], ["torsion"]):
@@ -469,11 +468,6 @@ def shown(argv):
 
 def load_corpus():
     return json.loads(CORPUS.read_text(encoding="utf-8"))["runs"]
-
-
-def write_corpus(entries):
-    lines = ",\n".join(json.dumps(e, sort_keys=True) for e in entries)
-    CORPUS.write_text('{"runs": [\n' + lines + "\n]}\n", encoding="utf-8")
 
 
 def _unsound(argv, out):
@@ -572,7 +566,8 @@ def main_write():
                 print("changed:", shown(argv))
     for argv in old:
         print("removed:", shown(argv))
-    write_corpus(entries)
+    lines = ",\n".join(json.dumps(e, sort_keys=True) for e in entries)
+    CORPUS.write_text('{"runs": [\n' + lines + "\n]}\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
