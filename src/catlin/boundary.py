@@ -38,7 +38,10 @@ that can influence a value at the origin.  The tangency system of a slot
 (its rows, columns and matrix M) does not depend on the candidate
 direction, so M(0) is inverted once per slot, which forms K and the matrix
 that takes a direction to the series' first term (``_tangency_system``);
-each direction adds the series and the z_1 coefficient.
+each kernel basis vector the slot reads adds the series and the z_1
+coefficient.  The field is linear in the direction, so a catalog
+combination sum t^i k_i takes the same combination of the basis fields
+(``_slot_fields``) and runs no series of its own.
 
 Wherever only low degrees matter, products are formed degree-capped by the
 product kernel of ``poly``: term pairs whose degrees add up to more than the
@@ -89,17 +92,20 @@ is below Lambda_j vanishes at 0 and is never formed; an infinite Lambda_j
 leaves no finite list, and the remaining entries are +inf.  The floor
 changes which lists are formed, not which one is found.
 Every build works out its floor (``_lambda_floor``): Lambda when the
-tangential part without its pure terms has a tier-1 or tier-2 certificate
-(r is pseudoconvex), else none; the walk always finds a weight there, as
-no exponent vector of that part is zero.  No build runs the multitype
-search's shear catalog: a shear could only raise Lambda, and a higher floor
-forms fewer lists but not other ones.  The system records the floor as
-``floor``, and every first-block rebuild in the straightened coordinates
-reuses it, as C and M are biholomorphic invariants.  Lambda is admissible
-by construction: each finite entry is the bound t/(1 - P) of an exponent
-vector whose exponents over the slots before it form a row of remainder
-1 - P, and the entry leaves that remainder exactly 0, an admissibility
-witness.
+tangential part p without its pure terms has a tier-1 or tier-2 certificate
+(r is pseudoconvex), in the input coordinates or, failing that, after the
+triangular shears z_i -> z_i - c z^m that ``levi.sheared_certificate``
+reads off p, else none.  The shears are sound because each is a polynomial
+automorphism: for a biholomorphic Phi, p∘Phi is plurisubharmonic exactly
+when p is.  The walk always finds a weight there, as no exponent vector of
+p is zero; it weighs p, not p∘Phi.  No build runs the multitype search's
+shear catalog: a shear could only raise Lambda, and a higher floor forms
+fewer lists but not other ones.  The system records the floor as ``floor``,
+and every first-block rebuild in the straightened coordinates reuses it, as
+C and M are biholomorphic invariants.  Lambda is admissible by
+construction: each finite entry is the bound t/(1 - P) of an exponent
+vector whose exponents over the slots before it form a row of remainder 1 -
+P, and the entry leaves that remainder exactly 0, an admissibility witness.
 
 The audit takes no floor from Lambda, because it is the check.  Its floor
 is a weighted-degree count in the grading of Catlin's construction (Ann.
@@ -163,7 +169,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from .exact import CRat, CZERO, hermitian_reduce, inverse, rank, rat_str
-from .levi import complex_hessian, psd_certificate
+from .levi import complex_hessian, psd_certificate, sheared_certificate
 from .poly import (CoordChange, ModelShapeError, Poly, PolyError,
                    PseudoconvexityError, TermKey, _capped_products,
                    _conj_terms, _derivative_terms, _integer_weight,
@@ -566,6 +572,40 @@ def _tangency_system(r: Poly, c1: CRat, p_hess: List[List[Poly]],
     return field
 
 
+def _slot_fields(system: Callable[[Sequence[CRat]], Optional[VField]],
+                 kernel_dirs: Sequence[Tuple[CRat, ...]],
+                 combos: Sequence[Sequence[CRat]]
+                 ) -> Callable[[int], Optional[VField]]:
+    """The slot's field at each catalog position (the kernel basis k_i,
+    then the combinations ``combos``), None when M(0) is singular.
+
+    A field is linear in its direction: base, the series and the z_1
+    coefficient each are, capped products included, as capping drops term
+    pairs only.  So the field along sum_i w_i k_i is sum_i w_i times the
+    field along k_i, and ``system`` runs one series per basis vector read,
+    formed when first read and kept for the slot."""
+    basis: Dict[int, Optional[VField]] = {}
+
+    def along(i: int) -> Optional[VField]:
+        if i not in basis:
+            basis[i] = system(kernel_dirs[i])
+        return basis[i]
+
+    def field(position: int) -> Optional[VField]:
+        if position < len(kernel_dirs):
+            return along(position)
+        fields = [along(i) for i in range(len(kernel_dirs))]
+        if fields[0] is None:  # M(0) does not depend on the direction
+            return None
+        weights = combos[position - len(kernel_dirs)]
+        return VField(tuple(
+            functools.reduce(Poly.__add__, (f.hol[k] * w
+                                            for f, w in zip(fields, weights)))
+            for k in range(len(fields[0].hol))))
+
+    return field
+
+
 def _ranked(slow: Dict[int, SlowSlot], slot: int, first: int, last: int,
             floor: Optional[Entry] = None
             ) -> Iterator[Tuple[Fraction, int, List[int]]]:
@@ -622,8 +662,14 @@ def _lambda_floor(r: Poly) -> Optional[Tuple[Entry, ...]]:
     """The entries of Lambda, the weight walk's lex-max admissible
     distinguished inverse weight over every order of z_2..z_n, when the
     polynomial it weighs, the tangential part p without the pure terms the
-    Levi form never reads, has a tier-1 or tier-2 certificate; otherwise,
+    Levi form never reads, has a tier-1 or tier-2 certificate, as it stands
+    or after the shears ``sheared_certificate`` reads off it; otherwise,
     or when either raises, None (no floor).
+
+    The gate is sound: each shear z_i -> z_i - s (s free of z_i) is a
+    polynomial automorphism, whose inverse adds s back, and for a
+    biholomorphic Phi, i∂∂̄(p∘Phi) = Phi*(i∂∂̄p), so a certificate of p∘Phi
+    shows p, and so r, pseudoconvex.
 
     The floor is sound: the walk's tuple is admissible and distinguished in
     the coordinates that the permutation of its order reaches, so Lambda
@@ -634,7 +680,7 @@ def _lambda_floor(r: Poly) -> Optional[Tuple[Entry, ...]]:
     same system; it only forms more lists.  So no build runs the catalog."""
     try:
         p = split_model(eliminate_harmonic(r)[0])[1]
-        if psd_certificate(p) is None:
+        if psd_certificate(p) is None and sheared_certificate(p) is None:
             return None
         # never None: p has no z1 and, after eliminate_harmonic, no constant,
         # so no exponent vector is zero, and without ``above`` the walk
@@ -671,14 +717,13 @@ def _system_slots(r: Poly, list_bound: Optional[int],
                    for vec, d in reduced if d != 0]
     levi_rank = len(levi_fields)
     kernel_dirs = [tuple(vec) for vec, d in reduced if d == 0]
-    catalog: List[Tuple[CRat, ...]] = list(kernel_dirs)
-    if len(kernel_dirs) > 1:
-        for t in (1, 2, -1):
-            combo = tuple(
-                sum((kernel_dirs[i][k] * (CRat(t) ** i)
-                     for i in range(len(kernel_dirs))), CZERO)
-                for k in range(n - 1))
-            catalog.append(combo)
+    # the catalog: the kernel basis k_i, then, given two or more, sum_i t^i
+    # k_i for t = 1, 2, -1, whose weights t^i ``_slot_fields`` reads
+    combos = [[CRat(t) ** i for i in range(len(kernel_dirs))]
+              for t in (1, 2, -1)] if len(kernel_dirs) > 1 else []
+    catalog = kernel_dirs + [
+        tuple(sum((k[c] * w for k, w in zip(kernel_dirs, weights)), CZERO)
+              for c in range(n - 1)) for weights in combos]
     slow: Dict[int, SlowSlot] = {}
     # the list search's tables over finished slots, shared by every
     # direction's searcher; dropped with the build
@@ -695,12 +740,14 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         # the catalog directions outside the span of the slots built so far;
         # each slot's direction lay outside the span of those before it, so
         # ``used`` is independent and its rank is its length
-        directions = [d for d in catalog if rank(used + [d]) > len(used)]
-        # by position in ``directions``: the searcher over the direction's
-        # slow field, None when the field cannot be built
+        directions = [i for i, d in enumerate(catalog)
+                      if rank(used + [d]) > len(used)]
+        # by catalog position: the searcher over the direction's slow field,
+        # None when the field cannot be built
         searchers: Dict[int, Optional[_ListSearcher]] = {}
-        # the slot's tangency system, formed when its first field is built
-        system: Optional[Callable[[Sequence[CRat]], Optional[VField]]] = None
+        # the slot's field at each catalog position, formed with the slot's
+        # tangency system when its first field is built
+        fields_at: Optional[Callable[[int], Optional[VField]]] = None
         # While the c-entries equal the floor's prefix, c_j >= floor_j (C = M
         # >= Lambda), so a list whose value is below floor_j vanishes at 0;
         # an infinite floor_j leaves no finite list to try.
@@ -719,18 +766,20 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         for (value, _fields), group in itertools.groupby(ranked,
                                                          itemgetter(0, 1)):
             skeletons = [skeleton for *_, skeleton in group]
-            for i, direction in enumerate(directions):
+            for i in directions:
                 if i not in searchers:
-                    if system is None:
-                        system = _tangency_system(
+                    if fields_at is None:
+                        fields_at = _slot_fields(_tangency_system(
                             r, c1, p_hess, levi_fields,
-                            [slow[j] for j in sorted(slow)], cap)
-                    fld = system(direction)
+                            [slow[j] for j in sorted(slow)], cap),
+                            kernel_dirs, combos)
+                    fld = fields_at(i)
                     searchers[i] = None if fld is None else _ListSearcher(
                         r, {**finished, slot: fld}, bound, store, slot)
                 searcher = searchers[i]
                 if searcher is not None:
-                    found = next(((direction, searcher.fields, entries, value)
+                    found = next(((catalog[i], searcher.fields, entries,
+                                   value)
                                   for entries in map(searcher.first_nonzero,
                                                      skeletons)
                                   if entries is not None), None)
@@ -934,7 +983,13 @@ def _straighten_first_block(bs: BoundarySystem,
         psi = tail.antiholomorphic_part().conj()
         maps = [Poly.variable(n, v) for v in range(1, n + 1)]
         maps[dirvar - 1] = Poly.variable(n, dirvar) * (CRat(1) / a) - phi - psi
-        change = CoordChange(n, maps, mu)
+        try:
+            change = CoordChange(n, maps, mu)
+        except PolyError:
+            raise BoundaryConstructionError(
+                f"slot {j}: the change that straightens r_{j} is not graded "
+                "in the axis weights; the input is not weight-graded"
+            ) from None
         r_cur = change.apply(r_cur)
         changes.append(change)
     return r_cur, changes

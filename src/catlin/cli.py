@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -46,6 +47,29 @@ class CliError(Exception):
     """An input error found by the front end itself (exit 2)."""
 
 
+# Deepest nesting of arrays and objects a JSON input may have; a polynomial
+# needs 4.  It is checked on the text, before the decoder runs: the decoder
+# recurses once per level, and the depth at which it raises RecursionError
+# moves with the Python version, so that is never the check.
+MAX_JSON_DEPTH = 64
+# a JSON string, whose brackets do not nest, one bracket, or the quote that
+# opens a string left unterminated
+_JSON_BRACKETS = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[][{}"]')
+
+
+def _check_json_depth(text: str):
+    depth = 0
+    for token in _JSON_BRACKETS.findall(text):
+        if token == '"':
+            return  # the decoder refuses the rest
+        if token in ("[", "{"):
+            depth += 1
+            if depth > MAX_JSON_DEPTH:
+                raise CliError("JSON input nests too deeply")
+        elif token in ("]", "}"):
+            depth -= 1
+
+
 def _load_poly(args) -> Poly:
     # presence, not truthiness: the parser rejects "--n 0" and "--expr ''"
     if args.expr is not None and args.input is not None:
@@ -59,11 +83,9 @@ def _load_poly(args) -> Poly:
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-        except RecursionError:
-            raise CliError("JSON input nests too deeply") from None
-        p = Poly.from_json_dict(doc)  # checks the dimension cap first
+        _check_json_depth(text)
+        # from_json_dict checks the dimension cap first
+        p = Poly.from_json_dict(json.loads(text))
         if args.n not in (None, p.n):
             raise CliError(f"--n {args.n} differs from the JSON n = {p.n}")
         return require_real(p, "JSON polynomial")

@@ -28,6 +28,9 @@ answers:
 
 verify_psd_certificate replays a certificate from scratch against the
 polynomial, re-deriving every inequality with exact arithmetic.
+
+sheared_certificate tries tiers 1 and 2 after triangular shears read off
+the polynomial, for the boundary build's floor; psd_verdict does not.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (CRat, CZERO, hermitian_form, hermitian_reduce,
@@ -575,6 +579,50 @@ def psd_certificate(p: Poly) -> Optional[dict]:
     neither certifies."""
     _check_tangential(p)
     return _squares_certificate(p) or cauchy_schwarz_pairing(p)
+
+
+Shear = Tuple[int, Poly]  # (i, s): z_i -> z_i - s, s holomorphic, free of z_i
+
+
+def sheared_certificate(p: Poly
+                        ) -> Optional[Tuple[List[Shear], Poly, dict]]:
+    """Tiers 1 and 2 on p in coordinates read off p: the shears read, in
+    order, the sheared polynomial q = p∘Φ and q's certificate, or None when
+    no shear is read or q has no certificate either.
+
+    For i = 2..n in turn, one shear z_i -> z_i - s is read off the current
+    polynomial and applied to it.  For the least a with a pure term
+    |z_i|^(2a) of coefficient P, every term z_i^a zbar_i^(a-1) zbar^m with
+    m free of z_i and nonzero, of coefficient C, adds c z^m to s, c =
+    conj(C / (a P)): |z_i + c z^m|^(2a) expands to P = 1 and C = a conj(c).
+    Each shear is a polynomial automorphism (its inverse adds s back), and
+    for a biholomorphic Φ, i∂∂̄(p∘Φ) = Φ*(i∂∂̄p): q is plurisubharmonic
+    exactly when p is, so q's certificate certifies p."""
+    _check_tangential(p)
+    n, zero = p.n, (0,) * p.n
+    shears: List[Shear] = []
+    q = p
+    for i in range(2, n + 1):
+        pure = [(alpha[i - 1], c) for (alpha, beta), c in q.terms.items()
+                if alpha == beta and 0 < alpha[i - 1] == sum(alpha)]
+        if not pure:
+            continue
+        a, scale = min(pure, key=itemgetter(0))
+        lead = tuple(a if v == i - 1 else 0 for v in range(n))
+        s = {(beta[:i - 1] + (0,) + beta[i:], zero): (c / (scale * a)).conj()
+             for (alpha, beta), c in q.terms.items()
+             if alpha == lead and a - 1 == beta[i - 1] < sum(beta)}
+        if not s:
+            continue
+        shift = Poly(n, s)
+        maps = [Poly.variable(n, v) for v in range(1, n + 1)]
+        maps[i - 1] = maps[i - 1] - shift
+        q = q.substitute_maps(maps)
+        shears.append((i, shift))
+    if not shears:
+        return None
+    cert = psd_certificate(q)
+    return None if cert is None else (shears, q, cert)
 
 
 def psd_verdict(p: Poly, samples: int = 200, seed: int = 0

@@ -387,6 +387,7 @@ class Poly:
     def from_json_dict(d: dict) -> "Poly":
         """Inverse of :meth:`to_json_dict`; malformed input raises PolyError."""
         n = _json_get(d, "n")
+        _json_known(d, ("n", "terms"), "")
         if type(n) is not int:
             raise PolyError(f"JSON polynomial: n must be an int, not {n!r}")
         _check_dimension(n)
@@ -397,6 +398,7 @@ class Poly:
         for t in raw:
             key = (_json_exponents(t, "alpha"), _json_exponents(t, "beta"))
             c = CRat(_json_rat(t, "re"), _json_rat(t, "im"))
+            _json_known(t, ("alpha", "beta", "re", "im"), " in a term")
             if key in terms:
                 raise PolyError(f"duplicate term {key} in JSON polynomial")
             terms[key] = c
@@ -522,6 +524,13 @@ def _json_get(d, key: str):
     if not isinstance(d, dict) or key not in d:
         raise PolyError(f"JSON polynomial: missing key {key!r}")
     return d[key]
+
+
+def _json_known(d: dict, keys: Tuple[str, ...], where: str):
+    """Refuse a key of the JSON object ``d`` that is not one of ``keys``."""
+    for key in d:
+        if key not in keys:
+            raise PolyError(f"JSON polynomial: unknown key {key!r}{where}")
 
 
 def _json_exponents(t, key: str) -> Exponents:

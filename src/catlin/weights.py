@@ -204,10 +204,11 @@ class Multitype:
     """The search's weight, the catalog changes it applied (``changes``,
     their witness names) and the model part in the coordinates they reach
     (``coordinates``), and the commutator multitype of a build whose Levi
-    part is certified (tier 1 or 2), where C = M (Catlin, Ann. Math. 120,
-    1984): only there does agreement make it the multitype, and
-    disagreement means the catalog missed the multitype's coordinates or a
-    fault (``status``).
+    part is certified (tier 1 or 2, in the input coordinates or after the
+    triangular shears ``levi.sheared_certificate`` reads off it, the build's
+    gate), where C = M (Catlin, Ann. Math. 120, 1984): only there does
+    agreement make it the multitype, and disagreement means the catalog
+    missed the multitype's coordinates or a fault (``status``).
 
     The ``witness`` is formed when it is read: the admissibility rows of the
     weight and the coordinates polynomial's JSON, which only ``catlin

@@ -21,14 +21,18 @@ from catlin.boundary import (BoundaryConstructionError,
                              _ListSearcher, _normalize_r)
 from catlin.cli import main
 from catlin.exact import CRat, hermitian_reduce, rank
-from catlin.levi import complex_hessian
+from catlin.levi import (complex_hessian, psd_certificate,
+                         sheared_certificate)
 from catlin.parser import parse_poly
 from catlin.poly import (CoordChange, Poly, PolyError, _capped_products,
-                         _mul_terms, split_model)
-from catlin.weights import INF, InverseWeight, is_admissible, multitype_search
+                         _mul_terms, eliminate_harmonic, split_model)
+from catlin.weights import (INF, InverseWeight, _evecs,
+                            best_distinguished_weight, is_admissible,
+                            multitype_search)
 
-from helpers import (ListSearcherOracle, _truncate, apply_field_oracle,
-                     audit_boundary_system_oracle, benchmark_models,
+from helpers import (ListSearcherOracle, _truncate, _workloads,
+                     apply_field_oracle, audit_boundary_system_oracle,
+                     benchmark_models,
                      commutator_oracle, compositions_oracle, rand_crat,
                      rand_real_poly, ranked_oracle, slow_field_oracle,
                      straighten_first_block_oracle)
@@ -1280,17 +1284,17 @@ MIXED_MODELS = [
 
 
 def _judged_models():
-    """(r, floor) for the 120 certified models of
-    test_floor_skips_only_lists_that_vanish with a floor, then for
-    MIXED_MODELS, each of which has one."""
+    """(r, floor) for the first 120 models of ``_certified_model`` (seed
+    1984) whose tangential part has a tier-1 or tier-2 certificate as it
+    stands, then for MIXED_MODELS, each of which has one.  Models whose
+    floor needs a shear are judged by the shear tests below."""
     rng = random.Random(1984)
     models = 0
     while models < 120:
         r = _certified_model(rng)
-        floor = _lambda_floor(r)
-        if floor is not None:
+        if psd_certificate(split_model(eliminate_harmonic(r)[0])[1]):
             models += 1
-            yield r, floor
+            yield r, _lambda_floor(r)
     for expr in MIXED_MODELS:
         r = parse_poly(expr, 4)
         floor = _lambda_floor(r)
@@ -1365,8 +1369,8 @@ def test_build_takes_the_least_nonvanishing_list_by_brute_force():
 
 
 DIAGONAL_N4 = "-2*Re(z1) + |z2|^4 + |z3|^6 + |z4|^8"
-# no tier-1 or tier-2 certificate, so no floor: every list below the
-# slot's value is walked
+# no tier-1 or tier-2 certificate in these coordinates; its floor comes
+# from the certificate after z2 -> z2 - (1/2)*z3^2
 SHEAR_N4 = "-2*Re(z1) + |z2 + (1/2)*z3^2|^4 + 3*|z3|^8 + 2*|z4|^10"
 # DIAGONAL_N4 with two terms of weighted degree 1 that leave no axis
 # balanced: the same c-entries along the same axes and a graded build, but
@@ -1447,14 +1451,17 @@ def _finished_tables_formed(monkeypatch, r, run):
 def test_finished_slot_seeds_and_states_are_formed_once(monkeypatch):
     # In one build, each seed and each tail state whose entries all lie in
     # finished slots (below the slot under test) is formed once, for every
-    # direction and every later slot.  The states guard on SHEAR_N4 checks
-    # that the test reaches the store; UNBALANCED_N4 has no balanced axis,
-    # so the torus-charge check empties none of its searches.
-    for expr, c, least_states in ((UNBALANCED_N4, (1, 4, 6, 8), 8),
-                                  (SHEAR_N4, (1, 4, 8, 10), 70)):
+    # direction and every later slot.  The states guard on SHEAR_N4, built
+    # without its floor so that every list below a slot's value is walked,
+    # checks that the test reaches the store; UNBALANCED_N4 has no balanced
+    # axis, so the torus-charge check empties none of its searches.
+    for expr, c, least_states, floored in (
+            (UNBALANCED_N4, (1, 4, 6, 8), 8, True),
+            (SHEAR_N4, (1, 4, 8, 10), 70, False)):
         r = parse_poly(expr, 4)
+        floor = _lambda_floor(r) if floored else None
         bs, seeds, states = _finished_tables_formed(
-            monkeypatch, r, lambda: build_boundary_system(r))
+            monkeypatch, r, lambda: _built(r, floor))
         assert bs.c_entries == c
         assert len(seeds) >= 8 and len(states) >= least_states, \
             (expr, seeds, len(states))
@@ -1528,8 +1535,11 @@ def test_finished_slot_coefficient_tables_are_formed_once(monkeypatch):
 def test_tangency_system_is_formed_once_per_slot(monkeypatch):
     # The tangency matrix, M(0)^{-1} and the two matrices of the series,
     # lead and K, depend on the slot alone, not on the direction: the
-    # n = 4 diagonal build forms 10 slow fields over its 3 slots and
-    # inverts one M(0) per slot.
+    # n = 4 diagonal build inverts one M(0) per slot.  It runs 7 series over
+    # its 3 slots, at most one per kernel basis vector at a slot: slot 2
+    # stops at z2's field, and slots 3 and 4 also try the combinations sum
+    # t^i k_i, whose fields are the combinations of the basis fields (a
+    # series per combination direction made 10).
     inverses, fields = [], []
     inverse, field_from_vector = boundary.inverse, boundary._field_from_vector
 
@@ -1545,7 +1555,7 @@ def test_tangency_system_is_formed_once_per_slot(monkeypatch):
     monkeypatch.setattr(boundary, "_field_from_vector", counting_field)
     bs = build_boundary_system(parse_poly(DIAGONAL_N4, 4))
     assert bs.c_entries == (1, 4, 6, 8) and bs.rank == 0
-    assert len(fields) == 10
+    assert len(fields) == 7
     # one per slot, each over the r_k rows of the slots below it
     assert inverses == [0, 1, 2]
 
@@ -2118,6 +2128,128 @@ def test_walk_floor_is_the_search_weight():
     for r, floor in models:
         assert floor is not None, str(r)
         assert floor == multitype_search(r).value.entries, str(r)
+
+
+def _shear_models():
+    """SHEAR_N4, then every shear model of the benchmark's normalize and
+    boundary workloads at seeds 5, 7 and 23: |z2 + c z3^k|^(4 or 6) +
+    b |z3|^m [+ b' |z4|^m], certified only after the shear."""
+    module = _workloads()
+    models = {(job.expr, job.n) for seed in (5, 7, 23)
+              for make in (module.make_normalize, module.make_boundary)
+              for job in make(random.Random(seed)) if job.family == "shear"}
+    return [(SHEAR_N4, 4)] + sorted(models)
+
+
+def test_shear_models_take_their_floor_from_the_sheared_certificate(
+        monkeypatch):
+    # Tiers 1 and 2 fail on each shear model as given, and the gate
+    # certifies it after the shear read off p (C = M on a pseudoconvex
+    # model, and q = p∘Φ is plurisubharmonic exactly when p is).  The floor
+    # is the weight walk's Lambda on p, the build searches no list below
+    # it while the c-entries equal its prefix, and the floored build is
+    # the build that scans every list: the same c, lists, directions, r_j
+    # and fields.
+    tried = []
+    search = _ListSearcher.first_nonzero
+
+    def recording(self, skeleton):
+        tried.append(skeleton)
+        return search(self, skeleton)
+
+    def below(bs, floor):
+        return [skeleton for skeleton in tried
+                if bs.c_entries[:skeleton[0] - 1] == floor[:skeleton[0] - 1]
+                and _list_value(bs, skeleton) < floor[skeleton[0] - 1]]
+
+    models = _shear_models()
+    assert len(models) == 22
+    skipped = 0
+    for expr, n in models:
+        r = parse_poly(expr, n)
+        p = split_model(eliminate_harmonic(r)[0])[1]
+        assert psd_certificate(p) is None, expr
+        floor = _lambda_floor(r)
+        assert floor == best_distinguished_weight(_evecs(p), n)[0].entries, \
+            expr
+        with monkeypatch.context() as patch:
+            patch.setattr(_ListSearcher, "first_nonzero", recording)
+            tried.clear()
+            bs = build_boundary_system(r)
+            assert below(bs, floor) == [], expr
+            tried.clear()
+            full = _built(r, None)
+            skipped += len(below(full, floor))
+        assert bs.floor == floor == bs.c_entries, expr
+        assert bs.to_json() == full.to_json(), expr
+    # the full scans searched lists below the floor: the spy is not vacuous
+    assert skipped >= 10 * len(models)
+
+
+@pytest.mark.parametrize("expr", [
+    "-2*Re(z1) + |z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^3*zbar3)",
+    "Re(z1) + (Re(z2) + |z3|^2)^2",
+    "Re(z1) + (Re(z2) + (3)*|z3|^2)^2",
+], ids=["uncertified", "rank-gap", "rank-gap-workload"])
+def test_gate_reads_no_shear_where_none_certifies(expr):
+    r = parse_poly(expr, 3)
+    p = split_model(eliminate_harmonic(r)[0])[1]
+    assert sheared_certificate(p) is None
+    assert _lambda_floor(r) is None
+
+
+def test_seed5_shear_job_searches_14_lists(monkeypatch):
+    # the boundary workload's shear job at seed 5: 71 list searches
+    # without the floor, 14 with it
+    calls = []
+    search = _ListSearcher.first_nonzero
+
+    def counted(self, skeleton):
+        calls.append(skeleton)
+        return search(self, skeleton)
+
+    job, = [job for job in _workloads().make_boundary(random.Random(5))
+            if job.family == "shear"]
+    r = parse_poly(job.expr, job.n)
+    monkeypatch.setattr(_ListSearcher, "first_nonzero", counted)
+    bs = build_boundary_system(r)
+    assert (bs.c_entries, len(calls)) == ((1, 4, 8), 14)
+    calls.clear()
+    assert _built(r, None).to_json() == bs.to_json() and len(calls) == 71
+
+
+def test_combination_fields_are_combinations_of_the_basis_fields(
+        monkeypatch):
+    # A slot's field is linear in its direction, so the field along sum_i
+    # t^i k_i is the same combination of the fields along the kernel basis
+    # k_i: it equals the series run along the combination itself, at every
+    # slot a build forms fields at, on the certified models of
+    # test_floor_skips_only_lists_that_vanish.
+    rng = random.Random(1984)
+    orig = boundary._slot_fields
+    checked = collections.Counter()
+
+    def checking(system, kernel_dirs, combos):
+        fields = orig(system, kernel_dirs, combos)
+        for position, weights in enumerate(combos, len(kernel_dirs)):
+            direction = tuple(
+                sum((k[m] * w for k, w in zip(kernel_dirs, weights)),
+                    CRat(0)) for m in range(len(kernel_dirs[0])))
+            field = fields(position)
+            assert field == system(direction), direction
+            checked[field is None] += 1
+        return fields
+
+    monkeypatch.setattr(boundary, "_slot_fields", checking)
+    models = 0
+    while models < 120:
+        r = _certified_model(rng)
+        floor = _lambda_floor(r)
+        if floor is None:
+            continue
+        models += 1
+        _outcome(lambda: _built(r, floor))
+    assert checked[False] >= 100, checked
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -795,6 +796,58 @@ def test_input_errors_exit_2(capsys, tmp_path, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("extra,message", [
+    # an unknown key at the top level is named
+    (', "x": 1', "JSON polynomial: unknown key 'x'"),
+    # 5,000 nested arrays: refused by MAX_JSON_DEPTH before the decoder
+    # runs, whose own recursion limit moves with the Python version
+    (', "x": ' + "[" * 5000 + "]" * 5000, "JSON input nests too deeply"),
+])
+def test_a_json_model_with_an_extra_key_exits_2(capsys, tmp_path, extra,
+                                                message):
+    model = (Path(__file__).parent / "golden" / "inputs" / "model.json")
+    text = model.read_text(encoding="utf-8").rstrip()
+    assert text.endswith("}")
+    path = tmp_path / "extra.json"
+    path.write_text(text[:-1] + extra + "}")
+    for command in ("parse", "boundary-system"):
+        assert run_cli(capsys, command, str(path)) == \
+            (2, "", f"error: {message}\n")
+
+
+def test_a_json_term_with_an_unknown_key_is_refused():
+    d = parse_poly("|z2|^2", 2).to_json_dict()
+    d["terms"][0]["coeff"] = "1"
+    with pytest.raises(PolyError, match="unknown key 'coeff' in a term"):
+        Poly.from_json_dict(d)
+
+
+def test_json_depth_counts_brackets_outside_strings():
+    # brackets inside a string do not nest; at MAX_JSON_DEPTH levels the
+    # text passes, one more is refused
+    depth = cli.MAX_JSON_DEPTH
+    cli._check_json_depth('{"a": "' + "[" * 1000 + '\\"[{"}')
+    cli._check_json_depth("[" * depth + "]" * depth)
+    with pytest.raises(cli.CliError, match="nests too deeply"):
+        cli._check_json_depth("[" * (depth + 1) + "]" * (depth + 1))
+    # the brackets after a quote that opens no complete string are left to
+    # the decoder, which refuses the string
+    cli._check_json_depth('{"a": "' + "[" * 1000)
+
+
+def test_torsion_names_the_slot_whose_change_is_not_graded(capsys):
+    # the first block is slots 2 and 3 (c = 6, 6); slot 3's r_3 carries
+    # |z4|^6 through |z3 + z4|^6, of weight 1/2 under the axis weight 1/12
+    # of z4, so the change that straightens it is not graded
+    expr = "-2*Re(z1) + |z2|^6 + |z3+z4|^6 + |z4|^12 + |z5|^8"
+    message = ("error: slot 3: the change that straightens r_3 is not "
+               "graded in the axis weights; the input is not "
+               "weight-graded\n")
+    for flags in ((), ("--json",)):
+        assert run_cli(capsys, "torsion", *flags, "--n", "5",
+                       "--expr", expr) == (2, "", message)
+
+
 @pytest.mark.parametrize("command", [
     "parse", "psd", "normalize", "boundary-system", "torsion", "multitype"])
 def test_dimension_above_the_cap_exits_2_fast(capsys, tmp_path, command):
@@ -1058,6 +1111,8 @@ def test_multitype_gate_reuses_its_search(monkeypatch, capsys):
     # the Levi form never reads
     ("-2*Re(z1) + 2*Re(z2^3) + |z2|^4 + |z3|^6", True),
     ("-2*Re(z1) + (Re(z2))^2 + |z3|^4", True),
+    # certified after z2 -> z2 - (1/2)*z3^2, read off the square
+    ("-2*Re(z1) + |z2 + (1/2)*z3^2|^4 + 3*|z3|^8", True),
 ])
 def test_multitype_is_exact_only_on_a_certified_model(capsys, expr, exact):
     code, out, _err = run_cli(capsys, "multitype", "--json", "--n", "3",

@@ -242,8 +242,8 @@ CI_RUNS = [
           quartic(8) + " + 2*(1/3)*Re(z2^3*zbar3)"]),
     (10, ["parse", "--n", "2", "--expr", "(" * 300 + "|z2|^2" + ")" * 300]),
     (10, ["parse", "--n", "2", "--expr", "-" * 5000 + "|z2|^2"]),
-    # inputs/deep.json nests 20,000 arrays: past the JSON decoder's
-    # recursion limit on Python 3.10-3.13 (3.13 decodes 5,000)
+    # inputs/deep.json nests 20,000 arrays: past cli.MAX_JSON_DEPTH, which
+    # is checked before the decoder runs
     (10, ["parse", f"{INPUTS}/deep.json"]),
     (10, ["parse", "--n", "2", "--expr", "z2^" + "9" * 5000]),
     (10, ["parse", "--n", "2", "--expr", "9^5000"]),
@@ -337,8 +337,9 @@ EXTRA_MODELS = [
     (MODEL + "|z2|^6 + |z3|^8 + |z4|^10", 4),
     (MODEL + "|z2|^4 + |z3|^6 + |z2|^2*|z4|^2", 4),
     (MODEL + "|z2 + z4^2|^4 + |z3|^12 + |z4|^8", 4),
-    # tiers 1 and 2 certify no shear model; a negative constant and a
-    # pluriharmonic term block a certificate
+    # tiers 1 and 2 certify no shear model as given (psd answers Unknown),
+    # the build's gate only after the shear read off it; a negative
+    # constant and a pluriharmonic term block a certificate
     (MODEL + "|z2 + (1/2)*z3^2|^4 + (3)*|z3|^8", 3),
     ("|z2|^2 - 1", 3), ("|z2|^4 + 2*Re(z2^3)", 3),
     # the mixed models of the boundary tests, and a list of larger value

@@ -10,7 +10,8 @@ from catlin import levi
 from catlin.exact import CRat, rat_str
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          cauchy_schwarz_pairing, complex_hessian,
-                         hessian_form_value, psd_verdict, replay_refutation,
+                         hessian_form_value, psd_certificate, psd_verdict,
+                         replay_refutation, sheared_certificate,
                          verify_psd_certificate)
 from catlin.parser import parse_poly
 from catlin.poly import NonRealError, Poly, PolyError
@@ -886,3 +887,91 @@ def test_replay_refuses_a_splitting_outside_the_budget():
     assert levi._replay_absorption(p, forged, strict=True) is None
     assert verify_psd_certificate(p, cert)
     assert not verify_psd_certificate(p, forged)
+
+
+# ----------------------------------------------------------------------
+# certificates in sheared coordinates
+# ----------------------------------------------------------------------
+
+
+def _sheared(p, shears):
+    """p with each shear z_i -> z_i - s applied, in order."""
+    for i, s in shears:
+        maps = [Poly.variable(p.n, v) for v in range(1, p.n + 1)]
+        maps[i - 1] = maps[i - 1] - s
+        p = p.substitute_maps(maps)
+    return p
+
+
+def _unsheared(q, shears):
+    """q with each shear z_i -> z_i - s undone, z_i -> z_i + s, in reverse
+    order."""
+    for i, s in reversed(shears):
+        maps = [Poly.variable(q.n, v) for v in range(1, q.n + 1)]
+        maps[i - 1] = maps[i - 1] + s
+        q = q.substitute_maps(maps)
+    return q
+
+
+@pytest.mark.parametrize("expr,n,shears,sheared", [
+    # |z2 + c z3^2|^4: the term z2^2 zbar2 zbar3^2 has coefficient
+    # 2 conj(c) against 1 for |z2|^4, so c is read back with its
+    # conjugation, and z2 -> z2 - c z3^2 leaves |z2|^4
+    ("|z2 + (1/2+i)*z3^2|^4 + 3*|z3|^8", 3, [(2, "(1/2+i)*z3^2")],
+     "|z2|^4 + 3*|z3|^8"),
+    # a scaled sixth power: z2^3 zbar2^2 zbar3^3 has coefficient
+    # 2 * 3 conj(c) against 2 for |z2|^6
+    ("2*|z2 - (1/3)*i*z3^3|^6 + |z3|^18", 3, [(2, "-(1/3)*i*z3^3")],
+     "2*|z2|^6 + |z3|^18"),
+    # no shear in z2, then one in z3 of two monomials at once
+    ("|z2|^4 + |z3 + 2*z4 + i*z2^2|^4 + |z4|^4", 4,
+     [(3, "2*z4 + i*z2^2")], "|z2|^4 + |z3|^4 + |z4|^4"),
+    # both slots sheared, the second read after the first is applied
+    ("|z2 + z3^2|^4 + |z3 + z4^2|^8 + |z4|^16", 4,
+     [(2, "z3^2"), (3, "z4^2")], None),
+])
+def test_sheared_certificate_reads_the_shear_off_the_square(expr, n, shears,
+                                                             sheared):
+    p = parse_poly(expr, n)
+    assert psd_certificate(p) is None
+    got, q, cert = sheared_certificate(p)
+    # each s is holomorphic: the holomorphic part of 2 Re(s)
+    assert got == [(i, parse_poly(f"2*Re({s})", n).holomorphic_part())
+                   for i, s in shears]
+    if sheared is not None:
+        assert q == parse_poly(sheared, n)
+    assert q == _sheared(p, got)
+    assert verify_psd_certificate(q, cert)
+    assert _unsheared(q, got) == p
+
+
+@pytest.mark.parametrize("expr,n", [
+    # no pure power of z2 or z3 beside a term of the square's shape
+    ("|z2|^4 + |z3|^4 + 2*(1/3)*Re(z2^3*zbar3)", 3),
+    ("|z2|^2 + 2*(1/2)*Re(z2*z3*zbar3) + (1/4)*|z3|^4", 3),
+    # a shear is read, but the sheared polynomial keeps -(1/2)|z3|^8, which
+    # dominates near 0: p is not plurisubharmonic, and q has no certificate
+    ("|z2 + z3^2|^4 - (1/2)*|z3|^8 + |z3|^10", 3),
+])
+def test_sheared_certificate_refuses_what_it_cannot_certify(expr, n):
+    assert sheared_certificate(parse_poly(expr, n)) is None
+
+
+def test_sheared_certificates_of_the_benchmark_shear_models():
+    # every shear model of the normalize and boundary workloads at seeds 5,
+    # 7 and 23 certifies after the shear read off it, and the certificate
+    # replays on the sheared polynomial, which the inverse shear maps back
+    from helpers import _workloads
+    from catlin.poly import eliminate_harmonic, split_model
+    module = _workloads()
+    models = {(job.expr, job.n) for seed in (5, 7, 23)
+              for make in (module.make_normalize, module.make_boundary)
+              for job in make(random.Random(seed)) if job.family == "shear"}
+    assert len(models) >= 15
+    for expr, n in sorted(models):
+        p = split_model(eliminate_harmonic(parse_poly(expr, n))[0])[1]
+        assert psd_certificate(p) is None, expr
+        shears, q, cert = sheared_certificate(p)
+        assert [i for i, _s in shears] == [2], expr
+        assert verify_psd_certificate(q, cert), expr
+        assert _unsheared(q, shears) == p, expr
