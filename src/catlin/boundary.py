@@ -40,8 +40,9 @@ direction, so M(0) is inverted once per slot, which forms K and the matrix
 that takes a direction to the series' first term (``_tangency_system``);
 each kernel basis vector the slot reads adds the series and the z_1
 coefficient.  The field is linear in the direction, so a catalog
-combination sum t^i k_i takes the same combination of the basis fields
-(``_slot_fields``) and runs no series of its own.
+combination sum t^i k_i, which ``_catalog`` lists by its weights over the
+basis, takes the same combination of the basis fields (``_slot_fields``)
+and runs no series of its own.
 
 Wherever only low degrees matter, products are formed degree-capped by the
 product kernel of ``poly``: term pairs whose degrees add up to more than the
@@ -168,7 +169,8 @@ from operator import itemgetter
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from .exact import CRat, CZERO, hermitian_reduce, inverse, rank, rat_str
+from .exact import (CONE, CRat, CZERO, hermitian_reduce, inverse, rank,
+                    rat_str)
 from .levi import complex_hessian, psd_certificate, sheared_certificate
 from .poly import (CoordChange, ModelShapeError, Poly, PolyError,
                    PseudoconvexityError, TermKey, _capped_products,
@@ -572,18 +574,30 @@ def _tangency_system(r: Poly, c1: CRat, p_hess: List[List[Poly]],
     return field
 
 
+def _catalog(kernel_dirs: Sequence[Tuple[CRat, ...]]
+             ) -> List[Tuple[CRat, ...]]:
+    """The build's direction catalog, each entry as its weights w over the
+    Levi kernel basis k_i, the direction sum_i w_i k_i: the basis itself,
+    then, given two or more, sum_i t^i k_i for t = 1, 2, -1."""
+    m = len(kernel_dirs)
+    basis = [tuple(CONE if j == i else CZERO for j in range(m))
+             for i in range(m)]
+    return basis + ([tuple(CRat(t) ** i for i in range(m))
+                     for t in (1, 2, -1)] if m > 1 else [])
+
+
 def _slot_fields(system: Callable[[Sequence[CRat]], Optional[VField]],
-                 kernel_dirs: Sequence[Tuple[CRat, ...]],
-                 combos: Sequence[Sequence[CRat]]
-                 ) -> Callable[[int], Optional[VField]]:
-    """The slot's field at each catalog position (the kernel basis k_i,
-    then the combinations ``combos``), None when M(0) is singular.
+                 kernel_dirs: Sequence[Tuple[CRat, ...]]
+                 ) -> Callable[[Sequence[CRat]], Optional[VField]]:
+    """The slot's field along sum_i w_i k_i for weights w over the kernel
+    basis k_i, None when M(0) is singular.
 
     A field is linear in its direction: base, the series and the z_1
     coefficient each are, capped products included, as capping drops term
     pairs only.  So the field along sum_i w_i k_i is sum_i w_i times the
     field along k_i, and ``system`` runs one series per basis vector read,
-    formed when first read and kept for the slot."""
+    formed when first read and kept for the slot; a basis vector's field
+    is that series' field itself."""
     basis: Dict[int, Optional[VField]] = {}
 
     def along(i: int) -> Optional[VField]:
@@ -591,17 +605,15 @@ def _slot_fields(system: Callable[[Sequence[CRat]], Optional[VField]],
             basis[i] = system(kernel_dirs[i])
         return basis[i]
 
-    def field(position: int) -> Optional[VField]:
-        if position < len(kernel_dirs):
-            return along(position)
-        fields = [along(i) for i in range(len(kernel_dirs))]
-        if fields[0] is None:  # M(0) does not depend on the direction
-            return None
-        weights = combos[position - len(kernel_dirs)]
+    def field(weights: Sequence[CRat]) -> Optional[VField]:
+        terms = [(along(i), w) for i, w in enumerate(weights) if w]
+        if any(f is None for f, _w in terms):
+            return None  # M(0) does not depend on the direction
+        if len(terms) == 1 and terms[0][1] == CONE:
+            return terms[0][0]
         return VField(tuple(
-            functools.reduce(Poly.__add__, (f.hol[k] * w
-                                            for f, w in zip(fields, weights)))
-            for k in range(len(fields[0].hol))))
+            functools.reduce(Poly.__add__, (f.hol[k] * w for f, w in terms))
+            for k in range(len(terms[0][0].hol))))
 
     return field
 
@@ -717,13 +729,10 @@ def _system_slots(r: Poly, list_bound: Optional[int],
                    for vec, d in reduced if d != 0]
     levi_rank = len(levi_fields)
     kernel_dirs = [tuple(vec) for vec, d in reduced if d == 0]
-    # the catalog: the kernel basis k_i, then, given two or more, sum_i t^i
-    # k_i for t = 1, 2, -1, whose weights t^i ``_slot_fields`` reads
-    combos = [[CRat(t) ** i for i in range(len(kernel_dirs))]
-              for t in (1, 2, -1)] if len(kernel_dirs) > 1 else []
-    catalog = kernel_dirs + [
-        tuple(sum((k[c] * w for k, w in zip(kernel_dirs, weights)), CZERO)
-              for c in range(n - 1)) for weights in combos]
+    # the catalog's weights over the kernel basis, and its directions
+    catalog_weights = _catalog(kernel_dirs)
+    catalog = [tuple(sum((k[c] * w for k, w in zip(kernel_dirs, ws)), CZERO)
+                     for c in range(n - 1)) for ws in catalog_weights]
     slow: Dict[int, SlowSlot] = {}
     # the list search's tables over finished slots, shared by every
     # direction's searcher; dropped with the build
@@ -745,9 +754,10 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         # by catalog position: the searcher over the direction's slow field,
         # None when the field cannot be built
         searchers: Dict[int, Optional[_ListSearcher]] = {}
-        # the slot's field at each catalog position, formed with the slot's
+        # the slot's field along catalog weights, formed with the slot's
         # tangency system when its first field is built
-        fields_at: Optional[Callable[[int], Optional[VField]]] = None
+        fields_at: Optional[Callable[[Sequence[CRat]],
+                                     Optional[VField]]] = None
         # While the c-entries equal the floor's prefix, c_j >= floor_j (C = M
         # >= Lambda), so a list whose value is below floor_j vanishes at 0;
         # an infinite floor_j leaves no finite list to try.
@@ -772,8 +782,8 @@ def _system_slots(r: Poly, list_bound: Optional[int],
                         fields_at = _slot_fields(_tangency_system(
                             r, c1, p_hess, levi_fields,
                             [slow[j] for j in sorted(slow)], cap),
-                            kernel_dirs, combos)
-                    fld = fields_at(i)
+                            kernel_dirs)
+                    fld = fields_at(catalog_weights[i])
                     searchers[i] = None if fld is None else _ListSearcher(
                         r, {**finished, slot: fld}, bound, store, slot)
                 searcher = searchers[i]

@@ -36,6 +36,7 @@ the polynomial, for the boundary build's floor; psd_verdict does not.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (CRat, CZERO, hermitian_form, hermitian_reduce,
                     rank, rat_str)
+from .parser import MAX_POWER_TERMS, MAX_PRODUCT_PAIRS
 from .poly import (DimensionMismatch, Poly, PolyError, require_real,
                    term_sort_key)
 
@@ -584,11 +586,49 @@ def psd_certificate(p: Poly) -> Optional[dict]:
 Shear = Tuple[int, Poly]  # (i, s): z_i -> z_i - s, s holomorphic, free of z_i
 
 
+def _shear_pairs(q: Poly, i: int, width: int) -> Optional[int]:
+    """Most term pairs ``q.substitute_maps`` forms for a shear of z_i whose
+    map z_i - s has ``width`` terms, or None when a power of the map may
+    have more than MAX_POWER_TERMS terms.
+
+    The map's e-th power has at most C(width + e - 1, e) terms, one per
+    multiset of e of its terms.  Each power q reads, of the map and of its
+    conjugate, is formed once by ``Poly.__pow__``'s repeated squaring; each
+    term of q then multiplies its piece, of at most |f^a| |f^b| terms for
+    its exponents a and b of z_i and zbar_i, by one power per nonzero
+    exponent."""
+    def size(e: int) -> int:
+        return math.comb(width + e - 1, e)
+
+    exps = {e for alpha, beta in q.terms for e in (alpha[i - 1], beta[i - 1])
+            if e}
+    if size(max(exps, default=0)) > MAX_POWER_TERMS:
+        return None
+    pairs = 0
+    for e in exps:
+        done, base = 0, 1  # the exponents of __pow__'s result and base
+        while e:
+            if e & 1:
+                pairs += 2 * size(done) * size(base)
+                done += base
+            if e > 1:
+                pairs += 2 * size(base) ** 2
+                base *= 2
+            e >>= 1
+    for alpha, beta in q.terms:
+        pairs += size(alpha[i - 1]) * size(beta[i - 1]) * \
+            sum(1 for e in alpha + beta if e)
+    return pairs
+
+
 def sheared_certificate(p: Poly
                         ) -> Optional[Tuple[List[Shear], Poly, dict]]:
     """Tiers 1 and 2 on p in coordinates read off p: the shears read, in
     order, the sheared polynomial q = p∘Φ and q's certificate, or None when
-    no shear is read or q has no certificate either.
+    no shear is read, when applying the shears may form more term pairs than
+    the MAX_PRODUCT_PAIRS a parse may form, or a power of a shear's map more
+    terms than MAX_POWER_TERMS (``_shear_pairs``, checked before each shear
+    is applied, as p comes from the input), or when q has no certificate.
 
     For i = 2..n in turn, one shear z_i -> z_i - s is read off the current
     polynomial and applied to it.  For the least a with a pure term
@@ -602,6 +642,7 @@ def sheared_certificate(p: Poly
     n, zero = p.n, (0,) * p.n
     shears: List[Shear] = []
     q = p
+    pairs_left = MAX_PRODUCT_PAIRS
     for i in range(2, n + 1):
         pure = [(alpha[i - 1], c) for (alpha, beta), c in q.terms.items()
                 if alpha == beta and 0 < alpha[i - 1] == sum(alpha)]
@@ -614,6 +655,10 @@ def sheared_certificate(p: Poly
              if alpha == lead and a - 1 == beta[i - 1] < sum(beta)}
         if not s:
             continue
+        pairs = _shear_pairs(q, i, len(s) + 1)
+        if pairs is None or pairs > pairs_left:
+            return None
+        pairs_left -= pairs
         shift = Poly(n, s)
         maps = [Poly.variable(n, v) for v in range(1, n + 1)]
         maps[i - 1] = maps[i - 1] - shift

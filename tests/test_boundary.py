@@ -2229,13 +2229,17 @@ def test_combination_fields_are_combinations_of_the_basis_fields(
     orig = boundary._slot_fields
     checked = collections.Counter()
 
-    def checking(system, kernel_dirs, combos):
-        fields = orig(system, kernel_dirs, combos)
-        for position, weights in enumerate(combos, len(kernel_dirs)):
+    def checking(system, kernel_dirs):
+        fields = orig(system, kernel_dirs)
+        catalog = boundary._catalog(kernel_dirs)
+        assert catalog[:len(kernel_dirs)] == [
+            tuple(CRat(int(i == j)) for j in range(len(kernel_dirs)))
+            for i in range(len(kernel_dirs))]
+        for weights in catalog:
             direction = tuple(
                 sum((k[m] * w for k, w in zip(kernel_dirs, weights)),
                     CRat(0)) for m in range(len(kernel_dirs[0])))
-            field = fields(position)
+            field = fields(weights)
             assert field == system(direction), direction
             checked[field is None] += 1
         return fields

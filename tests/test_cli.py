@@ -848,6 +848,20 @@ def test_torsion_names_the_slot_whose_change_is_not_graded(capsys):
                        "--expr", expr) == (2, "", message)
 
 
+def test_boundary_system_reads_no_shear_past_the_work_limits(capsys):
+    # tiers 1 and 2 fail (the Levi form at 0 is indefinite), and the shear
+    # read off |z2|^2 is z2 -> z2 - (z3 + ... + z9): (z2 - s)^20 would have
+    # C(27, 7) = 888,030 terms, so the gate gives up on the shear and the
+    # build, without a floor, prints what it printed before the gate
+    expr = ("-2*Re(z1) + |z2|^2 + 2*Re(z2*(zbar3+zbar4+zbar5+zbar6+zbar7"
+            "+zbar8+zbar9)) + |z2|^40")
+    assert boundary._lambda_floor(parse_poly(expr, 9)) is None
+    assert run_cli(capsys, "boundary-system", "--n", "9", "--expr",
+                   expr) == (0, "commutator multitype: (1, 2, 2, inf, inf, "
+                             "inf, inf, inf, inf)\nLevi rank: 2; codimension "
+                             "slots: []; audit: ok\n", "")
+
+
 @pytest.mark.parametrize("command", [
     "parse", "psd", "normalize", "boundary-system", "torsion", "multitype"])
 def test_dimension_above_the_cap_exits_2_fast(capsys, tmp_path, command):
