@@ -44,6 +44,28 @@ combination sum t^i k_i, which ``_catalog`` lists by its weights over the
 basis, takes the same combination of the basis fields (``_slot_fields``)
 and runs no series of its own.
 
+The field along a finished slot's direction u_k is zero: u_k is a column
+of the slot's tangency system, so base u_k is solved by x = -e_k; the
+capped series gives exactly -e_k, as lead . u_k = -M(0)^{-1} M e_k = (K -
+I) e_k telescopes, and base + columns . x and the z_1 coefficient vanish.
+So, by linearity, the field along d is the field along d - sum_k a_k u_k
+for any a_k.  A slot reduces each catalog entry's weights modulo those of
+the finished directions (``exact.residues``) and forms its field from the
+residue (``_direction_classes``), so no series runs along a finished
+direction.  The class rule: an entry whose residue is zero lies in the span
+of the finished directions and is not tried; an entry whose residue is
+lambda != 0 times an earlier entry's has lambda times its field, and a list
+of a such fields and b conjugates has lambda^a conj(lambda)^b times the
+earlier entry's value at 0.  So it vanishes on every group on which the
+earlier entry, tried first, vanished, and is not tried either: a slot
+tries one entry per class, and takes what the whole catalog would.
+
+The torsion report reads the slot past the first block of the build after
+the straightening.  The build before it stops where the floor proves the
+block complete (``_through_torsion_slot``): while the c-entries equal the
+floor's prefix, c_j >= Lambda_j, so a Lambda_j above the block value ends
+the block at slot j - 1, and slot j is not built.
+
 Wherever only low degrees matter, products are formed degree-capped by the
 product kernel of ``poly``: term pairs whose degrees add up to more than the
 cap are never formed.  In the list search this is exact because a term of
@@ -169,8 +191,8 @@ from operator import itemgetter
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from .exact import (CONE, CRat, CZERO, hermitian_reduce, inverse, rank,
-                    rat_str)
+from .exact import (CONE, CRat, CZERO, hermitian_reduce, inverse, rat_str,
+                    residues)
 from .levi import complex_hessian, psd_certificate, sheared_certificate
 from .poly import (CoordChange, ModelShapeError, Poly, PolyError,
                    PseudoconvexityError, TermKey, _capped_products,
@@ -586,6 +608,27 @@ def _catalog(kernel_dirs: Sequence[Tuple[CRat, ...]]
                      for t in (1, 2, -1)] if m > 1 else [])
 
 
+def _direction_classes(catalog_weights: Sequence[Tuple[CRat, ...]],
+                       used: Sequence[Tuple[CRat, ...]]
+                       ) -> List[Tuple[int, Tuple[CRat, ...]]]:
+    """The catalog entries a slot tries, as (catalog position, weights
+    reduced modulo ``used``), ``used`` the weights of the finished slots'
+    directions (``exact.residues``): an entry whose residue is zero lies in
+    their span and is left out, and of the entries whose residues are equal
+    up to a nonzero complex scale only the first, in catalog order, is kept
+    (the class rule of the module docstring).  A class is keyed by its
+    residue over the residue's first nonzero entry, and the keys are
+    compared, not hashed: the catalog is short."""
+    keys: List[List[CRat]] = []
+    classes: List[Tuple[int, Tuple[CRat, ...]]] = []
+    for i, res in enumerate(residues(used, catalog_weights)):
+        lead = next((x for x in res if x), None)
+        if lead is not None and (key := [x / lead for x in res]) not in keys:
+            keys.append(key)
+            classes.append((i, tuple(res)))
+    return classes
+
+
 def _slot_fields(system: Callable[[Sequence[CRat]], Optional[VField]],
                  kernel_dirs: Sequence[Tuple[CRat, ...]]
                  ) -> Callable[[Sequence[CRat]], Optional[VField]]:
@@ -597,7 +640,14 @@ def _slot_fields(system: Callable[[Sequence[CRat]], Optional[VField]],
     pairs only.  So the field along sum_i w_i k_i is sum_i w_i times the
     field along k_i, and ``system`` runs one series per basis vector read,
     formed when first read and kept for the slot; a basis vector's field
-    is that series' field itself."""
+    is that series' field itself.
+
+    The build passes an entry's weights reduced modulo the finished slots'
+    directions (``_direction_classes``), which give the field along the
+    entry itself, as the field along a finished direction is zero (module
+    docstring); a residue is zero on every pivot column of the finished
+    directions, and a basis vector in their span is such a column, so no
+    series runs along a finished direction."""
     basis: Dict[int, Optional[VField]] = {}
 
     def along(i: int) -> Optional[VField]:
@@ -734,6 +784,8 @@ def _system_slots(r: Poly, list_bound: Optional[int],
     catalog = [tuple(sum((k[c] * w for k, w in zip(kernel_dirs, ws)), CZERO)
                      for c in range(n - 1)) for ws in catalog_weights]
     slow: Dict[int, SlowSlot] = {}
+    # the weights of the finished slots' directions over the kernel basis
+    used: List[Tuple[CRat, ...]] = []
     # the list search's tables over finished slots, shared by every
     # direction's searcher; dropped with the build
     store: Dict[tuple, Any] = {}
@@ -743,14 +795,11 @@ def _system_slots(r: Poly, list_bound: Optional[int],
                         list_bound=bound, trunc_degree=cap, floor=floor)
     yield bs
     for slot in range(levi_rank + 2, n + 1):
-        used = [sl.direction for sl in slow.values()]
         finished = {j: sl.fld for j, sl in slow.items()}
         found = None
-        # the catalog directions outside the span of the slots built so far;
-        # each slot's direction lay outside the span of those before it, so
-        # ``used`` is independent and its rank is its length
-        directions = [i for i, d in enumerate(catalog)
-                      if rank(used + [d]) > len(used)]
+        # one catalog entry per class modulo the finished directions, with
+        # its reduced weights, which give its field (module docstring)
+        directions = _direction_classes(catalog_weights, used)
         # by catalog position: the searcher over the direction's slow field,
         # None when the field cannot be built
         searchers: Dict[int, Optional[_ListSearcher]] = {}
@@ -770,26 +819,25 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         # _tangency_system); two conjugate entries give a zero seed.
         # The least nonvanishing (value, fields, direction, scan position)
         # wins: the ranking is walked one group of equal value and fields at
-        # a time, and within a group each direction, in catalog order, tries
-        # the group's lists in scan order.
+        # a time, and within a group each direction class, in catalog order,
+        # tries the group's lists in scan order.
         ranked = _ranked(slow, slot, 3, bound, below)
         for (value, _fields), group in itertools.groupby(ranked,
                                                          itemgetter(0, 1)):
             skeletons = [skeleton for *_, skeleton in group]
-            for i in directions:
+            for i, weights in directions:
                 if i not in searchers:
                     if fields_at is None:
                         fields_at = _slot_fields(_tangency_system(
                             r, c1, p_hess, levi_fields,
                             [slow[j] for j in sorted(slow)], cap),
                             kernel_dirs)
-                    fld = fields_at(catalog_weights[i])
+                    fld = fields_at(weights)
                     searchers[i] = None if fld is None else _ListSearcher(
                         r, {**finished, slot: fld}, bound, store, slot)
                 searcher = searchers[i]
                 if searcher is not None:
-                    found = next(((catalog[i], searcher.fields, entries,
-                                   value)
+                    found = next(((i, searcher.fields, entries, value)
                                   for entries in map(searcher.first_nonzero,
                                                      skeletons)
                                   if entries is not None), None)
@@ -801,7 +849,14 @@ def _system_slots(r: Poly, list_bound: Optional[int],
             bs.c_entries += (INF,) * (n - slot + 1)
             yield bs
             return
-        direction, fields, entries, c_j = found
+        i, fields, entries, c_j = found
+        if c_j < bs.c_entries[-1]:
+            raise BoundaryConstructionError(
+                f"slot {slot}: c_{slot} = {entry_str(c_j)} is below "
+                f"c_{slot - 1} = {entry_str(bs.c_entries[-1])}; the c-entries "
+                "of a boundary system do not decrease, so the directions "
+                "tried at an earlier slot missed a list of smaller value")
+        direction = catalog[i]
         g = list_derivative(r, fields, entries[1:])
         r_func, scale = _normalize_r(g, direction)
         # the fields are exact up to degree cap, and each field of the list
@@ -814,6 +869,7 @@ def _system_slots(r: Poly, list_bound: Optional[int],
         slow[slot] = SlowSlot(slot=slot, direction=tuple(direction),
                               fld=fields[slot], entries=list(entries),
                               c=c_j, r_func=r_func, scale=scale)
+        used.append(catalog_weights[i])
         bs.c_entries += (c_j,)
         yield bs
 
@@ -867,17 +923,30 @@ def first_block_slots(bs: BoundarySystem) -> List[int]:
     return [j for j in above if bs.c_entries[j - 1] == lead]
 
 
-def _through_torsion_slot(slots: Iterator[BoundarySystem]) -> BoundarySystem:
+def _through_torsion_slot(slots: Iterator[BoundarySystem],
+                          floor_ends_block: bool = False) -> BoundarySystem:
     """Run a slot-by-slot build until it has built the first slot past the
-    first block, the slot ``detect_torsion`` reads.
+    first block, the slot ``detect_torsion`` reads; with
+    ``floor_ends_block``, until the first block is complete, which the
+    floor may prove before that slot is built.
 
     The c-entries of a boundary system do not decrease (the commutator
-    multitype is an ``InverseWeight``), and the first-block change keeps
-    them (Catlin, Ann. Math. 126, 1987).  So no later slot can rejoin the
-    block, and the report reads no slot after this one."""
+    multitype is an ``InverseWeight``; a build whose entries would refuses),
+    and the first-block change keeps them (Catlin, Ann. Math. 126, 1987).
+    So no later slot can rejoin the block, and the report reads no slot
+    after this one.
+
+    The floor ends the block: while the c-entries built, the block's last
+    slot j - 1 included, equal the floor's prefix, c_j >= Lambda_j (C = M
+    >= Lambda, module docstring), so when Lambda_j exceeds the block value,
+    so does c_j, and slot j cannot join the block."""
     for bs in slots:
         block = first_block_slots(bs)
-        if block and len(bs.c_entries) > block[-1]:
+        built = len(bs.c_entries)
+        if block and (built > block[-1] or floor_ends_block
+                      and bs.floor is not None and built < bs.n
+                      and bs.c_entries == bs.floor[:built]
+                      and bs.floor[built] > bs.c_entries[-1]):
             break
     return bs
 
@@ -903,14 +972,18 @@ def first_block_torsion(r0: Poly, list_bound: Optional[int] = None
                         ) -> TorsionReport:
     """The report of ``detect_torsion(normalize_first_block(
     build_boundary_system(r0, list_bound)))``, from systems built only
-    through the slot the report reads: the first slot past the first block,
-    before and after the change that straightens the block.  The second
-    reuses the floor of the first (C and M are biholomorphic invariants).
-    A model without a first block has nothing to straighten: its report is
+    only as far as the report needs: the first build until its first block
+    is complete, which the floor may prove before the slot past the block is
+    built (``_through_torsion_slot``), and the build after the change that
+    straightens the block through that slot, which the report reads.  The
+    straightening runs the rest of the first build when a tail involves a
+    variable on no built axis.  The second build reuses the floor of the
+    first (C and M are biholomorphic invariants).  A model without a first
+    block has nothing to straighten: its report is
     ``detect_torsion(build_boundary_system(r0, list_bound))``, not
     applicable."""
     slots = _system_slots(r0, list_bound, _lambda_floor(r0))
-    bs = _through_torsion_slot(slots)
+    bs = _through_torsion_slot(slots, floor_ends_block=True)
     if not first_block_slots(bs):  # the whole build: no block to straighten
         return detect_torsion(bs)
     r_cur, _changes = _straighten_first_block(bs, slots)

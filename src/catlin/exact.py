@@ -8,12 +8,12 @@ each arithmetic result needs at most one gcd (none when its denominator is
 exact.  The real and imaginary parts are read as ``Fraction`` values, and
 printed from the ints by ``_rat_text``, as ``Fraction`` prints them.
 
-The linear algebra is one path: ``rank`` and ``inverse`` by Gauss-Jordan
-elimination, and the congruence of a Hermitian matrix to diagonal form,
-``hermitian_reduce``, by Schur complements of the Gram matrix of the
-vectors it has not yet used as pivots, with hyperbolic pairs as its 2x2
-steps; ``hermitian_form`` evaluates a form at two vectors, for the
-callers that need one value.
+The linear algebra is one path: ``rank``, ``inverse`` and ``residues``
+(vectors reduced modulo a row space) by Gauss-Jordan elimination, and the
+congruence of a Hermitian matrix to diagonal form, ``hermitian_reduce``, by
+Schur complements of the Gram matrix of the vectors it has not yet used as
+pivots, with hyperbolic pairs as its 2x2 steps; ``hermitian_form``
+evaluates a form at two vectors, for the callers that need one value.
 """
 
 from __future__ import annotations
@@ -250,6 +250,25 @@ def _eliminate(rows: Sequence[Sequence["CRat | Rat"]]
 def rank(rows: Sequence[Sequence["CRat | Rat"]]) -> int:
     """Exact rank of a matrix of int, Fraction or CRat entries."""
     return len(_eliminate(rows)[1])
+
+
+def residues(span: Sequence[Sequence["CRat | Rat"]],
+             vectors: Sequence[Sequence["CRat | Rat"]]) -> List[List[CRat]]:
+    """Each of ``vectors`` reduced modulo the row space of ``span``: v - u
+    for the one u in that space that agrees with v on every pivot column of
+    the rows' Gauss-Jordan form.  The residue is a function of the row space
+    alone, and zero exactly when v lies in it, that is, when rank(span + [v])
+    = rank(span).  The rows are eliminated once for every vector."""
+    rows, pivots = _eliminate(span)
+    out = []
+    for v in vectors:
+        res = [CRat.of(x) for x in v]
+        for row, col in zip(rows, pivots):
+            if res[col]:
+                f = res[col] / row[col]
+                res = [x - f * y for x, y in zip(res, row)]
+        out.append(res)
+    return out
 
 
 def inverse(m: Sequence[Sequence["CRat | Rat"]]) -> Optional[List[List[CRat]]]:

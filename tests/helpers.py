@@ -16,11 +16,13 @@ from operator import add
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import catlin.boundary as boundary
 from catlin.boundary import (BoundaryConstructionError, BoundarySystem,
-                             ListEntry, VField, _apply_field,
+                             ListEntry, TorsionReport, VField, _apply_field,
                              _field_from_vector, _ListSearcher, _ranked,
-                             first_block_slots)
-from catlin.exact import CI, CZERO, CRat, hermitian_form, inverse, rat_str
+                             detect_torsion, first_block_slots)
+from catlin.exact import (CI, CZERO, CRat, hermitian_form, inverse, rank,
+                          rat_str)
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          PositivityVerdict, _check_tangential, _random_crat,
                          _squares_certificate, cauchy_schwarz_pairing,
@@ -1021,6 +1023,30 @@ def straighten_first_block_oracle(bs: BoundarySystem
         r_cur = change.apply(r_cur)
         changes.append(change)
     return r_cur, changes
+
+
+def direction_classes_oracle(catalog_weights: Sequence[Tuple[CRat, ...]],
+                             used: Sequence[Tuple[CRat, ...]]
+                             ) -> List[Tuple[int, Tuple[CRat, ...]]]:
+    """Reference for ``boundary._direction_classes``: the earlier filter,
+    every catalog entry outside the span of the finished directions, as
+    ``rank`` decides it, each with its weights as they are, so that its
+    field runs a series along each basis vector it reads."""
+    return [(i, tuple(w)) for i, w in enumerate(catalog_weights)
+            if rank(list(used) + [w]) > len(used)]
+
+
+def first_block_torsion_oracle(r0: Poly) -> TorsionReport:
+    """Reference for ``boundary.first_block_torsion``: the first build runs
+    through the slot past its first block, however soon the floor proves
+    the block complete."""
+    slots = boundary._system_slots(r0, None, boundary._lambda_floor(r0))
+    bs = boundary._through_torsion_slot(slots)
+    if not first_block_slots(bs):
+        return detect_torsion(bs)
+    r_cur, _changes = boundary._straighten_first_block(bs, slots)
+    return detect_torsion(boundary._through_torsion_slot(
+        boundary._system_slots(r_cur, bs.list_bound, bs.floor)))
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from catlin.boundary import (BoundaryConstructionError,
                              _apply_field, _field_from_vector, _lambda_floor,
                              _ListSearcher, _normalize_r)
 from catlin.cli import main
-from catlin.exact import CRat, hermitian_reduce, rank
+from catlin.exact import CRat, hermitian_reduce, rank, residues
 from catlin.levi import (complex_hessian, psd_certificate,
                          sheared_certificate)
 from catlin.parser import parse_poly
@@ -33,9 +33,10 @@ from catlin.weights import (INF, InverseWeight, _evecs,
 from helpers import (ListSearcherOracle, _truncate, _workloads,
                      apply_field_oracle, audit_boundary_system_oracle,
                      benchmark_models,
-                     commutator_oracle, compositions_oracle, rand_crat,
-                     rand_real_poly, ranked_oracle, slow_field_oracle,
-                     straighten_first_block_oracle)
+                     commutator_oracle, compositions_oracle,
+                     direction_classes_oracle, first_block_torsion_oracle,
+                     rand_crat, rand_real_poly, ranked_oracle,
+                     slow_field_oracle, straighten_first_block_oracle)
 
 TORSION_EXPR = ("-2*Re(z1) + |z2|^6 + |z2|^2*|z3|^6 + |z2|^4*|z3|^2*|z4|^2"
                 " + |z2|^2*|z3|^4*|z4|^4"
@@ -320,8 +321,14 @@ def test_slow_fields_equal_uncapped_oracle(monkeypatch):
               ("-2*Re(z1) + |z2|^4 + |z3|^8", 3),
               ("Re(z1) + (Re(z2) + |z3|^2)^2", 3)]
     models = [parse_poly(e, n) for e, n in models]
-    rng = random.Random(20261018)
-    models += [_finite_type_model(rng, rng.randint(3, 4)) for _ in range(30)]
+    # a slot runs no series along a finished direction, whose field is zero,
+    # so a second seed's 30 models keep the guard's counts of fields formed
+    # over r_k rows (the 19th model past the first seed's 30 builds for
+    # more than 5 s)
+    for seed in (20261018, 20261019):
+        rng = random.Random(seed)
+        models += [_finite_type_model(rng, rng.randint(3, 4))
+                   for _ in range(30)]
     for r in models:
         try:
             bs = build_boundary_system(r)
@@ -370,8 +377,14 @@ def test_slow_fields_solve_their_tangency_equations(monkeypatch):
               ("-2*Re(z1) + |z2|^4 + |z3|^8", 3),
               ("Re(z1) + (Re(z2) + |z3|^2)^2", 3), (LEVI_AND_SLOT_EXPR, 4)]
     models = [parse_poly(e, n) for e, n in models]
-    rng = random.Random(20261018)
-    models += [_finite_type_model(rng, rng.randint(3, 4)) for _ in range(30)]
+    # a slot runs no series along a finished direction, whose field is zero,
+    # so a second seed's 30 models keep the guard's counts of fields formed
+    # over r_k rows (the 19th model past the first seed's 30 builds for
+    # more than 5 s)
+    for seed in (20261018, 20261019):
+        rng = random.Random(seed)
+        models += [_finite_type_model(rng, rng.randint(3, 4))
+                   for _ in range(30)]
     for r in models:
         try:
             build_boundary_system(r)
@@ -1535,11 +1548,12 @@ def test_finished_slot_coefficient_tables_are_formed_once(monkeypatch):
 def test_tangency_system_is_formed_once_per_slot(monkeypatch):
     # The tangency matrix, M(0)^{-1} and the two matrices of the series,
     # lead and K, depend on the slot alone, not on the direction: the
-    # n = 4 diagonal build inverts one M(0) per slot.  It runs 7 series over
-    # its 3 slots, at most one per kernel basis vector at a slot: slot 2
-    # stops at z2's field, and slots 3 and 4 also try the combinations sum
-    # t^i k_i, whose fields are the combinations of the basis fields (a
-    # series per combination direction made 10).
+    # n = 4 diagonal build inverts one M(0) per slot.  It runs 4 series over
+    # its 3 slots, at most one per kernel basis vector at a slot and none
+    # along a finished direction: slot 2 stops at z2's field, slot 3 reads
+    # the fields along z3 and z4, and at slot 4 every catalog entry reduces
+    # modulo z2 and z3 to a multiple of z4, whose field alone is formed (a
+    # series per combination direction made 10, and one per basis vector 7).
     inverses, fields = [], []
     inverse, field_from_vector = boundary.inverse, boundary._field_from_vector
 
@@ -1555,7 +1569,7 @@ def test_tangency_system_is_formed_once_per_slot(monkeypatch):
     monkeypatch.setattr(boundary, "_field_from_vector", counting_field)
     bs = build_boundary_system(parse_poly(DIAGONAL_N4, 4))
     assert bs.c_entries == (1, 4, 6, 8) and bs.rank == 0
-    assert len(fields) == 7
+    assert len(fields) == 4
     # one per slot, each over the r_k rows of the slots below it
     assert inverses == [0, 1, 2]
 
@@ -2198,9 +2212,11 @@ def test_gate_reads_no_shear_where_none_certifies(expr):
     assert _lambda_floor(r) is None
 
 
-def test_seed5_shear_job_searches_14_lists(monkeypatch):
-    # the boundary workload's shear job at seed 5: 71 list searches
-    # without the floor, 14 with it
+def test_seed5_shear_job_searches_5_lists(monkeypatch):
+    # the boundary workload's shear job at seed 5: 23 list searches
+    # without the floor, 5 with it; at slot 3 every catalog entry reduces
+    # modulo z2's direction to a multiple of z3, so z3 alone is searched
+    # (71 and 14 when each entry outside the span was searched)
     calls = []
     search = _ListSearcher.first_nonzero
 
@@ -2213,9 +2229,9 @@ def test_seed5_shear_job_searches_14_lists(monkeypatch):
     r = parse_poly(job.expr, job.n)
     monkeypatch.setattr(_ListSearcher, "first_nonzero", counted)
     bs = build_boundary_system(r)
-    assert (bs.c_entries, len(calls)) == ((1, 4, 8), 14)
+    assert (bs.c_entries, len(calls)) == ((1, 4, 8), 5)
     calls.clear()
-    assert _built(r, None).to_json() == bs.to_json() and len(calls) == 71
+    assert _built(r, None).to_json() == bs.to_json() and len(calls) == 23
 
 
 def test_combination_fields_are_combinations_of_the_basis_fields(
@@ -2254,6 +2270,206 @@ def test_combination_fields_are_combinations_of_the_basis_fields(
         models += 1
         _outcome(lambda: _built(r, floor))
     assert checked[False] >= 100, checked
+
+
+# ----------------------------------------------------------------------
+# direction classes modulo the finished slots, and the floor-ended block
+# ----------------------------------------------------------------------
+
+# Slots that take a catalog combination other than the first.  z2*z3*(z3 -
+# z2) vanishes along z2, z3 and (1, 1), not along (1, 2); at slot 3 of the
+# second, the quartic in z3 and z4 vanishes along z3, z4, (1, 1) and (1, 2),
+# not along (-1, 1), the residue of (1, -1, 1) modulo slot 2's z2.
+COMBINATION_MODELS = [
+    ("-2*Re(z1) + |z2*z3*(z3 - z2)|^2", 3),
+    ("-2*Re(z1) + |z2|^4 + |z3*z4*(z4 - z3)*(z4 - 2*z3)|^2", 4),
+]
+
+
+def _class_models():
+    """The first 120 seeded models of ``_certified_model`` (seed 1984) that
+    have a floor, then LEVI_AND_SLOT_EXPR, whose slots have Levi columns
+    and earlier-slot columns together, and COMBINATION_MODELS."""
+    rng = random.Random(1984)
+    models = []
+    while len(models) < 120:
+        r = _certified_model(rng)
+        if _lambda_floor(r) is not None:
+            models.append(r)
+    return models + [parse_poly(LEVI_AND_SLOT_EXPR, 4)] + [
+        parse_poly(expr, n) for expr, n in COMBINATION_MODELS]
+
+
+def _catalog_direction(kernel_dirs, weights):
+    return tuple(sum((k[m] * w for k, w in zip(kernel_dirs, weights)),
+                     CRat(0)) for m in range(len(kernel_dirs[0])))
+
+
+def test_field_along_a_finished_direction_is_zero(monkeypatch):
+    # The tangency system has each finished slot's direction u_k as a
+    # column, so base u_k is solved by x = -e_k: the capped series
+    # telescopes to -e_k exactly, and the field along u_k, its z_1
+    # coefficient included, is the zero field, at every slot a build forms
+    # a tangency system at.
+    checked = collections.Counter()
+    orig = boundary._tangency_system
+
+    def checking(r, c1, p_hess, levi, prior, cap):
+        system = orig(r, c1, p_hess, levi, prior, cap)
+        for sl in prior:
+            fld = system(sl.direction)
+            if fld is None:
+                checked["singular"] += 1
+                break
+            assert all(a.is_zero() for a in fld.hol), (str(r), sl.direction)
+            checked["zero", bool(levi)] += 1
+        return system
+
+    monkeypatch.setattr(boundary, "_tangency_system", checking)
+    for r in _class_models():
+        _outcome(lambda: build_boundary_system(r))
+    assert checked["zero", False] > 60 and checked["zero", True], checked
+
+
+def test_direction_classes_of_a_small_catalog():
+    # the class rule on its own: entries in the span of the finished
+    # directions are left out, and of residues equal up to a nonzero
+    # complex scale the first in catalog order is kept, with its residue
+    one, zero, i = CRat(1), CRat(0), CRat(0, 1)
+    catalog = boundary._catalog([None] * 3)
+    e2 = (one, zero, zero)
+    assert boundary._direction_classes(catalog, []) == list(enumerate(catalog))
+    assert boundary._direction_classes(catalog, [e2]) == [
+        (1, (zero, one, zero)), (2, (zero, zero, one)),
+        (3, (zero, one, one)), (4, (zero, CRat(2), CRat(4))),
+        (5, (zero, -one, one))]
+    assert boundary._direction_classes(catalog, [e2, catalog[1]]) == [
+        (2, (zero, zero, one))]
+    # (1, 0) and (0, 1) modulo (1, i): residues (0, -i) and (0, 1), one
+    # class under the complex scale i
+    assert boundary._direction_classes(boundary._catalog([None] * 2),
+                                       [(one, i)]) == [(0, (zero, -i))]
+
+
+def test_fields_along_catalog_entries_are_fields_along_their_residues(
+        monkeypatch):
+    # A slot's field is linear in its direction and zero along each
+    # finished direction u_k, so the field along a catalog entry's direction
+    # is the field along any w - sum_k a_k u_k: along its residue modulo the
+    # finished directions (exact.residues), which the build forms from the
+    # basis fields, and along a random representative, run as a series.  A
+    # residue lambda times an earlier entry's gives lambda times its field:
+    # a list of a such fields and b conjugates takes lambda^a conj(lambda)^b
+    # != 0 times the earlier entry's value, so the build keeps only the
+    # earlier entry.
+    rng = random.Random(54)
+    used_at = []
+    classes, slot_fields = boundary._direction_classes, boundary._slot_fields
+    checked = collections.Counter()
+
+    def recording(catalog_weights, used):
+        used_at.append(list(used))
+        return classes(catalog_weights, used)
+
+    def checking(system, kernel_dirs):
+        fields = slot_fields(system, kernel_dirs)
+        used = used_at[-1]
+        catalog = boundary._catalog(kernel_dirs)
+        kept = dict(classes(catalog, used))
+        earlier = []
+        for pos, (w, res) in enumerate(zip(catalog, residues(used, catalog))):
+            want = system(_catalog_direction(kernel_dirs, w))
+            coeffs = [rand_crat(rng) for _ in used]
+            other = [x - sum((a * u[m] for a, u in zip(coeffs, used)),
+                             CRat(0)) for m, x in enumerate(w)]
+            assert system(_catalog_direction(kernel_dirs, other)) == want
+            if not any(res):
+                assert pos not in kept
+                assert want is None or all(a.is_zero() for a in want.hol)
+                checked["in the span"] += 1
+                continue
+            assert fields(res) == want
+            lead = next(m for m, x in enumerate(res) if x)
+            match = [(j, rep[lead] / res[lead]) for j, rep in earlier
+                     if all(x * (rep[lead] / res[lead]) == y
+                            for x, y in zip(res, rep))]
+            if not match:
+                assert kept.get(pos) == tuple(res)
+                earlier.append((pos, res))
+                checked["kept"] += 1
+                continue
+            assert pos not in kept
+            (j, ratio), = match
+            if want is not None:
+                rep = fields(kept[j])
+                assert want == VField(tuple(a * (1 / ratio) for a in rep.hol))
+                checked["scaled"] += 1
+        return fields
+
+    monkeypatch.setattr(boundary, "_direction_classes", recording)
+    monkeypatch.setattr(boundary, "_slot_fields", checking)
+    for r in _class_models():
+        _outcome(lambda: build_boundary_system(r))
+    assert checked["kept"] > 100 and checked["scaled"] > 20 \
+        and checked["in the span"] > 20, checked
+
+
+def _class_outcomes(r, torsion):
+    """The system's JSON and audit, or the error the build raises, and the
+    ``torsion`` report's JSON, or its error."""
+    try:
+        bs = build_boundary_system(r)
+        built = bs.to_json(), audit_boundary_system(bs)
+    except PolyError as exc:
+        built = type(exc).__name__, str(exc)
+    return built, _outcome(lambda: torsion(r))
+
+
+def test_direction_classes_build_what_the_rank_filter_builds(monkeypatch):
+    # The differential check of the class rule and of the floor-ended
+    # block: the earlier filter (every catalog entry outside the span of the
+    # finished directions, decided by rank, each field formed from its
+    # weights as they are) with a first torsion build run through the slot
+    # past the block gives the same systems, audits and torsion reports.
+    models = _class_models() + [parse_poly(torsion_lift(k), 4)
+                                for k in range(1, 5)]
+    got = [_class_outcomes(r, first_block_torsion) for r in models]
+    monkeypatch.setattr(boundary, "_direction_classes",
+                        direction_classes_oracle)
+    applicable = 0
+    for r, outcome in zip(models, got):
+        assert _class_outcomes(r, first_block_torsion_oracle) == outcome, \
+            str(r)
+        applicable += isinstance(outcome[1], dict) \
+            and outcome[1]["applicable"]
+    assert applicable > 40, applicable
+
+
+@pytest.mark.parametrize("expr, first_build", [
+    # Lambda_3 = 9 > 6 = c_2: the floor ends the block at slot 2
+    (TORSION_EXPR, [2]),
+    # Lambda_3 = 4 = c_2, so slot 3 is built and joins the block; Lambda_4
+    # = 6 > 4 ends it
+    ("-2*Re(z1) + |z2|^4 + |z3|^4 + |z4|^6", [2, 3]),
+], ids=["torsion", "two-slot-block"])
+def test_torsion_pre_build_ends_where_the_floor_ends_the_block(
+        monkeypatch, expr, first_build):
+    # the first build of first_block_torsion forms a tangency system at no
+    # slot past its first block; the build after the straightening goes on
+    # to the slot the report reads
+    r0 = parse_poly(expr, 4)
+    formed = collections.defaultdict(list)
+    orig = boundary._tangency_system
+
+    def recording(r, c1, p_hess, levi, prior, cap):
+        formed[r is r0].append(2 + len(levi) + len(prior))
+        return orig(r, c1, p_hess, levi, prior, cap)
+
+    monkeypatch.setattr(boundary, "_tangency_system", recording)
+    report = first_block_torsion(r0)
+    assert formed[True] == first_build
+    assert formed[False] == first_build + [first_build[-1] + 1]
+    assert report.to_json() == first_block_torsion_oracle(r0).to_json()
 
 
 # ----------------------------------------------------------------------

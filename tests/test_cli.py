@@ -362,6 +362,32 @@ def test_first_block_refusals_exit_2(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("expr, n, slot, values, search", [
+    ("-2*Re(z1) + |z2*z3*(z3 - z2)*(z3 - 2*z2)*(z3 + z2)|^2 + |z2|^12"
+     " + |z3|^12", "3", 3, ("6", "12"), "(1, 10, 10)"),
+    ("-2*Re(z1) + |z2*z3^2 - z2^2*z4|^2 + |z2|^8 + |z3|^8 + |z4|^8", "4", 3,
+     ("4", "8"), "(1, 6, 6, 6)"),
+])
+def test_decreasing_c_entries_name_the_slot(capsys, expr, n, slot, values,
+                                            search):
+    # Every catalog direction misses slot 2's least value (a generic
+    # direction reaches 10 and 6), so slot 2 takes a larger one and slot 3
+    # comes out below it.  The build refuses, naming the slot and both
+    # values, where InverseWeight used to refuse the c-entries with a
+    # message about no input; `multitype` still prints its search weight
+    # and drops the commutator the build refuses.
+    below, above = values
+    message = (f"slot {slot}: c_{slot} = {below} is below c_{slot - 1} = "
+               f"{above}; the c-entries of a boundary system do not decrease,"
+               " so the directions tried at an earlier slot missed a list of"
+               " smaller value")
+    for command in ("boundary-system", "torsion"):
+        assert run_cli(capsys, command, "--n", n, "--expr", expr) == (
+            2, "", f"error: {message}\n")
+    assert run_cli(capsys, "multitype", "--commutator", "--n", n, "--expr",
+                   expr) == (0, f"{search} [search-lower-bound]\n", "")
+
+
 def test_torsion_answers_a_mixed_list(capsys):
     # a sum of squared moduli with a clean system, c = (1, 4, 4, 6), and
     # the multitype confirmed; slot 3 (direction z4) takes a list with two

@@ -10,7 +10,7 @@ import pytest
 
 from catlin import exact
 from catlin.exact import (CRat, hermitian_form, hermitian_reduce, inverse,
-                          rank, rat_from_str, rat_str)
+                          rank, rat_from_str, rat_str, residues)
 from catlin.poly import Poly
 
 from helpers import (FractionPairCRat, _rational_rank, hermitian_reduce_oracle,
@@ -289,6 +289,35 @@ def test_rank_matches_rational_reference():
         assert 2 * r == _rational_rank(_realify(m))
         deficient += r < min(rows, cols)
     assert deficient >= 20
+
+
+def test_residues_reduce_modulo_the_row_space():
+    # v - residue lies in the row space, the residue vanishes exactly when
+    # v does (rank decides), and it depends on the row space alone: the same
+    # for its rows shuffled, combined and padded with a dependent row
+    rng = random.Random(13)
+    inside = 0
+    for _ in range(150):
+        rows, cols = rng.randint(0, 4), rng.randint(1, 5)
+        span = _random_matrix(rng, rows, cols, rng.randint(0, min(rows, cols))
+                              ) if rows else []
+        vectors = [[rand_crat(rng) for _ in range(cols)] for _ in range(3)]
+        if span:
+            vectors.append([sum((rand_crat(rng) * x for x in col), CRat(0))
+                            for col in zip(*span)])
+        other = [[x + y for x, y in zip(row, span[0])] for row in span[1:]] \
+            + span[:1] + [[x * CRat(2, 1) for x in span[0]]] if span else []
+        got = residues(span, vectors)
+        assert got == residues(other, vectors)
+        for v, res in zip(vectors, got):
+            base = rank(span)
+            assert rank(span + [[x - y for x, y in zip(v, res)]]) == base
+            assert (not any(res)) == (rank(span + [v]) == base)
+            inside += not any(res)
+    assert inside >= 100
+    assert residues([], [[1, 2]]) == [[CRat(1), CRat(2)]]
+    assert residues([[1, 1]], [[1, 0], [2, 2]]) == [
+        [CRat(0), CRat(-1)], [CRat(0), CRat(0)]]
 
 
 def test_inverse_is_two_sided_or_none():

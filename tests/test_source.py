@@ -181,6 +181,51 @@ def unread_dataclass_fields(src: Path, readers=()):
     return unread
 
 
+def _annotation_names(tree):
+    """The names that the string annotations of ``tree`` read: each string
+    constant inside a parameter, return or variable annotation, parsed as
+    an expression."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            notes = [node.annotation]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes = [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            notes = [node.annotation]
+        else:
+            continue
+        for note in filter(None, notes):
+            for sub in ast.walk(note):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    yield from (name.id for name in ast.walk(
+                        ast.parse(sub.value, mode="eval"))
+                        if isinstance(name, ast.Name))
+
+
+def unused_imports(src: Path):
+    """Entries "file:name" for each name that a module in ``src`` imports
+    and never reads: no load of the name, an attribute's base included, and
+    no string annotation that names it.  Names match by spelling, in any
+    scope of the module.  The imports of an ``__init__.py`` re-export names
+    and are skipped, as is ``from __future__``."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = [alias.asname or alias.name.split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Import)
+                 or (isinstance(node, ast.ImportFrom)
+                     and node.module != "__future__")
+                 for alias in node.names]
+        read = {sub.id for sub in ast.walk(tree)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        read.update(_annotation_names(tree))
+        unused += [f"{path.name}:{name}" for name in bound if name not in read]
+    return unused
+
+
 def test_no_unread_parameters():
     assert unread_parameters(SRC) == []
 
@@ -291,3 +336,27 @@ def test_unread_dataclass_fields_detector(tmp_path):
         "a.py:R.spare", "a.py:S.stored"]
     assert unread_dataclass_fields(src) == [
         "a.py:R.spare", "a.py:R.seen", "a.py:S.stored", "a.py:S.tested"]
+
+
+def test_no_unused_imports():
+    assert unused_imports(SRC) == []
+
+
+def test_unused_imports_detector(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import sys\n"
+        "import xml.dom\n"
+        "from typing import Dict, List, Optional\n"
+        "from .b import helper as aide, spare\n"
+        "def f(x: \"List[int]\") -> Optional[\"int\"]:\n"
+        "    return sys.argv, aide(x), xml.dom\n")
+    (tmp_path / "b.py").write_text(
+        "import json\n"
+        "def helper(x):\n    return x\n"
+        "def spare():\n    return 1\n")
+    # a re-export is no unused import
+    (tmp_path / "__init__.py").write_text("from .b import helper\n")
+    assert unused_imports(tmp_path) == [
+        "a.py:os", "a.py:Dict", "a.py:spare", "b.py:json"]
