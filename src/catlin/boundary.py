@@ -741,7 +741,7 @@ def _lambda_floor(r: Poly) -> Optional[Tuple[Entry, ...]]:
     on which a shear of the search's catalog would raise Lambda builds the
     same system; it only forms more lists.  So no build runs the catalog."""
     try:
-        p = split_model(eliminate_harmonic(r)[0])[1]
+        p = eliminate_harmonic(r)[0].restrict_support(range(2, r.n + 1))
         if psd_certificate(p) is None and sheared_certificate(p) is None:
             return None
         # never None: p has no z1 and, after eliminate_harmonic, no constant,
@@ -971,7 +971,7 @@ def normalize_first_block(bs: BoundarySystem) -> BoundarySystem:
 def first_block_torsion(r0: Poly, list_bound: Optional[int] = None
                         ) -> TorsionReport:
     """The report of ``detect_torsion(normalize_first_block(
-    build_boundary_system(r0, list_bound)))``, from systems built only
+    build_boundary_system(r0, list_bound)))``, from systems built
     only as far as the report needs: the first build until its first block
     is complete, which the floor may prove before the slot past the block is
     built (``_through_torsion_slot``), and the build after the change that

@@ -246,7 +246,6 @@ def cmd_boundary_system(args) -> int:
     problems = audit_boundary_system(bs)
     payload = bs.to_json()
     payload["audit"] = problems
-    # raises PolyError when the c-entries decrease, under --json too
     commutator = bs.commutator_multitype()
 
     def human():

@@ -30,7 +30,11 @@ verify_psd_certificate replays a certificate from scratch against the
 polynomial, re-deriving every inequality with exact arithmetic.
 
 sheared_certificate tries tiers 1 and 2 after triangular shears read off
-the polynomial, for the boundary build's floor; psd_verdict does not.
+the polynomial, for the boundary build's floor; psd_verdict does not.  As
+the polynomial comes from the input, the shears keep to the parser's work
+limits: a power of a shear's map to ``poly.MAX_POWER_TERMS`` terms, checked
+before the shear is applied, and all the shears' products to one
+``poly.pair_budget`` of ``MAX_PRODUCT_PAIRS`` term pairs.
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (CRat, CZERO, hermitian_form, hermitian_reduce,
                     rank, rat_str)
-from .parser import MAX_POWER_TERMS, MAX_PRODUCT_PAIRS
-from .poly import (DimensionMismatch, Poly, PolyError, require_real,
-                   term_sort_key)
+from .poly import (MAX_POWER_TERMS, MAX_PRODUCT_PAIRS, DimensionMismatch,
+                   PairBudgetError, Poly, PolyError, pair_budget,
+                   require_real, term_sort_key)
 
 KIND_CERTIFIED = "CertifiedPSD"
 KIND_REFUTED = "Refuted"
@@ -586,49 +590,18 @@ def psd_certificate(p: Poly) -> Optional[dict]:
 Shear = Tuple[int, Poly]  # (i, s): z_i -> z_i - s, s holomorphic, free of z_i
 
 
-def _shear_pairs(q: Poly, i: int, width: int) -> Optional[int]:
-    """Most term pairs ``q.substitute_maps`` forms for a shear of z_i whose
-    map z_i - s has ``width`` terms, or None when a power of the map may
-    have more than MAX_POWER_TERMS terms.
-
-    The map's e-th power has at most C(width + e - 1, e) terms, one per
-    multiset of e of its terms.  Each power q reads, of the map and of its
-    conjugate, is formed once by ``Poly.__pow__``'s repeated squaring; each
-    term of q then multiplies its piece, of at most |f^a| |f^b| terms for
-    its exponents a and b of z_i and zbar_i, by one power per nonzero
-    exponent."""
-    def size(e: int) -> int:
-        return math.comb(width + e - 1, e)
-
-    exps = {e for alpha, beta in q.terms for e in (alpha[i - 1], beta[i - 1])
-            if e}
-    if size(max(exps, default=0)) > MAX_POWER_TERMS:
-        return None
-    pairs = 0
-    for e in exps:
-        done, base = 0, 1  # the exponents of __pow__'s result and base
-        while e:
-            if e & 1:
-                pairs += 2 * size(done) * size(base)
-                done += base
-            if e > 1:
-                pairs += 2 * size(base) ** 2
-                base *= 2
-            e >>= 1
-    for alpha, beta in q.terms:
-        pairs += size(alpha[i - 1]) * size(beta[i - 1]) * \
-            sum(1 for e in alpha + beta if e)
-    return pairs
-
-
 def sheared_certificate(p: Poly
                         ) -> Optional[Tuple[List[Shear], Poly, dict]]:
     """Tiers 1 and 2 on p in coordinates read off p: the shears read, in
     order, the sheared polynomial q = p∘Φ and q's certificate, or None when
-    no shear is read, when applying the shears may form more term pairs than
-    the MAX_PRODUCT_PAIRS a parse may form, or a power of a shear's map more
-    terms than MAX_POWER_TERMS (``_shear_pairs``, checked before each shear
-    is applied, as p comes from the input), or when q has no certificate.
+    no shear is read, when q has no certificate, or when the shears would
+    exceed the parser's work limits, as p comes from the input: a power of
+    a shear's map may have more than MAX_POWER_TERMS terms (checked before
+    the shear is applied: the map's e-th power has at most
+    C(width + e - 1, e) terms, one per multiset of e of its ``width``
+    terms), or the products of all the shears together would form more
+    than MAX_PRODUCT_PAIRS term pairs (one ``pair_budget``, charged by the
+    product loop as it goes).
 
     For i = 2..n in turn, one shear z_i -> z_i - s is read off the current
     polynomial and applied to it.  For the least a with a pure term
@@ -642,28 +615,32 @@ def sheared_certificate(p: Poly
     n, zero = p.n, (0,) * p.n
     shears: List[Shear] = []
     q = p
-    pairs_left = MAX_PRODUCT_PAIRS
-    for i in range(2, n + 1):
-        pure = [(alpha[i - 1], c) for (alpha, beta), c in q.terms.items()
-                if alpha == beta and 0 < alpha[i - 1] == sum(alpha)]
-        if not pure:
-            continue
-        a, scale = min(pure, key=itemgetter(0))
-        lead = tuple(a if v == i - 1 else 0 for v in range(n))
-        s = {(beta[:i - 1] + (0,) + beta[i:], zero): (c / (scale * a)).conj()
-             for (alpha, beta), c in q.terms.items()
-             if alpha == lead and a - 1 == beta[i - 1] < sum(beta)}
-        if not s:
-            continue
-        pairs = _shear_pairs(q, i, len(s) + 1)
-        if pairs is None or pairs > pairs_left:
-            return None
-        pairs_left -= pairs
-        shift = Poly(n, s)
-        maps = [Poly.variable(n, v) for v in range(1, n + 1)]
-        maps[i - 1] = maps[i - 1] - shift
-        q = q.substitute_maps(maps)
-        shears.append((i, shift))
+    try:
+        with pair_budget(MAX_PRODUCT_PAIRS):
+            for i in range(2, n + 1):
+                pure = [(alpha[i - 1], c) for (alpha, beta), c
+                        in q.terms.items()
+                        if alpha == beta and 0 < alpha[i - 1] == sum(alpha)]
+                if not pure:
+                    continue
+                a, scale = min(pure, key=itemgetter(0))
+                lead = tuple(a if v == i - 1 else 0 for v in range(n))
+                s = {(beta[:i - 1] + (0,) + beta[i:], zero):
+                     (c / (scale * a)).conj()
+                     for (alpha, beta), c in q.terms.items()
+                     if alpha == lead and a - 1 == beta[i - 1] < sum(beta)}
+                if not s:
+                    continue
+                e = max(x[i - 1] for key in q.terms for x in key)
+                if math.comb(len(s) + e, e) > MAX_POWER_TERMS:
+                    return None
+                shift = Poly(n, s)
+                maps = [Poly.variable(n, v) for v in range(1, n + 1)]
+                maps[i - 1] = maps[i - 1] - shift
+                q = q.substitute_maps(maps)
+                shears.append((i, shift))
+    except PairBudgetError:
+        return None
     if not shears:
         return None
     cert = psd_certificate(q)

@@ -23,6 +23,13 @@ operations would give it; one Poly is built at the end.  An atom is a
 one-term table, and a power of a one-term base is formed in closed form
 by ``_monomial_power``, as ``Poly.__pow__`` forms it, after the size
 checks.
+
+The work limits ``MAX_POWER_TERMS`` and ``MAX_PRODUCT_PAIRS`` live in
+``poly``; the parser reads its own bindings of them when it runs, so
+rebinding one here changes the parser's limit alone.  A parse draws its
+products on one ``poly.pair_budget`` of MAX_PRODUCT_PAIRS term pairs, which
+``_mul_terms`` charges, and ``_product`` turns an overdraft into a
+ParseError at the product's position.
 """
 
 from __future__ import annotations
@@ -34,26 +41,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .exact import (_PRINTED_BITS, _PRINTED_LIMIT, CI, CONE,
                     MAX_PRINTED_DIGITS, CRat)
-from .poly import (Poly, PolyError, TermKey, _check_dimension, _conj_terms,
+from .poly import (MAX_POWER_TERMS, MAX_PRODUCT_PAIRS, PairBudgetError, Poly,
+                   PolyError, TermKey, _check_dimension, _conj_terms,
                    _monomial_power, _mul_terms, _neg_terms, _nonzero,
-                   _scale_terms, _sum_terms, require_real)
+                   _scale_terms, _sum_terms, pair_budget, require_real)
 
 Terms = Dict[TermKey, CRat]
 
-
-# Most terms a power may expand to.  A power is refused before it is
-# expanded when the count of monomials within its bidegree, over the
-# variables of its base, exceeds this; so an oversized input fails fast.
-MAX_POWER_TERMS = 50_000
-
-# Most term pairs the products of one parse may form together.  The cap
-# above bounds the size of a power, not the work of expanding it:
-# (1+z2+z3+z4)^40 has 12,341 terms, and its last squaring forms 3.1 million
-# term pairs.  Every product the parser forms, of two factors, inside a
-# power or as the q * conj(q) of a modulus, is charged against this budget,
-# and refused before it is formed when it would overdraw it; so an
-# expression of many admitted products fails fast as well.
-MAX_PRODUCT_PAIRS = 1_000_000
 
 # Most parser frames one parse may nest.  The parser is recursive descent:
 # each level of '(', '|' or Re/Im/conj costs four frames (expr, term, factor,
@@ -124,7 +118,6 @@ class _Parser:
         self.zero = (0,) * n
         self.tokens = _tokenize(text)
         self.i = 0
-        self.pairs_left = MAX_PRODUCT_PAIRS
         self.depth = 0  # parser frames nested so far, at most MAX_NESTING
 
     def peek(self) -> Tuple[str, str, int]:
@@ -181,7 +174,7 @@ class _Parser:
                     kind == "op" and val in "(~")):
                 return p
             pos = self.peek()[2]
-            p = self._product(p, self.factor(), pos)
+            p = _product(p, self.factor(), pos)
 
     def factor(self) -> Terms:
         kind, val, pos = self.peek()
@@ -277,17 +270,6 @@ class _Parser:
             raise ParseError(
                 f"variable z{j} outside dimension n={self.n}", pos)
 
-    def _product(self, p: Terms, q: Terms, pos: int) -> Terms:
-        """p * q, after charging its term pairs against the parse's budget of
-        MAX_PRODUCT_PAIRS, and checked by ``_printable``."""
-        pairs = len(p) * len(q)
-        if pairs > self.pairs_left:
-            raise ParseError(f"product would form {pairs} term pairs, more "
-                             f"than the {self.pairs_left} left of the "
-                             f"{MAX_PRODUCT_PAIRS} a parse may form", pos)
-        self.pairs_left -= pairs
-        return _printable(_nonzero(_mul_terms(p, q)), pos)
-
     def _power(self, p: Terms, k: int, pos: int,
                modulus: bool = False) -> Terms:
         """p ** k, or |p|^2k = (p * conj(p)) ** k when ``modulus``.
@@ -335,10 +317,10 @@ class _Parser:
             return _printable(_monomial_power(p, k), pos)
         out = p if k else {(self.zero, self.zero): CONE}
         for bit in f"{k:b}"[1:]:
-            out = self._product(out, out, pos)
+            out = _product(out, out, pos)
             if bit == "1":
-                out = self._product(out, p, pos)
-        return self._product(out, _conj_terms(out), pos) if modulus else out
+                out = _product(out, p, pos)
+        return _product(out, _conj_terms(out), pos) if modulus else out
 
 
 _HALF = CRat(Fraction(1, 2))
@@ -357,6 +339,18 @@ def _extreme_coefficients(p: Terms, modulus: bool) -> Iterator[CRat]:
         if modulus:
             w = w * p[pick(p, key=lambda key: key[::-1])].conj()
         yield w
+
+
+def _product(p: Terms, q: Terms, pos: int) -> Terms:
+    """p * q, its term pairs charged by ``_mul_terms`` to the parse's
+    ``pair_budget``, and checked by ``_printable``; ``pos`` is the position
+    a refusal names."""
+    try:
+        pq = _mul_terms(p, q)
+    except PairBudgetError as err:
+        raise ParseError(f"{err} of the {MAX_PRODUCT_PAIRS} a parse may "
+                         "form", pos) from None
+    return _printable(_nonzero(pq), pos)
 
 
 def _printable(terms: Terms, pos: int) -> Terms:
@@ -407,5 +401,6 @@ def parse_poly(text: str, n: int) -> Poly:
     expression is not Hermitian-symmetric (e.g. a lone "z2^2").
     """
     _check_dimension(n)
-    p = Poly._unchecked(n, _Parser(text, n).parse())
-    return require_real(p, f"expression {text!r}")
+    with pair_budget(MAX_PRODUCT_PAIRS):
+        terms = _Parser(text, n).parse()
+    return require_real(Poly._unchecked(n, terms), f"expression {text!r}")

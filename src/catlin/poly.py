@@ -32,13 +32,23 @@ orders of ``grade``, ``CoordChange`` and ``weights.lower_weight_at``, the
 remainders of ``weights.admissible_rows`` (read by ``is_admissible``,
 ``enumerate_multitypes`` and ``boundary._ranked``) and ``boundary._graded``.
 
+Work on input is bounded here: ``MAX_DIMENSION`` caps n, and the parser and
+``levi.sheared_certificate`` read ``MAX_POWER_TERMS`` and
+``MAX_PRODUCT_PAIRS``.  Product work has one account, ``pair_budget``: inside
+it ``_mul_terms``, the one product loop, charges the term pairs of each
+product before it forms them, and refuses one that would overdraw the
+budget with ``PairBudgetError``.  A parse opens one budget, and the shear
+gate another; outside any budget nothing is charged.
+
 All values are immutable after construction and all operations are pure, so
-they may be shared freely across threads.
+they may be shared freely across threads; a budget is scoped to its context.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, mul
@@ -55,6 +65,22 @@ TermKey = Tuple[Exponents, Exponents]
 # in the tests, examples, README and benchmark workloads is 12, so this
 # leaves a margin of more than five times.
 MAX_DIMENSION = 64
+
+# Most terms a power may expand to.  The parser refuses a power before it is
+# expanded when the count of monomials within its bidegree, over the
+# variables of its base, exceeds this, and ``levi.sheared_certificate`` a
+# shear when a power of its map may have more terms; so an oversized input
+# fails fast.
+MAX_POWER_TERMS = 50_000
+
+# Most term pairs the products of one parse, or of one shear gate, may form
+# together (``pair_budget``).  The cap above bounds the size of a power, not
+# the work of expanding it: (1+z2+z3+z4)^40 has 12,341 terms, and its last
+# squaring forms 3.1 million term pairs.  Every product ``_mul_terms`` forms
+# inside a budget is charged against it, and refused before it is formed
+# when it would overdraw it; so an expression of many admitted products
+# fails fast as well.
+MAX_PRODUCT_PAIRS = 1_000_000
 
 
 class PolyError(ValueError):
@@ -75,6 +101,10 @@ class ModelShapeError(PolyError):
 
 class PseudoconvexityError(PolyError):
     """A positivity side condition that pseudoconvexity forces failed."""
+
+
+class PairBudgetError(PolyError):
+    """A product would overdraw the open ``pair_budget``."""
 
 
 def term_sort_key(key: TermKey) -> tuple:
@@ -480,11 +510,32 @@ def _monomial_power(terms: Dict[TermKey, CRat], k: int
     return {(tuple(k * x for x in a), tuple(k * y for y in b)): c ** k}
 
 
+# The term pairs left to the innermost open ``pair_budget``, in a one-item
+# list that ``_mul_terms`` draws down; None outside any budget.
+_PAIR_BUDGET: ContextVar = ContextVar("pair_budget", default=None)
+
+
+@contextmanager
+def pair_budget(pairs: int) -> Iterator[None]:
+    """Scope in which the products ``_mul_terms`` forms may form at most
+    ``pairs`` term pairs together: the one account of product work.  A
+    budget opened inside another replaces it until it closes."""
+    token = _PAIR_BUDGET.set([pairs])
+    try:
+        yield
+    finally:
+        _PAIR_BUDGET.reset(token)
+
+
 def _mul_terms(t1: Dict[TermKey, CRat], t2: Dict[TermKey, CRat],
                cap: Optional[int] = None,
                out: Optional[Dict[TermKey, CRat]] = None
                ) -> Dict[TermKey, CRat]:
     """Term table of t1 * t2, which may hold zeros: the one product loop.
+
+    Inside a ``pair_budget`` it charges len(t1) * len(t2) term pairs to the
+    budget first, and raises PairBudgetError, before any pair is formed,
+    when that would overdraw it.
 
     Each term of t1 walks t2: with ``cap``, by ascending degree, stopping
     at the first term whose product would exceed that total degree, so a
@@ -492,6 +543,13 @@ def _mul_terms(t1: Dict[TermKey, CRat], t2: Dict[TermKey, CRat],
     and to its end, so the product's term order is t1's order crossed with
     t2's.  The product is added into ``out`` when given, and that table is
     returned; an empty operand returns it at once."""
+    left = _PAIR_BUDGET.get()
+    if left is not None:
+        pairs = len(t1) * len(t2)
+        if pairs > left[0]:
+            raise PairBudgetError(f"product would form {pairs} term pairs, "
+                                  f"more than the {left[0]} left")
+        left[0] -= pairs
     if out is None:
         out = {}
     if not t1 or not t2:
@@ -625,8 +683,9 @@ def eliminate_harmonic(r: Poly) -> Tuple[Poly, Poly]:
     c0 = f.terms.get((zero, zero), CZERO)
     h = (f.holomorphic_part() + Poly.const(n, c0 * Fraction(1, 2))) \
         * (CRat(-1) / c1)
-    r_prime = r - f.pure_part()
-    return require_real(r_prime, "harmonic-eliminated polynomial"), h
+    # r passed split_model's check, and the pure part of a
+    # Hermitian-symmetric table is Hermitian-symmetric, so r' is real
+    return r - f.pure_part(), h
 
 
 def revlex_max_balanced(p: Poly, active: Iterable[int]) -> Optional[TermKey]:

@@ -958,72 +958,51 @@ def test_sheared_certificate_refuses_what_it_cannot_certify(expr, n):
     assert sheared_certificate(parse_poly(expr, n)) is None
 
 
-@pytest.mark.parametrize("expr,n", [
-    ("|z2 + (1/2+i)*z3^2|^4 + 3*|z3|^8", 3),
-    ("|z2|^4 + |z3 + 2*z4 + i*z2^2|^4 + |z4|^4", 4),
-    ("|z2 + z3^2|^4 + |z3 + z4^2|^8 + |z4|^16", 4),
-    ("|z2 + z3 + z4 + z5|^6 + |z3|^12", 5),
-    ("|z2|^2 + 2*Re(z2*(zbar3 + zbar4 + zbar5)) + |z2|^8", 5),
-])
-def test_shear_pairs_bound_the_pairs_the_shear_forms(monkeypatch, expr, n):
-    # every shear the reader applies forms no more term pairs than
-    # _shear_pairs charges for it
-    formed = []
-    mul_terms = poly_module._mul_terms
-
-    def counted(t1, t2, cap=None, out=None):
-        formed[-1] += len(t1) * len(t2)
-        return mul_terms(t1, t2, cap, out)
-
-    def substitute(self, maps):
-        i = next(v for v, f in enumerate(maps, 1)
-                 if f != Poly.variable(self.n, v))
-        charged.append(levi._shear_pairs(self, i, len(maps[i - 1].terms)))
-        formed.append(0)
-        return substitute_maps(self, maps)
-
-    charged = []
-    substitute_maps = Poly.substitute_maps
-    monkeypatch.setattr(poly_module, "_mul_terms", counted)
-    monkeypatch.setattr(Poly, "substitute_maps", substitute)
-    sheared_certificate(parse_poly(expr, n))
-    assert formed and all(0 < f <= c for f, c in zip(formed, charged))
-
-
 def test_sheared_certificate_gives_up_past_the_work_limits(monkeypatch):
     # the shear read off |z2|^2 is z2 -> z2 - (z3 + ... + z9), of 8 terms:
     # its 20th power would have C(27, 7) = 888,030 terms, past
     # MAX_POWER_TERMS, so no shear is applied and there is no certificate
-    from catlin.parser import MAX_POWER_TERMS
+    from catlin.poly import MAX_POWER_TERMS
     p = parse_poly("|z2|^2 + 2*Re(z2*(zbar3 + zbar4 + zbar5 + zbar6 + zbar7"
                    " + zbar8 + zbar9)) + |z2|^40", 9)
-    assert levi._shear_pairs(p, 2, 8) is None
     assert MAX_POWER_TERMS < 888030
     monkeypatch.setattr(Poly, "substitute_maps", None)
     assert sheared_certificate(p) is None
-    # the shears share one budget: with MAX_PRODUCT_PAIRS one pair short
-    # of what the two shears are charged, the second is refused before it
-    # is applied; with exactly that many, both are applied and q certifies
-    monkeypatch.undo()
+
+
+def test_sheared_certificate_draws_its_shears_on_one_pair_budget(
+        monkeypatch):
+    # the two shears of this model form 177 and 660 term pairs, which the
+    # product loop charges to the gate's one budget as it forms them
     p = parse_poly("|z2 + z3^2|^4 + |z3 + z4^2|^8 + |z4|^16", 4)
-    charged = [levi._shear_pairs(p, 2, 2)]
-    charged.append(levi._shear_pairs(
-        _sheared(p, [(2, Poly.variable(4, 3) ** 2)]), 3, 2))
-    assert charged == [192, 800]
+    shears = [(2, Poly.variable(4, 3) ** 2), (3, Poly.variable(4, 4) ** 2)]
+    total = 10 ** 6
+    with poly_module.pair_budget(total):
+        q = _sheared(p, shears[:1])
+        first = total - poly_module._PAIR_BUDGET.get()[0]
+        _sheared(q, shears[1:])
+        both = total - poly_module._PAIR_BUDGET.get()[0]
+    assert (first, both) == (177, 837)
     applied = []
     substitute_maps = Poly.substitute_maps
 
     def substitute(self, maps):
+        q = substitute_maps(self, maps)
         applied.append(maps)
-        return substitute_maps(self, maps)
+        return q
 
     monkeypatch.setattr(Poly, "substitute_maps", substitute)
-    monkeypatch.setattr(levi, "MAX_PRODUCT_PAIRS", sum(charged) - 1)
+    # one pair short: the second shear overdraws the budget after the first
+    # is applied, and the gate gives up with no budget left open
+    monkeypatch.setattr(levi, "MAX_PRODUCT_PAIRS", both - 1)
     assert sheared_certificate(p) is None
     assert len(applied) == 1
-    monkeypatch.setattr(levi, "MAX_PRODUCT_PAIRS", sum(charged))
-    assert sheared_certificate(p) is not None
-    assert len(applied) == 3
+    assert poly_module._PAIR_BUDGET.get() is None
+    # exactly that many: both shears are applied and q certifies
+    monkeypatch.setattr(levi, "MAX_PRODUCT_PAIRS", both)
+    got, q, cert = sheared_certificate(p)
+    assert got == shears and len(applied) == 3
+    assert verify_psd_certificate(q, cert)
 
 
 def test_sheared_certificates_of_the_benchmark_shear_models():

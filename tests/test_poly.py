@@ -111,6 +111,72 @@ def test_parse_product_budget_is_per_parse(monkeypatch):
     assert err.value.pos == text.rindex("(z2+z3+z4+z5)")   # second product
 
 
+def test_pair_budget_charges_what_the_product_loop_forms(monkeypatch):
+    # a spy on the one product loop: inside a budget, the pairs charged are
+    # the sum of len(t1) * len(t2) over its calls, whichever operation makes
+    # them
+    sizes = []
+    mul_terms = poly._mul_terms
+
+    def spy(t1, t2, cap=None, out=None):
+        sizes.append(len(t1) * len(t2))
+        return mul_terms(t1, t2, cap, out)
+
+    monkeypatch.setattr(poly, "_mul_terms", spy)
+    f = parse_poly("|1 + z2 + z3|^2", 3)
+    maps = [Poly.variable(3, 1), Poly.variable(3, 2) - Poly.variable(3, 3),
+            Poly.variable(3, 3) ** 2 + Poly.variable(3, 2)]
+    total = 10 ** 6
+    with poly.pair_budget(total):
+        (f * f.conj()) ** 3
+        f.substitute_maps(maps)
+        _capped_products(3, [(f, f)], 2)
+        left, = poly._PAIR_BUDGET.get()
+    assert len(sizes) > 5 and total - left == sum(sizes)
+    assert poly._PAIR_BUDGET.get() is None
+
+
+def test_pair_budget_refuses_a_product_before_it_forms_a_pair():
+    t1 = parse_poly("Re(1 + z2 + z3)", 5).terms
+    t2 = parse_poly("Re(z2 + z3)", 5).terms
+    assert len(t1) * len(t2) == 20
+    product = poly._mul_terms(t1, t2)   # outside any budget
+    out = {}
+    with poly.pair_budget(19):
+        with pytest.raises(poly.PairBudgetError,
+                           match="20 term pairs, more than the 19 left"):
+            poly._mul_terms(t1, t2, None, out)
+        assert out == {} and poly._PAIR_BUDGET.get() == [19]
+    with poly.pair_budget(20):
+        assert poly._mul_terms(t1, t2, None, out) == product
+        assert poly._PAIR_BUDGET.get() == [0]
+        # a budget opened inside another replaces it until it closes: a
+        # parse draws on its own
+        assert len(parse_poly("|z2 + z3|^2", 5).terms) == 4
+        assert poly._PAIR_BUDGET.get() == [0]
+
+
+def test_no_pair_budget_outlives_a_refusal(monkeypatch):
+    from catlin import levi
+    p = parse_poly("|z2 + z3^2|^4 + |z3|^8", 3)
+    monkeypatch.setattr(parser, "MAX_PRODUCT_PAIRS", 12)
+    with pytest.raises(ParseError, match="15 term pairs"):
+        parse_poly("Re((1+z2+z3)*(1+z2+z3+z4+z5))", 5)
+    assert poly._PAIR_BUDGET.get() is None
+    # the next parse is charged from a fresh budget of 12
+    assert len(parse_poly("Re((1+z2+z3)*(z2+z3+z4+z5))", 5).terms) == 22
+    # and the same after a refused gate
+    monkeypatch.setattr(levi, "MAX_PRODUCT_PAIRS", 0)
+    assert levi.psd_certificate(p) is None
+    assert levi.sheared_certificate(p) is None
+    assert poly._PAIR_BUDGET.get() is None
+    assert len(parse_poly("Re((1+z2+z3)*(z2+z3+z4+z5))", 5).terms) == 22
+    # a product outside any budget charges nothing and is never refused
+    f = Poly.variable(5, 2) + Poly.variable(5, 3) + Poly.const(5, 1)
+    assert len((f * f * f).terms) == 10
+    assert poly._PAIR_BUDGET.get() is None
+
+
 def test_non_real_error_lists_pairs_in_term_order():
     # the same non-real polynomial built in two term orders
     keys = [((0, k), (0, 0)) for k in range(1, 6)]

@@ -272,6 +272,19 @@ def test_multitype_dimension_limit(monkeypatch):
         multitype_search(parse_poly(expr + " + |z4|^8", 4))
 
 
+def test_multitype_search_stops_at_the_round_cap(monkeypatch):
+    # each improving round applies one shear: this model needs two, and
+    # with MAX_ROUNDS = 1 the search keeps what its first round reached
+    r = parse_poly("-2*Re(z1) + |z2 - z3|^4 + |z3 - z4|^8 + |z4|^16", 4)
+    mt = multitype_search(r)
+    assert mt.value == InverseWeight((Fraction(1), 4, 8, 16))
+    assert mt.changes == ["shear z2 += 1*z3^1", "shear z3 += 1*z4^1"]
+    monkeypatch.setattr(weights, "MAX_ROUNDS", 1)
+    mt = multitype_search(r)
+    assert mt.value == InverseWeight((Fraction(1), 4, 8, 8))
+    assert mt.changes == ["shear z2 += 1*z3^1"]
+
+
 def test_catalog_names_order_and_maps():
     # the search's "changes" witness names catalog entries in this order;
     # the catalog holds shears only, every order being weighed at once
