@@ -104,6 +104,10 @@ class CRat:
 
     def __mul__(self, other) -> "CRat":
         if type(other) is not CRat:
+            if type(other) is int:   # one gcd, of the int and d
+                g = gcd(other, self._d)
+                e = other // g
+                return _crat(self._a * e, self._b * e, self._d // g)
             other = CRat.of(other)
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,

@@ -20,9 +20,11 @@ The parser works on raw term tables (Dict[TermKey, CRat]) through the
 ``_neg_terms``, ``_scale_terms``, ``_conj_terms``, ``_mul_terms``), so the
 arithmetic is the same and every table has the key order the Poly
 operations would give it; one Poly is built at the end.  An atom is a
-one-term table, and a power of a one-term base is formed in closed form
-by ``_monomial_power``, as ``Poly.__pow__`` forms it, after the size
-checks.
+one-term table, and a power takes a one-term base first: a modulus of one
+term, |c z^a zbar^b|^2k, is the plain power of |c|^2 z^(a+b) zbar^(a+b),
+the size and digit checks are read off that one term, and the power is
+formed in closed form by ``_monomial_power``, as ``Poly.__pow__`` forms
+it, with no term pair.
 
 The work limits ``MAX_POWER_TERMS`` and ``MAX_PRODUCT_PAIRS`` live in
 ``poly``; the parser reads its own bindings of them when it runs, so
@@ -37,6 +39,7 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .exact import (_PRINTED_BITS, _PRINTED_LIMIT, CI, CONE,
@@ -285,35 +288,45 @@ class _Parser:
         MAX_PRINTED_DIGITS digits (``_extreme_coefficients``,
         ``_unprintable_power``), so that it fails fast.
 
-        A one-term base is raised in closed form by ``_monomial_power``, the
-        kernel ``Poly.__pow__`` uses, which forms no term pairs: its
-        exponents times k and its coefficient c ** k, a modulus's base being
-        |c|^2 |z^(a+b)|^2, checked by ``_printable`` once formed.  Any other
-        modulus is expanded as q * conj(q) with q = p ** k, which forms far
-        fewer term pairs than powers of p * conj(p).  Powers are taken from
-        the top bit of k down, so that the last product is the largest;
-        ``_product`` charges and checks each one."""
-        hol = {i for (a, _b) in p for i, e in enumerate(a) if e}
-        anti = {i for (_a, b) in p for i, e in enumerate(b) if e}
-        d_hol = k * max((sum(a) for a, _b in p), default=0)
-        d_anti = k * max((sum(b) for _a, b in p), default=0)
-        if modulus:
-            hol = anti = hol | anti
-            d_hol = d_anti = d_hol + d_anti
-        bound = math.comb(len(hol) + d_hol, d_hol) * \
-            math.comb(len(anti) + d_anti, d_anti)
+        A one-term base is handled first.  Its modulus |c z^a zbar^b|^2k
+        becomes the plain power k of |c|^2 z^(a+b) zbar^(a+b), which has the
+        same bidegree, variables and extreme coefficient, so the two checks
+        above read that one term, with the same numbers, messages and
+        positions as for any base.  It is raised in closed form
+        by ``_monomial_power``, the kernel ``Poly.__pow__`` uses, which forms
+        no term pairs: its exponents times k and its coefficient c ** k,
+        checked by ``_printable`` once formed.  Any other modulus is
+        expanded as q * conj(q) with q = p ** k, which forms far fewer term
+        pairs than powers of p * conj(p).  Powers are taken from the top bit
+        of k down, so that the last product is the largest; ``_product``
+        charges and checks each one."""
+        if len(p) == 1:
+            ((a, b), c), = p.items()
+            if modulus:  # |c z^a zbar^b|^2 = |c|^2 |z^(a+b)|^2
+                a = b = tuple(map(add, a, b))
+                p = {(a, b): c * c.conj()}
+            hol, anti = len(a) - a.count(0), len(b) - b.count(0)
+            d_hol, d_anti = k * sum(a), k * sum(b)
+            extremes = p.values()
+        else:
+            hol_vars = {i for (a, _b) in p for i, e in enumerate(a) if e}
+            anti_vars = {i for (_a, b) in p for i, e in enumerate(b) if e}
+            d_hol = k * max((sum(a) for a, _b in p), default=0)
+            d_anti = k * max((sum(b) for _a, b in p), default=0)
+            if modulus:
+                hol_vars = anti_vars = hol_vars | anti_vars
+                d_hol = d_anti = d_hol + d_anti
+            hol, anti = len(hol_vars), len(anti_vars)
+            extremes = _extreme_coefficients(p, modulus)
+        bound = math.comb(hol + d_hol, d_hol) * \
+            math.comb(anti + d_anti, d_anti)
         if bound > MAX_POWER_TERMS:
             raise ParseError(f"power may expand to {bound} terms, more than "
                              f"{MAX_POWER_TERMS}", pos)
-        if k > 1 and any(_unprintable_power(w, k)
-                         for w in _extreme_coefficients(p, modulus)):
+        if k > 1 and any(_unprintable_power(w, k) for w in extremes):
             raise ParseError("power's coefficient would have more than "
                              f"{MAX_PRINTED_DIGITS} digits", pos)
         if len(p) == 1:
-            if modulus:  # |c z^a zbar^b|^2 = |c|^2 |z^(a+b)|^2
-                ((a, b), c), = p.items()
-                ab = tuple(x + y for x, y in zip(a, b))
-                p = {(ab, ab): CRat.of(c.abs2())}
             return _printable(_monomial_power(p, k), pos)
         out = p if k else {(self.zero, self.zero): CONE}
         for bit in f"{k:b}"[1:]:
@@ -334,7 +347,7 @@ def _extreme_coefficients(p: Terms, modulus: bool) -> Iterator[CRat]:
     so an extreme term of a product is the product of the factors' extreme
     terms and never cancels; the extreme terms of conj(p) are those of p
     with the largest and the smallest swapped key (beta, alpha)."""
-    for pick in (max, min)[:len(p)]:   # a one-term p has one extreme
+    for pick in (max, min)[:len(p)]:   # one for a one-term p, none for 0
         w = p[pick(p)]
         if modulus:
             w = w * p[pick(p, key=lambda key: key[::-1])].conj()

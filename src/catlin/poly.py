@@ -389,16 +389,20 @@ class Poly:
 
     def _evaluate(self, zs: Sequence[CRat], zbars: Sequence[CRat]) -> CRat:
         """Value at the point zs, whose conjugates zbars the caller supplies
-        (to share them across polynomials evaluated at one point)."""
+        (to share them across polynomials evaluated at one point).  A term
+        is skipped at its first zero coordinate of positive exponent, and
+        each coordinate is raised by ``CRat.__pow__``, one product per
+        coordinate."""
+        xs = [*zs, *zbars]
         total = CZERO
         for (a, b), c in self.terms.items():
-            v = c
-            for i in range(self.n):
-                for _ in range(a[i]):
-                    v = v * zs[i]
-                for _ in range(b[i]):
-                    v = v * zbars[i]
-            total = total + v
+            for x, e in zip(xs, a + b):
+                if e:
+                    if not x:
+                        break
+                    c = c * (x if e == 1 else x ** e)
+            else:
+                total = total + c
         return total
 
     # ------------------------------------------------------------------
@@ -488,16 +492,20 @@ def _derivative_terms(terms: Dict[TermKey, CRat], i: int,
     """Term table of the derivative in z_{i+1} (0-based i), or zbar_{i+1}
     when ``conjugate``: the one derivative loop.  Distinct terms have
     distinct derivatives, so nothing is summed, and a table without zeros
-    gives one without zeros."""
+    gives one without zeros.  A coefficient of exponent 1 is kept as it
+    is; any other is scaled by its int exponent, on ``CRat.__mul__``'s int
+    path."""
     out: Dict[TermKey, CRat] = {}
     for (a, b), c in terms.items():
         e = b[i] if conjugate else a[i]
         if e == 0:
             continue
+        if e != 1:
+            c = c * e
         if conjugate:
-            out[(a, b[:i] + (e - 1,) + b[i + 1:])] = c * e
+            out[(a, b[:i] + (e - 1,) + b[i + 1:])] = c
         else:
-            out[(a[:i] + (e - 1,) + a[i + 1:], b)] = c * e
+            out[(a[:i] + (e - 1,) + a[i + 1:], b)] = c
     return out
 
 
@@ -507,7 +515,7 @@ def _monomial_power(terms: Dict[TermKey, CRat], k: int
     form: the exponents times k and the coefficient c ** k, so no term pair
     is formed."""
     ((a, b), c), = terms.items()
-    return {(tuple(k * x for x in a), tuple(k * y for y in b)): c ** k}
+    return {(tuple([k * x for x in a]), tuple([k * y for y in b])): c ** k}
 
 
 # The term pairs left to the innermost open ``pair_budget``, in a one-item
@@ -533,16 +541,20 @@ def _mul_terms(t1: Dict[TermKey, CRat], t2: Dict[TermKey, CRat],
                ) -> Dict[TermKey, CRat]:
     """Term table of t1 * t2, which may hold zeros: the one product loop.
 
-    Inside a ``pair_budget`` it charges len(t1) * len(t2) term pairs to the
-    budget first, and raises PairBudgetError, before any pair is formed,
-    when that would overdraw it.
+    The product is added into ``out`` when given, and that table is
+    returned; an empty operand returns it at once, before the budget is
+    read, as its charge is 0.  Inside a ``pair_budget`` it charges
+    len(t1) * len(t2) term pairs to the budget first, and raises
+    PairBudgetError, before any pair is formed, when that would overdraw it.
 
-    Each term of t1 walks t2: with ``cap``, by ascending degree, stopping
-    at the first term whose product would exceed that total degree, so a
-    term pair above the cap is never formed; without it, in t2's own order
-    and to its end, so the product's term order is t1's order crossed with
-    t2's.  The product is added into ``out`` when given, and that table is
-    returned; an empty operand returns it at once."""
+    Each term of t1 walks t2: without ``cap``, t2 as it stands, in its own
+    order and to its end, so the product's term order is t1's order crossed
+    with t2's; with it, t2 by ascending degree (sorted only when it has more
+    than one term), stopping at the first term whose product would exceed
+    that total degree, so a term pair above the cap is never formed."""
+    out = {} if out is None else out
+    if not t1 or not t2:
+        return out
     left = _PAIR_BUDGET.get()
     if left is not None:
         pairs = len(t1) * len(t2)
@@ -550,15 +562,18 @@ def _mul_terms(t1: Dict[TermKey, CRat], t2: Dict[TermKey, CRat],
             raise PairBudgetError(f"product would form {pairs} term pairs, "
                                   f"more than the {left[0]} left")
         left[0] -= pairs
-    if out is None:
-        out = {}
-    if not t1 or not t2:
+    if cap is None:
+        for (a1, b1), c1 in t1.items():
+            for (a2, b2), c2 in t2.items():
+                k = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)))
+                s = out.get(k)
+                out[k] = c1 * c2 if s is None else s + c1 * c2
         return out
     right = [(sum(a2) + sum(b2), a2, b2, c2) for (a2, b2), c2 in t2.items()]
-    if cap is not None:
+    if len(right) > 1:
         right.sort(key=itemgetter(0))
     for (a1, b1), c1 in t1.items():
-        room = math.inf if cap is None else cap - sum(a1) - sum(b1)
+        room = cap - sum(a1) - sum(b1)
         for d2, a2, b2, c2 in right:
             if d2 > room:
                 break

@@ -25,8 +25,7 @@ from catlin.exact import (CI, CZERO, CRat, hermitian_form, inverse, rank,
                           rat_str)
 from catlin.levi import (KIND_CERTIFIED, KIND_REFUTED, KIND_UNKNOWN,
                          PositivityVerdict, _check_tangential, _random_crat,
-                         _squares_certificate, cauchy_schwarz_pairing,
-                         complex_hessian)
+                         _squares_certificate, cauchy_schwarz_pairing)
 from catlin.normal_form import (_Degenerate, _bal_monomial_alpha,
                                 _block_direction)
 from catlin.poly import (CoordChange, DimensionMismatch, Poly, PolyError,
@@ -678,7 +677,7 @@ def psd_verdict_oracle(p: Poly, samples: int = 200, seed: int = 0
     pairing = cauchy_schwarz_pairing(p)
     if pairing is not None:
         return PositivityVerdict(KIND_CERTIFIED, tier=2, certificate=pairing)
-    hess = complex_hessian(p)
+    hess = hessian_oracle(p)
     n = p.n
 
     def point_json(z):
@@ -686,12 +685,11 @@ def psd_verdict_oracle(p: Poly, samples: int = 200, seed: int = 0
 
     for z in grid_tuples(n, 4):
         full_z = [CRat(0)] + z
-        zbars = [c.conj() for c in full_z]
         for a in grid_tuples(n, 5):
             total = CZERO
             for j in range(2, n + 1):
                 for k in range(2, n + 1):
-                    h = hess[j - 1][k - 1]._evaluate(full_z, zbars)
+                    h = evaluate_oracle(hess[j - 1][k - 1], full_z)
                     total = total + h * a[j - 2] * a[k - 2].conj()
             assert total.is_real()
             if total.re < 0:
@@ -701,7 +699,7 @@ def psd_verdict_oracle(p: Poly, samples: int = 200, seed: int = 0
     rng = random.Random(seed)
     for tried in range(1, samples + 1):
         full_z = [CRat(0)] + [_random_crat(rng) for _ in range(n - 1)]
-        h = [[hess[j][k].evaluate(full_z) for k in range(1, n)]
+        h = [[evaluate_oracle(hess[j][k], full_z) for k in range(1, n)]
              for j in range(1, n)]
         if not hermitian_psd_oracle(h):
             return PositivityVerdict(KIND_REFUTED,
@@ -783,10 +781,10 @@ def first_indefinite_point(p: Poly) -> Optional[List[CRat]]:
     """The first structured point (z1 = 0 prepended) at which the tangential
     Hessian of p, every entry evaluated on its own, is not PSD; None when it
     is PSD at all of them."""
-    hess = complex_hessian(p)
+    hess = hessian_oracle(p)
     for z in grid_tuples(p.n, 4):
         full_z = [CRat(0)] + z
-        h = [[hess[j][k].evaluate(full_z) for k in range(1, p.n)]
+        h = [[evaluate_oracle(hess[j][k], full_z) for k in range(1, p.n)]
              for j in range(1, p.n)]
         if not hermitian_psd_oracle(h):
             return full_z
@@ -795,7 +793,8 @@ def first_indefinite_point(p: Poly) -> Optional[List[CRat]]:
 
 def wirtinger_oracle(f: Poly, j: int, conjugate: bool = False) -> Poly:
     """The earlier ``Poly.wirtinger``: its own derivative loop, summing
-    into each key, apart from ``poly._derivative_terms``."""
+    into each key, apart from ``poly._derivative_terms``; it scales by
+    ``CRat(e)``, off ``CRat.__mul__``'s int path."""
     i = j - 1
     out: Dict[TermKey, CRat] = {}
     for (a, b), c in f.terms.items():
@@ -806,8 +805,31 @@ def wirtinger_oracle(f: Poly, j: int, conjugate: bool = False) -> Poly:
             k = (a, b[:i] + (e - 1,) + b[i + 1:])
         else:
             k = (a[:i] + (e - 1,) + a[i + 1:], b)
-        out[k] = out.get(k, CZERO) + c * e
+        out[k] = out.get(k, CZERO) + c * CRat(e)
     return Poly(f.n, out)
+
+
+def hessian_oracle(p: Poly) -> List[List[Poly]]:
+    """``levi.complex_hessian`` by ``wirtinger_oracle``: entry [j-1][k-1]
+    is d^2 p / dz_j dzbar_k."""
+    return [[wirtinger_oracle(wirtinger_oracle(p, j), k, conjugate=True)
+             for k in range(1, p.n + 1)] for j in range(1, p.n + 1)]
+
+
+def evaluate_oracle(p: Poly, point: Sequence[CRat]) -> CRat:
+    """The earlier ``Poly.evaluate``: one product per unit of exponent and
+    no term skipped, apart from ``Poly._evaluate``."""
+    zs = [CRat.of(c) for c in point]
+    total = CZERO
+    for (a, b), c in p.terms.items():
+        v = c
+        for i in range(p.n):
+            for _ in range(a[i]):
+                v = v * zs[i]
+            for _ in range(b[i]):
+                v = v * zs[i].conj()
+        total = total + v
+    return total
 
 
 def apply_field_oracle(coeffs: Sequence[Poly], f: Poly,

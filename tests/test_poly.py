@@ -19,11 +19,11 @@ from catlin.poly import (CoordChange, DimensionMismatch, NonRealError, Poly,
                          revlex_max_balanced, split_model)
 
 from helpers import (benchmark_models, eliminate_harmonic_oracle,
-                     leading_model,
+                     evaluate_oracle, grid_tuples, leading_model,
                      linear_change, rand_crat, rand_fraction,
                      rand_holomorphic, rand_real_poly,
                      substitute_maps_oracle, tail, weighted_order,
-                     workload_argvs)
+                     wirtinger_oracle, workload_argvs)
 
 
 # ----------------------------------------------------------------------
@@ -88,6 +88,20 @@ def test_parse_refuses_oversized_power():
     c = CRat(2, 1) ** 12000
     assert parse_poly("Re((2+i)^12000)", 2) == Poly.const(2, c.re)
     assert len(str(c.re)) <= parser.MAX_PRINTED_DIGITS
+    # a modulus of one term is sized and checked as the plain power of
+    # |c|^2 |z^(a+b)|^2 it is: 223^2 monomials pass, 224^2 do not, and a
+    # 600-digit power of |3+4i|^2 = 25 is refused before it is formed
+    assert parse_poly("|z2|^444", 2).terms == {((0, 222), (0, 222)): CRat(1)}
+    with pytest.raises(ParseError) as err:
+        parse_poly("|z2|^446", 2)
+    assert str(err.value) == ("parse error at position 0: power may expand "
+                              "to 50176 terms, more than 50000")
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_poly(f"|3+4*i|^{'9' * 599}8", 2)
+    assert time.perf_counter() - start < 0.5
+    assert str(err.value) == ("parse error at position 0: power's "
+                              "coefficient would have more than 4300 digits")
 
 
 def test_parse_product_cap_is_exact(monkeypatch):
@@ -724,6 +738,76 @@ def _is_parent(parent, child, j, conjugate):
             and b[i + 1:] == cb[i + 1:]
     return b == cb and a[:i] == ca[:i] and a[i] == ca[i] + 1 \
         and a[i + 1:] == ca[i + 1:]
+
+
+def _rand_coeff(rng: random.Random) -> CRat:
+    """A nonzero complex coefficient whose parts have denominators 1-6."""
+    while True:
+        c = CRat(Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
+                 Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+        if c:
+            return c
+
+
+def _rand_table(rng: random.Random, n: int, most: int):
+    """A term table of 0 to ``most`` terms, exponents 0-6, not real."""
+    table = {}
+    for _ in range(rng.randint(0, most)):
+        key = tuple(tuple(rng.choice((0, 0, 0, 1, 1, 2, 3, 4, 5, 6))
+                          for _ in range(n)) for _ in range(2))
+        table[key] = _rand_coeff(rng)
+    return table
+
+
+def _brute_product(t1, t2, cap, out):
+    """``out`` plus t1 * t2 without the pairs above total degree ``cap``,
+    pair by pair, in t1's order crossed with t2's."""
+    want = dict(out)
+    for (a1, b1), c1 in t1.items():
+        for (a2, b2), c2 in t2.items():
+            key = (tuple(x + y for x, y in zip(a1, a2)),
+                   tuple(x + y for x, y in zip(b1, b2)))
+            if cap is None or sum(key[0]) + sum(key[1]) <= cap:
+                want[key] = want.get(key, CRat(0)) + c1 * c2
+    return want
+
+
+def test_small_operand_kernels_match_their_oracles():
+    # Seeded draws against oracles that share no code with the kernels:
+    # _derivative_terms against wirtinger_oracle, which scales by CRat(e);
+    # Poly.evaluate against evaluate_oracle, one product per unit of
+    # exponent, at the tier-3 structured points (a zero coordinate, z1 = 0,
+    # in each) and at rational points; _mul_terms against a pair-by-pair
+    # product, inside a pair budget.  (1/2)*|z2|^4 comes first: its
+    # z2-derivative needs the gcd of the int path, 2 * 1/2 = 1, not 2/2.
+    rng = random.Random(56)
+    half = {((0, 2, 0), (0, 2, 0)): CRat(Fraction(1, 2))}
+    for draw in range(240):
+        n = 3 + draw % 2
+        terms = half if draw == 0 else _rand_table(rng, n, 4)
+        p = Poly(n, terms)
+        for j in range(1, n + 1):
+            for conjugate in (False, True):
+                got = _derivative_terms(terms, j - 1, conjugate)
+                assert Poly._unchecked(n, got) == \
+                    wirtinger_oracle(p, j, conjugate)
+        points = [[CRat(0)] + z for z in grid_tuples(n, 4)]
+        points += [[rng.choice((CRat(0), _rand_coeff(rng)))
+                    for _ in range(n)] for _ in range(4)]
+        for point in points:
+            assert p.evaluate(point) == evaluate_oracle(p, point)
+        t1, t2 = _rand_table(rng, n, 3), _rand_table(rng, n, 3)
+        cap = rng.choice((None, rng.randint(0, 24)))
+        before = rng.choice(({}, _rand_table(rng, n, 3)))
+        out = dict(before)
+        with poly.pair_budget(100):
+            got = poly._mul_terms(t1, t2, cap, out)
+            assert 100 - poly._PAIR_BUDGET.get()[0] == len(t1) * len(t2)
+        assert got is out
+        want = _brute_product(t1, t2, cap, before)
+        assert got == want
+        if cap is None:
+            assert list(got) == list(want)
 
 
 # ----------------------------------------------------------------------

@@ -360,3 +360,37 @@ def test_unused_imports_detector(tmp_path):
     (tmp_path / "__init__.py").write_text("from .b import helper\n")
     assert unused_imports(tmp_path) == [
         "a.py:os", "a.py:Dict", "a.py:spare", "b.py:json"]
+
+
+# The slots of a CRat, (a + b*i) / d in canonical form: only ``exact`` may
+# read them, so the Gaussian-rational representation stays inside it.
+CRAT_SLOTS = ("_a", "_b", "_d")
+
+
+def crat_slot_readers(src: Path):
+    """Entries "file:line:slot", in line order, for each attribute access
+    to a CRat slot (``x._a``, ``x._b``, ``x._d``) in a module of ``src``
+    other than ``exact.py``.  Slots match by spelling, whatever ``x`` is."""
+    readers = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers += [f"{path.name}:{line}:{slot}" for line, slot in sorted(
+            (sub.lineno, sub.attr) for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and sub.attr in CRAT_SLOTS)]
+    return readers
+
+
+def test_no_module_but_exact_reads_a_crat_slot():
+    assert crat_slot_readers(SRC) == []
+
+
+def test_crat_slot_readers_detector(tmp_path):
+    (tmp_path / "exact.py").write_text(
+        "def num(z):\n    return z._a, z._b, z._d\n")
+    (tmp_path / "poly.py").write_text(
+        "def scale(c, e):\n"
+        "    return c._a * e, c._bd, getattr(c, 'x')\n"
+        "def den(c):\n    return c.re, c._d\n")
+    assert crat_slot_readers(tmp_path) == ["poly.py:2:_a", "poly.py:4:_d"]
